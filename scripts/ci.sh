@@ -36,11 +36,17 @@ PY
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== wall-clock bench, numpy backend (batch >= 5x row) =="
+echo "== wall-clock bench, numpy backend (microbench >= 5x, TPC-H geomean >= 1.65x) =="
 python -m repro.bench --wallclock --check
 
-echo "== wall-clock bench, pure-python fallback (batch >= 1.5x row) =="
+echo "== wall-clock bench, pure-python fallback (microbench >= 1.5x, TPC-H geomean >= 1.65x) =="
 REPRO_NO_NUMPY=1 python -m repro.bench --wallclock --check --no-report
+
+echo "== benchmarks/perf: its own tests, then one tiny round of every workload =="
+# The repo's end-to-end benchmark must keep running against this tree:
+# every workload's answers are checked against the row-executor oracle.
+python -m pytest benchmarks/perf/tests -q
+python3 benchmarks/perf/run.py --quick
 
 echo "== throughput bench (qps floor, p99/p50 ceiling, serial bit-identity) =="
 python -m repro.bench --throughput --check

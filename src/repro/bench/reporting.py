@@ -7,6 +7,9 @@ numbers to the measured (simulated) ones, plus the derived shape metrics
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -54,3 +57,47 @@ def print_figure(
     text = "\n".join(lines)
     print(text)
     return text
+
+
+def current_commit() -> str:
+    """``git describe`` of the working tree the bench runs in (short
+    hash, ``-dirty`` when it has uncommitted changes), or ``unknown``
+    outside a checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
+            capture_output=True, text=True, timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return done.stdout.strip() or "unknown"
+
+
+def carry_history(
+    out_path: str, entry: Dict[str, object], series: Sequence[str] = ()
+) -> List[dict]:
+    """A ``BENCH_*.json``'s prior ``history`` plus this run's ``entry``.
+
+    Entries are keyed by commit: a re-run at the same commit (and the
+    same values of the ``series`` fields, e.g. the vector backend)
+    replaces the entry it follows instead of piling up beside it, and
+    consecutive identical entries already in the file collapse to one —
+    so every line of the history is a point where something could have
+    moved."""
+    history: List[dict] = []
+    if os.path.exists(out_path):
+        try:
+            with open(out_path) as fh:
+                loaded = json.load(fh).get("history", [])
+        except (OSError, ValueError):
+            loaded = []
+        for old in loaded:
+            if not history or old != history[-1]:
+                history.append(old)
+    entry = dict(entry, commit=current_commit())
+    key = [entry.get(name) for name in ("commit", *series)]
+    if history and [history[-1].get(n) for n in ("commit", *series)] == key:
+        history[-1] = entry
+    else:
+        history.append(entry)
+    return history

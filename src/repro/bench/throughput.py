@@ -31,10 +31,9 @@ list so qps drift is visible across runs.
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, List, Optional
 
-from repro.bench.reporting import print_figure
+from repro.bench.reporting import carry_history, print_figure
 from repro.engine import Engine
 from repro.executor.concurrent import BatchResult, ConcurrentRunner
 from repro.tpch import QUERIES, create_table_sql, generate
@@ -143,24 +142,18 @@ def run_streams(seed: int, count: int) -> Dict[str, object]:
 
 def _append_history(out_path: str, runs: Dict[str, dict]) -> list:
     """Carry prior qps history forward plus this run's N=8 numbers."""
-    history = []
-    if os.path.exists(out_path):
-        try:
-            with open(out_path) as fh:
-                history = json.load(fh).get("history", [])
-        except (OSError, ValueError):
-            history = []
     top = runs[str(STREAM_COUNTS[-1])]
-    history.append(
+    return carry_history(
+        out_path,
         {
             "streams": top["streams"],
             "qps": top["qps"],
             "p50_s": top["p50_s"],
             "p99_s": top["p99_s"],
             "wait_p99_s": top["wait_p99_s"],
-        }
+        },
+        series=("streams",),
     )
-    return history
 
 
 def run_throughput(

@@ -8,22 +8,27 @@ buys: real elapsed time.
     python -m repro.bench --wallclock          # report + BENCH_wallclock.json
     python -m repro.bench --wallclock --check  # fail if batch is too slow
 
-The ``--check`` guard runs a 100k-row CO scan-filter-aggregate
+The ``--check`` guard has two gates. A 100k-row CO scan-filter-aggregate
 microbenchmark (the shape vectorization helps most) with a warm block
-cache and requires batch mode to beat row mode by the backend's
-threshold: ``CHECK_THRESHOLD`` (5x) on the NumPy backend, where typed
-vectors, fused selection kernels and the bincount aggregate fold carry
-the work, or ``CHECK_THRESHOLD_FALLBACK`` (1.5x) under
-``REPRO_NO_NUMPY=1``, where batching only amortizes interpretation
-overhead. Every run also appends a ``{speedup, backend, threshold}``
-entry to the report's ``history`` list so regressions are visible
-across runs, not just against the gate.
+cache must show batch mode beating row mode by the backend's threshold:
+``CHECK_THRESHOLD`` (5x) on the NumPy backend, where typed vectors,
+fused selection kernels and the bincount aggregate fold carry the work,
+or ``CHECK_THRESHOLD_FALLBACK`` (1.5x) under ``REPRO_NO_NUMPY=1``, where
+batching only amortizes interpretation overhead. And the geometric mean
+of the whole-query batch-over-row speedups across the Fig 8 + Fig 9
+TPC-H sets must stay above ``TPCH_GEOMEAN_FLOOR`` (1.65x on either
+backend): a statement also pays parse, plan, catalog and dispatch,
+which no executor change touches, so this is the number a user's wait
+actually follows. Every
+run also records ``{commit, backend, speedup, tpch_geomean_speedup}`` in
+the report's ``history`` — one entry per commit and backend — so
+regressions are visible across commits, not just against the gates.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import math
 import time
 from typing import Dict, Optional
 
@@ -33,7 +38,7 @@ from repro.bench.harness import (
     default_scale_factor,
     get_hawq,
 )
-from repro.bench.reporting import print_figure
+from repro.bench.reporting import carry_history, print_figure
 from repro.columnar import NUMPY_AVAILABLE
 from repro.engine import Engine
 from repro.tpch.queries import COMPLEX_JOIN_QUERIES, SIMPLE_SELECTION_QUERIES
@@ -48,6 +53,15 @@ CHECK_THRESHOLD = 5.0
 CHECK_THRESHOLD_FALLBACK = 1.5
 
 
+#: Floor on the geometric-mean whole-query TPC-H speedup: the measured
+#: mean less its run-to-run spread. One floor serves both backends
+#: because they measure alike here (five runs each: NumPy 1.79-2.03x,
+#: fallback 1.80-1.96x; joins and motions run no faster on typed vectors
+#: than on lists). At the bench's scale factor a third of a statement is
+#: fixed cost outside the executor, which is what keeps this near 2x.
+TPCH_GEOMEAN_FLOOR = 1.65
+
+
 def active_backend() -> str:
     """Which vector backend this process is using."""
     return "numpy" if NUMPY_AVAILABLE else "fallback"
@@ -56,6 +70,7 @@ def active_backend() -> str:
 def check_threshold() -> float:
     """The speedup the ``--check`` gate requires for this backend."""
     return CHECK_THRESHOLD if NUMPY_AVAILABLE else CHECK_THRESHOLD_FALLBACK
+
 
 #: Root seed for the microbenchmark's engine and data; override with
 #: ``python -m repro.bench --wallclock --seed N``.
@@ -173,23 +188,12 @@ def run_microbench(repeats: int = 3, seed: int = DEFAULT_SEED) -> dict:
     }
 
 
-def _append_history(out_path: str, micro: dict) -> list:
-    """Carry the prior report's speedup history forward plus this run."""
-    history = []
-    if os.path.exists(out_path):
-        try:
-            with open(out_path) as fh:
-                history = json.load(fh).get("history", [])
-        except (OSError, ValueError):
-            history = []
-    history.append(
-        {
-            "backend": micro["backend"],
-            "speedup": micro["speedup"],
-            "threshold": micro["threshold"],
-        }
-    )
-    return history
+def tpch_geomean_speedup(tpch: Dict[str, dict]) -> float:
+    """Geometric mean of the per-query batch-over-row wall speedups."""
+    speedups = [
+        entry["speedup"] for queries in tpch.values() for entry in queries.values()
+    ]
+    return math.exp(sum(map(math.log, speedups)) / len(speedups))
 
 
 def run_wallclock(
@@ -206,6 +210,7 @@ def run_wallclock(
         "microbench": run_microbench(repeats=repeats, seed=seed),
         "tpch": run_tpch_wallclock(repeats=repeats),
     }
+    report["tpch_geomean_speedup"] = tpch_geomean_speedup(report["tpch"])
     rows = []
     for figure, queries in report["tpch"].items():
         for q, entry in queries.items():
@@ -223,7 +228,11 @@ def run_wallclock(
         "Wall-clock: row vs batch executor (warm block cache)",
         ["figure", "query", "row ms", "batch ms", "speedup", "sim s"],
         rows,
-        notes=["simulated seconds identical across modes by construction"],
+        notes=[
+            "simulated seconds identical across modes by construction",
+            f"geometric-mean speedup {report['tpch_geomean_speedup']:.2f}x "
+            f"(required >= {TPCH_GEOMEAN_FLOOR}x)",
+        ],
     )
     micro = report["microbench"]
     print_figure(
@@ -239,20 +248,36 @@ def run_wallclock(
         ],
     )
     if out_path:
-        report["history"] = _append_history(out_path, micro)
+        report["history"] = carry_history(
+            out_path,
+            {
+                "backend": micro["backend"],
+                "speedup": micro["speedup"],
+                "threshold": micro["threshold"],
+                "tpch_geomean_speedup": report["tpch_geomean_speedup"],
+            },
+            series=("backend",),
+        )
         with open(out_path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
         print(f"wrote {out_path}")
-    required = check_threshold()
-    if check and micro["speedup"] < required:
-        print(
-            f"FAIL: batch speedup {micro['speedup']:.2f}x "
-            f"({micro['backend']} backend) below required {required}x"
-        )
-        return 1
-    if check:
-        print(
-            f"OK: batch speedup {micro['speedup']:.2f}x >= {required}x "
-            f"({micro['backend']} backend)"
-        )
-    return 0
+    if not check:
+        return 0
+    status = 0
+    for label, measured, required in (
+        ("microbench batch speedup", micro["speedup"], check_threshold()),
+        ("TPC-H geomean batch speedup", report["tpch_geomean_speedup"],
+         TPCH_GEOMEAN_FLOOR),
+    ):
+        if measured < required:
+            print(
+                f"FAIL: {label} {measured:.2f}x ({micro['backend']} backend) "
+                f"below required {required}x"
+            )
+            status = 1
+        else:
+            print(
+                f"OK: {label} {measured:.2f}x >= {required}x "
+                f"({micro['backend']} backend)"
+            )
+    return status

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import datetime
 import enum
+import operator
 import re
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.columnar import DictVector, as_list
 from repro.errors import CatalogError, SemanticError
 
 
@@ -374,19 +376,67 @@ class TableSchema:
         )
 
 
+_FNV_OFFSET = 0xCBF29CE484222325
+
+
+def _fnv1a(data: bytes, acc: int = _FNV_OFFSET) -> int:
+    """64-bit FNV-1a of ``data``, continuing from state ``acc``."""
+    for byte in data:
+        acc ^= byte
+        acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return acc
+
+
 def hash_values(values: Iterable[object], num_segments: int) -> int:
     """Deterministic hash of a distribution key onto a segment id.
 
     Python's builtin ``hash`` is randomized per process for strings, so a
     stable FNV-1a over the repr is used instead.
     """
-    acc = 0xCBF29CE484222325
+    acc = _FNV_OFFSET
     for value in values:
         if isinstance(value, datetime.date):
             data = value.isoformat().encode()
         else:
             data = repr(value).encode()
-        for byte in data:
-            acc ^= byte
-            acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        acc = _fnv1a(data, acc)
     return acc % num_segments
+
+
+def _key_texts(column) -> List[str]:
+    """Per row, the text :func:`hash_values` would feed FNV for one
+    key column (``isoformat`` for dates, ``repr`` for the rest)."""
+    if isinstance(column, DictVector):
+        # One repr per dictionary entry; code -1 (NULL) finds the last.
+        texts = [repr(s) for s in column.dictionary]
+        texts.append("None")
+        return list(map(texts.__getitem__, column.data.tolist()))
+    values = as_list(column)
+    if any(issubclass(t, datetime.date) for t in dict.fromkeys(map(type, values))):
+        return [
+            v.isoformat() if isinstance(v, datetime.date) else repr(v)
+            for v in values
+        ]
+    return list(map(repr, values))
+
+
+def hash_columns(
+    columns: Sequence[object], count: int, num_segments: int
+) -> List[int]:
+    """``hash_values(key, num_segments)`` for ``count`` keys held
+    column-wise (one sequence or column vector per key column).
+
+    FNV-1a runs over the concatenation of the key values' texts, so a
+    multi-column key's text is its columns' texts joined. Each distinct
+    text of the call is hashed once; every repeat is a dict probe, with
+    no per-row Python frame."""
+    if not columns:
+        return [hash_values((), num_segments)] * count
+    texts = _key_texts(columns[0])
+    for column in columns[1:]:
+        texts = list(map(operator.add, texts, _key_texts(column)))
+    places = {
+        text: _fnv1a(text.encode()) % num_segments
+        for text in dict.fromkeys(texts)
+    }
+    return list(map(places.__getitem__, texts))

@@ -17,8 +17,11 @@ from repro.columnar.vector import (
     IntVector,
     Vector,
     as_list,
+    concat,
     gather,
     numpy_module,
+    take,
+    take_columns,
 )
 
 __all__ = [
@@ -30,6 +33,9 @@ __all__ = [
     "IntVector",
     "Vector",
     "as_list",
+    "concat",
     "gather",
     "numpy_module",
+    "take",
+    "take_columns",
 ]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence
 
 try:  # pragma: no cover - exercised via REPRO_NO_NUMPY in CI
@@ -343,6 +344,69 @@ def gather(col, sel: Sequence[int]) -> list:
     if isinstance(col, (Vector, ConstVector)):
         return col.gather(sel)
     return [col[i] for i in sel]
+
+
+def take(col, sel: Sequence[int]):
+    """``col`` at the selected row indices, in the column's own
+    representation: typed vectors stay typed (late materialization keeps
+    the fast kernels engaged downstream), plain lists stay lists."""
+    if isinstance(col, (Vector, ConstVector)):
+        return col.take(sel)
+    return [col[i] for i in sel]
+
+
+def take_columns(columns: Sequence[object], sel: Sequence[int]) -> list:
+    """:func:`take` over several columns with one shared index vector
+    (converted to an index array once when any column is NumPy-backed,
+    not once per column)."""
+    if _np is not None and any(
+        isinstance(c, Vector) and _is_np_array(c.data) for c in columns
+    ):
+        idx = _np.asarray(sel, dtype=_np.intp)
+        return [
+            c.take(idx) if isinstance(c, Vector)
+            else c.take(sel) if isinstance(c, ConstVector)
+            else [c[i] for i in sel]
+            for c in columns
+        ]
+    return [take(c, sel) for c in columns]
+
+
+def concat(chunks: Sequence[object]):
+    """One column holding the chunks' values back to back.
+
+    Same-typed NumPy vectors concatenate buffer-wise and stay typed
+    (dictionary vectors only when they share one dictionary object, i.e.
+    slices of one block); anything else — mixed representations,
+    per-block dictionaries, the pure-python backend — lands in a plain
+    list of Python values."""
+    if len(chunks) == 1:
+        return chunks[0]
+    first = chunks[0]
+    kind = type(first)
+    if kind is list and all(type(c) is list for c in chunks):
+        return list(chain.from_iterable(chunks))
+    if (
+        _np is not None
+        and isinstance(first, Vector)
+        and all(type(c) is kind and _is_np_array(c.data) for c in chunks)
+    ):
+        data = _np.concatenate([c.data for c in chunks])
+        if kind is DictVector:
+            if all(c.dictionary is first.dictionary for c in chunks):
+                return DictVector(data, first.dictionary)
+        elif all(c.mask is None for c in chunks):
+            return kind(data)
+        else:
+            return kind(data, _np.concatenate([
+                _np.zeros(len(c.data), dtype=bool) if c.mask is None
+                else _np.asarray(c.mask, dtype=bool)
+                for c in chunks
+            ]))
+    out: list = []
+    for chunk in chunks:
+        out.extend(as_list(chunk))
+    return out
 
 
 def true_selection(mask, n: int, sel: Optional[List[int]]) -> List[int]:

@@ -5,11 +5,12 @@ Each aggregate has a *state*; ``accumulate`` folds input values in,
 plan's final side), and ``finalize`` produces the SQL value. NULLs are
 skipped by every aggregate except ``count(*)``, per the standard.
 
-The ``count``/``total`` slots of CountState/SumState/AvgState are part
-of the vectorized fold contract: ``repro.executor.vecagg.fold_batch``
-updates them directly from whole-batch ``bincount`` reductions, and the
-prepend-the-running-total trick there only reproduces ``accumulate``'s
-left-to-right float addition if those slots keep their meaning.
+The ``count``/``total``/``value`` slots of Count/Sum/Avg/MinMaxState
+are the contract with the vectorized executor:
+``repro.executor.vecagg.GroupTable`` keeps its own per-group
+accumulator arrays, and builds these objects only for a ``partial``
+phase's output — ``state_columns`` writes the slots, the ``final``
+phase's ``merge`` reads them — so they must keep their meaning.
 """
 
 from __future__ import annotations

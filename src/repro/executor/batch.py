@@ -1,15 +1,17 @@
 """Column batches for the vectorized execution path.
 
-A :class:`ColumnBatch` is the unit of data flow between batch-aware
-operators: per-column vectors — typed :mod:`repro.columnar` vectors
-straight from the storage decoders (int64/float64 buffers with null
-masks, dictionary-encoded strings) or plain Python lists for formats and
-kernels without a typed representation — plus the underlying row count
-and an optional *selection vector*. The selection vector is what fuses
-filter into its neighbours: a filter narrows ``sel`` instead of copying
-``len(sel)`` rows out of every column, and downstream kernels evaluate
-through the selection, so row materialization (``take``) is deferred all
-the way to a row-only boundary (hash-agg fallback, join build, motion).
+A :class:`ColumnBatch` is the unit of data flow between every operator
+of the batch executor, and across motions: per-column vectors — typed
+:mod:`repro.columnar` vectors straight from the storage decoders
+(int64/float64 buffers with null masks, dictionary-encoded strings) or
+plain Python lists for formats and kernels without a typed
+representation — plus the underlying row count and an optional
+*selection vector*. The selection vector is what fuses an operator into
+its neighbours: a filter, a sort or a LIMIT narrows or reorders ``sel``
+instead of copying rows out of every column, and downstream kernels
+evaluate through the selection, so materialization (``take``) is
+deferred to the operator that has to build new columns anyway (a join's
+output, a motion's per-target streams) or to the top slice's return.
 
 Storage scans produce batches of ``DEFAULT_BATCH_ROWS`` rows (aligned
 with the storage block size so a decoded block becomes a batch with zero
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence
 
-from repro.columnar import as_list, gather
+from repro.columnar import as_list, concat, gather, take_columns
+from repro.executor.expr import column_bytes
 from repro.storage.base import DEFAULT_BLOCK_ROWS
 
 #: Rows per batch on the vectorized path. Matches the storage block row
@@ -47,7 +50,8 @@ class ColumnBatch:
     ):
         self.columns = columns
         self.nrows = nrows
-        #: Live row indices into the columns, ascending, or None for all.
+        #: Live row indices into the columns in output order (ascending
+        #: after a filter, a permutation after a sort), or None for all.
         self.sel = sel
 
     @property
@@ -56,13 +60,54 @@ class ColumnBatch:
         sel = self.sel
         return self.nrows if sel is None else len(sel)
 
+    def __len__(self) -> int:
+        """Live rows — what a motion stream of this batch carries."""
+        return self.count
+
     @classmethod
     def from_rows(cls, rows: Sequence[tuple], ncols: int) -> "ColumnBatch":
         """Transpose row tuples into a batch (``ncols`` governs the
         column count even when ``rows`` is empty)."""
         if not rows:
             return cls([[] for _ in range(ncols)], 0)
+        if not ncols:
+            return cls([], len(rows))
         return cls([list(col) for col in zip(*rows)], len(rows))
+
+    @classmethod
+    def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
+        """The (one or more) batches' live rows, in order, as one dense
+        batch."""
+        if len(batches) == 1:
+            return batches[0].dense()
+        dense = [b.dense() for b in batches]
+        return cls(
+            [concat(chunks) for chunks in zip(*(b.columns for b in dense))],
+            sum(b.nrows for b in dense),
+        )
+
+    def dense(self) -> "ColumnBatch":
+        """This batch with the selection applied (itself when it has none)."""
+        sel = self.sel
+        if sel is None:
+            return self
+        return ColumnBatch(take_columns(self.columns, sel), len(sel))
+
+    def select(self, picks: Sequence[int]) -> "ColumnBatch":
+        """The live rows at positions ``picks`` (indices into the live
+        rows, in any order) — a narrower selection, no column copies."""
+        sel = self.sel
+        return ColumnBatch(
+            self.columns,
+            self.nrows,
+            list(picks) if sel is None else [sel[i] for i in picks],
+        )
+
+    def nbytes(self) -> int:
+        """``sum(RowSizer()(row) for row in self.to_rows())``, sized
+        column-wise: the motion and spill charges' byte count."""
+        dense = self.dense()
+        return 4 * dense.nrows + sum(map(column_bytes, dense.columns))
 
     def to_rows(self) -> Iterator[tuple]:
         """Yield the live rows as tuples of Python values.

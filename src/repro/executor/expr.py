@@ -12,12 +12,20 @@ import calendar
 import datetime
 import operator
 import re
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import DataType
-from repro.columnar import ConstVector, Vector
+from repro.columnar import (
+    BoolVector,
+    ConstVector,
+    DictVector,
+    Vector,
+    numpy_module,
+    take,
+)
 from repro.columnar import kernels as vk
-from repro.errors import ExecutorError
+from repro.errors import CatalogError, ExecutorError
 from repro.planner import exprs as ex
 from repro.planner.physical import ColumnId
 
@@ -220,6 +228,96 @@ class RowSizer:
         return fixed, tuple(variable)
 
 
+def column_bytes(col) -> int:
+    """Bytes one column contributes to its rows' :class:`RowSizer` sizes
+    (the per-row header of 4 is the caller's): exactly
+    ``sum(RowSizer()((v,)) - 4 for v in col)``, computed per column
+    representation instead of per value."""
+    n = len(col)
+    if isinstance(col, ConstVector):
+        return n * (estimate_row_bytes((col.value,)) - 4)
+    if isinstance(col, DictVector):
+        # Per-entry sizes, with the NULL size last so code -1 finds it.
+        sizes = [4 + len(s) for s in col.dictionary] + [1]
+        np = numpy_module()
+        if np is not None and col.is_numpy():
+            return int(np.asarray(sizes, dtype=np.int64)[col.data].sum())
+        return sum(map(sizes.__getitem__, col.data))
+    if isinstance(col, BoolVector):
+        return n  # TRUE, FALSE and NULL are all one byte
+    if isinstance(col, Vector):  # int64 / float64: 8, NULL: 1
+        mask = col.mask
+        if mask is None:
+            return 8 * n
+        np = numpy_module()
+        nulls = int(np.count_nonzero(mask)) if np is not None else sum(mask)
+        return 8 * n - 7 * nulls
+    kinds = dict.fromkeys(map(type, col))
+    if len(kinds) == 1:  # no NULLs, one type: no need to count
+        kinds = {next(iter(kinds)): n}
+    elif kinds:
+        kinds = Counter(map(type, col))
+    total = 0
+    for kind, count in kinds.items():
+        size = _FIXED_VALUE_BYTES.get(kind)
+        if size is not None:
+            total += size * count
+        elif kind is str or kind is bytes:
+            total += 4 * count + (
+                sum(map(len, col)) if count == n
+                else sum(len(v) for v in col if type(v) is kind)
+            )
+        elif issubclass(kind, (str, bytes, tuple)):
+            total += sum(
+                estimate_row_bytes((v,)) - 4 for v in col if type(v) is kind
+            )
+        else:
+            # Not variable-length: the size depends on the type alone.
+            sample = col[0] if count == n else next(
+                v for v in col if type(v) is kind
+            )
+            total += count * _generic_value_bytes(sample)
+    return total
+
+
+#: Expression leaves whose value is not known until a row (or an
+#: InitPlan result) is — a subtree holding none of them is literal-only.
+_NON_LITERAL = (ex.BVar, ex.BParam, ex.BGroupRef, ex.BAggRef, ex.BTargetRef,
+                ex.BAgg, ex.BSubPlan)
+
+
+#: What evaluating an expression over literals can raise: division by
+#: zero, a cast that does not parse, date arithmetic out of range, an
+#: operator applied to the wrong types.
+_EVALUATION_ERRORS = (ExecutorError, CatalogError, ArithmeticError, TypeError,
+                      ValueError, AttributeError, LookupError)
+
+
+def fold_constants(expr: ex.BoundExpr) -> ex.BoundExpr:
+    """Replace literal-only subexpressions by their value, once.
+
+    TPC-H's ``date '1994-01-01' + interval '1' year`` is otherwise
+    re-evaluated for every row. A subtree whose evaluation raises
+    (``1 / 0``, a bad cast) is left alone, so the error still surfaces
+    only if — and when — a row actually reaches it."""
+
+    def fold(node: ex.BoundExpr) -> Optional[ex.BoundExpr]:
+        if isinstance(node, (ex.BConst, ex.BInterval) + _NON_LITERAL):
+            return None
+        below = ex.walk(node)
+        next(below)
+        # Bottom-up: a foldable child is already a BConst, so anything
+        # else below means some part must wait for run time.
+        if not all(isinstance(d, (ex.BConst, ex.BInterval)) for d in below):
+            return None
+        try:
+            return ex.BConst(_compile_row(node, (), None)(()))
+        except _EVALUATION_ERRORS:
+            return None
+
+    return ex.transform(expr, fold)
+
+
 def compile_expr(
     expr: ex.BoundExpr,
     layout: Sequence[ColumnId],
@@ -230,6 +328,14 @@ def compile_expr(
     ``layout`` lists the column identities of the input tuples;
     ``params`` holds InitPlan results for :class:`~repro.planner.exprs.BParam`.
     """
+    return _compile_row(fold_constants(expr), layout, params)
+
+
+def _compile_row(
+    expr: ex.BoundExpr,
+    layout: Sequence[ColumnId],
+    params: Optional[Sequence[object]],
+) -> RowFn:
     index_of = {cid: i for i, cid in enumerate(layout)}
     params = list(params or [])
 
@@ -471,6 +577,24 @@ def _is_pure(node: ex.BoundExpr) -> bool:
     return False  # BInterval, BCast, BSubPlan, BAgg, anything unknown
 
 
+def _null_propagating(fn, l, r) -> list:
+    """``fn(a, b)`` per row, NULL where either side is — the generic
+    (plain-list) kernel of comparisons and arithmetic. A constant side
+    is hoisted out of the loop: ``column <op> literal`` is the common
+    shape, and it needs neither a zip nor a per-row test of the literal."""
+    if isinstance(r, ConstVector):
+        b = r.value
+        if b is None:
+            return [None] * len(l)
+        return [None if a is None else fn(a, b) for a in l]
+    if isinstance(l, ConstVector):
+        a = l.value
+        if a is None:
+            return [None] * len(r)
+        return [None if b is None else fn(a, b) for b in r]
+    return [None if a is None or b is None else fn(a, b) for a, b in zip(l, r)]
+
+
 def column_ref_key(node: ex.BoundExpr) -> Optional[tuple]:
     """The layout ColumnId of a bare column reference, else None."""
     if isinstance(node, ex.BVar) and node.level == 0:
@@ -520,6 +644,7 @@ def compile_expr_batch(
     excludes, and semantics (including which rows can raise) match
     :func:`compile_expr` on every input.
     """
+    expr = fold_constants(expr)
     index_of = {cid: i for i, cid in enumerate(layout)}
     params = list(params or [])
 
@@ -531,11 +656,7 @@ def compile_expr_batch(
     def column(position: int) -> BatchFn:
         def f_col(cols, n, sel):
             col = cols[position]
-            if sel is None:
-                return col
-            if isinstance(col, (Vector, ConstVector)):
-                return col.take(sel)
-            return [col[i] for i in sel]
+            return col if sel is None else take(col, sel)
         return f_col
 
     def row_fallback(node: ex.BoundExpr) -> BatchFn:
@@ -674,10 +795,7 @@ def compile_expr_batch(
                     fast = vk.cmp_fast(py_op, l, r)
                     if fast is not None:
                         return fast
-                    return [
-                        None if a is None or b is None else py_op(a, b)
-                        for a, b in zip(l, r)
-                    ]
+                    return _null_propagating(py_op, l, r)
                 return f_cmp
             if op in ("+", "-", "*"):
                 # Fast elementwise path; the per-value _Interval check
@@ -690,6 +808,8 @@ def compile_expr_batch(
                     fast = vk.arith_fast(op, l, r)
                     if fast is not None:
                         return fast
+                    if isinstance(r, ConstVector) and type(r.value) is not _Interval:
+                        return _null_propagating(py_op, l, r)
                     return [
                         None if a is None or b is None
                         else (

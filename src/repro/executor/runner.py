@@ -65,9 +65,9 @@ class ExecutionContext:
 
     num_segments: int
     cost_model: CostModel
-    #: 'batch' routes SeqScan/Filter/Project through the vectorized
-    #: path (identical results and identical simulated charges); 'row'
-    #: forces tuple-at-a-time execution everywhere.
+    #: 'batch' runs every operator on column batches (identical results
+    #: and identical simulated charges); 'row' is the tuple-at-a-time
+    #: reference executor.
     executor_mode: str = "row"
     params: List[object] = field(default_factory=list)
     #: 'udp' or 'tcp' — which interconnect carries the motions.

@@ -3,15 +3,20 @@
 A :class:`SliceExecutor` is what a :class:`~repro.cluster.worker.
 SegmentWorker` runs when a DISPATCH message hands it a
 :class:`~repro.planner.dispatch.SliceTask`: it interprets the slice's
-operator tree (row or vectorized), reads motion inputs from the
+operator tree, reads motion inputs from the
 :class:`~repro.interconnect.exchange.ExchangeFabric` inbox, and pushes
 its root motion's output back through the fabric, one stream per
 receiver. All simulated charges land on the task's own
 :class:`~repro.simtime.CostAccumulator` — the accumulator *is* the
 task's duration on the event-driven scheduler's timeline.
 
-Charging sites mirror the pre-refactor inline executor exactly, so row
-and batch modes stay bit-identical in both results and simulated cost.
+This module holds the driver, the tracing and kernel-memo plumbing, and
+the **row executor** (``executor_mode="row"``): tuple-at-a-time
+generators that are the reference the differential tests and the
+benchmark's oracle compare the vectorized operators of
+:mod:`repro.executor.batch_ops` against. The two agree on every result
+row and on every charge, to the last float bit.
+
 One deliberate change rides the per-message latency contract: a motion
 *receive* charges bandwidth only (``messages=0``) — its latency lives on
 the scheduler's cross-timeline edge instead of being double-counted.
@@ -22,21 +27,14 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.catalog.schema import hash_values
-from repro.columnar import ConstVector
-from repro.columnar.vector import true_selection
 from repro.errors import ExecutorError
-from repro.executor import vecagg
 from repro.executor.aggregates import make_state
-from repro.executor.batch import ColumnBatch
-from repro.executor.expr import (
-    RowSizer,
-    column_ref_position,
-    compile_expr,
-    compile_expr_batch,
-)
+from repro.executor.batch_ops import BatchOperators
+from repro.executor.expr import RowSizer, compile_expr, compile_expr_batch
 from repro.interconnect.exchange import ExchangeFabric
 from repro.planner import exprs as ex
 from repro.planner.dispatch import SliceTask
@@ -71,7 +69,7 @@ class SliceProviders:
     external: Callable
 
 
-class SliceExecutor:
+class SliceExecutor(BatchOperators):
     """Runs one (slice, segment) task to completion."""
 
     def __init__(
@@ -125,17 +123,25 @@ class SliceExecutor:
 
     # ---------------------------------------------------------------- driver
     def run(self) -> List[tuple]:
-        """Execute the slice; returns rows only for the top slice."""
-        rows = self._input_rows(self.root, self.segment, self.acc)
+        """Execute the slice; returns rows only for the top slice.
+
+        The vectorized executor's one batch→row boundary is here: the
+        top slice's batches become the statement's result tuples."""
+        if self.ctx.executor_mode == "batch":
+            rows = chain.from_iterable(
+                batch.to_rows()
+                for batch in self._run_node_batches(
+                    self.root, self.segment, self.acc
+                )
+            )
+        else:
+            rows = self._run_node(self.root, self.segment, self.acc)
+        # Non-top slice roots are Motions, which push their streams to
+        # the exchange and yield nothing.
+        result = list(rows)
         if self.task.is_top:
-            result = list(rows)
             self.rows_out = len(result)
-            return result
-        # Non-top slice roots are Motions; _run_node on a Motion pushes
-        # streams to the exchange and yields nothing.
-        for _ in rows:
-            pass
-        return []
+        return result
 
     # ---------------------------------------------------------------- tracing
     # Observability is passive: the helpers below only *read*
@@ -180,15 +186,6 @@ class SliceExecutor:
         finally:
             self._mark(node, acc, t0, rows=emitted)
 
-    def _traced_batches(self, it, node: PlanNode, acc: CostAccumulator, t0: float):
-        emitted = 0
-        try:
-            for batch in it:
-                emitted += batch.count
-                yield batch
-        finally:
-            self._mark(node, acc, t0, rows=emitted)
-
     # -------------------------------------------------------------- operators
     def _run_node(
         self, node: PlanNode, segment: int, acc: CostAccumulator
@@ -230,170 +227,6 @@ class SliceExecutor:
         if isinstance(node, Result):
             return self._run_result(node, segment, acc)
         raise ExecutorError(f"no executor for {type(node).__name__}")
-
-    # ------------------------------------------------------------- batch path
-    def _input_rows(
-        self, node: PlanNode, segment: int, acc: CostAccumulator
-    ) -> Iterator[tuple]:
-        """Row view of a child: the vectorized pipeline when available
-        (flattened back to tuples at this boundary), else the row path."""
-        if self.ctx.executor_mode == "batch":
-            batches = self._run_node_batches(node, segment, acc)
-            if batches is not None:
-                return self._flatten_batches(batches)
-        return self._run_node(node, segment, acc)
-
-    @staticmethod
-    def _flatten_batches(batches) -> Iterator[tuple]:
-        for batch in batches:
-            yield from batch.to_rows()
-
-    def _run_node_batches(
-        self, node: PlanNode, segment: int, acc: CostAccumulator
-    ):
-        """Vectorized execution of a subtree, or None if unsupported.
-
-        Yields :class:`ColumnBatch` objects: column vectors in
-        ``node.layout`` order plus a selection vector, so a fused
-        scan→filter→project chain narrows ``sel`` instead of copying
-        survivors between operators. Simulated charges mirror the row
-        operators exactly, including the trailing per-operator CPU
-        charge being skipped when a consumer (LIMIT) abandons the
-        stream.
-        """
-        t0 = acc.seconds
-        batches = self._node_batches(node, segment, acc)
-        if batches is None or self.ctx.trace is None:
-            return batches
-        return self._traced_batches(batches, node, acc, t0)
-
-    def _node_batches(
-        self, node: PlanNode, segment: int, acc: CostAccumulator
-    ):
-        if self.ctx.executor_mode != "batch":
-            return None
-        if isinstance(node, SeqScan):
-            return self._scan_batches(node, segment, acc)
-        if isinstance(node, SubqueryScan):
-            # Pass-through: positions are unchanged, only labels differ.
-            return self._run_node_batches(node.child, segment, acc)
-        if isinstance(node, Filter):
-            return self._filter_batches(node, segment, acc)
-        if isinstance(node, Project):
-            return self._project_batches(node, segment, acc)
-        return None
-
-    def _scan_batches(self, node: SeqScan, segment: int, acc: CostAccumulator):
-        provider = self.providers.batch_scan
-        if provider is None:
-            return None
-        source = provider(
-            node.table, node.partitions, segment, node.columns, acc
-        )
-        if source is None:
-            return None
-        predicate = (
-            self._compile_batch(node.filter, self._scan_layout(node))
-            if node.filter is not None
-            else None
-        )
-        ncols = len(node.table.schema.columns)
-        out_positions = list(node.columns)
-
-        def gen():
-            count = 0
-            for row_count, vectors in source:
-                count += row_count
-                if predicate is None:
-                    yield ColumnBatch(
-                        [vectors[c] for c in out_positions], row_count
-                    )
-                    continue
-                # The scan filter is compiled against the full table row
-                # shape; the planner guarantees every referenced column
-                # is decoded, so unrequested positions never get read.
-                # Undecoded columns share one NULL constant — the same
-                # None placeholders the row-path provider materializes.
-                placeholder = ConstVector(None, row_count)
-                full = [vectors.get(c, placeholder) for c in range(ncols)]
-                mask = predicate(full, row_count, None)
-                sel = true_selection(mask, row_count, None)
-                if len(sel) == row_count:
-                    yield ColumnBatch(
-                        [vectors[c] for c in out_positions], row_count
-                    )
-                elif sel:
-                    # Survivors ride as a selection vector; the copy is
-                    # deferred to the next row-only boundary.
-                    yield ColumnBatch(
-                        [vectors[c] for c in out_positions], row_count, sel
-                    )
-            acc.cpu_tuples(count, ncolumns=len(node.columns))
-
-        return gen()
-
-    def _filter_batches(
-        self, node: Filter, segment: int, acc: CostAccumulator
-    ):
-        child = self._run_node_batches(node.child, segment, acc)
-        if child is None:
-            return None
-        predicate = self._compile_batch(node.cond, node.child.layout)
-
-        def gen():
-            count = 0
-            for batch in child:
-                count += batch.count
-                mask = predicate(batch.columns, batch.nrows, batch.sel)
-                sel = true_selection(mask, batch.nrows, batch.sel)
-                if len(sel) == batch.count:
-                    yield batch
-                elif sel:
-                    # Narrow the selection only — no column copies.
-                    yield ColumnBatch(batch.columns, batch.nrows, sel)
-            acc.cpu_tuples(count, weight=0.5)
-
-        return gen()
-
-    def _project_batches(
-        self, node: Project, segment: int, acc: CostAccumulator
-    ):
-        child = self._run_node_batches(node.child, segment, acc)
-        if child is None:
-            return None
-        positions = [
-            column_ref_position(e, node.child.layout) for e in node.exprs
-        ]
-        if all(p is not None for p in positions):
-            # Pure column permutation: alias the child's vectors and keep
-            # its selection — zero compute, zero copies.
-            def gen():
-                count = 0
-                for batch in child:
-                    count += batch.count
-                    yield ColumnBatch(
-                        [batch.columns[p] for p in positions],
-                        batch.nrows,
-                        batch.sel,
-                    )
-                acc.cpu_tuples(count, ncolumns=len(positions))
-
-            return gen()
-        fns = [self._compile_batch(e, node.child.layout) for e in node.exprs]
-
-        def gen():
-            count = 0
-            for batch in child:
-                count += batch.count
-                # Computed projections evaluate through the selection, so
-                # the output batch is dense (no sel) over the live rows.
-                yield ColumnBatch(
-                    [fn(batch.columns, batch.nrows, batch.sel) for fn in fns],
-                    batch.count,
-                )
-            acc.cpu_tuples(count, ncolumns=len(fns))
-
-        return gen()
 
     # ------------------------------------------------------------------ scans
     def _run_seqscan(
@@ -454,7 +287,7 @@ class SliceExecutor:
         sent_bytes = 0
         count = 0
         sizer = RowSizer()
-        for row in self._input_rows(node.child, segment, acc):
+        for row in self._run_node(node.child, segment, acc):
             count += 1
             size = sizer(row)
             if node.kind == "gather":
@@ -509,7 +342,7 @@ class SliceExecutor:
     def _run_motion_recv(
         self, node: MotionRecv, segment: int, acc: CostAccumulator
     ) -> Iterator[tuple]:
-        rows, nbytes = self.exchange.receive(
+        streams, nbytes = self.exchange.receive(
             self.ctx.query_id, node.slice_id, segment
         )
         model = self.ctx.cost_model
@@ -517,7 +350,7 @@ class SliceExecutor:
         # Bandwidth only: the receive's latency is the scheduler edge
         # from the sending task's timeline to this one.
         acc.network(nbytes, messages=0)
-        return iter(rows)
+        return chain.from_iterable(streams)
 
     # -------------------------------------------------------------- filtering
     def _run_filter(
@@ -609,26 +442,7 @@ class SliceExecutor:
         segment: int,
         acc: CostAccumulator,
     ) -> Iterator[Tuple[tuple, tuple]]:
-        """Yield ``(row, key)`` pairs for a join input, extracting keys
-        with batch kernels when the child produces column batches."""
-        if self.ctx.executor_mode == "batch":
-            batches = self._run_node_batches(node, segment, acc)
-            if batches is not None:
-                key_fns = [
-                    self._compile_batch(e, node.layout) for e in key_exprs
-                ]
-                for batch in batches:
-                    if key_fns:
-                        key_cols = [
-                            fn(batch.columns, batch.nrows, batch.sel)
-                            for fn in key_fns
-                        ]
-                        yield from zip(batch.to_rows(), zip(*key_cols))
-                    else:
-                        empty = ()
-                        for row in batch.to_rows():
-                            yield row, empty
-                return
+        """Yield ``(row, key)`` pairs for a join input."""
         fns = [self._compile_row(e, node.layout) for e in key_exprs]
         for row in self._run_node(node, segment, acc):
             yield row, tuple(fn(row) for fn in fns)
@@ -636,39 +450,54 @@ class SliceExecutor:
     def _run_nest_loop(
         self, node: NestLoopJoin, segment: int, acc: CostAccumulator
     ) -> Iterator[tuple]:
-        inner = list(self._input_rows(node.right, segment, acc))
+        inner = list(self._run_node(node.right, segment, acc))
         cond = (
             self._compile_row(node.cond, node.layout_for_residual())
             if node.cond is not None
             else None
         )
+        counts = [0, 0]  # outer rows, comparisons
+        yield from self._nest_loop_rows(
+            node, self._run_node(node.left, segment, acc), inner, cond, counts
+        )
+        acc.cpu_tuples(counts[1], weight=0.3)
+        acc.cpu_tuples(counts[0], weight=0.5)
+
+    @staticmethod
+    def _nest_loop_rows(
+        node: NestLoopJoin,
+        outer: Iterator[tuple],
+        inner: List[tuple],
+        cond,
+        counts: List[int],
+    ) -> Iterator[tuple]:
+        """The nested loop proper, shared by both executors (a join
+        without keys has nothing to vectorize on). Adds the outer rows
+        and comparisons it performs to ``counts``."""
+        join_type = node.join_type
         pad = (None,) * len(node.right.layout)
-        outer_count = 0
-        comparisons = 0
-        for row in self._input_rows(node.left, segment, acc):
-            outer_count += 1
-            matches = []
-            for inner_row in inner:
-                comparisons += 1
-                if cond is None or cond(row + inner_row) is True:
-                    matches.append(inner_row)
-            if node.join_type == "inner":
+        for row in outer:
+            counts[0] += 1
+            counts[1] += len(inner)
+            if cond is None:
+                matches = inner
+            else:
+                matches = [m for m in inner if cond(row + m) is True]
+            if join_type == "inner":
                 for match in matches:
                     yield row + match
-            elif node.join_type == "left":
+            elif join_type == "left":
                 if matches:
                     for match in matches:
                         yield row + match
                 else:
                     yield row + pad
-            elif node.join_type == "semi":
+            elif join_type == "semi":
                 if matches:
                     yield row
-            elif node.join_type == "anti":
+            elif join_type == "anti":
                 if not matches:
                     yield row
-        acc.cpu_tuples(comparisons, weight=0.3)
-        acc.cpu_tuples(outer_count, weight=0.5)
 
     # ------------------------------------------------------------ aggregation
     def _run_hash_agg(
@@ -677,11 +506,11 @@ class SliceExecutor:
         child_layout = node.child.layout
         phase = node.phase
         nkeys = len(node.group_keys)
+        groups: Dict[tuple, List] = {}
+        count = 0
         if phase == "final":
             # Input rows are (group values..., states...) from partials.
-            groups: Dict[tuple, List] = {}
-            count = 0
-            for row in self._input_rows(node.child, segment, acc):
+            for row in self._run_node(node.child, segment, acc):
                 count += 1
                 key = row[:nkeys]
                 states = row[nkeys:]
@@ -696,78 +525,23 @@ class SliceExecutor:
                 yield key + tuple(state.finalize() for state in states)
             return
 
-        groups = {}
-        count = 0
         group_bytes = 0
         sizer = RowSizer()
-        batches = self._run_node_batches(node.child, segment, acc)
-        if batches is not None:
-            # Vectorized accumulation: group keys and aggregate arguments
-            # are evaluated over whole batches, then folded — with
-            # np.bincount when the shapes allow (vecagg), per row
-            # otherwise.
-            key_fns_b = [
-                self._compile_batch(e, child_layout) for e in node.group_keys
-            ]
-            arg_fns_b = [
-                self._compile_batch(a.arg, child_layout)
-                if a.arg is not None
-                else None
-                for a in node.aggs
-            ]
-
-            def make_states():
-                return [make_state(a) for a in node.aggs]
-
-            for batch in batches:
-                n = batch.count
-                count += n
-                key_vecs = [
-                    fn(batch.columns, batch.nrows, batch.sel)
-                    for fn in key_fns_b
-                ]
-                arg_vecs = [
-                    fn(batch.columns, batch.nrows, batch.sel)
-                    if fn is not None
-                    else None
-                    for fn in arg_fns_b
-                ]
-                added = vecagg.fold_batch(
-                    groups, node.aggs, key_vecs, arg_vecs, n, sizer,
-                    make_states,
-                )
-                if added is not None:
-                    group_bytes += added
-                    continue
-                keys = list(zip(*key_vecs)) if key_vecs else [()] * n
-                for i, key in enumerate(keys):
-                    states = groups.get(key)
-                    if states is None:
-                        states = make_states()
-                        groups[key] = states
-                        group_bytes += sizer(key) + 16 * len(states)
-                    for state, vec in zip(states, arg_vecs):
-                        state.accumulate(vec[i] if vec is not None else 1)
-        else:
-            key_fns = [
-                self._compile_row(e, child_layout) for e in node.group_keys
-            ]
-            arg_fns = [
-                self._compile_row(a.arg, child_layout)
-                if a.arg is not None
-                else None
-                for a in node.aggs
-            ]
-            for row in self._run_node(node.child, segment, acc):
-                count += 1
-                key = tuple(fn(row) for fn in key_fns)
-                states = groups.get(key)
-                if states is None:
-                    states = [make_state(a) for a in node.aggs]
-                    groups[key] = states
-                    group_bytes += sizer(key) + 16 * len(states)
-                for state, arg_fn in zip(states, arg_fns):
-                    state.accumulate(arg_fn(row) if arg_fn is not None else 1)
+        key_fns = [self._compile_row(e, child_layout) for e in node.group_keys]
+        arg_fns = [
+            self._compile_row(a.arg, child_layout) if a.arg is not None else None
+            for a in node.aggs
+        ]
+        for row in self._run_node(node.child, segment, acc):
+            count += 1
+            key = tuple(fn(row) for fn in key_fns)
+            states = groups.get(key)
+            if states is None:
+                states = [make_state(a) for a in node.aggs]
+                groups[key] = states
+                group_bytes += sizer(key) + 16 * len(states)
+            for state, arg_fn in zip(states, arg_fns):
+                state.accumulate(arg_fn(row) if arg_fn is not None else 1)
         acc.cpu_tuples(count, weight=1.2 + 0.3 * len(node.aggs))
         self._charge_spill(acc, group_bytes)
         if not groups and not node.group_keys and node.aggs:
@@ -784,7 +558,7 @@ class SliceExecutor:
     def _run_sort(
         self, node: Sort, segment: int, acc: CostAccumulator
     ) -> Iterator[tuple]:
-        rows = list(self._input_rows(node.child, segment, acc))
+        rows = list(self._run_node(node.child, segment, acc))
         key_fns = [
             (
                 self._compile_row(k.expr, node.child.layout),
@@ -829,7 +603,7 @@ class SliceExecutor:
         self, node: Limit, segment: int, acc: CostAccumulator
     ) -> Iterator[tuple]:
         produced = 0
-        rows = self._input_rows(node.child, segment, acc)
+        rows = self._run_node(node.child, segment, acc)
         try:
             for row in rows:
                 if produced >= node.count:

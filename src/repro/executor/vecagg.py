@@ -1,225 +1,453 @@
-"""Vectorized hash-aggregate accumulation.
+"""Columnar hash aggregation on factorized group codes.
 
-``fold_batch`` folds one column batch into the executor's ``groups``
-dict (group key tuple → list of live ``AggState`` objects) without a
-per-row Python loop: group ids come from one ``np.unique`` over the key
-vector, and count/sum/avg transitions become ``np.bincount`` calls.
+:class:`GroupTable` is the batch executor's hash-aggregate state. Each
+input batch is *factorized* — every row's group key (one value, or a
+tuple over several key columns) is mapped to a dense integer code in
+first-appearance order by one C-level ``map`` over a self-numbering
+dict — and every aggregate then folds its argument column into
+per-group accumulator arrays indexed by that code. There is no per-row
+``accumulate`` call and no per-group state object until a ``partial``
+phase has to ship :class:`~repro.executor.aggregates.AggState` values
+across a motion.
 
 The fold is *exact*, not approximate — the row/batch differential
 contract demands identical results:
 
-* Group output order is insertion order. New groups are inserted into
-  ``groups`` in first-appearance row order (``argsort`` of the unique
-  keys' first indices), exactly as the per-row loop would.
-* ``np.bincount`` accumulates weights in array-index order, so per-group
-  float sums add values in row order — and each group's *running total
-  from earlier batches is prepended as its first weight*, reproducing
+* Groups come out in code order, which is the order the row executor's
+  insertion-ordered dict would list them in.
+* The generic folds add each group's values left to right, exactly as
+  ``accumulate`` would.
+* A typed NumPy argument column is folded with ``np.bincount``, which
+  accumulates weights in array-index order, so per-group float sums add
+  values in row order — and each group's *running total from earlier
+  batches is prepended as its first weight*, reproducing
   ``((total + v0) + v1)`` rather than the differently-rounded
   ``total + (v0 + v1)``.
 * Integer sums ride float64 only under the proof obligation
   ``M * S < 2**53`` (``M`` = max |addend| including prior totals, ``S``
   = worst-case addend count), under which every partial sum is exactly
-  representable; otherwise the batch falls back to the per-row loop.
-* min/max and DISTINCT aggregates always use the per-row loop (NaN and
-  ordering semantics are not worth vectorizing bit-compatibly).
+  representable; otherwise that column takes the generic fold.
+* min/max and DISTINCT always use the generic fold (NaN and ordering
+  semantics are not worth vectorizing bit-compatibly).
 
-``fold_batch`` returns the ``group_bytes`` added for new groups (the
-spill-charge input, same ``sizer(key) + 16 * len(states)`` accounting as
-the row path), or None when the batch's shapes are unsupported — the
-caller then runs the ordinary per-row fallback for that batch.
+Which fold runs is decided by what the batch holds (a typed NumPy
+vector or a plain list), never by a size or a setting.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from collections import Counter, defaultdict
+from itertools import compress, count, islice, repeat
+from operator import is_not
+from typing import List, Sequence
 
+from repro.columnar import as_list
 from repro.columnar.vector import (
     ConstVector,
     DictVector,
     FloatVector,
     IntVector,
+    Vector,
     numpy_module,
 )
+from repro.errors import ExecutorError
+from repro.executor.aggregates import (
+    AvgState,
+    CountState,
+    MinMaxState,
+    SumState,
+)
+from repro.executor.expr import column_bytes
 
 #: Addend-count × magnitude bound under which float64 int sums are exact.
 _EXACT_INT = 2**53
 
-_FOLDABLE = ("count", "sum", "avg")
+
+class _Codes:
+    """One batch's group codes: a list, and on demand an index array."""
+
+    __slots__ = ("codes", "_array")
+
+    def __init__(self, codes: List[int]):
+        self.codes = codes
+        self._array = None
+
+    def array(self, np):
+        if self._array is None:
+            self._array = np.fromiter(
+                self.codes, dtype=np.intp, count=len(self.codes)
+            )
+        return self._array
 
 
-def _valid_of(np, vec):
+def _typed(col, np) -> bool:
+    """Is ``col`` an int64/float64 vector on the active NumPy backend?"""
+    return (
+        np is not None
+        and isinstance(col, (IntVector, FloatVector))
+        and col.is_numpy()
+    )
+
+
+def _valid(col, np):
     """Bool array selecting non-NULL rows, or None when all rows are."""
-    if isinstance(vec, DictVector):
-        null = vec.data < 0
-        return ~null if null.any() else None
-    mask = vec.mask
+    mask = col.mask
     if mask is None:
         return None
     mask = np.asarray(mask, dtype=bool)
     return ~mask if mask.any() else None
 
 
-def _countable(vec) -> bool:
-    if isinstance(vec, ConstVector):
-        return True
-    from repro.columnar.vector import Vector
-
-    return isinstance(vec, Vector) and (
-        vec.is_numpy() or isinstance(vec, DictVector) and vec.is_numpy()
-    )
+def _non_null(codes: Sequence[int], values: Sequence[object]):
+    """(codes, values) of the rows whose value is not NULL."""
+    if None not in values:
+        return codes, values
+    keep = list(map(is_not, values, repeat(None)))
+    return list(compress(codes, keep)), list(compress(values, keep))
 
 
-def _count_fold(np, vec, inv, k: int, n: int) -> List[int]:
-    """Per-group accumulate counts for one batch (count(*) or count(x))."""
-    if vec is None:  # count(*): every row counts
-        if inv is None:
-            return [n]
-        return np.bincount(inv, minlength=k).tolist()
-    if isinstance(vec, ConstVector):
-        if vec.value is None:
-            return [0] * k
-        return [n] if inv is None else np.bincount(inv, minlength=k).tolist()
-    valid = _valid_of(np, vec)
-    if valid is None:
-        return [n] if inv is None else np.bincount(inv, minlength=k).tolist()
-    if inv is None:
-        return [int(valid.sum())]
-    return np.bincount(inv[valid], minlength=k).tolist()
+class _Count:
+    """count(*) / count(x)."""
 
+    __slots__ = ("star", "counts")
 
-def fold_batch(
-    groups: dict,
-    aggs: Sequence,
-    key_vecs: Sequence,
-    arg_vecs: Sequence,
-    n: int,
-    sizer: Callable,
-    make_states: Callable[[], list],
-) -> Optional[int]:
-    """Fold one batch of ``n`` rows into ``groups``; returns added
-    group bytes, or None when this batch needs the per-row fallback."""
-    np = numpy_module()
-    if np is None or n == 0:
-        return None
+    def __init__(self, star: bool):
+        self.star = star
+        self.counts: List[int] = []
 
-    # ---- validate aggregate shapes first (no mutation before commit)
-    for agg, vec in zip(aggs, arg_vecs):
-        if agg.distinct or agg.func not in _FOLDABLE:
-            return None
-        if agg.func == "count":
-            if vec is not None and not _countable(vec):
-                return None
-        elif not (
-            isinstance(vec, (IntVector, FloatVector)) and vec.is_numpy()
+    def grow(self, k: int) -> None:
+        self.counts.extend([0] * (k - len(self.counts)))
+
+    def add(self, codes: _Codes, col, n: int) -> None:
+        picked = codes.codes
+        if self.star or (
+            isinstance(col, Vector)
+            and not isinstance(col, DictVector)
+            and col.mask is None
         ):
-            return None
-
-    # ---- group ids: one np.unique over the (single) key vector
-    if not key_vecs:
-        k, inv = 1, None
-        uniq_keys: List[tuple] = [()]
-        order = [0]
-    elif len(key_vecs) == 1:
-        vec = key_vecs[0]
-        if isinstance(vec, DictVector) and vec.is_numpy():
-            dictionary = vec.dictionary
-            if len(set(dictionary)) != len(dictionary):
-                # Post-transform dictionaries (upper()) may alias two
-                # codes to one string; codes would no longer be
-                # injective group ids, so fold per row instead.
-                return None
-            uniq, first, inv = np.unique(
-                vec.data, return_index=True, return_inverse=True
-            )
-            uniq_keys = [
-                (None,) if c < 0 else (dictionary[c],) for c in uniq.tolist()
-            ]
-        elif (
-            isinstance(vec, IntVector) and vec.is_numpy() and vec.mask is None
-        ):
-            uniq, first, inv = np.unique(
-                vec.data, return_index=True, return_inverse=True
-            )
-            uniq_keys = [(v,) for v in uniq.tolist()]
+            pass  # count(*), or a typed NULL-free column: every row counts
+        elif isinstance(col, ConstVector):
+            if col.value is None:
+                return
         else:
-            return None
-        k = len(uniq_keys)
-        order = np.argsort(first).tolist()  # first-appearance order
-    else:
-        return None
+            picked, _ = _non_null(picked, as_list(col))
+        self.add_values(picked, None)
 
-    states_by_g = [groups.get(key) for key in uniq_keys]
+    def add_values(self, codes: Sequence[int], values) -> None:
+        counts = self.counts
+        if len(counts) == 1:  # one group: nothing to tally per code
+            counts[0] += len(codes)
+            return
+        for code, m in Counter(codes).items():
+            counts[code] += m
 
-    # ---- int-sum exactness guard (uses existing totals, read-only)
-    for idx, (agg, vec) in enumerate(zip(aggs, arg_vecs)):
-        if agg.func != "sum" or not isinstance(vec, IntVector):
-            continue
-        valid = _valid_of(np, vec)
-        data = vec.data if valid is None else vec.data[valid]
-        magnitude = 0
-        if len(data):
+    def merge(self, codes: Sequence[int], states: Sequence[CountState]) -> None:
+        counts = self.counts
+        for code, state in zip(codes, states):
+            counts[code] += state.count
+
+    def states(self) -> list:
+        out = []
+        for c in self.counts:
+            state = CountState(self.star)
+            state.count = c
+            out.append(state)
+        return out
+
+    def results(self) -> list:
+        return self.counts
+
+
+class _Sum:
+    """sum(x) — and the total half of avg(x)."""
+
+    __slots__ = ("totals",)
+
+    #: A group's total before its first non-NULL value.
+    EMPTY: object = None
+    #: Totals of int columns are Python ints (arbitrary precision), so a
+    #: float64 ``bincount`` needs the exactness guard.
+    INT_TOTALS = True
+
+    def __init__(self) -> None:
+        self.totals: list = []
+
+    def grow(self, k: int) -> None:
+        self.totals.extend([self.EMPTY] * (k - len(self.totals)))
+
+    def add(self, codes: _Codes, col, n: int) -> None:
+        np = numpy_module()
+        if _typed(col, np) and self._add_typed(np, codes.array(np), col):
+            return
+        self.add_values(*_non_null(codes.codes, as_list(col)))
+
+    def add_values(self, codes: Sequence[int], values: Sequence[object]) -> None:
+        totals = self.totals
+        for code, value in zip(codes, values):
+            total = totals[code]
+            totals[code] = value if total is None else total + value
+
+    def _add_typed(self, np, gids, col) -> bool:
+        """``bincount`` fold of a typed vector; False when an int sum
+        could leave float64's exact range (the caller folds generically)."""
+        valid = _valid(col, np)
+        data = col.data
+        if valid is not None:
+            data = data[valid]
+            gids = gids[valid]
+        if not len(data):
+            return True
+        totals = self.totals
+        k = len(totals)
+        touched = np.flatnonzero(np.bincount(gids, minlength=k)).tolist()
+        prior = [(g, totals[g]) for g in touched if totals[g] is not None]
+        to_int = self.INT_TOTALS and isinstance(col, IntVector)
+        if to_int:
             magnitude = max(abs(int(data.max())), abs(int(data.min())))
-        for states in states_by_g:
-            if states is not None and states[idx].total is not None:
-                magnitude = max(magnitude, abs(states[idx].total))
-        if magnitude * (len(data) + 1) >= _EXACT_INT:
-            return None
-
-    # ---- commit: create missing groups in first-appearance order
-    added_bytes = 0
-    for j in order:
-        if states_by_g[j] is None:
-            states = make_states()
-            groups[uniq_keys[j]] = states
-            states_by_g[j] = states
-            added_bytes += sizer(uniq_keys[j]) + 16 * len(states)
-
-    # ---- fold every aggregate vectorized
-    for idx, (agg, vec) in enumerate(zip(aggs, arg_vecs)):
-        if agg.func == "count":
-            for j, c in enumerate(_count_fold(np, vec, inv, k, n)):
-                if c:
-                    states_by_g[j][idx].count += c
-            continue
-        is_avg = agg.func == "avg"
-        to_int = isinstance(vec, IntVector)
-        valid = _valid_of(np, vec)
-        if valid is None:
-            data = vec.data
-            gids = inv
-        else:
-            data = vec.data[valid]
-            gids = inv[valid] if inv is not None else None
-        if gids is None:
-            gids = np.zeros(len(data), dtype=np.intp)
-        counts = np.bincount(gids, minlength=k)
+            for _g, total in prior:
+                magnitude = max(magnitude, abs(total))
+            if magnitude * (len(data) + 1) >= _EXACT_INT:
+                return False
         weights = data.astype(np.float64, copy=False)
-        # Prepend each group's running total as its first addend.
-        pre_g: List[int] = []
-        pre_v: List[float] = []
-        for j in range(k):
-            total = states_by_g[j][idx].total
-            if total is not None:  # AvgState totals always exist (0.0)
-                pre_g.append(j)
-                pre_v.append(float(total))
-        if pre_g:
-            gids = np.concatenate([np.asarray(pre_g, dtype=np.intp), gids])
-            weights = np.concatenate(
-                [np.asarray(pre_v, dtype=np.float64), weights]
+        if prior:
+            # Prepend each group's running total as its first addend.
+            gids = np.concatenate(
+                [np.asarray([g for g, _t in prior], dtype=np.intp), gids]
             )
-        sums = (
-            np.bincount(gids, weights=weights, minlength=k)
-            if len(gids)
-            else np.zeros(k)
-        )
-        for j in range(k):
-            c = int(counts[j])
-            if not c:
-                continue  # no new addends: leave the state untouched
-            state = states_by_g[j][idx]
-            if is_avg:
-                state.total = float(sums[j])
-                state.count += c
-            else:
-                state.total = int(sums[j]) if to_int else float(sums[j])
-    return added_bytes
+            weights = np.concatenate(
+                [np.asarray([float(t) for _g, t in prior]), weights]
+            )
+        sums = np.bincount(gids, weights=weights, minlength=k).tolist()
+        for g in touched:
+            totals[g] = int(sums[g]) if to_int else sums[g]
+        return True
+
+    def merge(self, codes: Sequence[int], states: Sequence[SumState]) -> None:
+        self.add_values(*_non_null(codes, [s.total for s in states]))
+
+    def states(self) -> list:
+        out = []
+        for total in self.totals:
+            state = SumState()
+            state.total = total
+            out.append(state)
+        return out
+
+    def results(self) -> list:
+        return self.totals
+
+
+class _Avg(_Sum):
+    """avg(x): a float running total (from 0.0) and a non-NULL count."""
+
+    __slots__ = ("counter",)
+
+    EMPTY = 0.0
+    #: ``total += int`` converts each int to float64 first, which is
+    #: what ``astype(float64)`` does to the whole column: no guard.
+    INT_TOTALS = False
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counter = _Count(star=False)
+
+    def grow(self, k: int) -> None:
+        super().grow(k)
+        self.counter.grow(k)
+
+    def add(self, codes: _Codes, col, n: int) -> None:
+        super().add(codes, col, n)
+        self.counter.add(codes, col, n)
+
+    def add_values(self, codes: Sequence[int], values: Sequence[object]) -> None:
+        totals = self.totals
+        for code, value in zip(codes, values):
+            totals[code] += value
+
+    def merge(self, codes: Sequence[int], states: Sequence[AvgState]) -> None:
+        self.add_values(codes, [s.total for s in states])
+        self.counter.merge(codes, states)
+
+    def states(self) -> list:
+        out = []
+        for total, c in zip(self.totals, self.counter.counts):
+            state = AvgState()
+            state.total = total
+            state.count = c
+            out.append(state)
+        return out
+
+    def results(self) -> list:
+        return [
+            None if c == 0 else total / c
+            for total, c in zip(self.totals, self.counter.counts)
+        ]
+
+
+class _MinMax:
+    __slots__ = ("is_min", "values")
+
+    def __init__(self, is_min: bool):
+        self.is_min = is_min
+        self.values: list = []
+
+    def grow(self, k: int) -> None:
+        self.values.extend([None] * (k - len(self.values)))
+
+    def add(self, codes: _Codes, col, n: int) -> None:
+        self.add_values(*_non_null(codes.codes, as_list(col)))
+
+    def add_values(self, codes: Sequence[int], values: Sequence[object]) -> None:
+        best = self.values
+        if self.is_min:
+            for code, value in zip(codes, values):
+                current = best[code]
+                if current is None or value < current:
+                    best[code] = value
+        else:
+            for code, value in zip(codes, values):
+                current = best[code]
+                if current is None or value > current:
+                    best[code] = value
+
+    def merge(self, codes: Sequence[int], states: Sequence[MinMaxState]) -> None:
+        self.add_values(*_non_null(codes, [s.value for s in states]))
+
+    def states(self) -> list:
+        out = []
+        for value in self.values:
+            state = MinMaxState(self.is_min)
+            state.value = value
+            out.append(state)
+        return out
+
+    def results(self) -> list:
+        return self.values
+
+
+class _Distinct:
+    """DISTINCT wrapper: the inner aggregate sees each (group, value)
+    pair once. Single-phase only, like ``DistinctState``."""
+
+    __slots__ = ("inner", "seen")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen: set = set()
+
+    def grow(self, k: int) -> None:
+        self.inner.grow(k)
+
+    def add(self, codes: _Codes, col, n: int) -> None:
+        seen = self.seen
+        fresh = [
+            pair
+            for pair in dict.fromkeys(zip(codes.codes, as_list(col)))
+            if pair[1] is not None and pair not in seen
+        ]
+        if fresh:
+            seen.update(fresh)
+            self.inner.add_values(*zip(*fresh))
+
+    def merge(self, codes, states) -> None:
+        raise ExecutorError("DISTINCT aggregates cannot be merged across phases")
+
+    def states(self) -> list:
+        raise ExecutorError("DISTINCT aggregates cannot be merged across phases")
+
+    def results(self) -> list:
+        return self.inner.results()
+
+
+def _accumulator(agg):
+    func = agg.func
+    if func == "count":
+        acc = _Count(star=agg.arg is None)
+    elif func == "sum":
+        acc = _Sum()
+    elif func == "avg":
+        acc = _Avg()
+    elif func in ("min", "max"):
+        acc = _MinMax(is_min=func == "min")
+    else:  # pragma: no cover - analyzer rejects unknown aggregates
+        raise ExecutorError(f"unknown aggregate {func!r}")
+    return _Distinct(acc) if agg.distinct else acc
+
+
+class GroupTable:
+    """Group key → dense code, plus one accumulator per aggregate."""
+
+    def __init__(self, aggs: Sequence, nkeys: int):
+        self.nkeys = nkeys
+        # A key's code is its rank by first appearance: a missing key
+        # takes the next integer, inside dict lookup itself.
+        self._codes: dict = defaultdict(count().__next__)
+        self._accs = [_accumulator(a) for a in aggs]
+        #: ``sizer(key) + 16 * naggs`` summed over the groups, the
+        #: spill charge's working-set estimate.
+        self.group_bytes = 0
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def _factorize(self, key_cols: Sequence[object], n: int) -> _Codes:
+        index = self._codes
+        known = len(index)
+        if self.nkeys == 0:
+            codes = [index[()]] * n
+        elif self.nkeys == 1:
+            codes = list(map(index.__getitem__, as_list(key_cols[0])))
+        else:
+            codes = list(map(index.__getitem__, zip(*map(as_list, key_cols))))
+        fresh = len(index) - known
+        if fresh:
+            self.group_bytes += fresh * (4 + 16 * len(self._accs))
+            new_keys = islice(index, known, None)
+            if self.nkeys == 1:
+                self.group_bytes += column_bytes(list(new_keys))
+            elif self.nkeys:
+                self.group_bytes += sum(map(column_bytes, zip(*new_keys)))
+            for acc in self._accs:
+                acc.grow(len(index))
+        return _Codes(codes)
+
+    def add(self, key_cols: Sequence[object], arg_cols: Sequence[object],
+            n: int) -> None:
+        """Fold ``n`` input rows: key columns and, per aggregate, its
+        argument column (None for ``count(*)``)."""
+        if not n:
+            return
+        codes = self._factorize(key_cols, n)
+        for acc, col in zip(self._accs, arg_cols):
+            acc.add(codes, col, n)
+
+    def merge(self, key_cols: Sequence[object], state_cols: Sequence[object],
+              n: int) -> None:
+        """Fold ``n`` rows of partial-phase output: key columns and, per
+        aggregate, a column of its transition states."""
+        if not n:
+            return
+        codes = self._factorize(key_cols, n).codes
+        for acc, states in zip(self._accs, state_cols):
+            acc.merge(codes, as_list(states))
+
+    def ensure_global_group(self) -> None:
+        """An aggregate without GROUP BY over no rows still has its one
+        group (unsized: the spill charge has already been made)."""
+        if not self._codes:
+            self._codes[()]
+            for acc in self._accs:
+                acc.grow(1)
+
+    def key_columns(self) -> List[list]:
+        if self.nkeys == 1:
+            return [list(self._codes)]
+        if not self._codes:
+            return [[] for _ in range(self.nkeys)]
+        return [list(col) for col in zip(*self._codes)]
+
+    def state_columns(self) -> List[list]:
+        return [acc.states() for acc in self._accs]
+
+    def result_columns(self) -> List[list]:
+        return [acc.results() for acc in self._accs]

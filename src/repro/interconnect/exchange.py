@@ -1,12 +1,19 @@
-"""Motion data plane: per-stream tuple exchange over the simulated net.
+"""Motion data plane: per-stream exchange over the simulated net.
 
 Each (query, sending slice, sender segment, receiver segment) tuple is
 one **stream**. A worker finishing a motion pushes every stream as a
 single datagram through :class:`~repro.network.simnet.SimNetwork` to the
 receiver's exchange endpoint, where it lands in a per-stream inbox. The
-consuming slice's MotionRecv leaf drains its inbox — streams are
-concatenated in sender-segment order, so results never depend on
-datagram arrival order.
+consuming slice's MotionRecv leaf drains its inbox — streams are handed
+over in sender-segment order, so results never depend on datagram
+arrival order.
+
+The fabric does not look inside a stream: its payload is whatever sized
+sequence of rows the sending executor built — a list of tuples from the
+row executor, one :class:`~repro.executor.batch.ColumnBatch` from the
+vectorized one — and ``len(payload)`` is the stream's row count either
+way, so stream records, trace marks and the motion counters read the
+same in both modes.
 
 The fabric is shared by every in-flight query: inboxes and stream
 records are namespaced by query id, so interleaved dispatch never mixes
@@ -19,7 +26,7 @@ critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sized, Tuple
 
 from repro.network.simnet import Datagram, SimNetwork
 
@@ -47,7 +54,7 @@ class ExchangeFabric:
         self._addresses: Dict[int, Tuple[str, int]] = {}
         #: (query_id, slice_id, receiver) -> sender -> (rows, nbytes)
         self._inbox: Dict[
-            Tuple[int, int, int], Dict[int, Tuple[List[tuple], int]]
+            Tuple[int, int, int], Dict[int, Tuple[Sized, int]]
         ] = {}
         self.records: List[StreamRecord] = []
         #: Optional passive observers (QueryTrace / MetricsRegistry);
@@ -72,7 +79,7 @@ class ExchangeFabric:
         slice_id: int,
         sender: int,
         receiver: int,
-        rows: List[tuple],
+        rows: Sized,
         nbytes: int,
     ) -> None:
         """Push one complete stream to ``receiver`` as one datagram."""
@@ -109,20 +116,21 @@ class ExchangeFabric:
 
     def receive(
         self, query_id: int, slice_id: int, receiver: int
-    ) -> Tuple[List[tuple], int]:
-        """Drain every stream of one motion addressed to ``receiver``.
+    ) -> Tuple[List[Sized], int]:
+        """Drain every stream of one motion addressed to ``receiver``:
+        ``(payloads, total bytes)``.
 
-        Streams concatenate in sender-segment order — the arrival order
-        on the simulated wire never leaks into result rows.
+        Payloads come in sender-segment order — the arrival order on the
+        simulated wire never leaks into result rows.
         """
         streams = self._inbox.pop((query_id, slice_id, receiver), {})
-        rows: List[tuple] = []
+        payloads: List[Sized] = []
         nbytes = 0
         for sender in sorted(streams):
             sender_rows, sender_bytes = streams[sender]
-            rows.extend(sender_rows)
+            payloads.append(sender_rows)
             nbytes += sender_bytes
-        return rows, nbytes
+        return payloads, nbytes
 
     def clear(self, query_id: int) -> None:
         """Drop one query's inbox entries and stream records.

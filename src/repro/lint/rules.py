@@ -671,6 +671,7 @@ class CrossQueryIsolationRule:
     ENTRY_FILES = (
         "executor/concurrent.py",
         "executor/runner.py",
+        "executor/batch_ops.py",
         "cluster/worker.py",
         "simtime/scheduler.py",
     )
@@ -1015,6 +1016,7 @@ class SchedulerDeterminismRule:
         "simtime/scheduler.py",
         "executor/concurrent.py",
         "executor/runner.py",
+        "executor/batch_ops.py",
         "cluster/resqueue.py",
     )
 

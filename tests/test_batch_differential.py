@@ -179,3 +179,446 @@ def test_executor_row_vs_batch_identical(row_nums, batch_nums, sql):
     b = batch_nums.execute(sql)
     assert a.rows == b.rows
     assert a.cost.seconds == b.cost.seconds
+
+
+# ------------------------------------------------- operator-level corpus
+#
+# The SQL corpora above reach the operators through the planner, which
+# never builds some shapes (a zero-key HashJoin, a residual on an anti
+# join over NULL-heavy keys). Here the plan trees are built by hand and
+# run through one SliceExecutor per mode over fake segment-local scans,
+# so every join type x residual x data shape is pinned directly: same
+# rows in the same order, same accumulator to the last float bit.
+
+from repro.columnar import vector  # noqa: E402
+from repro.columnar.vector import dict_vector, float_vector, int_vector  # noqa: E402
+from repro.executor.batch import ColumnBatch  # noqa: E402
+from repro.executor.runner import ExecutionContext  # noqa: E402
+from repro.executor.slice_runner import SliceExecutor, SliceProviders  # noqa: E402
+from repro.interconnect.exchange import ExchangeFabric  # noqa: E402
+from repro.network.simnet import SimNetwork  # noqa: E402
+from repro.planner import exprs as ex  # noqa: E402
+from repro.planner.dispatch import SliceTask  # noqa: E402
+from repro.planner.logical import SortKey, TableSource  # noqa: E402
+from repro.planner.physical import (  # noqa: E402
+    Filter,
+    HashAgg,
+    HashJoin,
+    Limit,
+    Motion,
+    MotionRecv,
+    NestLoopJoin,
+    Project,
+    SeqScan,
+    Sort,
+)
+from repro.simtime import CostAccumulator, CostModel  # noqa: E402
+
+BLOCK = 4  # rows per fake storage block: several batches per scan
+
+
+def _column_vector(values):
+    kinds = {type(v) for v in values if v is not None}
+    mask = [v is None for v in values]
+    if kinds == {int}:
+        return int_vector([v or 0 for v in values], mask if any(mask) else None)
+    if kinds == {float}:
+        return float_vector([v or 0.0 for v in values], mask if any(mask) else None)
+    if kinds == {str}:
+        dictionary = sorted({v for v in values if v is not None})
+        return dict_vector(
+            [-1 if v is None else dictionary.index(v) for v in values], dictionary
+        )
+    return list(values)
+
+
+class _FakeTables:
+    """Segment-local storage for hand-built plans: the row scan and the
+    block scan charge the same odd amount per block, when the block is
+    first touched, like ``_charged_scan`` does."""
+
+    def __init__(self, tables):
+        self.tables = tables  # name -> rows
+
+    def _blocks(self, name, acc):
+        rows = self.tables[name]
+        for start in range(0, len(rows), BLOCK):
+            acc.fixed(1e-6 * (start + 1) / 3)
+            yield rows[start:start + BLOCK]
+
+    def scan(self, table, partitions, segment, columns, acc):
+        for block in self._blocks(table.table_name, acc):
+            yield from block
+
+    def batch_scan(self, table, partitions, segment, columns, acc):
+        def blocks():
+            for block in self._blocks(table.table_name, acc):
+                yield len(block), {
+                    c: _column_vector([row[c] for row in block]) for c in columns
+                }
+        return blocks()
+
+
+def _scan(rel, name, ncols):
+    from repro.catalog.schema import Column, DataType, TableSchema, TypeKind
+
+    schema = TableSchema(
+        name=name,
+        columns=[Column(f"c{i}", DataType(TypeKind.INT8)) for i in range(ncols)],
+    )
+    return SeqScan(rel=rel, table=TableSource(name, schema), columns=list(range(ncols)))
+
+
+def _var(rel, col):
+    return ex.BVar(rel, col)
+
+
+def _execute(root, mode, tables, *, is_top=True, receivers=(), inbox=(), trace=None):
+    """Run one (slice, segment) task; returns what the differential
+    compares: rows, the accumulator, and the streams it sent."""
+    net = SimNetwork()
+    fabric = ExchangeFabric(net)
+    for seg in range(-1, 4):
+        fabric.attach(seg)
+    for sender, payload, nbytes in inbox:
+        fabric.send(1, 0, sender, 0, payload, nbytes)
+    net.run()
+    ctx = ExecutionContext(
+        num_segments=4, cost_model=CostModel(), executor_mode=mode,
+        query_id=1, trace=trace,
+    )
+    fake = _FakeTables(tables)
+    providers = SliceProviders(scan=fake.scan, batch_scan=fake.batch_scan, external=None)
+    task = SliceTask(
+        slice_id=1, segment=0, gang="N", is_top=is_top, receivers=list(receivers),
+        num_plan_slices=2,
+    )
+    acc = CostAccumulator(ctx.cost_model)
+    executor = SliceExecutor(root, task, ctx, providers, fabric, acc)
+    rows = executor.run()
+    net.run()
+    sent = {}
+    for receiver in receivers:
+        streams, nbytes = fabric.receive(1, 1, receiver)
+        if streams:
+            (payload,) = streams
+            if isinstance(payload, ColumnBatch):
+                payload = list(payload.to_rows())
+            sent[receiver] = (payload, nbytes)
+    records = [(r.sender, r.receiver, r.rows, r.nbytes) for r in fabric.records]
+    charged = (acc.seconds, acc.tuples, acc.net_bytes, acc.disk_write_bytes)
+    return rows, charged, sent, records, (executor.rows_out, executor.bytes_out)
+
+
+def _assert_modes_agree(build_plan, tables, **kwargs):
+    row = _execute(build_plan(), "row", tables, **kwargs)
+    batch = _execute(build_plan(), "batch", tables, **kwargs)
+    assert batch[0] == row[0]  # rows, in order
+    assert batch[1] == row[1]  # every charge, float-exact
+    assert batch[2:] == row[2:]  # streams, records, task report
+    return batch
+
+
+@pytest.fixture(params=["numpy", "fallback"])
+def backend(request, monkeypatch):
+    if request.param == "fallback":
+        monkeypatch.setattr(vector, "_np", None)
+    elif vector.numpy_module() is None:
+        pytest.skip("NumPy backend disabled")
+    return request.param
+
+
+#: (probe rows, build rows): columns are (key, second key, value).
+JOIN_SHAPES = {
+    "nulls_and_duplicates": (
+        [(1, 1, 5), (None, 1, 6), (2, None, 7), (3, 3, 1), (2, 2, 9),
+         (4, 4, 2), (1, 1, 0), (None, None, 3), (5, 5, 5)],
+        [(2, 2, 8), (1, 1, 4), (2, 2, 1), (None, 2, 9), (3, None, 2),
+         (1, 1, 6), (6, 6, 6), (2, 2, 10)],
+    ),
+    "unique_build": (
+        [(i % 7, i % 7, i) for i in range(11)],
+        [(k, k, 3 * k) for k in range(5)],
+    ),
+    "every_row_matches_once": (
+        [(i % 3, i % 3, i) for i in range(9)],
+        [(k, k, k) for k in range(3)],
+    ),
+    "empty_build": ([(1, 1, 1), (None, 2, 2), (3, 3, 3)], []),
+    "empty_probe": ([], [(1, 1, 1), (2, 2, 2)]),
+    "all_null_keys": ([(None, 1, 1), (None, 2, 2)], [(None, 1, 1), (None, 2, 5)]),
+    "string_keys": (
+        [("k%d" % (i % 4), "x", i) for i in range(10)] + [(None, "x", 99)],
+        [("k1", "x", 1), ("k3", "x", 3), ("k1", "x", 11), (None, "x", 0),
+         ("k9", "y", 9)],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("nkeys", [0, 1, 2])
+@pytest.mark.parametrize("join_type", ["inner", "left", "semi", "anti"])
+def test_hash_join_corpus(backend, join_type, nkeys, residual, shape):
+    probe, build = JOIN_SHAPES[shape]
+
+    def plan():
+        return HashJoin(
+            join_type=join_type,
+            left=_scan(0, "probe", 3),
+            right=_scan(1, "build", 3),
+            left_keys=[_var(0, c) for c in range(nkeys)],
+            right_keys=[_var(1, c) for c in range(nkeys)],
+            # probe.value < build.value: NULL-free, so it only filters.
+            residual=ex.BOp("<", _var(0, 2), _var(1, 2)) if residual else None,
+        )
+
+    _assert_modes_agree(plan, {"probe": probe, "build": build})
+
+
+@pytest.mark.parametrize("join_type", ["inner", "left", "semi", "anti"])
+def test_nest_loop_join(backend, join_type):
+    probe, build = JOIN_SHAPES["nulls_and_duplicates"]
+
+    def plan():
+        return NestLoopJoin(
+            join_type=join_type,
+            left=_scan(0, "probe", 3),
+            right=_scan(1, "build", 3),
+            cond=ex.BOp("<", _var(0, 2), _var(1, 2)),
+        )
+
+    _assert_modes_agree(plan, {"probe": probe, "build": build})
+
+
+#: NULL-heavy grouping input: (key a, key b, int, float, string).
+AGG_ROWS = [
+    (None if i % 4 == 0 else i % 3, None if i % 5 == 0 else "g%d" % (i % 2),
+     None if i % 3 == 0 else i * 7 - 20, None if i % 2 == 0 else i / 8.0,
+     None if i % 6 == 0 else "s%d" % (i % 5))
+    for i in range(23)
+]
+
+AGGS = [
+    ex.BAgg("count"),
+    ex.BAgg("count", _var(0, 2)),
+    ex.BAgg("sum", _var(0, 2)),
+    ex.BAgg("sum", _var(0, 3)),
+    ex.BAgg("avg", _var(0, 2)),
+    ex.BAgg("avg", _var(0, 3)),
+    ex.BAgg("min", _var(0, 2)),
+    ex.BAgg("max", _var(0, 3)),
+    ex.BAgg("min", _var(0, 4)),
+    ex.BAgg("max", _var(0, 4)),
+]
+
+DISTINCT_AGGS = [
+    ex.BAgg("count", _var(0, 2), distinct=True),
+    ex.BAgg("sum", _var(0, 2), distinct=True),
+    ex.BAgg("count", _var(0, 4), distinct=True),
+    ex.BAgg("max", _var(0, 3), distinct=True),
+]
+
+
+@pytest.mark.parametrize("rows", [AGG_ROWS, []], ids=["null_heavy", "empty"])
+@pytest.mark.parametrize("nkeys", [0, 1, 2])
+def test_hash_agg_single_phase(backend, nkeys, rows):
+    def plan():
+        return HashAgg(
+            child=_scan(0, "t", 5),
+            group_keys=[_var(0, c) for c in range(nkeys)],
+            aggs=AGGS + DISTINCT_AGGS,
+            phase="single",
+        )
+
+    _assert_modes_agree(plan, {"t": rows})
+
+
+@pytest.mark.parametrize("nkeys", [0, 1, 2])
+def test_hash_agg_two_phase(backend, nkeys):
+    """partial on each of two 'segments', states shipped, final merge:
+    the final phase must fold another executor's transition states."""
+
+    def partial():
+        return HashAgg(
+            child=_scan(0, "t", 5),
+            group_keys=[_var(0, c) for c in range(nkeys)],
+            aggs=AGGS,
+            phase="partial",
+        )
+
+    halves = [AGG_ROWS[:11], AGG_ROWS[11:]]
+    results = {}
+    for mode in ("row", "batch"):
+        inbox = []
+        charged = []
+        for sender, half in enumerate(halves):
+            rows, acc, *_ = _execute(partial(), mode, {"t": half})
+            charged.append(acc)
+            width = nkeys + len(AGGS)
+            payload = rows if mode == "row" else ColumnBatch.from_rows(rows, width)
+            inbox.append((sender, payload, 8 * len(rows)))
+        final = HashAgg(
+            child=MotionRecv(
+                slice_id=0,
+                source_layout=[("g", i) for i in range(nkeys)]
+                + [("a", i) for i in range(len(AGGS))],
+            ),
+            group_keys=[ex.BGroupRef(i) for i in range(nkeys)],
+            aggs=AGGS,
+            phase="final",
+        )
+        rows, acc, *_ = _execute(final, mode, {}, inbox=[p for p in inbox if len(p[1])])
+        results[mode] = (rows, charged, acc)
+    assert results["batch"] == results["row"]
+
+
+def _sorted_limited(limit, keys):
+    def plan():
+        node = Sort(
+            child=_scan(0, "t", 5),
+            keys=[SortKey(_var(0, c), asc, nf) for c, asc, nf in keys],
+        )
+        return Limit(child=node, count=limit) if limit is not None else node
+    return plan
+
+
+@pytest.mark.parametrize("limit", [None, 0, 3, 23, 100])
+def test_sort_then_limit(backend, limit):
+    keys = [(0, True, None), (4, False, True), (2, False, None)]
+    _assert_modes_agree(_sorted_limited(limit, keys), {"t": AGG_ROWS})
+
+
+@pytest.mark.parametrize("limit", [0, 1, 4, 5, 8, 9, 50])
+def test_limit_above_join_abandons_the_same_charges(backend, limit):
+    """LIMIT over a streaming probe: the scan blocks touched and the
+    trailing charges skipped must match the row executor, whether the
+    limit lands inside a block, on its edge, or past the input."""
+    probe, build = JOIN_SHAPES["unique_build"]
+
+    def plan():
+        join = HashJoin(
+            join_type="inner",
+            left=Filter(
+                child=_scan(0, "probe", 3), cond=ex.BOp("<>", _var(0, 2), ex.BConst(3))
+            ),
+            right=_scan(1, "build", 3),
+            left_keys=[_var(0, 0)],
+            right_keys=[_var(1, 0)],
+        )
+        project = Project(child=join, exprs=[_var(0, 2), ex.BOp("+", _var(1, 2), ex.BConst(1))])
+        return Limit(child=project, count=limit)
+
+    _assert_modes_agree(plan, {"probe": probe, "build": build})
+
+
+@pytest.mark.parametrize("limit", [0, 2, 5, 6, 40])
+def test_limit_above_motion_recv(backend, limit):
+    streams = [[(i, "s%d" % i) for i in range(3)], [(9, None), (8, "x")], [(7, "y")]]
+
+    def plan():
+        return Limit(
+            child=MotionRecv(slice_id=0, source_layout=[("r", 0, 0), ("r", 0, 1)]),
+            count=limit,
+        )
+
+    results = {}
+    for mode in ("row", "batch"):
+        inbox = [
+            (sender, rows if mode == "row" else ColumnBatch.from_rows(rows, 2), 10 * len(rows))
+            for sender, rows in enumerate(streams)
+        ]
+        results[mode] = _execute(plan(), mode, {}, inbox=inbox)
+    assert results["batch"] == results["row"]
+
+
+MOTION_ROWS = [
+    (None if i % 6 == 0 else i % 5, "k%d" % (i % 3) if i % 4 else None,
+     datetime.date(1995, 1, 1) + datetime.timedelta(days=i % 3), i / 4.0, i % 2 == 0)
+    for i in range(19)
+]
+
+
+@pytest.mark.parametrize("rows", [MOTION_ROWS, MOTION_ROWS[:1], []],
+                         ids=["many", "one", "empty"])
+@pytest.mark.parametrize("kind,keys", [
+    ("gather", []), ("broadcast", []),
+    ("redistribute", [0]), ("redistribute", [1]), ("redistribute", [2, 3]),
+    ("redistribute", [4, 0, 1]), ("redistribute", []),
+])
+def test_motion_streams(backend, kind, keys, rows):
+    """Per-target rows, stream sizes, stream records and the send
+    charges of one motion, row executor against batch."""
+
+    def plan():
+        child = Filter(
+            child=_scan(0, "t", 5), cond=ex.BOp("<>", _var(0, 3), ex.BConst(1.0))
+        )
+        return Motion(kind=kind, child=child, hash_exprs=[_var(0, c) for c in keys])
+
+    _assert_modes_agree(plan, {"t": rows}, is_top=False, receivers=[0, 1, 2, 3])
+
+
+# ------------------------------------------------ observability parity
+
+
+@pytest.mark.parametrize("number", [3, 5, 10, 18])
+def test_operator_actuals_identical_across_modes(row_tpch, batch_tpch, number):
+    """EXPLAIN (ANALYZE, VERBOSE) — per-operator actual rows/calls/time,
+    per-segment rows and bytes sent, gang-skew lines — and the motion
+    counters must not depend on the executor: operator and stream marks
+    count a batch's live rows exactly as they count tuples."""
+    *prelude, query = QUERIES[number]
+    outputs = []
+    for session in (row_tpch, batch_tpch):
+        for stmt in prelude:
+            session.execute(stmt)
+        plain = session.execute(query)
+        explained = session.execute("EXPLAIN (ANALYZE, VERBOSE) " + query)
+        outputs.append(
+            (
+                [line for (line,) in explained.rows],
+                plain.metrics.total("motion_streams"),
+                plain.metrics.total("motion_bytes"),
+            )
+        )
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1:] == outputs[1][1:]
+    assert any("actual rows=" in line for line in outputs[0][0])
+    assert outputs[0][1] > 0
+
+
+def test_operator_actuals_below_a_streaming_limit(row_tpch, batch_tpch):
+    """The one place the two executors' actuals differ, pinned so it
+    cannot widen: an operator more than one level below a LIMIT that
+    streams counts the whole batch the limit cut into, where the row
+    executor counts the rows pulled. The limit, its child, every span's
+    time, every other operator and the statement's cost agree."""
+    import re
+
+    from repro.executor.batch import DEFAULT_BATCH_ROWS
+
+    query = (
+        "SELECT o_orderkey, l_quantity FROM orders "
+        "JOIN lineitem ON o_orderkey = l_orderkey LIMIT 13"
+    )
+    row, batch = (
+        [line for (line,) in s.execute("EXPLAIN (ANALYZE, VERBOSE) " + query).rows]
+        for s in (row_tpch, batch_tpch)
+    )
+    actual = re.compile(r"actual rows=(\d+) calls=(\d+)")
+    assert [actual.sub("", line) for line in row] == [
+        actual.sub("", line) for line in batch
+    ]
+    differing = {}
+    for a, b in zip(row, batch):
+        if a != b:
+            name = a.split("->")[1].split("(")[0].strip()
+            (rows_a, calls_a), (rows_b, calls_b) = (
+                map(int, actual.search(line).groups()) for line in (a, b)
+            )
+            assert calls_a == calls_b
+            assert rows_a < rows_b <= calls_b * DEFAULT_BATCH_ROWS
+            differing[name] = rows_a
+    # Each of the four segments pulled limit+1 rows through the probe.
+    assert differing == {"HashJoin": 56, "SeqScan": 56}

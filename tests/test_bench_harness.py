@@ -114,3 +114,62 @@ class TestReporting:
         assert "Title" in text
         assert "note" in text
         assert "Title" in capsys.readouterr().out
+
+
+class TestHistory:
+    """BENCH_*.json histories are keyed by commit and hold no repeats."""
+
+    def _write(self, path, history):
+        import json
+
+        path.write_text(json.dumps({"history": history}))
+
+    def test_rerun_at_same_commit_replaces_its_entry(self, tmp_path, monkeypatch):
+        from repro.bench import reporting
+
+        out = tmp_path / "BENCH_x.json"
+        monkeypatch.setattr(reporting, "current_commit", lambda: "abc1234")
+        first = reporting.carry_history(str(out), {"backend": "numpy", "speedup": 2.0},
+                                        series=("backend",))
+        assert first == [{"backend": "numpy", "speedup": 2.0, "commit": "abc1234"}]
+        self._write(out, first)
+        again = reporting.carry_history(str(out), {"backend": "numpy", "speedup": 2.5},
+                                        series=("backend",))
+        assert [e["speedup"] for e in again] == [2.5]  # replaced, not appended
+        self._write(out, again)
+        other = reporting.carry_history(str(out), {"backend": "fallback", "speedup": 1.6},
+                                        series=("backend",))
+        assert [e["backend"] for e in other] == ["numpy", "fallback"]
+        self._write(out, other)
+        monkeypatch.setattr(reporting, "current_commit", lambda: "def5678")
+        later = reporting.carry_history(str(out), {"backend": "fallback", "speedup": 1.6},
+                                        series=("backend",))
+        assert [e["commit"] for e in later] == ["abc1234", "abc1234", "def5678"]
+
+    def test_consecutive_duplicates_in_the_file_collapse(self, tmp_path, monkeypatch):
+        from repro.bench import reporting
+
+        out = tmp_path / "BENCH_x.json"
+        monkeypatch.setattr(reporting, "current_commit", lambda: "abc1234")
+        old = {"qps": 28.9, "streams": 8}
+        self._write(out, [{"qps": 27.0, "streams": 8}, old, old, old])
+        history = reporting.carry_history(str(out), {"qps": 30.0, "streams": 8},
+                                          series=("streams",))
+        assert [e["qps"] for e in history] == [27.0, 28.9, 30.0]
+
+    def test_missing_or_corrupt_report_starts_a_fresh_history(self, tmp_path):
+        from repro.bench import reporting
+
+        out = tmp_path / "BENCH_x.json"
+        assert len(reporting.carry_history(str(out), {"speedup": 1.0})) == 1
+        out.write_text("{not json")
+        assert len(reporting.carry_history(str(out), {"speedup": 1.0})) == 1
+
+    def test_tpch_geomean(self):
+        from repro.bench.wallclock import tpch_geomean_speedup
+
+        tpch = {
+            "fig08": {"q1": {"speedup": 4.0}, "q6": {"speedup": 1.0}},
+            "fig09": {"q5": {"speedup": 2.0}},
+        }
+        assert tpch_geomean_speedup(tpch) == pytest.approx(2.0)

@@ -85,7 +85,7 @@ class TestRpcBus:
 
 
 class TestExchangeFabric:
-    def test_streams_concatenate_in_sender_order(self):
+    def test_streams_come_in_sender_order(self):
         net = SimNetwork()
         fabric = ExchangeFabric(net)
         for seg in (QD_SEGMENT, 0, 1, 2):
@@ -95,10 +95,25 @@ class TestExchangeFabric:
         fabric.send(7, 5, 0, QD_SEGMENT, [("a",)], 8)
         fabric.send(7, 5, 1, QD_SEGMENT, [("b",)], 8)
         net.run()
-        rows, nbytes = fabric.receive(7, 5, QD_SEGMENT)
-        assert rows == [("a",), ("b",), ("c",)]
+        streams, nbytes = fabric.receive(7, 5, QD_SEGMENT)
+        assert streams == [[("a",)], [("b",)], [("c",)]]
         assert nbytes == 24
         assert len(fabric.records) == 3
+
+    def test_batch_payload_counts_its_live_rows(self):
+        # The fabric reads a stream's row count off the payload's len(),
+        # so a ColumnBatch stream records its live rows like a row list.
+        from repro.executor.batch import ColumnBatch
+
+        net = SimNetwork()
+        fabric = ExchangeFabric(net)
+        fabric.attach(0)
+        fabric.attach(1)
+        batch = ColumnBatch([[1, 2, 3], ["x", "y", "z"]], 3, sel=[0, 2])
+        fabric.send(7, 1, 0, 1, batch, 26)
+        net.run()
+        assert [r.rows for r in fabric.records] == [2]
+        assert fabric.receive(7, 1, 1) == ([batch], 26)
 
     def test_receive_drains_inbox(self):
         net = SimNetwork()
@@ -107,7 +122,7 @@ class TestExchangeFabric:
         fabric.attach(1)
         fabric.send(7, 1, 0, 1, [(1,)], 4)
         net.run()
-        assert fabric.receive(7, 1, 1)[0] == [(1,)]
+        assert fabric.receive(7, 1, 1)[0] == [[(1,)]]
         assert fabric.receive(7, 1, 1) == ([], 0)
 
     def test_clear_scoped_to_one_query(self):
@@ -122,7 +137,7 @@ class TestExchangeFabric:
         net.run()
         fabric.clear(7)
         assert fabric.receive(7, 1, 1) == ([], 0)
-        assert fabric.receive(8, 1, 1)[0] == [(2,)]
+        assert fabric.receive(8, 1, 1)[0] == [[(2,)]]
         assert [r.query_id for r in fabric.records] == [8]
 
     def test_reset_clears_streams_and_records(self):

@@ -318,3 +318,195 @@ def test_kernel_cache_distinguishes_layouts(monkeypatch):
     b = s.execute("SELECT a, t FROM vt WHERE a < 5 ORDER BY a")
     assert [r[0] for r in a.rows] == [r[0] for r in b.rows]
     assert len(s.engine.kernel_cache) > 0
+
+
+# ------------------------------------------- columnar motion: properties
+#
+# A redistribute motion places whole batches with ``hash_columns`` and
+# sizes its streams with ``ColumnBatch.nbytes``; both must reproduce the
+# row executor's per-row arithmetic exactly — a placement that differs
+# sends a row to the wrong segment, a size that differs moves sim_s.
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.catalog.schema import hash_columns, hash_values  # noqa: E402
+from repro.columnar import concat, take_columns  # noqa: E402
+from repro.executor.aggregates import SumState  # noqa: E402
+from repro.executor.batch import ColumnBatch  # noqa: E402
+from repro.executor.expr import RowSizer  # noqa: E402
+
+_key_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.dates(),
+    st.datetimes(),
+)
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda width: st.lists(
+            st.tuples(*[_key_values] * width), min_size=0, max_size=12
+        )
+    ),
+    st.integers(min_value=1, max_value=9),
+)
+def test_placement_matches_hash_values(keys, num_segments):
+    columns = [list(col) for col in zip(*keys)] if keys and keys[0] else []
+    expected = [hash_values(key, num_segments) for key in keys]
+    assert hash_columns(columns, len(keys), num_segments) == expected
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_placement_over_typed_vectors(monkeypatch, fallback):
+    if fallback:
+        force_fallback(monkeypatch)
+    ints = [5, None, -3, 5, 2**40]
+    floats = [0.0, -0.0, None, 1e300, 2.5]
+    texts = ["a", None, "it's", "a", "ü"]
+    columns = [
+        int_vector([v or 0 for v in ints], [v is None for v in ints]),
+        float_vector([0.0 if v is None else v for v in floats], [v is None for v in floats]),
+        dict_vector([0, -1, 1, 0, 2], ["a", "it's", "ü"]),
+        ConstVector(datetime.date(1998, 12, 1), 5),
+    ]
+    keys = list(zip(ints, floats, texts, [datetime.date(1998, 12, 1)] * 5))
+    assert hash_columns(columns, 5, 8) == [hash_values(k, 8) for k in keys]
+    for col, values in zip(columns, (ints, floats, texts)):
+        assert hash_columns([col], 5, 3) == [hash_values((v,), 3) for v in values]
+
+
+class _Opaque:
+    """Stands in for anything the sizer has no entry for (aggregate
+    transition states cross motions as plain objects)."""
+
+
+_sized_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.dates(),
+    st.datetimes(),
+    st.tuples(st.integers(), st.text(max_size=3)),
+    st.builds(_Opaque),
+    st.builds(SumState),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5).flatmap(
+        lambda width: st.lists(
+            st.tuples(*[_sized_values] * width), min_size=0, max_size=10
+        )
+    ),
+    st.data(),
+)
+def test_stream_sizing_matches_row_sizer(rows, data):
+    width = len(rows[0]) if rows else 3
+    sizer = RowSizer()
+    batch = ColumnBatch.from_rows(rows, width)
+    assert batch.nbytes() == sum(sizer(row) for row in rows)
+    if rows:
+        picks = data.draw(
+            st.lists(st.integers(min_value=0, max_value=len(rows) - 1), max_size=8)
+        )
+        assert batch.select(picks).nbytes() == sum(sizer(rows[i]) for i in picks)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_stream_sizing_over_typed_vectors(monkeypatch, fallback):
+    if fallback:
+        force_fallback(monkeypatch)
+    rows = [
+        (1, 0.5, "ab", True, None),
+        (None, None, None, None, None),
+        (2**40, -0.0, "", False, None),
+        (7, 1e9, "naïve", None, None),
+    ]
+    columns = [
+        int_vector([r[0] or 0 for r in rows], [r[0] is None for r in rows]),
+        float_vector([0.0 if r[1] is None else r[1] for r in rows], [r[1] is None for r in rows]),
+        dict_vector([0, -1, 1, 2], ["ab", "", "naïve"]),
+        bool_vector([bool(r[3]) for r in rows], [r[3] is None for r in rows]),
+        ConstVector(None, 4),
+    ]
+    sizer = RowSizer()
+    batch = ColumnBatch(columns, 4)
+    assert list(batch.to_rows()) == rows
+    assert batch.nbytes() == sum(sizer(r) for r in rows)
+    assert batch.select([3, 1]).nbytes() == sizer(rows[3]) + sizer(rows[1])
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_concat_and_take_keep_values_and_types(monkeypatch, fallback):
+    if fallback:
+        force_fallback(monkeypatch)
+    a = int_vector([1, 0], [False, True])
+    b = int_vector([3])
+    joined = concat([a, b])
+    assert list(joined) == [1, None, 3]
+    if not fallback and vector.numpy_module() is not None:
+        assert type(joined) is type(a)  # buffers concatenated, still typed
+    shared = dict_vector([0, 1, -1], ["x", "y"])
+    same_dict = concat([shared.take([0, 2]), shared.take([1])])
+    assert list(same_dict) == ["x", None, "y"]
+    other = dict_vector([0], ["z"])
+    assert list(concat([shared, other])) == ["x", "y", None, "z"]  # per-block dicts
+    assert concat([[1, 2], a]) == [1, 2, 1, None]  # mixed -> plain values
+    assert concat([a]) is a
+    cols = take_columns([a, ["p", "q"], ConstVector(9, 2), shared], [1, 0, 1])
+    assert [list(c) for c in cols] == [
+        [None, 1, None], ["q", "p", "q"], [9, 9, 9], ["y", "x", "y"],
+    ]
+
+
+# -------------------------------------------------------- constant folding
+
+
+def test_literal_subexpressions_fold_once(monkeypatch):
+    """TPC-H's ``date '...' + interval '...'`` is evaluated at compile
+    time, not once per row — and a literal that raises still raises
+    only when a row reaches it."""
+    from repro.executor import expr
+    from repro.planner import exprs as ex
+
+    calls = []
+    real = expr.add_interval
+    monkeypatch.setattr(
+        expr, "add_interval", lambda *a: calls.append(a) or real(*a)
+    )
+    bound = ex.BOp(
+        "<",
+        ex.BVar(0, 0),
+        ex.BOp("+", ex.BConst(datetime.date(1994, 1, 31)), ex.BInterval(1, "month")),
+    )
+    layout = [("r", 0, 0)]
+    days = [datetime.date(1994, 2, d) for d in (1, 27, 28)] + [None]
+    row_fn = expr.compile_expr(bound, layout)
+    batch_fn = expr.compile_expr_batch(bound, layout)
+    assert len(calls) == 2  # once per compile
+    assert [row_fn((d,)) for d in days] == [True, True, False, None]
+    assert list(batch_fn([days], 4, None)) == [True, True, False, None]
+    assert len(calls) == 2  # and never again
+
+    guarded = ex.BOp(
+        "and",
+        ex.BOp(">", ex.BVar(0, 0), ex.BConst(0)),
+        ex.BOp("=", ex.BOp("/", ex.BConst(1), ex.BConst(0)), ex.BConst(1)),
+    )
+    row_fn = expr.compile_expr(guarded, layout)  # compiling must not raise
+    batch_fn = expr.compile_expr_batch(guarded, layout)
+    assert row_fn((0,)) is False
+    assert list(batch_fn([[0, -1]], 2, None)) == [False, False]
+    with pytest.raises(expr.ExecutorError, match="division by zero"):
+        row_fn((1,))
+    with pytest.raises(expr.ExecutorError, match="division by zero"):
+        batch_fn([[0, 1]], 2, None)

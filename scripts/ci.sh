@@ -36,10 +36,16 @@ PY
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== wall-clock bench, numpy backend (microbench >= 5x, TPC-H geomean >= 1.65x) =="
+echo "== storage formats and block codecs on the pure-python backend =="
+# Tier-1 ran these on NumPy; the fallback backend decodes the same
+# chunks through array('q'/'d') and must read and write the same bytes.
+REPRO_NO_NUMPY=1 python -m pytest -q \
+    tests/test_storage.py tests/test_block_cache.py tests/test_codec.py
+
+echo "== wall-clock bench, numpy backend (microbench >= 5x, TPC-H geomean >= 1.35x) =="
 python -m repro.bench --wallclock --check
 
-echo "== wall-clock bench, pure-python fallback (microbench >= 1.5x, TPC-H geomean >= 1.65x) =="
+echo "== wall-clock bench, pure-python fallback (microbench >= 1.5x, TPC-H geomean >= 1.35x) =="
 REPRO_NO_NUMPY=1 python -m repro.bench --wallclock --check --no-report
 
 echo "== benchmarks/perf: its own tests, then one tiny round of every workload =="

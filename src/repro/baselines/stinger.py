@@ -94,7 +94,8 @@ class StingerEngine:
     def load_table(self, schema: TableSchema, rows: Sequence[tuple]) -> None:
         """Store a table in the warehouse in the ORC-like format."""
         client = self.hdfs.client()
-        coerced = [schema.coerce_row(r) for r in rows]
+        coerce_row = schema.row_codec().coerce_row
+        coerced = [coerce_row(r) for r in rows]
         result = orcfile.write(
             client,
             f"/warehouse/{schema.name}",

@@ -16,7 +16,7 @@ fused selection kernels and the bincount aggregate fold carry the work,
 or ``CHECK_THRESHOLD_FALLBACK`` (1.5x) under ``REPRO_NO_NUMPY=1``, where
 batching only amortizes interpretation overhead. And the geometric mean
 of the whole-query batch-over-row speedups across the Fig 8 + Fig 9
-TPC-H sets must stay above ``TPCH_GEOMEAN_FLOOR`` (1.65x on either
+TPC-H sets must stay above ``TPCH_GEOMEAN_FLOOR`` (1.35x on either
 backend): a statement also pays parse, plan, catalog and dispatch,
 which no executor change touches, so this is the number a user's wait
 actually follows. Every
@@ -54,12 +54,17 @@ CHECK_THRESHOLD_FALLBACK = 1.5
 
 
 #: Floor on the geometric-mean whole-query TPC-H speedup: the measured
-#: mean less its run-to-run spread. One floor serves both backends
-#: because they measure alike here (five runs each: NumPy 1.79-2.03x,
-#: fallback 1.80-1.96x; joins and motions run no faster on typed vectors
-#: than on lists). At the bench's scale factor a third of a statement is
-#: fixed cost outside the executor, which is what keeps this near 2x.
-TPCH_GEOMEAN_FLOOR = 1.65
+#: mean less its run-to-run spread, one floor for both backends (joins
+#: and motions run no faster on typed vectors than on lists). It is a
+#: ratio to the row executor, so it is re-based whenever that reference
+#: gets faster: PR 15 made the row path's rows-from-column-blocks
+#: adapter a C-level ``zip`` (row mode on these CO tables 25-40 %
+#: faster, batch mode unchanged at a warm cache), which took the ratio
+#: from 1.79-2.03x to 1.45-1.57x on NumPy (five runs) and 1.62-1.65x on
+#: the fallback. At the bench's scale factor a third of a statement is
+#: fixed cost outside the executor, which keeps this well below the
+#: microbenchmark's ratio.
+TPCH_GEOMEAN_FLOOR = 1.35
 
 
 def active_backend() -> str:

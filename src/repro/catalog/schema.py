@@ -11,11 +11,13 @@ import enum
 import operator
 import re
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.columnar import DictVector, as_list
-from repro.errors import CatalogError, SemanticError
+from repro.errors import CatalogError, SemanticError, StorageError
 
 
 class TypeKind(enum.Enum):
@@ -60,7 +62,142 @@ _TYPE_ALIASES = {
     "bytea": TypeKind.BYTEA,
 }
 
-_EPOCH = datetime.date(1970, 1, 1)
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+
+#: Length prefix of the variable-width kinds.
+LENGTH_PREFIX = struct.Struct("<I")
+
+
+def null_bitmap(values: Sequence[object]) -> bytes:
+    """One bit per value, set where it is None: what precedes the
+    non-NULL values of a stored row or column chunk."""
+    bitmap = bytearray((len(values) + 7) // 8)
+    for i, value in enumerate(values):
+        if value is None:
+            bitmap[i >> 3] |= 1 << (i & 7)
+    return bytes(bitmap)
+
+
+def null_flags(bitmap: bytes, count: int) -> List[bool]:
+    """:func:`null_bitmap` read back: True where the value is NULL."""
+    return [bool(bitmap[i >> 3] & (1 << (i & 7))) for i in range(count)]
+
+
+def _days_from_dates(dates: Sequence[datetime.date]) -> List[int]:
+    return list(map(_EPOCH_ORDINAL.__rsub__, map(datetime.date.toordinal, dates)))
+
+
+def _dates_from_days(days: Sequence[int]) -> List[datetime.date]:
+    return list(map(datetime.date.fromordinal, map(_EPOCH_ORDINAL.__add__, days)))
+
+
+def _utf8_from_strs(texts: Sequence[str]) -> List[bytes]:
+    return list(map(str.encode, texts))
+
+
+def _strs_from_utf8(raws: Sequence[bytes]) -> List[str]:
+    return list(map(bytes.decode, raws))  # strict
+
+
+class WireFormat:
+    """How the values of one type kind are stored: a little-endian
+    ``struct`` code for the fixed-width kinds, a ``u32`` length prefix
+    plus bytes for the rest, and the conversions between a column of
+    values and a column of stored forms (whole columns, so that they
+    run without a Python frame per value; ``dump`` is None where the
+    Python value is stored as it is).
+
+    The one description of the value encoding: :class:`DataType`'s
+    single-value API, :class:`RowCodec` and the storage layer's column
+    chunks are all composed from it."""
+
+    __slots__ = ("code", "scalar", "dump", "load", "blank")
+
+    def __init__(self, code, dump=None, load=list):
+        #: ``struct`` format character, or None for length-prefixed bytes.
+        self.code: Optional[str] = code
+        self.scalar = struct.Struct("<" + code) if code else None
+        #: values -> stored forms, or None for "as they are".
+        self.dump: Optional[Callable[[Sequence[object]], Sequence[object]]] = dump
+        #: stored forms -> a new list of values.
+        self.load: Callable[[Sequence[object]], List[object]] = load
+        #: A stored form standing in for NULL where a slot must be filled.
+        self.blank: object = 0 if code else b""
+
+    # The single-value forms, for connectors and rows that hold NULLs.
+    def pack(self, value: object) -> bytes:
+        stored = value if self.dump is None else self.dump((value,))[0]
+        if self.scalar is not None:
+            return self.scalar.pack(stored)
+        return LENGTH_PREFIX.pack(len(stored)) + stored
+
+    def read(self, buf: bytes, offset: int) -> Tuple[object, int]:
+        """The stored form of the value at ``offset`` and its end."""
+        if self.scalar is not None:
+            return self.scalar.unpack_from(buf, offset)[0], offset + self.scalar.size
+        start = offset + LENGTH_PREFIX.size
+        end = start + LENGTH_PREFIX.unpack_from(buf, offset)[0]
+        if end > len(buf):
+            raise StorageError("value runs past the end of its payload")
+        return buf[start:end], end
+
+    def unpack(self, buf: bytes, offset: int) -> Tuple[object, int]:
+        stored, end = self.read(buf, offset)
+        return self.load((stored,))[0], end
+
+
+_INT_WIRE = WireFormat("q")
+_FLOAT_WIRE = WireFormat("d")
+_TEXT_WIRE = WireFormat(None, _utf8_from_strs, _strs_from_utf8)
+_WIRE_FORMATS = {
+    TypeKind.INT4: _INT_WIRE,
+    TypeKind.INT8: _INT_WIRE,
+    TypeKind.FLOAT8: _FLOAT_WIRE,
+    TypeKind.DECIMAL: _FLOAT_WIRE,
+    TypeKind.BOOL: WireFormat("?"),
+    TypeKind.DATE: WireFormat("i", _days_from_dates, _dates_from_days),
+    TypeKind.CHAR: _TEXT_WIRE,
+    TypeKind.VARCHAR: _TEXT_WIRE,
+    TypeKind.TEXT: _TEXT_WIRE,
+    TypeKind.BYTEA: WireFormat(None),
+}
+
+
+def _coerce_date(value: object) -> datetime.date:
+    if isinstance(value, datetime.date):
+        return value
+    return datetime.date.fromisoformat(str(value))
+
+
+def _coerce_bytes(value: object) -> bytes:
+    return value if isinstance(value, bytes) else bytes(value)
+
+
+def _coercer(dtype: "DataType") -> Callable[[object], object]:
+    """The function taking a non-NULL Python value into ``dtype``'s
+    canonical form."""
+    kind = dtype.kind
+    if kind in (TypeKind.INT4, TypeKind.INT8):
+        return int
+    if kind is TypeKind.FLOAT8:
+        return float
+    if kind is TypeKind.DECIMAL:
+        scale = dtype.scale
+        if scale is None:
+            return float
+        return lambda value: round(float(value), scale)
+    if kind is TypeKind.BOOL:
+        return bool
+    if kind in (TypeKind.CHAR, TypeKind.VARCHAR) and dtype.length is not None:
+        length = dtype.length
+        return lambda value: str(value)[:length]
+    if kind in _STRING_KINDS:
+        return str
+    if kind is TypeKind.DATE:
+        return _coerce_date
+    if kind is TypeKind.BYTEA:
+        return _coerce_bytes
+    raise CatalogError(f"cannot coerce into {dtype}")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -100,6 +237,11 @@ class DataType:
     def is_string(self) -> bool:
         return self.kind in _STRING_KINDS
 
+    @property
+    def wire(self) -> WireFormat:
+        """How this type's values are stored."""
+        return _WIRE_FORMATS[self.kind]
+
     def __str__(self) -> str:
         if self.kind is TypeKind.DECIMAL and self.length is not None:
             return f"decimal({self.length},{self.scale or 0})"
@@ -108,78 +250,19 @@ class DataType:
         return self.kind.value
 
     # --------------------------------------------------------------- values
+    # The single-value API (connectors, casts). Blocks of rows go through
+    # a :class:`RowCodec`, compiled from the same per-kind functions.
     def coerce(self, value: object) -> object:
         """Validate/convert a Python value into this type's canonical form."""
-        if value is None:
-            return None
-        kind = self.kind
-        if kind in (TypeKind.INT4, TypeKind.INT8):
-            return int(value)
-        if kind in (TypeKind.FLOAT8, TypeKind.DECIMAL):
-            val = float(value)
-            if kind is TypeKind.DECIMAL and self.scale is not None:
-                return round(val, self.scale)
-            return val
-        if kind is TypeKind.BOOL:
-            return bool(value)
-        if kind in _STRING_KINDS:
-            text = str(value)
-            if kind is TypeKind.CHAR and self.length is not None:
-                return text[: self.length]
-            if kind is TypeKind.VARCHAR and self.length is not None:
-                return text[: self.length]
-            return text
-        if kind is TypeKind.DATE:
-            if isinstance(value, datetime.date):
-                return value
-            return datetime.date.fromisoformat(str(value))
-        if kind is TypeKind.BYTEA:
-            return bytes(value) if not isinstance(value, bytes) else value
-        raise CatalogError(f"cannot coerce into {self}")
+        return None if value is None else _coercer(self)(value)
 
-    # ------------------------------------------------------------- encoding
     def encode(self, value: object, out: bytearray) -> None:
         """Append the binary encoding of a non-null value to ``out``."""
-        kind = self.kind
-        if kind in (TypeKind.INT4, TypeKind.INT8):
-            out += struct.pack("<q", value)
-        elif kind in (TypeKind.FLOAT8, TypeKind.DECIMAL):
-            out += struct.pack("<d", value)
-        elif kind is TypeKind.BOOL:
-            out += b"\x01" if value else b"\x00"
-        elif kind is TypeKind.DATE:
-            out += struct.pack("<i", (value - _EPOCH).days)
-        elif kind in _STRING_KINDS:
-            raw = value.encode("utf-8")
-            out += struct.pack("<I", len(raw))
-            out += raw
-        elif kind is TypeKind.BYTEA:
-            out += struct.pack("<I", len(value))
-            out += value
-        else:  # pragma: no cover - exhaustive over TypeKind
-            raise CatalogError(f"cannot encode {self}")
+        out += self.wire.pack(value)
 
     def decode(self, buf: bytes, offset: int) -> Tuple[object, int]:
         """Decode one value from ``buf`` at ``offset``; returns (value, new offset)."""
-        kind = self.kind
-        if kind in (TypeKind.INT4, TypeKind.INT8):
-            return struct.unpack_from("<q", buf, offset)[0], offset + 8
-        if kind in (TypeKind.FLOAT8, TypeKind.DECIMAL):
-            return struct.unpack_from("<d", buf, offset)[0], offset + 8
-        if kind is TypeKind.BOOL:
-            return buf[offset] == 1, offset + 1
-        if kind is TypeKind.DATE:
-            days = struct.unpack_from("<i", buf, offset)[0]
-            return _EPOCH + datetime.timedelta(days=days), offset + 4
-        if kind in _STRING_KINDS:
-            (length,) = struct.unpack_from("<I", buf, offset)
-            start = offset + 4
-            return buf[start : start + length].decode("utf-8"), start + length
-        if kind is TypeKind.BYTEA:
-            (length,) = struct.unpack_from("<I", buf, offset)
-            start = offset + 4
-            return bytes(buf[start : start + length]), start + length
-        raise CatalogError(f"cannot decode {self}")  # pragma: no cover
+        return self.wire.unpack(buf, offset)
 
 
 @dataclass(frozen=True)
@@ -280,6 +363,208 @@ class PartitionSpec:
         return None
 
 
+class RowCodec:
+    """A table's column types compiled once for one scan or write call.
+
+    Rows are stored as a null bitmap followed by the non-NULL values in
+    column order. A row without NULLs therefore has a fixed shape — each
+    run of adjacent fixed-width columns, together with the length prefix
+    of the variable-width column that ends it, is one precompiled
+    ``struct.Struct`` — and is packed/unpacked a run at a time, its
+    values converted a column at a time. A row that holds a NULL goes
+    value by value through the same :class:`WireFormat`s. Compilation is
+    lazy: a codec whose call never reaches a block costs nothing.
+    """
+
+    def __init__(self, columns: Sequence[Column], table: str = "") -> None:
+        self.columns = columns
+        self.table = table
+
+    # -------------------------------------------------------------- coerce
+    @cached_property
+    def _coercers(self) -> List[Callable[[object], object]]:
+        return [_coercer(col.type) for col in self.columns]
+
+    def coerce_row(self, row: Sequence[object]) -> Tuple[object, ...]:
+        """``row`` with every value in its column type's canonical form."""
+        coercers = self._coercers
+        if len(row) != len(coercers):
+            raise CatalogError(
+                f"row arity {len(row)} != {len(coercers)} for {self.table}"
+            )
+        if None not in row:
+            return tuple([fn(value) for fn, value in zip(coercers, row)])
+        for col, value in zip(self.columns, row):
+            if value is None and col.not_null:
+                raise CatalogError(f"null in NOT NULL column {col.name}")
+        return tuple(
+            [
+                None if value is None else fn(value)
+                for fn, value in zip(coercers, row)
+            ]
+        )
+
+    # -------------------------------------------------------------- layout
+    @cached_property
+    def _wires(self) -> List[WireFormat]:
+        return [col.type.wire for col in self.columns]
+
+    @cached_property
+    def _zero_bitmap(self) -> bytes:
+        return bytes((len(self.columns) + 7) // 8)
+
+    @cached_property
+    def _segments(self) -> List[Tuple[struct.Struct, Tuple[int, ...], Optional[int]]]:
+        """A NULL-free row as ``(struct, fixed column indexes, variable
+        column index or None)`` pieces: the struct covers the fixed
+        columns and, when a variable-width column follows them, its
+        length prefix; that column's bytes come after it."""
+        segments = []
+        codes, fixed = "", []
+        for i, wire in enumerate(self._wires):
+            if wire.code is not None:
+                codes += wire.code
+                fixed.append(i)
+            else:
+                segments.append(
+                    (struct.Struct(f"<{codes}I"), tuple(fixed), i)
+                )
+                codes, fixed = "", []
+        if fixed:
+            segments.append((struct.Struct("<" + codes), tuple(fixed), None))
+        return segments
+
+    # -------------------------------------------------------------- encode
+    def encode_rows(self, rows: Sequence[Sequence[object]]) -> bytes:
+        """The stored bytes of ``rows`` (coerced), back to back."""
+        parts = []
+        start = 0
+        for i, row in enumerate(rows):
+            if None in row:
+                if start < i:
+                    parts.append(self._encode_run(rows[start:i]))
+                parts.append(self._encode_nullable_row(row))
+                start = i + 1
+        if start < len(rows):
+            parts.append(self._encode_run(rows[start:]))
+        return b"".join(parts)
+
+    def _encode_run(self, rows: Sequence[Sequence[object]]) -> bytes:
+        """NULL-free rows: each run of fixed-width columns is packed by
+        one ``Struct.pack`` per row, driven column-wise."""
+        columns = list(zip(*rows))
+        wires = self._wires
+
+        def stored(i: int) -> Sequence[object]:
+            dump = wires[i].dump
+            return columns[i] if dump is None else dump(columns[i])
+
+        pieces: List[Iterable[bytes]] = [repeat(self._zero_bitmap)]
+        for packer, fixed, variable in self._segments:
+            fields = [stored(i) for i in fixed]
+            if variable is None:
+                pieces.append(map(packer.pack, *fields))
+            else:
+                raws = stored(variable)
+                pieces.append(map(packer.pack, *fields, map(len, raws)))
+                pieces.append(raws)
+        return b"".join(chain.from_iterable(zip(*pieces)))
+
+    def _encode_nullable_row(self, row: Sequence[object]) -> bytes:
+        return null_bitmap(row) + b"".join(
+            wire.pack(value)
+            for wire, value in zip(self._wires, row)
+            if value is not None
+        )
+
+    # -------------------------------------------------------------- decode
+    def decode_rows(
+        self, buf: bytes, offset: int, row_count: int
+    ) -> Tuple[List[List[object]], int]:
+        """``row_count`` rows starting at ``offset``, as one list of
+        values per column; returns ``(columns, end offset)``.
+
+        Raises :class:`StorageError` when the bytes are not that many
+        well-formed rows."""
+        ncols = len(self.columns)
+        if row_count == 0:
+            return [[] for _ in range(ncols)], offset
+        zero_bitmap = self._zero_bitmap
+        bitmap_len = len(zero_bitmap)
+        segments = self._segments
+        #: Per segment: the unpacked struct tuples and the variable bytes.
+        fixed_rows: List[List[tuple]] = [[] for _ in segments]
+        variable_raws: List[List[bytes]] = [[] for _ in segments]
+        plan = [
+            (
+                unpacker.unpack_from,
+                unpacker.size,
+                fixed_rows[k].append,
+                None if variable is None else variable_raws[k].append,
+            )
+            for k, (unpacker, _fixed, variable) in enumerate(segments)
+        ]
+        nulls: List[Tuple[int, int]] = []  # (row, column) of every NULL
+        try:
+            for row in range(row_count):
+                end = offset + bitmap_len
+                bitmap = buf[offset:end]
+                offset = end
+                if bitmap != zero_bitmap:
+                    offset = self._decode_nullable_row(
+                        buf, offset, bitmap, row, nulls, fixed_rows, variable_raws
+                    )
+                    continue
+                for unpack, size, add_fixed, add_variable in plan:
+                    values = unpack(buf, offset)
+                    add_fixed(values)
+                    offset += size
+                    if add_variable is not None:
+                        end = offset + values[-1]
+                        add_variable(buf[offset:end])
+                        offset = end
+            if offset > len(buf):
+                raise StorageError("row runs past the end of its payload")
+            columns: list = [None] * ncols
+            wires = self._wires
+            for k, (_unpacker, fixed, variable) in enumerate(segments):
+                fields = list(zip(*fixed_rows[k]))
+                for field_no, i in enumerate(fixed):
+                    columns[i] = wires[i].load(fields[field_no])
+                if variable is not None:
+                    columns[variable] = wires[variable].load(variable_raws[k])
+        except (struct.error, IndexError, ValueError, OverflowError) as exc:
+            # ValueError covers UnicodeDecodeError and out-of-range dates.
+            raise StorageError(f"corrupt row data: {exc}") from exc
+        for row, i in nulls:
+            columns[i][row] = None
+        return columns, offset
+
+    def _decode_nullable_row(
+        self, buf: bytes, offset: int, bitmap: bytes, row: int, nulls,
+        fixed_rows, variable_raws,
+    ) -> int:
+        """One row that holds NULLs, value by value, into the same
+        per-segment lists (a blank stored value fills each NULL's slot;
+        ``nulls`` remembers where they are)."""
+        stored = []
+        flags = null_flags(bitmap, len(self.columns))
+        for i, (wire, null) in enumerate(zip(self._wires, flags)):
+            if null:
+                nulls.append((row, i))
+                stored.append(wire.blank)
+            else:
+                value, offset = wire.read(buf, offset)
+                stored.append(value)
+        for k, (_unpacker, fixed, variable) in enumerate(self._segments):
+            values = [stored[i] for i in fixed]
+            if variable is not None:
+                values.append(0)  # the length prefix's slot
+                variable_raws[k].append(stored[variable])
+            fixed_rows[k].append(tuple(values))
+        return offset
+
+
 @dataclass
 class TableSchema:
     """Schema of one table: columns plus physical layout choices."""
@@ -318,43 +603,25 @@ class TableSchema:
         return [c.name for c in self.columns]
 
     # ---------------------------------------------------------- row encoding
+    def row_codec(self) -> "RowCodec":
+        """This table's column types compiled for one scan/write call.
+
+        Never kept on the schema: catalog snapshots deep-copy schemas,
+        and ``struct.Struct``s cannot be deep-copied."""
+        return RowCodec(self.columns, self.name)
+
+    # One-row conveniences for connectors and tests; anything that
+    # handles rows in bulk takes a ``row_codec()`` once and keeps it.
     def coerce_row(self, row: Sequence[object]) -> Tuple[object, ...]:
-        if len(row) != len(self.columns):
-            raise CatalogError(
-                f"row arity {len(row)} != {len(self.columns)} for {self.name}"
-            )
-        out = []
-        for col, value in zip(self.columns, row):
-            if value is None and col.not_null:
-                raise CatalogError(f"null in NOT NULL column {col.name}")
-            out.append(col.type.coerce(value))
-        return tuple(out)
+        return self.row_codec().coerce_row(row)
 
     def encode_row(self, row: Sequence[object], out: bytearray) -> None:
         """Append row encoding: null bitmap then non-null column values."""
-        ncols = len(self.columns)
-        bitmap = bytearray((ncols + 7) // 8)
-        for i, value in enumerate(row):
-            if value is None:
-                bitmap[i // 8] |= 1 << (i % 8)
-        out += bytes(bitmap)
-        for col, value in zip(self.columns, row):
-            if value is not None:
-                col.type.encode(value, out)
+        out += self.row_codec().encode_rows([row])
 
     def decode_row(self, buf: bytes, offset: int) -> Tuple[Tuple[object, ...], int]:
-        ncols = len(self.columns)
-        bitmap_len = (ncols + 7) // 8
-        bitmap = buf[offset : offset + bitmap_len]
-        offset += bitmap_len
-        values: List[object] = []
-        for i, col in enumerate(self.columns):
-            if bitmap[i // 8] & (1 << (i % 8)):
-                values.append(None)
-            else:
-                value, offset = col.type.decode(buf, offset)
-                values.append(value)
-        return tuple(values), offset
+        columns, offset = self.row_codec().decode_rows(buf, offset, 1)
+        return tuple(column[0] for column in columns), offset
 
     # --------------------------------------------------------------- hashing
     def hash_row(self, row: Sequence[object], num_segments: int) -> int:

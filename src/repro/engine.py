@@ -32,6 +32,7 @@ from repro.catalog.schema import (
     Partition,
     PartitionSpec,
     TableSchema,
+    hash_columns,
 )
 from repro.catalog.security import PermissionDenied, SecurityManager
 from repro.catalog.service import (
@@ -894,7 +895,7 @@ class Session:
             raw_rows = [
                 tuple(compile_expr_value(expr) for expr in row) for row in stmt.rows
             ]
-        rows = [self._shape_row(schema, stmt.columns, row) for row in raw_rows]
+        rows = self._shape_rows(schema, stmt.columns, raw_rows)
 
         if relation["kind"] == "external":
             # WRITABLE external tables export through PXF (Section 6).
@@ -919,17 +920,26 @@ class Session:
         result.cost = QueryCost.from_accumulator(acc)
         return result
 
-    def _shape_row(
-        self, schema: TableSchema, columns: Optional[List[str]], row: tuple
-    ) -> tuple:
+    def _shape_rows(
+        self,
+        schema: TableSchema,
+        columns: Optional[List[str]],
+        rows: Sequence[tuple],
+    ) -> List[tuple]:
+        """INSERT's rows in table shape (unnamed columns NULL), coerced."""
+        coerce_row = schema.row_codec().coerce_row
         if columns is None:
-            return schema.coerce_row(row)
-        if len(columns) != len(row):
-            raise SemanticError("INSERT column/value count mismatch")
-        full: List[object] = [None] * len(schema.columns)
-        for name, value in zip(columns, row):
-            full[schema.column_index(name)] = value
-        return schema.coerce_row(full)
+            return [coerce_row(row) for row in rows]
+        positions = [schema.column_index(name) for name in columns]
+        shaped = []
+        for row in rows:
+            if len(positions) != len(row):
+                raise SemanticError("INSERT column/value count mismatch")
+            full: List[object] = [None] * len(schema.columns)
+            for position, value in zip(positions, row):
+                full[position] = value
+            shaped.append(coerce_row(full))
+        return shaped
 
     def load_rows(
         self,
@@ -952,7 +962,8 @@ class Session:
         assert snapshot is not None
         try:
             schema = engine.catalog.get_schema(table, snapshot)
-            rows = [schema.coerce_row(r) for r in rows]
+            coerce_row = schema.row_codec().coerce_row
+            rows = [coerce_row(r) for r in rows]
             targets = self._route_partitions(schema, rows, snapshot)
             total = 0
             for child_schema, child_rows in targets:
@@ -1008,10 +1019,13 @@ class Session:
         num_segments = engine.num_segments
         buckets: Dict[int, List[tuple]] = {}
         if schema.distribution.is_hash:
-            for row in rows:
-                buckets.setdefault(
-                    schema.hash_row(row, num_segments), []
-                ).append(row)
+            key_columns = [
+                [row[i] for row in rows]
+                for i in map(schema.column_index, schema.distribution.columns)
+            ]
+            places = hash_columns(key_columns, len(rows), num_segments)
+            for place, row in zip(places, rows):
+                buckets.setdefault(place, []).append(row)
         else:
             start = next(engine._load_rng)
             for i, row in enumerate(rows):

@@ -144,11 +144,11 @@ def write_sequence_file(
     """Writer utility (the OutputFormat side of paper Section 2.1):
     external systems use this to hand data to HAWQ without SQL."""
     client = fs.client()
+    row_codec = schema.row_codec()
     data = bytearray()
     count = 0
     for row in rows:
-        body = bytearray()
-        schema.encode_row(schema.coerce_row(row), body)
+        body = row_codec.encode_rows([row_codec.coerce_row(row)])
         data += _SEQ_HEADER.pack(len(body))
         data += body
         count += 1

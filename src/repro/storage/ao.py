@@ -9,20 +9,21 @@ Figure 11 quantifies.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
+from repro.errors import StorageError
 from repro.hdfs import HdfsClient
 from repro.storage.base import (
     DEFAULT_BLOCK_ROWS,
+    Columns,
     ScanStats,
     WriteResult,
     batched,
-    iter_blocks,
-    iter_framed_blocks,
+    cached_blocks,
     pack_block,
+    rows_from_blocks,
 )
-from repro.storage.cache import CachedBlock
 from repro.storage.compression import get_codec
 
 name = "ao"
@@ -39,14 +40,13 @@ def write(
 ) -> WriteResult:
     """Write (or append) rows; returns new physical lengths and stats."""
     codec = get_codec(codec_name)
+    row_codec = schema.row_codec()
     uncompressed_total = 0
     data = bytearray()
     for block in batched(rows, block_rows):
-        payload = bytearray()
-        for row in block:
-            schema.encode_row(row, payload)
+        payload = row_codec.encode_rows(block)
         uncompressed_total += len(payload)
-        data += pack_block(bytes(payload), len(block), codec)
+        data += pack_block(payload, len(block), codec)
     if append and client.exists(base_path):
         writer = client.append(base_path)
     else:
@@ -73,27 +73,15 @@ def scan(
 ) -> Iterator[Tuple[object, ...]]:
     """Scan rows up to each path's logical length.
 
-    ``columns`` is accepted for interface uniformity but AO must decode
-    whole rows regardless; projection happens above. ``paths`` maps the
-    data file to its transaction-visible logical length.
+    ``columns`` is accepted for interface uniformity but AO reads and
+    decodes whole rows regardless, and hands them back whole; projection
+    happens above. ``paths`` maps the data file to its
+    transaction-visible logical length.
     """
-    codec = get_codec(codec_name)
-    for path, logical_length in paths.items():
-        if logical_length <= 0:
-            continue
-        if cache is None:
-            data = client.read_file(path, logical_length)
-            for row_count, payload in iter_blocks(data, codec, stats):
-                offset = 0
-                for _ in range(row_count):
-                    row, offset = schema.decode_row(payload, offset)
-                    yield row
-        else:
-            for rows in _row_blocks(
-                client, path, logical_length, schema, codec, codec_name,
-                stats, cache,
-            ):
-                yield from rows
+    return rows_from_blocks(
+        scan_blocks(client, paths, schema, codec_name, None, stats, cache),
+        len(schema.columns),
+    )
 
 
 def scan_blocks(
@@ -104,89 +92,28 @@ def scan_blocks(
     columns: Optional[Sequence[int]] = None,
     stats: Optional[ScanStats] = None,
     cache=None,
-) -> Iterator[Tuple[int, Dict[int, List[object]]]]:
-    """Yield ``(row_count, {column_index: values})`` per block. AO must
-    decode whole rows, so every column is present in the dict."""
-    ncols = len(schema.columns)
+) -> Iterator[Tuple[int, Columns]]:
+    """Yield ``(row_count, {column_index: values})`` per block.
+
+    A block is decoded once, whole (that is the format), into one list
+    per column; the decode cache keeps those, and every scan hands out
+    the ``columns`` it asked for (all of them for None)."""
+    wanted = range(len(schema.columns)) if columns is None else columns
     codec = get_codec(codec_name)
-    for path, logical_length in paths.items():
-        if logical_length <= 0:
-            continue
-        for rows in _row_blocks(
-            client, path, logical_length, schema, codec, codec_name,
-            stats, cache,
-        ):
-            if not rows:
-                continue
-            vectors = [list(col) for col in zip(*rows)]
-            yield len(rows), {i: vectors[i] for i in range(ncols)}
+    row_codec = schema.row_codec()  # compiles at the first block decoded
 
-
-def _row_blocks(
-    client: HdfsClient,
-    path: str,
-    logical_length: int,
-    schema: TableSchema,
-    codec,
-    codec_name: str,
-    stats: Optional[ScanStats],
-    cache,
-) -> Iterator[List[Tuple[object, ...]]]:
-    """Yield each block's rows as a list, serving/filling the decode
-    cache when one is provided (see ``storage/cache.py``)."""
-    if cache is None:
-        data = client.read_file(path, logical_length)
-        for row_count, payload in iter_blocks(data, codec, stats):
-            rows: List[Tuple[object, ...]] = []
-            offset = 0
-            for _ in range(row_count):
-                row, offset = schema.decode_row(payload, offset)
-                rows.append(row)
-            yield rows
-        return
-    key = ("ao", path, client.write_epoch(path), codec_name)
-    entry = cache.open_entry(key)
-    served = 0
-    for block in entry.blocks:
-        if served + block.compressed_bytes > logical_length:
-            break
-        cache.replay(block, stats)
-        served += block.compressed_bytes
-        yield block.data
-    if served >= logical_length:
-        return
-    reader = client.open(path)
-    reader.seek(served)
-    remote_before = client.remote_bytes_read
-    data = reader.read(logical_length - served)
-    remote_total = client.remote_bytes_read - remote_before
-    tail_len = len(data)
-    consumed = 0
-    for row_count, payload, framed, uncompressed in iter_framed_blocks(
-        data, codec, stats
-    ):
-        start = consumed
-        consumed += framed
-        remote = (
-            remote_total * consumed // tail_len
-            - remote_total * start // tail_len
-        )
-        rows = []
-        offset = 0
-        for _ in range(row_count):
-            row, offset = schema.decode_row(payload, offset)
-            rows.append(row)
-        if entry.end_offset == served + start:
-            before = entry.nbytes
-            entry.append(
-                CachedBlock(
-                    row_count=row_count,
-                    compressed_bytes=framed,
-                    uncompressed_bytes=uncompressed,
-                    remote_bytes=remote,
-                    data=rows,
-                )
+    def decode(payload: bytes, row_count: int) -> Columns:
+        decoded, end = row_codec.decode_rows(payload, 0, row_count)
+        if end != len(payload):
+            raise StorageError(
+                f"block is {len(payload)} bytes, its {row_count} rows take {end}"
             )
-            cache.misses += 1
-            cache.account(entry, entry.nbytes - before)
-        yield rows
+        return dict(enumerate(decoded))
+
+    for path, logical_length in paths.items():
+        for row_count, decoded in cached_blocks(
+            client, path, logical_length, name, codec, codec_name, stats,
+            cache, decode,
+        ):
+            if row_count:
+                yield row_count, {i: decoded[i] for i in wanted}

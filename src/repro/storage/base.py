@@ -1,27 +1,31 @@
-"""Shared pieces of the storage formats: block framing, results, stats."""
+"""Shared pieces of the storage formats: block framing, results, stats,
+the cached-prefix scan every format's blocks go through, and the
+column-chunk codec of the two columnar formats."""
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.catalog.schema import Column, TableSchema, TypeKind
+from repro.catalog.schema import (
+    LENGTH_PREFIX,
+    Column,
+    WireFormat,
+    null_bitmap,
+    null_flags,
+)
 from repro.columnar.vector import (
+    as_list,
     dict_vector,
     numeric_from_bytes,
     numeric_from_packed,
 )
 from repro.errors import StorageError
+from repro.storage.cache import CachedBlock
 from repro.storage.compression import Codec
-
-#: Column kinds stored as packed 8-byte values (decodable in bulk).
-_FIXED_NUMERIC = {
-    TypeKind.INT4,
-    TypeKind.INT8,
-    TypeKind.FLOAT8,
-    TypeKind.DECIMAL,
-}
 
 #: Block header: magic (2) + row count (4) + uncompressed len (4) + compressed len (4).
 BLOCK_MAGIC = 0xA001
@@ -79,8 +83,10 @@ def unpack_block_header(buf: bytes, offset: int = 0) -> Tuple[int, int, int]:
 
 def iter_blocks(
     data: bytes, codec: Codec, stats: Optional[ScanStats] = None
-) -> Iterator[Tuple[int, bytes]]:
-    """Yield (row_count, payload) for each block in ``data``."""
+) -> Iterator[Tuple[int, bytes, int]]:
+    """Yield ``(row_count, payload, framed_size)`` for each block in
+    ``data``; the framed size (header + compressed payload) is the
+    block's advance in the file, which the decode cache tracks."""
     offset = 0
     while offset < len(data):
         if offset + BLOCK_HEADER_SIZE > len(data):
@@ -99,108 +105,229 @@ def iter_blocks(
             stats.uncompressed_bytes += uncompressed_len
             stats.rows += rows
             stats.blocks += 1
-        yield rows, payload
+        yield rows, payload, BLOCK_HEADER_SIZE + compressed_len
 
 
-def iter_framed_blocks(
-    data: bytes, codec: Codec, stats: Optional[ScanStats] = None
-) -> Iterator[Tuple[int, bytes, int, int]]:
-    """Like :func:`iter_blocks` but also yields each block's framed
-    on-disk size (header + compressed payload) and uncompressed length:
-    ``(row_count, payload, framed_size, uncompressed_len)``. The decode
-    cache needs framed sizes to track file-offset coverage."""
-    offset = 0
-    while offset < len(data):
-        if offset + BLOCK_HEADER_SIZE > len(data):
-            raise StorageError("truncated block header")
-        rows, uncompressed_len, compressed_len = unpack_block_header(data, offset)
-        offset += BLOCK_HEADER_SIZE
-        compressed = data[offset : offset + compressed_len]
-        if len(compressed) != compressed_len:
-            raise StorageError("truncated block payload")
-        offset += compressed_len
-        payload = codec.decompress(compressed)
-        if len(payload) != uncompressed_len:
-            raise StorageError("block failed decompression length check")
-        if stats is not None:
-            stats.compressed_bytes += BLOCK_HEADER_SIZE + compressed_len
-            stats.uncompressed_bytes += uncompressed_len
-            stats.rows += rows
-            stats.blocks += 1
-        yield rows, payload, BLOCK_HEADER_SIZE + compressed_len, uncompressed_len
+#: What a block decodes to everywhere: ``{column_index: column vector}``.
+Columns = Dict[int, object]
+
+
+def cached_blocks(
+    client,
+    path: str,
+    logical_length: int,
+    format_name: str,
+    codec: Codec,
+    codec_name: str,
+    stats: Optional[ScanStats],
+    cache,
+    decode: Callable[[bytes, int], Columns],
+) -> Iterator[Tuple[int, Columns]]:
+    """Yield ``(row_count, columns)`` for each block of ``path`` inside
+    its transaction-visible ``logical_length``, decoding with
+    ``decode(payload, row_count)``.
+
+    With a decode cache (see ``storage/cache.py``) the cached prefix is
+    served without touching HDFS and only the tail beyond it is read,
+    decoded and — while it stays contiguous with the prefix — cached.
+    Blocks are decoded one at a time as the consumer asks for them, so
+    a scan that is abandoned (LIMIT) is charged for what it decoded.
+    """
+    if logical_length <= 0:
+        return
+    if cache is None:
+        data = client.read_file(path, logical_length)
+        for row_count, payload, _framed in iter_blocks(data, codec, stats):
+            yield row_count, decode(payload, row_count)
+        return
+    entry = cache.open_entry(
+        (format_name, path, client.write_epoch(path), codec_name)
+    )
+    # The logical length always falls on a block boundary: appends write
+    # whole blocks.
+    served = 0
+    for block in entry.blocks:
+        if served + block.compressed_bytes > logical_length:
+            break
+        cache.replay(block, stats)
+        served += block.compressed_bytes
+        yield block.row_count, block.data
+    if served >= logical_length:
+        return
+    reader = client.open(path)
+    reader.seek(served)
+    remote_before = client.remote_bytes_read
+    data = reader.read(logical_length - served)
+    remote_total = client.remote_bytes_read - remote_before
+    tail_len = len(data)
+    consumed = 0
+    for row_count, payload, framed in iter_blocks(data, codec, stats):
+        start = consumed
+        consumed += framed
+        # Telescoping proportional split of the tail read's remote bytes
+        # over its blocks — exact-summing without knowing the block count.
+        remote = (
+            remote_total * consumed // tail_len
+            - remote_total * start // tail_len
+        )
+        columns = decode(payload, row_count)
+        if entry.end_offset == served + start:  # still contiguous: cacheable
+            before = entry.nbytes
+            entry.append(
+                CachedBlock(
+                    row_count=row_count,
+                    compressed_bytes=framed,
+                    uncompressed_bytes=len(payload),
+                    remote_bytes=remote,
+                    data=columns,
+                )
+            )
+            cache.misses += 1
+            cache.account(entry, entry.nbytes - before)
+        yield row_count, columns
+
+
+def rows_from_blocks(
+    blocks: Iterable[Tuple[int, Columns]], ncols: int
+) -> Iterator[Tuple[object, ...]]:
+    """Row tuples of the schema's shape from ``scan_blocks`` output;
+    columns a block does not carry come back as None placeholders (the
+    executor projects by position)."""
+    for row_count, columns in blocks:
+        # One tolist() per typed vector per block (cached on the vector,
+        # so a decode-cache hit does not pay it again), then a C-level zip.
+        yield from zip(
+            *(
+                as_list(columns[i]) if i in columns else repeat(None, row_count)
+                for i in range(ncols)
+            )
+        )
 
 
 # ------------------------------------------------------- column-vector codec
-def encode_column(
-    values: Sequence[object], column: Column, out: bytearray
-) -> None:
-    """Append the vector encoding of one column's values for one block:
-    null bitmap then non-null values back-to-back."""
-    count = len(values)
-    bitmap = bytearray((count + 7) // 8)
-    for i, value in enumerate(values):
-        if value is None:
-            bitmap[i // 8] |= 1 << (i % 8)
-    out += bytes(bitmap)
-    for value in values:
-        if value is not None:
-            column.type.encode(value, out)
+class ColumnCodec:
+    """One column's type compiled for the chunks of one scan or write
+    call. A chunk is the column's values for one block: a null bitmap,
+    then the non-NULL values back to back in their
+    :class:`~repro.catalog.schema.WireFormat`."""
 
+    def __init__(self, column: Column) -> None:
+        self.column = column
 
-def decode_column(
-    buf: bytes, offset: int, count: int, column: Column
-) -> Tuple[object, int]:
-    """Decode one column vector; returns (vector, new offset).
+    @cached_property
+    def _wire(self) -> WireFormat:
+        return self.column.type.wire
 
-    Numeric columns come back as typed :class:`~repro.columnar.IntVector`
-    / :class:`~repro.columnar.FloatVector` (bulk-decoded from the packed
-    little-endian buffer, null bitmap turned into an explicit mask) and
-    string columns as a :class:`~repro.columnar.DictVector` whose
-    dictionary holds each distinct value of the block once. DATE/BOOL/
-    BYTEA keep the plain Python-list representation. All of these
-    duck-type as sequences of Python values, so row-path consumers are
-    unaffected.
-    """
-    bitmap_len = (count + 7) // 8
-    bitmap = buf[offset : offset + bitmap_len]
-    offset += bitmap_len
-    kind = column.type.kind
-    if kind in _FIXED_NUMERIC:
-        is_float = kind in (TypeKind.FLOAT8, TypeKind.DECIMAL)
-        if not any(bitmap):  # no NULLs: one bulk frombuffer, zero copies
-            end = offset + count * 8
-            return numeric_from_bytes(buf[offset:end], is_float, count), end
-        null_flags = [
-            bool(bitmap[i >> 3] & (1 << (i & 7))) for i in range(count)
-        ]
-        end = offset + (count - sum(null_flags)) * 8
-        vec = numeric_from_packed(buf[offset:end], is_float, count, null_flags)
-        return vec, end
-    if column.type.is_string:
-        codes: List[int] = []
-        dictionary: List[str] = []
-        mapping: Dict[str, int] = {}
-        decode_one = column.type.decode
-        for i in range(count):
-            if bitmap[i >> 3] & (1 << (i & 7)):
-                codes.append(-1)
-                continue
-            value, offset = decode_one(buf, offset)
-            code = mapping.get(value)
-            if code is None:
-                code = len(dictionary)
-                mapping[value] = code
-                dictionary.append(value)
-            codes.append(code)
-        return dict_vector(codes, dictionary), offset
-    values: List[object] = []
-    for i in range(count):
-        if bitmap[i // 8] & (1 << (i % 8)):
-            values.append(None)
+    # -------------------------------------------------------------- encode
+    def encode(self, values: Sequence[object]) -> bytes:
+        """The chunk holding ``values`` (coerced, None for NULL)."""
+        if None in values:
+            bitmap = null_bitmap(values)
+            values = [value for value in values if value is not None]
         else:
-            value, offset = column.type.decode(buf, offset)
-            values.append(value)
-    return values, offset
+            bitmap = bytes((len(values) + 7) // 8)
+        wire = self._wire
+        stored = values if wire.dump is None else wire.dump(values)
+        code = wire.code
+        if code is not None:
+            return bitmap + struct.pack(f"<{len(stored)}{code}", *stored)
+        lengths = map(LENGTH_PREFIX.pack, map(len, stored))
+        return bitmap + b"".join(chain.from_iterable(zip(lengths, stored)))
+
+    # -------------------------------------------------------------- decode
+    def decode(self, buf: bytes, count: int):
+        """The column vector of a ``count``-row chunk that is all of ``buf``.
+
+        Numeric columns come back as typed
+        :class:`~repro.columnar.IntVector` / ``FloatVector`` (bulk-decoded
+        from the packed buffer, the bitmap turned into an explicit mask)
+        and string columns as a :class:`~repro.columnar.DictVector` whose
+        dictionary holds each distinct value of the chunk once, decoded
+        once. DATE/BOOL/BYTEA are plain Python lists. All of these
+        duck-type as sequences of Python values. Raises
+        :class:`StorageError` unless ``buf`` is exactly such a chunk."""
+        offset = (count + 7) // 8
+        bitmap = buf[:offset]
+        if len(bitmap) != offset:
+            raise StorageError("column chunk shorter than its null bitmap")
+        nulls = null_flags(bitmap, count) if any(bitmap) else None
+        try:
+            vector, end = self._decode_values(buf, offset, count, nulls)
+        except (struct.error, IndexError, ValueError, OverflowError) as exc:
+            # ValueError covers UnicodeDecodeError, out-of-range dates and
+            # a numeric buffer shorter than its values.
+            raise StorageError(
+                f"corrupt chunk of column {self.column.name}: {exc}"
+            ) from exc
+        if end != len(buf):
+            raise StorageError(
+                f"chunk of column {self.column.name} is {len(buf)} bytes, "
+                f"its {count} values take {end}"
+            )
+        return vector
+
+    @cached_property
+    def _decode_values(self):
+        """``(buf, offset, count, nulls) -> (vector, end offset)``
+        for this column's kind."""
+        if self._wire.code in ("q", "d"):
+            return self._decode_numeric
+        if self.column.type.is_string:
+            return self._decode_strings
+        return self._decode_plain
+
+    def _decode_numeric(self, buf, offset, count, nulls):
+        is_float = self._wire.code == "d"
+        end = offset + _present(count, nulls) * 8
+        if nulls is None:  # one bulk frombuffer, zero copies
+            return numeric_from_bytes(buf[offset:end], is_float, count), end
+        return numeric_from_packed(buf[offset:end], is_float, count, nulls), end
+
+    def _decode_strings(self, buf, offset, count, nulls):
+        """Dictionary-code on the raw bytes: each distinct value of the
+        chunk is UTF-8-decoded once."""
+        raws, end = _read_prefixed(buf, offset, _present(count, nulls))
+        distinct = dict.fromkeys(raws)  # in order of first appearance
+        dictionary = self._wire.load(distinct)
+        code_of = dict(zip(distinct, range(len(distinct))))
+        codes = list(map(code_of.__getitem__, raws))
+        return dict_vector(_spread(codes, nulls, -1), dictionary), end
+
+    def _decode_plain(self, buf, offset, count, nulls):
+        """DATE, BOOL (one bulk unpack) and BYTEA, as a Python list."""
+        present = _present(count, nulls)
+        code = self._wire.code
+        if code is None:
+            stored, end = _read_prefixed(buf, offset, present)
+        else:
+            packed = struct.Struct(f"<{present}{code}")
+            stored, end = packed.unpack_from(buf, offset), offset + packed.size
+        return _spread(self._wire.load(stored), nulls, None), end
+
+
+def _present(count: int, nulls: Optional[List[bool]]) -> int:
+    return count if nulls is None else count - sum(nulls)
+
+
+def _read_prefixed(buf: bytes, offset: int, count: int) -> Tuple[List[bytes], int]:
+    """``count`` length-prefixed byte strings starting at ``offset``."""
+    raws = []
+    append = raws.append
+    read_length = LENGTH_PREFIX.unpack_from
+    for _ in range(count):
+        start = offset + 4
+        offset = start + read_length(buf, offset)[0]
+        append(buf[start:offset])
+    return raws, offset
+
+
+def _spread(present: List[object], nulls: Optional[List[bool]], null: object):
+    """``present`` values laid out over the rows of a chunk, ``null``
+    wherever ``nulls`` says the row is NULL."""
+    if nulls is None:
+        return present
+    values = iter(present)
+    return [null if flag else next(values) for flag in nulls]
 
 
 def batched(rows: Sequence[Sequence[object]], size: int) -> Iterator[Sequence[Sequence[object]]]:

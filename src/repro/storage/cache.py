@@ -3,8 +3,8 @@
 Every scan used to re-read its segment files from simulated HDFS and
 re-decompress + re-decode every block — by far the dominant *real*
 wall-clock cost of repeated queries, even though the *simulated* clock
-already modeled it. This cache keeps decoded blocks (column vectors for
-CO/Parquet, row tuples for AO) keyed by
+already modeled it. This cache keeps decoded blocks (column vectors, in
+all three formats) keyed by
 
     (format, path, write_epoch, ...per-format detail)
 
@@ -30,10 +30,11 @@ fields instead), modeling a real buffer cache.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.storage.base import ScanStats
+if TYPE_CHECKING:  # base.py builds CachedBlocks, so it imports this module
+    from repro.storage.base import ScanStats
 
 #: Default cache capacity in (approximate, uncompressed) bytes.
 DEFAULT_CAPACITY_BYTES = 64 << 20
@@ -50,12 +51,15 @@ class CachedBlock:
     uncompressed_bytes: int
     #: Bytes of this block's fetch served from a non-local HDFS replica.
     remote_bytes: int
-    #: CO/Parquet: the decoded typed vector (``repro.columnar.vector`` —
-    #: IntVector/FloatVector/DictVector/...; dictionary columns stay
-    #: encoded, so cached blocks never pin materialized Python strings);
-    #: AO: a list of row tuples.
-    data: object
-    #: Parquet only: per-group chunk directory + lazily decoded columns.
+    #: The decoded column vectors by column index, whatever the format:
+    #: every column of an AO block (plain lists — the format decodes
+    #: whole rows), the one column of a CO file's block, the chunks of a
+    #: Parquet row group decoded so far (typed ``repro.columnar.vector``
+    #: vectors; dictionary columns stay encoded, so they never pin
+    #: materialized Python strings).
+    data: Dict[int, object]
+    #: Parquet only: the group's chunk directory and, per decoded chunk,
+    #: the remote bytes its fetch charged.
     detail: object = None
 
 
@@ -179,24 +183,3 @@ class BlockDecodeCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def distribute_remote_bytes(
-    total_remote: int, sizes: List[int]
-) -> List[int]:
-    """Split a fetch's remote-replica byte count across the blocks it
-    covered, proportionally to their framed sizes, exactly summing to
-    ``total_remote`` (the remainder lands on the last block)."""
-    if not sizes:
-        return []
-    if total_remote == 0:
-        return [0] * len(sizes)
-    span = sum(sizes)
-    out = []
-    assigned = 0
-    for size in sizes[:-1]:
-        share = total_remote * size // max(span, 1)
-        out.append(share)
-        assigned += share
-    out.append(total_remote - assigned)
-    return out

@@ -8,24 +8,22 @@ the query needs and compression sees homogeneous data (the paper notes
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
-from repro.columnar import as_list
 from repro.errors import StorageError
 from repro.hdfs import HdfsClient
 from repro.storage.base import (
     DEFAULT_BLOCK_ROWS,
+    ColumnCodec,
+    Columns,
     ScanStats,
     WriteResult,
     batched,
-    decode_column,
-    encode_column,
-    iter_blocks,
-    iter_framed_blocks,
+    cached_blocks,
     pack_block,
+    rows_from_blocks,
 )
-from repro.storage.cache import CachedBlock
 from repro.storage.compression import get_codec
 
 name = "co"
@@ -46,15 +44,15 @@ def write(
 ) -> WriteResult:
     """Write rows as per-column files ``<base>.c<i>``."""
     codec = get_codec(codec_name)
+    column_codecs = [ColumnCodec(column) for column in schema.columns]
     uncompressed_total = 0
     paths: Dict[str, int] = {}
-    per_column_data: List[bytearray] = [bytearray() for _ in schema.columns]
+    per_column_data = [bytearray() for _ in schema.columns]
     for block in batched(rows, block_rows):
-        for i, column in enumerate(schema.columns):
-            payload = bytearray()
-            encode_column([row[i] for row in block], column, payload)
+        for i, values in enumerate(zip(*block)):
+            payload = column_codecs[i].encode(values)
             uncompressed_total += len(payload)
-            per_column_data[i] += pack_block(bytes(payload), len(block), codec)
+            per_column_data[i] += pack_block(payload, len(block), codec)
     for i, data in enumerate(per_column_data):
         path = column_path(base_path, i)
         if append and client.exists(path):
@@ -86,20 +84,10 @@ def scan(
     Unrequested columns come back as None placeholders so tuple shape
     matches the schema (the executor projects by position).
     """
-    ncols = len(schema.columns)
-    for row_count, vectors in scan_blocks(
-        client, paths, schema, codec_name, columns, stats, cache
-    ):
-        # Materialize each typed vector to Python values once per block,
-        # not once per row (the per-vector tolist() is itself cached, so
-        # a decode-cache hit does not even pay the transposition again).
-        plain = [
-            as_list(vectors[i]) if i in vectors else None for i in range(ncols)
-        ]
-        for r in range(row_count):
-            yield tuple(
-                col[r] if col is not None else None for col in plain
-            )
+    return rows_from_blocks(
+        scan_blocks(client, paths, schema, codec_name, columns, stats, cache),
+        len(schema.columns),
+    )
 
 
 def scan_blocks(
@@ -110,7 +98,7 @@ def scan_blocks(
     columns: Optional[Sequence[int]] = None,
     stats: Optional[ScanStats] = None,
     cache=None,
-) -> Iterator[Tuple[int, Dict[int, List[object]]]]:
+) -> Iterator[Tuple[int, Columns]]:
     """Yield ``(row_count, {column_index: values})`` per storage block,
     only for the requested columns — the batch executor's scan entry."""
     ncols = len(schema.columns)
@@ -131,97 +119,29 @@ def scan_blocks(
         if index not in by_column:
             raise StorageError(f"missing column file for column {index}")
         path, logical_length = by_column[index]
-        iterators[index] = _column_blocks(
-            client, path, logical_length, schema, index, codec, codec_name,
-            stats, cache,
+        iterators[index] = cached_blocks(
+            client, path, logical_length, name, codec, codec_name, stats,
+            cache, _chunk_decoder(schema, index),
         )
     while True:
-        vectors: Dict[int, List[object]] = {}
+        vectors: Columns = {}
         row_count = None
-        done = False
         for index in wanted:
             block = next(iterators[index], None)
             if block is None:
-                done = True
-                break
-            vectors[index] = block
+                return
             if row_count is None:
-                row_count = len(block)
-            elif row_count != len(block):
+                row_count = block[0]
+            elif row_count != block[0]:
                 raise StorageError("column files disagree on block row counts")
-        if done:
-            break
-        assert row_count is not None
+            vectors.update(block[1])
         yield row_count, vectors
 
 
-def _column_blocks(
-    client: HdfsClient,
-    path: str,
-    logical_length: int,
-    schema: TableSchema,
-    column_index: int,
-    codec,
-    codec_name: str,
-    stats: Optional[ScanStats],
-    cache,
-) -> Iterator[List[object]]:
-    if logical_length <= 0:
-        return
-    column = schema.columns[column_index]
-    if cache is None:
-        data = client.read_file(path, logical_length)
-        for row_count, payload in iter_blocks(data, codec, stats):
-            values, _ = decode_column(payload, 0, row_count, column)
-            yield values
-        return
-    key = ("co", path, client.write_epoch(path), codec_name)
-    entry = cache.open_entry(key)
-    # Serve the cached prefix up to the transaction-visible length (the
-    # logical length always falls on a block boundary: appends write
-    # whole blocks).
-    served = 0
-    for block in entry.blocks:
-        if served + block.compressed_bytes > logical_length:
-            break
-        cache.replay(block, stats)
-        served += block.compressed_bytes
-        yield block.data
-    if served >= logical_length:
-        return
-    # Decode (and cache) the appended tail only. Decoding stays lazy so
-    # a consumer that abandons the scan charges exactly what the row
-    # path would.
-    reader = client.open(path)
-    reader.seek(served)
-    remote_before = client.remote_bytes_read
-    data = reader.read(logical_length - served)
-    remote_total = client.remote_bytes_read - remote_before
-    tail_len = len(data)
-    consumed = 0
-    for row_count, payload, framed, uncompressed in iter_framed_blocks(
-        data, codec, stats
-    ):
-        start = consumed
-        consumed += framed
-        # Telescoping proportional split of the tail read's remote bytes
-        # over its blocks — exact-summing without knowing the block count.
-        remote = (
-            remote_total * consumed // tail_len
-            - remote_total * start // tail_len
-        )
-        values, _ = decode_column(payload, 0, row_count, column)
-        if entry.end_offset == served + start:  # still contiguous: cacheable
-            before = entry.nbytes
-            entry.append(
-                CachedBlock(
-                    row_count=row_count,
-                    compressed_bytes=framed,
-                    uncompressed_bytes=uncompressed,
-                    remote_bytes=remote,
-                    data=values,
-                )
-            )
-            cache.misses += 1
-            cache.account(entry, entry.nbytes - before)
-        yield values
+def _chunk_decoder(schema: TableSchema, index: int):
+    """``(payload, row_count) -> {index: vector}`` for one column file's
+    blocks; compiles at the first block decoded."""
+    column_codec = ColumnCodec(schema.columns[index])
+    return lambda payload, row_count: {
+        index: column_codec.decode(payload, row_count)
+    }

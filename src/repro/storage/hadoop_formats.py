@@ -104,5 +104,6 @@ class HawqTableOutputFormat:
             )
         finally:
             self.engine.txns.commit(snapshot_txn)
-        coerced = [schema.coerce_row(r) for r in rows]
+        coerce_row = schema.row_codec().coerce_row
+        coerced = [coerce_row(r) for r in rows]
         return session.load_rows(table, coerced)

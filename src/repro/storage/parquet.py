@@ -20,16 +20,16 @@ import struct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
-from repro.columnar import as_list
 from repro.errors import StorageError
 from repro.hdfs import HdfsClient
 from repro.storage.base import (
     DEFAULT_BLOCK_ROWS,
+    ColumnCodec,
+    Columns,
     ScanStats,
     WriteResult,
     batched,
-    decode_column,
-    encode_column,
+    rows_from_blocks,
 )
 from repro.storage.cache import CachedBlock
 from repro.storage.compression import get_codec
@@ -52,16 +52,16 @@ def write(
 ) -> WriteResult:
     """Write rows as a sequence of row groups."""
     codec = get_codec(codec_name)
+    column_codecs = [ColumnCodec(column) for column in schema.columns]
     uncompressed_total = 0
     data = bytearray()
     for group in batched(rows, block_rows):
         chunks: List[bytes] = []
         directory = bytearray()
-        for i, column in enumerate(schema.columns):
-            payload = bytearray()
-            encode_column([row[i] for row in group], column, payload)
+        for i, values in enumerate(zip(*group)):
+            payload = column_codecs[i].encode(values)
             uncompressed_total += len(payload)
-            compressed = codec.compress(bytes(payload))
+            compressed = codec.compress(payload)
             directory += _CHUNK_DIR.pack(len(payload), len(compressed))
             chunks.append(compressed)
         data += _GROUP_HEADER.pack(GROUP_MAGIC, len(group), len(schema.columns))
@@ -93,19 +93,10 @@ def scan(
     cache=None,
 ) -> Iterator[Tuple[object, ...]]:
     """Scan row groups, reading only the projected columns' chunks."""
-    ncols = len(schema.columns)
-    for row_count, vectors in scan_blocks(
-        client, paths, schema, codec_name, columns, stats, cache
-    ):
-        # One tolist() per typed vector per group instead of a per-row
-        # __getitem__ (the materialized view is cached on the vector).
-        plain = [
-            as_list(vectors[i]) if i in vectors else None for i in range(ncols)
-        ]
-        for r in range(row_count):
-            yield tuple(
-                col[r] if col is not None else None for col in plain
-            )
+    return rows_from_blocks(
+        scan_blocks(client, paths, schema, codec_name, columns, stats, cache),
+        len(schema.columns),
+    )
 
 
 def scan_blocks(
@@ -116,7 +107,7 @@ def scan_blocks(
     columns: Optional[Sequence[int]] = None,
     stats: Optional[ScanStats] = None,
     cache=None,
-) -> Iterator[Tuple[int, Dict[int, List[object]]]]:
+) -> Iterator[Tuple[int, Columns]]:
     """Yield ``(row_count, {column_index: values})`` per row group.
 
     With a decode cache, group headers/directories and decoded column
@@ -128,6 +119,8 @@ def scan_blocks(
     if not wanted:
         wanted = [0]
     codec = get_codec(codec_name)
+    # Each compiles at the first chunk of its column that is decoded.
+    column_codecs = {i: ColumnCodec(schema.columns[i]) for i in wanted}
     for path, logical_length in paths.items():
         if logical_length <= 0:
             continue
@@ -148,27 +141,27 @@ def scan_blocks(
                 cache.replay_bytes(
                     stats, detail["header_bytes"], 0, detail["header_remote"]
                 )
-                vectors: Dict[int, List[object]] = {}
+                vectors: Columns = {}
                 directory = detail["directory"]
-                decoded = detail["columns"]
+                decoded = block.data
+                chunk_remotes = detail["chunk_remote"]
                 chunk_offset = detail["chunks_start"]
                 for i in range(ncols):
                     uncompressed_len, compressed_len = directory[i]
                     if i in wanted:
-                        hit = decoded.get(i)
-                        if hit is not None:
-                            values, chunk_remote = hit
+                        values = decoded.get(i)
+                        if values is not None:
                             cache.replay_bytes(
                                 stats, compressed_len, uncompressed_len,
-                                chunk_remote,
+                                chunk_remotes[i],
                             )
                         else:
-                            values, chunk_remote = _read_chunk(
+                            values, chunk_remotes[i] = _read_chunk(
                                 client, reader, chunk_offset, compressed_len,
                                 uncompressed_len, row_count,
-                                schema.columns[i], codec, stats,
+                                column_codecs[i], codec, stats,
                             )
-                            decoded[i] = (values, chunk_remote)
+                            decoded[i] = values
                             added = max(uncompressed_len, 64)
                             entry.nbytes += added
                             cache.misses += 1
@@ -200,18 +193,16 @@ def scan_blocks(
                 stats.rows += row_count
                 stats.blocks += 1
             vectors = {}
-            decoded = {}
+            chunk_remotes = {}
             chunk_offset = chunks_start
             for i in range(ncols):
                 uncompressed_len, compressed_len = directory[i]
                 if i in wanted:
-                    values, chunk_remote = _read_chunk(
+                    vectors[i], chunk_remotes[i] = _read_chunk(
                         client, reader, chunk_offset, compressed_len,
-                        uncompressed_len, row_count, schema.columns[i],
+                        uncompressed_len, row_count, column_codecs[i],
                         codec, stats,
                     )
-                    vectors[i] = values
-                    decoded[i] = (values, chunk_remote)
                 chunk_offset += compressed_len
             if cache is not None and entry.end_offset == offset:
                 before = entry.nbytes
@@ -221,19 +212,19 @@ def scan_blocks(
                         compressed_bytes=chunk_offset - offset,
                         uncompressed_bytes=0,  # chunk bytes tracked below
                         remote_bytes=0,
-                        data=None,
+                        data=dict(vectors),  # grows as scans project more
                         detail={
                             "header_bytes": _GROUP_HEADER.size
                             + len(directory_raw),
                             "header_remote": header_remote,
                             "directory": directory,
                             "chunks_start": chunks_start,
-                            "columns": decoded,
+                            "chunk_remote": chunk_remotes,
                         },
                     )
                 )
                 entry.nbytes += sum(
-                    max(directory[i][0], 64) for i in decoded
+                    max(directory[i][0], 64) for i in vectors
                 )
                 cache.misses += 1
                 cache.account(entry, entry.nbytes - before)
@@ -248,7 +239,7 @@ def _read_chunk(
     compressed_len: int,
     uncompressed_len: int,
     row_count: int,
-    column,
+    column_codec: ColumnCodec,
     codec,
     stats: Optional[ScanStats],
 ) -> Tuple[List[object], int]:
@@ -260,7 +251,7 @@ def _read_chunk(
     payload = codec.decompress(compressed)
     if len(payload) != uncompressed_len:
         raise StorageError("chunk failed decompression check")
-    values, _ = decode_column(payload, 0, row_count, column)
+    values = column_codec.decode(payload, row_count)
     if stats is not None:
         stats.compressed_bytes += compressed_len
         stats.uncompressed_bytes += uncompressed_len

@@ -169,3 +169,74 @@ class TestCacheMechanics:
         with pytest.raises(Exception):
             Engine(num_segment_hosts=1, segments_per_host=1,
                    executor_mode="columnar")
+
+
+class TestAoColumnPrefix:
+    """An AO entry holds every column of each block it covers (the
+    format decodes whole rows once); a hit hands out just the columns a
+    scan asked for, and only the prefix of blocks the caller may see."""
+
+    @staticmethod
+    def narrow(session):
+        """``s`` alone, through a scan that asks AO for one column."""
+        return sorted(row[0] for row in session.query("SELECT s FROM t"))
+
+    @staticmethod
+    def cached_blocks(cache):
+        return [b for e in cache._entries.values() for b in e.blocks]
+
+    def test_entries_hold_all_columns_as_vectors(self):
+        session = make_session("ao")
+        cache = session.engine.block_cache
+        self.narrow(session)  # a one-column scan fills whole blocks
+        blocks = self.cached_blocks(cache)
+        assert blocks and sum(b.row_count for b in blocks) == 200
+        for block in blocks:
+            assert sorted(block.data) == [0, 1, 2]
+            assert all(len(col) == block.row_count for col in block.data.values())
+        misses = cache.misses
+        assert all_rows(session) == expected(base_rows(200))  # other columns: hits
+        assert cache.misses == misses and cache.hits > 0
+
+    def test_hit_after_insert_serves_prefix_then_tail(self):
+        session = make_session("ao")
+        cache = session.engine.block_cache
+        before = self.narrow(session)
+        old_blocks = len(self.cached_blocks(cache))
+        misses = cache.misses
+        session.load_rows("t", base_rows(50, start=200, tag="n"))
+        hits = cache.hits
+        assert self.narrow(session) == sorted(
+            before + [row[2] for row in base_rows(50, start=200, tag="n")]
+        )
+        assert cache.hits - hits == old_blocks  # the old prefix, from cache
+        assert cache.misses > misses  # only the appended tail was decoded
+        assert all_rows(session) == expected(
+            base_rows(200) + base_rows(50, start=200, tag="n")
+        )
+
+    def test_hit_after_rollback_serves_committed_prefix_only(self):
+        session = make_session("ao")
+        before = self.narrow(session)
+        session.execute("BEGIN")
+        session.execute("INSERT INTO t VALUES (9001, 1, 'ghost')")
+        # Inside the transaction the row is visible and gets cached...
+        assert "ghost" in self.narrow(session)
+        session.execute("ROLLBACK")
+        # ...after it, the same entry must serve the shorter prefix.
+        assert self.narrow(session) == before
+        session.load_rows("t", base_rows(20, start=300, tag="w"))
+        assert self.narrow(session) == sorted(
+            before + [row[2] for row in base_rows(20, start=300, tag="w")]
+        )
+
+    def test_hit_after_truncate_serves_nothing_stale(self):
+        session = make_session("ao")
+        self.narrow(session)
+        session.execute("TRUNCATE TABLE t")
+        assert self.narrow(session) == []
+        session.load_rows("t", base_rows(30, tag="x"))
+        assert self.narrow(session) == sorted(
+            row[2] for row in base_rows(30, tag="x")
+        )
+        assert all_rows(session) == expected(base_rows(30, tag="x"))

@@ -1,0 +1,418 @@
+"""The schema-compiled block codecs against the single-value reference.
+
+``DataType.coerce/encode/decode`` is the one-value-at-a-time API; the
+storage formats run whole blocks through ``RowCodec`` (AO) and
+``ColumnCodec`` (CO/Parquet). These tests hold the two together:
+
+* a property over random schemas drawn from every ``TypeKind``: the
+  compiled encoders write exactly the bytes the per-value reference
+  writes, every format reads back what was written through ``scan`` and
+  ``scan_blocks`` (with and without a decode cache, whole and
+  projected), and the compiled ``coerce_row`` is the per-value coerce;
+* damaged payloads surface as ``StorageError`` in every format;
+* the bytes of a fixed table in the benchmark's three format+codec
+  pairs are pinned by digest: the on-disk formats are frozen.
+"""
+
+import datetime
+import hashlib
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.catalog.schema import Column, DataType, TableSchema, TypeKind
+from repro.columnar import as_list
+from repro.errors import CatalogError, StorageError
+from repro.hdfs import Hdfs
+from repro.storage import get_format
+from repro.storage.base import ColumnCodec, pack_block
+from repro.storage.cache import BlockDecodeCache
+from repro.storage.compression import get_codec
+
+FORMATS = ("ao", "co", "parquet")
+
+
+def make_client():
+    fs = Hdfs(block_size=4096, replication=1, seed=5)
+    fs.add_datanode("h1")
+    return fs.client("h1")
+
+
+# ------------------------------------------------------ per-value reference
+def _null_bitmap(values) -> bytes:
+    bitmap = bytearray((len(values) + 7) // 8)
+    for i, value in enumerate(values):
+        if value is None:
+            bitmap[i // 8] |= 1 << (i % 8)
+    return bytes(bitmap)
+
+
+def reference_row_bytes(schema, rows) -> bytes:
+    """AO's payload, one ``DataType.encode`` call per value."""
+    out = bytearray()
+    for row in rows:
+        out += _null_bitmap(row)
+        for column, value in zip(schema.columns, row):
+            if value is not None:
+                column.type.encode(value, out)
+    return bytes(out)
+
+
+def reference_chunk_bytes(column, values) -> bytes:
+    """A CO/Parquet column chunk, one ``DataType.encode`` call per value."""
+    out = bytearray(_null_bitmap(values))
+    for value in values:
+        if value is not None:
+            column.type.encode(value, out)
+    return bytes(out)
+
+
+def reference_decode_rows(schema, payload, count):
+    rows, offset = [], 0
+    bitmap_len = (len(schema.columns) + 7) // 8
+    for _ in range(count):
+        bitmap = payload[offset : offset + bitmap_len]
+        offset += bitmap_len
+        row = []
+        for i, column in enumerate(schema.columns):
+            if bitmap[i // 8] & (1 << (i % 8)):
+                row.append(None)
+            else:
+                value, offset = column.type.decode(payload, offset)
+                row.append(value)
+        rows.append(tuple(row))
+    assert offset == len(payload)
+    return rows
+
+
+# --------------------------------------------------------------- strategies
+_TEXT = st.text(max_size=12)  # includes "", non-ASCII, astral planes
+_DATES = st.dates(datetime.date(1, 1, 1), datetime.date(9999, 12, 31))
+
+#: kind -> (type strategy, raw value strategy): raw values are what a
+#: loader hands to ``coerce`` (strings for dates, ints for decimals, ...).
+_KINDS = {
+    TypeKind.INT4: (st.just(DataType(TypeKind.INT4)),
+                    st.integers(-(2**31), 2**31 - 1)),
+    TypeKind.INT8: (st.just(DataType(TypeKind.INT8)),
+                    st.one_of(st.integers(-(2**63), 2**63 - 1), st.booleans())),
+    TypeKind.FLOAT8: (st.just(DataType(TypeKind.FLOAT8)),
+                      st.one_of(st.floats(allow_nan=False), st.integers(-99, 99))),
+    TypeKind.DECIMAL: (
+        st.builds(DataType, st.just(TypeKind.DECIMAL), st.just(15),
+                  st.one_of(st.none(), st.integers(0, 4))),
+        st.one_of(st.floats(-1e9, 1e9), st.integers(-999, 999),
+                  st.just("12.3456789")),
+    ),
+    TypeKind.BOOL: (st.just(DataType(TypeKind.BOOL)),
+                    st.one_of(st.booleans(), st.integers(0, 2))),
+    TypeKind.CHAR: (st.builds(DataType, st.just(TypeKind.CHAR), st.integers(1, 6)),
+                    _TEXT),
+    TypeKind.VARCHAR: (
+        st.builds(DataType, st.just(TypeKind.VARCHAR),
+                  st.one_of(st.none(), st.integers(1, 6))),
+        _TEXT,
+    ),
+    TypeKind.TEXT: (st.just(DataType(TypeKind.TEXT)),
+                    st.one_of(_TEXT, st.integers(0, 9))),
+    TypeKind.DATE: (st.just(DataType(TypeKind.DATE)),
+                    st.one_of(_DATES, _DATES.map(datetime.date.isoformat))),
+    TypeKind.BYTEA: (st.just(DataType(TypeKind.BYTEA)),
+                     st.one_of(st.binary(max_size=9),
+                               st.binary(max_size=4).map(bytearray))),
+}
+assert set(_KINDS) == set(TypeKind)
+
+
+@st.composite
+def tables(draw):
+    """(schema, raw rows): 1-10 columns of any kind; per column NOT NULL
+    or a NULL rate of none / sparse / heavy / all; 0, 1, a few, or enough
+    rows (a drawn pool, tiled) that the 1024-row blocks split."""
+    kinds = draw(st.lists(st.sampled_from(sorted(TypeKind, key=lambda k: k.value)),
+                          min_size=1, max_size=10))
+    columns, value_strategies = [], []
+    for i, kind in enumerate(kinds):
+        type_strategy, raw = _KINDS[kind]
+        null_rate = draw(st.sampled_from((0.0, 0.0, 0.1, 0.9, 1.0)))
+        not_null = null_rate == 0.0 and draw(st.booleans())
+        columns.append(Column(f"c{i}", draw(type_strategy), not_null))
+        value_strategies.append(
+            raw if null_rate == 0.0 else
+            st.none() if null_rate == 1.0 else
+            st.one_of(st.none(), raw) if null_rate == 0.1 else
+            st.one_of(st.none(), st.none(), st.none(), raw)
+        )
+    pool = draw(st.lists(st.tuples(*value_strategies), min_size=1, max_size=8))
+    count = draw(st.sampled_from((0, 1, len(pool), len(pool), 1030)))
+    rows = [pool[i % len(pool)] for i in range(count)]
+    return TableSchema("t", columns), rows
+
+
+def _per_value_coerce(schema, row):
+    return tuple(col.type.coerce(value) for col, value in zip(schema.columns, row))
+
+
+# --------------------------------------------------------------- properties
+class TestCompiledAgainstPerValue:
+    @settings(max_examples=60, deadline=None)
+    @given(table=tables())
+    def test_encode_bytes_and_decode(self, table):
+        schema, raw_rows = table
+        rows = [_per_value_coerce(schema, row) for row in raw_rows]
+        payload = schema.row_codec().encode_rows(rows)
+        assert payload == reference_row_bytes(schema, rows)
+        assert reference_decode_rows(schema, payload, len(rows)) == rows
+        columns, end = schema.row_codec().decode_rows(payload, 0, len(rows))
+        assert end == len(payload)
+        assert [len(c) for c in columns] == [len(rows)] * len(schema.columns)
+        assert list(zip(*columns)) == rows
+        for i, column in enumerate(schema.columns):
+            values = [row[i] for row in rows]
+            chunk = ColumnCodec(column).encode(values)
+            assert chunk == reference_chunk_bytes(column, values)
+            assert as_list(ColumnCodec(column).decode(chunk, len(values))) == values
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=tables())
+    def test_coerce_row(self, table):
+        schema, raw_rows = table
+        coerce_row = schema.row_codec().coerce_row
+        for row in raw_rows[:8]:
+            coerced = coerce_row(row)
+            assert coerced == _per_value_coerce(schema, row)
+            assert [type(v) for v in coerced] == [
+                type(v) for v in _per_value_coerce(schema, row)
+            ]
+            assert schema.coerce_row(list(row)) == coerced
+            for i, column in enumerate(schema.columns):
+                if column.not_null:
+                    with pytest.raises(CatalogError, match="NOT NULL"):
+                        coerce_row(row[:i] + (None,) + row[i + 1:])
+            with pytest.raises(CatalogError, match="arity"):
+                coerce_row(row + (1,))
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=tables(), data=st.data())
+    def test_formats_round_trip(self, table, data):
+        schema, raw_rows = table
+        coerce_row = schema.row_codec().coerce_row
+        rows = [coerce_row(row) for row in raw_rows]
+        ncols = len(schema.columns)
+        narrow = data.draw(st.integers(0, ncols - 1))
+        client = make_client()
+        for fmt_name in FORMATS:
+            fmt = get_format(fmt_name)
+            written = fmt.write(client, f"/{fmt_name}/f", rows, schema, "zlib1")
+            assert written.tupcount == len(rows)
+            paths = dict(written.paths)
+            if fmt_name == "ao":
+                data_bytes = client.read_file(f"/{fmt_name}/f")
+                assert written.uncompressed_bytes == len(
+                    reference_row_bytes(schema, rows)
+                )
+                assert (len(data_bytes) > 0) == bool(rows)
+            cache = BlockDecodeCache()
+            # Twice with the cache: the second pass is served from it.
+            for use_cache in (None, cache, cache):
+                scan = lambda columns: list(  # noqa: E731
+                    fmt.scan(client, paths, schema, "zlib1", columns=columns,
+                             cache=use_cache)
+                )
+                blocks = lambda columns: list(  # noqa: E731
+                    fmt.scan_blocks(client, paths, schema, "zlib1",
+                                    columns=columns, cache=use_cache)
+                )
+                assert scan(None) == rows
+                projected = scan([narrow])
+                assert [r[narrow] for r in projected] == [r[narrow] for r in rows]
+                if fmt_name != "ao":  # unprojected columns are placeholders
+                    assert all(
+                        v is None
+                        for r in projected
+                        for i, v in enumerate(r)
+                        if i != narrow
+                    )
+                assert len(scan([])) == len(rows)
+                whole = blocks(None)
+                assert sum(n for n, _ in whole) == len(rows)
+                assert all(n <= 1024 and set(v) == set(range(ncols)) for n, v in whole)
+                for i in range(ncols):
+                    column = [x for n, v in whole for x in as_list(v[i])]
+                    assert column == [r[i] for r in rows]
+                one = blocks([narrow])
+                assert all(set(v) == {narrow} for _, v in one)
+                assert [x for _, v in one for x in as_list(v[narrow])] == [
+                    r[narrow] for r in rows
+                ]
+                assert sum(n for n, _ in blocks([])) == len(rows)
+            assert cache.hits > 0 or not rows
+
+
+# ---------------------------------------------------------------- corruption
+DAMAGE_SCHEMA = TableSchema(
+    "d",
+    [
+        Column("k", DataType.parse("INT8"), not_null=True),
+        Column("note", DataType.parse("TEXT")),
+        Column("day", DataType.parse("DATE")),
+    ],
+)
+DAMAGE_ROWS = [
+    (i, f"note-{i}-é", datetime.date(1960, 1, 1) + datetime.timedelta(days=i))
+    for i in range(20)
+]
+NONE = get_codec("none")
+
+
+def _damaged(payload: bytes, prefix_at: int):
+    """(what, payload, row count claimed) for the three kinds of damage,
+    given the offset of one string's length prefix."""
+    (length,) = struct.unpack_from("<I", payload, prefix_at)
+    grown = struct.pack("<I", length + 1)
+    huge = struct.pack("<I", 0x7FFFFFFF)
+    return [
+        ("length prefix off by one",
+         payload[:prefix_at] + grown + payload[prefix_at + 4:], len(DAMAGE_ROWS)),
+        ("length prefix past the end",
+         payload[:prefix_at] + huge + payload[prefix_at + 4:], len(DAMAGE_ROWS)),
+        ("cut mid-value", payload[:-3], len(DAMAGE_ROWS)),
+        ("cut inside a length prefix", payload[: prefix_at + 2], len(DAMAGE_ROWS)),
+        ("more rows claimed", payload, len(DAMAGE_ROWS) + 1),
+        ("fewer rows claimed", payload, len(DAMAGE_ROWS) - 1),
+    ]
+
+
+def _assert_storage_error(fmt_name, client, paths, columns):
+    fmt = get_format(fmt_name)
+    for cache in (None, BlockDecodeCache()):
+        with pytest.raises(StorageError):
+            list(fmt.scan(client, paths, DAMAGE_SCHEMA, "none",
+                          columns=columns, cache=cache))
+        with pytest.raises(StorageError):
+            list(fmt.scan_blocks(client, paths, DAMAGE_SCHEMA, "none",
+                                 columns=columns, cache=cache))
+
+
+class TestDamagedPayloads:
+    """Truncated or corrupt data is a ``StorageError`` — never a
+    ``struct.error``/``IndexError``/``UnicodeDecodeError``, and never a
+    silently short or shifted block."""
+
+    def test_ao(self):
+        payload = DAMAGE_SCHEMA.row_codec().encode_rows(DAMAGE_ROWS)
+        prefix_at = 1 + 8  # row 0: bitmap, k, then note's length prefix
+        for what, damaged, count in _damaged(payload, prefix_at):
+            client = make_client()
+            data = pack_block(damaged, count, NONE)
+            client.write_file("/d/f0", data)
+            _assert_storage_error("ao", client, {"/d/f0": len(data)}, None)
+
+    def test_co(self):
+        note = DAMAGE_SCHEMA.columns[1]
+        payload = ColumnCodec(note).encode([row[1] for row in DAMAGE_ROWS])
+        prefix_at = 3  # after the 20-row null bitmap
+        for what, damaged, count in _damaged(payload, prefix_at):
+            client = make_client()
+            data = pack_block(damaged, count, NONE)
+            client.write_file("/d/f0.c1", data)
+            _assert_storage_error("co", client, {"/d/f0.c1": len(data)}, [1])
+
+    def test_parquet(self):
+        chunks = [
+            ColumnCodec(column).encode([row[i] for row in DAMAGE_ROWS])
+            for i, column in enumerate(DAMAGE_SCHEMA.columns)
+        ]
+        prefix_at = 3
+        for what, damaged, count in _damaged(chunks[1], prefix_at):
+            client = make_client()
+            parts = [chunks[0], damaged, chunks[2]]
+            data = struct.pack("<HII", 0xA002, count, len(parts))
+            for part in parts:  # directory: uncompressed, compressed length
+                data += struct.pack("<II", len(part), len(part))
+            data += b"".join(parts)
+            client.write_file("/d/f0", data)
+            _assert_storage_error("parquet", client, {"/d/f0": len(data)}, [1])
+
+    def test_invalid_utf8_and_date_out_of_range(self):
+        text, day = DAMAGE_SCHEMA.columns[1], DAMAGE_SCHEMA.columns[2]
+        with pytest.raises(StorageError):
+            ColumnCodec(text).decode(b"\x00" + struct.pack("<I", 2) + b"\xff\xfe", 1)
+        with pytest.raises(StorageError):
+            ColumnCodec(day).decode(b"\x00" + struct.pack("<i", 2**31 - 1), 1)
+        rows = DAMAGE_SCHEMA.row_codec()
+        bad_row = b"\x00" + struct.pack("<qI", 1, 2) + b"\xff\xfe" + struct.pack("<i", 0)
+        with pytest.raises(StorageError):
+            rows.decode_rows(bad_row, 0, 1)
+        with pytest.raises(StorageError):  # NULL-bearing rows take the other path
+            rows.decode_rows(b"\x04" + struct.pack("<qI", 1, 9) + b"ab", 0, 1)
+
+    def test_single_value_api_checks_bounds(self):
+        with pytest.raises(StorageError):
+            DataType(TypeKind.TEXT).decode(struct.pack("<I", 5) + b"abc", 0)
+
+
+# ------------------------------------------------------------ frozen format
+LINEITEM = TableSchema(
+    "lineitem",
+    [
+        Column(name, DataType.parse(sql_type), not_null=True)
+        for name, sql_type in (
+            ("l_orderkey", "INT8"), ("l_partkey", "INTEGER"),
+            ("l_suppkey", "INTEGER"), ("l_linenumber", "INTEGER"),
+            ("l_quantity", "DECIMAL(15,2)"), ("l_extendedprice", "DECIMAL(15,2)"),
+            ("l_discount", "DECIMAL(15,2)"), ("l_tax", "DECIMAL(15,2)"),
+            ("l_returnflag", "CHAR(1)"), ("l_linestatus", "CHAR(1)"),
+            ("l_shipdate", "DATE"), ("l_commitdate", "DATE"),
+            ("l_receiptdate", "DATE"), ("l_shipinstruct", "CHAR(25)"),
+            ("l_shipmode", "CHAR(10)"), ("l_comment", "VARCHAR(44)"),
+        )
+    ],
+)
+
+
+def lineitem_rows(n=50):
+    ship = datetime.date(1992, 1, 2)
+    return [
+        LINEITEM.coerce_row((
+            1 + i // 4, 1 + (i * 37) % 200, 1 + (i * 11) % 10, 1 + i % 4,
+            1 + i % 50, 901.0 + i * 13.37, (i % 11) / 100, (i % 9) / 100,
+            "ARN"[i % 3], "OF"[i % 2],
+            ship + datetime.timedelta(days=i * 37),
+            ship + datetime.timedelta(days=i * 37 + 30),
+            ship + datetime.timedelta(days=i * 37 + 9),
+            ("DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN")[i % 4],
+            ("REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB")[i % 7],
+            f"carefully final deposits {i} — naïve",
+        ))
+        for i in range(n)
+    ]
+
+
+#: sha256 over (path, bytes) of every file ``write`` produced. The
+#: compressed bytes are zlib's, so these also pin zlib's output for
+#: levels 1 and 5 on this input (stable across zlib 1.2/1.3).
+FROZEN = {
+    ("ao", "zlib1"): "cdf20ebee93667d511dbe4b6368fd2b10cb5bc35086d740d81639b3c9b70b73c",
+    ("co", "zlib5"): "c73c50d48156ec5f7620fd7d68caae9cb91a0c55366b9e78f8ad2ccf586fd183",
+    ("parquet", "snappy"): "e51bb7af671124a11c4357ee23959e802e4303737f1875b0ffa083745c665b97",
+}
+
+
+def written_digest(fmt_name: str, codec_name: str) -> str:
+    client = make_client()
+    result = get_format(fmt_name).write(
+        client, "/frozen/f0", lineitem_rows(), LINEITEM, codec_name
+    )
+    digest = hashlib.sha256()
+    for path in sorted(result.paths):
+        digest.update(path.encode())
+        digest.update(client.read_file(path))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("fmt_name,codec_name", sorted(FROZEN))
+def test_on_disk_format_is_frozen(fmt_name, codec_name):
+    assert written_digest(fmt_name, codec_name) == FROZEN[fmt_name, codec_name]

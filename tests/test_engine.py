@@ -90,6 +90,43 @@ class TestDdl:
         assert session.query("SELECT count(*) FROM t") == [(0,)]
 
 
+class TestLoadRouting:
+    def test_rows_land_where_hash_row_sends_them(self, engine, session):
+        """The load path places a whole chunk with ``hash_columns``;
+        every row must still sit on the segment ``hash_row`` names
+        (multi-column key; int, date, text and NULL key values)."""
+        from repro.storage.hadoop_formats import HawqTableInputFormat
+
+        session.execute(
+            "CREATE TABLE r (a INT, d DATE, t TEXT, x FLOAT) "
+            "DISTRIBUTED BY (a, d, t)"
+        )
+        rows = [
+            (
+                None if i % 13 == 0 else i % 40,
+                None if i % 17 == 0 else datetime.date(1969, 12, 1 + i % 28),
+                None if i % 19 == 0 else f"k{i % 7}é",
+                i / 4,
+            )
+            for i in range(600)
+        ]
+        session.load_rows("r", rows)
+        session.execute("INSERT INTO r (t, a) VALUES ('solo', 7)")
+        schema = engine.catalog.get_schema(
+            "r", engine.txns.begin().statement_snapshot()
+        )
+        reader = HawqTableInputFormat(engine)
+        seen = []
+        for split in reader.get_splits("r"):
+            for row in reader.read_split(split):
+                assert schema.hash_row(row, engine.num_segments) == split.segment_id
+                seen.append(row)
+        assert sorted(seen, key=repr) == sorted(
+            rows + [(7, None, "solo", None)], key=repr
+        )
+        assert len({s.segment_id for s in reader.get_splits("r")}) > 1
+
+
 class TestPartitionedTables:
     def test_create_routes_and_prunes(self, session):
         session.execute(

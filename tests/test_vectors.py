@@ -27,7 +27,7 @@ from repro.columnar.vector import (
     int_vector,
     true_selection,
 )
-from repro.storage.base import decode_column, encode_column
+from repro.storage.base import ColumnCodec
 
 
 def force_fallback(monkeypatch):
@@ -104,10 +104,8 @@ class TestVectorBasics:
 
 
 def _roundtrip(values, column):
-    payload = bytearray()
-    encode_column(values, column, payload)
-    decoded, _ = decode_column(bytes(payload), 0, len(values), column)
-    return decoded
+    codec = ColumnCodec(column)
+    return codec.decode(codec.encode(values), len(values))
 
 
 INT_COL = Column("a", DataType(TypeKind.INT8))

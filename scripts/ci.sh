@@ -54,6 +54,25 @@ echo "== benchmarks/perf: its own tests, then one tiny round of every workload =
 python -m pytest benchmarks/perf/tests -q
 python3 benchmarks/perf/run.py --quick
 
+echo "== per-statement budget on short_serial (counts, not seconds) =="
+# What a short statement costs whatever it reads, as Python calls and
+# collector runs per parsed statement of one traced quick round. Before
+# catalog versions were shared (PR 16) the two read 21,027 and 0.63.
+budget_json=$(python3 benchmarks/perf/run.py --workload short_serial --quick --trace 1 | tail -n 1)
+python - "$budget_json" <<'PY'
+import json, sys
+metrics = json.loads(sys.argv[1])["metrics"]
+statements = metrics["sql.parse.calls"]["value"]
+failed = False
+for name, ceiling in (("python.pycalls", 11_000), ("python.gc_collections", 0.6)):
+    per_statement = metrics[name]["value"] / statements
+    over = per_statement > ceiling
+    failed |= over
+    print(f"  {name} / statement: {per_statement:,.3f} (ceiling {ceiling:,})"
+          + ("  OVER BUDGET" if over else ""))
+sys.exit(1 if failed else 0)
+PY
+
 echo "== throughput bench (qps floor, p99/p50 ceiling, serial bit-identity) =="
 python -m repro.bench --throughput --check
 

@@ -565,9 +565,11 @@ class RowCodec:
         return offset
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableSchema:
-    """Schema of one table: columns plus physical layout choices."""
+    """Schema of one table: columns plus physical layout choices. Frozen,
+    one instance serves every reader; ``columns`` stays a (never mutated)
+    list because a tuple would pickle differently in the dispatch payload."""
 
     name: str
     columns: List[Column]
@@ -578,7 +580,7 @@ class TableSchema:
     compression: str = "none"
 
     def __post_init__(self) -> None:
-        self.name = self.name.lower()
+        object.__setattr__(self, "name", self.name.lower())
         seen = set()
         for col in self.columns:
             if col.name.lower() in seen:
@@ -606,8 +608,8 @@ class TableSchema:
     def row_codec(self) -> "RowCodec":
         """This table's column types compiled for one scan/write call.
 
-        Never kept on the schema: catalog snapshots deep-copy schemas,
-        and ``struct.Struct``s cannot be deep-copied."""
+        Never kept on the schema: it would land in the ``__dict__`` the
+        dispatch payload pickles, and ``struct.Struct``s cannot pickle."""
         return RowCodec(self.columns, self.name)
 
     # One-row conveniences for connectors and tests; anything that

@@ -6,15 +6,16 @@ transaction visibility of user data depends on (Section 5.4).
 
 Catalog rows are MVCC-versioned: every version carries ``xmin``/``xmax``
 stamps and scans are filtered through a :class:`~repro.txn.Snapshot`.
+A version's payload is immutable and shared by reference: one
+:class:`CatalogRow` serves every reader, the WAL change log and the standby.
 All mutation goes through :class:`CatalogTable`'s insert/update/delete so
 that WAL hooks and the standby's log shipping see every change.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.catalog.stats import TableStats
@@ -22,11 +23,28 @@ from repro.errors import CatalogError, DuplicateObject, UndefinedObject
 from repro.txn.mvcc import Snapshot
 
 
+class CatalogRow(dict):
+    """The payload of one row version: a dict nobody may change. Its
+    values (schema, stats, ``paths``, ``children``, a view's AST) belong
+    to the version too — readers treat them as read-only."""
+
+    __slots__ = ()
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("catalog row versions are immutable; update() makes a new one")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
+
+    def __reduce__(self):  # pickle and copy would refill it item by item
+        return CatalogRow, (dict(self),)
+
+
 @dataclass
 class VersionedRow:
     """One MVCC version of a catalog row."""
 
-    data: Dict[str, object]
+    data: CatalogRow
     xmin: int
     xmax: Optional[int] = None
 
@@ -39,45 +57,46 @@ class CatalogTable:
         self._rows: List[VersionedRow] = []
         self._on_change = on_change
 
-    def _log(self, op: str, data: Dict[str, object], xid: int) -> None:
+    def _log(self, op: str, data: CatalogRow, xid: int) -> None:
         if self._on_change is not None:
-            self._on_change(self.name, op, copy.deepcopy(data), xid)
+            self._on_change(self.name, op, data, xid)
+
+    def _matching(self, snapshot: Snapshot, predicate: Optional[Callable]):
+        """Versions visible to ``snapshot`` whose payload passes ``predicate``."""
+        for version in self._rows:
+            if snapshot.row_visible(version.xmin, version.xmax) and (
+                predicate is None or predicate(version.data)
+            ):
+                yield version
 
     # ----------------------------------------------------------------- scans
     def scan(
         self, snapshot: Snapshot, predicate: Optional[Callable[[Dict], bool]] = None
-    ) -> List[Dict[str, object]]:
-        """All visible rows (copies) matching the predicate."""
-        out = []
-        for version in self._rows:
-            if not snapshot.row_visible(version.xmin, version.xmax):
-                continue
-            if predicate is None or predicate(version.data):
-                out.append(copy.deepcopy(version.data))
-        return out
+    ) -> List[CatalogRow]:
+        """All visible rows matching the predicate — the stored versions
+        themselves, shared with every other reader."""
+        return [version.data for version in self._matching(snapshot, predicate)]
 
     def count(
         self, snapshot: Snapshot, predicate: Optional[Callable[[Dict], bool]] = None
     ) -> int:
-        return len(self.scan(snapshot, predicate))
+        return sum(1 for _ in self._matching(snapshot, predicate))
 
     # ------------------------------------------------------------- mutations
     def insert(self, data: Dict[str, object], xid: int) -> None:
-        self._rows.append(VersionedRow(data=copy.deepcopy(data), xmin=xid))
-        self._log("insert", data, xid)
+        row = CatalogRow(data)
+        self._rows.append(VersionedRow(data=row, xmin=xid))
+        self._log("insert", row, xid)
 
     def delete(
         self, snapshot: Snapshot, predicate: Callable[[Dict], bool], xid: int
     ) -> int:
         """Mark matching visible versions deleted; returns rows deleted."""
         deleted = 0
-        for version in self._rows:
-            if not snapshot.row_visible(version.xmin, version.xmax):
-                continue
-            if predicate(version.data):
-                version.xmax = xid
-                deleted += 1
-                self._log("delete", version.data, xid)
+        for version in self._matching(snapshot, predicate):
+            version.xmax = xid
+            deleted += 1
+            self._log("delete", version.data, xid)
         return deleted
 
     def update(
@@ -88,21 +107,13 @@ class CatalogTable:
         xid: int,
     ) -> int:
         """MVCC update: old version gets xmax, a new version is inserted."""
-        updated = 0
-        new_rows = []
-        for version in self._rows:
-            if not snapshot.row_visible(version.xmin, version.xmax):
-                continue
-            if predicate(version.data):
-                version.xmax = xid
-                data = {**copy.deepcopy(version.data), **changes}
-                new_rows.append(VersionedRow(data=data, xmin=xid))
-                updated += 1
-                # Log as delete+insert so a standby can replay exactly.
-                self._log("delete", version.data, xid)
-                self._log("insert", data, xid)
-        self._rows.extend(new_rows)
-        return updated
+        matched = list(self._matching(snapshot, predicate))
+        for version in matched:
+            version.xmax = xid
+            # Logged as delete+insert so a standby can replay exactly.
+            self._log("delete", version.data, xid)
+            self.insert({**version.data, **changes}, xid)
+        return len(matched)
 
     def vacuum(self, horizon_snapshot: Snapshot) -> int:
         """Drop versions invisible to everyone at/after the horizon."""
@@ -164,7 +175,7 @@ class CatalogService:
                 "schema": schema,
                 "view_def": view_def,
                 "pxf": pxf,
-                "children": children or [],
+                "children": list(children or ()),
                 "owner": owner,
             },
             xid,
@@ -193,8 +204,12 @@ class CatalogService:
             raise UndefinedObject(f"relation {name!r} does not exist")
         return rel["schema"]
 
-    def relations(self, snapshot: Snapshot) -> List[Dict[str, object]]:
-        return self.table("pg_class").scan(snapshot)
+    def relations(
+        self, snapshot: Snapshot, names: Optional[Collection[str]] = None
+    ) -> List[Dict[str, object]]:
+        """Visible ``pg_class`` rows: all of them, or only those named."""
+        named = None if names is None else (lambda r: r["name"] in names)
+        return self.table("pg_class").scan(snapshot, named)
 
     # ------------------------------------------------------------- segments
     def register_segment(self, segment_id: int, host: str, xid: int) -> None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnStats:
     """Per-column statistics used for selectivity estimation."""
 
@@ -37,9 +37,10 @@ class ColumnStats:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableStats:
-    """Whole-table statistics: cardinality, width, per-column details."""
+    """Whole-table statistics: cardinality, width, per-column details.
+    Frozen: ANALYZE writes a new catalog version, readers share the old."""
 
     row_count: float = 0.0
     total_bytes: float = 0.0

@@ -115,6 +115,10 @@ class RpcBus:
         #: observers of the control plane — they never charge the clock.
         self.trace = None
         self.metrics = None
+        #: message kind -> its bound (``rpc_messages``, ``rpc_bytes``)
+        #: counters: the kinds are a closed set, so :meth:`send` renders
+        #: each labelled series key once per bus, not once per message.
+        self._sent: Dict[str, Tuple[object, object]] = {}
 
     def register(
         self, name: str, handler: Callable[[RpcMessage], None]
@@ -166,6 +170,17 @@ class RpcBus:
         channel = self.channels.get(name)
         return channel is not None and channel.open
 
+    def close(self) -> None:
+        """Unbind every endpoint from the net and forget its handler.
+
+        The net holds this bus through the receive closures it
+        registered and the bus holds its endpoints' owners through
+        their handlers; cutting both lets a finished process group die
+        by refcount instead of waiting for the cycle collector."""
+        for channel in self.channels.values():
+            self._net.unregister(channel.address)
+        self._handlers.clear()
+
     def send(
         self,
         sender: str,
@@ -188,8 +203,12 @@ class RpcBus:
             # never sent, so the protocol log only holds real traffic.
             self.trace.on_rpc(sender, dest, message)
         if self.metrics is not None:
-            self.metrics.counter("rpc_messages", kind=message.kind).inc()
-            self.metrics.counter("rpc_bytes", kind=message.kind).inc(
-                message.size
-            )
+            counters = self._sent.get(message.kind)
+            if counters is None:
+                counters = self._sent[message.kind] = (
+                    self.metrics.counter("rpc_messages", kind=message.kind),
+                    self.metrics.counter("rpc_bytes", kind=message.kind),
+                )
+            counters[0].inc()
+            counters[1].inc(message.size)
         self._net.send(src.address, dst.address, message, message.size)

@@ -22,6 +22,7 @@ SegmentDown` surfaces and the session's bounded-restart loop takes over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, List
 
 from repro.catalog.service import CATALOG_RELATION_COLUMNS
@@ -80,6 +81,16 @@ class WorkerServices:
     #: ``view_name -> rows`` for master-only system-view scans
     #: (:mod:`repro.obs.sysviews`) — live telemetry read at scan time.
     sysview_rows: Callable[[str], List] = None
+
+    # The paired open/close counters of every charged scan, bound at
+    # first use (rendering a series key costs more than the increment).
+    @cached_property
+    def scans_opened(self):
+        return self.metrics.counter("charged_scans_opened")
+
+    @cached_property
+    def scans_closed(self):
+        return self.metrics.counter("charged_scans_closed")
 
 
 class SegmentWorker:
@@ -344,7 +355,7 @@ class SegmentWorker:
             # Paired open/close counters: equal totals prove no charged
             # scan iterator leaked, even across cancels (the sanitizer's
             # cancel sweep asserts opened == closed).
-            services.metrics.counter("charged_scans_opened").inc()
+            services.scans_opened.inc()
         try:
             yield from scan_fn(
                 client,
@@ -357,7 +368,7 @@ class SegmentWorker:
             )
         finally:
             if services.metrics is not None:
-                services.metrics.counter("charged_scans_closed").inc()
+                services.scans_closed.inc()
             acc.disk_read(int(stats.compressed_bytes * io_factor))
             acc.cpu_bytes(
                 stats.uncompressed_bytes,

@@ -21,6 +21,7 @@ Typical use::
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -79,6 +80,7 @@ from repro.obs.sysviews import (
     system_view_schema,
 )
 from repro.obs.trace import TraceCollector
+from repro.planner import exprs as ex
 from repro.planner.analyzer import Analyzer, RelationInfo
 from repro.planner.dispatch import QD_SEGMENT, build_self_described_plan
 from repro.planner.logical import DerivedSource, LogicalQuery
@@ -729,7 +731,7 @@ class Session:
             num_segments=engine.num_segments,
             stats=stats,
             options=engine.planner_options,
-            partition_children=self._partition_children(snapshot),
+            partition_children=self._partition_children(query, snapshot),
         )
         return planner.plan(query)
 
@@ -740,12 +742,17 @@ class Session:
             return self.engine.security.queues[self._queue_override]
         return self.engine.security.queue_for(self.role)
 
-    def _partition_children(self, snapshot: Snapshot) -> Dict[str, List]:
-        mapping: Dict[str, List] = {}
-        for relation in self.engine.catalog.relations(snapshot):
-            if relation.get("children"):
-                mapping[relation["name"]] = relation["children"]
-        return mapping
+    def _partition_children(
+        self, query: LogicalQuery, snapshot: Snapshot
+    ) -> Dict[str, List]:
+        """Children of the partitioned tables ``query`` scans — the
+        planner asks about no other relation."""
+        names = _tables_of(query, subplans=True)
+        return {
+            relation["name"]: relation["children"]
+            for relation in self.engine.catalog.relations(snapshot, names)
+            if relation["children"]
+        }
 
     def _dispatch_and_execute(
         self,
@@ -849,6 +856,7 @@ class Session:
             return runtime.execute(plan, sdp, ctx, check=self._wave_check)
         finally:
             engine._active_runtime = previous_runtime
+            runtime.close()
             net = runtime.net
             engine.metrics.counter(
                 "datagrams_delivered", mode=engine.interconnect
@@ -1646,28 +1654,43 @@ class _CatalogAdapter:
             raise SemanticError(f"relation {name!r} does not exist")
         if relation["kind"] == "view":
             return RelationInfo(kind="view", view_query=relation["view_def"])
+        # A private copy per FROM reference, by contract: the schema (and
+        # pxf options) land in the plan, whose pickle is the modelled
+        # size of the DISPATCH message (plan_bytes / compressed_bytes ->
+        # SliceTask.payload_bytes -> charged seconds), and pickle writes
+        # an object shared with another scan node or with the metadata
+        # only once. Sharing the catalog's instance would shrink it.
+        schema = copy.deepcopy(relation["schema"])
         if relation["kind"] == "external":
             return RelationInfo(
-                kind="external", schema=relation["schema"], pxf=relation["pxf"]
+                kind="external", schema=schema, pxf=copy.deepcopy(relation["pxf"])
             )
-        return RelationInfo(kind="table", schema=relation["schema"])
+        return RelationInfo(kind="table", schema=schema)
 
 
-def _tables_of(query: LogicalQuery) -> List[str]:
-    """All base-table names referenced by a logical query (recursively)."""
-    names: List[str] = []
+def _tables_of(query: LogicalQuery, subplans: bool = False) -> List[str]:
+    """All base-table names referenced by a logical query (recursively).
 
-    def visit(q: LogicalQuery) -> None:
+    Before decorrelation IN / EXISTS / scalar subqueries still sit inside
+    expressions; ``subplans`` includes their tables too."""
+    names = set()
+    pending = [query]
+    while pending:
+        q = pending.pop()
         for rel in q.rels:
             if isinstance(rel.source, DerivedSource):
-                visit(rel.source.query)
+                pending.append(rel.source.query)
             else:
-                names.append(rel.source.table_name)
-        for init in q.init_plans:
-            visit(init)
-
-    visit(query)
-    return sorted(set(names))
+                names.add(rel.source.table_name)
+        pending.extend(q.init_plans)
+        if subplans:
+            pending.extend(
+                node.query
+                for expr in q.expressions()
+                for node in ex.walk(expr)
+                if isinstance(node, ex.BSubPlan)
+            )
+    return sorted(names)
 
 
 def compile_expr_value(expr: ast.Expr) -> object:
@@ -1772,8 +1795,7 @@ def _partition_spec(clause: ast.PartitionByClause, columns) -> PartitionSpec:
         return PartitionSpec(
             column=clause.column, kind="range", partitions=partitions
         )
-    from repro.planner import exprs as ex  # interval stepping
-    from repro.executor.expr import add_interval, _Interval
+    from repro.executor.expr import add_interval, _Interval  # interval stepping
 
     every = compile_expr_value(clause.every)
     parts: List[Partition] = []

@@ -302,6 +302,8 @@ class ConcurrentRunner:
             engine.telemetry.detach_batch(self)
             engine._cancel_notify = previous_notify
             engine._active_runtime = previous_runtime
+            # The batch's shared process group ends here.
+            runtime.close()
             engine.metrics.counter(
                 "datagrams_delivered", mode=engine.interconnect
             ).inc(runtime.net.delivered)
@@ -633,7 +635,7 @@ class ConcurrentRunner:
         result.queue_wait_seconds = outcome.queue_wait
         result.admitted_at = outcome.admit
         state.prepared.finish(result)
-        state.settled = True
+        self._mark_settled(state)
         outcome.rows = result.rows
         outcome.serial_seconds = result.cost.seconds
         outcome.task_graph = result.task_graph
@@ -645,6 +647,16 @@ class ConcurrentRunner:
         self._by_qid.pop(outcome.query_id, None)
         self.manager.release(outcome.query_id, finish_time)
         self._next_in_stream(outcome)
+
+    @staticmethod
+    def _mark_settled(state: _Statement) -> None:
+        """The outcome is recorded: let go of the statement's plan,
+        self-described plan and dispatch. Timers and watch callbacks
+        armed for it may outlive it on the scheduler — they test
+        ``settled`` and return, and must not pin its runtime state."""
+        state.settled = True
+        state.prepared = None
+        state.dispatch = None
 
     # --------------------------------------------------------- failure paths
     def _revive_workers(self) -> None:
@@ -711,7 +723,7 @@ class ConcurrentRunner:
         outcome.error = f"{type(exc).__name__}: {exc}"
         self._abort_attempt(state)
         state.prepared.fail()
-        state.settled = True
+        self._mark_settled(state)
         now = self.scheduler.now
         outcome.serial_seconds = self.engine.cost_model.query_setup
         outcome.finish = now

@@ -1071,4 +1071,11 @@ def compile_expr_batch(
             return f_nullif
         raise ExecutorError(f"unknown function {name!r}")
 
-    return compile_node(expr)
+    try:
+        return compile_node(expr)
+    finally:
+        # The two compilers call each other through their closure cells —
+        # a reference cycle per compiled expression, two or so a
+        # statement. No kernel calls them back, so unbind both and let
+        # the compiler's closures die with this call.
+        compile_node = compile_function = None

@@ -573,6 +573,16 @@ class DistributedRuntime:
             raise
         return dispatch.gather()
 
+    def close(self) -> None:
+        """End this QD/QE process group: the serial driver closes its
+        per-attempt runtime when the attempt ends, the concurrent driver
+        its shared one when the batch ends. Net, bus, exchange, workers
+        and this runtime reference each other through the handlers they
+        registered; unbinding them frees the group by refcount. A closed
+        runtime delivers nothing — results already gathered stay valid."""
+        self.bus.close()
+        self.exchange.close()
+
     def _broadcast_abort(self, query_id: int = 0) -> None:
         for name, channel in sorted(self.bus.channels.items()):
             if name == MASTER or not channel.open:

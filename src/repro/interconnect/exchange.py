@@ -26,6 +26,7 @@ critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sized, Tuple
 
 from repro.network.simnet import Datagram, SimNetwork
@@ -111,8 +112,18 @@ class ExchangeFabric:
                 slice_id, sender, receiver, len(rows), nbytes, query_id=query_id
             )
         if self.metrics is not None:
-            self.metrics.counter("motion_streams").inc()
-            self.metrics.counter("motion_bytes").inc(nbytes)
+            streams, volume = self._motion_counters
+            streams.inc()
+            volume.inc(nbytes)
+
+    @cached_property
+    def _motion_counters(self):
+        """(``motion_streams``, ``motion_bytes``), bound at the first
+        stream this fabric delivers."""
+        return (
+            self.metrics.counter("motion_streams"),
+            self.metrics.counter("motion_bytes"),
+        )
 
     def receive(
         self, query_id: int, slice_id: int, receiver: int
@@ -142,6 +153,12 @@ class ExchangeFabric:
         for key in [k for k in self._inbox if k[0] == query_id]:
             del self._inbox[key]
         self.records = [r for r in self.records if r.query_id != query_id]
+
+    def close(self) -> None:
+        """Unbind the exchange endpoints from the net (which holds this
+        fabric through them), so a finished runtime dies by refcount."""
+        for address in self._addresses.values():
+            self._net.unregister(address)
 
     def reset(self) -> None:
         """Clear every inbox and record (fresh-runtime initialization)."""

@@ -27,7 +27,7 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 def _key(name: str, labels: Dict[str, object]) -> str:
     if not labels:
         return name
-    inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
+    inner = ",".join([f"{k}={labels[k]}" for k in sorted(labels)])
     return f"{name}{{{inner}}}"
 
 

@@ -261,15 +261,7 @@ def _correlation_quals(sub: LogicalQuery) -> List[ex.BoundExpr]:
 
 
 def _reject_remaining_subplans(query: LogicalQuery) -> None:
-    exprs = [q for q in query.quals]
-    exprs.extend(t for t, _ in query.targets)
-    if query.having is not None:
-        exprs.append(query.having)
-    exprs.extend(k.expr for k in query.order_by)
-    for rel in query.rels:
-        if rel.join_cond is not None:
-            exprs.append(rel.join_cond)
-    for expr in exprs:
+    for expr in query.expressions():
         if ex.has_subplan(expr):
             raise PlannerError(
                 "a subquery expression survived decorrelation (subqueries "

@@ -12,6 +12,7 @@ compression pass shrinks what remains.
 
 from __future__ import annotations
 
+import copy
 import pickle
 import zlib
 from dataclasses import dataclass, field
@@ -138,18 +139,15 @@ def make_slice_tasks(
 def tables_in_plan(plan: PhysicalPlan) -> Set[str]:
     """All table names (including selected partitions) the plan scans."""
     names: Set[str] = set()
-
-    def visit(node: PlanNode) -> None:
+    pending: List[PlanNode] = [plan_slice.root for plan_slice in plan.slices]
+    while pending:
+        node = pending.pop()
         if isinstance(node, SeqScan):
             if node.partitions is not None:
                 names.update(node.partitions)
             else:
                 names.add(node.table.table_name)
-        for child in node.children:
-            visit(child)
-
-    for plan_slice in plan.slices:
-        visit(plan_slice.root)
+        pending.extend(node.children)
     for init in plan.init_plans:
         names.update(tables_in_plan(init))
     return names
@@ -171,7 +169,13 @@ def build_self_described_plan(
         relation = catalog.lookup_relation(name, snapshot)
         if relation is None:
             raise PlannerError(f"table {name!r} vanished before dispatch")
-        schema: TableSchema = relation["schema"]
+        # A private copy, by contract: ``plan_bytes`` / ``compressed_bytes``
+        # below become ``SliceTask.payload_bytes`` and so charged seconds,
+        # and pickle writes an object it has already met (here: a schema
+        # shared between two tables' metadata, or with the catalog row a
+        # scan node's copy came from) as a back-reference. The modelled
+        # wire size is that of independent copies.
+        schema: TableSchema = copy.deepcopy(relation["schema"])
         table_meta = TableMetadata(
             schema=schema,
             storage_format=schema.storage_format,

@@ -83,3 +83,14 @@ class LogicalQuery:
     @property
     def output_names(self) -> List[str]:
         return [name for _, name in self.targets]
+
+    def expressions(self) -> List[BoundExpr]:
+        """The expressions a subquery can sit in: quals, targets, HAVING,
+        ORDER BY keys and join conditions of this block."""
+        exprs = list(self.quals)
+        exprs.extend(t for t, _ in self.targets)
+        if self.having is not None:
+            exprs.append(self.having)
+        exprs.extend(k.expr for k in self.order_by)
+        exprs.extend(r.join_cond for r in self.rels if r.join_cond is not None)
+        return exprs

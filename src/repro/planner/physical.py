@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PlannerError
 from repro.planner import exprs as ex
@@ -440,39 +440,7 @@ def slice_plan(
     """
     slices: List[PlanSlice] = []
     counter = itertools.count()
-
-    def cut(node: PlanNode) -> Tuple[PlanNode, List[int]]:
-        """Replace Motions under ``node`` with MotionRecv leaves."""
-        if isinstance(node, Motion):
-            child_root, grandchildren = cut(node.child)
-            slice_id = next(counter)
-            gang = "1" if node.child.dist.kind == "single" else "N"
-            slices.append(
-                PlanSlice(
-                    slice_id=slice_id,
-                    root=_clone_with_child(node, child_root),
-                    gang=gang,
-                    motion_kind=node.kind,
-                    hash_exprs=list(node.hash_exprs),
-                    child_slices=grandchildren,
-                )
-            )
-            recv = MotionRecv(
-                slice_id=slice_id, kind=node.kind, source_layout=list(node.layout)
-            )
-            recv.dist = node.dist
-            recv.est_rows = node.est_rows
-            recv.est_width = node.est_width
-            return recv, [slice_id]
-        child_ids: List[int] = []
-        new_children = []
-        for child in node.children:
-            new_child, ids = cut(child)
-            new_children.append(new_child)
-            child_ids.extend(ids)
-        return _replace_children(node, new_children), child_ids
-
-    top_root, child_ids = cut(root)
+    top_root, child_ids = _cut(root, slices, counter)
     top_id = next(counter)
     gang = "1" if top_root.dist.kind == "single" else "N"
     slices.append(
@@ -491,6 +459,43 @@ def slice_plan(
         num_segments=num_segments,
         direct_dispatch_segment=direct_dispatch_segment,
     )
+
+
+def _cut(
+    node: PlanNode, slices: List[PlanSlice], counter: Iterator[int]
+) -> Tuple[PlanNode, List[int]]:
+    """Replace Motions under ``node`` with MotionRecv leaves, appending
+    the slice below each to ``slices``. (A module-level function: as a
+    closure calling itself it would tie the slices into a reference
+    cycle, and a finished statement's plan should die by refcount.)"""
+    if isinstance(node, Motion):
+        child_root, grandchildren = _cut(node.child, slices, counter)
+        slice_id = next(counter)
+        gang = "1" if node.child.dist.kind == "single" else "N"
+        slices.append(
+            PlanSlice(
+                slice_id=slice_id,
+                root=_clone_with_child(node, child_root),
+                gang=gang,
+                motion_kind=node.kind,
+                hash_exprs=list(node.hash_exprs),
+                child_slices=grandchildren,
+            )
+        )
+        recv = MotionRecv(
+            slice_id=slice_id, kind=node.kind, source_layout=list(node.layout)
+        )
+        recv.dist = node.dist
+        recv.est_rows = node.est_rows
+        recv.est_width = node.est_width
+        return recv, [slice_id]
+    child_ids: List[int] = []
+    new_children = []
+    for child in node.children:
+        new_child, ids = _cut(child, slices, counter)
+        new_children.append(new_child)
+        child_ids.extend(ids)
+    return _replace_children(node, new_children), child_ids
 
 
 def _clone_with_child(motion: Motion, child: PlanNode) -> Motion:

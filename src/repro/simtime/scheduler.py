@@ -146,8 +146,8 @@ class EventScheduler:
         self._tasks: Dict[TaskKey, _Task] = {}
         self._out: Dict[TaskKey, List[Tuple[TaskKey, float]]] = {}
         self._indegree: Dict[TaskKey, int] = {}
-        #: ``[pending key set, callback]`` pairs (see :meth:`watch`).
-        self._watchers: List[list] = []
+        #: task key -> the ``[pending key set, callback]`` pairs waiting on
+        #: it (see :meth:`watch`); a pair is dropped as it fires.
         self._watch_index: Dict[TaskKey, List[list]] = {}
         self._running = False
         # Run state (only meaningful while _running).
@@ -276,7 +276,6 @@ class EventScheduler:
             callback(self._now)
             return
         entry = [pending, callback]
-        self._watchers.append(entry)
         for key in sorted(pending):
             self._watch_index.setdefault(key, []).append(entry)
 

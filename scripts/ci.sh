@@ -54,24 +54,32 @@ echo "== benchmarks/perf: its own tests, then one tiny round of every workload =
 python -m pytest benchmarks/perf/tests -q
 python3 benchmarks/perf/run.py --quick
 
-echo "== per-statement budget on short_serial (counts, not seconds) =="
+echo "== per-statement budget on the short workloads (counts, not seconds) =="
 # What a short statement costs whatever it reads, as Python calls and
-# collector runs per parsed statement of one traced quick round. Before
-# catalog versions were shared (PR 16) the two read 21,027 and 0.63.
-budget_json=$(python3 benchmarks/perf/run.py --workload short_serial --quick --trace 1 | tail -n 1)
-python - "$budget_json" <<'PY'
+# collector runs per parsed statement of one traced quick round: alone on
+# a session, and as 8 closed-loop streams on one loop. Before catalog
+# versions were shared (PR 16) short_serial read 21,027 and 0.63; with
+# one statement driver (PR 17) the two workloads read 8,875 / 0.425 and
+# 8,817 / 0.475 (they were 8,744 / 0.4 and 9,197 / 0.5 with two), and
+# short_streams' ceilings are its reading + 15 %.
+for budget in "short_serial 11000 0.6" "short_streams 10150 0.55"; do
+    set -- $budget
+    budget_json=$(python3 benchmarks/perf/run.py --workload "$1" --quick --trace 1 | tail -n 1)
+    python - "$budget_json" "$@" <<'PY'
 import json, sys
 metrics = json.loads(sys.argv[1])["metrics"]
+workload, calls_ceiling, gc_ceiling = sys.argv[2], float(sys.argv[3]), float(sys.argv[4])
 statements = metrics["sql.parse.calls"]["value"]
 failed = False
-for name, ceiling in (("python.pycalls", 11_000), ("python.gc_collections", 0.6)):
+for name, ceiling in (("python.pycalls", calls_ceiling), ("python.gc_collections", gc_ceiling)):
     per_statement = metrics[name]["value"] / statements
     over = per_statement > ceiling
     failed |= over
-    print(f"  {name} / statement: {per_statement:,.3f} (ceiling {ceiling:,})"
+    print(f"  {workload}: {name} / statement: {per_statement:,.3f} (ceiling {ceiling:,})"
           + ("  OVER BUDGET" if over else ""))
 sys.exit(1 if failed else 0)
 PY
+done
 
 echo "== throughput bench (qps floor, p99/p50 ceiling, serial bit-identity) =="
 python -m repro.bench --throughput --check

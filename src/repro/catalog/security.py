@@ -21,7 +21,8 @@ class PermissionDenied(ReproError):
 
 
 class QueueLimitExceeded(ReproError):
-    """A resource queue's active-statement limit was hit (no waiting)."""
+    """The statement's resource queue can never admit it: waiting for a
+    slot would leave it unexecuted."""
 
 
 #: Privileges understood by GRANT/REVOKE.
@@ -39,7 +40,9 @@ class Role:
 
 @dataclass
 class ResourceQueue:
-    """Admission-control queue (active statement + memory bounds)."""
+    """Admission-control queue (active statement + memory bounds): the
+    catalog row. Who is running or waiting is runtime state, kept by
+    :class:`~repro.cluster.resqueue.ResourceQueueManager`."""
 
     name: str
     active_statements: int = 20
@@ -47,20 +50,6 @@ class ResourceQueue:
     #: Admission priority under concurrency: higher drains first when
     #: slots free up (ties broken by arrival order).
     priority: int = 0
-    #: Currently running statements (runtime state, not catalog data).
-    running: int = 0
-
-    def admit(self) -> None:
-        if self.running >= self.active_statements:
-            raise QueueLimitExceeded(
-                f"resource queue {self.name!r} is at its limit of "
-                f"{self.active_statements} active statements"
-            )
-        self.running += 1
-
-    def release(self) -> None:
-        if self.running > 0:
-            self.running -= 1
 
 
 class SecurityManager:

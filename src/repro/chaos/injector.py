@@ -118,7 +118,7 @@ class FaultInjector:
             engine.fail_segment(segment.segment_id)
             # Kill the QE *process*, not the query: the worker's RPC
             # channel drops, so the query fails (as SegmentDown, into
-            # the session's restart loop) only when that channel is
+            # the statement loop's restart) only when that channel is
             # actually needed — the dead worker reporting COMPLETE, or
             # the master dispatching a later wave to it.
             engine.drop_worker_channel(segment.segment_id)

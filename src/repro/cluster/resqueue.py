@@ -14,6 +14,9 @@ Admission rules (the determinism contract):
   slot AND the queue's in-use memory plus the query's need fits the
   queue's memory budget. A query's need is clamped to the budget, so a
   single over-sized query can still run (alone).
+- A queue without a single statement slot can never admit anything, so
+  it refuses the query with ``QueueLimitExceeded`` instead of parking it
+  for a release that cannot come.
 - Otherwise the query parks. When a running query releases, waiters are
   re-examined in ``(-priority, arrival, query_id)`` order — strictly
   head-of-line: if the front waiter still does not fit, nothing behind
@@ -33,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.catalog.security import QueueLimitExceeded
 from repro.errors import ReproError
 
 
@@ -160,6 +164,11 @@ class ResourceQueueManager:
             raise ReproError(f"unknown resource queue {queue_name!r}")
         if query_id in self._owner:
             raise ReproError(f"query {query_id} already admitted or waiting")
+        if state.spec.slots < 1:
+            raise QueueLimitExceeded(
+                f"resource queue {queue_name!r} is at its limit of "
+                f"{state.spec.slots} active statements"
+            )
         memory = min(memory, state.spec.memory_limit)
         if self._metrics is not None:
             # Depth as seen at submission (parked or not): the

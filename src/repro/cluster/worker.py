@@ -16,7 +16,7 @@ are *loopback*: they charge no network time.
 Death is a dropped RPC channel, not an exception reached into engine
 internals: a killed worker keeps executing until it next needs its
 channel (the COMPLETE send), at which point :class:`~repro.errors.
-SegmentDown` surfaces and the session's bounded-restart loop takes over.
+SegmentDown` surfaces and the statement loop's bounded restart takes over.
 """
 
 from __future__ import annotations

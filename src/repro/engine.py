@@ -52,17 +52,14 @@ from repro.errors import (
     CatalogError,
     ClusterError,
     ExecutorError,
-    HdfsError,
     MasterUnavailable,
-    QueryCanceled,
-    QueryRetriesExhausted,
     ReproError,
-    SegmentDown,
     SemanticError,
     SqlError,
     TransactionError,
     UndefinedObject,
 )
+from repro.executor.concurrent import run_statement
 from repro.executor.expr import compile_expr
 from repro.executor.runner import (
     DistributedRuntime,
@@ -172,18 +169,17 @@ class Engine:
         #: attributed (and cross-query races on unregistered state
         #: raise). None costs nothing.
         self.detsan = None
-        #: The QD/QE process group of the in-flight execution attempt
-        #: (set by :meth:`Session._execute_attempt`); chaos kills reach
-        #: workers by dropping their RPC channel on this runtime.
-        self._active_runtime: Optional[DistributedRuntime] = None
-        #: Query ids with a pending cancellation request. Serial
-        #: dispatch notices at the next wave boundary; workers refuse
-        #: new slices and scan lanes for a cancelled id; the concurrent
-        #: driver is additionally notified through ``_cancel_notify``.
+        #: The live statement loops (:class:`repro.executor.concurrent.
+        #: StatementLoop`), innermost last: a batch, a lone statement, or
+        #: a lone statement nested in a batch (``INSERT … SELECT`` in a
+        #: stream). A loop is on the stack while it runs; chaos kills
+        #: reach workers through the innermost one's runtime, a cancel
+        #: request is offered to each, and the system views read them.
+        self._loops: list = []
+        #: Query ids with a pending cancellation request: workers refuse
+        #: new slices and scan lanes for a cancelled id, and the loop
+        #: that runs the statement settles it and consumes the request.
         self._cancel_requests: set = set()
-        #: Callback installed by the in-flight concurrent batch so a
-        #: ``Session.cancel`` lands as a scheduler event immediately.
-        self._cancel_notify = None
 
         self.hdfs = Hdfs(block_size=block_size, replication=replication, seed=seed)
         self.hosts = [f"host{i}" for i in range(num_segment_hosts)]
@@ -203,13 +199,13 @@ class Engine:
         self.pxf.attach_hdfs(self.hdfs)
         self.security = SecurityManager()
         #: Passive cluster telemetry behind the pg_stat_* system views
-        #: (:mod:`repro.obs.sysviews`): the serial dispatcher and the
-        #: concurrent driver publish live statement/queue/segment state
-        #: into it, and every settled statement lands in its workload
-        #: repository. Reads only — lint R6 keeps the views passive.
+        #: (:mod:`repro.obs.sysviews`): it reads live statement / queue /
+        #: segment state off the running loops, and every settled
+        #: statement lands in its workload repository. Reads only — lint
+        #: R6 keeps the views passive.
         self.telemetry = ClusterTelemetry(
             segments=self.segments,
-            security=self.security,
+            loops=self._loops,
             is_cancelled=self.is_cancelled,
         )
         self._load_rng = itertools.count()  # round-robin for random dist
@@ -253,29 +249,29 @@ class Engine:
         self.run_fault_detection()
 
     def drop_worker_channel(self, segment_id: int) -> None:
-        """Kill a segment's QE process for the in-flight attempt: its RPC
-        channel closes, so the master can no longer dispatch to it and
-        the (dead) worker's own reports fail with ``SegmentDown`` — which
-        the session's bounded-restart loop turns into a query restart.
-        A no-op outside query execution (there is no process to kill;
-        the next attempt spawns fresh workers against failover hosts)."""
-        if self._active_runtime is not None:
-            self._active_runtime.bus.drop(f"seg{segment_id}")
+        """Kill a segment's QE process in the running process group: its
+        RPC channel closes, so the master can no longer dispatch to it
+        and the (dead) worker's own reports fail with ``SegmentDown`` —
+        which the statement loop's bounded restart turns into a query
+        restart on a revived worker. A no-op outside query execution
+        (there is no process to kill; the next statement spawns fresh
+        workers against failover hosts)."""
+        if self._loops:
+            self._loops[-1].runtime.bus.drop(f"seg{segment_id}")
 
     # ----------------------------------------------------------- cancellation
     def cancel_query(self, query_id: int) -> None:
         """Request cancellation of an in-flight statement by id.
 
-        Serial dispatch notices at its next wave boundary; segment
-        workers refuse further slices and scan lanes tagged with the
-        id; a running concurrent batch is notified immediately so the
-        cancellation lands as a scheduler event at the current
-        simulated time. Cancelling an unknown or finished id is a
-        silent no-op (the pg_cancel_backend contract).
+        Segment workers refuse further slices and scan lanes tagged
+        with the id, and the loop running the statement is told at
+        once, so the cancellation lands at the current simulated time.
+        Cancelling an unknown or finished id is a silent no-op (the
+        pg_cancel_backend contract).
         """
         self._cancel_requests.add(query_id)
-        if self._cancel_notify is not None:
-            self._cancel_notify(query_id)
+        for loop in list(self._loops):
+            loop.cancel(query_id)
 
     def is_cancelled(self, query_id: int) -> bool:
         """True when ``query_id`` has a pending cancellation request."""
@@ -339,16 +335,16 @@ class Engine:
 
     # ------------------------------------------------------------- processes
     def build_runtime(self) -> DistributedRuntime:
-        """Stand up a fresh QD/QE process group for one execution attempt.
+        """Stand up a fresh QD/QE process group for one statement loop.
 
         Everything message-borne rides one :class:`SimNetwork` whose
         conditions mirror the cost model (same latency, zero jitter so
         same-sized dispatches deliver FIFO in segment order — execution
         order, and therefore the chaos clock, stays deterministic). One
         :class:`SegmentWorker` per segment, plus the master's own
-        loopback worker for gang "1" slices. Workers are per-attempt:
-        segments are stateless, so a restart simply spawns a new group
-        against fresh failover assignments.
+        loopback worker for gang "1" slices. Segments are stateless, so
+        a restart simply revives a dead worker against fresh failover
+        assignments.
         """
         conditions = NetworkConditions(
             latency=self.cost_model.net_latency,
@@ -380,8 +376,8 @@ class Engine:
         for segment in self.segments:
             SegmentWorker(segment.segment_id, bus, exchange, services)
         SegmentWorker(QD_SEGMENT, bus, exchange, services)
-        # The concurrent driver revives killed workers mid-batch (chaos
-        # retries) by re-instantiating them against the same services.
+        # The statement loop revives killed workers (chaos retries) by
+        # re-instantiating them against the same services.
         runtime.services = services
         self.metrics.counter("workers_spawned").inc(self.num_segments + 1)
         return runtime
@@ -409,8 +405,9 @@ class Session:
         #: ``SET resource_queue = name`` routes this session's queries
         #: through a specific queue instead of the role's default.
         self._queue_override: Optional[str] = None
-        #: ``SET statement_timeout = <simulated seconds>``: a SELECT
-        #: whose composed elapsed time crosses this is cancelled with
+        #: ``SET statement_timeout = <simulated seconds>``: a SELECT not
+        #: settled that long after it was submitted (queue wait
+        #: included) is cancelled with
         #: :class:`~repro.errors.QueryCanceled`. 0.0 disables.
         self.statement_timeout = 0.0
 
@@ -422,10 +419,7 @@ class Session:
             raise SqlError("empty statement")
         result: Optional[QueryResult] = None
         for stmt in statements:
-            result = self._execute_statement(stmt)
-        # Workload repository: every serially-executed statement lands
-        # in pg_stat_statements under its normalized fingerprint.
-        self.engine.telemetry.record_statement(sql, result)
+            result = self._execute_statement(stmt, sql)
         return result
 
     def query(self, sql: str) -> List[tuple]:
@@ -443,7 +437,37 @@ class Session:
         return self._txn is not None and self._txn.state == "active"
 
     # ------------------------------------------------------------- dispatch
-    def _execute_statement(self, stmt: ast.Statement) -> QueryResult:
+    def _execute_statement(self, stmt: ast.Statement, sql: str) -> QueryResult:
+        if isinstance(stmt, ast.SelectStmt):
+            return run_statement(self._prepare_statement(stmt, sql))
+        result = self._session_verb(stmt)
+        if result is not None:
+            self.engine.telemetry.record_statement(sql, result)
+            return result
+        statement = self._open_statement(sql)
+        try:
+            result = self._run_in_txn(stmt, statement.txn)
+        except Exception:
+            statement.fail()
+            raise
+        statement.finish(result)
+        return result
+
+    def _open_statement(self, sql: str) -> "_StatementBracket":
+        """Open the per-statement bracket: the session's explicit
+        transaction when one is open, an implicit one otherwise."""
+        engine = self.engine
+        metrics_before = engine.metrics.snapshot()
+        wal_before = len(engine.txns.wal)
+        implicit = not self.in_transaction
+        txn = engine.txns.begin(self.default_isolation) if implicit else self._txn
+        return _StatementBracket(
+            self, sql, txn, implicit, metrics_before, wal_before
+        )
+
+    def _session_verb(self, stmt: ast.Statement) -> Optional[QueryResult]:
+        """Statements that manage the session itself — no transaction of
+        their own, no metrics attribution; None for any other."""
         if isinstance(stmt, ast.BeginStmt):
             return self._begin(stmt)
         if isinstance(stmt, ast.CommitStmt):
@@ -452,36 +476,9 @@ class Session:
             return self._rollback()
         if isinstance(stmt, ast.SetStmt):
             return self._set(stmt)
-
-        engine = self.engine
-        metrics_before = engine.metrics.snapshot()
-        wal_before = len(engine.txns.wal)
-        implicit = not self.in_transaction
-        txn = self._txn if self.in_transaction else self.engine.txns.begin(
-            self.default_isolation
-        )
-        try:
-            result = self._run_in_txn(stmt, txn)
-        except Exception:
-            self.engine.txns.abort(txn)
-            if not implicit:
-                self._txn = None
-            raise
-        if implicit:
-            self.engine.txns.commit(txn)
-        # Per-statement attribution by snapshot diff: everything the
-        # cluster counted while this statement ran (including its WAL
-        # records and commit) lands on the result.
-        engine.metrics.counter("statements").inc()
-        wal_delta = len(engine.txns.wal) - wal_before
-        if wal_delta:
-            engine.metrics.counter("wal_records").inc(wal_delta)
-        result.metrics = engine.metrics.snapshot().diff(metrics_before)
-        return result
+        return None
 
     def _run_in_txn(self, stmt: ast.Statement, txn: Transaction) -> QueryResult:
-        if isinstance(stmt, ast.SelectStmt):
-            return self._select(stmt, txn)
         if isinstance(stmt, ast.InsertStmt):
             return self._insert(stmt, txn)
         if isinstance(stmt, ast.CreateTableStmt):
@@ -627,98 +624,97 @@ class Session:
         security.check(self.role, privilege, relation)
 
     # ---------------------------------------------------------------- SELECT
-    def _select(self, stmt: ast.SelectStmt, txn: Transaction) -> QueryResult:
-        engine = self.engine
-        snapshot = txn.statement_snapshot()
-        analyzer = Analyzer(_CatalogAdapter(engine.catalog, snapshot))
-        query = analyzer.analyze(stmt)
-        for name in _tables_of(query):
-            if name in CATALOG_RELATION_COLUMNS or name in SYSTEM_VIEW_COLUMNS:
-                continue  # catalog/system-view reads are unlocked
-            txn.lock(f"rel:{name}", LockMode.ACCESS_SHARE)
-            self._check_privilege("select", name, txn)
-        plan = self._plan(query, snapshot)
-        queue = self._resource_queue()
-        queue.admit()
-        try:
-            result = self._dispatch_and_execute(plan, snapshot, txn)
-        finally:
-            queue.release()
-        self.last_plan = result.plan
-        return result
-
     def prepare_select(self, sql: str) -> Optional["PreparedSelect"]:
-        """Front-half of one SELECT for the event-driven concurrent
-        driver: parse, analyze, lock, plan, and allocate the query id
-        and trace — without dispatching anything.
+        """Front half of one SELECT, for a caller that drives the back
+        half itself (:class:`~repro.executor.concurrent.ConcurrentRunner`
+        feeds it to its shared statement loop): parse, analyze, lock,
+        plan, and allocate the query id and trace — without dispatching
+        anything.
 
-        Returns a :class:`PreparedSelect` whose plan the driver feeds
-        to the shared runtime wave-by-wave as scheduler events; the
-        statement's implicit transaction stays open until the driver
-        calls :meth:`PreparedSelect.finish` (or :meth:`~PreparedSelect.
-        fail`). Non-SELECT statements (and multi-statement strings)
-        return None — the driver executes those synchronously through
+        The statement's bracket stays open — its transaction, the
+        session's explicit one when there is one — until the loop calls
+        :meth:`PreparedSelect.finish` (or :meth:`~PreparedSelect.fail`).
+        Non-SELECT statements (and multi-statement strings) return None
+        — the runner executes those synchronously through
         :meth:`execute`.
         """
         statements = parse_sql(sql)
         if len(statements) != 1 or not isinstance(statements[0], ast.SelectStmt):
             return None
-        stmt = statements[0]
-        engine = self.engine
-        metrics_before = engine.metrics.snapshot()
-        wal_before = len(engine.txns.wal)
-        txn = engine.txns.begin(self.default_isolation)
+        return self._prepare_statement(statements[0], sql)
+
+    def _prepare_statement(self, stmt: ast.SelectStmt, sql: str) -> "PreparedSelect":
+        """A top-level SELECT: open its bracket, prepare inside it."""
+        statement = self._open_statement(sql)
         try:
-            snapshot = txn.statement_snapshot()
-            analyzer = Analyzer(_CatalogAdapter(engine.catalog, snapshot))
-            query = analyzer.analyze(stmt)
-            for name in _tables_of(query):
-                if (
-                    name in CATALOG_RELATION_COLUMNS
-                    or name in SYSTEM_VIEW_COLUMNS
-                ):
-                    continue  # catalog/system-view reads are unlocked
-                txn.lock(f"rel:{name}", LockMode.ACCESS_SHARE)
-                self._check_privilege("select", name, txn)
-            plan = self._plan(query, snapshot)
-            queue = self._resource_queue()
-            query_id = next(engine._query_ids)
-            trace = (
-                self.tracer.begin_query(query_id=query_id)
-                if self.trace_enabled
-                else None
-            )
-            sdp = build_self_described_plan(plan, engine.catalog, snapshot)
-            ctx = ExecutionContext(
+            return self._prepare(stmt, statement.txn, statement=statement)
+        except Exception:
+            statement.fail()
+            raise
+
+    def _select(
+        self, stmt: ast.SelectStmt, txn: Transaction, force_trace: bool = False
+    ) -> QueryResult:
+        """A SELECT inside another statement (``INSERT … SELECT``,
+        ``EXPLAIN ANALYZE``): it runs in that statement's transaction
+        and under its bracket."""
+        return run_statement(self._prepare(stmt, txn, force_trace=force_trace))
+
+    def _prepare(
+        self,
+        stmt: ast.SelectStmt,
+        txn: Transaction,
+        statement: Optional["_StatementBracket"] = None,
+        force_trace: bool = False,
+    ) -> "PreparedSelect":
+        """The one front half: everything a SELECT needs before it can
+        be offered to a resource queue, under ``txn``'s snapshot."""
+        engine = self.engine
+        snapshot = txn.statement_snapshot()
+        plan = self._plan_select(stmt, txn, snapshot)
+        queue = self._resource_queue()
+        memory = min(engine.work_mem, queue.memory_limit)
+        query_id = next(engine._query_ids)
+        trace = (
+            self.tracer.begin_query(query_id=query_id)
+            if (self.trace_enabled or force_trace)
+            else None
+        )
+        return PreparedSelect(
+            session=self,
+            plan=plan,
+            sdp=build_self_described_plan(plan, engine.catalog, snapshot),
+            ctx=ExecutionContext(
                 num_segments=engine.num_segments,
                 cost_model=engine.cost_model,
                 interconnect=engine.interconnect,
                 pipelined=engine.pipelined,
-                work_mem=min(engine.work_mem, queue.memory_limit),
+                work_mem=memory,
                 executor_mode=engine.executor_mode,
                 metadata_dispatch=engine.metadata_dispatch,
                 trace=trace,
                 kernel_cache=engine.kernel_cache,
                 query_id=query_id,
-            )
-        except Exception:
-            engine.txns.abort(txn)
-            raise
-        return PreparedSelect(
-            session=self,
-            txn=txn,
-            plan=plan,
-            sdp=sdp,
-            ctx=ctx,
-            sql=sql,
+            ),
             query_id=query_id,
             trace=trace,
             queue_name=queue.name,
-            memory=min(engine.work_mem, queue.memory_limit),
+            memory=memory,
             statement_timeout=self.statement_timeout,
-            metrics_before=metrics_before,
-            wal_before=wal_before,
+            statement=statement,
         )
+
+    def _plan_select(self, stmt: ast.SelectStmt, txn: Transaction, snapshot: Snapshot):
+        """Analyze, take ACCESS SHARE locks, check SELECT privileges,
+        plan. Plain EXPLAIN stops here: no slot, nothing dispatched."""
+        engine = self.engine
+        query = Analyzer(_CatalogAdapter(engine.catalog, snapshot)).analyze(stmt)
+        for name in _tables_of(query):
+            if name in CATALOG_RELATION_COLUMNS or name in SYSTEM_VIEW_COLUMNS:
+                continue  # catalog/system-view reads are unlocked
+            txn.lock(f"rel:{name}", LockMode.ACCESS_SHARE)
+            self._check_privilege("select", name, txn)
+        return self._plan(query, snapshot)
 
     def _plan(self, query: LogicalQuery, snapshot: Snapshot):
         engine = self.engine
@@ -753,137 +749,6 @@ class Session:
             for relation in self.engine.catalog.relations(snapshot, names)
             if relation["children"]
         }
-
-    def _dispatch_and_execute(
-        self,
-        plan,
-        snapshot: Snapshot,
-        txn: Transaction,
-        force_trace: bool = False,
-    ) -> QueryResult:
-        """Dispatch with bounded query restart (paper Section 2.6).
-
-        Stateless segments make restart cheaper than recovery: when a
-        segment dies mid-execution (or a block is transiently
-        unreadable) the dispatcher backs off on the simulated clock,
-        re-runs fault detection so the session picks up fresh failover
-        assignments, and re-dispatches the same plan. After
-        ``max_query_retries`` failed attempts the query fails with a
-        clean :class:`QueryRetriesExhausted`. Master failover
-        (:class:`MasterUnavailable`) is never retried here — the
-        transaction died with the master, so the *statement* fails and
-        the client restarts it against the promoted standby.
-        """
-        engine = self.engine
-        query_id = next(engine._query_ids)
-        trace = (
-            self.tracer.begin_query(query_id=query_id)
-            if (self.trace_enabled or force_trace)
-            else None
-        )
-        retries = 0
-        backoff_seconds = 0.0
-        engine.telemetry.serial_begin(query_id, self._resource_queue().name)
-        try:
-            while True:
-                engine.telemetry.serial_attempt(query_id, retries + 1)
-                if engine.run_fault_detection():
-                    # Sessions randomly fail down segments over to live
-                    # hosts.
-                    engine.fault_detector.assign_failover()
-                try:
-                    result = self._execute_attempt(
-                        plan, snapshot, txn, trace, query_id=query_id
-                    )
-                except (SegmentDown, HdfsError) as exc:
-                    if trace is not None:
-                        # Close outstanding DISPATCHes of the failed
-                        # attempt (idempotent: the runtime's own abort
-                        # path may have closed them already; a
-                        # _gather-raised SegmentDown reaches only this
-                        # handler).
-                        trace.attempt_aborted()
-                    retries += 1
-                    if retries > engine.max_query_retries:
-                        raise QueryRetriesExhausted(
-                            f"query failed after {engine.max_query_retries} "
-                            f"restarts: {exc}"
-                        ) from exc
-                    backoff_seconds += engine.retry_backoff * (2 ** (retries - 1))
-                    if engine.metrics is not None:
-                        engine.metrics.counter("query_retries").inc()
-                    continue
-                result.retries = retries
-                result.cost.seconds += backoff_seconds
-                if trace is not None:
-                    trace.finalize(result)
-                    result.trace = trace
-                return result
-        finally:
-            engine.telemetry.serial_end(query_id)
-            # A pending cancel is consumed with the statement — a later
-            # query must never inherit it.
-            engine._cancel_requests.discard(query_id)
-
-    def _execute_attempt(
-        self, plan, snapshot: Snapshot, txn: Transaction, trace=None,
-        query_id: int = 0,
-    ) -> QueryResult:
-        """Run one dispatch attempt on a fresh QD/QE process group."""
-        engine = self.engine
-        sdp = build_self_described_plan(plan, engine.catalog, snapshot)
-        queue = self._resource_queue()
-        ctx = ExecutionContext(
-            num_segments=engine.num_segments,
-            cost_model=engine.cost_model,
-            interconnect=engine.interconnect,
-            pipelined=engine.pipelined,
-            work_mem=min(engine.work_mem, queue.memory_limit),
-            executor_mode=engine.executor_mode,
-            metadata_dispatch=engine.metadata_dispatch,
-            trace=trace,
-            kernel_cache=engine.kernel_cache,
-            query_id=query_id,
-        )
-        runtime = engine.build_runtime()
-        if trace is not None:
-            trace.begin_attempt()
-            runtime.bus.trace = trace
-            runtime.exchange.trace = trace
-        previous_runtime = engine._active_runtime
-        engine._active_runtime = runtime
-        try:
-            return runtime.execute(plan, sdp, ctx, check=self._wave_check)
-        finally:
-            engine._active_runtime = previous_runtime
-            runtime.close()
-            net = runtime.net
-            engine.metrics.counter(
-                "datagrams_delivered", mode=engine.interconnect
-            ).inc(net.delivered)
-            if net.dropped:
-                engine.metrics.counter(
-                    "datagrams_dropped", mode=engine.interconnect
-                ).inc(net.dropped)
-
-    def _wave_check(self, dispatch, wave_index: int) -> None:
-        """Serial-path cancellation point, run after each wave settles.
-
-        Raises :class:`QueryCanceled` when the statement has a pending
-        cancel request, or when ``statement_timeout`` is set and the
-        deterministic elapsed time (partial-DAG makespan plus master
-        charges) has crossed it. The runtime's abort path then closes
-        the attempt cleanly.
-        """
-        query_id = dispatch.ctx.query_id
-        if self.engine.is_cancelled(query_id):
-            raise QueryCanceled(f"query {query_id} cancelled by request")
-        timeout = self.statement_timeout
-        if timeout > 0 and dispatch.elapsed_seconds(wave_index) > timeout:
-            raise QueryCanceled(
-                f"query {query_id} cancelled: statement_timeout of "
-                f"{timeout}s exceeded"
-            )
 
     # ---------------------------------------------------------------- INSERT
     def _insert(self, stmt: ast.InsertStmt, txn: Transaction) -> QueryResult:
@@ -1460,106 +1325,138 @@ class Session:
     def _explain(self, stmt: ast.ExplainStmt, txn: Transaction) -> QueryResult:
         if not isinstance(stmt.statement, ast.SelectStmt):
             raise SqlError("EXPLAIN supports SELECT only")
-        snapshot = txn.statement_snapshot()
-        analyzer = Analyzer(_CatalogAdapter(self.engine.catalog, snapshot))
-        query = analyzer.analyze(stmt.statement)
-        plan = self._plan(query, snapshot)
-        self.last_plan = plan
-        lines = plan.explain().splitlines()
-        if stmt.analyze:
-            # EXPLAIN ANALYZE: actually run the plan and annotate each
-            # slice from its scheduler timeline — the composed finish
-            # time on the event clock, rows moved, and the per-segment
-            # task breakdown beneath it. VERBOSE additionally forces a
-            # trace and appends per-operator rows/time and per-table
-            # bytes/cache columns from the trace's spans.
-            result = self._dispatch_and_execute(
-                plan, snapshot, txn, force_trace=stmt.verbose
+        if not stmt.analyze:
+            plan = self._plan_select(
+                stmt.statement, txn, txn.statement_snapshot()
             )
-            # Select the trace by this statement's query id — "latest
-            # trace" would race with other sessions under concurrency.
-            trace = self.tracer.for_query(result.query_id)
-            if stmt.verbose and trace is not None:
-                lines = plan.explain(
-                    annotate=_trace_annotator(trace)
-                ).splitlines()
-            annotated = []
-            for line in lines:
-                annotated.append(line)
-                if line.startswith("Slice "):
-                    slice_id = int(line.split()[1])
-                    timing = result.slices.get(slice_id)
-                    if timing is not None:
-                        annotated.append(
-                            f"  (actual time={timing.finish:.4f}s, "
-                            f"rows sent={timing.rows})"
-                        )
-                        if stmt.verbose:
-                            gang = [
-                                timing.tasks[seg].seconds
-                                for seg in sorted(timing.tasks)
-                                if seg != QD_SEGMENT
-                            ]
-                            if len(gang) >= 2:
-                                # Skew attribution across the gang: how
-                                # unevenly the slice's work landed.
-                                annotated.append(
-                                    f"  (skew: max={max(gang):.4f}s "
-                                    f"mean={sum(gang) / len(gang):.4f}s "
-                                    f"min={min(gang):.4f}s "
-                                    f"across {len(gang)} tasks)"
-                                )
-                        for segment in sorted(timing.tasks):
-                            task = timing.tasks[segment]
-                            who = (
-                                "QD"
-                                if segment == QD_SEGMENT
-                                else f"seg{segment}"
-                            )
-                            annotated.append(
-                                f"    {who}: {task.seconds:.4f}s, "
-                                f"{task.rows} rows, {task.bytes} bytes"
-                            )
-            annotated.append(
-                f"Total: {result.cost.seconds:.4f}s simulated "
-                f"(critical path {result.makespan:.4f}s + overhead "
-                f"{result.overhead_seconds:.4f}s), "
-                f"{len(result.rows)} rows, {result.cost.tuples} tuples "
-                f"processed, {result.cost.net_bytes} bytes moved"
-            )
+            self.last_plan = plan
             return QueryResult(
-                rows=[(line,) for line in annotated],
+                rows=[(line,) for line in plan.explain().splitlines()],
                 column_names=["QUERY PLAN"],
-                cost=result.cost,
+                cost=QueryCost(seconds=self.engine.cost_model.query_setup),
                 plan=plan,
             )
+        # EXPLAIN ANALYZE: actually run the statement — locks, privileges,
+        # queue slot and all — and annotate each slice from its scheduler
+        # timeline: the composed finish time on the event clock, rows
+        # moved, and the per-segment task breakdown beneath it. VERBOSE
+        # additionally forces a trace and appends per-operator rows/time
+        # and per-table bytes/cache columns from the trace's spans.
+        result = self._select(stmt.statement, txn, force_trace=stmt.verbose)
+        plan = result.plan
+        lines = plan.explain().splitlines()
+        # Select the trace by this statement's query id — "latest
+        # trace" would race with other sessions under concurrency.
+        trace = self.tracer.for_query(result.query_id)
+        if stmt.verbose and trace is not None:
+            lines = plan.explain(
+                annotate=_trace_annotator(trace)
+            ).splitlines()
+        annotated = []
+        for line in lines:
+            annotated.append(line)
+            if line.startswith("Slice "):
+                slice_id = int(line.split()[1])
+                timing = result.slices.get(slice_id)
+                if timing is not None:
+                    annotated.append(
+                        f"  (actual time={timing.finish:.4f}s, "
+                        f"rows sent={timing.rows})"
+                    )
+                    if stmt.verbose:
+                        gang = [
+                            timing.tasks[seg].seconds
+                            for seg in sorted(timing.tasks)
+                            if seg != QD_SEGMENT
+                        ]
+                        if len(gang) >= 2:
+                            # Skew attribution across the gang: how
+                            # unevenly the slice's work landed.
+                            annotated.append(
+                                f"  (skew: max={max(gang):.4f}s "
+                                f"mean={sum(gang) / len(gang):.4f}s "
+                                f"min={min(gang):.4f}s "
+                                f"across {len(gang)} tasks)"
+                            )
+                    for segment in sorted(timing.tasks):
+                        task = timing.tasks[segment]
+                        who = (
+                            "QD"
+                            if segment == QD_SEGMENT
+                            else f"seg{segment}"
+                        )
+                        annotated.append(
+                            f"    {who}: {task.seconds:.4f}s, "
+                            f"{task.rows} rows, {task.bytes} bytes"
+                        )
+        annotated.append(
+            f"Total: {result.cost.seconds:.4f}s simulated "
+            f"(critical path {result.makespan:.4f}s + overhead "
+            f"{result.overhead_seconds:.4f}s), "
+            f"{len(result.rows)} rows, {result.cost.tuples} tuples "
+            f"processed, {result.cost.net_bytes} bytes moved"
+        )
         return QueryResult(
-            rows=[(line,) for line in lines],
+            rows=[(line,) for line in annotated],
             column_names=["QUERY PLAN"],
-            cost=QueryCost(seconds=self.engine.cost_model.query_setup),
+            cost=result.cost,
             plan=plan,
         )
 
 
 @dataclass
-class PreparedSelect:
-    """One SELECT's front-half, handed to the concurrent driver.
+class _StatementBracket:
+    """What every statement but a transaction verb or SET runs inside:
+    its transaction — the session's explicit one, or an implicit one the
+    bracket commits or aborts itself — and the before-images its
+    metrics and WAL attribution are diffed against."""
 
-    Produced by :meth:`Session.prepare_select`. The statement's
-    implicit transaction is already open and its locks held; the driver
-    owns the back half — wave dispatch on the shared runtime as
-    scheduler events — and must settle the statement through exactly
-    one of :meth:`finish` (commit + per-statement metrics attribution +
-    trace finalization) or :meth:`fail` (abort).
+    session: "Session"
+    #: Original statement text (pg_stat_statements fingerprinting).
+    sql: str
+    txn: Transaction
+    implicit: bool
+    metrics_before: object
+    wal_before: int
+
+    def finish(self, result: QueryResult) -> None:
+        """Commit an implicit transaction; attribute by snapshot diff
+        everything the cluster counted while the statement ran
+        (including its WAL records and commit) to the result, and land
+        it in the workload repository."""
+        engine = self.session.engine
+        if self.implicit:
+            engine.txns.commit(self.txn)
+        engine.metrics.counter("statements").inc()
+        wal_delta = len(engine.txns.wal) - self.wal_before
+        if wal_delta:
+            engine.metrics.counter("wal_records").inc(wal_delta)
+        result.metrics = engine.metrics.snapshot().diff(self.metrics_before)
+        engine.telemetry.record_statement(self.sql, result)
+
+    def fail(self) -> None:
+        """Abort the transaction; an explicit one is over for the
+        session too."""
+        self.session.engine.txns.abort(self.txn)
+        if not self.implicit:
+            self.session._txn = None
+
+
+@dataclass
+class PreparedSelect:
+    """One SELECT's front half, ready for a statement loop.
+
+    Produced by :meth:`Session._prepare`: the locks are held, the plan
+    is cut and described, the query id and trace are allocated. The
+    loop owns the back half — wave dispatch on its runtime as scheduler
+    events — and must settle the statement through exactly one of
+    :meth:`finish` or :meth:`fail`.
     """
 
     session: "Session"
-    txn: Transaction
     plan: object
     sdp: object
     ctx: ExecutionContext
-    #: Original statement text (pg_stat_statements fingerprinting).
-    sql: str
     query_id: int
     trace: Optional[object]
     queue_name: str
@@ -1568,37 +1465,34 @@ class PreparedSelect:
     memory: float
     #: The session's ``statement_timeout`` at prepare time (0 = off).
     statement_timeout: float
-    metrics_before: object
-    wal_before: int
+    #: The statement's own bracket; None for a SELECT inside another
+    #: statement, which closes the bracket they share.
+    statement: Optional[_StatementBracket]
     settled: bool = False
 
     def finish(self, result: QueryResult) -> None:
-        """Commit the statement and attribute its metrics and trace."""
+        """Finalize the trace and close the statement's bracket."""
         if self.settled:
             return
         self.settled = True
-        engine = self.session.engine
-        engine.txns.commit(self.txn)
-        engine.metrics.counter("statements").inc()
-        wal_delta = len(engine.txns.wal) - self.wal_before
-        if wal_delta:
-            engine.metrics.counter("wal_records").inc(wal_delta)
-        result.metrics = engine.metrics.snapshot().diff(self.metrics_before)
         if self.trace is not None:
             self.trace.finalize(result)
             result.trace = self.trace
-        engine.telemetry.record_statement(self.sql, result)
         self.session.last_plan = result.plan
-        engine._cancel_requests.discard(self.query_id)
+        if self.statement is not None:
+            self.statement.finish(result)
+        # A pending cancel is consumed with the statement — a later
+        # query must never inherit it.
+        self.session.engine._cancel_requests.discard(self.query_id)
 
     def fail(self) -> None:
-        """Abort the statement's transaction (error or cancellation)."""
+        """Error or cancellation: fail the statement's bracket."""
         if self.settled:
             return
         self.settled = True
-        engine = self.session.engine
-        engine.txns.abort(self.txn)
-        engine._cancel_requests.discard(self.query_id)
+        if self.statement is not None:
+            self.statement.fail()
+        self.session.engine._cancel_requests.discard(self.query_id)
 
 
 def _trace_annotator(trace):

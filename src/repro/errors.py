@@ -74,7 +74,7 @@ class QueryCanceled(ReproError):
     ``statement_timeout`` GUC expiring on the simulated clock.
 
     Deliberately *not* a :class:`ClusterError`: cancellation is a user
-    decision, so the session's bounded-restart loop must never retry it
+    decision, so the statement loop's bounded restart must never retry it
     and chaos recovery paths must never treat it as a segment fault.
     """
 

@@ -1,57 +1,56 @@
-"""Single-pass interleaved multi-query execution on the event clock.
+"""The statement driver: every SELECT's lifecycle on the event clock.
 
-Earlier revisions modeled concurrency in two phases — execute every
-statement serially, capture its task DAG, then *replay* the captured
-graphs on a shared scheduler. This module retires that capture/replay
-split: statements are now admitted, dispatched, executed, retried,
-cancelled, and gathered **while the event clock runs**, with many
-queries in flight on one shared :class:`~repro.executor.runner.
-DistributedRuntime`.
+A statement is admitted, dispatched, executed, retried, cancelled and
+gathered **while an event clock runs** — one statement on a loop of its
+own (:func:`run_statement`, what :meth:`~repro.engine.Session.execute`
+calls), or many in flight on one shared :class:`~repro.executor.runner.
+DistributedRuntime` (:class:`ConcurrentRunner`'s closed-loop streams).
+Concurrency is only *how many* lifecycles a :class:`StatementLoop`
+carries; there is no other way to run a SELECT.
 
 The lifecycle of one statement, entirely event-driven:
 
-1. **Submit.** A closed-loop stream submits its next statement the
-   instant the previous one settles (a scheduler ``watch`` callback).
-   :meth:`~repro.engine.Session.prepare_select` runs the front half —
-   parse, analyze, lock, plan, allocate the query id and trace — and
-   the statement is offered to its
-   :class:`~repro.cluster.resqueue.ResourceQueueManager` queue.
+1. **Submit.** :meth:`~repro.engine.Session.prepare_select` (or the
+   session itself, for a lone statement) runs the front half — parse,
+   analyze, lock, plan, allocate the query id and trace — and the
+   statement is offered to its
+   :class:`~repro.cluster.resqueue.ResourceQueueManager` queue. A
+   closed-loop stream submits its next statement the instant the
+   previous one settles (a scheduler ``watch`` callback).
 2. **Admit.** When the queue has a slot (immediately, or later from
-   another query's release event), wave 0 is dispatched on the shared
+   another query's release event), wave 0 is dispatched on the loop's
    runtime: the segment workers execute the slices *at event time*,
    and their gang-mean durations become scheduler tasks occupying
    per-segment slots. Motion streams become scheduler-visible edges.
 3. **Wave barrier.** When every task of wave *w* finishes on the
-   clock, a watch callback dispatches wave *w+1* — the same barrier
-   the serial driver's per-wave ``net.run()`` imposes, so a lone
-   query's timeline composes to its serial makespan exactly.
+   clock, a watch callback dispatches wave *w+1*, so a lone query's
+   timeline composes to the makespan its task graph replays to.
 4. **Settle.** The last wave's completion gathers rows, commits the
    statement's transaction, and releases the queue slot — which may
    admit parked waiters in the same event.
 
 Failures re-enter the loop as events too: a ``SegmentDown``/
 ``HdfsError`` aborts the attempt, backs off on the simulated clock
-(doubling, exactly like the serial restart loop), revives dead worker
-endpoints, and re-begins dispatch — attempt-namespaced task keys keep
-retries from colliding with the failed attempt's history.
-Cancellation (:meth:`~repro.engine.Session.cancel`, or the
-``statement_timeout`` GUC armed as a timer at submit time) aborts the
-in-flight dispatch with a clean query-tagged ABORT broadcast,
-truncates the query's live scheduler tasks, and withdraws it from
-admission — a parked statement is cancelled without ever taking a
+(doubling), revives dead worker endpoints, and re-begins dispatch —
+attempt-namespaced task keys keep retries from colliding with the
+failed attempt's history. Cancellation (:meth:`~repro.engine.Session.
+cancel`, or the ``statement_timeout`` GUC armed as a timer at submit
+time) aborts the in-flight dispatch with a clean query-tagged ABORT
+broadcast, truncates the query's live scheduler tasks, and withdraws it
+from admission — a parked statement is cancelled without ever taking a
 slot. A cancelled statement settles as an error outcome; it never
-fails the batch.
+fails a batch, and a lone session gets it raised.
 
-Cost accounting contract (unchanged, now preserved live): a query's
-**charged** cost under concurrency is exactly its serial cost plus its
-measured queue wait (``charged_seconds == serial_seconds +
-queue_wait``, float-exact). Slot contention shows up in *latency* (and
-the batch makespan), never in the charged cost — a parked task delays
-the query, it does not make the query do more work. The exactness
-hangs on :meth:`~repro.executor.runner.QueryDispatch.
-predicted_overhead`: wave-0 tasks release at admit time plus the
-master overhead the dispatch *will* charge, so an uncontended query
-finishes at ``admit + serial_seconds`` on the shared clock.
+Cost accounting contract: a query's **charged** cost under concurrency
+is exactly its lone cost plus its measured queue wait
+(``charged_seconds == serial_seconds + queue_wait``, float-exact). Slot
+contention shows up in *latency* (and the batch makespan), never in the
+charged cost — a parked task delays the query, it does not make the
+query do more work. The exactness hangs on
+:meth:`~repro.executor.runner.QueryDispatch.predicted_overhead`: wave-0
+tasks release at admit time plus the master overhead the dispatch
+*will* charge, so an uncontended query finishes at ``admit +
+serial_seconds`` on the loop's clock.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.catalog.security import QueueLimitExceeded
 from repro.cluster.resqueue import (
     QueueStats,
     ResourceQueueManager,
@@ -87,19 +87,22 @@ _ATTEMPT_STRIDE = 4096
 
 @dataclass
 class QueryOutcome:
-    """One statement's fate on the shared timeline."""
+    """One statement's fate on its loop's timeline."""
 
-    stream: int
-    index: int
-    sql: str
+    #: Where a ConcurrentRunner stream had it (a lone statement: unset).
+    stream: int = 0
+    index: int = 0
+    sql: str = ""
     query_id: int = 0
     rows: Optional[List[tuple]] = None
+    #: ``"<ExceptionType>: <message>"`` of what failed the statement ...
     error: Optional[str] = None
+    #: ... and the exception object itself (a lone statement re-raises it).
+    exception: Optional[Exception] = None
     #: The statement's executed (slice, segment) task DAG.
     task_graph: Optional[TaskGraph] = None
-    #: The statement's serially-charged ``cost.seconds``.
+    #: The statement's ``cost.seconds``: what it is charged run alone.
     serial_seconds: float = 0.0
-    segments: List[int] = field(default_factory=list)
     queue: str = "pg_default"
     memory: float = 0.0
     #: Timeline (simulated seconds on the shared clock).
@@ -116,6 +119,11 @@ class QueryOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def segments(self) -> List[int]:
+        """Every real segment the statement's slices touched."""
+        return self.task_graph.segments() if self.task_graph is not None else []
 
     @property
     def latency(self) -> float:
@@ -177,12 +185,16 @@ def _nearest_rank(ordered: List[float], p: float) -> float:
 
 @dataclass
 class _Statement:
-    """Driver-side state of one in-flight SELECT."""
+    """Loop-side state of one in-flight SELECT."""
 
     outcome: QueryOutcome
-    session: object
     prepared: object
+    #: Called with the outcome once the statement settled, either way.
+    on_settled: Optional[Callable[[QueryOutcome], None]] = None
     dispatch: object = None
+    #: The gathered result; read by whoever kept the statement (a lone
+    #: statement's caller — a batch keeps only outcomes).
+    result: object = None
     #: 1-based attempt number (namespaces scheduler task keys).
     attempt: int = 0
     retries: int = 0
@@ -196,9 +208,443 @@ class _Statement:
     settled: bool = False
 
 
+class StatementLoop:
+    """One QD/QE process group, one event clock, one resource-queue
+    manager — and the lifecycle of every SELECT that runs on them:
+    admit → attempt → waves → gather/commit, with bounded restart,
+    cancellation and ``statement_timeout`` as scheduler events.
+
+    :func:`run_statement` drives one statement on a loop of its own;
+    :class:`ConcurrentRunner` drives closed-loop streams on a shared
+    one. While installed (``with loop:``) the loop is on the engine's
+    stack of live loops, where chaos kills, ``Session.cancel`` and the
+    system views find it; a lone statement started inside a running
+    batch nests on top of the batch's loop and pops itself off again.
+    """
+
+    def __init__(
+        self, engine, allow_failures: bool = False, detsan=None,
+        shared: bool = False,
+    ):
+        self.engine = engine
+        #: A :class:`ClusterError` settles its statement as an error
+        #: outcome instead of propagating out of the clock's ``run()``.
+        self.allow_failures = allow_failures
+        self.detsan = detsan
+        #: Many statements share this loop (a batch), so what it could
+        #: publish about sharing is worth publishing: its clock's slot
+        #: timelines are a utilization pg_stat_segments reads live, and
+        #: its manager's queue pressure goes to the ``resqueue_*``
+        #: metrics. A lone statement's clock starts at zero with it, and
+        #: alone on its manager it always admits at once.
+        self.shared = shared
+        self.runtime = runtime = engine.build_runtime()
+        self.scheduler = EventScheduler()
+        self.scheduler.detsan = detsan
+        self.manager = ResourceQueueManager(
+            specs_from_security(engine.security),
+            metrics=engine.metrics if shared else None,
+            detsan=detsan,
+        )
+        #: One bus, many traces: installed when the first traced
+        #: statement registers, it demultiplexes every control message
+        #: onto the query trace its query_id names.
+        self.router: Optional[TraceRouter] = None
+        #: query_id -> in-flight statement (pg_stat_activity reads it).
+        self.statements: Dict[int, _Statement] = {}
+        #: The statement whose lifecycle step is on the stack right now
+        #: (its slices may be on the workers, inside ``net.run()``).
+        self._executing: Optional[_Statement] = None
+        self._datagrams = engine.metrics.counter(
+            "datagrams_delivered", mode=engine.interconnect
+        )
+        self._flushed = (0, 0)
+        if detsan is not None:
+            runtime._inflight = detsan.guard_dict(
+                runtime._inflight, "DistributedRuntime._inflight"
+            )
+            runtime.exchange._inbox = detsan.guard_dict(
+                runtime.exchange._inbox, "ExchangeFabric._inbox"
+            )
+
+    def __enter__(self) -> "StatementLoop":
+        self.engine._loops.append(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.engine._loops.remove(self)
+        # The loop's process group ends here.
+        self.runtime.close()
+        self._flush_datagrams()
+
+    def _flush_datagrams(self) -> None:
+        """Publish what the net delivered and dropped since the last
+        flush: before each statement's metrics are attributed, and once
+        more when the loop ends, for what failed statements and their
+        aborts delivered."""
+        net = self.runtime.net
+        delivered, dropped = self._flushed
+        self._datagrams.inc(net.delivered - delivered)
+        if net.dropped > dropped:
+            self.engine.metrics.counter(
+                "datagrams_dropped", mode=self.engine.interconnect
+            ).inc(net.dropped - dropped)
+        self._flushed = (net.delivered, net.dropped)
+
+    def scoped(self, query_id: int, fn: Callable[[], None]) -> None:
+        """Run ``fn`` inside the statement's sanitizer scope.
+
+        Event callbacks fired by *this* statement's own tasks are scoped
+        by the scheduler already; this covers the entry points that are
+        not — submission, retry-backoff timers, and cancel requests —
+        so every guarded mutation stays attributed."""
+        if self.detsan is None:
+            fn()
+            return
+        with self.detsan.scope(query_id):
+            fn()
+
+    # ---------------------------------------------------------------- submit
+    def submit(
+        self,
+        prepared,
+        outcome: QueryOutcome,
+        on_settled: Optional[Callable[[QueryOutcome], None]] = None,
+    ) -> _Statement:
+        """Enter one prepared SELECT at the current simulated time and
+        offer it to its resource queue. It may admit — and execute its
+        first wave — or even settle before this returns."""
+        outcome.query_id = prepared.query_id
+        outcome.memory = prepared.memory
+        state = _Statement(outcome, prepared, on_settled)
+        self.statements[prepared.query_id] = state
+        if prepared.trace is not None:
+            if self.router is None:
+                self.router = TraceRouter()
+                self.runtime.bus.trace = self.router
+                self.runtime.exchange.trace = self.router
+            self.router.register(prepared.query_id, prepared.trace)
+        if prepared.statement_timeout > 0:
+            # statement_timeout spans the whole statement, queue wait
+            # included — the timer arms at submit, exactly like a
+            # client-side deadline.
+            self.scheduler.at(
+                outcome.submit + prepared.statement_timeout,
+                lambda now, s=state, t=prepared.statement_timeout:
+                    self._timeout(s, t),
+            )
+        try:
+            self.scoped(
+                prepared.query_id,
+                lambda: self.manager.submit(
+                    prepared.query_id,
+                    prepared.queue_name,
+                    prepared.memory,
+                    outcome.submit,
+                    lambda admit, s=state: self._on_admit(s, admit),
+                ),
+            )
+        except QueueLimitExceeded as exc:
+            self._fail(state, exc)
+        return state
+
+    # ----------------------------------------------------------- admit/waves
+    def _on_admit(self, state: _Statement, admit_time: float) -> None:
+        state.admitted = True
+        outcome = state.outcome
+        outcome.admit = admit_time
+        outcome.queue_wait = self.manager.waits[outcome.query_id]
+        self._start_attempt(state, admit_time)
+
+    def _start_attempt(self, state: _Statement, at_time: float) -> None:
+        """Begin one dispatch attempt at ``at_time`` (admission, or a
+        retry backoff timer)."""
+        if state.settled:
+            return
+        engine = self.engine
+        state.attempt += 1
+        if engine.run_fault_detection():
+            # Sessions randomly fail down segments over to live hosts.
+            engine.fault_detector.assign_failover()
+        self._revive_workers()
+        self._step(state, self._begin, at_time)
+
+    def _step(self, state: _Statement, step, *args) -> None:
+        """Run one step of the lifecycle, trapping cluster faults into
+        the retry/cancel/fail paths — an uncaught exception here would
+        kill every statement on the loop, not just this one.
+
+        Stateless segments make restart cheaper than recovery (paper
+        Section 2.6): a dead segment or a transiently unreadable block
+        restarts the statement. Master failover and every other
+        :class:`ClusterError` is never retried — the transaction died
+        with the master, so the *statement* fails and the client
+        restarts it against the promoted standby."""
+        if state.settled:
+            return
+        outer, self._executing = self._executing, state
+        try:
+            step(state, *args)
+        except (SegmentDown, HdfsError) as exc:
+            self._retry_or_fail(state, exc)
+        except QueryCanceled as exc:
+            self._cancel_state(state, exc)
+        except ClusterError as exc:
+            if not self.allow_failures:
+                raise
+            self._fail(state, exc)
+        finally:
+            self._executing = outer
+
+    def _after_delivery(self, state: _Statement) -> None:
+        """``state``'s own slices just ran on the workers. A cancel
+        request for it arriving from in there (a chaos or scan-progress
+        hook calling ``Session.cancel``) could not tear the dispatch
+        down under the workers' feet, so :meth:`cancel` left it pending:
+        if no worker's lane probe raised it, raise it here."""
+        query_id = state.outcome.query_id
+        if self.engine.is_cancelled(query_id):
+            raise QueryCanceled(f"query {query_id} cancelled by request")
+
+    def _begin(self, state: _Statement, at_time: float) -> None:
+        prepared = state.prepared
+        if prepared.trace is not None:
+            prepared.trace.begin_attempt()
+        state.dispatch = self.runtime.begin(
+            prepared.plan, prepared.sdp, prepared.ctx
+        )
+        self._after_delivery(state)
+        state.base = at_time + state.dispatch.predicted_overhead()
+        self._dispatch_wave(state, 0)
+
+    def _dispatch_wave(self, state: _Statement, wave_index: int) -> None:
+        """Send one wave's DISPATCHes: the workers execute at event
+        time, and their reported durations become scheduler tasks."""
+        dispatch = state.dispatch
+        scheduler = self.scheduler
+        dispatch.dispatch_wave(wave_index)
+        self.runtime.net.run()
+        self._after_delivery(state)
+        for slice_id, segment in dispatch.wave_keys(wave_index):
+            if (slice_id, segment) in dispatch.reports:
+                continue
+            # A DISPATCH addressed to a dropped channel vanished
+            # silently (UDP semantics) — notice the death at the wave
+            # boundary, exactly where gather() would.
+            if not self.runtime.bus.is_open(f"seg{segment}"):
+                raise SegmentDown(
+                    f"segment {segment} died before completing its task"
+                )
+            raise ExecutorError(
+                f"no completion report for task {(slice_id, segment)}"
+            )
+        graph = dispatch.wave_graph(wave_index)
+        qid = state.outcome.query_id
+        stride = (state.attempt - 1) * _ATTEMPT_STRIDE
+        in_wave = []
+        for (slice_id, segment), duration in graph.tasks:
+            key = (qid, stride + slice_id, segment)
+            scheduler.add_task(
+                key,
+                duration,
+                release=state.base,
+                slot=segment if segment >= 0 else None,
+            )
+            in_wave.append(key)
+        state.keys.extend(in_wave)
+        for (s1, g1), (s2, g2), delay in graph.edges:
+            scheduler.add_edge(
+                (qid, stride + s1, g1), (qid, stride + s2, g2), delay=delay
+            )
+        # The wave barrier: the next wave (or the gather) goes out when
+        # every task of this one has finished on the clock, so a lone
+        # query's timeline composes to its replayed makespan exactly.
+        if wave_index + 1 < dispatch.wave_count:
+            scheduler.watch(
+                in_wave,
+                lambda t, s=state, w=wave_index + 1: self._step(
+                    s, self._dispatch_wave, w
+                ),
+            )
+        else:
+            scheduler.watch(
+                in_wave,
+                lambda t, s=state: self._step(s, self._gather_and_commit, t),
+            )
+
+    def _gather_and_commit(
+        self, state: _Statement, finish_time: float
+    ) -> None:
+        """The last wave completed on the clock: gather and commit. A
+        gather-raised ``SegmentDown`` re-enters the retry path like any
+        other step's."""
+        outcome = state.outcome
+        result = state.dispatch.gather()
+        result.retries = state.retries
+        result.cost.seconds += state.backoff_seconds
+        result.queue_wait_seconds = outcome.queue_wait
+        result.admitted_at = outcome.admit
+        self._flush_datagrams()
+        state.prepared.finish(result)
+        state.result = result
+        outcome.rows = result.rows
+        outcome.serial_seconds = result.cost.seconds
+        outcome.task_graph = result.task_graph
+        self._settle(state, finish_time)
+        self.manager.release(outcome.query_id, finish_time)
+        if state.on_settled is not None:
+            state.on_settled(outcome)
+
+    def _settle(self, state: _Statement, finish_time: float) -> None:
+        """The outcome is recorded: let go of the statement's plan,
+        self-described plan and dispatch. Timers and watch callbacks
+        armed for it may outlive it on the scheduler — they test
+        ``settled`` and return, and must not pin its runtime state."""
+        state.settled = True
+        state.prepared = None
+        state.dispatch = None
+        outcome = state.outcome
+        outcome.finish = finish_time
+        outcome.charged_seconds = outcome.serial_seconds + outcome.queue_wait
+        if self.router is not None:
+            self.router.unregister(outcome.query_id)
+        del self.statements[outcome.query_id]
+
+    # --------------------------------------------------------- failure paths
+    def _revive_workers(self) -> None:
+        """Re-instantiate workers whose endpoints died: stateless QE
+        processes make restart cheap (paper Section 2.6) — a replacement
+        process revives the name on a fresh port."""
+        bus = self.runtime.bus
+        for name, channel in sorted(bus.channels.items()):
+            if channel.open or not name.startswith("seg"):
+                continue
+            SegmentWorker(
+                int(name[3:]), bus, self.runtime.exchange,
+                self.runtime.services,
+            )
+
+    def _abort_attempt(self, state: _Statement) -> None:
+        """Tear down the in-flight attempt: ABORT broadcast, exchange
+        cleanup, trace closure, and truncation of live scheduler tasks."""
+        dispatch = state.dispatch
+        if dispatch is not None and not dispatch.closed:
+            dispatch.abort()
+        state.dispatch = None
+        if state.prepared.trace is not None:
+            # Idempotent: abort() above already synthesized closures
+            # when a dispatch was open.
+            state.prepared.trace.attempt_aborted()
+        if state.keys and self.scheduler.running:
+            self.scheduler.cancel_tasks(state.keys)
+
+    def _retry_or_fail(self, state: _Statement, exc: Exception) -> None:
+        """Bounded query restart, as scheduler events: back off on the
+        simulated clock (doubling), re-run fault detection so the
+        session picks up fresh failover assignments, then re-begin
+        dispatch under the next attempt's key namespace. After
+        ``max_query_retries`` failed attempts the statement fails with a
+        clean :class:`QueryRetriesExhausted`."""
+        engine = self.engine
+        self._abort_attempt(state)
+        state.retries += 1
+        if state.retries > engine.max_query_retries:
+            exhausted = QueryRetriesExhausted(
+                f"query failed after {engine.max_query_retries} "
+                f"restarts: {exc}"
+            )
+            exhausted.__cause__ = exc
+            self._fail(state, exhausted)
+            return
+        delay = engine.retry_backoff * (2 ** (state.retries - 1))
+        state.backoff_seconds += delay
+        if engine.metrics is not None:
+            engine.metrics.counter("query_retries").inc()
+        self.scheduler.at(
+            self.scheduler.now + delay,
+            lambda now, s=state: self.scoped(
+                s.outcome.query_id, lambda: self._start_attempt(s, now)
+            ),
+        )
+
+    def _fail(self, state: _Statement, exc: Exception) -> None:
+        """Settle a statement as an error outcome: abort its transaction,
+        free its queue slot (draining waiters behind it), and tell its
+        owner."""
+        if state.settled:
+            return
+        outcome = state.outcome
+        outcome.error = f"{type(exc).__name__}: {exc}"
+        outcome.exception = exc
+        self._abort_attempt(state)
+        state.prepared.fail()
+        now = self.scheduler.now
+        outcome.serial_seconds = self.engine.cost_model.query_setup
+        self._settle(state, now)
+        # cancel() frees a running slot *or* withdraws a parked waiter.
+        self.manager.cancel(outcome.query_id, now)
+        if state.on_settled is not None:
+            state.on_settled(outcome)
+
+    # ----------------------------------------------------------- cancellation
+    def _cancel_state(self, state: _Statement, exc: QueryCanceled) -> None:
+        """Cancellation settles the statement as an error outcome — it
+        never fails the loop, whatever ``allow_failures`` says, exactly
+        like ``pg_cancel_backend`` errors only the cancelled backend."""
+        if state.settled:
+            return
+        if self.engine.metrics is not None:
+            self.engine.metrics.counter("queries_cancelled").inc()
+        self.scoped(
+            state.outcome.query_id, lambda: self._fail(state, exc)
+        )
+
+    def cancel(self, query_id: int) -> None:
+        """Engine cancel hook (:meth:`Session.cancel` → ``cancel_query``):
+        a queued statement is withdrawn before it ever admits; an
+        in-flight one aborts at the current event."""
+        state = self.statements.get(query_id)
+        if state is None or state is self._executing:
+            return  # another loop's, already settled — or see _after_delivery
+        self._cancel_state(
+            state, QueryCanceled(f"query {query_id} cancelled by request")
+        )
+
+    def _timeout(self, state: _Statement, timeout: float) -> None:
+        if state.settled:
+            return
+        query_id = state.outcome.query_id
+        self._cancel_state(
+            state,
+            QueryCanceled(
+                f"query {query_id} cancelled: statement_timeout of "
+                f"{timeout}s exceeded"
+            ),
+        )
+
+
+def run_statement(prepared):
+    """A lone statement is the one-statement batch: drive ``prepared``
+    on a loop of its own until it settles, then return its
+    :class:`~repro.executor.runner.QueryResult` or re-raise what failed
+    it — the original exception object."""
+    outcome = QueryOutcome(queue=prepared.queue_name)
+    try:
+        with StatementLoop(prepared.session.engine, allow_failures=True) as loop:
+            state = loop.submit(prepared, outcome)
+            loop.scheduler.run()
+    except Exception:
+        # Not a ClusterError, so no step trapped it: still unsettled.
+        prepared.fail()
+        raise
+    if outcome.exception is not None:
+        raise outcome.exception
+    return state.result
+
+
 class ConcurrentRunner:
     """Runs N closed-loop statement streams against one engine, single
-    pass, on one shared runtime and event scheduler."""
+    pass, on one shared :class:`StatementLoop`."""
 
     def __init__(
         self,
@@ -239,17 +685,18 @@ class ConcurrentRunner:
             if queue_name:
                 session.execute(f"SET resource_queue = {queue_name}")
             self.sessions.append(session)
-        # Run-scoped shared infrastructure (built in _run_batch).
-        self.runtime = None
-        self.scheduler: Optional[EventScheduler] = None
-        self.manager: Optional[ResourceQueueManager] = None
-        self.router: Optional[TraceRouter] = None
+        #: The run's loop (left readable after the run).
+        self.loop: Optional[StatementLoop] = None
         self._outcomes: List[QueryOutcome] = []
-        self._by_qid: Dict[int, _Statement] = {}
         #: Synthetic ids: admission ids for non-SELECT statements
         #: (negative, never colliding with engine query ids) and the
         #: third element of slotless synthetic task keys.
         self._ids = itertools.count(1)
+
+    @property
+    def manager(self) -> ResourceQueueManager:
+        """The run's queue manager: callers check the queues drained."""
+        return self.loop.manager
 
     # ------------------------------------------------------------------- run
     def run(self) -> BatchResult:
@@ -262,97 +709,47 @@ class ConcurrentRunner:
             self.detsan.uninstall_engine(self.engine)
 
     def _run_batch(self) -> BatchResult:
-        engine = self.engine
-        self.runtime = runtime = engine.build_runtime()
-        self.scheduler = scheduler = EventScheduler()
-        scheduler.detsan = self.detsan
-        self.manager = ResourceQueueManager(
-            specs_from_security(engine.security),
-            metrics=engine.metrics,
+        self.loop = loop = StatementLoop(
+            self.engine,
+            allow_failures=self.allow_failures,
             detsan=self.detsan,
+            shared=True,
         )
-        # One bus, many traces: the router demultiplexes every control
-        # message onto the query trace its query_id names.
-        self.router = TraceRouter()
-        runtime.bus.trace = self.router
-        runtime.exchange.trace = self.router
-        if self.detsan is not None:
-            runtime._inflight = self.detsan.guard_dict(
-                runtime._inflight, "DistributedRuntime._inflight"
-            )
-            runtime.exchange._inbox = self.detsan.guard_dict(
-                runtime.exchange._inbox, "ExchangeFabric._inbox"
-            )
         self._outcomes = []
-        self._by_qid = {}
-        previous_notify = engine._cancel_notify
-        previous_runtime = engine._active_runtime
-        engine._cancel_notify = self._on_cancel
-        engine._active_runtime = runtime
-        # Lend the live registries (in-flight statements, queue manager,
-        # scheduler timelines) to the telemetry facade for the duration
-        # of the batch: system-view scans read them mid-schedule.
-        engine.telemetry.attach_batch(self)
-        try:
-            for stream_id in range(len(self.streams)):
-                if self.streams[stream_id]:
+        with loop:
+            for stream_id, stream in enumerate(self.streams):
+                if stream:
                     self._submit(stream_id, 0)
-            schedule = scheduler.run()
-        finally:
-            engine.telemetry.detach_batch(self)
-            engine._cancel_notify = previous_notify
-            engine._active_runtime = previous_runtime
-            # The batch's shared process group ends here.
-            runtime.close()
-            engine.metrics.counter(
-                "datagrams_delivered", mode=engine.interconnect
-            ).inc(runtime.net.delivered)
-            if runtime.net.dropped:
-                engine.metrics.counter(
-                    "datagrams_dropped", mode=engine.interconnect
-                ).inc(runtime.net.dropped)
+            schedule = loop.scheduler.run()
+        slot_waits: Dict[int, float] = {}
+        for key, wait in sorted(schedule.waits.items()):
+            slot_waits[key[0]] = slot_waits.get(key[0], 0.0) + wait
         for outcome in self._outcomes:
-            outcome.slot_wait = sum(
-                wait
-                for key, wait in sorted(schedule.waits.items())
-                if key[0] == outcome.query_id
-            )
+            outcome.slot_wait = slot_waits.get(outcome.query_id, 0.0)
         return BatchResult(
             outcomes=self._outcomes,
             makespan=schedule.makespan,
-            queue_stats=self.manager.stats(),
+            queue_stats=loop.manager.stats(),
         )
-
-    def _scoped(self, query_id: int, fn: Callable[[], None]) -> None:
-        """Run ``fn`` inside the statement's sanitizer scope.
-
-        Event callbacks fired by *this* statement's own tasks are scoped
-        by the scheduler already; this covers the entry points that are
-        not — pre-run submission, retry-backoff timers, and cancel
-        requests — so every guarded mutation stays attributed."""
-        if self.detsan is None:
-            fn()
-            return
-        with self.detsan.scope(query_id):
-            fn()
 
     # ---------------------------------------------------------------- submit
     def _submit(self, stream_id: int, index: int) -> None:
-        """Submit one statement: prepare it and offer it to its queue.
+        """Submit one statement: prepare it and hand it to the loop.
 
         Runs at event time — from a stream's previous completion event,
         or pre-run for stream heads (submit time 0).
         """
         engine = self.engine
+        loop = self.loop
         session = self.sessions[stream_id]
         sql = self.streams[stream_id][index]
         outcome = QueryOutcome(
             stream=stream_id,
             index=index,
             sql=sql,
-            queue=self._queue_name(stream_id),
+            queue=session._resource_queue().name,
+            submit=loop.scheduler.now,
         )
-        outcome.submit = self.scheduler.now
         outcome.memory = min(
             engine.work_mem,
             engine.security.queues[outcome.queue].memory_limit,
@@ -366,81 +763,49 @@ class ConcurrentRunner:
             if not self.allow_failures:
                 raise
             # The statement died before dispatch (planning against a
-            # dead master, chaos mid-parse): it bypasses admission and
-            # burns only its setup penalty on the timeline.
-            outcome.error = f"{type(exc).__name__}: {exc}"
-            outcome.query_id = self._last_query_id(session)
-            outcome.serial_seconds = engine.cost_model.query_setup
-            self._scoped(
-                outcome.query_id,
-                lambda: self._occupy(
-                    outcome.query_id, outcome.serial_seconds,
-                    lambda t, o=outcome: self._settle(o, t),
-                ),
-            )
+            # dead master, chaos mid-parse).
+            self._died_undispatched(outcome, session, exc)
+            self._burn_setup(outcome.query_id, outcome)
             return
         if prepared is None:
             self._submit_other(session, outcome)
             return
-        outcome.query_id = prepared.query_id
-        outcome.memory = prepared.memory
-        state = _Statement(outcome=outcome, session=session, prepared=prepared)
-        self._by_qid[prepared.query_id] = state
-        if prepared.trace is not None:
-            self.router.register(prepared.query_id, prepared.trace)
-        if prepared.statement_timeout > 0:
-            # statement_timeout spans the whole statement, queue wait
-            # included — the timer arms at submit, exactly like a
-            # client-side deadline.
-            self.scheduler.at(
-                outcome.submit + prepared.statement_timeout,
-                lambda now, s=state, t=prepared.statement_timeout:
-                    self._timeout(s, t),
-            )
+        state = loop.submit(prepared, outcome, self._next_in_stream)
         deadline = self.cancel_at.get((stream_id, index))
         if deadline is not None:
-            self.scheduler.at(
+            loop.scheduler.at(
                 deadline,
                 lambda now, qid=prepared.query_id: engine.cancel_query(qid),
             )
-        self._scoped(
-            prepared.query_id,
-            lambda: self.manager.submit(
-                prepared.query_id,
-                prepared.queue_name,
-                prepared.memory,
-                outcome.submit,
-                lambda admit, s=state: self._on_admit(s, admit),
-            ),
-        )
-        if not state.admitted and self.admission_probe is not None:
+        if (
+            not state.admitted
+            and not state.settled
+            and self.admission_probe is not None
+        ):
             self.admission_probe(stream_id, index)
 
     def _submit_other(self, session, outcome: QueryOutcome) -> None:
         """Non-SELECT statement: admission-gated, executed synchronously
-        through the serial path at its admission event, then occupying
-        its serial seconds of master time, uncontended."""
-        engine = self.engine
+        through :meth:`Session.execute` at its admission event (a SELECT
+        inside it nests a loop of its own), then occupying its serial
+        seconds of master time, uncontended."""
+        manager = self.loop.manager
         admission_id = -next(self._ids)
 
         def on_admit(admit_time: float) -> None:
             outcome.admit = admit_time
-            outcome.queue_wait = self.manager.waits[admission_id]
+            outcome.queue_wait = manager.waits[admission_id]
             try:
                 result = session.execute(outcome.sql)
             except ClusterError as exc:
                 if not self.allow_failures:
                     raise
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                outcome.query_id = self._last_query_id(session)
-                outcome.serial_seconds = engine.cost_model.query_setup
+                self._died_undispatched(outcome, session, exc)
             else:
                 outcome.query_id = result.query_id
                 outcome.rows = result.rows
                 outcome.serial_seconds = result.cost.seconds
                 outcome.task_graph = result.task_graph
-                if result.task_graph is not None:
-                    outcome.segments = result.task_graph.segments()
             self._occupy(
                 admission_id, outcome.serial_seconds,
                 lambda t, o=outcome, a=admission_id: self._settle(
@@ -448,30 +813,60 @@ class ConcurrentRunner:
                 ),
             )
 
-        self._scoped(
-            admission_id,
-            lambda: self.manager.submit(
+        try:
+            self.loop.scoped(
                 admission_id,
-                outcome.queue,
-                outcome.memory,
-                outcome.submit,
-                on_admit,
-            ),
-        )
+                lambda: manager.submit(
+                    admission_id,
+                    outcome.queue,
+                    outcome.memory,
+                    outcome.submit,
+                    on_admit,
+                ),
+            )
+        except QueueLimitExceeded as exc:
+            self._died_undispatched(outcome, session, exc)
+            self._burn_setup(admission_id, outcome)
+            return
         if (
-            admission_id not in self.manager.waits
+            admission_id not in manager.waits
             and self.admission_probe is not None
         ):
             self.admission_probe(outcome.stream, outcome.index)
+
+    def _died_undispatched(
+        self, outcome: QueryOutcome, session, exc: Exception
+    ) -> None:
+        """Record the error of a statement that never opened a dispatch
+        of its own; it still costs its setup on the timeline."""
+        outcome.error = f"{type(exc).__name__}: {exc}"
+        outcome.exception = exc
+        # Best-effort id (its trace still exists when tracing is on;
+        # untraced failures keep id 0).
+        if session.tracer.queries:
+            outcome.query_id = session.tracer.queries[-1].query_id
+        outcome.serial_seconds = self.engine.cost_model.query_setup
+
+    def _burn_setup(self, prefix: int, outcome: QueryOutcome) -> None:
+        """A statement that never got as far as admission bypasses it
+        and burns only its setup penalty on the timeline."""
+        self.loop.scoped(
+            prefix,
+            lambda: self._occupy(
+                prefix, outcome.serial_seconds,
+                lambda t: self._settle(outcome, t),
+            ),
+        )
 
     def _occupy(
         self, prefix: int, seconds: float, done: Callable[[float], None]
     ) -> None:
         """A slotless synthetic task: master-only statements and failed
         preparations still take their serial seconds on the timeline."""
+        scheduler = self.loop.scheduler
         key = (prefix, -1, next(self._ids))
-        self.scheduler.add_task(key, seconds, release=self.scheduler.now)
-        self.scheduler.watch([key], done)
+        scheduler.add_task(key, seconds, release=scheduler.now)
+        scheduler.watch([key], done)
 
     def _settle(
         self, outcome: QueryOutcome, finish_time: float,
@@ -481,291 +876,11 @@ class ConcurrentRunner:
         outcome.finish = finish_time
         outcome.charged_seconds = outcome.serial_seconds + outcome.queue_wait
         if release is not None:
-            self.manager.release(release, finish_time)
+            self.loop.manager.release(release, finish_time)
         self._next_in_stream(outcome)
 
     def _next_in_stream(self, outcome: QueryOutcome) -> None:
+        """Closed loop: a stream submits its next statement the instant
+        the previous one settles."""
         if outcome.index + 1 < len(self.streams[outcome.stream]):
             self._submit(outcome.stream, outcome.index + 1)
-
-    def _queue_name(self, stream_id: int) -> str:
-        session = self.sessions[stream_id]
-        return session._resource_queue().name
-
-    def _last_query_id(self, session) -> int:
-        """Best-effort id of a failed statement (its trace still exists
-        when tracing is on; untraced failures keep id 0)."""
-        if session.tracer.queries:
-            return session.tracer.queries[-1].query_id
-        return 0
-
-    # ----------------------------------------------------------- admit/waves
-    def _on_admit(self, state: _Statement, admit_time: float) -> None:
-        state.admitted = True
-        outcome = state.outcome
-        outcome.admit = admit_time
-        outcome.queue_wait = self.manager.waits[outcome.query_id]
-        self._start_attempt(state, admit_time)
-
-    def _start_attempt(self, state: _Statement, at_time: float) -> None:
-        """Begin one dispatch attempt at ``at_time`` (admission, or a
-        retry backoff timer)."""
-        if state.settled:
-            return
-        engine = self.engine
-        state.attempt += 1
-        if engine.run_fault_detection():
-            # Sessions randomly fail down segments over to live hosts.
-            engine.fault_detector.assign_failover()
-        self._revive_workers()
-        prepared = state.prepared
-        if prepared.trace is not None:
-            prepared.trace.begin_attempt()
-        try:
-            state.dispatch = self.runtime.begin(
-                prepared.plan, prepared.sdp, prepared.ctx
-            )
-        except (SegmentDown, HdfsError) as exc:
-            self._retry_or_fail(state, exc)
-            return
-        except QueryCanceled as exc:
-            self._cancel_state(state, exc)
-            return
-        except ClusterError as exc:
-            if not self.allow_failures:
-                raise
-            self._fail(state, exc)
-            return
-        state.base = at_time + state.dispatch.predicted_overhead()
-        self._wave_event(state, 0)
-
-    def _wave_event(self, state: _Statement, wave_index: int) -> None:
-        """Dispatch one wave as a scheduler event, trapping cluster
-        faults into the retry/cancel/fail paths — an uncaught exception
-        here would kill the whole batch, not just this query."""
-        if state.settled:
-            return
-        try:
-            self._dispatch_wave(state, wave_index)
-        except (SegmentDown, HdfsError) as exc:
-            self._retry_or_fail(state, exc)
-        except QueryCanceled as exc:
-            self._cancel_state(state, exc)
-        except ClusterError as exc:
-            if not self.allow_failures:
-                raise
-            self._fail(state, exc)
-
-    def _dispatch_wave(self, state: _Statement, wave_index: int) -> None:
-        """Send one wave's DISPATCHes: the workers execute at event
-        time, and their reported durations become scheduler tasks."""
-        dispatch = state.dispatch
-        scheduler = self.scheduler
-        dispatch.dispatch_wave(wave_index)
-        self.runtime.net.run()
-        for slice_id, segment in dispatch.wave_keys(wave_index):
-            if (slice_id, segment) in dispatch.reports:
-                continue
-            # A DISPATCH addressed to a dropped channel vanished
-            # silently (UDP semantics) — notice the death at the wave
-            # boundary, exactly where gather() would.
-            if not self.runtime.bus.is_open(f"seg{segment}"):
-                raise SegmentDown(
-                    f"segment {segment} died before completing its task"
-                )
-            raise ExecutorError(
-                f"no completion report for task {(slice_id, segment)}"
-            )
-        graph = dispatch.task_graph(dispatch.waves[: wave_index + 1])
-        durations = dict(graph.tasks)
-        qid = state.outcome.query_id
-        stride = (state.attempt - 1) * _ATTEMPT_STRIDE
-        in_wave = []
-        for slice_id, segment in dispatch.wave_keys(wave_index):
-            key = (qid, stride + slice_id, segment)
-            scheduler.add_task(
-                key,
-                durations[(slice_id, segment)],
-                release=state.base,
-                slot=segment if segment >= 0 else None,
-            )
-            in_wave.append(key)
-            state.keys.append(key)
-        wave_set = set(in_wave)
-        for (s1, g1), (s2, g2), delay in graph.edges:
-            dst = (qid, stride + s2, g2)
-            if dst not in wave_set:
-                continue  # earlier waves' edges were applied already
-            scheduler.add_edge((qid, stride + s1, g1), dst, delay=delay)
-        if wave_index + 1 < dispatch.wave_count:
-            scheduler.watch(
-                in_wave,
-                lambda t, s=state, w=wave_index + 1: self._wave_event(s, w),
-            )
-        else:
-            scheduler.watch(
-                in_wave, lambda t, s=state: self._finish_query(s, t)
-            )
-
-    def _finish_query(self, state: _Statement, finish_time: float) -> None:
-        """The last wave completed on the clock: gather and commit,
-        trapping faults like :meth:`_wave_event` does — a gather-raised
-        ``SegmentDown`` re-enters the retry loop, exactly as the serial
-        restart loop treats it."""
-        if state.settled:
-            return
-        try:
-            self._gather_and_commit(state, finish_time)
-        except (SegmentDown, HdfsError) as exc:
-            self._retry_or_fail(state, exc)
-        except QueryCanceled as exc:
-            self._cancel_state(state, exc)
-        except ClusterError as exc:
-            if not self.allow_failures:
-                raise
-            self._fail(state, exc)
-
-    def _gather_and_commit(
-        self, state: _Statement, finish_time: float
-    ) -> None:
-        outcome = state.outcome
-        result = state.dispatch.gather()
-        result.retries = state.retries
-        result.cost.seconds += state.backoff_seconds
-        result.queue_wait_seconds = outcome.queue_wait
-        result.admitted_at = outcome.admit
-        state.prepared.finish(result)
-        self._mark_settled(state)
-        outcome.rows = result.rows
-        outcome.serial_seconds = result.cost.seconds
-        outcome.task_graph = result.task_graph
-        if result.task_graph is not None:
-            outcome.segments = result.task_graph.segments()
-        outcome.finish = finish_time
-        outcome.charged_seconds = outcome.serial_seconds + outcome.queue_wait
-        self.router.unregister(outcome.query_id)
-        self._by_qid.pop(outcome.query_id, None)
-        self.manager.release(outcome.query_id, finish_time)
-        self._next_in_stream(outcome)
-
-    @staticmethod
-    def _mark_settled(state: _Statement) -> None:
-        """The outcome is recorded: let go of the statement's plan,
-        self-described plan and dispatch. Timers and watch callbacks
-        armed for it may outlive it on the scheduler — they test
-        ``settled`` and return, and must not pin its runtime state."""
-        state.settled = True
-        state.prepared = None
-        state.dispatch = None
-
-    # --------------------------------------------------------- failure paths
-    def _revive_workers(self) -> None:
-        """Re-instantiate workers whose endpoints died: stateless QE
-        processes make restart cheap (paper Section 2.6) — a replacement
-        process revives the name on a fresh port."""
-        bus = self.runtime.bus
-        for name, channel in sorted(bus.channels.items()):
-            if channel.open or not name.startswith("seg"):
-                continue
-            SegmentWorker(
-                int(name[3:]), bus, self.runtime.exchange,
-                self.runtime.services,
-            )
-
-    def _abort_attempt(self, state: _Statement) -> None:
-        """Tear down the in-flight attempt: ABORT broadcast, exchange
-        cleanup, trace closure, and truncation of live scheduler tasks."""
-        dispatch = state.dispatch
-        if dispatch is not None and not dispatch.closed:
-            dispatch.abort()
-        state.dispatch = None
-        if state.prepared.trace is not None:
-            # Idempotent: abort() above already synthesized closures
-            # when a dispatch was open.
-            state.prepared.trace.attempt_aborted()
-        if state.keys and self.scheduler.running:
-            self.scheduler.cancel_tasks(state.keys)
-
-    def _retry_or_fail(self, state: _Statement, exc: Exception) -> None:
-        """Bounded query restart, as scheduler events: back off on the
-        simulated clock (doubling), then re-begin dispatch on the shared
-        runtime under the next attempt's key namespace."""
-        engine = self.engine
-        self._abort_attempt(state)
-        state.retries += 1
-        if state.retries > engine.max_query_retries:
-            self._fail(
-                state,
-                QueryRetriesExhausted(
-                    f"query failed after {engine.max_query_retries} "
-                    f"restarts: {exc}"
-                ),
-            )
-            return
-        delay = engine.retry_backoff * (2 ** (state.retries - 1))
-        state.backoff_seconds += delay
-        if engine.metrics is not None:
-            engine.metrics.counter("query_retries").inc()
-        self.scheduler.at(
-            self.scheduler.now + delay,
-            lambda now, s=state: self._scoped(
-                s.outcome.query_id, lambda: self._start_attempt(s, now)
-            ),
-        )
-
-    def _fail(self, state: _Statement, exc: Exception) -> None:
-        """Settle a statement as an error outcome: abort its transaction,
-        free its queue slot (draining waiters behind it), and keep its
-        stream's loop closed."""
-        if state.settled:
-            return
-        outcome = state.outcome
-        outcome.error = f"{type(exc).__name__}: {exc}"
-        self._abort_attempt(state)
-        state.prepared.fail()
-        self._mark_settled(state)
-        now = self.scheduler.now
-        outcome.serial_seconds = self.engine.cost_model.query_setup
-        outcome.finish = now
-        outcome.charged_seconds = outcome.serial_seconds + outcome.queue_wait
-        self.router.unregister(outcome.query_id)
-        self._by_qid.pop(outcome.query_id, None)
-        # cancel() frees a running slot *or* withdraws a parked waiter.
-        self.manager.cancel(outcome.query_id, now)
-        self._next_in_stream(outcome)
-
-    # ----------------------------------------------------------- cancellation
-    def _cancel_state(self, state: _Statement, exc: QueryCanceled) -> None:
-        """Cancellation settles the statement as an error outcome — it
-        never fails the batch, whatever ``allow_failures`` says, exactly
-        like ``pg_cancel_backend`` errors only the cancelled backend."""
-        if state.settled:
-            return
-        if self.engine.metrics is not None:
-            self.engine.metrics.counter("queries_cancelled").inc()
-        self._scoped(
-            state.outcome.query_id, lambda: self._fail(state, exc)
-        )
-
-    def _on_cancel(self, query_id: int) -> None:
-        """Engine cancel hook (:meth:`Session.cancel` → ``cancel_query``):
-        a queued statement is withdrawn before it ever admits; an
-        in-flight one aborts at the current event."""
-        state = self._by_qid.get(query_id)
-        if state is None:
-            return  # not ours (serial query), or already settled
-        self._cancel_state(
-            state, QueryCanceled(f"query {query_id} cancelled by request")
-        )
-
-    def _timeout(self, state: _Statement, timeout: float) -> None:
-        if state.settled:
-            return
-        query_id = state.outcome.query_id
-        self._cancel_state(
-            state,
-            QueryCanceled(
-                f"query {query_id} cancelled: statement_timeout of "
-                f"{timeout}s exceeded"
-            ),
-        )

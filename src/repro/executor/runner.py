@@ -131,12 +131,12 @@ class QueryResult:
     #: undispatched statements.
     task_graph: Optional[TaskGraph] = None
     #: Simulated seconds this statement waited for resource-queue
-    #: admission (0.0 when the slot was free at submit, and for the
-    #: serial path where every queue is idle).
+    #: admission (0.0 when the slot was free at submit — always, for a
+    #: lone statement: it is the only one on its queue manager).
     queue_wait_seconds: float = 0.0
     #: Absolute simulated time the resource queue admitted the
-    #: statement (equals submit time + queue_wait_seconds; 0.0 on the
-    #: serial path).
+    #: statement (submit time + queue_wait_seconds; a lone statement
+    #: submits at 0.0 on its own clock).
     admitted_at: float = 0.0
 
 
@@ -145,11 +145,11 @@ class QueryDispatch:
 
     Holds the wave list, the master cost accumulator, and the
     ACK/COMPLETE routing tables for a single in-flight
-    :class:`~repro.planner.physical.PhysicalPlan`. The serial driver
-    (:meth:`DistributedRuntime.execute`) walks the waves synchronously;
-    the concurrent driver dispatches each wave from a scheduler event,
-    with many dispatches in flight on the same runtime — replies route
-    back here by the message's ``query_id``.
+    :class:`~repro.planner.physical.PhysicalPlan`. The statement loop
+    (:mod:`repro.executor.concurrent`) dispatches each wave from a
+    scheduler event, with many dispatches in flight on the same runtime
+    — replies route back here by the message's ``query_id``; init plans
+    walk their waves synchronously (:meth:`DistributedRuntime.execute`).
     """
 
     def __init__(
@@ -173,6 +173,26 @@ class QueryDispatch:
         self.reports: Dict[TaskKey, TaskReport] = {}
         self.acks: Dict[TaskKey, str] = {}
         self.closed = False
+        self._wave_of = {wave[0].slice_id: wave for wave in self.waves}
+        #: wave index -> its share of the task DAG, once composed: a
+        #: settled wave's reports (and its senders' motion) never change.
+        self._composed: Dict[int, tuple] = {}
+        # A worker executes one task at a time: tasks landing on the same
+        # segment serialize in dispatch (wave) order. This is what keeps
+        # sibling join branches — which all run on the same gang of
+        # segments — from overlapping for free: the cores are shared.
+        # Cross-*segment* overlap (direct dispatch, the QD's own slices
+        # against QE work) still parallelizes on the event clock. The
+        # edges stay explicit in the graph (not implied by slots) so a
+        # lone query's live timeline composes to its replayed makespan.
+        self._runs_after: Dict[TaskKey, TaskKey] = {}
+        last_on_segment: Dict[int, TaskKey] = {}
+        for wave in self.waves:
+            for task in wave:
+                key = (task.slice_id, task.segment)
+                if task.segment in last_on_segment:
+                    self._runs_after[key] = last_on_segment[task.segment]
+                last_on_segment[task.segment] = key
         # Nested executions share a query id (a query's init plans are
         # plans of the same statement); shadow the outer entry and
         # restore it at close.
@@ -195,7 +215,7 @@ class QueryDispatch:
         replaying the exact ``fixed()`` sequence on a scratch
         accumulator — same ops, same order — reproduces the eventual
         ``master_acc.seconds`` float-exactly *before* any wave goes
-        out. The concurrent driver releases wave-0 tasks at admit time
+        out. The statement loop releases wave-0 tasks at admit time
         plus this value, which keeps ``charged_seconds =
         serial_seconds + queue_wait`` exact under interleaving.
         """
@@ -253,8 +273,8 @@ class QueryDispatch:
         failure inside the drain is swallowed, the query is dead either
         way), broadcasts a query-tagged ABORT to the surviving workers,
         synthesizes trace closures for tasks that will never report,
-        and drops the query's exchange streams. The caller (session
-        restart loop or concurrent driver) owns the original exception.
+        and drops the query's exchange streams. The caller (the
+        statement loop) owns the original exception.
         """
         self._drain()
         self.runtime._broadcast_abort(query_id=self.ctx.query_id)
@@ -287,95 +307,84 @@ class QueryDispatch:
             else:
                 del self.runtime._inflight[self.ctx.query_id]
 
-    def task_graph(self, waves: List[List[SliceTask]]) -> TaskGraph:
-        """Compose the (possibly partial) task DAG of ``waves`` from
-        their COMPLETE reports.
-
-        Shared by :meth:`gather` (all waves) and the statement-timeout
-        check (the prefix of waves dispatched so far — motions into
-        not-yet-dispatched consumers are simply absent).
-        """
-        plan = self.plan
+    def _stage_delays(self) -> Dict[int, float]:
+        """Per sending slice, the disk round trip its motion output pays
+        when pipelining is ablated: staged to disk and read back by the
+        consumer, per segment. Empty when slices pipeline."""
         ctx = self.ctx
+        if ctx.pipelined:
+            return {}
         model = ctx.cost_model
-        graph = TaskGraph(tasks=[], edges=[])
-        for wave in waves:
+        sent: Dict[int, int] = {}
+        for record in self.runtime.exchange.records:
+            if record.query_id != ctx.query_id:
+                continue  # another in-flight query's motion
+            sent[record.slice_id] = sent.get(record.slice_id, 0) + record.nbytes
+        delays: Dict[int, float] = {}
+        for wave in self.waves:
             slice_id = wave[0].slice_id
-            seconds = [
-                self.reports[(slice_id, task.segment)].seconds for task in wave
+            per_segment = sent.get(slice_id, 0) / max(len(wave), 1)
+            delays[slice_id] = 2 * per_segment * model.scale / model.disk_seq_bw
+        return delays
+
+    def _wave_parts(self, index: int, stage_delay: Dict[int, float]):
+        """Wave ``index``'s share of the task DAG, from its COMPLETE
+        reports: its tasks at the gang-mean duration, the motion edges
+        into them, and the same-segment edges into them.
+
+        Motion edges: every sender task feeds every consumer task (the
+        consumer's MotionRecv drains the whole gang's streams, so the
+        barrier is complete-bipartite), charged one interconnect latency
+        plus the sender's staging delay."""
+        wave = self.waves[index]
+        plan_slice = self.plan.slices[index]  # one wave per slice, in order
+        slice_id = plan_slice.slice_id
+        reports = self.reports
+        seconds = [reports[(slice_id, task.segment)].seconds for task in wave]
+        mean = sum(seconds) / len(seconds)
+        tasks = [((slice_id, task.segment), mean) for task in wave]
+        latency = self.ctx.cost_model.net_latency
+        motion = [
+            ((child_id, child_task.segment), key, delay)
+            for child_id, delay in [
+                (child_id, latency + stage_delay.get(child_id, 0.0))
+                for child_id in plan_slice.child_slices
             ]
-            mean = sum(seconds) / len(seconds)
-            for task in wave:
-                graph.tasks.append(((slice_id, task.segment), mean))
+            for child_task in self._wave_of[child_id]
+            for key, _mean in tasks
+        ]
+        runs_after = self._runs_after
+        after = [
+            (runs_after[key], key, 0.0) for key, _mean in tasks if key in runs_after
+        ]
+        return tasks, motion, after
 
-        # Motion edges: every sender task feeds every consumer task (the
-        # consumer's MotionRecv drains the whole gang's streams, so the
-        # barrier is complete-bipartite), charged one interconnect
-        # latency. When pipelining is ablated, the motion's output is
-        # staged to disk and read back by the consumer: the edge also
-        # carries the per-segment write+read time.
-        stage_delay: Dict[int, float] = {}
-        if not ctx.pipelined:
-            sent: Dict[int, int] = {}
-            for record in self.runtime.exchange.records:
-                if record.query_id != ctx.query_id:
-                    continue  # another in-flight query's motion
-                sent[record.slice_id] = sent.get(record.slice_id, 0) + record.nbytes
-            for wave in waves:
-                slice_id = wave[0].slice_id
-                per_segment = sent.get(slice_id, 0) / max(len(wave), 1)
-                stage_delay[slice_id] = (
-                    2 * per_segment * model.scale / model.disk_seq_bw
-                )
-        tasks_of: Dict[int, List[SliceTask]] = {
-            wave[0].slice_id: wave for wave in waves
-        }
-        for plan_slice in plan.slices:
-            if plan_slice.slice_id not in tasks_of:
-                continue  # beyond the dispatched prefix
-            parent = tasks_of[plan_slice.slice_id]
-            for child_id in plan_slice.child_slices:
-                if child_id not in tasks_of:
-                    continue
-                delay = model.net_latency + stage_delay.get(child_id, 0.0)
-                for child_task in tasks_of[child_id]:
-                    for parent_task in parent:
-                        graph.edges.append(
-                            (
-                                (child_id, child_task.segment),
-                                (plan_slice.slice_id, parent_task.segment),
-                                delay,
-                            )
-                        )
-        # A worker executes one task at a time: tasks landing on the same
-        # segment serialize in dispatch (wave) order. This is what keeps
-        # sibling join branches — which all run on the same gang of
-        # segments — from overlapping for free: the cores are shared.
-        # Cross-*segment* overlap (direct dispatch, the QD's own slices
-        # against QE work) still parallelizes on the event clock. The
-        # edges stay explicit in the graph (not implied by slots) so a
-        # lone query composes to its serial makespan exactly.
-        last_on_segment: Dict[int, TaskKey] = {}
-        for wave in waves:
-            for task in wave:
-                key = (task.slice_id, task.segment)
-                prev = last_on_segment.get(task.segment)
-                if prev is not None:
-                    graph.edges.append((prev, key, 0.0))
-                last_on_segment[task.segment] = key
-        return graph
-
-    def elapsed_seconds(self, through_wave: int) -> float:
-        """Deterministic elapsed time after ``through_wave`` completed:
-        the partial DAG's makespan plus the master charges so far.
-        This is what the statement-timeout check compares against —
-        wave boundaries are the serial driver's cancellation points."""
-        partial = self.task_graph(self.waves[: through_wave + 1])
-        return (
-            partial.replay().makespan
-            + self.master_acc.seconds
-            + self.init_seconds
+    def wave_graph(self, index: int) -> TaskGraph:
+        """Wave ``index``'s tasks and the edges *into* them: what the
+        statement loop adds to the live scheduler when the wave settles.
+        The same floats, in the same order, as this wave's entries of
+        :meth:`task_graph`."""
+        parts = self._composed[index] = self._wave_parts(
+            index, self._stage_delays()
         )
+        tasks, motion, after = parts
+        return TaskGraph(tasks=tasks, edges=motion + after)
+
+    def task_graph(self) -> TaskGraph:
+        """Compose the whole task DAG: every task, then every motion
+        edge, then every same-segment edge, each in wave order."""
+        stage_delay = self._stage_delays()
+        graph = TaskGraph(tasks=[], edges=[])
+        same_segment = []
+        for index in range(len(self.waves)):
+            tasks, motion, after = self._composed.get(
+                index
+            ) or self._wave_parts(index, stage_delay)
+            graph.tasks.extend(tasks)
+            graph.edges.extend(motion)
+            same_segment.extend(after)
+        graph.edges.extend(same_segment)
+        return graph
 
     # ----------------------------------------------------------------- gather
     def gather(self) -> QueryResult:
@@ -412,7 +421,7 @@ class QueryDispatch:
         # replay it: the graph is also attached to the result so the
         # concurrent runtime can re-compose this query against others
         # on shared per-segment slots.
-        graph = self.task_graph(waves)
+        graph = self.task_graph()
         schedule = graph.replay()
 
         slices: Dict[int, SliceTiming] = {}
@@ -543,18 +552,10 @@ class DistributedRuntime:
         return QueryDispatch(self, plan, sdp, ctx, init_seconds=init_seconds)
 
     def execute(
-        self,
-        plan: PhysicalPlan,
-        sdp: SelfDescribedPlan,
-        ctx: ExecutionContext,
-        check=None,
+        self, plan: PhysicalPlan, sdp: SelfDescribedPlan, ctx: ExecutionContext
     ) -> QueryResult:
-        """Dispatch a sliced physical plan synchronously and gather.
-
-        ``check(dispatch, wave_index)`` — when given — runs after each
-        wave settles; it may raise (cancellation, statement timeout) to
-        abort the dispatch at that boundary.
-        """
+        """Dispatch a sliced physical plan synchronously and gather —
+        how :meth:`begin` resolves a statement's init plans."""
         dispatch = self.begin(plan, sdp, ctx)
         try:
             for index in range(dispatch.wave_count):
@@ -563,23 +564,21 @@ class DistributedRuntime:
                 # task synchronously, and their motion streams + control
                 # replies settle before the next (consumer) wave goes out.
                 self.net.run()
-                if check is not None:
-                    check(dispatch, index)
         except Exception:
             # Best-effort abort to the surviving workers, then let the
-            # session's restart loop see the original failure. The trace
+            # statement loop see the original failure. The trace
             # synthesizes closures for tasks that will never report.
             dispatch.abort()
             raise
         return dispatch.gather()
 
     def close(self) -> None:
-        """End this QD/QE process group: the serial driver closes its
-        per-attempt runtime when the attempt ends, the concurrent driver
-        its shared one when the batch ends. Net, bus, exchange, workers
-        and this runtime reference each other through the handlers they
-        registered; unbinding them frees the group by refcount. A closed
-        runtime delivers nothing — results already gathered stay valid."""
+        """End this QD/QE process group: its statement loop closes it
+        when its lone statement, or its batch, ends. Net, bus, exchange,
+        workers and this runtime reference each other through the
+        handlers they registered; unbinding them frees the group by
+        refcount. A closed runtime delivers nothing — results already
+        gathered stay valid."""
         self.bus.close()
         self.exchange.close()
 

@@ -2,10 +2,10 @@
 
 :class:`ClusterTelemetry` is the passive facade behind the SQL system
 views (:mod:`repro.obs.sysviews`). The runtime *publishes* into it —
-the concurrent driver attaches itself for the duration of a batch, the
-serial dispatcher registers each statement around its restart loop, and
-every settled statement lands in the :class:`StatementStats` workload
-repository — and the views *read* from it. Nothing here charges the
+every statement runs on a :class:`~repro.executor.concurrent.
+StatementLoop` that sits on the engine's stack of live loops while it
+runs, and every settled statement lands in the :class:`StatementStats`
+workload repository — and the views *read* from it. Nothing here charges the
 simulated clock or mutates any engine structure the executor reads
 (lint R6 obs-passivity holds for this whole package), so interleaving
 system-view queries with a workload leaves every row and every charged
@@ -19,7 +19,7 @@ never share telemetry (and the R7 isolation lint has nothing to flag).
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: The master's own loopback worker (gang "1" slices) — excluded from
 #: per-segment utilization, matching EXPLAIN's QD/segN distinction.
@@ -96,8 +96,14 @@ class StatementStats:
         entry.retry_total += getattr(result, "retries", 0)
         metrics = getattr(result, "metrics", None)
         if metrics is not None:
-            entry.cache_hits += int(metrics.total("cache_hits"))
-            entry.cache_misses += int(metrics.total("cache_misses"))
+            # One pass over the statement's delta for the two per-segment
+            # counters (``cache_hits{node=segN}``), not a parse of every
+            # series per counter as ``MetricsSnapshot.total`` would do.
+            for key, value in metrics.items():
+                if key.startswith("cache_hits{"):
+                    entry.cache_hits += int(value)
+                elif key.startswith("cache_misses{"):
+                    entry.cache_misses += int(value)
 
     def statement_rows(self) -> List[tuple]:
         out: List[tuple] = []
@@ -123,16 +129,15 @@ class StatementStats:
 class ClusterTelemetry:
     """Engine-scoped publication point for live and historical state.
 
-    Three producers feed it:
+    Two producers feed it:
 
-    * :meth:`attach_batch` / :meth:`detach_batch` — the concurrent
-      driver lends its live registries (in-flight statements, resource
-      queue manager, event scheduler) for the duration of one batch.
-    * :meth:`serial_begin` / :meth:`serial_attempt` / :meth:`serial_end`
-      — the serial dispatcher brackets each statement's restart loop.
-    * :meth:`record_statement` — every settled statement (serial or
-      concurrent) lands in the workload repository and the cumulative
-      per-segment timeline aggregates.
+    * the engine's stack of live statement loops (``loops``, innermost
+      last — a batch, a lone statement, or a lone statement nested in a
+      batch): each lends its in-flight statements, resource queue
+      manager and event scheduler for as long as it runs.
+    * :meth:`record_statement` — every settled statement lands in the
+      workload repository and the cumulative per-segment timeline
+      aggregates.
 
     Every reader (:func:`repro.obs.sysviews.system_view_rows`) only
     inspects; the facade never calls back into the runtime.
@@ -141,17 +146,12 @@ class ClusterTelemetry:
     def __init__(
         self,
         segments: List,
-        security=None,
+        loops: Sequence = (),
         is_cancelled: Optional[Callable[[int], bool]] = None,
     ) -> None:
         self._segments = list(segments)
-        self._security = security
+        self._loops = loops
         self._is_cancelled = is_cancelled
-        #: The live ConcurrentRunner while a batch is in flight.
-        self._runner = None
-        #: Serially-dispatched statements currently inside their
-        #: restart loop: query_id -> {"queue": str, "attempt": int}.
-        self._serial: Dict[int, Dict[str, object]] = {}
         self.statements = StatementStats()
         # Cumulative per-segment timeline aggregates (the fallback when
         # no batch is live): task counts, busy seconds, and the total
@@ -159,27 +159,6 @@ class ClusterTelemetry:
         self._segment_tasks: Dict[int, int] = {}
         self._segment_busy: Dict[int, float] = {}
         self._observed_span = 0.0
-
-    # -------------------------------------------------------- batch plumbing
-    def attach_batch(self, runner) -> None:
-        """A concurrent batch starts: lend its live registries."""
-        self._runner = runner
-
-    def detach_batch(self, runner) -> None:
-        if self._runner is runner:
-            self._runner = None
-
-    # ------------------------------------------------------- serial plumbing
-    def serial_begin(self, query_id: int, queue_name: str) -> None:
-        self._serial[query_id] = {"queue": queue_name, "attempt": 1}
-
-    def serial_attempt(self, query_id: int, attempt: int) -> None:
-        entry = self._serial.get(query_id)
-        if entry is not None:
-            entry["attempt"] = attempt
-
-    def serial_end(self, query_id: int) -> None:
-        self._serial.pop(query_id, None)
 
     # --------------------------------------------------- workload repository
     def record_statement(self, sql: str, result) -> None:
@@ -205,21 +184,16 @@ class ClusterTelemetry:
     def activity_rows(self) -> List[tuple]:
         """pg_stat_activity: one row per live statement.
 
-        Batch statements come from the attached runner's in-flight
-        registry (queued/running on the shared clock, with the slice
-        dispatch ledger); serial statements from the dispatcher's
-        bracket (always running — serial admission never parks). A
+        Straight off the live loops' in-flight registries: queued or
+        running on the loop's clock, with the slice dispatch ledger. A
         statement with a pending cancel request shows as ``cancelling``
         until its teardown event settles it.
         """
         rows: List[tuple] = []
-        runner = self._runner
-        if runner is not None and runner.scheduler is not None:
-            now = runner.scheduler.now
-            for query_id in sorted(runner._by_qid):
-                state = runner._by_qid[query_id]
-                if state.settled:
-                    continue
+        for loop in self._loops:
+            now = loop.scheduler.now
+            for query_id in sorted(loop.statements):
+                state = loop.statements[query_id]
                 outcome = state.outcome
                 if state.admitted:
                     status = "running"
@@ -229,7 +203,7 @@ class ClusterTelemetry:
                     wait_so_far = now - outcome.submit
                 if self._cancel_pending(query_id):
                     status = "cancelling"
-                dispatched, completed = self._slice_progress(runner, state)
+                dispatched, completed = self._slice_progress(loop, state)
                 rows.append(
                     (
                         query_id,
@@ -241,14 +215,6 @@ class ClusterTelemetry:
                         completed,
                     )
                 )
-        for query_id in sorted(self._serial):
-            entry = self._serial[query_id]
-            status = (
-                "cancelling" if self._cancel_pending(query_id) else "running"
-            )
-            rows.append(
-                (query_id, status, entry["queue"], 0.0, entry["attempt"], 0, 0)
-            )
         rows.sort(key=lambda row: row[0])
         return rows
 
@@ -256,7 +222,7 @@ class ClusterTelemetry:
         return self._is_cancelled is not None and self._is_cancelled(query_id)
 
     @staticmethod
-    def _slice_progress(runner, state) -> Tuple[int, int]:
+    def _slice_progress(loop, state) -> Tuple[int, int]:
         """(slices dispatched, slices completed) for one statement.
 
         Task keys are attempt-namespaced ``(qid, stride+slice, seg)``;
@@ -269,36 +235,19 @@ class ClusterTelemetry:
         completed = 0
         for slice_id in sorted(by_slice):
             keys = by_slice[slice_id]
-            if runner.scheduler.finished_count(keys) == len(keys):
+            if loop.scheduler.finished_count(keys) == len(keys):
                 completed += 1
         return len(by_slice), completed
 
     def resqueue_rows(self) -> List[tuple]:
-        """pg_resqueue_status: per-queue occupancy.
-
-        Live from the batch's ResourceQueueManager when one is
-        attached; otherwise from the catalog's declarative queues (the
-        serial path admits through those directly).
+        """pg_resqueue_status: per-queue occupancy, live from the
+        outermost loop's ResourceQueueManager — the batch's while one
+        runs (a statement nested in it holds a batch slot already),
+        else the asking statement's own. Nothing runs, nothing to show.
         """
-        runner = self._runner
-        if runner is not None and runner.manager is not None:
-            return runner.manager.occupancy()
-        rows: List[tuple] = []
-        if self._security is not None:
-            for name in sorted(self._security.queues):
-                queue = self._security.queues[name]
-                rows.append(
-                    (
-                        name,
-                        queue.active_statements,
-                        queue.running,
-                        float(queue.memory_limit),
-                        0.0,
-                        0,
-                        None,
-                    )
-                )
-        return rows
+        if not self._loops:
+            return []
+        return self._loops[0].manager.occupancy()
 
     def segment_rows(self) -> List[tuple]:
         """pg_stat_segments: per-segment timeline occupancy.
@@ -308,15 +257,14 @@ class ClusterTelemetry:
         otherwise the cumulative aggregates over every recorded
         statement (utilization = busy / total observed makespan).
         """
-        runner = self._runner
-        live = (
-            runner is not None
-            and runner.scheduler is not None
-            and runner.scheduler.running
-        )
-        if live:
-            usage = runner.scheduler.slot_usage()
-            now = runner.scheduler.now
+        batch = self._loops[0] if self._loops else None
+        if (
+            batch is not None
+            and batch.shared
+            and batch.scheduler.running
+        ):
+            usage = batch.scheduler.slot_usage()
+            now = batch.scheduler.now
             span = now if now > 0 else 0.0
         else:
             usage = {
@@ -342,12 +290,8 @@ class ClusterTelemetry:
     # ------------------------------------------------------------- dashboard
     def overview(self) -> Dict[str, object]:
         """One coherent snapshot for the ``--top`` dashboard."""
-        runner = self._runner
-        now = 0.0
-        if runner is not None and runner.scheduler is not None:
-            now = runner.scheduler.now
         return {
-            "now": now,
+            "now": self._loops[0].scheduler.now if self._loops else 0.0,
             "activity": self.activity_rows(),
             "queues": self.resqueue_rows(),
             "segments": self.segment_rows(),

@@ -1,5 +1,6 @@
 """Cancellation battery: ``Session.cancel`` and ``statement_timeout``
-under the single-pass concurrent runner.
+on the statement loop, entered both ways — closed-loop streams through
+``ConcurrentRunner`` and a lone ``Session.execute``.
 
 The load-bearing properties:
 
@@ -15,11 +16,15 @@ The load-bearing properties:
   (``charged_scans_opened == charged_scans_closed``).
 * **Survivors unperturbed** — statements the cancel does not touch
   return rows bit-identical to an uncancelled run.
+* **A lone session gets it raised** — the same cancel or timeout on
+  ``Session.execute`` raises ``QueryCanceled`` with the same text and
+  leaves no transaction, lock, slot or scan behind.
 """
 
 import pytest
 
 from repro.engine import Engine
+from repro.errors import QueryCanceled
 from repro.executor.concurrent import ConcurrentRunner
 from repro.sanitize import DetSan
 from repro.util import DeterministicRng
@@ -64,6 +69,41 @@ def scan_counters(engine):
     )
 
 
+def assert_one_clean_cancel(engine, error: str, expected: str):
+    """What one cancelled statement leaves behind, whichever way it
+    was entered: the message, one count, and nothing else."""
+    assert expected in error
+    assert engine.metrics.counter("queries_cancelled").value == 1
+    # The ABORT broadcast closed every charged scan the cancelled
+    # attempt had opened.
+    opened, closed = scan_counters(engine)
+    assert opened == closed
+    assert engine.txns._live == {}  # no transaction left active
+    assert engine.txns.locks.holders("rel:conc") == []
+    assert engine._loops == []
+
+
+class MidStatementHook:
+    """Stands in for the chaos injector: calls ``hook`` mid-wave, on the
+    workers — as each scan lane of a statement starts, or
+    (``after_lane``) as each completes."""
+
+    def __init__(self, hook, after_lane=False):
+        self.hook = hook
+        self.after_lane = after_lane
+
+    def tick(self, segment_id=None, in_query=False):
+        if not self.after_lane:
+            self.hook()
+
+    def pulse(self, seconds, segment_id=None, in_query=False):
+        if self.after_lane:
+            self.hook()
+
+    def detach(self):
+        pass
+
+
 # ----------------------------------------------------------- mid-scan cancel
 class TestMidScanCancel:
     def test_cancel_mid_scan_settles_without_failing_batch(self):
@@ -84,9 +124,8 @@ class TestMidScanCancel:
 
         cancelled = by_key(batch)[(0, 0)]
         assert not cancelled.ok
-        assert "cancelled by request" in cancelled.error
         assert cancelled.rows is None
-        assert engine.metrics.counter("queries_cancelled").value == 1
+        assert_one_clean_cancel(engine, cancelled.error, "cancelled by request")
         # Everyone else settles with uncancelled rows — including the
         # cancelled stream's own next statement (closed loop).
         for key, outcome in by_key(batch).items():
@@ -94,14 +133,51 @@ class TestMidScanCancel:
                 continue
             assert outcome.ok, f"{key}: {outcome.error}"
             assert outcome.rows == ref[key].rows
-        # The ABORT broadcast closed every charged scan the cancelled
-        # attempt had opened.
-        opened, closed = scan_counters(engine)
-        assert opened == closed
         # And the cancelled query's slot was released: nothing parked,
         # nothing still marked running.
         assert runner.manager.depth("pg_default") == 0
         assert runner.manager.running("pg_default") == 0
+
+    @pytest.mark.parametrize(
+        "scan, after_lane, noticed",
+        [
+            # Four segments scan: the lane after the cancel refuses.
+            (
+                "SELECT c, count(*), sum(b) FROM conc GROUP BY c ORDER BY c",
+                False,
+                "cancelled mid-scan",
+            ),
+            # Direct dispatch, one lane, cancelled as it completes: no
+            # worker looks again, the wave boundary does.
+            ("SELECT a, c FROM conc WHERE a = 17", True, "cancelled by request"),
+        ],
+    )
+    def test_cancel_from_inside_a_lone_statement_raises(
+        self, scan, after_lane, noticed
+    ):
+        """``Session.cancel`` issued from a scan hook while the
+        statement's own slices are on the workers: the lone session
+        gets ``QueryCanceled``, and the next statement runs clean."""
+        engine = build_engine()
+        session = engine.connect()
+        expected = session.execute(scan).rows
+        seen = []
+
+        def cancel_whatever_runs():
+            (row,) = engine.telemetry.activity_rows()
+            seen.append(row)
+            engine.connect().cancel(row[0])
+
+        engine.attach_chaos(MidStatementHook(cancel_whatever_runs, after_lane))
+        with pytest.raises(QueryCanceled) as raised:
+            session.execute(scan)
+        engine.attach_chaos(None)
+
+        assert seen[0][1] == "running"
+        assert_one_clean_cancel(
+            engine, str(raised.value), f"query {seen[0][0]} {noticed}"
+        )
+        assert session.execute(scan).rows == expected
 
     def test_cancel_unknown_id_is_a_noop(self):
         engine = build_engine()
@@ -177,13 +253,36 @@ class TestStatementTimeout:
 
         timed_out = outcomes[(0, 1)]
         assert not timed_out.ok
-        assert f"statement_timeout of {timeout}s exceeded" in timed_out.error
-        assert engine.metrics.counter("queries_cancelled").value == 1
+        assert_one_clean_cancel(
+            engine,
+            timed_out.error,
+            f"cancelled: statement_timeout of {timeout}s exceeded",
+        )
         # The other session carries no timeout and is untouched.
         assert outcomes[(1, 0)].ok
         assert outcomes[(1, 0)].rows == reference.outcomes[0].rows
-        opened, closed = scan_counters(engine)
-        assert opened == closed
+
+    def test_timeout_expires_mid_statement_on_a_lone_session(self):
+        scan = "SELECT c, count(*), sum(b) FROM conc GROUP BY c ORDER BY c"
+        engine = build_engine()
+        reference = engine.connect().execute(scan)
+        timeout = reference.cost.seconds / 2
+
+        session = engine.connect()
+        session.execute(f"SET statement_timeout = {timeout}")
+        with pytest.raises(QueryCanceled) as raised:
+            session.execute(scan)
+
+        assert_one_clean_cancel(
+            engine,
+            str(raised.value),
+            f"cancelled: statement_timeout of {timeout}s exceeded",
+        )
+        # Another session carries no timeout and is untouched; nor does
+        # this one, once the GUC is off again.
+        assert engine.connect().execute(scan).rows == reference.rows
+        session.execute("SET statement_timeout = 0")
+        assert session.execute(scan).cost.seconds == reference.cost.seconds
 
     def test_generous_timeout_does_not_fire(self):
         scan = "SELECT count(*) FROM conc WHERE a % 3 = 0"
@@ -192,6 +291,12 @@ class TestStatementTimeout:
             [[f"SET statement_timeout = 3600", scan]],
         ).run()
         assert all(o.ok for o in batch.outcomes)
+
+    def test_generous_timeout_does_not_fire_on_a_lone_session(self):
+        session = build_engine().connect()
+        session.execute("SET statement_timeout = 3600")
+        rows = session.execute("SELECT count(*) FROM conc WHERE a % 3 = 0").rows
+        assert rows == [(100,)]
 
     def test_timeout_rejects_negative_value(self):
         session = build_engine().connect()

@@ -12,10 +12,14 @@ The load-bearing properties:
   interleaving is a pure function of (seed, workload).
 * **Trace isolation** — two interleaved sessions never read each
   other's traces; every trace carries only its own query id.
+* **One driver** — a lone ``Session.execute`` is the one-statement
+  batch: same retry charges, same refusal by a queue that can never
+  admit, and an explicit transaction means the same thing in a stream.
 """
 
 import pytest
 
+from repro.catalog.security import QueueLimitExceeded
 from repro.cluster.resqueue import (
     QueueSpec,
     ResourceQueueManager,
@@ -235,15 +239,36 @@ class TestResourceQueues:
         assert "pg_default" in specs
 
 
+#: A stream that reads its own uncommitted write, rolls it back, and
+#: reads again (``t`` holds two rows) — and one that keeps counting
+#: ``t`` from outside that transaction.
+TXN_STREAM = [
+    "BEGIN",
+    "INSERT INTO t VALUES (3, 3)",
+    "SELECT count(*) FROM t",
+    "ROLLBACK",
+    "SELECT count(*) FROM t",
+]
+WATCH_STREAM = ["SELECT count(*) FROM t"] * 6
+
+
+def build_engine_with_t() -> Engine:
+    engine = build_engine()
+    session = engine.connect()
+    session.execute("CREATE TABLE t (a INT, b INT) DISTRIBUTED BY (a)")
+    session.execute("INSERT INTO t VALUES (1, 1), (2, 2)")
+    return engine
+
+
 # ------------------------------------------ serial vs concurrent differential
 class TestSerialConcurrentDifferential:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_rows_bit_identical_and_cost_accounted(self, n):
-        streams = make_streams(seed=5, count=n)
-        batch = ConcurrentRunner(build_engine(), streams).run()
+        streams = make_streams(seed=5, count=n) + [TXN_STREAM, WATCH_STREAM]
+        batch = ConcurrentRunner(build_engine_with_t(), streams).run()
 
         serial = {}
-        session = build_engine().connect()
+        session = build_engine_with_t().connect()
         for stream_id, stream in enumerate(streams):
             for index, sql in enumerate(stream):
                 result = session.execute(sql)
@@ -264,6 +289,18 @@ class TestSerialConcurrentDifferential:
             # latency reassociates (admit + (serial - makespan)) + makespan,
             # so allow float-ulp slack; charged_seconds stays exact.
             assert outcome.latency >= outcome.serial_seconds - 1e-9
+
+        # The stream's SELECT ran in its session's open transaction ...
+        assert batch.rows(n, 2) == [(3,)] and batch.rows(n, 4) == [(2,)]
+        # ... which nobody else saw, though somebody took a snapshot
+        # and scanned while it was open.
+        timeline = {(o.stream, o.index): o for o in batch.outcomes}
+        inserted, rolled_back = timeline[(n, 1)], timeline[(n, 3)]
+        assert any(
+            inserted.finish < o.submit < rolled_back.submit
+            for o in batch.outcomes
+            if o.stream == n + 1
+        )
 
     def test_queue_wait_charged_when_parked(self):
         engine = build_engine()
@@ -293,6 +330,77 @@ class TestSerialConcurrentDifferential:
         batch = ConcurrentRunner(build_engine(), streams).run()
         serial_sum = sum(o.serial_seconds for o in batch.outcomes)
         assert batch.makespan < serial_sum
+
+
+# --------------------------------------------------------------- one driver
+class TestLoneStatementIsTheOneStatementBatch:
+    SQL = "SELECT count(*), sum(b), min(a), max(b) FROM t"
+
+    def killed_mid_query(self):
+        """A loaded engine, its fault-free answer, and a kill of segment
+        1 armed to land inside the next statement."""
+        from repro import chaos
+
+        engine = chaos.build_engine()
+        session = engine.connect()
+        session.execute("CREATE TABLE t (a INTEGER, b INTEGER) DISTRIBUTED BY (a)")
+        session.load_rows("t", [(i, i * 2) for i in range(4000)])
+        fault_free = session.execute(self.SQL)
+        kill = chaos.FaultEvent(1e-9, "kill_segment", 1)
+        engine.attach_chaos(chaos.FaultInjector(engine, chaos.FaultPlan([kill])))
+        return engine, session, fault_free
+
+    def test_retry_charges_one_backoff_either_way(self):
+        engine, session, fault_free = self.killed_mid_query()
+        lone = session.execute(self.SQL)
+        assert lone.retries == 1 and lone.rows == fault_free.rows
+        assert lone.cost.seconds == fault_free.cost.seconds + engine.retry_backoff
+        assert lone.metrics["query_retries"] == 1
+
+        engine, _session, _fault_free = self.killed_mid_query()
+        (outcome,) = ConcurrentRunner(engine, [[self.SQL]]).run().outcomes
+        assert outcome.rows == lone.rows
+        assert outcome.serial_seconds == lone.cost.seconds
+
+    def closed_queue_engine(self) -> Engine:
+        engine = build_engine()
+        engine.connect().execute(
+            "CREATE RESOURCE QUEUE closed WITH (active_statements=0)"
+        )
+        return engine
+
+    def test_queue_that_never_admits_fails_the_streams_statements(self):
+        engine = self.closed_queue_engine()
+        count = "SELECT count(*) FROM conc"
+        batch = ConcurrentRunner(
+            engine,
+            [[count, "INSERT INTO conc VALUES (1000, 0, 'x')", count], [count]],
+            queues={0: "closed"},
+        ).run()
+        refused = [o for o in batch.outcomes if o.stream == 0]
+        assert len(refused) == 3  # the stream kept going
+        for outcome in refused:
+            assert not outcome.ok and outcome.rows is None
+            assert outcome.error.startswith("QueueLimitExceeded: ")
+            assert isinstance(outcome.exception, QueueLimitExceeded)
+            assert outcome.queue_wait == 0.0
+        (ran,) = [o for o in batch.outcomes if o.stream == 1]
+        assert ran.rows == [(300,)]  # the refused INSERT never ran
+        assert batch.qps == 1 / batch.makespan
+        assert batch.queue_stats["closed"].parked == 0
+        assert engine.txns._live == {}
+        assert engine.txns.locks.holders("rel:conc") == []
+
+    def test_queue_that_never_admits_raises_on_a_lone_session(self):
+        engine = self.closed_queue_engine()
+        session = engine.connect()
+        session.execute("SET resource_queue = closed")
+        with pytest.raises(QueueLimitExceeded, match="limit of 0 active"):
+            session.execute("SELECT count(*) FROM conc")
+        assert engine.txns._live == {}
+        assert engine.txns.locks.holders("rel:conc") == []
+        session.execute("SET resource_queue = default")
+        assert session.execute("SELECT count(*) FROM conc").rows == [(300,)]
 
 
 # ------------------------------------------------- seeded interleaving purity

@@ -9,6 +9,7 @@ from repro.catalog.security import (
     QueueLimitExceeded,
     SecurityManager,
 )
+from repro.cluster.resqueue import ResourceQueueManager, specs_from_security
 from repro.errors import CatalogError, PxfError, SemanticError
 from repro.storage.hadoop_formats import (
     HawqTableInputFormat,
@@ -60,14 +61,20 @@ class TestSecurityManager:
     def test_queue_admission(self):
         security = SecurityManager()
         security.create_queue("small", active_statements=2)
+        security.create_queue("closed", active_statements=0)
         security.create_role("r", resource_queue="small")
-        queue = security.queue_for("r")
-        queue.admit()
-        queue.admit()
-        with pytest.raises(QueueLimitExceeded):
-            queue.admit()
-        queue.release()
-        queue.admit()  # freed slot reusable
+        queue = security.queue_for("r").name
+        manager = ResourceQueueManager(specs_from_security(security))
+        admitted = []
+        for query_id in (1, 2, 3):
+            manager.submit(query_id, queue, 1.0, 0.0, admitted.append)
+        assert admitted == [0.0, 0.0]  # limit reached: the third waits
+        manager.release(1, 5.0)
+        assert admitted == [0.0, 0.0, 5.0]  # freed slot reusable
+        # No slot at all, no release to wait for: refused, not parked.
+        with pytest.raises(QueueLimitExceeded, match="limit of 0 active"):
+            manager.submit(4, "closed", 1.0, 0.0, admitted.append)
+        assert manager.depth("closed") == 0
 
     def test_drop_queue_in_use(self):
         security = SecurityManager()
@@ -149,6 +156,97 @@ class TestSqlSecurity:
         analyst = engine.connect(role="analyst")
         with pytest.raises(PermissionDenied):
             analyst.query("SELECT * FROM t")
+
+
+class TestExplainGoesThroughTheFrontHalf:
+    """EXPLAIN is a SELECT's front half (and EXPLAIN ANALYZE the whole
+    statement): same privilege checks, locks and queue slot."""
+
+    #: ``EXPLAIN (ANALYZE, VERBOSE) SELECT * FROM secret WHERE b = 2`` as
+    #: printed for a granted role before EXPLAIN shared the front half.
+    GRANTED_VERBOSE = [
+        "Slice 1 (QD):",
+        "  (actual time=0.0004s, rows sent=1)",
+        "    QD: 0.0000s, 1 rows, 0 bytes",
+        "  -> MotionRecv(slice 0, gather)  (actual rows=1 calls=1 time=0.0000s)",
+        "Slice 0 (gang of N):",
+        "  (actual time=0.0003s, rows sent=1)",
+        "  (skew: max=0.0003s mean=0.0003s min=0.0003s across 2 tasks)",
+        "    seg0: 0.0003s, 0 rows, 0 bytes",
+        "    seg1: 0.0003s, 1 rows, 20 bytes",
+        "  -> Motion(gather)  (actual rows=0 calls=2 time=0.0002s)",
+        "    -> Project  (actual rows=1 calls=2 time=0.0000s)",
+        "      -> SeqScan(secret, filter)  (actual rows=1 calls=2 "
+        "time=0.0000s) (read=96B remote=0B cache hits=0/2)",
+        "Total: 0.1466s simulated (critical path 0.0004s + overhead "
+        "0.1462s), 1 rows, 5 tuples processed, 2425 bytes moved",
+    ]
+
+    @pytest.fixture
+    def engine(self):
+        engine = Engine(num_segment_hosts=2, segments_per_host=1)
+        admin = engine.connect()
+        admin.execute("CREATE ROLE bob")
+        admin.execute("CREATE TABLE secret (a INT, b INT) DISTRIBUTED BY (a)")
+        admin.execute("INSERT INTO secret VALUES (1, 1), (2, 2), (3, 3), (4, 4)")
+        admin.execute("CREATE VIEW peek AS SELECT a FROM secret")
+        return engine
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM secret",
+            "EXPLAIN SELECT * FROM secret",
+            "EXPLAIN ANALYZE SELECT * FROM secret WHERE b = 2",
+            "EXPLAIN (ANALYZE, VERBOSE) SELECT * FROM secret WHERE b = 2",
+            "EXPLAIN SELECT * FROM peek",
+            "EXPLAIN ANALYZE SELECT x.a FROM (SELECT a FROM secret) x",
+        ],
+    )
+    def test_ungranted_role_is_denied(self, engine, sql):
+        bob = engine.connect(role="bob")
+        before = engine.metrics.counter("charged_scans_opened").value
+        with pytest.raises(PermissionDenied, match="lacks SELECT on 'secret'"):
+            bob.execute(sql)
+        assert engine.metrics.counter("charged_scans_opened").value == before
+        assert engine.txns._live == {}
+
+    def test_granted_role_reads_the_same_plan_as_before(self, engine):
+        engine.connect().execute("GRANT select ON secret TO bob")
+        bob = engine.connect(role="bob")
+        rows = bob.execute(
+            "EXPLAIN (ANALYZE, VERBOSE) SELECT * FROM secret WHERE b = 2"
+        ).rows
+        assert [line for (line,) in rows] == self.GRANTED_VERBOSE
+        assert bob.execute("EXPLAIN SELECT 1 FROM pg_class").rows
+
+    def test_explain_analyze_holds_locks_and_a_slot_while_it_runs(self, engine):
+        from repro.txn.locks import LockMode
+        from tests.test_cancellation import MidStatementHook
+
+        seen = []
+
+        def look():
+            seen.append(
+                (
+                    [mode for _, mode in engine.txns.locks.holders("rel:secret")],
+                    engine.telemetry.resqueue_rows()[0][:3],
+                )
+            )
+
+        engine.attach_chaos(MidStatementHook(look))
+        session = engine.connect()
+        session.execute("EXPLAIN ANALYZE SELECT * FROM secret WHERE b = 2")
+        mid_analyze = list(seen)
+        session.execute("EXPLAIN SELECT * FROM secret WHERE b = 2")
+        engine.attach_chaos(None)
+
+        assert mid_analyze
+        assert seen == mid_analyze  # plain EXPLAIN dispatched nothing
+        for modes, occupancy in seen:
+            assert modes == [LockMode.ACCESS_SHARE]
+            assert occupancy == ("pg_default", 20, 1)
+        assert engine.txns.locks.holders("rel:secret") == []
 
 
 class TestAlterTableStorage:

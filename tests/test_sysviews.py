@@ -20,8 +20,9 @@ The load-bearing properties:
 import pytest
 
 from repro.engine import Engine
+from repro.errors import QueryCanceled
 from repro.executor.concurrent import ConcurrentRunner
-from repro.obs.activity import ClusterTelemetry, fingerprint
+from repro.obs.activity import fingerprint
 from repro.obs.export import prometheus_violations, render_prometheus
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.sysviews import (
@@ -30,6 +31,7 @@ from repro.obs.sysviews import (
     system_view_rows,
     system_view_schema,
 )
+from tests.test_cancellation import MidStatementHook
 
 
 # --------------------------------------------------------------- fixtures
@@ -263,6 +265,52 @@ class TestLiveState:
         assert waiters >= 1
         assert head is not None  # head-of-line query id published
 
+    def test_lone_statement_reports_its_slice_progress(self):
+        """A lone statement's own row carries its dispatch ledger: seen
+        from the scans of its second wave, the first is done."""
+        engine = build_engine()
+        seen = []
+        engine.attach_chaos(
+            MidStatementHook(lambda: seen.extend(engine.telemetry.activity_rows()))
+        )
+        engine.connect().execute(
+            "SELECT count(*) FROM conc x, conc y WHERE x.a = y.b"
+        )
+        engine.attach_chaos(None)
+        assert {row[0] for row in seen} == {seen[0][0]}  # itself, only
+        assert seen[0][4:] == (1, 0, 0)  # first wave: nothing on the clock yet
+        assert seen[-1][4:] == (1, 1, 1)
+
+    def test_nested_lone_statement_leaves_the_batch_readable(self):
+        """INSERT … SELECT in a stream runs its SELECT as a lone
+        statement nested in the running batch: it sees the batch's
+        statements beside itself, and the batch's views still answer
+        from the batch once it is gone."""
+        engine = build_engine()
+        engine.connect().execute(
+            "CREATE TABLE sink (query_id INT, attempt INT) DISTRIBUTED BY (query_id)"
+        )
+        streams = [
+            [HEAVY, HEAVY, HEAVY],
+            [
+                "INSERT INTO sink SELECT query_id, attempt "
+                "FROM pg_stat_activity WHERE state = 'running'",
+                "SELECT query_id FROM sink ORDER BY query_id",
+                ACTIVITY_PROBE,
+                "SELECT queue, slots_in_use FROM pg_resqueue_status",
+            ],
+        ]
+        batch = ConcurrentRunner(engine, streams).run()
+        assert all(outcome.ok for outcome in batch.outcomes)
+        peer = outcome_of(batch, 0, 0).query_id
+        # ... and the nested SELECT took the next query id.
+        assert outcome_of(batch, 1, 1).rows == [(peer,), (peer + 1,)]
+        probe = outcome_of(batch, 1, 2)
+        assert [row[1] for row in probe.rows] == ["running", "running"]
+        assert probe.query_id in [row[0] for row in probe.rows]
+        assert outcome_of(batch, 1, 3).rows == [("pg_default", 2)]
+        assert engine._loops == []
+
     def test_attempt_and_slice_progress_columns(self):
         engine = build_engine()
         streams = [
@@ -324,24 +372,27 @@ class TestCancelProbe:
             assert shadowed.charged_seconds == original.charged_seconds
 
     def test_pending_serial_cancel_shows_cancelling(self):
-        """Unit-level: a registered statement with a pending cancel
-        request reads as 'cancelling' in pg_stat_activity."""
+        """A lone statement observed from inside its own first wave:
+        'running', then 'cancelling' once a cancel request is pending,
+        and gone when the request has been honoured."""
         engine = build_engine()
         telemetry = engine.telemetry
-        telemetry.serial_begin(9999, "pg_default")
-        try:
-            engine.cancel_query(9999)
-            rows = system_view_rows(telemetry, "pg_stat_activity")
-            mine = [row for row in rows if row[0] == 9999]
-            assert mine and mine[0][1] == "cancelling"
-        finally:
-            telemetry.serial_end(9999)
-            engine._cancel_requests.discard(9999)
-        assert not [
-            row
-            for row in system_view_rows(telemetry, "pg_stat_activity")
-            if row[0] == 9999
-        ]
+        seen = []
+
+        def cancel_and_look():
+            seen.extend(system_view_rows(telemetry, "pg_stat_activity"))
+            engine.cancel_query(seen[0][0])
+            seen.extend(system_view_rows(telemetry, "pg_stat_activity"))
+
+        engine.attach_chaos(MidStatementHook(cancel_and_look))
+        with pytest.raises(QueryCanceled):
+            engine.connect().execute(HEAVY)
+        engine.attach_chaos(None)
+
+        running, cancelling = seen
+        assert running[:3] == (running[0], "running", "pg_default")
+        assert cancelling == (running[0], "cancelling") + running[2:]
+        assert system_view_rows(telemetry, "pg_stat_activity") == []
 
 
 # ---------------------------------------------------- queue pressure (S1)

@@ -11,7 +11,7 @@ import enum
 import operator
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -364,7 +364,8 @@ class PartitionSpec:
 
 
 class RowCodec:
-    """A table's column types compiled once for one scan or write call.
+    """A table's column types, compiled once per schema version
+    (:meth:`TableSchema.row_codec`).
 
     Rows are stored as a null bitmap followed by the non-NULL values in
     column order. A row without NULLs therefore has a fixed shape — each
@@ -373,7 +374,9 @@ class RowCodec:
     ``struct.Struct`` — and is packed/unpacked a run at a time, its
     values converted a column at a time. A row that holds a NULL goes
     value by value through the same :class:`WireFormat`s. Compilation is
-    lazy: a codec whose call never reaches a block costs nothing.
+    lazy: a codec that never reaches a block costs nothing, and it keeps
+    no state besides what it compiled, so every reader and writer of the
+    version shares it.
     """
 
     def __init__(self, columns: Sequence[Column], table: str = "") -> None:
@@ -568,8 +571,11 @@ class RowCodec:
 @dataclass(frozen=True)
 class TableSchema:
     """Schema of one table: columns plus physical layout choices. Frozen,
-    one instance serves every reader; ``columns`` stays a (never mutated)
-    list because a tuple would pickle differently in the dispatch payload."""
+    one instance serves every reader (``columns`` is a list nobody
+    mutates). What is derived from a version — its compiled
+    :class:`RowCodec`, its bytes in a DISPATCH message — is kept on it by
+    :meth:`memo` and is not part of its value: equality, ``pickle`` and
+    ``copy`` see the declared fields only."""
 
     name: str
     columns: List[Column]
@@ -604,16 +610,27 @@ class TableSchema:
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
 
+    # ------------------------------------------------------------- derived
+    def memo(self, build: Callable[["TableSchema"], object]) -> object:
+        """``build(self)``, computed once for this version and kept on it.
+        (A frozen instance never rebinds a field, so what was built from
+        them stays right for as long as the version lives.)"""
+        try:
+            return self.__dict__["_memo"][build]
+        except KeyError:
+            memo = self.__dict__.setdefault("_memo", {})
+            return memo.setdefault(build, build(self))
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     # ---------------------------------------------------------- row encoding
     def row_codec(self) -> "RowCodec":
-        """This table's column types compiled for one scan/write call.
-
-        Never kept on the schema: it would land in the ``__dict__`` the
-        dispatch payload pickles, and ``struct.Struct``s cannot pickle."""
-        return RowCodec(self.columns, self.name)
+        """This version's column types, compiled once."""
+        return self.memo(_row_codec)
 
     # One-row conveniences for connectors and tests; anything that
-    # handles rows in bulk takes a ``row_codec()`` once and keeps it.
+    # handles rows in bulk takes ``row_codec()`` once.
     def coerce_row(self, row: Sequence[object]) -> Tuple[object, ...]:
         return self.row_codec().coerce_row(row)
 
@@ -643,6 +660,10 @@ class TableSchema:
             storage_format=self.storage_format,
             compression=self.compression,
         )
+
+
+def _row_codec(schema: TableSchema) -> RowCodec:
+    return RowCodec(schema.columns, schema.name)
 
 
 _FNV_OFFSET = 0xCBF29CE484222325

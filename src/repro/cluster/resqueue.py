@@ -202,9 +202,6 @@ class ResourceQueueManager:
                 "resqueue_parked", queue=state.spec.name
             ).inc()
             self._metrics.gauge(
-                "resqueue_depth", queue=state.spec.name
-            ).set(len(state.waiting))
-            self._metrics.gauge(
                 "resqueue_waiters", queue=state.spec.name
             ).set(len(state.waiting))
 
@@ -283,9 +280,6 @@ class ResourceQueueManager:
             )
         if self._metrics is not None:
             self._metrics.gauge(
-                "resqueue_depth", queue=state.spec.name
-            ).set(len(state.waiting))
-            self._metrics.gauge(
                 "resqueue_waiters", queue=state.spec.name
             ).set(len(state.waiting))
             self._metrics.gauge(
@@ -315,9 +309,6 @@ class ResourceQueueManager:
                     self._metrics.counter(
                         "resqueue_cancelled", queue=state.spec.name
                     ).inc()
-                    self._metrics.gauge(
-                        "resqueue_depth", queue=state.spec.name
-                    ).set(len(state.waiting))
                     self._metrics.gauge(
                         "resqueue_waiters", queue=state.spec.name
                     ).set(len(state.waiting))

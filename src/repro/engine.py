@@ -21,7 +21,6 @@ Typical use::
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -709,7 +708,7 @@ class Session:
         plan. Plain EXPLAIN stops here: no slot, nothing dispatched."""
         engine = self.engine
         query = Analyzer(_CatalogAdapter(engine.catalog, snapshot)).analyze(stmt)
-        for name in _tables_of(query):
+        for name in _tables_of(query, subplans=True):
             if name in CATALOG_RELATION_COLUMNS or name in SYSTEM_VIEW_COLUMNS:
                 continue  # catalog/system-view reads are unlocked
             txn.lock(f"rel:{name}", LockMode.ACCESS_SHARE)
@@ -1548,18 +1547,11 @@ class _CatalogAdapter:
             raise SemanticError(f"relation {name!r} does not exist")
         if relation["kind"] == "view":
             return RelationInfo(kind="view", view_query=relation["view_def"])
-        # A private copy per FROM reference, by contract: the schema (and
-        # pxf options) land in the plan, whose pickle is the modelled
-        # size of the DISPATCH message (plan_bytes / compressed_bytes ->
-        # SliceTask.payload_bytes -> charged seconds), and pickle writes
-        # an object shared with another scan node or with the metadata
-        # only once. Sharing the catalog's instance would shrink it.
-        schema = copy.deepcopy(relation["schema"])
         if relation["kind"] == "external":
             return RelationInfo(
-                kind="external", schema=schema, pxf=copy.deepcopy(relation["pxf"])
+                kind="external", schema=relation["schema"], pxf=relation["pxf"]
             )
-        return RelationInfo(kind="table", schema=schema)
+        return RelationInfo(kind="table", schema=relation["schema"])
 
 
 def _tables_of(query: LogicalQuery, subplans: bool = False) -> List[str]:

@@ -12,8 +12,6 @@ compression pass shrinks what remains.
 
 from __future__ import annotations
 
-import copy
-import pickle
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
@@ -22,6 +20,7 @@ from repro.catalog.schema import TableSchema
 from repro.catalog.service import CatalogService
 from repro.errors import PlannerError
 from repro.planner.physical import PhysicalPlan, PlanNode, PlanSlice, SeqScan
+from repro.planner.wire import encode
 from repro.txn.mvcc import Snapshot
 
 #: Pseudo segment id of the query dispatcher's own executor (gang "1"
@@ -169,13 +168,7 @@ def build_self_described_plan(
         relation = catalog.lookup_relation(name, snapshot)
         if relation is None:
             raise PlannerError(f"table {name!r} vanished before dispatch")
-        # A private copy, by contract: ``plan_bytes`` / ``compressed_bytes``
-        # below become ``SliceTask.payload_bytes`` and so charged seconds,
-        # and pickle writes an object it has already met (here: a schema
-        # shared between two tables' metadata, or with the catalog row a
-        # scan node's copy came from) as a back-reference. The modelled
-        # wire size is that of independent copies.
-        schema: TableSchema = copy.deepcopy(relation["schema"])
+        schema: TableSchema = relation["schema"]
         table_meta = TableMetadata(
             schema=schema,
             storage_format=schema.storage_format,
@@ -191,7 +184,7 @@ def build_self_described_plan(
             )
         metadata[name] = table_meta
 
-    raw = pickle.dumps((plan, metadata), protocol=pickle.HIGHEST_PROTOCOL)
+    raw = encode((plan, metadata))
     compressed = zlib.compress(raw, 1)
     return SelfDescribedPlan(
         plan=plan,

@@ -1,0 +1,205 @@
+"""The DISPATCH message's wire format: plan and metadata, by value.
+
+Segments are stateless (paper Section 3.1), so a dispatched plan carries
+the schemas, formats and visible file lengths its QEs need. This module
+is the size model of that message: :func:`encode` gives the bytes a QE
+would be sent and ``build_self_described_plan`` charges their compressed
+length. Inside the simulator the payload object itself still travels by
+reference, so nothing reads these bytes back and there is no decoder to
+keep in step. What the encoding must be is *identity-free* — a function
+of the values alone, whoever shares or copies the objects that hold
+them — and *complete*: a type it does not know raises ``TypeError``,
+nothing is skipped, so a new plan-node field is sized the day it is
+added.
+
+A value is one tag byte and then: nothing (``N`` None, ``T`` / ``F``
+bool); a varint (``i`` int, zigzagged; ``d`` date as its proleptic
+ordinal); eight little-endian bytes (``f`` float); a varint length and
+that many bytes (``s`` str as UTF-8, ``b`` bytes, ``D`` Decimal as
+text); a varint count and the items (``[`` list, ``(`` tuple, ``{`` dict
+as key, value pairs in its own order, ``<`` set in the order of its
+items' encodings). A dataclass instance is ``@``, its class's name as a
+str and its ``dataclasses.fields`` in declaration order; an enum member
+is ``E``, its class's name and its value.
+
+Each table's schema travels once, in ``metadata[name]``, as bytes
+encoded once per (frozen, shared) ``TableSchema`` version and kept on
+it. A scan's ``TableSource`` is ``^`` and the table's name — QEs resolve
+``metadata[name]`` — except an external table's, which has no metadata
+entry and goes whole: name, schema and PXF options.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import datetime
+import enum
+import struct
+from decimal import Decimal
+from typing import Callable
+
+from repro.catalog.schema import TableSchema
+from repro.planner.logical import TableSource
+
+Encoder = Callable[[object, bytearray], None]
+
+_pack_double = struct.Struct("<d").pack
+
+
+def _uint(n: int, out: bytearray) -> None:
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+
+
+def _none(value: None, out: bytearray) -> None:
+    out += b"N"
+
+
+def _bool(value: bool, out: bytearray) -> None:
+    out += b"T" if value else b"F"
+
+
+def _int(value: int, out: bytearray) -> None:
+    out += b"i"
+    _uint(value << 1 if value >= 0 else ~value << 1 | 1, out)
+
+
+def _float(value: float, out: bytearray) -> None:
+    out += b"f"
+    out += _pack_double(value)
+
+
+def _date(value: datetime.date, out: bytearray) -> None:
+    out += b"d"
+    _uint(value.toordinal(), out)
+
+
+def _sized(tag: bytes, dump: Callable[[object], bytes]) -> Encoder:
+    def encode_sized(value: object, out: bytearray) -> None:
+        raw = dump(value)
+        out += tag
+        _uint(len(raw), out)
+        out += raw
+
+    return encode_sized
+
+
+def _items(tag: bytes) -> Encoder:
+    def encode_items(values, out: bytearray) -> None:
+        out += tag
+        _uint(len(values), out)
+        for value in values:
+            _ENCODERS[type(value)](value, out)
+
+    return encode_items
+
+
+def _dict(mapping: dict, out: bytearray) -> None:
+    out += b"{"
+    _uint(len(mapping), out)
+    for key, value in mapping.items():
+        _ENCODERS[type(key)](key, out)
+        _ENCODERS[type(value)](value, out)
+
+
+def _set(values, out: bytearray) -> None:
+    out += b"<"
+    _uint(len(values), out)
+    out += b"".join(sorted(map(encode, values)))
+
+
+def _dataclass(cls: type) -> Encoder:
+    head = b"@" + encode(cls.__name__)
+    names = [field.name for field in dataclasses.fields(cls)]
+
+    def encode_fields(obj: object, out: bytearray) -> None:
+        out += head
+        for name in names:
+            value = getattr(obj, name)
+            _ENCODERS[type(value)](value, out)
+
+    return encode_fields
+
+
+def _enum(cls: type) -> Encoder:
+    head = b"E" + encode(cls.__name__)
+
+    def encode_member(member: enum.Enum, out: bytearray) -> None:
+        out += head
+        _ENCODERS[type(member.value)](member.value, out)
+
+    return encode_member
+
+
+def _schema_bytes(schema: TableSchema) -> bytes:
+    out = bytearray()
+    _schema_fields(schema, out)
+    return bytes(out)
+
+
+def _schema(schema: TableSchema, out: bytearray) -> None:
+    out += schema.memo(_schema_bytes)
+
+
+def _source(source: TableSource, out: bytearray) -> None:
+    if source.external:
+        _source_fields(source, out)
+    else:
+        out += b"^"
+        _ENCODERS[str](source.table_name, out)
+
+
+class _Encoders(dict):
+    """Type -> encoder. A dataclass or enum class compiles its own at
+    first sight — a pure function of the class, so whichever statement
+    meets a class first stores what any other would have."""
+
+    def __missing__(self, cls: type) -> Encoder:
+        if dataclasses.is_dataclass(cls):
+            encoder = _dataclass(cls)
+        elif issubclass(cls, enum.Enum):
+            encoder = _enum(cls)
+        else:
+            raise TypeError(
+                f"no wire encoding for {cls.__module__}.{cls.__qualname__}"
+            )
+        self[cls] = encoder
+        return encoder
+
+
+_ENCODERS = _Encoders(
+    {
+        type(None): _none,
+        bool: _bool,
+        int: _int,
+        float: _float,
+        str: _sized(b"s", str.encode),
+        bytes: _sized(b"b", bytes),
+        Decimal: _sized(b"D", lambda value: str(value).encode()),
+        datetime.date: _date,
+        list: _items(b"["),
+        tuple: _items(b"("),
+        dict: _dict,
+        set: _set,
+        frozenset: _set,
+        TableSchema: _schema,
+        TableSource: _source,
+    }
+)
+
+
+def encode(value: object) -> bytes:
+    """The wire bytes of ``value`` (for a DISPATCH message: of
+    ``(plan, metadata)``). Raises ``TypeError`` on a type, anywhere
+    inside it, that has no encoding."""
+    out = bytearray()
+    _ENCODERS[type(value)](value, out)
+    return bytes(out)
+
+
+# The two classes with an encoding of their own, field by field (down
+# here because compiling a class encodes its name).
+_schema_fields = _dataclass(TableSchema)
+_source_fields = _dataclass(TableSource)

@@ -354,6 +354,29 @@ class TestDamagedPayloads:
             DataType(TypeKind.TEXT).decode(struct.pack("<I", 5) + b"abc", 0)
 
 
+# ------------------------------------------------- one codec per version
+def test_a_schema_version_compiles_its_row_codec_once():
+    """The codec is kept on the (frozen) schema version, so the one-row
+    API stops compiling per record — and, like anything kept there, it
+    is not part of the schema's value: ``struct.Struct``s cannot pickle,
+    yet the schema still does, and a copy compiles its own."""
+    import copy
+    import dataclasses
+    import pickle
+
+    schema = dataclasses.replace(DAMAGE_SCHEMA)
+    codec = schema.row_codec()
+    assert schema.row_codec() is codec
+    out = bytearray()
+    schema.encode_row(schema.coerce_row(DAMAGE_ROWS[0]), out)
+    assert schema.decode_row(bytes(out), 0) == (DAMAGE_ROWS[0], len(out))
+    assert "_segments" in codec.__dict__  # the one-row API compiled this one
+    for twin in (copy.deepcopy(schema), pickle.loads(pickle.dumps(schema))):
+        assert twin == schema and twin.__dict__.keys() == schema.__getstate__().keys()
+        assert twin.row_codec() is not codec
+        assert twin.row_codec().encode_rows(DAMAGE_ROWS) == codec.encode_rows(DAMAGE_ROWS)
+
+
 # ------------------------------------------------------------ frozen format
 LINEITEM = TableSchema(
     "lineitem",

@@ -46,11 +46,13 @@ fi
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== storage formats and block codecs on the pure-python backend =="
+echo "== storage formats, block codecs and the write path on the pure-python backend =="
 # Tier-1 ran these on NumPy; the fallback backend decodes the same
-# chunks through array('q'/'d') and must read and write the same bytes.
+# chunks through array('q'/'d') and must read and write the same bytes,
+# fold the same statistics out of them and coerce the same batches.
 REPRO_NO_NUMPY=1 python -m pytest -q \
-    tests/test_storage.py tests/test_block_cache.py tests/test_codec.py
+    tests/test_storage.py tests/test_block_cache.py tests/test_codec.py \
+    tests/test_analyze_columnar.py
 
 echo "== wall-clock bench, numpy backend (microbench >= 5x, TPC-H geomean >= 1.35x) =="
 python -m repro.bench --wallclock --check
@@ -92,6 +94,28 @@ for name, ceiling in (("python.pycalls", calls_ceiling), ("python.gc_collections
 sys.exit(1 if failed else 0)
 PY
 done
+
+echo "== write-path budget on load_write (counts, not seconds) =="
+# What one traced quick round of create / load / insert / ANALYZE /
+# read-back costs in Python calls: in the catalog layer (where ANALYZE's
+# statistics live) and overall. While ANALYZE zipped blocks into rows
+# and walked every value three times, and load_rows coerced row by row
+# (twice for INSERT), they read 58,761 and 553,821; folding column blocks
+# and coercing by column they read 17,008 and 418,274. The ceilings are
+# those readings + 15 %.
+budget_json=$(python3 benchmarks/perf/run.py --workload load_write --quick --trace 1 | tail -n 1)
+python - "$budget_json" <<'PY'
+import json, sys
+metrics = json.loads(sys.argv[1])["metrics"]
+failed = False
+for name, ceiling in (("catalog.pycalls", 19600), ("python.pycalls", 481000)):
+    calls = metrics[name]["value"]
+    over = calls > ceiling
+    failed |= over
+    print(f"  load_write: {name}: {calls:,.0f} (ceiling {ceiling:,})"
+          + ("  OVER BUDGET" if over else ""))
+sys.exit(1 if failed else 0)
+PY
 
 echo "== throughput bench (qps floor, p99/p50 ceiling, serial bit-identity) =="
 python -m repro.bench --throughput --check

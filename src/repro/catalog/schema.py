@@ -173,30 +173,35 @@ def _coerce_bytes(value: object) -> bytes:
     return value if isinstance(value, bytes) else bytes(value)
 
 
-def _coercer(dtype: "DataType") -> Callable[[object], object]:
-    """The function taking a non-NULL Python value into ``dtype``'s
-    canonical form."""
+def _coercion(
+    dtype: "DataType",
+) -> Tuple[Callable[[object], object], Optional[type], Optional[int]]:
+    """``(coerce, canonical, length)``: the function taking a non-NULL
+    Python value into ``dtype``'s canonical form, and what it returns as
+    it is — a value of exactly type ``canonical`` that, for CHAR(n) /
+    VARCHAR(n), is no longer than ``length``. ``canonical`` is None where
+    nothing passes untouched: DECIMAL(p, s) rounds even a float."""
     kind = dtype.kind
     if kind in (TypeKind.INT4, TypeKind.INT8):
-        return int
+        return int, int, None
     if kind is TypeKind.FLOAT8:
-        return float
+        return float, float, None
     if kind is TypeKind.DECIMAL:
         scale = dtype.scale
         if scale is None:
-            return float
-        return lambda value: round(float(value), scale)
+            return float, float, None
+        return (lambda value: round(float(value), scale)), None, None
     if kind is TypeKind.BOOL:
-        return bool
+        return bool, bool, None
     if kind in (TypeKind.CHAR, TypeKind.VARCHAR) and dtype.length is not None:
         length = dtype.length
-        return lambda value: str(value)[:length]
+        return (lambda value: str(value)[:length]), str, length
     if kind in _STRING_KINDS:
-        return str
+        return str, str, None
     if kind is TypeKind.DATE:
-        return _coerce_date
+        return _coerce_date, datetime.date, None
     if kind is TypeKind.BYTEA:
-        return _coerce_bytes
+        return _coerce_bytes, bytes, None
     raise CatalogError(f"cannot coerce into {dtype}")  # pragma: no cover
 
 
@@ -254,7 +259,7 @@ class DataType:
     # a :class:`RowCodec`, compiled from the same per-kind functions.
     def coerce(self, value: object) -> object:
         """Validate/convert a Python value into this type's canonical form."""
-        return None if value is None else _coercer(self)(value)
+        return None if value is None else _coercion(self)[0](value)
 
     def encode(self, value: object, out: bytearray) -> None:
         """Append the binary encoding of a non-null value to ``out``."""
@@ -384,9 +389,68 @@ class RowCodec:
         self.table = table
 
     # -------------------------------------------------------------- coerce
+    # One coercer per column serves both forms: a single row calls it per
+    # value, a batch maps it down the columns that need it.
+    @cached_property
+    def _coercions(self) -> List[tuple]:
+        return [_coercion(col.type) for col in self.columns]
+
     @cached_property
     def _coercers(self) -> List[Callable[[object], object]]:
-        return [_coercer(col.type) for col in self.columns]
+        return [coerce for coerce, _canonical, _length in self._coercions]
+
+    def coerce_columns(self, rows: Sequence[Sequence[object]]) -> List[Sequence[object]]:
+        """``rows`` transposed — one sequence per column — with every
+        value in its column type's canonical form: :meth:`coerce_row` of
+        every row, done a column at a time. A column that already holds
+        nothing but its canonical type is passed through untouched; the
+        others run their coercer as one ``map``. Raises what the first
+        row :meth:`coerce_row` refuses would raise."""
+        if len(rows) == 1:  # nothing to amortize the column passes over
+            return [(value,) for value in self.coerce_row(rows[0])]
+        try:
+            return self._coerce_columns(rows)
+        except Exception:
+            # Down the columns a later row's error can come first; the
+            # caller is owed the one a row-by-row load stops at.
+            for row in rows:
+                self.coerce_row(row)
+            raise
+
+    def _coerce_columns(self, rows: Sequence[Sequence[object]]) -> List[Sequence[object]]:
+        ncols = len(self.columns)
+        if set(map(len, rows)) - {ncols}:  # coerce_columns says which row
+            raise CatalogError(f"row arity != {ncols} for {self.table}")
+        columns: List[Sequence[object]] = list(zip(*rows)) or [()] * ncols
+        none_type = type(None)
+        for i, (values, (coerce, canonical, length)) in enumerate(
+            zip(columns, self._coercions)
+        ):
+            kinds = set(map(type, values))
+            nullable = none_type in kinds
+            if nullable:
+                if self.columns[i].not_null:
+                    raise CatalogError(
+                        f"null in NOT NULL column {self.columns[i].name}"
+                    )
+                kinds.discard(none_type)
+            if kinds <= {canonical} and (
+                length is None
+                or not kinds
+                or max(map(len, filter(None, values)), default=0) <= length
+            ):
+                continue
+            if nullable:
+                columns[i] = [
+                    None if value is None else coerce(value) for value in values
+                ]
+            else:
+                columns[i] = list(map(coerce, values))
+        return columns
+
+    def coerce_rows(self, rows: Sequence[Sequence[object]]) -> List[Tuple[object, ...]]:
+        """``[coerce_row(row) for row in rows]``, by column."""
+        return list(zip(*self.coerce_columns(rows)))
 
     def coerce_row(self, row: Sequence[object]) -> Tuple[object, ...]:
         """``row`` with every value in its column type's canonical form."""

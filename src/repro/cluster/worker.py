@@ -134,7 +134,7 @@ class SegmentWorker:
         detsan = self.services.detsan
         if detsan is not None:
             # Attribute every mutation this task performs (block cache,
-            # kernel memo, LIKE cache, ...) to its query id.
+            # LIKE cache, ...) to its query id.
             with detsan.scope(message.payload[3].query_id):
                 self._run_dispatch(message)
             return

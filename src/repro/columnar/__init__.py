@@ -18,6 +18,7 @@ from repro.columnar.vector import (
     Vector,
     as_list,
     concat,
+    fresh_list,
     gather,
     numpy_module,
     take,
@@ -34,6 +35,7 @@ __all__ = [
     "Vector",
     "as_list",
     "concat",
+    "fresh_list",
     "gather",
     "numpy_module",
     "take",

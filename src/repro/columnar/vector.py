@@ -339,6 +339,15 @@ def as_list(col) -> list:
     return col
 
 
+def fresh_list(col) -> list:
+    """:func:`as_list` for a single pass over a block: a vector builds
+    the list without keeping it (its cached ``tolist`` would stay on the
+    block cache's vectors long after the one reader is done)."""
+    if isinstance(col, Vector):
+        return col._materialize()
+    return as_list(col)
+
+
 def gather(col, sel: Sequence[int]) -> list:
     """Python values of ``col`` at the selected row indices."""
     if isinstance(col, (Vector, ConstVector)):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import (
     Column,
@@ -47,6 +47,7 @@ from repro.cluster.rpc import RpcBus
 from repro.cluster.segment import Segment
 from repro.cluster.standby import StandbyMaster
 from repro.cluster.worker import SegmentWorker, WorkerServices
+from repro.columnar import take_columns
 from repro.errors import (
     CatalogError,
     ClusterError,
@@ -156,12 +157,6 @@ class Engine:
         #: sessions snapshot-diff it per statement onto
         #: ``QueryResult.metrics``. Purely passive — never charged.
         self.metrics = MetricsRegistry()
-        #: Engine-lifetime memo of compiled row/batch expression kernels
-        #: keyed by (kind, id(expr), layout): re-dispatching a slice to
-        #: N segments — or restarting a query after a chaos fault —
-        #: reuses one compiled closure instead of recompiling per
-        #: segment per attempt.
-        self.kernel_cache: dict = {}
         #: Optional :class:`repro.sanitize.DetSan` attached by
         #: ``DetSan.install_engine``: workers scope every dispatched
         #: task to its query id so mutations of shared caches are
@@ -692,7 +687,6 @@ class Session:
                 executor_mode=engine.executor_mode,
                 metadata_dispatch=engine.metadata_dispatch,
                 trace=trace,
-                kernel_cache=engine.kernel_cache,
                 query_id=query_id,
             ),
             query_id=query_id,
@@ -777,7 +771,9 @@ class Session:
                     f"cannot insert into READABLE external table {schema.name!r}"
                 )
             acc = CostAccumulator(engine.cost_model)
-            count = engine.pxf.write(pxf_info, schema, rows, acc)
+            count = engine.pxf.write(
+                pxf_info, schema, schema.row_codec().coerce_rows(rows), acc
+            )
             result = _ok(f"INSERT 0 {count}")
             result.cost.seconds += acc.seconds
             return result
@@ -796,12 +792,12 @@ class Session:
         self,
         schema: TableSchema,
         columns: Optional[List[str]],
-        rows: Sequence[tuple],
-    ) -> List[tuple]:
-        """INSERT's rows in table shape (unnamed columns NULL), coerced."""
-        coerce_row = schema.row_codec().coerce_row
+        rows: Sequence[Sequence[object]],
+    ) -> Sequence[Sequence[object]]:
+        """INSERT's rows in table shape (unnamed columns NULL); whoever
+        writes them coerces them."""
         if columns is None:
-            return [coerce_row(row) for row in rows]
+            return rows
         positions = [schema.column_index(name) for name in columns]
         shaped = []
         for row in rows:
@@ -810,23 +806,27 @@ class Session:
             full: List[object] = [None] * len(schema.columns)
             for position, value in zip(positions, row):
                 full[position] = value
-            shaped.append(coerce_row(full))
+            shaped.append(full)
         return shaped
 
     def load_rows(
         self,
         table: str,
-        rows: Sequence[tuple],
+        rows: Iterable[Sequence[object]],
         txn: Optional[Transaction] = None,
         snapshot: Optional[Snapshot] = None,
         acc: Optional[CostAccumulator] = None,
     ) -> int:
-        """Bulk-load coerced rows (the ETL / COPY path). Transactional.
+        """Bulk-load ``rows`` (the ETL / COPY / INSERT path), coercing
+        them — once, here, a column at a time — into the table's types.
+        Transactional.
 
         INSERT and COPY always pass an ``acc`` so the written bytes are
         charged to the statement's simulated cost; bare ETL callers may
         omit it (their loads are setup, not a measured statement)."""
         engine = self.engine
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)  # any iterable; the column passes re-read it
         own_txn = txn is None
         if own_txn:
             txn = engine.txns.begin(self.default_isolation)
@@ -834,13 +834,12 @@ class Session:
         assert snapshot is not None
         try:
             schema = engine.catalog.get_schema(table, snapshot)
-            coerce_row = schema.row_codec().coerce_row
-            rows = [coerce_row(r) for r in rows]
-            targets = self._route_partitions(schema, rows, snapshot)
+            columns = schema.row_codec().coerce_columns(rows)
+            targets = self._route_partitions(schema, columns, snapshot)
             total = 0
-            for child_schema, child_rows in targets:
+            for child_schema, child_columns in targets:
                 total += self._write_table_rows(
-                    child_schema, child_rows, txn, snapshot, acc=acc
+                    child_schema, child_columns, txn, snapshot, acc=acc
                 )
             if own_txn:
                 engine.txns.commit(txn)
@@ -851,73 +850,86 @@ class Session:
             raise
 
     def _route_partitions(
-        self, schema: TableSchema, rows: Sequence[tuple], snapshot: Snapshot
-    ) -> List[Tuple[TableSchema, List[tuple]]]:
+        self,
+        schema: TableSchema,
+        columns: List[Sequence[object]],
+        snapshot: Snapshot,
+    ) -> List[Tuple[TableSchema, List[Sequence[object]]]]:
+        """``columns`` (coerced) split between the child partitions that
+        hold their rows; ``spec.route`` runs once per distinct value."""
         spec = schema.partition_spec
         if spec is None:
-            return [(schema, list(rows))]
+            return [(schema, columns)]
         children = {
             partition.name: child_name
             for child_name, partition in self.engine.catalog.lookup_relation(
                 schema.name, snapshot
             )["children"]
         }
-        part_col = schema.column_index(spec.column)
-        buckets: Dict[str, List[tuple]] = {}
-        for row in rows:
-            partition = spec.route(row[part_col])
+        values = columns[schema.column_index(spec.column)]
+        routes: Dict[object, str] = {}
+        for value in dict.fromkeys(values):
+            partition = spec.route(value)
             if partition is None:
                 raise ExecutorError(
-                    f"no partition of {schema.name} holds {row[part_col]!r}"
+                    f"no partition of {schema.name} holds {value!r}"
                 )
-            buckets.setdefault(partition.name, []).append(row)
+            routes[value] = partition.name
+        buckets: Dict[str, List[int]] = {}
+        for i, part_name in enumerate(map(routes.__getitem__, values)):
+            buckets.setdefault(part_name, []).append(i)
         out = []
-        for part_name, child_rows in buckets.items():
+        for part_name, picked in buckets.items():
             child_schema = self.engine.catalog.get_schema(
                 children[part_name], snapshot
             )
-            out.append((child_schema, child_rows))
+            out.append((child_schema, take_columns(columns, picked)))
         return out
 
     def _write_table_rows(
         self,
         schema: TableSchema,
-        rows: List[tuple],
+        columns: List[Sequence[object]],
         txn: Transaction,
         snapshot: Snapshot,
         acc: Optional[CostAccumulator] = None,
     ) -> int:
+        """Append the rows held column-wise in ``columns`` (coerced):
+        placed by column, handed to the format's writer as tuples."""
         engine = self.engine
         num_segments = engine.num_segments
-        buckets: Dict[int, List[tuple]] = {}
+        rows = list(zip(*columns))
         if schema.distribution.is_hash:
-            key_columns = [
-                [row[i] for row in rows]
-                for i in map(schema.column_index, schema.distribution.columns)
-            ]
-            places = hash_columns(key_columns, len(rows), num_segments)
-            for place, row in zip(places, rows):
-                buckets.setdefault(place, []).append(row)
+            places = hash_columns(
+                [
+                    columns[schema.column_index(name)]
+                    for name in schema.distribution.columns
+                ],
+                len(rows),
+                num_segments,
+            )
         else:
             start = next(engine._load_rng)
-            for i, row in enumerate(rows):
-                buckets.setdefault((start + i) % num_segments, []).append(row)
+            places = [(start + i) % num_segments for i in range(len(rows))]
+        buckets: Dict[int, List[tuple]] = {}
+        for place, row in zip(places, rows):
+            buckets.setdefault(place, []).append(row)
 
         from repro.txn.manager import AppendedFile
 
         lane = engine.txns.segfiles.acquire(schema.name, txn.xid)
         fmt = get_format(schema.storage_format)
+        segfiles = {
+            (f["segment_id"], f["segfile_id"]): f
+            for f in engine.catalog.segfiles(schema.name, snapshot)
+        }
         for segment_id, segment_rows in sorted(buckets.items()):
             segment = engine.segments[segment_id]
             client = segment.client(engine.hdfs)
             base_path = engine.segment_data_path(schema.name, segment_id, lane)
-            existing = [
-                f
-                for f in engine.catalog.segfiles(schema.name, snapshot, segment_id)
-                if f["segfile_id"] == lane
-            ]
-            if existing:
-                prev = existing[0]["paths"]
+            existing = segfiles.get((segment_id, lane))
+            if existing is not None:
+                prev = existing["paths"]
                 # Truncate garbage left by aborted appends before writing.
                 for path, logical in prev.items():
                     if client.exists(path):
@@ -959,9 +971,9 @@ class Session:
                     lane,
                     {
                         "paths": dict(result.paths),
-                        "uncompressed_length": existing[0]["uncompressed_length"]
+                        "uncompressed_length": existing["uncompressed_length"]
                         + result.uncompressed_bytes,
-                        "tupcount": existing[0]["tupcount"] + result.tupcount,
+                        "tupcount": existing["tupcount"] + result.tupcount,
                     },
                     txn.xid,
                 )
@@ -1074,8 +1086,9 @@ class Session:
             acc = CostAccumulator(engine.cost_model)
             raw = engine.hdfs.client().read_file(path).decode("utf-8")
             acc.disk_read(len(raw))
+            # Text fields: load_rows parses them as it coerces.
             rows = [
-                resolver.resolve(line, schema)
+                resolver.fields(line, schema)
                 for line in raw.splitlines()
                 if line
             ]
@@ -1254,7 +1267,7 @@ class Session:
             fresh_snapshot = txn.statement_snapshot()
             if rows:
                 self._write_table_rows(
-                    new_schema, rows, txn, fresh_snapshot, acc=acc
+                    new_schema, list(zip(*rows)), txn, fresh_snapshot, acc=acc
                 )
         if relation.get("children"):
             parent_schema = _apply_storage_options(relation["schema"], options)
@@ -1296,23 +1309,32 @@ class Session:
             return stats
         children = relation.get("children", [])
         scan_names = [c for c, _ in children] or [name]
-        rows: List[tuple] = []
-        for scan_name in scan_names:
-            rows.extend(self._read_all_rows(scan_name, snapshot))
-        stats = TableStats.from_rows(
-            rows, relation["schema"].column_names
+        stats = TableStats.from_blocks(
+            itertools.chain.from_iterable(
+                self._read_all(scan_name, snapshot, "scan_blocks")
+                for scan_name in scan_names
+            ),
+            relation["schema"].column_names,
         )
         engine.catalog.set_stats(name, stats, txn.xid, snapshot)
         return stats
 
     def _read_all_rows(self, name: str, snapshot: Snapshot) -> Iterator[tuple]:
+        """Every visible row as a tuple, for the callers that need
+        tuples (COPY TO, ALTER TABLE ... SET WITH)."""
+        return self._read_all(name, snapshot, "scan")
+
+    def _read_all(self, name: str, snapshot: Snapshot, entry: str) -> Iterator:
+        """What the storage format's ``entry`` (``scan``: row tuples,
+        ``scan_blocks``: ``(row_count, {column index: vector})``) yields
+        for every visible segment file of ``name``, all columns."""
         engine = self.engine
         schema = engine.catalog.get_schema(name, snapshot)
-        fmt = get_format(schema.storage_format)
+        scan = getattr(get_format(schema.storage_format), entry)
         for segfile in engine.catalog.segfiles(name, snapshot):
             segment = engine.segments[segfile["segment_id"]]
             client = segment.client(engine.hdfs)
-            yield from fmt.scan(
+            yield from scan(
                 client,
                 segfile["paths"],
                 schema,

@@ -84,10 +84,10 @@ class ExecutionContext:
     #: it; the runtime assembles absolute spans at gather time. Tracing
     #: never charges the clock, so figures are identical either way.
     trace: Optional[object] = None
-    #: Engine-lifetime memo of compiled row/batch kernels, shared across
-    #: queries and retry attempts (see SliceExecutor._compiled). None
-    #: disables memoization (every compile_expr call is fresh).
-    kernel_cache: Optional[dict] = None
+    #: Memo of this statement's compiled row/batch kernels, shared by
+    #: its segments, retry attempts and re-executions (see
+    #: SliceExecutor._compiled); it goes when the context does.
+    kernel_cache: dict = field(default_factory=dict)
     #: Engine-wide statement id: every RPC this query's dispatch sends
     #: (and every trace event) is tagged with it, so concurrent
     #: sessions' control traffic stays attributable per query.

@@ -93,25 +93,23 @@ class SliceExecutor(BatchOperators):
         self.bytes_out = 0
 
     # ----------------------------------------------------- kernel memoization
-    # Compiled row/batch kernels are cached on the engine-lifetime
+    # Compiled row/batch kernels are cached on the statement's
     # ``ctx.kernel_cache`` keyed by (kind, id(expr), layout): the same
     # plan node re-dispatched to N segments (or re-run after a chaos
-    # retry) compiles its expressions once, not N times. The cached
-    # expr object is held strongly so a dead expr's id can't alias a
-    # new one, and params are equality-checked because a retried query
-    # rebinds InitPlan params on a fresh context.
+    # retry) compiles its expressions once, not N times. The key is the
+    # identity of one statement's plan nodes, so the memo lives and dies
+    # with that statement's context. The cached expr object is held
+    # strongly so a dead expr's id can't alias a new one, and params are
+    # equality-checked because a retried query rebinds InitPlan params
+    # on a copy of the context (which shares the memo).
     def _compiled(self, kind: str, expr, layout, compiler):
         cache = self.ctx.kernel_cache
         params = self.ctx.params
-        if cache is None:
-            return compiler(expr, layout, params)
         key = (kind, id(expr), tuple(layout))
         hit = cache.get(key)
         if hit is not None and hit[0] is expr and hit[1] == params:
             return hit[2]
         fn = compiler(expr, layout, params)
-        if len(cache) > 4096:
-            cache.clear()
         cache[key] = (expr, params, fn)
         return fn
 

@@ -103,19 +103,21 @@ class TextResolver(Resolver):
     def __init__(self, delimiter: str = "|"):
         self.delimiter = delimiter
 
-    def resolve(self, record: str, schema: TableSchema) -> Tuple[object, ...]:
+    def fields(self, record: str, schema: TableSchema) -> List[Optional[str]]:
+        """The record's text fields, one per column, still uncoerced;
+        an empty field is NULL."""
         parts = record.rstrip(self.delimiter).split(self.delimiter)
         if len(parts) < len(schema.columns):
             raise PxfError(
                 f"text record has {len(parts)} fields, need {len(schema.columns)}"
             )
-        out = []
-        for column, raw in zip(schema.columns, parts):
-            if raw == "":
-                out.append(None)
-            else:
-                out.append(column.type.coerce(raw))
-        return tuple(out)
+        return [part or None for part in parts[: len(schema.columns)]]
+
+    def resolve(self, record: str, schema: TableSchema) -> Tuple[object, ...]:
+        return tuple(
+            column.type.coerce(raw)
+            for column, raw in zip(schema.columns, self.fields(record, schema))
+        )
 
 
 class JsonAccessor(_StripedFileAccessor):

@@ -167,17 +167,15 @@ class DetSan:
     def install_engine(self, engine) -> None:
         """Guard the engine-lifetime shared caches (worker-side state).
 
-        Covers the block-decode cache every worker reads through, the
-        compiled-kernel memo, and the module-level LIKE cache — the
-        structures serial phase-A execution mutates across queries."""
+        Covers the block-decode cache every worker reads through and
+        the module-level LIKE cache — the structures serial phase-A
+        execution mutates across queries."""
         from repro.executor import expr as expr_module
 
         engine.detsan = self
         cache = getattr(engine, "block_cache", None)
         if cache is not None and not isinstance(cache._entries, GuardedOrderedDict):
             self._swap(cache, "_entries", "BlockDecodeCache._entries")
-        if not isinstance(engine.kernel_cache, GuardedDict):
-            self._swap(engine, "kernel_cache", "Engine.kernel_cache")
         if not isinstance(expr_module._LIKE_CACHE, GuardedDict):
             self._swap(expr_module, "_LIKE_CACHE", "_LIKE_CACHE")
 

@@ -77,11 +77,6 @@ SHARED_STATE: Dict[str, str] = {
         "epoch keys invalidate staleness and hit-replay recharges the "
         "same simulated cost, keeping results bit-identical"
     ),
-    "src/repro/engine.py::Engine.kernel_cache": (
-        "engine-lifetime memo of compiled expression kernels keyed by "
-        "(kind, expr, layout); compilation is pure so refills are "
-        "idempotent"
-    ),
 }
 
 

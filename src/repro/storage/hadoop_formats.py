@@ -96,14 +96,4 @@ class HawqTableOutputFormat:
 
     def write_table(self, table: str, rows: Sequence[tuple]) -> int:
         """Append rows transactionally; returns the row count."""
-        session = self.engine.connect()
-        snapshot_txn = self.engine.txns.begin()
-        try:
-            schema = self.engine.catalog.get_schema(
-                table, snapshot_txn.statement_snapshot()
-            )
-        finally:
-            self.engine.txns.commit(snapshot_txn)
-        coerce_row = schema.row_codec().coerce_row
-        coerced = [coerce_row(r) for r in rows]
-        return session.load_rows(table, coerced)
+        return self.engine.connect().load_rows(table, rows)

@@ -194,6 +194,48 @@ class TestCompiledAgainstPerValue:
             with pytest.raises(CatalogError, match="arity"):
                 coerce_row(row + (1,))
 
+    @settings(max_examples=80, deadline=None)
+    @given(table=tables(), data=st.data())
+    def test_coerce_rows_is_coerce_row_by_column(self, table, data):
+        """The batch form against the single-row form: same values, same
+        types, and — whatever is wrong with the batch, wherever — the
+        exception a row-by-row load would have stopped at."""
+        schema, raw_rows = table
+        codec = schema.row_codec()
+        expected = [codec.coerce_row(row) for row in raw_rows]
+        coerced = codec.coerce_rows(raw_rows)
+        assert coerced == expected
+        assert [[type(v) for v in row] for row in coerced] == [
+            [type(v) for v in row] for row in expected
+        ]
+        columns = codec.coerce_columns(raw_rows)
+        assert len(columns) == len(schema.columns)
+        assert list(zip(*columns)) == expected
+        if not raw_rows:
+            return
+        # Damage one or two rows, each its own way.
+        damaged = [tuple(row) for row in raw_rows]
+        for _ in range(data.draw(st.integers(1, 2))):
+            at = data.draw(st.integers(0, len(damaged) - 1))
+            col = data.draw(st.integers(0, len(schema.columns) - 1))
+            how = data.draw(st.sampled_from(("short", "long", "null", "junk")))
+            row = damaged[at]
+            damaged[at] = {
+                "short": row[:-1],
+                "long": row + (1,),
+                "null": row[:col] + (None,) + row[col + 1:],
+                "junk": row[:col] + (object(),) + row[col + 1:],
+            }[how]
+        try:
+            expected = [codec.coerce_row(row) for row in damaged]
+        except Exception as exc:  # whichever the first bad row raises
+            for batch_form in (codec.coerce_rows, codec.coerce_columns):
+                with pytest.raises(type(exc)) as caught:
+                    batch_form(damaged)
+                assert str(caught.value) == str(exc)
+        else:  # a NULL where one is allowed, junk a TEXT column can str()
+            assert codec.coerce_rows(damaged) == expected
+
     @settings(max_examples=40, deadline=None)
     @given(table=tables(), data=st.data())
     def test_formats_round_trip(self, table, data):
@@ -352,6 +394,163 @@ class TestDamagedPayloads:
     def test_single_value_api_checks_bounds(self):
         with pytest.raises(StorageError):
             DataType(TypeKind.TEXT).decode(struct.pack("<I", 5) + b"abc", 0)
+
+
+# ------------------------------------------------------ batch coercion
+COERCE_SCHEMA = TableSchema(
+    "t",
+    [
+        Column("k", DataType.parse("INT"), not_null=True),
+        Column("price", DataType.parse("DECIMAL(10,2)")),
+        Column("code", DataType.parse("CHAR(3)")),
+        Column("day", DataType.parse("DATE")),
+        Column("note", DataType.parse("TEXT")),
+    ],
+)
+
+
+class TestCoerceRowsErrors:
+    """Named cases of what the property above draws at random: the
+    message and class a loader sees do not depend on the batch form."""
+
+    GOOD = [(1, 1.5, "ab", "2001-02-03", "x"), (2, None, "cd", datetime.date(2001, 2, 4), "y"),
+            (3, 2, None, None, None)]
+
+    def _both(self, rows):
+        codec = COERCE_SCHEMA.row_codec()
+        with pytest.raises(Exception) as by_row:
+            [codec.coerce_row(row) for row in rows]
+        with pytest.raises(type(by_row.value)) as by_column:
+            codec.coerce_rows(rows)
+        assert str(by_column.value) == str(by_row.value)
+        return by_column.value
+
+    def test_wrong_arity(self):
+        exc = self._both(self.GOOD + [(4, 1.0, "ab")])
+        assert isinstance(exc, CatalogError) and "row arity 3 != 5 for t" in str(exc)
+
+    def test_null_in_not_null(self):
+        exc = self._both(self.GOOD + [(None, 1.0, "ab", None, "z")])
+        assert isinstance(exc, CatalogError)
+        assert str(exc) == "null in NOT NULL column k"
+
+    def test_unparsable_date_and_number(self):
+        assert isinstance(
+            self._both(self.GOOD + [(4, 1.0, "ab", "next tuesday", "z")]), ValueError
+        )
+        assert isinstance(
+            self._both(self.GOOD + [("four", 1.0, "ab", None, "z")]), ValueError
+        )
+        assert isinstance(
+            self._both(self.GOOD + [(4, "a lot", "ab", None, "z")]), ValueError
+        )
+
+    def test_the_first_bad_row_wins_not_the_first_bad_column(self):
+        rows = self.GOOD + [(4, 1.0, "ab", "next tuesday", "z"), (None, 1.0, "ab", None, "z")]
+        assert isinstance(self._both(rows), ValueError)
+
+    def test_over_long_char_is_truncated(self):
+        codec = COERCE_SCHEMA.row_codec()
+        rows = self.GOOD + [(4, 1.005, "abcdef", None, 7)]
+        coerced = codec.coerce_rows(rows)
+        assert coerced == [codec.coerce_row(row) for row in rows]
+        assert coerced[-1] == (4, 1.0, "abc", None, "7")
+        assert coerced[0][3] == datetime.date(2001, 2, 3)
+
+    def test_canonical_columns_pass_through_untouched(self):
+        rows = [(i, None, "ab", datetime.date(2001, 1, 1), f"n{i}") for i in range(5)]
+        columns = COERCE_SCHEMA.row_codec().coerce_columns(rows)
+        for column, original in zip(columns, zip(*rows)):
+            assert all(a is b for a, b in zip(column, original))
+
+
+def test_every_write_path_coerces_each_value_once(monkeypatch):
+    """INSERT, INSERT ... SELECT, COPY and the PXF writable path run a
+    column's coercer at most once per value — exactly once where the
+    value is not yet in canonical form (INSERT used to coerce in
+    ``_shape_rows`` and again in ``load_rows``, COPY in the text
+    resolver and again in ``load_rows``)."""
+    import repro
+    from repro.catalog import schema as schema_module
+
+    calls = {}
+    real = schema_module._coercion
+
+    def counting(dtype):
+        coerce, canonical, length = real(dtype)
+
+        def counted(value):
+            calls[str(dtype)] = calls.get(str(dtype), 0) + 1
+            return coerce(value)
+
+        return counted, canonical, length
+
+    monkeypatch.setattr(schema_module, "_coercion", counting)
+    engine = repro.Engine(num_segment_hosts=2, segments_per_host=1)
+    session = engine.connect()
+    ddl = "(k INT NOT NULL, price DECIMAL(10,2), code CHAR(3), day DATE, note TEXT)"
+    for name in ("a", "b", "c"):
+        session.execute(f"CREATE TABLE {name} {ddl} DISTRIBUTED BY (k)")
+
+    def spent():
+        seen = dict(calls)
+        calls.clear()
+        return seen
+
+    # Three rows: ints and TEXT already canonical, the rest need work.
+    session.execute(
+        "INSERT INTO a VALUES (1, 1.005, 'abcdef', '2001-02-03', 'x'), "
+        "(2, 2.5, 'ab', '2001-02-04', 'y'), (3, 3, 'cd', '2001-02-05', 'z')"
+    )
+    assert spent() == {"decimal(10,2)": 3, "char(3)": 3, "date": 3}
+    # One row goes value by value: every coercer, once.
+    session.execute("INSERT INTO a (k, note) VALUES (4, 'w')")
+    assert spent() == {"int4": 1, "text": 1}
+    # What a SELECT returns is canonical but for the DECIMAL's rounding.
+    session.execute("INSERT INTO b SELECT * FROM a WHERE k < 4")
+    assert spent() == {"decimal(10,2)": 3}
+    # COPY hands load_rows text: every non-empty field parsed once.
+    engine.hdfs.client().write_file(
+        "/load/c.tbl", b"5|1.005|abcdef|2001-02-03|x\n6||ab||n\n7|2|cd|2001-02-05|z\n"
+    )
+    session.execute("COPY c FROM '/load/c.tbl'")
+    assert spent() == {"int4": 3, "decimal(10,2)": 2, "char(3)": 3, "date": 2}
+    assert sorted(session.query("SELECT k, price, code, day, note FROM c")) == [
+        (5, 1.0, "abc", datetime.date(2001, 2, 3), "x"),
+        (6, None, "ab", None, "n"),
+        (7, 2.0, "cd", datetime.date(2001, 2, 5), "z"),
+    ]
+    session.execute(
+        f"CREATE WRITABLE EXTERNAL TABLE sink {ddl} "
+        "LOCATION ('pxf://svc/exports/sink.tbl?profile=HdfsTextSimple') FORMAT 'TEXT' ()"
+    )
+    session.execute(
+        "INSERT INTO sink VALUES (1, 1.005, 'abcdef', '2001-02-03', 'x'), "
+        "(2, 2.5, 'ab', '2001-02-04', 'y')"
+    )
+    assert spent() == {"decimal(10,2)": 2, "char(3)": 2, "date": 2}
+    assert engine.hdfs.client().read_file("/exports/sink.tbl") == (
+        b"1|1.0|abc|2001-02-03|x\n2|2.5|ab|2001-02-04|y\n"
+    )
+
+
+def test_load_rows_takes_any_iterable():
+    """The column passes read the batch more than once; a generator or a
+    one-shot iterator is materialised first, as the row loop took them."""
+    import repro
+    from repro.storage.hadoop_formats import HawqTableOutputFormat
+
+    engine = repro.Engine(num_segment_hosts=2, segments_per_host=1)
+    session = engine.connect()
+    session.execute("CREATE TABLE g (k INT NOT NULL, note TEXT) DISTRIBUTED BY (k)")
+    assert session.load_rows("g", ((i, f"n{i}") for i in range(5))) == 5
+    assert session.load_rows("g", iter([(5, "n5")])) == 1
+    assert session.load_rows("g", iter(())) == 0
+    more = ((i, i) for i in range(6, 9))  # note coerced to text
+    assert HawqTableOutputFormat(engine).write_table("g", more) == 3
+    assert sorted(session.query("SELECT k, note FROM g")) == [
+        (i, f"n{i}") if i < 6 else (i, str(i)) for i in range(9)
+    ]
 
 
 # ------------------------------------------------- one codec per version

@@ -192,33 +192,35 @@ class TestEngineInstall:
         engine = build_engine(0)
         ds = DetSan()
         plain_entries = engine.block_cache._entries
-        plain_kernels = engine.kernel_cache
         ds.install_engine(engine)
         try:
             assert engine.detsan is ds
-            assert isinstance(engine.kernel_cache, GuardedDict)
             assert isinstance(expr_mod._LIKE_CACHE, GuardedDict)
             assert type(engine.block_cache._entries).__name__ == (
                 "GuardedOrderedDict"
             )
-            guarded = engine.kernel_cache
+            guarded = expr_mod._LIKE_CACHE
             ds.install_engine(engine)  # idempotent: no double-wrap
-            assert engine.kernel_cache is guarded
+            assert expr_mod._LIKE_CACHE is guarded
         finally:
             ds.uninstall_engine(engine)
         assert engine.detsan is None
         assert type(engine.block_cache._entries) is type(plain_entries)
-        assert type(engine.kernel_cache) is dict
         assert type(expr_mod._LIKE_CACHE) is dict
+        # The compiled-kernel memo belongs to one statement's context:
+        # there is nothing engine-wide left to guard.
+        assert not hasattr(engine, "kernel_cache")
 
-    def test_uninstall_preserves_contents(self):
+    def test_uninstall_preserves_contents(self, monkeypatch):
+        import repro.executor.expr as expr_mod
+
+        monkeypatch.setattr(expr_mod, "_LIKE_CACHE", {"warm": "regex"})
         engine = build_engine(0)
-        engine.kernel_cache["warm"] = "kernel"
         ds = DetSan()
         ds.install_engine(engine)
-        engine.kernel_cache["hot"] = "kernel2"
+        expr_mod._LIKE_CACHE["hot"] = "regex2"
         ds.uninstall_engine(engine)
-        assert engine.kernel_cache == {"warm": "kernel", "hot": "kernel2"}
+        assert expr_mod._LIKE_CACHE == {"warm": "regex", "hot": "regex2"}
 
 
 # ============================================================= concurrent runs
@@ -283,10 +285,10 @@ class TestConcurrentRuns:
             "EventScheduler._busy",
             "_QueueState.running",
             "BlockDecodeCache._entries",
-            "Engine.kernel_cache",
             "_LIKE_CACHE",
         ):
             assert label in labels
+        assert "Engine.kernel_cache" not in labels
 
 
 # ======================================================================== CLI

@@ -315,7 +315,54 @@ def test_kernel_cache_distinguishes_layouts(monkeypatch):
     a = s.execute("SELECT a FROM vt WHERE a < 5 ORDER BY a")
     b = s.execute("SELECT a, t FROM vt WHERE a < 5 ORDER BY a")
     assert [r[0] for r in a.rows] == [r[0] for r in b.rows]
-    assert len(s.engine.kernel_cache) > 0
+
+
+def test_kernel_memo_lives_and_dies_with_its_statement(monkeypatch):
+    """The memo is keyed by the identity of one statement's plan nodes,
+    so it belongs to that statement: a prepared plan run again compiles
+    nothing, and once 50 distinct statements are done none of their
+    kernels is reachable from the engine."""
+    import gc
+    import weakref
+
+    from repro.executor import slice_runner
+    from repro.executor.concurrent import run_statement
+    from repro.sql.parser import parse_sql
+
+    kernels = []
+    real_batch = slice_runner.compile_expr_batch
+
+    def tracking(expr, layout, params):
+        fn = real_batch(expr, layout, params)
+        kernels.append(weakref.ref(fn))
+        return fn
+
+    monkeypatch.setattr(slice_runner, "compile_expr_batch", tracking)
+    s = _session("batch", rows=_edge_rows(40), num_hosts=4, per_host=1)
+    assert not hasattr(s.engine, "kernel_cache")
+
+    # A SELECT prepared inside a caller's transaction (as INSERT ...
+    # SELECT does) has no bracket of its own to close: run it twice.
+    txn = s.engine.txns.begin()
+    (stmt,) = parse_sql("SELECT t, count(*) FROM vt WHERE a < 7 GROUP BY t")
+    prepared = s._prepare(stmt, txn)
+    first = run_statement(prepared)
+    compiled = len(kernels)
+    assert 0 < compiled == len(prepared.ctx.kernel_cache)
+    assert all(ref() is not None for ref in kernels)
+    again = run_statement(prepared)
+    assert len(kernels) == compiled  # every kernel came from the memo
+    assert again.rows == first.rows and again.cost.seconds == first.cost.seconds
+    s.engine.txns.commit(txn)
+
+    results = [
+        s.execute(f"SELECT a, f FROM vt WHERE a < {bound} AND f >= 0.5 ORDER BY a")
+        for bound in range(50)
+    ]
+    assert len(kernels) >= compiled + 50
+    del prepared, first, again, results, stmt
+    gc.collect()
+    assert [ref for ref in kernels if ref() is not None] == []
 
 
 # ------------------------------------------- columnar motion: properties

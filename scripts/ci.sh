@@ -54,6 +54,12 @@ REPRO_NO_NUMPY=1 python -m pytest -q \
     tests/test_storage.py tests/test_block_cache.py tests/test_codec.py \
     tests/test_analyze_columnar.py
 
+echo "== predicate form and batch sizes on the pure-python backend =="
+# With no NumPy every column is a plain list or an array-backed vector:
+# every filter narrows, and every size is a census of Python values.
+REPRO_NO_NUMPY=1 python -m pytest -q \
+    tests/test_predicate_form.py tests/test_batch_sizing.py
+
 echo "== wall-clock bench, numpy backend (microbench >= 5x, TPC-H geomean >= 1.35x) =="
 python -m repro.bench --wallclock --check
 
@@ -115,6 +121,28 @@ for name, ceiling in (("catalog.pycalls", 19600), ("python.pycalls", 481000)):
     print(f"  load_write: {name}: {calls:,.0f} (ceiling {ceiling:,})"
           + ("  OVER BUDGET" if over else ""))
 sys.exit(1 if failed else 0)
+PY
+
+echo "== executor budget on tpch_power (counts, not seconds) =="
+# What one traced quick round of the 22 TPC-H statements costs in Python
+# calls inside the operators and their column kernels (repro/executor +
+# repro/columnar). With filters that narrow a selection and batches
+# sized once (PR 20) it reads 163,989 (104,625 + 59,364) of 1,110,047
+# calls overall; the three-valued masks and per-receiver sizing before
+# it read 161,602 (101,510 + 60,092) of 1,158,344 — the saving is in
+# comprehension passes and C-level work this count does not see, so it
+# is a guard against a per-row Python call creeping into a kernel, not
+# a score. The ceiling is the reading + 15 %.
+budget_json=$(python3 benchmarks/perf/run.py --workload tpch_power --quick --trace 1 | tail -n 1)
+python - "$budget_json" <<'PY'
+import json, sys
+metrics = json.loads(sys.argv[1])["metrics"]
+calls = metrics["executor.pycalls"]["value"] + metrics["columnar.pycalls"]["value"]
+ceiling = 188600
+over = calls > ceiling
+print(f"  tpch_power: executor.pycalls + columnar.pycalls: {calls:,.0f} (ceiling {ceiling:,})"
+      + ("  OVER BUDGET" if over else ""))
+sys.exit(1 if over else 0)
 PY
 
 echo "== throughput bench (qps floor, p99/p50 ceiling, serial bit-identity) =="

@@ -73,6 +73,11 @@ def current_commit() -> str:
     return done.stdout.strip() or "unknown"
 
 
+def _same_measurement(a: dict, b: dict) -> bool:
+    shared = (a.keys() & b.keys()) - {"commit"}
+    return bool(shared) and all(a[key] == b[key] for key in shared)
+
+
 def carry_history(
     out_path: str, entry: Dict[str, object], series: Sequence[str] = ()
 ) -> List[dict]:
@@ -81,8 +86,11 @@ def carry_history(
     Entries are keyed by commit: a re-run at the same commit (and the
     same values of the ``series`` fields, e.g. the vector backend)
     replaces the entry it follows instead of piling up beside it, and
-    consecutive identical entries already in the file collapse to one —
-    so every line of the history is a point where something could have
+    consecutive entries already in the file that agree on every key both
+    carry — ``commit`` aside: the same numbers at a later commit, or
+    under a report that had since grown a field — collapse to the
+    earlier one (which gains the fields only the later one has), so
+    every line of the history is a point where something could have
     moved."""
     history: List[dict] = []
     if os.path.exists(out_path):
@@ -92,7 +100,9 @@ def carry_history(
         except (OSError, ValueError):
             loaded = []
         for old in loaded:
-            if not history or old != history[-1]:
+            if history and _same_measurement(history[-1], old):
+                history[-1] = {**old, **history[-1]}
+            else:
                 history.append(old)
     entry = dict(entry, commit=current_commit())
     key = [entry.get(name) for name in ("commit", *series)]

@@ -20,7 +20,13 @@ whole batches.
 
 Batches are read-only by convention: operators build new batches rather
 than mutating inputs, because a projection may alias an input column
-(zero-copy column references).
+(zero-copy column references). That is also what lets a batch be *sized
+once*: ``nbytes()`` — ``4·rows + Σ column bytes``, additive over rows —
+is kept on the batch, ``dense``, ``concat`` and ``partition`` hand the
+known size on to the batches they build from sized ones, and a motion
+ships the batch it charged for, so the join build or sort that consumes
+the stream does not walk it again. ``select`` starts a batch with no
+size: fewer rows are live.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence
 
 from repro.columnar import as_list, concat, gather, take_columns
-from repro.executor.expr import column_bytes
+from repro.executor.expr import column_bytes, fixed_width
 from repro.storage.base import DEFAULT_BLOCK_ROWS
 
 #: Rows per batch on the vectorized path. Matches the storage block row
@@ -40,7 +46,7 @@ class ColumnBatch:
     """``nrows`` stored rows held as per-column vectors, of which the
     rows indexed by ``sel`` (all of them when ``sel`` is None) are live."""
 
-    __slots__ = ("columns", "nrows", "sel")
+    __slots__ = ("columns", "nrows", "sel", "_nbytes")
 
     def __init__(
         self,
@@ -53,6 +59,7 @@ class ColumnBatch:
         #: Live row indices into the columns in output order (ascending
         #: after a filter, a permutation after a sort), or None for all.
         self.sel = sel
+        self._nbytes: Optional[int] = None
 
     @property
     def count(self) -> int:
@@ -81,17 +88,39 @@ class ColumnBatch:
         if len(batches) == 1:
             return batches[0].dense()
         dense = [b.dense() for b in batches]
-        return cls(
+        out = cls(
             [concat(chunks) for chunks in zip(*(b.columns for b in dense))],
             sum(b.nrows for b in dense),
         )
+        sizes = [b._nbytes for b in dense]
+        if None not in sizes:
+            out._nbytes = sum(sizes)
+        return out
 
     def dense(self) -> "ColumnBatch":
         """This batch with the selection applied (itself when it has none)."""
         sel = self.sel
         if sel is None:
             return self
-        return ColumnBatch(take_columns(self.columns, sel), len(sel))
+        out = ColumnBatch(take_columns(self.columns, sel), len(sel))
+        out._nbytes = self._nbytes
+        return out
+
+    def partition(self, picks: Sequence[List[int]]) -> List["ColumnBatch"]:
+        """``[self.select(rows).dense() for rows in picks]`` over a dense
+        batch, each part sized: one type census per column here, and a
+        part walks only the columns that census could not give a width."""
+        widths = [fixed_width(col) for col in self.columns]
+        row_bytes = 4 + sum(w for w in widths if w is not None)
+        walked = [i for i, w in enumerate(widths) if w is None]
+        parts = []
+        for rows in picks:
+            part = ColumnBatch(take_columns(self.columns, rows), len(rows))
+            part._nbytes = row_bytes * len(rows) + sum(
+                column_bytes(part.columns[i]) for i in walked
+            )
+            parts.append(part)
+        return parts
 
     def select(self, picks: Sequence[int]) -> "ColumnBatch":
         """The live rows at positions ``picks`` (indices into the live
@@ -105,9 +134,13 @@ class ColumnBatch:
 
     def nbytes(self) -> int:
         """``sum(RowSizer()(row) for row in self.to_rows())``, sized
-        column-wise: the motion and spill charges' byte count."""
-        dense = self.dense()
-        return 4 * dense.nrows + sum(map(column_bytes, dense.columns))
+        column-wise and once: the motion and spill charges' byte count."""
+        size = self._nbytes
+        if size is None:
+            dense = self.dense()
+            size = 4 * dense.nrows + sum(map(column_bytes, dense.columns))
+            self._nbytes = size
+        return size
 
     def to_rows(self) -> Iterator[tuple]:
         """Yield the live rows as tuples of Python values.

@@ -36,7 +36,6 @@ from typing import Iterator, List, Optional
 
 from repro.catalog.schema import hash_columns
 from repro.columnar import ConstVector, as_list, take_columns
-from repro.columnar.vector import true_selection
 from repro.errors import ExecutorError
 from repro.executor.batch import DEFAULT_BATCH_ROWS, ColumnBatch
 from repro.executor.expr import column_ref_position
@@ -190,7 +189,7 @@ class BatchOperators:
                 node, self._run_seqscan(node, segment, acc)
             )
         predicate = (
-            self._compile_batch(node.filter, self._scan_layout(node))
+            self._compile_predicate(node.filter, self._scan_layout(node))
             if node.filter is not None
             else None
         )
@@ -213,8 +212,7 @@ class BatchOperators:
                 # None placeholders the row-path provider materializes.
                 placeholder = ConstVector(None, row_count)
                 full = [vectors.get(c, placeholder) for c in range(ncols)]
-                mask = predicate(full, row_count, None)
-                sel = true_selection(mask, row_count, None)
+                sel = predicate(full, row_count, None)
                 if len(sel) == row_count:
                     yield ColumnBatch(
                         [vectors[c] for c in out_positions], row_count
@@ -234,12 +232,11 @@ class BatchOperators:
         self, node: Filter, segment: int, acc: CostAccumulator
     ) -> Batches:
         child = self._run_node_batches(node.child, segment, acc)
-        predicate = self._compile_batch(node.cond, node.child.layout)
+        predicate = self._compile_predicate(node.cond, node.child.layout)
         count = 0
         for batch in child:
             count += batch.count
-            mask = predicate(batch.columns, batch.nrows, batch.sel)
-            sel = true_selection(mask, batch.nrows, batch.sel)
+            sel = predicate(batch.columns, batch.nrows, batch.sel)
             if len(sel) == batch.count:
                 yield batch
             elif sel:
@@ -300,7 +297,7 @@ class BatchOperators:
         if join_type not in ("inner", "left", "semi", "anti"):
             raise ExecutorError(f"unknown join type {join_type!r}")
         residual = (
-            self._compile_batch(node.residual, node.layout_for_residual())
+            self._compile_predicate(node.residual, node.layout_for_residual())
             if node.residual is not None
             else None
         )
@@ -402,8 +399,7 @@ class BatchOperators:
             # The residual sees (probe columns, build columns) of every
             # candidate pair, like the row executor's ``row + match``.
             pairs = self._pair_columns(batch, left, right, build_cols)
-            mask = residual(pairs, len(left), None)
-            passed = true_selection(mask, len(left), None)
+            passed = residual(pairs, len(left), None)
             if len(passed) < len(left):
                 left = [left[j] for j in passed]
                 right = [right[j] for j in passed]
@@ -624,13 +620,14 @@ class BatchOperators:
         A redistribute places its input with one columnar hash over the
         key columns and takes each receiver's rows out of it; gather and
         broadcast ship the input as it is. Streams are sized column-wise
-        (``ColumnBatch.nbytes``), to the row sizer's exact totals.
+        (``ColumnBatch.nbytes``), to the row sizer's exact totals, and a
+        shipped batch keeps the size it was charged at: the operator
+        that consumes the stream does not size it again.
         """
         receivers = self.task.receivers
         batches = list(self._run_node_batches(node.child, segment, acc))
         count = 0
         streams = {}
-        sizes = {}
         if batches:
             stream = ColumnBatch.concat(batches)
             count = stream.nrows
@@ -647,28 +644,32 @@ class BatchOperators:
                 picks: List[List[int]] = [[] for _ in receivers]
                 for row, place in enumerate(places):
                     picks[place].append(row)
-                for target, rows in zip(receivers, picks):
-                    if rows:
-                        streams[target] = (
-                            stream if len(rows) == count
-                            else stream.select(rows).dense()
-                        )
-                        sizes[target] = streams[target].nbytes()
+                taken = {t: rows for t, rows in zip(receivers, picks) if rows}
+                if len(taken) == 1:  # every row to one receiver
+                    streams = dict.fromkeys(taken, stream)
+                else:
+                    streams = dict(
+                        zip(taken, stream.partition(list(taken.values())))
+                    )
             else:
                 targets = receivers if node.kind == "broadcast" else receivers[:1]
                 streams = dict.fromkeys(targets, stream)
-                sizes = dict.fromkeys(targets, stream.nbytes())
-        self._charge_send(acc, count, sum(sizes.values()), len(receivers))
+        self._charge_send(
+            acc, count, sum(s.nbytes() for s in streams.values()),
+            len(receivers),
+        )
         for target in sorted(streams):
-            self.rows_out += streams[target].nrows
-            self.bytes_out += sizes[target]
+            stream = streams[target]
+            nbytes = stream.nbytes()
+            self.rows_out += stream.nrows
+            self.bytes_out += nbytes
             self.exchange.send(
                 self.ctx.query_id,
                 self.task.slice_id,
                 segment,
                 target,
-                streams[target],
-                sizes[target],
+                stream,
+                nbytes,
             )
         return iter(())
 

@@ -523,6 +523,7 @@ class StatementLoop:
                 int(name[3:]), bus, self.runtime.exchange,
                 self.runtime.services,
             )
+            self.engine.metrics.counter("workers_spawned").inc()
 
     def _abort_attempt(self, state: _Statement) -> None:
         """Tear down the in-flight attempt: ABORT broadcast, exchange

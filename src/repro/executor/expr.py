@@ -25,6 +25,7 @@ from repro.columnar import (
     take,
 )
 from repro.columnar import kernels as vk
+from repro.columnar.vector import true_selection
 from repro.errors import CatalogError, ExecutorError
 from repro.planner import exprs as ex
 from repro.planner.physical import ColumnId
@@ -278,6 +279,20 @@ def column_bytes(col) -> int:
             )
             total += count * _generic_value_bytes(sample)
     return total
+
+
+def fixed_width(col) -> Optional[int]:
+    """What every value of ``col`` adds to :func:`column_bytes` when they
+    all add the same — one fixed-size type throughout, NULLs only if the
+    column is nothing else — or None when the column has to be walked.
+    Any subset of such a column's rows is ``width × len(rows)`` bytes, so
+    one census serves every receiver of a redistribute."""
+    if isinstance(col, (Vector, ConstVector)):
+        if isinstance(col, (ConstVector, DictVector)) or col.mask is not None:
+            return None  # sized without a walk anyway
+        return 1 if isinstance(col, BoolVector) else 8
+    kinds = dict.fromkeys(map(type, col))
+    return _FIXED_VALUE_BYTES.get(next(iter(kinds))) if len(kinds) == 1 else None
 
 
 #: Expression leaves whose value is not known until a row (or an
@@ -595,6 +610,152 @@ def _null_propagating(fn, l, r) -> list:
     return [None if a is None or b is None else fn(a, b) for a, b in zip(l, r)]
 
 
+def _true_rows(fn, rows, l, r) -> List[int]:
+    """The ``rows`` at which :func:`_null_propagating` would say TRUE, in
+    one pass and without the three-valued list in between — ``fn`` is a
+    comparison, so what is not NULL is a ``bool``."""
+    if isinstance(r, ConstVector):
+        b = r.value
+        if b is None:
+            return []
+        return [i for i, a in zip(rows, l) if a is not None and fn(a, b)]
+    if isinstance(l, ConstVector):
+        a = l.value
+        if a is None:
+            return []
+        return [i for i, b in zip(rows, r) if b is not None and fn(a, b)]
+    return [
+        i for i, a, b in zip(rows, l, r)
+        if a is not None and b is not None and fn(a, b)
+    ]
+
+
+# The boolean leaves. Each is compiled in one of two forms from the one
+# kernel below: the *value* form answers TRUE / FALSE / NULL per input
+# row, the *truth* form (``truth=True``, see ``compile_expr_batch``)
+# answers with the rows that are TRUE. Typed operands take the same
+# ``repro.columnar.kernels`` fast path in both, and its three-valued
+# vector is the answer in both.
+def _compare_kernel(py_op, left: BatchFn, right: BatchFn, truth: bool) -> BatchFn:
+    def f_cmp(cols, n, sel):
+        l = left(cols, n, sel)
+        r = right(cols, n, sel)
+        fast = vk.cmp_fast(py_op, l, r)
+        if fast is not None:
+            return fast
+        if truth:
+            return _true_rows(py_op, range(n) if sel is None else sel, l, r)
+        return _null_propagating(py_op, l, r)
+    return f_cmp
+
+
+def _like_kernel(operand: BatchFn, match, negated: bool, truth: bool) -> BatchFn:
+    def f_like(cols, n, sel):
+        vals = operand(cols, n, sel)
+        fast = vk.like_fast(vals, match, negated)
+        if fast is not None:
+            return fast
+        if truth:
+            rows = zip(range(n) if sel is None else sel, vals)
+            if negated:
+                return [i for i, v in rows if v is not None and match(v) is None]
+            return [i for i, v in rows if v is not None and match(v) is not None]
+        if negated:
+            return [None if v is None else match(v) is None for v in vals]
+        return [None if v is None else match(v) is not None for v in vals]
+    return f_like
+
+
+def _in_kernel(operand: BatchFn, items: tuple, negated: bool, truth: bool) -> BatchFn:
+    """``x IN (constants)``: tuple membership performs the same
+    ``==``-scan the row path's ``any()`` does."""
+    def f_in_const(cols, n, sel):
+        vals = operand(cols, n, sel)
+        fast = vk.in_const_fast(vals, items, negated)
+        if fast is not None:
+            return fast
+        if truth:
+            rows = zip(range(n) if sel is None else sel, vals)
+            if negated:
+                return [i for i, v in rows if v is not None and v not in items]
+            return [i for i, v in rows if v is not None and v in items]
+        if negated:
+            return [None if v is None else v not in items for v in vals]
+        return [None if v is None else v in items for v in vals]
+    return f_in_const
+
+
+def _isnull_kernel(operand: BatchFn, negated: bool, truth: bool) -> BatchFn:
+    def f_isnull(cols, n, sel):
+        vals = operand(cols, n, sel)
+        fast = vk.isnull_fast(vals, negated)
+        if fast is not None:
+            return fast
+        if truth:
+            rows = zip(range(n) if sel is None else sel, vals)
+            if negated:
+                return [i for i, v in rows if v is not None]
+            return [i for i, v in rows if v is None]
+        if negated:
+            return [v is not None for v in vals]
+        return [v is None for v in vals]
+    return f_isnull
+
+
+def _live_rows(truth, n: int, sel: Optional[List[int]]) -> List[int]:
+    """A truth-form answer as the selection it stands for."""
+    return truth if type(truth) is list else true_selection(truth, n, sel)
+
+
+def _and_kernel(left: BatchFn, right: BatchFn) -> BatchFn:
+    """Truth form of ``a AND b`` for a ``b`` that cannot raise (the row
+    path evaluates ``b`` where ``a`` is NULL too, so a ``b`` that can
+    raise is not narrowed away — see ``compile_truth``)."""
+    def t_and(cols, n, sel):
+        a = left(cols, n, sel)
+        if type(a) is list:
+            # Narrowing: b is asked about a's survivors only.
+            return _live_rows(right(cols, n, a), n, a) if a else a
+        # A typed left side: both sides over the whole selection and one
+        # vectorized Kleene pass, which the caller ends in ``nonzero``.
+        b = right(cols, n, sel)
+        both = None if type(b) is list else vk.kleene_and(a, b)
+        if both is not None:
+            return both
+        keep = set(true_selection(a, n, sel))
+        return [i for i in _live_rows(b, n, sel) if i in keep]
+    return t_and
+
+
+def _or_kernel(left: BatchFn, right: BatchFn, pure_right: bool) -> BatchFn:
+    """Truth form of ``a OR b``: ``b`` is evaluated on exactly the rows
+    where ``a`` is not TRUE — the rows the row path evaluates it on —
+    unless the typed Kleene pass applies (as in :func:`_and_kernel`)."""
+    def t_or(cols, n, sel):
+        rows = range(n) if sel is None else sel
+        a = left(cols, n, sel)
+        if pure_right and type(a) is not list:
+            b = right(cols, n, sel)
+            either = None if type(b) is list else vk.kleene_or(a, b)
+            if either is not None:
+                return either
+            a = true_selection(a, n, sel)
+            b = _live_rows(b, n, sel)
+            true = set(a)
+        else:
+            a = _live_rows(a, n, sel)
+            if len(a) == len(rows):
+                return a
+            true = set(a)
+            rest = [i for i in rows if i not in true]
+            b = _live_rows(right(cols, n, rest), n, rest)
+        if not a or not b:
+            return a or b
+        true.update(b)
+        return [i for i in rows if i in true]  # input order
+    return t_or
+
+
 def column_ref_key(node: ex.BoundExpr) -> Optional[tuple]:
     """The layout ColumnId of a bare column reference, else None."""
     if isinstance(node, ex.BVar) and node.level == 0:
@@ -628,6 +789,7 @@ def compile_expr_batch(
     expr: ex.BoundExpr,
     layout: Sequence[ColumnId],
     params: Optional[Sequence[object]] = None,
+    predicate: bool = False,
 ) -> BatchFn:
     """Compile a bound expression into a batch (vectorized) evaluator.
 
@@ -643,6 +805,14 @@ def compile_expr_batch(
     expressions (``x <> 0 AND y / x > 1``) never raise on rows the guard
     excludes, and semantics (including which rows can raise) match
     :func:`compile_expr` on every input.
+
+    With ``predicate=True`` the function returned is the **predicate
+    form** instead: ``fn(cols, n, sel)`` returns the live rows at which
+    the expression is TRUE — :func:`~repro.columnar.vector.
+    true_selection` of the value form, without the three-valued column
+    in between: row indices in the input's row space and order, a plain
+    list of Python ints. It raises on a row exactly when the value form
+    (and so the row path) does.
     """
     expr = fold_constants(expr)
     index_of = {cid: i for i, cid in enumerate(layout)}
@@ -667,7 +837,35 @@ def compile_expr_batch(
             return [row_fn(tuple(col[i] for col in cols)) for i in indices]
         return f_fallback
 
+    def boolean_leaf(node: ex.BoundExpr, truth: bool) -> Optional[BatchFn]:
+        """The kernel of a comparison, ``IN (constants)``, LIKE or
+        IS [NOT] NULL in the form asked for — both forms of a node type
+        are the one kernel — or None for any other node."""
+        if isinstance(node, ex.BOp) and node.op in _CMP_OPS:
+            return _compare_kernel(
+                _CMP_OPS[node.op], compile_node(node.left),
+                compile_node(node.right), truth,
+            )
+        if isinstance(node, ex.BLike):
+            return _like_kernel(
+                compile_node(node.operand),
+                _like_pattern(node.pattern).match, node.negated, truth,
+            )
+        if isinstance(node, ex.BIn) and all(
+            isinstance(i, ex.BConst) for i in node.items
+        ):
+            return _in_kernel(
+                compile_node(node.operand),
+                tuple(i.value for i in node.items), node.negated, truth,
+            )
+        if isinstance(node, ex.BIsNull):
+            return _isnull_kernel(compile_node(node.operand), node.negated, truth)
+        return None
+
     def compile_node(node: ex.BoundExpr) -> BatchFn:
+        leaf = boolean_leaf(node, False)
+        if leaf is not None:
+            return leaf
         if isinstance(node, ex.BConst):
             return constant(node.value)
         if isinstance(node, ex.BInterval):
@@ -787,16 +985,6 @@ def compile_expr_batch(
                                 out[j] = False
                     return out
                 return f_or
-            if op in _CMP_OPS:
-                py_op = _CMP_OPS[op]
-                def f_cmp(cols, n, sel):
-                    l = left(cols, n, sel)
-                    r = right(cols, n, sel)
-                    fast = vk.cmp_fast(py_op, l, r)
-                    if fast is not None:
-                        return fast
-                    return _null_propagating(py_op, l, r)
-                return f_cmp
             if op in ("+", "-", "*"):
                 # Fast elementwise path; the per-value _Interval check
                 # keeps date arithmetic identical to sql_arith.
@@ -876,49 +1064,9 @@ def compile_expr_batch(
             def f_cast(cols, n, sel):
                 return [coerce(v) for v in operand(cols, n, sel)]
             return f_cast
-        if isinstance(node, ex.BLike):
-            operand = compile_node(node.operand)
-            match = _like_pattern(node.pattern).match
-            negated = node.negated
-            if negated:
-                def f_nlike(cols, n, sel):
-                    vals = operand(cols, n, sel)
-                    fast = vk.like_fast(vals, match, negated)
-                    if fast is not None:
-                        return fast
-                    return [
-                        None if v is None else match(v) is None for v in vals
-                    ]
-                return f_nlike
-            def f_like(cols, n, sel):
-                vals = operand(cols, n, sel)
-                fast = vk.like_fast(vals, match, negated)
-                if fast is not None:
-                    return fast
-                return [
-                    None if v is None else match(v) is not None for v in vals
-                ]
-            return f_like
         if isinstance(node, ex.BIn):
             operand = compile_node(node.operand)
             negated = node.negated
-            if all(isinstance(i, ex.BConst) for i in node.items):
-                # Tuple membership performs the same ==-scan any() did.
-                items = tuple(i.value for i in node.items)
-                def f_in_const(cols, n, sel):
-                    vals = operand(cols, n, sel)
-                    fast = vk.in_const_fast(vals, items, negated)
-                    if fast is not None:
-                        return fast
-                    out = []
-                    for v in vals:
-                        if v is None:
-                            out.append(None)
-                        else:
-                            found = v in items
-                            out.append((not found) if negated else found)
-                    return out
-                return f_in_const
             item_fns = [compile_node(i) for i in node.items]
             def f_in(cols, n, sel):
                 vals = operand(cols, n, sel)
@@ -944,24 +1092,6 @@ def compile_expr_batch(
                     pending = still
                 return out
             return f_in
-        if isinstance(node, ex.BIsNull):
-            operand = compile_node(node.operand)
-            negated = node.negated
-            if negated:
-                def f_notnull(cols, n, sel):
-                    vals = operand(cols, n, sel)
-                    fast = vk.isnull_fast(vals, negated)
-                    if fast is not None:
-                        return fast
-                    return [v is not None for v in vals]
-                return f_notnull
-            def f_isnull(cols, n, sel):
-                vals = operand(cols, n, sel)
-                fast = vk.isnull_fast(vals, negated)
-                if fast is not None:
-                    return fast
-                return [v is None for v in vals]
-            return f_isnull
         if isinstance(node, ex.BExtract):
             operand = compile_node(node.operand)
             part = node.part
@@ -1071,11 +1201,49 @@ def compile_expr_batch(
             return f_nullif
         raise ExecutorError(f"unknown function {name!r}")
 
+    def compile_truth(node: ex.BoundExpr) -> BatchFn:
+        """The truth form of a node, for callers that keep only the rows
+        where it is TRUE: ``fn(cols, n, sel)`` answers with those rows —
+        a plain list of ``sel``'s members (``range(n)``'s when ``sel``
+        is None), in ``sel``'s order — or, when the typed kernels
+        produced it, with the three-valued vector itself (aligned with
+        ``sel``), so that an enclosing AND / OR can still combine typed
+        sides eagerly. Which of the two comes back depends on the
+        operands' representation alone."""
+        leaf = boolean_leaf(node, True)
+        if leaf is not None:
+            return leaf
+        if isinstance(node, ex.BOp):
+            # The row path evaluates b where a is NULL as well as where
+            # it is TRUE; only a b that cannot raise there may be
+            # narrowed to a's TRUE rows.
+            if node.op == "and" and _is_pure(node.right):
+                return _and_kernel(
+                    compile_truth(node.left), compile_truth(node.right)
+                )
+            if node.op == "or":
+                return _or_kernel(
+                    compile_truth(node.left), compile_truth(node.right),
+                    _is_pure(node.right),
+                )
+        # Everything else (NOT, CASE, a boolean column, an AND whose
+        # right side may raise): the value form, then its TRUE rows.
+        value = compile_node(node)
+        def f_truth(cols, n, sel):
+            vals = value(cols, n, sel)
+            if isinstance(vals, (Vector, ConstVector)):
+                return vals
+            return true_selection(vals, n, sel)
+        return f_truth
+
     try:
-        return compile_node(expr)
+        if not predicate:
+            return compile_node(expr)
+        truth = compile_truth(expr)
+        return lambda cols, n, sel: _live_rows(truth(cols, n, sel), n, sel)
     finally:
-        # The two compilers call each other through their closure cells —
-        # a reference cycle per compiled expression, two or so a
-        # statement. No kernel calls them back, so unbind both and let
-        # the compiler's closures die with this call.
-        compile_node = compile_function = None
+        # The compilers call each other (and themselves) through their
+        # closure cells — a reference cycle per compiled expression, two
+        # or so a statement. No kernel calls them back, so unbind them
+        # and let the compiler's closures die with this call.
+        compile_node = compile_function = compile_truth = boolean_leaf = None

@@ -102,14 +102,14 @@ class SliceExecutor(BatchOperators):
     # strongly so a dead expr's id can't alias a new one, and params are
     # equality-checked because a retried query rebinds InitPlan params
     # on a copy of the context (which shares the memo).
-    def _compiled(self, kind: str, expr, layout, compiler):
+    def _compiled(self, kind: str, expr, layout, compiler, **form):
         cache = self.ctx.kernel_cache
         params = self.ctx.params
         key = (kind, id(expr), tuple(layout))
         hit = cache.get(key)
         if hit is not None and hit[0] is expr and hit[1] == params:
             return hit[2]
-        fn = compiler(expr, layout, params)
+        fn = compiler(expr, layout, params, **form)
         cache[key] = (expr, params, fn)
         return fn
 
@@ -118,6 +118,13 @@ class SliceExecutor(BatchOperators):
 
     def _compile_batch(self, expr, layout):
         return self._compiled("batch", expr, layout, compile_expr_batch)
+
+    def _compile_predicate(self, expr, layout):
+        """The predicate form: ``fn(cols, n, sel)`` -> the rows at which
+        ``expr`` is TRUE (filters, HAVING, join residuals)."""
+        return self._compiled(
+            "predicate", expr, layout, compile_expr_batch, predicate=True
+        )
 
     # ---------------------------------------------------------------- driver
     def run(self) -> List[tuple]:

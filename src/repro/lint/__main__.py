@@ -152,16 +152,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            paths = changed_files(root)
-            if not paths:
+            changed = changed_files(root)
+            if not changed:
                 print("repro.lint: --changed: no changed files under src/repro")
                 return 0
         # Subset runs (explicit paths or --changed) cannot see findings
         # outside their slice, so unmatched baseline entries are not
         # evidence of staleness there — only full runs enforce them.
-        subset = paths is not None
+        subset = paths is not None or args.changed
         project = load_project(root=root, paths=paths)
         findings = project.run(rules)
+        if args.changed:
+            # The whole tree is parsed — the charging call graph (R3)
+            # crosses files, and a changed file judged without its
+            # unchanged callers reports what a full run does not — and
+            # the changed files' findings are the report.
+            report = {path.relative_to(root).as_posix() for path in changed}
+            findings = [f for f in findings if f.path in report]
         new, old = baseline.split(findings)
 
         if args.update_baseline:

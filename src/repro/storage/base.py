@@ -300,8 +300,11 @@ class ColumnCodec:
         if code is None:
             stored, end = _read_prefixed(buf, offset, present)
         else:
-            packed = struct.Struct(f"<{present}{code}")
-            stored, end = packed.unpack_from(buf, offset), offset + packed.size
+            # Module-level struct calls go through struct's own format
+            # cache: one compile per chunk length, not one per chunk.
+            packed = f"<{present}{code}"
+            stored = struct.unpack_from(packed, buf, offset)
+            end = offset + struct.calcsize(packed)
         return _spread(self._wire.load(stored), nulls, None), end
 
 

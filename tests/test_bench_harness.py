@@ -157,6 +157,32 @@ class TestHistory:
                                           series=("streams",))
         assert [e["qps"] for e in history] == [27.0, 28.9, 30.0]
 
+    def test_same_numbers_under_other_keys_collapse(self, tmp_path, monkeypatch):
+        """BENCH_throughput.json's first four entries as they stood: one
+        measurement, told apart only by which keys the report had grown
+        (``wait_p99_s``, ``commit``) — whole-dict inequality kept all four."""
+        from repro.bench import reporting
+
+        out = tmp_path / "BENCH_x.json"
+        monkeypatch.setattr(reporting, "current_commit", lambda: "abc1234")
+        base = {"p50_s": 0.268, "p99_s": 0.367, "qps": 28.957, "streams": 8}
+        waited = dict(base, wait_p99_s=0.188)
+        self._write(out, [
+            base,
+            waited,
+            dict(waited, commit="eea40fa-dirty"),
+            dict(waited, commit="6272248-dirty"),
+            dict(waited, commit="9a0bc67-dirty", qps=28.963),
+        ])
+        history = reporting.carry_history(
+            str(out), dict(waited, qps=30.0), series=("streams",)
+        )
+        assert history == [
+            dict(waited, commit="eea40fa-dirty"),  # the first commit known
+            dict(waited, commit="9a0bc67-dirty", qps=28.963),
+            dict(waited, commit="abc1234", qps=30.0),
+        ]
+
     def test_missing_or_corrupt_report_starts_a_fresh_history(self, tmp_path):
         from repro.bench import reporting
 

@@ -105,6 +105,8 @@ def test_mid_query_segment_kill_is_restarted():
 
     assert result.retries >= 1  # the dispatcher really did restart
     assert result.rows == expected
+    # The runtime's gang plus the one replacement process of seg1.
+    assert result.metrics.total("workers_spawned") == engine.num_segments + 1 + 1
     killed = engine.segments[1]
     assert not killed.alive
     assert killed.acting_host is not None  # failover host took over

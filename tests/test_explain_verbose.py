@@ -195,3 +195,32 @@ class TestOptionForms:
         total_plain = next(l for l in plain if l.startswith("Total:"))
         total_verbose = next(l for l in verbose if l.startswith("Total:"))
         assert total_plain == total_verbose
+
+
+class TestRowExecutorParity:
+    """Every line of the verbose output — actual rows, calls and time of
+    each operator, bytes and cache hits of each scan, the slice and
+    total times — is what the row executor reports: the filters below
+    narrow a selection (Q6's five conjuncts, Q3's scan filters, Q19's
+    OR of ANDs as a join residual) instead of building a TRUE / FALSE /
+    NULL column, and the trace cannot tell."""
+
+    NUMBERS = (3, 6, 19)
+
+    @pytest.fixture(scope="class")
+    def outputs(self):
+        out = {}
+        for mode in ("row", "batch"):
+            engine = Engine(
+                num_segment_hosts=2, segments_per_host=2, seed=7, executor_mode=mode
+            )
+            session = engine.connect()
+            load_tpch(session, scale=SCALE)
+            # Same statements in the same order on both: cache hits count.
+            out[mode] = {n: _explain(session, n) for n in self.NUMBERS}
+        return out
+
+    @pytest.mark.parametrize("number", NUMBERS)
+    def test_verbose_output_is_line_identical(self, outputs, number):
+        assert outputs["batch"][number] == outputs["row"][number]
+        assert any("(actual rows=" in line for line in outputs["batch"][number])

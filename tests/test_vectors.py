@@ -279,9 +279,9 @@ def test_kernels_compiled_once_per_plan_node(monkeypatch):
     real_batch = slice_runner.compile_expr_batch
     real_row = slice_runner.compile_expr
 
-    def counting_batch(expr, layout, params):
+    def counting_batch(expr, layout, params, **form):
         calls["batch"] += 1
-        return real_batch(expr, layout, params)
+        return real_batch(expr, layout, params, **form)
 
     def counting_row(expr, layout, params):
         calls["row"] += 1
@@ -332,8 +332,8 @@ def test_kernel_memo_lives_and_dies_with_its_statement(monkeypatch):
     kernels = []
     real_batch = slice_runner.compile_expr_batch
 
-    def tracking(expr, layout, params):
-        fn = real_batch(expr, layout, params)
+    def tracking(expr, layout, params, **form):
+        fn = real_batch(expr, layout, params, **form)
         kernels.append(weakref.ref(fn))
         return fn
 

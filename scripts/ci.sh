@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: determinism lint, tier-1 tests, wall-clock bench check,
-# and the DetSan concurrency-isolation sweep.
+# Local CI gate: determinism lint, tier-1 tests, the paper's figures, the
+# typed-kernel microbenchmark, benchmarks/perf with its count budgets, and
+# the DetSan concurrency-isolation sweep.
 # Run from the repo root:  bash scripts/ci.sh
 set -euo pipefail
 
@@ -60,10 +61,18 @@ echo "== predicate form and batch sizes on the pure-python backend =="
 REPRO_NO_NUMPY=1 python -m pytest -q \
     tests/test_predicate_form.py tests/test_batch_sizing.py
 
-echo "== wall-clock bench, numpy backend (microbench >= 5x, TPC-H geomean >= 1.35x) =="
+echo "== the paper's figures: Fig 6-13 + ablations on the simulated clock =="
+# pytest is the one way to regenerate them (add -s for the tables); their
+# shape assertions are the simulated-clock contract. 16 tests, ~70 s.
+python -m pytest benchmarks/ --benchmark-only --ignore=benchmarks/perf -q
+
+echo "== typed-kernel microbenchmark, numpy backend (batch >= 5x row on 100k CO rows) =="
+# The one check that runs the typed-vector kernels at a size where they
+# pay; whole-statement wall time is benchmarks/perf's (below, and
+# BENCHMARK.json's bounds).
 python -m repro.bench --wallclock --check
 
-echo "== wall-clock bench, pure-python fallback (microbench >= 1.5x, TPC-H geomean >= 1.35x) =="
+echo "== typed-kernel microbenchmark, pure-python fallback (batch >= 1.5x row) =="
 REPRO_NO_NUMPY=1 python -m repro.bench --wallclock --check --no-report
 
 echo "== benchmarks/perf: its own tests, then one tiny round of every workload =="

@@ -1,206 +1,62 @@
-"""Run the paper's figures from the command line, without pytest.
+"""The two benchmarks that are not paper figures, from the command line.
 
-    python -m repro.bench            # all figures
-    python -m repro.bench fig6 fig12 # a subset
-    REPRO_TPCH_SF=0.005 python -m repro.bench fig7
-
-    python -m repro.bench --wallclock          # real-time row vs batch
+    python -m repro.bench --wallclock          # typed-kernel microbenchmark
     python -m repro.bench --wallclock --check  # perf guard (exit 1 on fail)
     python -m repro.bench --wallclock --check --no-report  # skip the JSON
 
     python -m repro.bench --throughput          # N-stream concurrency sweep
     python -m repro.bench --throughput --check  # qps floor + tail-ratio gate
+
+The paper's figures (6-13 and the ablations) are defined once, with
+their shape assertions, under ``benchmarks/``:
+``python -m pytest benchmarks/ --benchmark-only --ignore=benchmarks/perf -s``
+prints every table.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.bench.harness import (
-    BenchConfig,
-    NOMINAL_160GB,
-    NOMINAL_1600GB,
-    default_scale_factor,
-    get_hawq,
-    get_stinger,
-    suite_seconds,
+FIGURES_COMMAND = (
+    "python -m pytest benchmarks/ --benchmark-only --ignore=benchmarks/perf -s"
 )
-from repro.bench.reporting import print_figure
-
-
-def fig6() -> None:
-    measured = {}
-    for fmt in ("ao", "co", "parquet"):
-        config = BenchConfig(
-            nominal_bytes=NOMINAL_160GB,
-            scale_factor=default_scale_factor(),
-            storage_format=fmt,
-            io_cached=True,
-        )
-        measured[fmt] = suite_seconds(get_hawq(config).run_suite())
-    stinger_config = BenchConfig(
-        nominal_bytes=NOMINAL_160GB,
-        scale_factor=default_scale_factor(),
-        io_cached=True,
-    )
-    measured["stinger"] = suite_seconds(get_stinger(stinger_config).run_suite())
-    paper = {"stinger": 7935, "ao": 239, "co": 211, "parquet": 172}
-    print_figure(
-        "Figure 6: overall TPC-H time, 160GB (CPU-bound)",
-        ["system", "paper s", "measured s"],
-        [(k, paper[k], measured[k]) for k in ("stinger", "ao", "co", "parquet")],
-    )
-
-
-def fig7() -> None:
-    measured = {}
-    for fmt in ("ao", "co", "parquet"):
-        config = BenchConfig(
-            nominal_bytes=NOMINAL_1600GB,
-            scale_factor=default_scale_factor(),
-            storage_format=fmt,
-            io_cached=False,
-        )
-        measured[fmt] = suite_seconds(get_hawq(config).run_suite())
-    stinger_config = BenchConfig(
-        nominal_bytes=NOMINAL_1600GB,
-        scale_factor=default_scale_factor(),
-        io_cached=False,
-    )
-    results = get_stinger(stinger_config).run_suite()
-    oom = sorted(n for n, (_, s) in results.items() if s == "oom")
-    measured["stinger"] = suite_seconds(results)
-    paper = {"stinger": 95502, "ao": 5115, "co": 2490, "parquet": 2950}
-    print_figure(
-        "Figure 7: overall TPC-H time, 1.6TB (IO-bound)",
-        ["system", "paper s", "measured s"],
-        [(k, paper[k], measured[k]) for k in ("stinger", "ao", "co", "parquet")],
-        notes=[f"Stinger OOM queries: {oom} (paper reports 3, unnamed)"],
-    )
-
-
-def fig12() -> None:
-    out = {}
-    for distribution in ("hash", "random"):
-        for transport in ("udp", "tcp"):
-            config = BenchConfig(
-                nominal_bytes=NOMINAL_160GB,
-                scale_factor=default_scale_factor(),
-                storage_format="co",
-                distribution=distribution,
-                interconnect=transport,
-                io_cached=True,
-            )
-            out[(distribution, transport)] = suite_seconds(
-                get_hawq(config).run_suite()
-            )
-    rows = []
-    for distribution in ("hash", "random"):
-        udp, tcp = out[(distribution, "udp")], out[(distribution, "tcp")]
-        rows.append((distribution, udp, tcp, (tcp - udp) / udp))
-    print_figure(
-        "Figure 12: TCP vs UDP interconnect, 160GB",
-        ["distribution", "UDP s", "TCP s", "TCP slower by"],
-        rows,
-        notes=["paper: ~tie on hash; UDP 54% better on random"],
-    )
-
-
-def fig13() -> None:
-    rows_a, rows_b = [], []
-    for nodes in (4, 8, 12, 16):
-        config = BenchConfig(
-            nominal_bytes=40e9 * nodes,
-            scale_factor=default_scale_factor(),
-            storage_format="co",
-            io_cached=True,
-            sim_segments=nodes,
-            paper_segments=nodes * 6,
-        )
-        rows_a.append((nodes, suite_seconds(get_hawq(config).run_suite())))
-        config_b = BenchConfig(
-            nominal_bytes=160e9,
-            scale_factor=default_scale_factor(),
-            storage_format="co",
-            io_cached=True,
-            sim_segments=nodes,
-            paper_segments=nodes * 6,
-        )
-        rows_b.append((nodes, suite_seconds(get_hawq(config_b).run_suite())))
-    print_figure(
-        "Figure 13(a): 40GB/node scale-up", ["nodes", "suite s"], rows_a
-    )
-    print_figure(
-        "Figure 13(b): fixed 160GB speed-up", ["nodes", "suite s"], rows_b
-    )
-
-
-FIGURES = {"fig6": fig6, "fig7": fig7, "fig12": fig12, "fig13": fig13}
 
 
 def main(argv) -> int:
-    if "--throughput" in argv:
-        from repro.bench.throughput import DEFAULT_SEED, run_throughput
-
-        check = "--check" in argv
-        out_path = None if "--no-report" in argv else "BENCH_throughput.json"
-        seed = DEFAULT_SEED
-        rest = [
-            a
-            for a in argv
-            if a not in ("--throughput", "--check", "--no-report")
-        ]
-        if "--seed" in rest:
-            at = rest.index("--seed")
-            try:
-                seed = int(rest[at + 1])
-            except (IndexError, ValueError):
-                print("--seed requires an integer value")
-                return 2
-            del rest[at : at + 2]
-        if rest:
-            print(f"--throughput takes no figure names: {rest}")
-            return 2
-        return run_throughput(out_path=out_path, check=check, seed=seed)
-    if "--wallclock" in argv:
-        from repro.bench.wallclock import DEFAULT_SEED, run_wallclock
-
-        check = "--check" in argv
-        # --no-report: run without (re)writing BENCH_wallclock.json —
-        # used by the CI fallback-mode pass so the committed artifact
-        # stays the numpy-backend run.
-        out_path = None if "--no-report" in argv else "BENCH_wallclock.json"
-        seed = DEFAULT_SEED
-        rest = [
-            a
-            for a in argv
-            if a not in ("--wallclock", "--check", "--no-report")
-        ]
-        if "--seed" in rest:
-            at = rest.index("--seed")
-            try:
-                seed = int(rest[at + 1])
-            except (IndexError, ValueError):
-                print("--seed requires an integer value")
-                return 2
-            del rest[at : at + 2]
-        if rest:
-            print(f"--wallclock takes no figure names: {rest}")
-            return 2
-        return run_wallclock(out_path=out_path, check=check, seed=seed)
-    if "--check" in argv or "--seed" in argv or "--no-report" in argv:
-        print("--check/--seed/--no-report require --wallclock or --throughput")
+    modes = [flag for flag in ("--throughput", "--wallclock") if flag in argv]
+    if len(modes) != 1:
+        print("usage: python -m repro.bench (--wallclock | --throughput) "
+              "[--check] [--no-report] [--seed N]")
+        print(f"the paper's figures run via `{FIGURES_COMMAND}`")
         return 2
-    chosen = argv or sorted(FIGURES)
-    unknown = [name for name in chosen if name not in FIGURES]
-    if unknown:
-        print(f"unknown figures: {unknown}; available: {sorted(FIGURES)}")
-        print("(figures 8-11 and the ablations run via "
-              "`pytest benchmarks/ --benchmark-only`)")
+    (mode,) = modes
+    if mode == "--throughput":
+        from repro.bench.throughput import DEFAULT_SEED, run_throughput as run
+
+        out_path = "BENCH_throughput.json"
+    else:
+        from repro.bench.wallclock import DEFAULT_SEED, run_wallclock as run
+
+        out_path = "BENCH_wallclock.json"
+    if "--no-report" in argv:
+        # Run without (re)writing the artifact — used by the CI
+        # fallback-mode pass so the committed BENCH_wallclock.json stays
+        # the numpy-backend run.
+        out_path = None
+    seed = DEFAULT_SEED
+    rest = [a for a in argv if a not in (mode, "--check", "--no-report")]
+    if "--seed" in rest:
+        at = rest.index("--seed")
+        try:
+            seed = int(rest[at + 1])
+        except (IndexError, ValueError):
+            print("--seed requires an integer value")
+            return 2
+        del rest[at : at + 2]
+    if rest:
+        print(f"{mode} takes no other arguments: {rest}")
         return 2
-    for name in chosen:
-        FIGURES[name]()
-    return 0
+    return run(out_path=out_path, check="--check" in argv, seed=seed)
 
 
 if __name__ == "__main__":

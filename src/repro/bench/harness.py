@@ -15,7 +15,6 @@ segments' share of data).
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -65,7 +64,6 @@ class BenchConfig:
     sim_segments: int = 16
     paper_segments: int = PAPER_SEGMENTS
     seed: int = 19940601
-    executor_mode: str = "batch"  # "row" keeps the tuple-at-a-time path
 
     def model_scale(self, actual_bytes: float) -> float:
         per_real_segment = self.nominal_bytes / self.paper_segments
@@ -97,7 +95,6 @@ class HawqBench:
             cost_model=model,
             interconnect=config.interconnect,
             seed=config.seed,
-            executor_mode=config.executor_mode,
         )
         session = engine.connect()
         if data is None:
@@ -138,28 +135,6 @@ class HawqBench:
     def run_suite(self, numbers=None) -> Dict[int, QueryResult]:
         numbers = numbers or sorted(QUERIES)
         return {n: self.run_query(n) for n in numbers}
-
-    def time_query(
-        self, number: int, repeats: int = 3
-    ) -> Tuple[float, QueryResult]:
-        """Wall-clock one TPC-H query: run it ``repeats`` times (never
-        memoized — the point is real elapsed time) and return
-        ``(min_wall_seconds, last_result)`` — the result carries the
-        simulated cost and the per-statement metrics snapshot. The first
-        run warms the block decode cache; ``min`` over repeats drops
-        scheduler and GC noise, standard practice for microbenchmark
-        timing."""
-        best = float("inf")
-        result: Optional[QueryResult] = None
-        for _ in range(max(repeats, 1)):
-            start = time.perf_counter()
-            for stmt in QUERIES[number]:
-                r = self.session.execute(stmt)
-                if r.plan is not None:
-                    result = r
-            best = min(best, time.perf_counter() - start)
-        assert result is not None
-        return best, result
 
     def table_stored_bytes(self, table: str) -> int:
         """Physical (compressed) bytes of one table on HDFS."""
@@ -253,7 +228,6 @@ def _config_key(config: BenchConfig) -> tuple:
         config.sim_segments,
         config.paper_segments,
         config.seed,
-        config.executor_mode,
     )
 
 

@@ -35,7 +35,6 @@ class TypeKind(enum.Enum):
     BYTEA = "bytea"
 
 
-_NUMERIC_KINDS = {TypeKind.INT4, TypeKind.INT8, TypeKind.FLOAT8, TypeKind.DECIMAL}
 _STRING_KINDS = {TypeKind.CHAR, TypeKind.VARCHAR, TypeKind.TEXT}
 
 _TYPE_ALIASES = {
@@ -234,10 +233,6 @@ class DataType:
         return cls(kind, length, scale)
 
     # ------------------------------------------------------------ properties
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind in _NUMERIC_KINDS
-
     @property
     def is_string(self) -> bool:
         return self.kind in _STRING_KINDS

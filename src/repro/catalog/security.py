@@ -133,9 +133,6 @@ class SecurityManager:
             f"role {role.name!r} lacks {privilege.upper()} on {relation!r}"
         )
 
-    def privileges_of(self, role_name: str, relation: str) -> Set[str]:
-        return set(self._grants.get((role_name.lower(), relation.lower()), set()))
-
     # ---------------------------------------------------------------- queues
     def create_queue(
         self,

@@ -327,9 +327,6 @@ class ResourceQueueManager:
             name: state.stats for name, state in sorted(self._queues.items())
         }
 
-    def queue_of(self, query_id: int) -> Optional[str]:
-        return self._owner.get(query_id)
-
     def occupancy(self) -> List[tuple]:
         """Passive per-queue occupancy rows for ``pg_resqueue_status``:
         ``(queue, slots, slots_in_use, memory_limit, memory_used,

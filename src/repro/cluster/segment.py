@@ -31,9 +31,3 @@ class Segment:
     def client(self, fs: Hdfs) -> HdfsClient:
         """HDFS client preferring replicas local to the acting host."""
         return fs.client(self.effective_host())
-
-    def data_directory(self, base: str = "/hawq") -> str:
-        """The segment's HDFS data directory (paper Section 2.3: each
-        segment has a separate directory; directories are tied to the
-        *logical* segment, so a replacement host serves the same files)."""
-        return f"{base}/seg{self.segment_id}"

@@ -95,10 +95,6 @@ class LockTimeout(TransactionError):
     """A lock could not be acquired within the allowed wait."""
 
 
-class SerializationFailure(TransactionError):
-    """A serializable transaction observed a conflicting concurrent write."""
-
-
 class InterconnectError(ReproError):
     """Base class for interconnect failures."""
 

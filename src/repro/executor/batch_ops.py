@@ -15,8 +15,8 @@ rows (PXF, catalog relations, system views), and the top slice's return.
 Two contracts shape every operator here:
 
 * **Charges.** Each ``acc.*`` call is made with the same arguments, in
-  the same order relative to the others, as the row operator in
-  ``slice_runner.py`` makes it — so simulated seconds agree to the last
+  the same order relative to the others, as the reference operator in
+  ``row_ops.py`` makes it — so simulated seconds agree to the last
   float bit. Per-operator CPU charges trail the input loop, which a
   consumer that stops early (LIMIT) skips in both executors.
 * **One batch in, at most one batch out, never an empty one.** A
@@ -186,7 +186,7 @@ class BatchOperators:
         )
         if source is None:  # catalog relations, system views: row-only
             return self._row_source_batches(
-                node, self._run_seqscan(node, segment, acc)
+                node, self._run_scan(node, segment, acc)
             )
         predicate = (
             self._compile_predicate(node.filter, self._scan_layout(node))

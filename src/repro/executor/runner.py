@@ -273,15 +273,14 @@ class QueryDispatch:
         failure inside the drain is swallowed, the query is dead either
         way), broadcasts a query-tagged ABORT to the surviving workers,
         synthesizes trace closures for tasks that will never report,
-        and drops the query's exchange streams. The caller (the
-        statement loop) owns the original exception.
+        and closes. The caller (the statement loop) owns the original
+        exception.
         """
         self._drain()
         self.runtime._broadcast_abort(query_id=self.ctx.query_id)
         self._drain()
         if self.ctx.trace is not None:
             self.ctx.trace.attempt_aborted()
-        self.runtime.exchange.clear(self.ctx.query_id)
         self.close()
 
     def _drain(self) -> None:
@@ -297,10 +296,14 @@ class QueryDispatch:
         raise ExecutorError("abort drain did not settle")
 
     def close(self) -> None:
-        """Deregister from the runtime's in-flight routing table."""
+        """Deregister from the runtime's in-flight routing table and
+        drop the query's exchange streams: gathered or aborted, nothing
+        reads them again, and a loop shared by many statements must not
+        carry every finished one's records to its end."""
         if self.closed:
             return
         self.closed = True
+        self.runtime.exchange.clear(self.ctx.query_id)
         if self.runtime._inflight.get(self.ctx.query_id) is self:
             if self._shadow is not None:
                 self.runtime._inflight[self.ctx.query_id] = self._shadow
@@ -547,8 +550,8 @@ class DistributedRuntime:
                 params.append(sub.rows[0][0] if sub.rows else None)
                 init_seconds += sub.cost.seconds
             ctx = dataclasses.replace(ctx, params=params)
-        # Init plans reuse slice ids; never let their streams leak in.
-        self.exchange.clear(ctx.query_id)
+        # Init plans reuse slice ids, and each one's dispatch dropped its
+        # streams when it closed: none leak in here.
         return QueryDispatch(self, plan, sdp, ctx, init_seconds=init_seconds)
 
     def execute(

@@ -21,10 +21,6 @@ class DiskVolume:
     failed: bool = False
     blocks: Dict[int, bytes] = field(default_factory=dict)
 
-    @property
-    def used_bytes(self) -> int:
-        return sum(len(data) for data in self.blocks.values())
-
 
 class DataNode:
     """Stores block replicas for the NameNode; one per segment host."""

@@ -146,9 +146,9 @@ class ExchangeFabric:
     def clear(self, query_id: int) -> None:
         """Drop one query's inbox entries and stream records.
 
-        Called between a query's plan executions (init plans reuse
-        slice ids) and on abort — other in-flight queries' streams are
-        untouched.
+        Called when one of the query's plan executions closes, gathered
+        or aborted (init plans reuse slice ids, and a shared loop outlives
+        its statements) — other in-flight queries' streams are untouched.
         """
         for key in [k for k in self._inbox if k[0] == query_id]:
             del self._inbox[key]

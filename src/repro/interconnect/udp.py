@@ -212,10 +212,6 @@ class UdpSender:
         """True once every packet (including EOS) is consumed or stopped."""
         return self.state == SenderState.END
 
-    @property
-    def cwnd(self) -> float:
-        return self._cwnd
-
     # ------------------------------------------------------------- internals
     def _estimate_size(self, payload: object) -> int:
         if isinstance(payload, (bytes, bytearray)):

@@ -283,12 +283,6 @@ class Project:
     files: List[SourceFile] = field(default_factory=list)
     _caches: dict = field(default_factory=dict)
 
-    def by_path(self, path: str) -> Optional[SourceFile]:
-        for source in self.files:
-            if source.path == path:
-                return source
-        return None
-
     def shared(self, key: str, build) -> object:
         """Memoize a project-wide analysis (e.g. the call graph)."""
         if key not in self._caches:

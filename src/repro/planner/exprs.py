@@ -11,7 +11,7 @@ planner relies on it to match GROUP BY keys inside output expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import PlannerError
@@ -331,14 +331,3 @@ def has_aggregate(expr: BoundExpr) -> bool:
 
 def has_subplan(expr: BoundExpr) -> bool:
     return any(isinstance(node, BSubPlan) for node in walk(expr))
-
-
-def shift_rels(expr: BoundExpr, mapping: dict) -> BoundExpr:
-    """Renumber level-0 relation indexes through ``mapping``."""
-
-    def rewrite(node: BoundExpr) -> Optional[BoundExpr]:
-        if isinstance(node, BVar) and node.level == 0 and node.rel in mapping:
-            return replace(node, rel=mapping[node.rel])
-        return None
-
-    return transform(expr, rewrite)

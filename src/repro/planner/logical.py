@@ -49,10 +49,6 @@ class RelEntry:
     join_type: str = "inner"
     join_cond: Optional[BoundExpr] = None
 
-    @property
-    def is_table(self) -> bool:
-        return isinstance(self.source, TableSource)
-
 
 @dataclass
 class SortKey:

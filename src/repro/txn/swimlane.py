@@ -47,8 +47,5 @@ class SegfileAllocator:
                 if owner == xid:
                     lanes[segfile_id] = None
 
-    def lanes_of(self, table: str) -> Dict[int, Optional[int]]:
-        return dict(self._lanes[table.lower()])
-
     def drop_table(self, table: str) -> None:
         self._lanes.pop(table.lower(), None)

@@ -191,11 +191,40 @@ class TestHistory:
         out.write_text("{not json")
         assert len(reporting.carry_history(str(out), {"speedup": 1.0})) == 1
 
-    def test_tpch_geomean(self):
-        from repro.bench.wallclock import tpch_geomean_speedup
 
-        tpch = {
-            "fig08": {"q1": {"speedup": 4.0}, "q6": {"speedup": 1.0}},
-            "fig09": {"q5": {"speedup": 2.0}},
-        }
-        assert tpch_geomean_speedup(tpch) == pytest.approx(2.0)
+class TestCommandLine:
+    """``python -m repro.bench``: two benchmarks, no figures."""
+
+    def test_a_figure_name_exits_2_and_names_the_pytest_command(self, capsys):
+        from repro.bench.__main__ import main
+
+        assert main(["fig6"]) == 2
+        assert "pytest benchmarks/ --benchmark-only" in capsys.readouterr().out
+        assert main(["--wallclock", "fig6"]) == 2
+        assert main(["--check"]) == 2
+
+    @pytest.mark.parametrize("numpy, threshold", [(True, 5.0), (False, 1.5)])
+    @pytest.mark.parametrize("margin, status", [(1.01, 0), (0.99, 1)])
+    def test_wallclock_check_gates_the_microbenchmark_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, numpy, threshold, margin, status
+    ):
+        """The gate on both backends, on canned timings just either side
+        of the backend's threshold (the measurement itself is
+        ``scripts/ci.sh``'s, where a slow box fails a leg, not tier-1)."""
+        from repro.bench import wallclock
+        from repro.bench.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(wallclock, "NUMPY_AVAILABLE", numpy)
+        monkeypatch.setattr(
+            wallclock,
+            "_time_microbench",
+            lambda mode, repeats, seed: (
+                threshold * margin if mode == "row" else 1.0
+            ),
+        )
+        assert main(["--wallclock", "--check", "--no-report"]) == status
+        out = capsys.readouterr().out
+        assert ("OK" if status == 0 else "FAIL") in out
+        assert f"{threshold}x" in out
+        assert list(tmp_path.iterdir()) == []

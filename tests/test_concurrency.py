@@ -522,6 +522,53 @@ class TestTraceIsolation:
         assert len(seen) == 6
 
 
+# ------------------------------------------------- streams leave with their statement
+class TestFinishedStatementsLeaveTheFabric:
+    """A statement's stream records and inbox entries go when its
+    dispatch closes — gathered, retried or cancelled — not when the
+    loop it shared does: before, every gathered statement's records
+    stayed to the end of the batch and each ``begin()`` rescanned them."""
+
+    @staticmethod
+    def assert_fabric_empty(runner):
+        exchange = runner.loop.runtime.exchange
+        assert exchange.records == []
+        assert exchange._inbox == {}
+
+    def test_after_a_batch(self):
+        runner = ConcurrentRunner(build_engine(), make_streams(seed=3, count=3))
+        batch = runner.run()
+        assert all(o.ok for o in batch.outcomes)
+        # The statements did cross the fabric.
+        assert runner.engine.metrics.counter("motion_streams").value > 0
+        self.assert_fabric_empty(runner)
+
+    def test_after_a_batch_with_a_chaos_retry(self):
+        lone = TestLoneStatementIsTheOneStatementBatch()
+        engine, _session, fault_free = lone.killed_mid_query()
+        runner = ConcurrentRunner(engine, [[lone.SQL, lone.SQL], [lone.SQL]])
+        batch = runner.run()
+        assert engine.metrics.counter("query_retries").value == 1
+        assert [o.rows for o in batch.outcomes] == [fault_free.rows] * 3
+        self.assert_fabric_empty(runner)
+
+    def test_after_a_batch_with_a_cancel(self):
+        streams = make_streams(seed=3, count=2)
+        target = ConcurrentRunner(build_engine(), streams).run().outcomes[0]
+        engine = build_engine()
+        runner = ConcurrentRunner(
+            engine,
+            streams,
+            cancel_at={
+                (target.stream, target.index): (target.admit + target.finish) / 2
+            },
+        )
+        batch = runner.run()
+        assert engine.metrics.counter("queries_cancelled").value == 1
+        assert sum(not o.ok for o in batch.outcomes) == 1
+        self.assert_fabric_empty(runner)
+
+
 # ------------------------------------------------------------ bench smoke
 class TestThroughputBench:
     def test_throughput_smoke(self, tmp_path):

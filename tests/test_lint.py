@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,6 +40,38 @@ def run_rules(sources, select=None):
     """Lint in-memory sources; return findings from the chosen rules."""
     project = project_from_sources(sources)
     return project.run(get_rules(select))
+
+
+@pytest.fixture(scope="session")
+def live_lint():
+    """The live tree, loaded and linted once a session (3-7 s a run):
+    tests that judge the tree as it is read this; tests that plant a
+    violation in a copy, or compare this run with another, do their
+    own."""
+    project = load_project()
+    findings = project.run(get_rules())
+    baseline = Baseline.load(default_baseline_path())
+    new, _baselined = baseline.split(findings)
+    return SimpleNamespace(
+        project=project, findings=findings, baseline=baseline, new=new
+    )
+
+
+@pytest.fixture()
+def repo_copy(tmp_path):
+    """A src/repro copy to mutate without touching the live tree."""
+    import shutil
+
+    shutil.copytree(REPO / "src" / "repro", tmp_path / "src" / "repro")
+    return tmp_path
+
+
+def lint_tree(tree_root, select):
+    """New findings of the ``select`` rules on a planted tree. Rules run
+    independently of each other: the one under test is the whole gate's
+    verdict on the planted line."""
+    new, _, _ = run_lint(root=tree_root, rules=get_rules(select))
+    return new
 
 
 # ================================================================ R1 wall-clock
@@ -446,33 +479,20 @@ class TestRegistry:
 
 # =============================================================== repo-wide gate
 class TestRepoGate:
-    def test_repo_clean(self):
+    def test_repo_clean(self, live_lint):
         """Tier-1 gate: zero unbaselined findings on the live tree."""
-        new, old, project = run_lint()
+        new = live_lint.new
         assert new == [], "\n" + "\n".join(f.render() for f in new)
-        assert project.files, "lint saw no files — path resolution broke"
-        stale = Baseline.load(default_baseline_path())
-        stale.split(project.run(get_rules()))
-        assert stale.unused() == [], "baseline has stale entries: run --update-baseline"
+        assert live_lint.project.files, "lint saw no files — path resolution broke"
+        assert live_lint.baseline.unused() == [], (
+            "baseline has stale entries: run --update-baseline"
+        )
 
     def test_baseline_entries_have_reasons(self):
         baseline = Baseline.load(default_baseline_path())
         for entry in baseline.entries:
             reason = entry.get("reason", "")
             assert reason and "TODO" not in reason, entry
-
-    def _lint_tree(self, tree_root):
-        new, _, _ = run_lint(root=tree_root)
-        return new
-
-    @pytest.fixture()
-    def repo_copy(self, tmp_path):
-        """A src/repro copy to mutate without touching the live tree."""
-        import shutil
-
-        dest = tmp_path / "src" / "repro"
-        shutil.copytree(REPO / "src" / "repro", dest)
-        return tmp_path
 
     def test_injected_wall_clock_is_caught(self, repo_copy):
         """Acceptance check: time.time() in executor code must fail R1
@@ -481,7 +501,7 @@ class TestRepoGate:
         src = target.read_text()
         clock_line = src.count("\n") + 2  # after the appended import
         target.write_text(src + "import time\n_T0 = time.time()\n")
-        findings = self._lint_tree(repo_copy)
+        findings = lint_tree(repo_copy, ["R1"])
         hits = [f for f in findings if f.rule == "R1"]
         assert hits, "injected wall-clock read not caught"
         assert hits[0].path == "src/repro/executor/runner.py"
@@ -501,7 +521,7 @@ class TestRepoGate:
         )
         line_of_except = src.count("\n") + 1 + 5  # 2 blank + def/try/return
         target.write_text(src + injected)
-        findings = self._lint_tree(repo_copy)
+        findings = lint_tree(repo_copy, ["R4"])
         hits = [f for f in findings if f.rule == "R4" and f.path == "src/repro/engine.py"]
         assert hits, "injected swallowing handler not caught"
         assert hits[0].context == "_swallow"
@@ -554,7 +574,9 @@ class TestCli:
             assert rid in proc.stdout
 
     def test_types_flag_degrades_without_mypy(self):
-        proc = self.run_cli("--types")
+        # One clean file: the flag's behaviour does not depend on how
+        # much was linted before it.
+        proc = self.run_cli("--types", "src/repro/errors.py")
         assert proc.returncode in (0, 1)
         # With mypy absent (the pinned container), the skip is loud.
         try:
@@ -665,11 +687,10 @@ class TestCrossQueryIsolation:
         findings = run_rules(sources, select=["R7"])
         assert findings == []
 
-    def test_live_registry_parses_and_has_reasons(self):
+    def test_live_registry_parses_and_has_reasons(self, live_lint):
         from repro.lint.rules import CrossQueryIsolationRule
 
-        project = load_project()
-        registry = CrossQueryIsolationRule._registry(project)
+        registry = CrossQueryIsolationRule._registry(live_lint.project)
         assert registry, "SHARED_STATE not found in the linted tree"
         for key, reason in registry.items():
             assert "::" in key
@@ -880,25 +901,13 @@ class TestInjectedConcurrencyViolations:
     """Acceptance checks: each new rule must fire on a planted violation
     in a copy of the live tree, with the right rule id and file."""
 
-    @pytest.fixture()
-    def repo_copy(self, tmp_path):
-        import shutil
-
-        dest = tmp_path / "src" / "repro"
-        shutil.copytree(REPO / "src" / "repro", dest)
-        return tmp_path
-
-    def _lint_tree(self, tree_root, select=None):
-        new, _, _ = run_lint(root=tree_root, rules=get_rules(select))
-        return new
-
     def test_injected_shared_dict_is_caught_by_r7(self, repo_copy):
         target = repo_copy / "src" / "repro" / "executor" / "concurrent.py"
         src = target.read_text()
         target.write_text(
             src + "\n_RACE = {}\n\n\ndef _poison(sn):\n    _RACE[sn] = sn\n"
         )
-        hits = [f for f in self._lint_tree(repo_copy, ["R7"])]
+        hits = [f for f in lint_tree(repo_copy, ["R7"])]
         assert hits, "injected cross-query shared dict not caught"
         assert hits[0].rule == "R7"
         assert hits[0].path == "src/repro/executor/concurrent.py"
@@ -912,7 +921,7 @@ class TestInjectedConcurrencyViolations:
         target.write_text(
             src + "\ndef _bad_key(obj):\n    return id(obj)\n"
         )
-        hits = self._lint_tree(repo_copy, ["R8"])
+        hits = lint_tree(repo_copy, ["R8"])
         assert hits, "injected id() key not caught"
         assert hits[0].rule == "R8"
         assert hits[0].path == "src/repro/simtime/scheduler.py"
@@ -928,7 +937,7 @@ class TestInjectedConcurrencyViolations:
             "    for row in rows:\n"
             "        break\n"
         )
-        hits = self._lint_tree(repo_copy, ["R9"])
+        hits = lint_tree(repo_copy, ["R9"])
         assert hits, "injected abandoned charged iterator not caught"
         assert hits[0].rule == "R9"
         assert hits[0].path == "src/repro/executor/runner.py"
@@ -937,14 +946,14 @@ class TestInjectedConcurrencyViolations:
 
 # ============================================================== determinism
 class TestLintDeterminism:
-    def test_findings_identical_across_runs_and_file_order(self):
-        """The lint gate itself obeys R5's spirit: two full runs — one
-        with the project's file list shuffled — must produce
-        byte-identical findings (order included)."""
+    def test_findings_identical_across_runs_and_file_order(self, live_lint):
+        """The lint gate itself obeys R5's spirit: two full runs — the
+        session's, and a second load with the project's file list
+        shuffled — must produce byte-identical findings (order
+        included)."""
         import random
 
-        project_a = load_project()
-        findings_a = project_a.run(get_rules())
+        findings_a = live_lint.findings
 
         project_b = load_project()
         random.Random(0xC0FFEE).shuffle(project_b.files)
@@ -955,8 +964,8 @@ class TestLintDeterminism:
         assert rendered_a == rendered_b
         assert [f.key() for f in findings_a] == [f.key() for f in findings_b]
 
-    def test_repeat_run_is_byte_identical(self):
-        first = [f.render() for f in load_project().run(get_rules())]
+    def test_repeat_run_is_byte_identical(self, live_lint):
+        first = [f.render() for f in live_lint.findings]
         second = [f.render() for f in load_project().run(get_rules())]
         assert first == second
 
@@ -991,7 +1000,7 @@ class TestChangedMode:
         rel = sorted(str(p.relative_to(tmp_path)) for p in changed)
         assert rel == ["src/repro/a.py", "src/repro/c.py"]
 
-    def test_changed_agrees_with_full_run(self):
+    def test_changed_agrees_with_full_run(self, live_lint):
         """--changed must report exactly the full run's findings for the
         files it lints — same rules, same keys, no subset-only noise."""
         cli = TestCli()
@@ -1005,10 +1014,8 @@ class TestChangedMode:
         changed_paths = {
             p.relative_to(REPO).as_posix() for p in changed_files(REPO)
         }
-        full_proc = cli.run_cli("--json", "--no-baseline")
-        full_report = json.loads(full_proc.stdout)
         full_on_changed = [
-            f for f in full_report["findings"] if f["path"] in changed_paths
+            f.to_json() for f in live_lint.findings if f.path in changed_paths
         ]
         assert changed_report["findings"] == full_on_changed
 

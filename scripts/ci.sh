@@ -44,35 +44,41 @@ if grep -rn --include='*.py' "deepcopy" src/repro \
     exit 1
 fi
 
+echo "== two column representations (a typed vector is a NumPy vector, or the column is a list) =="
+# A vector on any other buffer would need a check of which one it holds
+# in every kernel, and every mask handed on would need converting again.
+if grep -rnE "from array import|is_numpy|_is_np_array" src/repro; then
+    echo "found a second vector backend, or a check for one, under src/repro"
+    exit 1
+fi
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== storage formats, block codecs and the write path on the pure-python backend =="
-# Tier-1 ran these on NumPy; the fallback backend decodes the same
-# chunks through array('q'/'d') and must read and write the same bytes,
-# fold the same statistics out of them and coerce the same batches.
+echo "== CO / Parquet decode to lists without NumPy =="
+# Tier-1 ran these on NumPy. Without it a CO / Parquet block decodes to
+# what an AO block decodes to everywhere — a plain list per column — and
+# the engine must read and write the same bytes, fold the same
+# statistics, narrow every filter to the same rows, size every batch the
+# same (a census of Python values) and agree with the row executor.
 REPRO_NO_NUMPY=1 python -m pytest -q \
     tests/test_storage.py tests/test_block_cache.py tests/test_codec.py \
-    tests/test_analyze_columnar.py
-
-echo "== predicate form and batch sizes on the pure-python backend =="
-# With no NumPy every column is a plain list or an array-backed vector:
-# every filter narrows, and every size is a census of Python values.
-REPRO_NO_NUMPY=1 python -m pytest -q \
-    tests/test_predicate_form.py tests/test_batch_sizing.py
+    tests/test_analyze_columnar.py tests/test_predicate_form.py \
+    tests/test_batch_sizing.py tests/test_vectors.py \
+    tests/test_batch_differential.py tests/test_two_representations.py
 
 echo "== the paper's figures: Fig 6-13 + ablations on the simulated clock =="
 # pytest is the one way to regenerate them (add -s for the tables); their
 # shape assertions are the simulated-clock contract. 16 tests, ~70 s.
 python -m pytest benchmarks/ --benchmark-only --ignore=benchmarks/perf -q
 
-echo "== typed-kernel microbenchmark, numpy backend (batch >= 5x row on 100k CO rows) =="
+echo "== typed-kernel microbenchmark with NumPy (batch >= 5x row on 100k CO rows) =="
 # The one check that runs the typed-vector kernels at a size where they
 # pay; whole-statement wall time is benchmarks/perf's (below, and
 # BENCHMARK.json's bounds).
 python -m repro.bench --wallclock --check
 
-echo "== typed-kernel microbenchmark, pure-python fallback (batch >= 1.5x row) =="
+echo "== the same microbenchmark without NumPy: list batches against rows (batch >= 1.5x row) =="
 REPRO_NO_NUMPY=1 python -m repro.bench --wallclock --check --no-report
 
 echo "== benchmarks/perf: its own tests, then one tiny round of every workload =="

@@ -13,13 +13,14 @@ where they pay.
 
 A 100k-row CO scan-filter-aggregate (the shape vectorization helps most)
 with a warm block cache must show batch mode beating row mode by the
-backend's threshold: ``CHECK_THRESHOLD`` (5x) on the NumPy backend,
-where typed vectors, fused selection kernels and the bincount aggregate
-fold carry the work, or ``CHECK_THRESHOLD_FALLBACK`` (1.5x) under
-``REPRO_NO_NUMPY=1``, where batching only amortizes interpretation
-overhead. Every run also records ``{commit, backend, speedup}`` in the
-report's ``history`` — one entry per commit and backend — so regressions
-are visible across commits, not just against the gate.
+platform's threshold: ``CHECK_THRESHOLD`` (5x) with NumPy, where typed
+vectors, fused selection kernels and the bincount aggregate fold carry
+the work, or ``CHECK_THRESHOLD_FALLBACK`` (1.5x) without it
+(``REPRO_NO_NUMPY=1``), where the blocks decode to plain lists and
+batching only amortizes interpretation overhead. Every run also records
+``{commit, backend, speedup}`` in the report's ``history`` — one entry
+per commit and backend — so regressions are visible across commits, not
+just against the gate.
 """
 
 from __future__ import annotations
@@ -34,16 +35,19 @@ from repro.engine import Engine
 from repro.util import DeterministicRng
 
 #: Minimum warm-cache speedup of batch over row mode on the microbench
-#: when the NumPy vector backend is active.
+#: when CO blocks decode to typed (NumPy) vectors.
 CHECK_THRESHOLD = 5.0
 
-#: The pure-python ``array`` fallback still has to win, but it only
-#: amortizes per-row interpretation, so the bar is lower.
+#: Without NumPy the blocks decode to plain lists; batches of lists still
+#: have to win, but they only amortize per-row interpretation, so the bar
+#: is lower.
 CHECK_THRESHOLD_FALLBACK = 1.5
 
 
 def active_backend() -> str:
-    """Which vector backend this process is using."""
+    """What this process's CO blocks decode to: ``numpy`` (typed
+    vectors) or ``fallback`` (plain lists; the name is the artifact's
+    ``history`` key)."""
     return "numpy" if NUMPY_AVAILABLE else "fallback"
 
 

@@ -44,9 +44,7 @@ _EXACT_FLOAT_INT = 2**53
 
 def _null_array(np, mask, n):
     """Null mask as a bool ndarray (all-False when ``mask`` is None)."""
-    if mask is None:
-        return np.zeros(n, dtype=bool)
-    return np.asarray(mask, dtype=bool)
+    return np.zeros(n, dtype=bool) if mask is None else mask
 
 
 def _merge_masks(np, a: Vector, b: Vector):
@@ -96,23 +94,17 @@ def cmp_fast(py_op, l, r) -> Optional[object]:
         vec, const, flipped = (r, l.value, True) if l_const else (l, r.value, False)
         if const is None:
             return ConstVector(None, len(vec))
-        if isinstance(vec, DictVector) and type(const) is str and vec.is_numpy():
+        if isinstance(vec, DictVector) and type(const) is str:
             if flipped:
                 lut = [py_op(const, s) for s in vec.dictionary]
             else:
                 lut = [py_op(s, const) for s in vec.dictionary]
             return _lut_apply(np, vec, lut)
-        if _numeric_pair_ok(vec, const) and vec.is_numpy():
+        if _numeric_pair_ok(vec, const):
             data = py_op(const, vec.data) if flipped else py_op(vec.data, const)
-            mask = None if vec.mask is None else np.asarray(vec.mask, bool)
-            return BoolVector(data, mask)
+            return BoolVector(data, vec.mask)
         return None
-    if (
-        type(l) is type(r)
-        and isinstance(l, (IntVector, FloatVector))
-        and l.is_numpy()
-        and r.is_numpy()
-    ):
+    if type(l) is type(r) and isinstance(l, (IntVector, FloatVector)):
         return BoolVector(py_op(l.data, r.data), _merge_masks(np, l, r))
     return None
 
@@ -127,47 +119,34 @@ def arith_fast(op: str, l, r) -> Optional[Vector]:
     if op == "%":
         if (
             isinstance(l, IntVector)
-            and l.is_numpy()
             and isinstance(r, ConstVector)
             and type(r.value) is int
             and r.value != 0
         ):
-            mask = None if l.mask is None else np.asarray(l.mask, bool)
-            return IntVector(np.remainder(l.data, r.value), mask)
+            return IntVector(np.remainder(l.data, r.value), l.mask)
         return None
     if op not in ("+", "-", "*"):
         return None
     py_op = {"+": np.add, "-": np.subtract, "*": np.multiply}[op]
-    if (
-        isinstance(l, FloatVector)
-        and isinstance(r, FloatVector)
-        and l.is_numpy()
-        and r.is_numpy()
-    ):
+    if isinstance(l, FloatVector) and isinstance(r, FloatVector):
         return FloatVector(py_op(l.data, r.data), _merge_masks(np, l, r))
     for vec, other, flipped in ((l, r, False), (r, l, True)):
-        if (
-            isinstance(vec, FloatVector)
-            and vec.is_numpy()
-            and isinstance(other, ConstVector)
-        ):
+        if isinstance(vec, FloatVector) and isinstance(other, ConstVector):
             const = other.value
             if const is None:
                 return ConstVector(None, len(vec))
             if not _numeric_pair_ok(vec, const):
                 return None
             data = py_op(const, vec.data) if flipped else py_op(vec.data, const)
-            mask = None if vec.mask is None else np.asarray(vec.mask, bool)
-            return FloatVector(data, mask)
+            return FloatVector(data, vec.mask)
     return None
 
 
 # ---------------------------------------------------------- Kleene logic
 def _bool_parts(np, v):
     """(truth, null) bool arrays of a predicate result, or None."""
-    if isinstance(v, BoolVector) and v.is_numpy():
-        data = np.asarray(v.data, dtype=bool)
-        return data, _null_array(np, v.mask, len(data))
+    if isinstance(v, BoolVector):
+        return v.data, _null_array(np, v.mask, len(v))
     if isinstance(v, ConstVector) and (
         v.value is None or isinstance(v.value, bool)
     ):
@@ -207,11 +186,10 @@ def kleene_or(l, r) -> Optional[BoolVector]:
 
 
 def not_fast(v) -> Optional[object]:
-    np = numpy_module()
     if isinstance(v, ConstVector):
         return ConstVector(None if v.value is None else not v.value, len(v))
-    if np is not None and isinstance(v, BoolVector) and v.is_numpy():
-        return BoolVector(~np.asarray(v.data, dtype=bool), v.mask)
+    if isinstance(v, BoolVector):
+        return BoolVector(~v.data, v.mask)
     return None
 
 
@@ -221,7 +199,7 @@ def isnull_fast(v, negated: bool) -> Optional[object]:
     if isinstance(v, ConstVector):
         is_null = v.value is None
         return ConstVector((not is_null) if negated else is_null, len(v))
-    if np is None or not isinstance(v, Vector) or not v.is_numpy():
+    if np is None or not isinstance(v, Vector):
         return None
     if isinstance(v, DictVector):
         null = v.data < 0
@@ -239,7 +217,7 @@ def like_fast(v, match, negated: bool) -> Optional[object]:
             return ConstVector(None, len(v))
         hit = match(v.value) is not None
         return ConstVector((not hit) if negated else hit, len(v))
-    if np is None or not isinstance(v, DictVector) or not v.is_numpy():
+    if np is None or not isinstance(v, DictVector):
         return None
     if negated:
         lut = [match(s) is None for s in v.dictionary]
@@ -257,16 +235,14 @@ def in_const_fast(v, items: tuple, negated: bool) -> Optional[object]:
             return ConstVector(None, len(v))
         found = v.value in items
         return ConstVector((not found) if negated else found, len(v))
-    if np is None or not isinstance(v, Vector) or not v.is_numpy():
+    if np is None or not isinstance(v, Vector):
         return None
     if isinstance(v, DictVector):
         lut = [((s in items) != negated) for s in v.dictionary]
         return _lut_apply(np, v, lut)
     if isinstance(v, IntVector) and all(type(i) is int for i in items):
         found = np.isin(v.data, np.array(items, dtype=np.int64))
-        data = ~found if negated else found
-        mask = None if v.mask is None else np.asarray(v.mask, bool)
-        return BoolVector(data, mask)
+        return BoolVector(~found if negated else found, v.mask)
     return None
 
 

@@ -117,7 +117,6 @@ class Engine:
         with_standby: bool = True,
         executor_mode: str = "batch",
         block_cache_bytes: int = DEFAULT_CACHE_BYTES,
-        cache_simulated_costs: bool = True,
         max_query_retries: int = 3,
         retry_backoff: float = 0.25,
     ):
@@ -136,13 +135,10 @@ class Engine:
         #: fallback. Results and simulated costs are identical.
         self.executor_mode = executor_mode
         #: Segment-local LRU cache of decoded storage blocks; 0 disables.
-        #: With ``cache_simulated_costs`` (default) cache hits replay
-        #: their original simulated charges so figures are unchanged;
-        #: disabling it makes hits free on the simulated clock as well.
+        #: Cache hits replay their original simulated charges, so figures
+        #: are unchanged by it.
         self.block_cache = (
-            BlockDecodeCache(block_cache_bytes, charge_hits=cache_simulated_costs)
-            if block_cache_bytes
-            else None
+            BlockDecodeCache(block_cache_bytes) if block_cache_bytes else None
         )
         #: Bounded query-restart policy (paper §2.6: restarting a query
         #: against failover assignments beats heavyweight recovery).
@@ -928,42 +924,54 @@ class Session:
             client = segment.client(engine.hdfs)
             base_path = engine.segment_data_path(schema.name, segment_id, lane)
             existing = segfiles.get((segment_id, lane))
-            if existing is not None:
-                prev = existing["paths"]
-                # Truncate garbage left by aborted appends before writing.
-                for path, logical in prev.items():
-                    if client.exists(path):
-                        physical = client.file_status(path).length
-                        if physical > logical:
-                            client.truncate(path, logical)
-                result = fmt.write(
-                    client,
-                    base_path,
-                    segment_rows,
-                    schema,
-                    schema.compression,
-                    append=True,
-                )
-                self._charge_write(
-                    acc,
-                    schema,
-                    result,
-                    sum(
-                        length - prev.get(path, 0)
-                        for path, length in result.paths.items()
-                    ),
-                )
-                for path, prev_len in prev.items():
-                    txn.record_append(
-                        AppendedFile(
-                            table=schema.name,
-                            segment_id=segment_id,
-                            segfile_id=lane,
-                            path=path,
-                            previous_length=prev_len,
-                            truncate=client.truncate,
-                        )
+            prev = existing["paths"] if existing is not None else {}
+            # Truncate garbage left by aborted appends before writing.
+            for path, logical in prev.items():
+                if client.exists(path):
+                    physical = client.file_status(path).length
+                    if physical > logical:
+                        client.truncate(path, logical)
+            result = fmt.write(
+                client,
+                base_path,
+                segment_rows,
+                schema,
+                schema.compression,
+                append=existing is not None,
+            )
+            self._charge_write(
+                acc,
+                schema,
+                result,
+                sum(
+                    length - prev.get(path, 0)
+                    for path, length in result.paths.items()
+                ),
+            )
+            for path in result.paths:
+                txn.record_append(
+                    AppendedFile(
+                        table=schema.name,
+                        segment_id=segment_id,
+                        segfile_id=lane,
+                        path=path,
+                        previous_length=prev.get(path, 0),
+                        truncate=lambda p, n, c=client: (
+                            c.truncate(p, n) if c.exists(p) else None
+                        ),
                     )
+                )
+            if existing is None:
+                engine.catalog.register_segfile(
+                    schema.name,
+                    segment_id,
+                    lane,
+                    dict(result.paths),
+                    txn.xid,
+                    uncompressed_length=result.uncompressed_bytes,
+                    tupcount=result.tupcount,
+                )
+            else:
                 engine.catalog.update_segfile(
                     snapshot,
                     schema.name,
@@ -976,40 +984,6 @@ class Session:
                         "tupcount": existing["tupcount"] + result.tupcount,
                     },
                     txn.xid,
-                )
-            else:
-                result = fmt.write(
-                    client,
-                    base_path,
-                    segment_rows,
-                    schema,
-                    schema.compression,
-                    append=False,
-                )
-                self._charge_write(
-                    acc, schema, result, sum(result.paths.values())
-                )
-                for path in result.paths:
-                    txn.record_append(
-                        AppendedFile(
-                            table=schema.name,
-                            segment_id=segment_id,
-                            segfile_id=lane,
-                            path=path,
-                            previous_length=0,
-                            truncate=lambda p, n, c=client: (
-                                c.truncate(p, n) if c.exists(p) else None
-                            ),
-                        )
-                    )
-                engine.catalog.register_segfile(
-                    schema.name,
-                    segment_id,
-                    lane,
-                    dict(result.paths),
-                    txn.xid,
-                    uncompressed_length=result.uncompressed_bytes,
-                    tupcount=result.tupcount,
                 )
         return len(rows)
 
@@ -1045,8 +1019,10 @@ class Session:
             relation = engine.catalog.lookup_relation(stmt.table, snapshot)
             if relation is None:
                 raise UndefinedObject(f"relation {stmt.table!r} does not exist")
+            self._check_privilege("all", stmt.table, txn)
             names.extend(c for c, _ in relation.get("children", []))
         else:
+            self._require_superuser("VACUUM of every table and the catalog")
             names = [
                 r["name"]
                 for r in engine.catalog.relations(snapshot)
@@ -1204,6 +1180,7 @@ class Session:
         snapshot = txn.statement_snapshot()
         schema = engine.catalog.get_schema(stmt.table, txn.statement_snapshot())
         txn.lock(f"rel:{schema.name}", LockMode.ACCESS_EXCLUSIVE)
+        self._check_privilege("all", schema.name, txn)
         names = [schema.name]
         relation = engine.catalog.lookup_relation(schema.name, snapshot)
         names.extend(c for c, _ in relation.get("children", []))
@@ -1285,8 +1262,10 @@ class Session:
     def _analyze(self, stmt: ast.AnalyzeStmt, txn: Transaction) -> QueryResult:
         snapshot = txn.statement_snapshot()
         if stmt.table is not None:
+            self._check_privilege("all", stmt.table, txn)
             names = [stmt.table.lower()]
         else:
+            self._require_superuser("ANALYZE of every table")
             names = [
                 r["name"]
                 for r in self.engine.catalog.relations(snapshot)

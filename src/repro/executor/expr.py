@@ -241,18 +241,14 @@ def column_bytes(col) -> int:
         # Per-entry sizes, with the NULL size last so code -1 finds it.
         sizes = [4 + len(s) for s in col.dictionary] + [1]
         np = numpy_module()
-        if np is not None and col.is_numpy():
-            return int(np.asarray(sizes, dtype=np.int64)[col.data].sum())
-        return sum(map(sizes.__getitem__, col.data))
+        return int(np.asarray(sizes, dtype=np.int64)[col.data].sum())
     if isinstance(col, BoolVector):
         return n  # TRUE, FALSE and NULL are all one byte
     if isinstance(col, Vector):  # int64 / float64: 8, NULL: 1
         mask = col.mask
         if mask is None:
             return 8 * n
-        np = numpy_module()
-        nulls = int(np.count_nonzero(mask)) if np is not None else sum(mask)
-        return 8 * n - 7 * nulls
+        return 8 * n - 7 * int(numpy_module().count_nonzero(mask))
     kinds = dict.fromkeys(map(type, col))
     if len(kinds) == 1:  # no NULLs, one type: no need to count
         kinds = {next(iter(kinds)): n}

@@ -80,22 +80,10 @@ class _Codes:
         return self._array
 
 
-def _typed(col, np) -> bool:
-    """Is ``col`` an int64/float64 vector on the active NumPy backend?"""
-    return (
-        np is not None
-        and isinstance(col, (IntVector, FloatVector))
-        and col.is_numpy()
-    )
-
-
-def _valid(col, np):
+def _valid(col):
     """Bool array selecting non-NULL rows, or None when all rows are."""
     mask = col.mask
-    if mask is None:
-        return None
-    mask = np.asarray(mask, dtype=bool)
-    return ~mask if mask.any() else None
+    return ~mask if mask is not None and mask.any() else None
 
 
 def _non_null(codes: Sequence[int], values: Sequence[object]):
@@ -176,9 +164,10 @@ class _Sum:
         self.totals.extend([self.EMPTY] * (k - len(self.totals)))
 
     def add(self, codes: _Codes, col, n: int) -> None:
-        np = numpy_module()
-        if _typed(col, np) and self._add_typed(np, codes.array(np), col):
-            return
+        if isinstance(col, (IntVector, FloatVector)):
+            np = numpy_module()
+            if self._add_typed(np, codes.array(np), col):
+                return
         self.add_values(*_non_null(codes.codes, as_list(col)))
 
     def add_values(self, codes: Sequence[int], values: Sequence[object]) -> None:
@@ -190,7 +179,7 @@ class _Sum:
     def _add_typed(self, np, gids, col) -> bool:
         """``bincount`` fold of a typed vector; False when an int sum
         could leave float64's exact range (the caller folds generically)."""
-        valid = _valid(col, np)
+        valid = _valid(col)
         data = col.data
         if valid is not None:
             data = data[valid]

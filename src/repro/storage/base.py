@@ -60,10 +60,6 @@ class ScanStats:
     #: Bytes served by a non-local HDFS replica (folded into the engine's
     #: network charge; lets the decode cache replay remote reads on hits).
     remote_bytes: int = 0
-    #: Work *skipped* thanks to decode-cache hits when the engine's
-    #: ``cache_simulated_costs`` knob is off — never charged to the model.
-    cached_compressed_bytes: int = 0
-    cached_uncompressed_bytes: int = 0
 
 
 def pack_block(payload: bytes, row_count: int, codec: Codec) -> bytes:
@@ -243,8 +239,9 @@ class ColumnCodec:
         from the packed buffer, the bitmap turned into an explicit mask)
         and string columns as a :class:`~repro.columnar.DictVector` whose
         dictionary holds each distinct value of the chunk once, decoded
-        once. DATE/BOOL/BYTEA are plain Python lists. All of these
-        duck-type as sequences of Python values. Raises
+        once. DATE/BOOL/BYTEA are plain Python lists — and so is every
+        column where NumPy is absent (the same values, None for NULL). All
+        of these duck-type as sequences of Python values. Raises
         :class:`StorageError` unless ``buf`` is exactly such a chunk."""
         offset = (count + 7) // 8
         bitmap = buf[:offset]

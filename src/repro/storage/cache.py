@@ -18,13 +18,10 @@ isolation are handled by serving only the prefix of blocks inside the
 caller's transaction-visible logical length, which always falls on a
 block boundary.
 
-Simulated-cost policy: by default (``charge_hits=True``) a cache hit
-*replays* the exact compressed/uncompressed/remote byte counts the
-original decode charged, so the simulated cost model — and therefore
-every paper-shape benchmark figure — is unchanged by caching. Setting
-the engine's ``cache_simulated_costs=False`` knob makes hits free on the
-simulated clock too (they are recorded in the ``cached_*`` ScanStats
-fields instead), modeling a real buffer cache.
+Simulated cost: a cache hit *replays* the exact compressed/uncompressed/
+remote byte counts the original decode charged, so the simulated cost
+model — and therefore every paper-shape benchmark figure — is unchanged
+by caching.
 """
 
 from __future__ import annotations
@@ -88,15 +85,8 @@ class BlockDecodeCache:
     and reads its own ``.../segN/...`` files).
     """
 
-    def __init__(
-        self,
-        capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
-        charge_hits: bool = True,
-    ) -> None:
+    def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES) -> None:
         self.capacity_bytes = capacity_bytes
-        #: When True (default), hits replay simulated charges so figures
-        #: are unchanged; when False, hits cost nothing on the sim clock.
-        self.charge_hits = charge_hits
         self._entries: "OrderedDict[tuple, _PrefixEntry]" = OrderedDict()
         self.total_bytes = 0
         self.hits = 0
@@ -141,20 +131,17 @@ class BlockDecodeCache:
 
     # ------------------------------------------------------------ stats replay
     def replay(self, block: CachedBlock, stats: Optional[ScanStats]) -> None:
-        """Account one cache-hit block into ``stats`` per the charge policy."""
+        """Account one cache-hit block into ``stats``: what its decode
+        charged, again."""
         self.hits += 1
         self.hit_blocks += 1
         if stats is None:
             return
         stats.rows += block.row_count
         stats.blocks += 1
-        if self.charge_hits:
-            stats.compressed_bytes += block.compressed_bytes
-            stats.uncompressed_bytes += block.uncompressed_bytes
-            stats.remote_bytes += block.remote_bytes
-        else:
-            stats.cached_compressed_bytes += block.compressed_bytes
-            stats.cached_uncompressed_bytes += block.uncompressed_bytes
+        stats.compressed_bytes += block.compressed_bytes
+        stats.uncompressed_bytes += block.uncompressed_bytes
+        stats.remote_bytes += block.remote_bytes
 
     def replay_bytes(
         self,
@@ -168,13 +155,9 @@ class BlockDecodeCache:
         self.hits += 1
         if stats is None:
             return
-        if self.charge_hits:
-            stats.compressed_bytes += compressed
-            stats.uncompressed_bytes += uncompressed
-            stats.remote_bytes += remote
-        else:
-            stats.cached_compressed_bytes += compressed
-            stats.cached_uncompressed_bytes += uncompressed
+        stats.compressed_bytes += compressed
+        stats.uncompressed_bytes += uncompressed
+        stats.remote_bytes += remote
 
     # ------------------------------------------------------------------ misc
     def clear(self) -> None:

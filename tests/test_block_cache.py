@@ -112,9 +112,9 @@ class TestChargePolicy:
         # Figures must not move: a warm run costs exactly a cold run.
         assert warm == cold
 
-    def test_cache_simulated_costs_off_makes_hits_free(self):
-        cold, warm, _ = self._timed_runs(cache_simulated_costs=False)
-        assert warm < cold
+    def test_free_hits_are_not_an_option(self):
+        with pytest.raises(TypeError, match="cache_simulated_costs"):
+            Engine(cache_simulated_costs=False)
 
     def test_cacheless_engine_matches_default_costs(self):
         cold, warm, _ = self._timed_runs()

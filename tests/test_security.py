@@ -158,6 +158,47 @@ class TestSqlSecurity:
             analyst.query("SELECT * FROM t")
 
 
+class TestMaintenanceStatementsAskWhoIsAsking:
+    """TRUNCATE, ANALYZE and VACUUM of a named table take what DROP and
+    ALTER TABLE take — superuser, owner, or GRANT ALL, partition children
+    riding with their parent; the database-wide forms are superuser-only
+    (VACUUM also reclaims catalog row versions)."""
+
+    NAMED = ("TRUNCATE TABLE t", "ANALYZE t", "VACUUM t")
+    DATABASE_WIDE = ("ANALYZE", "VACUUM")
+
+    @pytest.fixture
+    def engine(self):
+        engine = Engine(num_segment_hosts=2, segments_per_host=1)
+        admin = engine.connect()
+        for role in ("owner", "grantee", "stranger"):
+            admin.execute(f"CREATE ROLE {role}")
+        engine.connect(role="owner").execute(
+            "CREATE TABLE t (a INT, g INT) DISTRIBUTED BY (a) "
+            "PARTITION BY RANGE (g) (START (0) END (10) EVERY (5))"
+        )
+        admin.execute("INSERT INTO t VALUES (1, 1), (2, 7)")
+        admin.execute("GRANT all ON t TO grantee")
+        admin.execute("GRANT select ON t TO stranger")  # not enough
+        return engine
+
+    @pytest.mark.parametrize("statement", NAMED + DATABASE_WIDE)
+    @pytest.mark.parametrize("role", ["stranger", "owner", "grantee", "gpadmin"])
+    def test_privilege_matrix(self, engine, role, statement):
+        session = engine.connect(role=role)
+        allowed = role == "gpadmin" or (
+            role != "stranger" and statement in self.NAMED
+        )
+        if allowed:
+            session.execute(statement)
+        else:
+            with pytest.raises(PermissionDenied):
+                session.execute(statement)
+        truncated = allowed and statement.startswith("TRUNCATE")
+        rows = engine.connect().query("SELECT a, g FROM t")
+        assert sorted(rows) == ([] if truncated else [(1, 1), (2, 7)])
+
+
 class TestExplainGoesThroughTheFrontHalf:
     """EXPLAIN is a SELECT's front half (and EXPLAIN ANALYZE the whole
     statement): same privilege checks, locks and queue slot."""

@@ -1,11 +1,12 @@
-"""Typed column vectors: unit tests, backend parity, and query-level
+"""Typed column vectors: unit tests, platform parity, and query-level
 edge cases for the vectorized execution path.
 
 Covers the contracts the differential suite leans on:
 
 * vectors hand out Python scalars only (never NumPy scalars),
 * NULLs ride an explicit mask (or code -1 for dictionary columns),
-* the NumPy and pure-python ``array`` backends are interchangeable,
+* without NumPy every constructor hands out the plain list of the same
+  values, and the two column representations are interchangeable,
 * selection vectors, all-NULL columns, 0/1-row batches at storage block
   boundaries, and dictionary columns crossing motions all round-trip
   bit-identically between the row and batch executors, and
@@ -21,6 +22,7 @@ from repro.catalog.schema import Column, DataType, TypeKind
 from repro.columnar import vector
 from repro.columnar.vector import (
     ConstVector,
+    Vector,
     bool_vector,
     dict_vector,
     float_vector,
@@ -31,8 +33,18 @@ from repro.storage.base import ColumnCodec
 
 
 def force_fallback(monkeypatch):
-    """Route all vector construction + kernels to the array backend."""
+    """Stand the NumPy-less platform up: constructors hand out lists and
+    every kernel takes its generic arm."""
     monkeypatch.setattr(vector, "_np", None)
+
+
+def _is_typed(col, fallback=False):
+    """Asserts the one rule of which representation a constructor or a
+    decode hands out — a vector with NumPy, a list without — and says
+    which it was, for the assertions only a vector can answer."""
+    typed = not fallback and vector.numpy_module() is not None
+    assert (isinstance(col, Vector) if typed else type(col) is list), type(col)
+    return typed
 
 
 # ---------------------------------------------------------------- unit tests
@@ -48,36 +60,39 @@ class TestVectorBasics:
 
     def test_null_mask(self):
         iv = int_vector([1, 0, 3], mask=[False, True, False])
-        assert iv.tolist() == [1, None, 3]
+        assert list(iv) == [1, None, 3]
         assert iv[1] is None and iv[2] == 3
-        assert iv.has_nulls
+        if _is_typed(iv):
+            assert iv.has_nulls
 
     def test_empty_vector(self):
         iv = int_vector([])
-        assert len(iv) == 0 and iv.tolist() == []
-        assert not iv.has_nulls
-        assert iv.take([]).tolist() == []
+        assert len(iv) == 0 and list(iv) == []
+        if _is_typed(iv):
+            assert not iv.has_nulls
+        assert list(vector.take(iv, [])) == []
 
     def test_take_and_gather(self):
         fv = float_vector([0.0, 1.0, 2.0, 3.0], mask=[False, True, False, False])
-        taken = fv.take([3, 1])
+        taken = vector.take(fv, [3, 1])
         assert type(taken) is type(fv)
-        assert taken.tolist() == [3.0, None]
-        assert fv.gather([0, 2]) == [0.0, 2.0]
+        assert list(taken) == [3.0, None]
+        assert vector.gather(fv, [0, 2]) == [0.0, 2.0]
 
     def test_dict_vector(self):
         dv = dict_vector([0, 1, -1, 0], ["a", "b"])
-        assert dv.tolist() == ["a", "b", None, "a"]
+        assert list(dv) == ["a", "b", None, "a"]
         assert dv[2] is None and dv[3] == "a"
-        assert dv.has_nulls
-        taken = dv.take([0, 2])
-        assert taken.tolist() == ["a", None]
-        assert taken.dictionary is dv.dictionary  # shared, not copied
-        assert dv.code_lut(str.upper) == ["A", "B"]
+        taken = vector.take(dv, [0, 2])
+        assert list(taken) == ["a", None]
+        if _is_typed(dv):
+            assert dv.has_nulls
+            assert taken.dictionary is dv.dictionary  # shared, not copied
+            assert dv.code_lut(str.upper) == ["A", "B"]
 
     def test_dict_strings_are_shared_objects(self):
         dv = dict_vector([0, 0, 0], ["shared"])
-        a, b, c = dv.tolist()
+        a, b, c = dv
         assert a is b is c  # one decoded str, not three
 
     def test_const_vector(self):
@@ -88,7 +103,7 @@ class TestVectorBasics:
 
     def test_bool_vector_three_valued(self):
         bv = bool_vector([True, False, True], mask=[False, False, True])
-        assert bv.tolist() == [True, False, None]
+        assert list(bv) == [True, False, None]
 
     def test_true_selection_dense_and_selected(self):
         bv = bool_vector([True, False, True], mask=[False, False, True])
@@ -120,11 +135,9 @@ class TestDecodeRoundTrip:
             force_fallback(monkeypatch)
         values = [5, None, -(2**62), None, 0]
         vec = _roundtrip(values, INT_COL)
-        assert vec.tolist() == values
-        if fallback or vector.numpy_module() is None:
-            assert not vec.is_numpy()
-        else:
-            assert vec.is_numpy()
+        assert list(vec) == values
+        if _is_typed(vec, fallback):
+            assert vec.mask.tolist() == [v is None for v in values]
 
     @pytest.mark.parametrize("fallback", [False, True])
     def test_float_dense(self, monkeypatch, fallback):
@@ -132,8 +145,9 @@ class TestDecodeRoundTrip:
             force_fallback(monkeypatch)
         values = [0.0, -1.5, 3.25e300]
         vec = _roundtrip(values, FLOAT_COL)
-        assert vec.tolist() == values
-        assert vec.mask is None
+        assert list(vec) == values
+        if _is_typed(vec, fallback):
+            assert vec.mask is None
 
     @pytest.mark.parametrize("fallback", [False, True])
     def test_text_dictionary(self, monkeypatch, fallback):
@@ -141,17 +155,21 @@ class TestDecodeRoundTrip:
             force_fallback(monkeypatch)
         values = ["x", "y", None, "x", "y", "x"]
         vec = _roundtrip(values, TEXT_COL)
-        assert vec.tolist() == values
-        # Repeats dedup onto one dictionary entry.
-        assert sorted(vec.dictionary) == ["x", "y"]
+        assert list(vec) == values
+        if _is_typed(vec, fallback):
+            # Repeats dedup onto one dictionary entry.
+            assert sorted(vec.dictionary) == ["x", "y"]
+        else:
+            # ... and without a dictionary vector, onto one str object.
+            assert vec[0] is vec[3] is vec[5] and vec[1] is vec[4]
 
     def test_all_null_column(self):
         values = [None, None, None]
-        assert _roundtrip(values, INT_COL).tolist() == values
-        assert _roundtrip(values, TEXT_COL).tolist() == values
+        assert list(_roundtrip(values, INT_COL)) == values
+        assert list(_roundtrip(values, TEXT_COL)) == values
 
     def test_empty_column(self):
-        assert _roundtrip([], FLOAT_COL).tolist() == []
+        assert list(_roundtrip([], FLOAT_COL)) == []
 
 
 # ------------------------------------------------------------- query corpus
@@ -232,8 +250,9 @@ def test_dict_column_crosses_motion_intact():
 
 
 def test_numpy_vs_fallback_full_corpus(monkeypatch):
-    """The pure-python array backend must match the NumPy backend on the
-    whole operator corpus — rows and simulated cost."""
+    """CO tables decoded to lists (no NumPy) must match CO tables decoded
+    to typed vectors on the whole operator corpus — rows and simulated
+    cost."""
     from tests.test_batch_differential import EXECUTOR_QUERIES, _nums_session
 
     if vector.numpy_module() is None:
@@ -255,7 +274,7 @@ def test_numpy_vs_fallback_full_corpus(monkeypatch):
 
 
 def test_fallback_row_vs_batch(monkeypatch):
-    """Differential testing with NumPy off: both executors on arrays."""
+    """Differential testing with NumPy off: both executors on lists."""
     force_fallback(monkeypatch)
     rows = _edge_rows(60)
     row_s = _session("row", rows=rows)
@@ -498,11 +517,12 @@ def test_concat_and_take_keep_values_and_types(monkeypatch, fallback):
     b = int_vector([3])
     joined = concat([a, b])
     assert list(joined) == [1, None, 3]
-    if not fallback and vector.numpy_module() is not None:
-        assert type(joined) is type(a)  # buffers concatenated, still typed
+    _is_typed(a, fallback)
+    assert type(joined) is type(a)  # buffers concatenated, still typed
     shared = dict_vector([0, 1, -1], ["x", "y"])
-    same_dict = concat([shared.take([0, 2]), shared.take([1])])
+    same_dict = concat([vector.take(shared, [0, 2]), vector.take(shared, [1])])
     assert list(same_dict) == ["x", None, "y"]
+    assert type(same_dict) is type(shared)
     other = dict_vector([0], ["z"])
     assert list(concat([shared, other])) == ["x", "y", None, "z"]  # per-block dicts
     assert concat([[1, 2], a]) == [1, 2, 1, None]  # mixed -> plain values

@@ -174,6 +174,7 @@ def run_schedule(seed: int, data, baseline: Baseline) -> ScheduleReport:
         # trigger — a clean failure with no statement attached.
         try:
             injector.pulse(STATEMENT_QUANTUM)
+        # lint: allow[R4] — a due event may abort a WAL txn: recorded, not lost
         except ClusterError as exc:
             clean_failures.append(
                 f"between statements: {type(exc).__name__}: {exc}"
@@ -182,12 +183,14 @@ def run_schedule(seed: int, data, baseline: Baseline) -> ScheduleReport:
     for index, (kind, name, sql) in enumerate(script()):
         try:
             result = session.execute(sql)
+        # lint: allow[R4] — the allowed outcome under faults, recorded
         except ClusterError as exc:
             # The allowed failure mode: a clean, typed cluster error.
             clean_failures.append(f"step {index} ({name}): {type(exc).__name__}: {exc}")
             quantum()
             continue
-        except Exception as exc:  # noqa: BLE001 - the property under test
+        # lint: allow[R4] — a non-ClusterError escaping is the violation
+        except Exception as exc:
             violations.append(
                 f"step {index} ({name}): NON-CLEAN failure "
                 f"{type(exc).__name__}: {exc}"
@@ -214,6 +217,7 @@ def run_schedule(seed: int, data, baseline: Baseline) -> ScheduleReport:
         try:
             if injector.drain() == 0:
                 break
+        # lint: allow[R4] — a drained event may abort a WAL txn: recorded
         except ClusterError as exc:
             clean_failures.append(f"during drain: {type(exc).__name__}: {exc}")
     promoted = engine.standby is None
@@ -595,7 +599,8 @@ def check_recovery_invariants(
             continue
         try:
             rows = session.query(sql)
-        except Exception as exc:  # noqa: BLE001 - post-heal must succeed
+        # lint: allow[R4] — post-heal must succeed: a failure is a violation
+        except Exception as exc:
             violations.append(
                 f"post-heal {name}: {type(exc).__name__}: {exc}"
             )
@@ -605,7 +610,8 @@ def check_recovery_invariants(
 
     try:
         count = session.query("SELECT count(*) FROM chaos_log")[0][0]
-    except Exception as exc:  # noqa: BLE001
+    # lint: allow[R4] — post-heal must succeed: a failure is a violation
+    except Exception as exc:
         violations.append(f"post-heal chaos_log count: {type(exc).__name__}: {exc}")
     else:
         if count != committed:

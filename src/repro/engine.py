@@ -1124,7 +1124,7 @@ class Session:
             schema, txn.xid, snapshot, kind="view", view_def=stmt.query,
             owner=self.role,
         )
-        for name in _tables_of(analyzed):
+        for name in _tables_of(analyzed, subplans=True):
             self.engine.catalog.add_dependency(stmt.name, name, txn.xid)
         return _ok("CREATE VIEW")
 

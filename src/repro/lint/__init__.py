@@ -16,35 +16,22 @@ tests cannot see being *violated by new code*:
 This package machine-enforces them with a small AST-based analysis
 framework: a pluggable rule registry (:mod:`repro.lint.rules`), a
 project-wide call graph for cost-conformance (:mod:`repro.lint.callgraph`),
-per-line ``# lint: allow[RULE-ID]`` suppressions, a committed baseline of
-deliberate exemptions (``baseline.json``, every entry carries a reason),
-and machine-readable JSON output.
+per-line ``# lint: allow[RULE-ID] — reason`` suppressions as the one way
+to exempt a finding, and machine-readable JSON output.
 
 Run it as ``python -m repro.lint`` (exit 0 clean / 1 findings / 2
 internal error) or through the tier-1 gate ``tests/test_lint.py``.
 """
 
-from repro.lint.core import (
-    Baseline,
-    Finding,
-    Project,
-    SourceFile,
-    default_baseline_path,
-    load_project,
-    repo_root,
-    run_lint,
-)
+from repro.lint.core import Finding, Project, SourceFile, load_project, repo_root
 from repro.lint.rules import RULES, get_rules
 
 __all__ = [
-    "Baseline",
     "Finding",
     "Project",
     "RULES",
     "SourceFile",
-    "default_baseline_path",
     "get_rules",
     "load_project",
     "repo_root",
-    "run_lint",
 ]

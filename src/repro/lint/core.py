@@ -1,4 +1,4 @@
-"""Framework plumbing for the sanitizer: sources, findings, baseline.
+"""Framework plumbing for the sanitizer: sources, findings, projects.
 
 The moving parts, in the order a run uses them:
 
@@ -8,23 +8,20 @@ The moving parts, in the order a run uses them:
   shared analyses (the cost-conformance call graph is built lazily and
   cached here so several rules could reuse it).
 * Rules yield :class:`Finding`s; findings matching a per-line
-  ``# lint: allow[RULE-ID]`` comment are dropped at collection time.
-* :class:`Baseline` then filters grandfathered findings.  Baseline
-  entries are keyed by ``(rule, path, enclosing function, source line
-  text)`` — not line *numbers* — so unrelated edits to a file do not
-  invalidate them, while any edit to the offending line itself does.
+  ``# lint: allow[RULE-ID] — reason`` comment are dropped at collection
+  time.  That comment is the only exemption mechanism: it sits on the
+  exempted line (or the line above), so it moves and dies with the code.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-#: ``# lint: allow[R1]`` / ``# lint: allow[R1, R4]`` / ``# lint: allow[*]``
+#: Matches ``lint: allow[R1]``, ``allow[R1, R4]`` and ``allow[*]`` comments.
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*allow\[([A-Za-z0-9_*,\s-]+)\]")
 
 
@@ -32,11 +29,6 @@ def repo_root() -> Path:
     """The repository root, derived from this package's location."""
     # src/repro/lint/core.py -> src/repro/lint -> src/repro -> src -> root
     return Path(__file__).resolve().parents[3]
-
-
-def default_baseline_path() -> Path:
-    """The committed baseline shipped next to the lint package."""
-    return Path(__file__).resolve().parent / "baseline.json"
 
 
 @dataclass(frozen=True)
@@ -49,12 +41,8 @@ class Finding:
     message: str
     #: Qualified name of the enclosing function ("<module>" at top level).
     context: str = "<module>"
-    #: The offending source line, stripped — the stable half of the
-    #: baseline key.
+    #: The offending source line, stripped.
     code: str = ""
-
-    def key(self) -> Tuple[str, str, str, str]:
-        return (self.rule, self.path, self.context, self.code)
 
     def to_json(self) -> dict:
         return {
@@ -142,139 +130,6 @@ class SourceFile:
         )
 
 
-class Baseline:
-    """Grandfathered findings, each with a human reason.
-
-    The on-disk format is a sorted JSON list of entries::
-
-        {"rule": "R3", "path": "src/repro/hdfs/filesystem.py",
-         "context": "Hdfs.check_replication", "code": "data = ...",
-         "reason": "NameNode background healing is off the query clock"}
-
-    Matching consumes entries one-for-one, so two findings with the same
-    key need two entries, and stale entries are reported by
-    :meth:`unused`.
-    """
-
-    def __init__(self, entries: Optional[List[dict]] = None):
-        self.entries = list(entries or [])
-        self._pool: Dict[Tuple[str, str, str, str], int] = {}
-        for entry in self.entries:
-            self._pool[self._key(entry)] = self._pool.get(self._key(entry), 0) + 1
-        self._matched: Dict[Tuple[str, str, str, str], int] = {}
-
-    @staticmethod
-    def _key(entry: dict) -> Tuple[str, str, str, str]:
-        return (
-            str(entry.get("rule", "")),
-            str(entry.get("path", "")),
-            str(entry.get("context", "")),
-            str(entry.get("code", "")),
-        )
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        if not path.exists():
-            return cls([])
-        data = json.loads(path.read_text())
-        if not isinstance(data, list):
-            raise ValueError(f"baseline {path} must contain a JSON list")
-        return cls(data)
-
-    def save(self, path: Path) -> None:
-        ordered = sorted(
-            self.entries,
-            key=lambda e: (e.get("rule", ""), e.get("path", ""), e.get("code", "")),
-        )
-        path.write_text(json.dumps(ordered, indent=2, sort_keys=True) + "\n")
-
-    def split(self, findings: Sequence[Finding]) -> Tuple[List[Finding], List[Finding]]:
-        """Partition findings into (new, baselined)."""
-        self._matched = {}
-        new: List[Finding] = []
-        old: List[Finding] = []
-        for finding in findings:
-            key = finding.key()
-            if self._matched.get(key, 0) < self._pool.get(key, 0):
-                self._matched[key] = self._matched.get(key, 0) + 1
-                old.append(finding)
-            else:
-                new.append(finding)
-        return new, old
-
-    def unused(self) -> List[dict]:
-        """Entries no current finding matched (stale after the last split)."""
-        out = []
-        seen: Dict[Tuple[str, str, str, str], int] = {}
-        for entry in self.entries:
-            key = self._key(entry)
-            seen[key] = seen.get(key, 0) + 1
-            if seen[key] > self._matched.get(key, 0):
-                out.append(entry)
-        return out
-
-    def drifted(self, findings: Sequence[Finding]) -> List[dict]:
-        """Stale entries whose finding still exists under a *moved* context.
-
-        A baseline entry keys on ``(rule, path, context, code)``; when the
-        enclosing function is renamed (or code migrates between scopes)
-        the entry silently stops matching and the finding resurfaces as
-        "new" while the entry reads as merely stale. This pairs each
-        stale entry with an unmatched current finding agreeing on
-        ``(rule, path, code)`` but not on context, so the CLI can report
-        the drift loudly — old context, new context — instead of two
-        half-truths. Call after :meth:`split`.
-        """
-        stale = self.unused()
-        if not stale:
-            return []
-        unmatched: Dict[Tuple[str, str, str], List[Finding]] = {}
-        for finding in findings:
-            # Exact-key findings were consumed by split(); only findings
-            # whose (rule, path, context, code) is absent from the pool
-            # can be a stale entry's moved twin.
-            if finding.key() not in self._pool:
-                loose = (finding.rule, finding.path, finding.code)
-                unmatched.setdefault(loose, []).append(finding)
-        drifts = []
-        for entry in stale:
-            loose = (
-                str(entry.get("rule", "")),
-                str(entry.get("path", "")),
-                str(entry.get("code", "")),
-            )
-            candidates = unmatched.get(loose)
-            if candidates:
-                finding = candidates.pop(0)
-                drifts.append(
-                    {
-                        "entry": entry,
-                        "old_context": str(entry.get("context", "")),
-                        "new_context": finding.context,
-                        "line": finding.line,
-                    }
-                )
-        return drifts
-
-    @classmethod
-    def from_findings(
-        cls, findings: Sequence[Finding], reasons: Optional[Dict[tuple, str]] = None
-    ) -> "Baseline":
-        entries = []
-        for finding in findings:
-            entry = {
-                "rule": finding.rule,
-                "path": finding.path,
-                "context": finding.context,
-                "code": finding.code,
-                "reason": (reasons or {}).get(
-                    finding.key(), "TODO: justify or fix this exemption"
-                ),
-            }
-            entries.append(entry)
-        return cls(entries)
-
-
 @dataclass
 class Project:
     """All parsed sources plus lazily built shared analyses."""
@@ -344,19 +199,3 @@ def project_from_sources(sources: Dict[str, str], root: Optional[Path] = None) -
         project.files.append(SourceFile(path, text))
     return project
 
-
-def run_lint(
-    root: Optional[Path] = None,
-    paths: Optional[Sequence[Path]] = None,
-    rules: Optional[Sequence[object]] = None,
-    baseline: Optional[Baseline] = None,
-) -> Tuple[List[Finding], List[Finding], Project]:
-    """One-call entry point: returns (new, baselined, project)."""
-    from repro.lint.rules import get_rules
-
-    project = load_project(root=root, paths=paths)
-    findings = project.run(list(rules) if rules is not None else get_rules())
-    if baseline is None:
-        baseline = Baseline.load(default_baseline_path())
-    new, old = baseline.split(findings)
-    return new, old, project

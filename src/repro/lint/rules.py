@@ -14,8 +14,9 @@ R4   exception-hygiene     recovery correctness: broad ``except`` may not
                            swallow ``ClusterError``/``FaultInjected``, or the
                            query-restart loop (paper §2.6) never sees the fault
 R5   deterministic-iter    plan/answer determinism: no unordered set iteration
-                           into planner, executor, columnar, or catalog output
-                           without ``sorted(...)``
+                           into planner, executor, columnar, or catalog output,
+                           or into the scheduler or resource-queue
+                           interleaving, without ``sorted(...)``
 R6   obs-passivity         trace=on bit-identity: ``repro.obs`` may read the
                            simulated clock but never charge it, mutate cost
                            state, or force lazy column vectors to materialize
@@ -358,19 +359,23 @@ class DeterministicIterationRule:
     """Iterating a ``set``/``frozenset`` (or an explicit ``.keys()``
     view) feeds its unordered elements into ordered output: rows, plan
     shapes, hash/dispatch choices.  Wrap the iterable in ``sorted(...)``
-    or restructure.  Scope is limited to the subsystems whose output
-    order is an external contract: planner, executor, catalog, and the
-    columnar vector/kernel layer (vector contents and selection vectors
-    flow straight into result rows)."""
+    or restructure.  Scope is limited to the code whose output order is
+    an external contract: planner, executor, catalog, the columnar
+    vector/kernel layer (vector contents and selection vectors flow
+    straight into result rows), and the event scheduler and resource
+    queues (their iteration order is the concurrent interleaving).  This
+    is the one rule for set iteration; R8 keeps the scheduler's other
+    hazards."""
 
     id = "R5"
     name = "deterministic-iteration"
     description = (
         "unsorted set/frozenset/.keys() iteration in planner//executor//"
-        "catalog//columnar"
+        "catalog//columnar//scheduler//resqueue"
     )
 
     SCOPE_DIRS = ("planner", "executor", "catalog", "columnar")
+    SCOPE_FILES = ("simtime/scheduler.py", "cluster/resqueue.py")
     SET_CONSTRUCTORS = frozenset({"set", "frozenset"})
     SET_METHODS = frozenset(
         {"union", "intersection", "difference", "symmetric_difference", "copy"}
@@ -494,12 +499,11 @@ class DeterministicIterationRule:
                 yield node
 
     def check_file(self, source: SourceFile, project) -> Iterator[Finding]:
-        if not _in_dir(source.path, *self.SCOPE_DIRS):
+        if not (
+            _in_dir(source.path, *self.SCOPE_DIRS)
+            or any(source.path.endswith(f) for f in self.SCOPE_FILES)
+        ):
             return
-        yield from self.scan(source)
-
-    def scan(self, source: SourceFile) -> Iterator[Finding]:
-        """Scope-free detection pass (R8 reuses this on its own files)."""
         set_funcs = self._set_returning_functions(source)
         flagged: Set[int] = set()
         for func in self._iter_functions(source):
@@ -999,17 +1003,17 @@ class SchedulerDeterminismRule:
     ``(ready_time, key)`` — never of memory layout.  In the scheduler,
     the concurrent composer, and the resource-queue manager this
     forbids: ``id()``-based keys (CPython addresses vary run to run),
-    unsorted set/``.keys()`` iteration feeding any downstream order,
     ``min``/``max`` over raw dict views (ties resolve by insertion
     accident, not by a total key), and heap pushes whose entry is not a
     tuple literal (an unkeyed entry falls back to object comparison —
-    or worse, address order)."""
+    or worse, address order).  Unsorted set iteration in these files is
+    R5's, which covers all of them."""
 
     id = "R8"
     name = "scheduler-determinism"
     description = (
-        "id()-keys, unsorted set iteration, dict-view min/max, or unkeyed "
-        "heap pushes in scheduler/concurrent/resqueue code"
+        "id()-keys, dict-view min/max, or unkeyed heap pushes in "
+        "scheduler/concurrent/resqueue code"
     )
 
     SCOPE_FILES = (
@@ -1020,23 +1024,9 @@ class SchedulerDeterminismRule:
         "cluster/resqueue.py",
     )
 
-    _set_scan = DeterministicIterationRule()
-
     def check_file(self, source: SourceFile, project) -> Iterator[Finding]:
         if not any(source.path.endswith(f) for f in self.SCOPE_FILES):
             return
-        for finding in self._set_scan.scan(source):
-            yield Finding(
-                rule=self.id,
-                path=finding.path,
-                line=finding.line,
-                message=(
-                    "unordered iteration feeds the scheduler interleaving: "
-                    + finding.message
-                ),
-                context=finding.context,
-                code=finding.code,
-            )
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -71,6 +71,27 @@ class TestDdl:
         session.execute("DROP VIEW v")
         session.execute("DROP TABLE t")
 
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "y IN (SELECT y FROM b)",
+            "EXISTS (SELECT 1 FROM b WHERE b.y = a.y)",
+            "y = (SELECT max(y) FROM b)",
+        ],
+    )
+    def test_drop_blocked_by_view_subquery(self, session, where):
+        # b is read only inside a subquery: the view still depends on it.
+        session.execute("CREATE TABLE a (x INT, y INT)")
+        session.execute("CREATE TABLE b (y INT)")
+        session.execute("INSERT INTO a VALUES (1, 10), (2, 20)")
+        session.execute("INSERT INTO b VALUES (10)")
+        session.execute(f"CREATE VIEW v AS SELECT x FROM a WHERE {where}")
+        with pytest.raises(SemanticError, match="depend"):
+            session.execute("DROP TABLE b")
+        assert session.query("SELECT * FROM v") == [(1,)]
+        session.execute("DROP VIEW v")
+        session.execute("DROP TABLE b")
+
     def test_insert_column_subset(self, session):
         session.execute("CREATE TABLE t (a INT, b TEXT, c INT) DISTRIBUTED BY (a)")
         session.execute("INSERT INTO t (c, a) VALUES (30, 1)")

@@ -55,12 +55,14 @@ echo "== CO / Parquet decode to lists without NumPy =="
 # what an AO block decodes to everywhere — a plain list per column — and
 # the engine must read and write the same bytes, fold the same
 # statistics, narrow every filter to the same rows, size every batch the
-# same (a census of Python values) and agree with the row executor.
+# same (a census of Python values), place every key on the same segment
+# and agree with the row executor.
 REPRO_NO_NUMPY=1 python -m pytest -q \
     tests/test_storage.py tests/test_block_cache.py tests/test_codec.py \
     tests/test_analyze_columnar.py tests/test_predicate_form.py \
     tests/test_batch_sizing.py tests/test_vectors.py \
-    tests/test_batch_differential.py tests/test_two_representations.py
+    tests/test_batch_differential.py tests/test_two_representations.py \
+    tests/test_placement.py
 
 echo "== the paper's figures: Fig 6-13 + ablations on the simulated clock =="
 # pytest is the one way to regenerate them (add -s for the tables); their

@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import datetime
 import enum
-import operator
 import re
 import struct
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.columnar import DictVector, as_list
+from repro.columnar import as_list
 from repro.errors import CatalogError, SemanticError, StorageError
 
 
@@ -736,12 +735,11 @@ def _fnv1a(data: bytes, acc: int = _FNV_OFFSET) -> int:
     return acc
 
 
-def hash_values(values: Iterable[object], num_segments: int) -> int:
-    """Deterministic hash of a distribution key onto a segment id.
-
-    Python's builtin ``hash`` is randomized per process for strings, so a
-    stable FNV-1a over the repr is used instead.
-    """
+def _hash_text(values: Iterable[object], num_segments: int) -> int:
+    """The definition of placement: FNV-1a over the key values' texts
+    (``isoformat`` for dates, ``repr`` for the rest), modulo the segment
+    count. Python's builtin ``hash`` is randomized per process for
+    strings, so it cannot place rows."""
     acc = _FNV_OFFSET
     for value in values:
         if isinstance(value, datetime.date):
@@ -752,21 +750,65 @@ def hash_values(values: Iterable[object], num_segments: int) -> int:
     return acc % num_segments
 
 
-def _key_texts(column) -> List[str]:
-    """Per row, the text :func:`hash_values` would feed FNV for one
-    key column (``isoformat`` for dates, ``repr`` for the rest)."""
-    if isinstance(column, DictVector):
-        # One repr per dictionary entry; code -1 (NULL) finds the last.
-        texts = [repr(s) for s in column.dictionary]
-        texts.append("None")
-        return list(map(texts.__getitem__, column.data.tolist()))
-    values = as_list(column)
-    if any(issubclass(t, datetime.date) for t in dict.fromkeys(map(type, values))):
-        return [
-            v.isoformat() if isinstance(v, datetime.date) else repr(v)
-            for v in values
-        ]
-    return list(map(repr, values))
+#: Exact types for which ``==`` between two values implies the same hash
+#: text, so a key made of them can stand for its text in a memo. Left
+#: out because equal values of them hash different texts: ``bool``
+#: (``True == 1``), ``float`` (``0.0 == -0.0``, ``1.0 == 1``),
+#: ``Decimal`` (``Decimal('1.0') == Decimal('1.00')``) and ``datetime``.
+_MEMO_TYPES = frozenset({int, str, datetime.date, type(None)})
+
+#: Entries a placement memo holds before it is cleared whole.
+_PLACEMENT_MEMO_CAP = 1 << 16
+
+#: Longest string a placement memo keeps as (part of) a key: a key with
+#: a longer one (a wide TEXT distribution column) is placed afresh on
+#: every lookup instead of staying referenced for the life of the
+#: process.
+_PLACEMENT_STR_MAX = 64
+
+
+class _Placements(dict):
+    """Key → segment under one segment count, computed on first lookup.
+
+    A one-column key is its value, a wider key the tuple of its values,
+    each of a :data:`_MEMO_TYPES` type. The value is a pure function of
+    the key, so no answer depends on what the memo holds."""
+
+    __slots__ = ("num_segments",)
+
+    def __init__(self, num_segments: int) -> None:
+        super().__init__()
+        self.num_segments = num_segments
+
+    def __missing__(self, key: object) -> int:
+        values = key if type(key) is tuple else (key,)
+        place = _hash_text(values, self.num_segments)
+        if not any(type(v) is str and len(v) > _PLACEMENT_STR_MAX for v in values):
+            if len(self) >= _PLACEMENT_MEMO_CAP:
+                self.clear()
+            self[key] = place
+        return place
+
+
+#: One placement memo per segment count, for the life of the process.
+_PLACEMENTS: Dict[int, _Placements] = {}
+
+
+def _placements(num_segments: int) -> _Placements:
+    memo = _PLACEMENTS.get(num_segments)
+    if memo is None:
+        memo = _PLACEMENTS[num_segments] = _Placements(num_segments)
+    return memo
+
+
+def hash_values(values: Iterable[object], num_segments: int) -> int:
+    """Deterministic hash of a distribution key onto a segment id
+    (:func:`_hash_text`, looked up in the placement memo when every
+    value's type allows it)."""
+    key = tuple(values)
+    if _MEMO_TYPES.issuperset(map(type, key)):
+        return _placements(num_segments)[key[0] if len(key) == 1 else key]
+    return _hash_text(key, num_segments)
 
 
 def hash_columns(
@@ -775,17 +817,14 @@ def hash_columns(
     """``hash_values(key, num_segments)`` for ``count`` keys held
     column-wise (one sequence or column vector per key column).
 
-    FNV-1a runs over the concatenation of the key values' texts, so a
-    multi-column key's text is its columns' texts joined. Each distinct
-    text of the call is hashed once; every repeat is a dict probe, with
-    no per-row Python frame."""
+    When every value has a :data:`_MEMO_TYPES` type (one C-level type
+    census), the keys are looked up in the placement memo with one
+    C-level ``map``; otherwise each key goes through :func:`hash_values`,
+    so :func:`_hash_text` stays the one text of a key."""
     if not columns:
         return [hash_values((), num_segments)] * count
-    texts = _key_texts(columns[0])
-    for column in columns[1:]:
-        texts = list(map(operator.add, texts, _key_texts(column)))
-    places = {
-        text: _fnv1a(text.encode()) % num_segments
-        for text in dict.fromkeys(texts)
-    }
-    return list(map(places.__getitem__, texts))
+    values = list(map(as_list, columns))
+    if _MEMO_TYPES.issuperset(map(type, chain.from_iterable(values))):
+        keys = values[0] if len(values) == 1 else zip(*values)
+        return list(map(_placements(num_segments).__getitem__, keys))
+    return [hash_values(key, num_segments) for key in zip(*values)]

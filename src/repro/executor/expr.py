@@ -992,7 +992,16 @@ def compile_expr_batch(
                     fast = vk.arith_fast(op, l, r)
                     if fast is not None:
                         return fast
-                    if isinstance(r, ConstVector) and type(r.value) is not _Interval:
+                    if isinstance(r, ConstVector):
+                        if type(r.value) is not _Interval:
+                            return _null_propagating(py_op, l, r)
+                    elif (
+                        isinstance(l, ConstVector)
+                        and type(l.value) is not _Interval
+                        # A column of intervals (a CASE yielding them)
+                        # needs sql_arith; a typed vector holds none.
+                        and (isinstance(r, Vector) or _Interval not in map(type, r))
+                    ):
                         return _null_propagating(py_op, l, r)
                     return [
                         None if a is None or b is None

@@ -394,7 +394,8 @@ class PhysicalPlan:
         return len(self.slices)
 
     def explain(self, annotate=None) -> str:
-        """Human-readable plan tree for EXPLAIN.
+        """Human-readable plan tree for EXPLAIN, one line per operator
+        ending in the planner's row estimate (``est_rows=<int>``).
 
         ``annotate``, when given, is ``callback(node) -> Optional[str]``;
         a returned string is appended to that node's line (EXPLAIN
@@ -416,6 +417,7 @@ class PhysicalPlan:
         self, node: PlanNode, lines: List[str], depth: int, annotate=None
     ) -> None:
         line = "  " * depth + "-> " + node.describe()
+        line += f"  est_rows={round(node.est_rows)}"
         if annotate is not None:
             extra = annotate(node)
             if extra:

@@ -35,6 +35,12 @@ SHARED_STATE: Dict[str, str] = {
         "pure memo (LIKE pattern -> compiled regex); the value depends "
         "only on the key, so concurrent fills are idempotent"
     ),
+    "src/repro/catalog/schema.py::_PLACEMENTS": (
+        "pure memo (segment count -> distribution key -> segment); each "
+        "place is FNV-1a of the key's text, keys restricted to types whose "
+        "== implies that text, and a full memo is cleared whole, so no "
+        "placement depends on what it holds"
+    ),
     # --- scheduler slot bookkeeping: contention is the *product* here.
     # --- Per-segment slots are shared by design; determinism is
     # --- guaranteed by the (ready_time, key) drain order, which R8

@@ -1,8 +1,9 @@
 """Golden tests for ``EXPLAIN (ANALYZE, VERBOSE)`` on TPC-H Q1/Q3/Q6.
 
 The goldens pin the *structural* plan tree (slice headers and operator
-lines with annotations stripped), which must stay stable across cost
-model tweaks; separate assertions check the verbose annotations —
+lines with estimates and annotations stripped), which must stay stable
+across cost model tweaks; separate assertions check the estimates and
+the verbose annotations —
 per-operator ``(actual rows=... calls=... time=...)`` and per-scan
 ``(read=... remote=... cache hits=...)`` — are present and internally
 consistent with the query's own timing.
@@ -33,11 +34,12 @@ def _explain(session, number, options="ANALYZE, VERBOSE"):
 
 
 def _structure(lines):
-    """Operator tree with annotations and timing lines stripped."""
+    """Operator tree with estimates, annotations and timing lines
+    stripped."""
     out = []
     for line in lines:
         if line.lstrip().startswith("->") or line.startswith("Slice"):
-            out.append(line.split("  (actual")[0].rstrip())
+            out.append(line.split("  est_rows=")[0].split("  (actual")[0].rstrip())
     return out
 
 
@@ -97,6 +99,37 @@ class TestGoldenStructure:
     def test_plan_tree_matches_golden(self, session, number):
         lines = _explain(session, number)
         assert _structure(lines) == GOLDENS[number]
+
+
+class TestEstimates:
+    @pytest.mark.parametrize("number", sorted(GOLDENS))
+    def test_every_form_prints_each_operators_estimate_once(self, session, number):
+        """``est_rows=<int>`` follows each operator, the planner's own
+        estimate rounded, the same in EXPLAIN and both ANALYZE forms."""
+        stmt = QUERIES[number][0]
+        estimates = []
+        for sql in (
+            f"EXPLAIN {stmt}",
+            f"EXPLAIN (ANALYZE) {stmt}",
+            f"EXPLAIN (ANALYZE, VERBOSE) {stmt}",
+        ):
+            lines = [r[0] for r in session.execute(sql).rows]
+            ops = [l for l in lines if l.lstrip().startswith("->")]
+            assert all(l.count("est_rows=") == 1 for l in ops)
+            estimates.append(
+                [int(re.search(r"  est_rows=(\d+)", l).group(1)) for l in ops]
+            )
+        plan = session.last_plan
+        planned = []
+
+        def walk(node):
+            planned.append(round(node.est_rows))
+            for child in node.children:
+                walk(child)
+
+        for plan_slice in reversed(plan.slices):
+            walk(plan_slice.root)
+        assert estimates == [planned] * 3
 
 
 class TestVerboseAnnotations:

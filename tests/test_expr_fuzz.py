@@ -233,3 +233,77 @@ def test_mid_query_restart_preserves_differential():
         assert results[mode].retries >= 1
     assert results["row"].rows == results["batch"].rows
     assert results["row"].cost.seconds == results["batch"].cost.seconds
+
+
+# ---------------------------------------------------------------------------
+# A constant on the left of + - *: ``1 - l_discount`` and ``1 + l_tax``
+# apply the constant once per row without stepping a constant column
+# alongside the other side; a column of intervals still goes through
+# ``sql_arith``.
+# ---------------------------------------------------------------------------
+
+import datetime
+
+from repro.columnar import ConstVector, vector
+from repro.columnar.vector import float_vector, int_vector
+from repro.executor.expr import compile_expr, compile_expr_batch
+from repro.planner import exprs as ex
+
+ONE_COLUMN = [("r", 0, 0)]
+
+
+@pytest.fixture(params=["numpy", "fallback"])
+def backend(request, monkeypatch):
+    if request.param == "fallback":
+        monkeypatch.setattr(vector, "_np", None)
+    elif vector.numpy_module() is None:
+        pytest.skip("NumPy backend disabled")
+    return request.param
+
+
+@pytest.mark.parametrize("typed", [False, True], ids=["list", "vector"])
+@pytest.mark.parametrize(
+    "values",
+    [[3, -2, 0, 2**40], [0.25, -0.0, 1e300, 0.1], [None, 4, None], [None, 0.5], [None, None]],
+    ids=["ints", "floats", "ints-nulls", "floats-nulls", "all-null"],
+)
+def test_constant_minus_column(backend, monkeypatch, values, typed):
+    expr = ex.BOp("-", ex.BConst(1), ex.BVar(0, 0))
+    column = values
+    if typed:
+        make = float_vector if any(type(v) is float for v in values) else int_vector
+        column = make([0 if v is None else v for v in values], [v is None for v in values])
+
+    def step(_):
+        raise AssertionError("the constant was iterated per row")
+
+    monkeypatch.setattr(ConstVector, "__iter__", step)
+    out = list(compile_expr_batch(expr, ONE_COLUMN)([column], len(values), None))
+    row_fn = compile_expr(expr, ONE_COLUMN)
+    assert out == [row_fn((v,)) for v in values]
+    assert out == [None if v is None else 1 - v for v in values]
+    assert list(map(type, out)) == [type(row_fn((v,))) for v in values]
+
+
+def test_constant_plus_a_column_of_intervals(backend):
+    """``date '1995-01-31' + CASE WHEN x > 0 THEN INTERVAL '1' day ELSE
+    INTERVAL '1' month END``: the right side is a column of intervals,
+    which only ``sql_arith`` can add to a date."""
+    expr = ex.BOp(
+        "+",
+        ex.BConst(datetime.date(1995, 1, 31)),
+        ex.BCase(
+            ((ex.BOp(">", ex.BVar(0, 0), ex.BConst(0)), ex.BInterval(1, "day")),),
+            ex.BInterval(1, "month"),
+        ),
+    )
+    values = [1, 0, None, 5]
+    row_fn = compile_expr(expr, ONE_COLUMN)
+    expected = [row_fn((v,)) for v in values]
+    assert expected == [
+        datetime.date(1995, 2, 1), datetime.date(1995, 2, 28),
+        datetime.date(1995, 2, 28), datetime.date(1995, 2, 1),
+    ]
+    batch_fn = compile_expr_batch(expr, ONE_COLUMN)
+    for column in (values, int_vector([v or 0 for v in values], [v is None for v in values])):
+        assert list(batch_fn([column], len(values), None)) == expected

@@ -211,15 +211,16 @@ class TestExplainGoesThroughTheFrontHalf:
         "Slice 1 (QD):",
         "  (actual time=0.0004s, rows sent=1)",
         "    QD: 0.0000s, 1 rows, 0 bytes",
-        "  -> MotionRecv(slice 0, gather)  (actual rows=1 calls=1 time=0.0000s)",
+        "  -> MotionRecv(slice 0, gather)  est_rows=5  "
+        "(actual rows=1 calls=1 time=0.0000s)",
         "Slice 0 (gang of N):",
         "  (actual time=0.0003s, rows sent=1)",
         "  (skew: max=0.0003s mean=0.0003s min=0.0003s across 2 tasks)",
         "    seg0: 0.0003s, 0 rows, 0 bytes",
         "    seg1: 0.0003s, 1 rows, 20 bytes",
-        "  -> Motion(gather)  (actual rows=0 calls=2 time=0.0002s)",
-        "    -> Project  (actual rows=1 calls=2 time=0.0000s)",
-        "      -> SeqScan(secret, filter)  (actual rows=1 calls=2 "
+        "  -> Motion(gather)  est_rows=5  (actual rows=0 calls=2 time=0.0002s)",
+        "    -> Project  est_rows=5  (actual rows=1 calls=2 time=0.0000s)",
+        "      -> SeqScan(secret, filter)  est_rows=5  (actual rows=1 calls=2 "
         "time=0.0000s) (read=96B remote=0B cache hits=0/2)",
         "Total: 0.1466s simulated (critical path 0.0004s + overhead "
         "0.1462s), 1 rows, 5 tuples processed, 1161 bytes moved",

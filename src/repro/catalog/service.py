@@ -15,7 +15,7 @@ that WAL hooks and the standby's log shipping see every change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.catalog.stats import TableStats
@@ -50,20 +50,44 @@ class VersionedRow:
 
 
 class CatalogTable:
-    """A versioned heap of dict-rows with simple predicate scans."""
+    """A versioned heap of dict-rows with simple predicate scans.
 
-    def __init__(self, name: str, on_change: Optional[Callable] = None):
+    A table with a ``key_column`` also files each version under its
+    value of that column, in heap order, so a read that names one key
+    (``key=``) visits that key's versions instead of the whole heap. The
+    answer is the same: a key's versions are exactly the heap's versions
+    with that value, in the same order, through the same snapshot test.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        on_change: Optional[Callable] = None,
+        key_column: Optional[str] = None,
+    ):
         self.name = name
+        self.key_column = key_column
         self._rows: List[VersionedRow] = []
+        self._by_key: Dict[object, List[VersionedRow]] = {}
         self._on_change = on_change
 
     def _log(self, op: str, data: CatalogRow, xid: int) -> None:
         if self._on_change is not None:
             self._on_change(self.name, op, data, xid)
 
-    def _matching(self, snapshot: Snapshot, predicate: Optional[Callable]):
+    def _versions(self, key: object) -> Sequence[VersionedRow]:
+        """The whole heap (``key`` None), or the versions filed under ``key``."""
+        if key is None:
+            return self._rows
+        if self.key_column is None:
+            raise CatalogError(f"catalog table {self.name!r} has no key column")
+        return self._by_key.get(key, ())
+
+    def _matching(
+        self, snapshot: Snapshot, predicate: Optional[Callable], key: object = None
+    ):
         """Versions visible to ``snapshot`` whose payload passes ``predicate``."""
-        for version in self._rows:
+        for version in self._versions(key):
             if snapshot.row_visible(version.xmin, version.xmax) and (
                 predicate is None or predicate(version.data)
             ):
@@ -71,11 +95,15 @@ class CatalogTable:
 
     # ----------------------------------------------------------------- scans
     def scan(
-        self, snapshot: Snapshot, predicate: Optional[Callable[[Dict], bool]] = None
+        self,
+        snapshot: Snapshot,
+        predicate: Optional[Callable[[Dict], bool]] = None,
+        key: object = None,
     ) -> List[CatalogRow]:
-        """All visible rows matching the predicate — the stored versions
-        themselves, shared with every other reader."""
-        return [version.data for version in self._matching(snapshot, predicate)]
+        """All visible rows matching the predicate (and, given ``key``,
+        whose key column equals it) — the stored versions themselves,
+        shared with every other reader."""
+        return [version.data for version in self._matching(snapshot, predicate, key)]
 
     def count(
         self, snapshot: Snapshot, predicate: Optional[Callable[[Dict], bool]] = None
@@ -83,17 +111,42 @@ class CatalogTable:
         return sum(1 for _ in self._matching(snapshot, predicate))
 
     # ------------------------------------------------------------- mutations
+    def append_version(self, row: CatalogRow, xid: int) -> None:
+        """Add ``row`` as a version created by ``xid``, unlogged: a new row,
+        or the standby replaying one the primary logged."""
+        version = VersionedRow(data=row, xmin=xid)
+        self._rows.append(version)
+        self._file(version)
+
+    def _file(self, version: VersionedRow) -> None:
+        if self.key_column is not None:
+            key = version.data.get(self.key_column)
+            self._by_key.setdefault(key, []).append(version)
+
+    def expire_version(self, row: CatalogRow, xid: int) -> None:
+        """Stamp ``xid`` as the deleter of the first live version equal to
+        ``row`` — the standby's replay of a logged delete."""
+        key = None if self.key_column is None else row.get(self.key_column)
+        for version in self._versions(key):
+            if version.xmax is None and version.data == row:
+                version.xmax = xid
+                return
+
     def insert(self, data: Dict[str, object], xid: int) -> None:
         row = CatalogRow(data)
-        self._rows.append(VersionedRow(data=row, xmin=xid))
+        self.append_version(row, xid)
         self._log("insert", row, xid)
 
     def delete(
-        self, snapshot: Snapshot, predicate: Callable[[Dict], bool], xid: int
+        self,
+        snapshot: Snapshot,
+        predicate: Optional[Callable[[Dict], bool]],
+        xid: int,
+        key: object = None,
     ) -> int:
         """Mark matching visible versions deleted; returns rows deleted."""
         deleted = 0
-        for version in self._matching(snapshot, predicate):
+        for version in self._matching(snapshot, predicate, key):
             version.xmax = xid
             deleted += 1
             self._log("delete", version.data, xid)
@@ -102,12 +155,13 @@ class CatalogTable:
     def update(
         self,
         snapshot: Snapshot,
-        predicate: Callable[[Dict], bool],
+        predicate: Optional[Callable[[Dict], bool]],
         changes: Dict[str, object],
         xid: int,
+        key: object = None,
     ) -> int:
         """MVCC update: old version gets xmax, a new version is inserted."""
-        matched = list(self._matching(snapshot, predicate))
+        matched = list(self._matching(snapshot, predicate, key))
         for version in matched:
             version.xmax = xid
             # Logged as delete+insert so a standby can replay exactly.
@@ -123,17 +177,22 @@ class CatalogTable:
             for v in self._rows
             if v.xmax is None or not horizon_snapshot.sees_xid(v.xmax)
         ]
+        self._by_key = {}
+        for version in self._rows:
+            self._file(version)
         return before - len(self._rows)
 
 
-#: Names of the built-in catalog tables (subset of HAWQ's, same roles).
-SYSTEM_TABLES = (
-    "pg_class",  # tables, views, external tables
-    "gp_segment_configuration",  # segments and their status
-    "gp_segfile",  # per-table per-segment data files + logical lengths
-    "pg_statistic",  # ANALYZE output
-    "pg_depend",  # object dependencies (views on tables)
-)
+#: The built-in catalog tables (subset of HAWQ's, same roles), each with
+#: the column its versions are filed under: the relation name every
+#: statement looks its table, data files and statistics up by.
+SYSTEM_TABLES: Dict[str, Optional[str]] = {
+    "pg_class": "name",  # tables, views, external tables
+    "gp_segment_configuration": None,  # segments and their status
+    "gp_segfile": "table",  # per-table per-segment data files + logical lengths
+    "pg_statistic": "table",  # ANALYZE output
+    "pg_depend": None,  # object dependencies (views on tables)
+}
 
 
 class CatalogService:
@@ -143,7 +202,8 @@ class CatalogService:
         """``on_change(table, op, row, xid)`` is the WAL/log-shipping hook."""
         self._on_change = on_change
         self.tables: Dict[str, CatalogTable] = {
-            name: CatalogTable(name, on_change) for name in SYSTEM_TABLES
+            name: CatalogTable(name, on_change, key_column)
+            for name, key_column in SYSTEM_TABLES.items()
         }
 
     def table(self, name: str) -> CatalogTable:
@@ -185,9 +245,9 @@ class CatalogService:
         name = name.lower()
         if self.lookup_relation(name, snapshot) is None:
             raise UndefinedObject(f"relation {name!r} does not exist")
-        self.table("pg_class").delete(snapshot, lambda r: r["name"] == name, xid)
-        self.table("gp_segfile").delete(snapshot, lambda r: r["table"] == name, xid)
-        self.table("pg_statistic").delete(snapshot, lambda r: r["table"] == name, xid)
+        self.table("pg_class").delete(snapshot, None, xid, key=name)
+        self.table("gp_segfile").delete(snapshot, None, xid, key=name)
+        self.table("pg_statistic").delete(snapshot, None, xid, key=name)
         # A dropped object's own dependencies disappear with it.
         self.table("pg_depend").delete(snapshot, lambda r: r["dependent"] == name, xid)
 
@@ -195,7 +255,7 @@ class CatalogService:
         self, name: str, snapshot: Snapshot
     ) -> Optional[Dict[str, object]]:
         name = name.lower()
-        rows = self.table("pg_class").scan(snapshot, lambda r: r["name"] == name)
+        rows = self.table("pg_class").scan(snapshot, key=name)
         return rows[0] if rows else None
 
     def get_schema(self, name: str, snapshot: Snapshot) -> TableSchema:
@@ -277,11 +337,10 @@ class CatalogService:
         table_name = table_name.lower()
         return self.table("gp_segfile").update(
             snapshot,
-            lambda r: r["table"] == table_name
-            and r["segment_id"] == segment_id
-            and r["segfile_id"] == segfile_id,
+            lambda r: r["segment_id"] == segment_id and r["segfile_id"] == segfile_id,
             changes,
             xid,
+            key=table_name,
         )
 
     def segfiles(
@@ -290,32 +349,26 @@ class CatalogService:
         snapshot: Snapshot,
         segment_id: Optional[int] = None,
     ) -> List[Dict[str, object]]:
-        table_name = table_name.lower()
-
-        def predicate(r: Dict) -> bool:
-            if r["table"] != table_name:
-                return False
-            return segment_id is None or r["segment_id"] == segment_id
-
-        return self.table("gp_segfile").scan(snapshot, predicate)
+        on_segment = (
+            None if segment_id is None else (lambda r: r["segment_id"] == segment_id)
+        )
+        return self.table("gp_segfile").scan(
+            snapshot, on_segment, key=table_name.lower()
+        )
 
     # ------------------------------------------------------------ statistics
     def set_stats(
         self, table_name: str, stats: TableStats, xid: int, snapshot: Snapshot
     ) -> None:
         table_name = table_name.lower()
-        self.table("pg_statistic").delete(
-            snapshot, lambda r: r["table"] == table_name, xid
-        )
+        self.table("pg_statistic").delete(snapshot, None, xid, key=table_name)
         self.table("pg_statistic").insert(
             {"table": table_name, "stats": stats}, xid
         )
 
     def get_stats(self, table_name: str, snapshot: Snapshot) -> Optional[TableStats]:
         table_name = table_name.lower()
-        rows = self.table("pg_statistic").scan(
-            snapshot, lambda r: r["table"] == table_name
-        )
+        rows = self.table("pg_statistic").scan(snapshot, key=table_name)
         return rows[0]["stats"] if rows else None
 
     # ----------------------------------------------------------- dependencies

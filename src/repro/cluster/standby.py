@@ -75,16 +75,11 @@ class StandbyMaster:
             # Insert raw (bypassing the change hook: we are the replica).
             # The replica's version *is* the primary's immutable
             # CatalogRow; only the xmin/xmax stamps are its own.
-            from repro.catalog.service import VersionedRow
-
-            table._rows.append(VersionedRow(data=record.row, xmin=record.xid))
+            table.append_version(record.row, record.xid)
         elif record.op == "delete":
             # A live log carries the very object the insert record did, so
             # the comparison settles on identity, value by value.
-            for version in table._rows:
-                if version.xmax is None and version.data == record.row:
-                    version.xmax = record.xid
-                    break
+            table.expire_version(record.row, record.xid)
         else:  # pragma: no cover - update is logged as delete+insert
             raise ClusterError(f"unknown WAL change op {record.op!r}")
 

@@ -1498,7 +1498,11 @@ class PreparedSelect:
 def _trace_annotator(trace):
     """Build the EXPLAIN (ANALYZE, VERBOSE) per-node annotation callback
     from a query trace: operator spans keyed by plan-node identity, plus
-    storage-layer per-table read/cache aggregates for scans."""
+    storage-layer per-table read/cache aggregates for scans.
+
+    An operator's ``q_err`` is how many times the printed estimate is off
+    from the actual rows, either way: ``max / min`` of the two, each
+    clamped to at least 1 so an empty result stays finite."""
     ops = trace.operator_stats()
     scans = trace.scan_stats()
 
@@ -1506,9 +1510,11 @@ def _trace_annotator(trace):
         parts: List[str] = []
         stats = ops.get(id(node))
         if stats is not None:
+            est, act = max(1, round(node.est_rows)), max(1, stats["rows"])
             parts.append(
                 f"(actual rows={stats['rows']} calls={stats['calls']} "
-                f"time={stats['acc_seconds']:.4f}s)"
+                f"time={stats['acc_seconds']:.4f}s "
+                f"q_err={max(est, act) / min(est, act):.1f})"
             )
         table = getattr(getattr(node, "table", None), "table_name", None)
         if table is not None and table in scans:

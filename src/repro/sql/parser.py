@@ -14,7 +14,6 @@ from repro.errors import SqlSyntaxError
 from repro.sql import ast
 from repro.sql.lexer import Token, TokenKind, tokenize
 
-_JOIN_TYPES = ("INNER", "LEFT", "RIGHT", "FULL", "CROSS")
 #: Keywords that can never start/be a bare column reference.
 _RESERVED_IN_EXPRESSIONS = {
     "SELECT", "FROM", "WHERE", "GROUP", "HAVING", "ORDER", "BY", "LIMIT",
@@ -28,6 +27,14 @@ _CLAUSE_KEYWORDS = {
     "ON", "JOIN", "INNER", "LEFT", "RIGHT", "FULL", "CROSS", "AND",
     "OR", "AS",
 }
+#: Comparison operators, with ``!=`` spelled the way the AST spells it.
+_COMPARISONS = {
+    "<=": "<=", ">=": ">=", "<>": "<>", "!=": "<>", "=": "=", "<": "<", ">": ">",
+}
+_ADDITIVE = ("+", "-", "||")
+_MULTIPLICATIVE = ("*", "/", "%")
+#: Keywords that follow an optional NOT in a comparison.
+_NEGATABLE = ("LIKE", "BETWEEN", "IN")
 
 
 def parse_sql(text: str) -> List[ast.Statement]:
@@ -52,6 +59,10 @@ def parse_statement(text: str) -> ast.Statement:
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
+        #: Each token's ``key``; a keyword or an operator matches by
+        #: equality here. The parser never moves past the EOF token, whose
+        #: key is ``None``, so ``keys[pos]`` always exists.
+        self.keys = tuple(token.key for token in tokens)
         self.pos = 0
 
     # ----------------------------------------------------------- token plumbing
@@ -60,7 +71,7 @@ class _Parser:
         return self.tokens[index]
 
     def at_eof(self) -> bool:
-        return self.peek().kind is TokenKind.EOF
+        return self.tokens[self.pos].kind is TokenKind.EOF
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -73,57 +84,53 @@ class _Parser:
         return SqlSyntaxError(f"{message} (at {token.value!r}, pos {token.position})")
 
     def at_keyword(self, *words: str) -> bool:
-        for offset, word in enumerate(words):
-            token = self.peek(offset)
-            if token.kind is not TokenKind.IDENT or not token.matches(word):
-                return False
-        return True
+        pos = self.pos
+        return self.keys[pos : pos + len(words)] == words
 
     def consume_keyword(self, *words: str) -> None:
-        if not self.at_keyword(*words):
+        if not self.try_consume_keyword(*words):
             raise self.error(f"expected {' '.join(words)}")
-        self.pos += len(words)
 
     def try_consume_keyword(self, *words: str) -> bool:
-        if self.at_keyword(*words):
-            self.pos += len(words)
+        end = self.pos + len(words)
+        if self.keys[self.pos : end] == words:
+            self.pos = end
             return True
         return False
 
     def at_op(self, op: str) -> bool:
-        token = self.peek()
-        return token.kind is TokenKind.OPERATOR and token.value == op
+        return self.keys[self.pos] == op
 
     def consume_op(self, op: str) -> None:
-        if not self.at_op(op):
+        if self.keys[self.pos] != op:
             raise self.error(f"expected {op!r}")
         self.pos += 1
 
     def try_consume_op(self, op: str) -> bool:
-        if self.at_op(op):
+        if self.keys[self.pos] == op:
             self.pos += 1
             return True
         return False
 
     def consume_ident(self) -> str:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind is not TokenKind.IDENT:
             raise self.error("expected identifier")
-        self.advance()
+        self.pos += 1
         return token.value
 
     def consume_string(self) -> str:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind is not TokenKind.STRING:
             raise self.error("expected string literal")
-        self.advance()
+        self.pos += 1
         return token.value
 
     def consume_integer(self) -> int:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind is not TokenKind.NUMBER or "." in token.value:
             raise self.error("expected integer")
-        self.advance()
+        self.pos += 1
         return int(token.value)
 
     # ------------------------------------------------------------- statements
@@ -305,12 +312,10 @@ class _Parser:
     def parse_type_name(self) -> str:
         parts = [self.consume_ident()]
         # multi-word type names: DOUBLE PRECISION, CHARACTER VARYING
-        while self.peek().kind is TokenKind.IDENT and self.peek().matches("PRECISION"):
+        while self.at_keyword("PRECISION"):
             parts.append(self.consume_ident())
-        if self.peek().kind is TokenKind.IDENT and parts[-1].upper() == "CHARACTER":
-            if self.peek().matches("VARYING"):
-                self.advance()
-                parts = ["varchar"]
+        if self.keys[self.pos - 1] == "CHARACTER" and self.try_consume_keyword("VARYING"):
+            parts = ["varchar"]
         name = " ".join(parts)
         if self.at_op("("):
             self.consume_op("(")
@@ -592,27 +597,24 @@ class _Parser:
             self.advance()
             return ast.SelectItem(expr=ast.Star())
         # t.* form
+        pos = self.pos
         if (
-            self.peek().kind is TokenKind.IDENT
-            and self.peek(1).kind is TokenKind.OPERATOR
-            and self.peek(1).value == "."
-            and self.peek(2).kind is TokenKind.OPERATOR
-            and self.peek(2).value == "*"
+            self.tokens[pos].kind is TokenKind.IDENT
+            and self.keys[pos + 1 : pos + 3] == (".", "*")
         ):
             table = self.consume_ident()
-            self.advance()
-            self.advance()
+            self.pos += 2
             return ast.SelectItem(expr=ast.Star(table=table))
         expr = self.parse_expression()
         alias = None
-        if self.try_consume_keyword("AS"):
-            alias = self.consume_ident()
-        elif (
-            self.peek().kind is TokenKind.IDENT
-            and self.peek().value.upper() not in _CLAUSE_KEYWORDS
-        ):
+        if self.try_consume_keyword("AS") or self.at_alias():
             alias = self.consume_ident()
         return ast.SelectItem(expr=expr, alias=alias)
+
+    def at_alias(self) -> bool:
+        """An identifier that is no clause keyword: an alias without AS."""
+        token = self.tokens[self.pos]
+        return token.kind is TokenKind.IDENT and token.key not in _CLAUSE_KEYWORDS
 
     def parse_sort_item(self) -> ast.SortItem:
         expr = self.parse_expression()
@@ -675,18 +677,9 @@ class _Parser:
             return item
         name = self.consume_ident()
         alias = None
-        if self.try_consume_keyword("AS"):
-            alias = self.consume_ident()
-        elif (
-            self.peek().kind is TokenKind.IDENT
-            and self.peek().value.upper() not in _CLAUSE_KEYWORDS
-            and not self.at_join_start()
-        ):
+        if self.try_consume_keyword("AS") or self.at_alias():
             alias = self.consume_ident()
         return ast.TableRef(name=name, alias=alias)
-
-    def at_join_start(self) -> bool:
-        return any(self.at_keyword(t) for t in _JOIN_TYPES) or self.at_keyword("JOIN")
 
     # ------------------------------------------------------------ expressions
     def parse_expression(self) -> ast.Expr:
@@ -694,93 +687,94 @@ class _Parser:
 
     def parse_or(self) -> ast.Expr:
         left = self.parse_and()
-        while self.try_consume_keyword("OR"):
+        while self.keys[self.pos] == "OR":
+            self.pos += 1
             left = ast.BinaryOp(op="or", left=left, right=self.parse_and())
         return left
 
     def parse_and(self) -> ast.Expr:
         left = self.parse_not()
-        while self.try_consume_keyword("AND"):
+        while self.keys[self.pos] == "AND":
+            self.pos += 1
             left = ast.BinaryOp(op="and", left=left, right=self.parse_not())
         return left
 
     def parse_not(self) -> ast.Expr:
-        if self.try_consume_keyword("NOT"):
+        if self.keys[self.pos] == "NOT":
+            self.pos += 1
             return ast.UnaryOp(op="not", operand=self.parse_not())
         return self.parse_comparison()
 
     def parse_comparison(self) -> ast.Expr:
         left = self.parse_additive()
+        keys = self.keys
         while True:
-            negated = False
-            save = self.pos
-            if self.try_consume_keyword("NOT"):
-                negated = True
-            if self.try_consume_keyword("LIKE"):
-                pattern = self.parse_additive()
-                left = ast.LikeExpr(operand=left, pattern=pattern, negated=negated)
-                continue
-            if self.try_consume_keyword("BETWEEN"):
-                lower = self.parse_additive()
-                self.consume_keyword("AND")
-                upper = self.parse_additive()
-                left = ast.BetweenExpr(
-                    operand=left, lower=lower, upper=upper, negated=negated
-                )
-                continue
-            if self.try_consume_keyword("IN"):
-                self.consume_op("(")
-                if self.at_keyword("SELECT"):
-                    query = self.parse_select()
-                    self.consume_op(")")
-                    left = ast.InSubquery(operand=left, query=query, negated=negated)
+            key = keys[self.pos]
+            negated = key == "NOT"
+            if negated:
+                key = keys[self.pos + 1]
+            if key in _NEGATABLE:
+                self.pos += 1 + negated
+                if key == "LIKE":
+                    pattern = self.parse_additive()
+                    left = ast.LikeExpr(operand=left, pattern=pattern, negated=negated)
+                elif key == "BETWEEN":
+                    lower = self.parse_additive()
+                    self.consume_keyword("AND")
+                    upper = self.parse_additive()
+                    left = ast.BetweenExpr(
+                        operand=left, lower=lower, upper=upper, negated=negated
+                    )
                 else:
-                    items = [self.parse_expression()]
-                    while self.try_consume_op(","):
-                        items.append(self.parse_expression())
-                    self.consume_op(")")
-                    left = ast.InList(operand=left, items=items, negated=negated)
+                    self.consume_op("(")
+                    if self.at_keyword("SELECT"):
+                        query = self.parse_select()
+                        self.consume_op(")")
+                        left = ast.InSubquery(operand=left, query=query, negated=negated)
+                    else:
+                        items = [self.parse_expression()]
+                        while self.try_consume_op(","):
+                            items.append(self.parse_expression())
+                        self.consume_op(")")
+                        left = ast.InList(operand=left, items=items, negated=negated)
                 continue
             if negated:
-                self.pos = save  # NOT belonged to something else
-                return left
-            if self.try_consume_keyword("IS"):
+                return left  # NOT belongs to something else
+            if key == "IS":
+                self.pos += 1
                 negated = self.try_consume_keyword("NOT")
                 self.consume_keyword("NULL")
                 left = ast.IsNullExpr(operand=left, negated=negated)
                 continue
-            for op in ("<=", ">=", "<>", "!=", "=", "<", ">"):
-                if self.at_op(op):
-                    self.advance()
-                    normalized = "<>" if op == "!=" else op
-                    right = self.parse_additive()
-                    left = ast.BinaryOp(op=normalized, left=left, right=right)
-                    break
-            else:
+            op = _COMPARISONS.get(key)
+            if op is None:
                 return left
+            self.pos += 1
+            left = ast.BinaryOp(op=op, left=left, right=self.parse_additive())
 
     def parse_additive(self) -> ast.Expr:
         left = self.parse_multiplicative()
-        while True:
-            if self.at_op("+") or self.at_op("-") or self.at_op("||"):
-                op = self.advance().value
-                left = ast.BinaryOp(op=op, left=left, right=self.parse_multiplicative())
-            else:
-                return left
+        while self.keys[self.pos] in _ADDITIVE:
+            op = self.keys[self.pos]
+            self.pos += 1
+            left = ast.BinaryOp(op=op, left=left, right=self.parse_multiplicative())
+        return left
 
     def parse_multiplicative(self) -> ast.Expr:
         left = self.parse_unary()
-        while True:
-            if self.at_op("*") or self.at_op("/") or self.at_op("%"):
-                op = self.advance().value
-                left = ast.BinaryOp(op=op, left=left, right=self.parse_unary())
-            else:
-                return left
+        while self.keys[self.pos] in _MULTIPLICATIVE:
+            op = self.keys[self.pos]
+            self.pos += 1
+            left = ast.BinaryOp(op=op, left=left, right=self.parse_unary())
+        return left
 
     def parse_unary(self) -> ast.Expr:
-        if self.try_consume_op("-"):
+        key = self.keys[self.pos]
+        if key == "-":
+            self.pos += 1
             return ast.UnaryOp(op="-", operand=self.parse_unary())
-        if self.try_consume_op("+"):
+        if key == "+":
+            self.pos += 1
             return self.parse_unary()
         return self.parse_postfix()
 
@@ -791,14 +785,14 @@ class _Parser:
         return expr
 
     def parse_primary(self) -> ast.Expr:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind is TokenKind.NUMBER:
-            self.advance()
+            self.pos += 1
             if "." in token.value or "e" in token.value or "E" in token.value:
                 return ast.Literal(float(token.value))
             return ast.Literal(int(token.value))
         if token.kind is TokenKind.STRING:
-            self.advance()
+            self.pos += 1
             return ast.Literal(token.value)
         if self.try_consume_op("("):
             if self.at_keyword("SELECT"):
@@ -810,25 +804,26 @@ class _Parser:
             return expr
         if token.kind is not TokenKind.IDENT:
             raise self.error("expected expression")
-        upper = token.value.upper()
-        if upper in _RESERVED_IN_EXPRESSIONS:
+        # A quoted identifier's key is None: it is never one of these.
+        key = token.key
+        if key in _RESERVED_IN_EXPRESSIONS:
             raise self.error("expected expression")
-        if upper == "NULL":
-            self.advance()
+        if key == "NULL":
+            self.pos += 1
             return ast.Literal(None)
-        if upper in ("TRUE", "FALSE"):
-            self.advance()
-            return ast.Literal(upper == "TRUE")
-        if upper == "DATE" and self.peek(1).kind is TokenKind.STRING:
+        if key in ("TRUE", "FALSE"):
+            self.pos += 1
+            return ast.Literal(key == "TRUE")
+        if key == "DATE" and self.peek(1).kind is TokenKind.STRING:
             self.advance()
             raw = self.consume_string()
             return ast.Literal(datetime.date.fromisoformat(raw))
-        if upper == "INTERVAL" and self.peek(1).kind is TokenKind.STRING:
+        if key == "INTERVAL" and self.peek(1).kind is TokenKind.STRING:
             self.advance()
             return self.parse_interval()
-        if upper == "CASE":
+        if key == "CASE":
             return self.parse_case()
-        if upper == "CAST":
+        if key == "CAST":
             self.advance()
             self.consume_op("(")
             operand = self.parse_expression()
@@ -836,7 +831,7 @@ class _Parser:
             type_name = self.parse_type_name()
             self.consume_op(")")
             return ast.CastExpr(operand=operand, type_name=type_name)
-        if upper == "EXTRACT":
+        if key == "EXTRACT":
             self.advance()
             self.consume_op("(")
             part = self.consume_ident().lower()
@@ -844,21 +839,21 @@ class _Parser:
             operand = self.parse_expression()
             self.consume_op(")")
             return ast.ExtractExpr(part=part, operand=operand)
-        if upper == "SUBSTRING":
+        if key == "SUBSTRING":
             return self.parse_substring()
-        if upper == "EXISTS":
+        if key == "EXISTS":
             self.advance()
             self.consume_op("(")
             query = self.parse_select()
             self.consume_op(")")
             return ast.ExistsExpr(query=query)
         # function call?
-        if self.peek(1).kind is TokenKind.OPERATOR and self.peek(1).value == "(":
+        if self.keys[self.pos + 1] == "(":
             return self.parse_func_call()
         # qualified or bare column reference
         name = self.consume_ident()
-        if self.at_op(".") and self.peek(1).kind is TokenKind.IDENT:
-            self.advance()
+        if self.at_op(".") and self.tokens[self.pos + 1].kind is TokenKind.IDENT:
+            self.pos += 1
             column = self.consume_ident()
             return ast.ColumnRef(name=column, table=name)
         return ast.ColumnRef(name=name)

@@ -498,3 +498,119 @@ class TestSqlOverCatalog:
         engine.security.create_role("nobody")
         other = engine.connect(role="nobody")
         assert other.query("SELECT count(*) FROM pg_class") == [(1,)]
+
+
+#: The keyed system tables and the column each files its versions under.
+_KEYED = {"pg_class": "name", "gp_segfile": "table", "pg_statistic": "table"}
+_NAMES = ("a", "b", "c")
+
+_CATALOG_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("begin", "insert", "insert", "update", "delete", "commit", "abort", "vacuum")
+        ),
+        st.integers(0, 3),  # which open transaction
+        st.sampled_from(sorted(_KEYED)),
+        st.sampled_from(_NAMES),
+        st.integers(0, 2),  # segment id
+    ),
+    max_size=40,
+)
+
+
+def _assert_keyed_reads_are_heap_scans(catalog, snapshots):
+    """Every keyed read — the raw ``key=`` scan and the three service
+    lookups built on it — returns the full-heap predicate scan's
+    versions, the very objects, in heap order."""
+
+    def same(keyed, full):
+        assert [id(row) for row in keyed] == [id(row) for row in full]
+
+    for snapshot in snapshots:
+        for table, column in _KEYED.items():
+            for name in _NAMES:
+                same(
+                    catalog.table(table).scan(snapshot, key=name),
+                    catalog.table(table).scan(snapshot, lambda r: r[column] == name),
+                )
+        for name in _NAMES:
+            relations = catalog.table("pg_class").scan(
+                snapshot, lambda r: r["name"] == name
+            )
+            assert catalog.lookup_relation(name, snapshot) is (
+                relations[0] if relations else None
+            )
+            files = catalog.table("gp_segfile").scan(snapshot, lambda r: r["table"] == name)
+            same(catalog.segfiles(name, snapshot), files)
+            for segment in range(3):
+                same(
+                    catalog.segfiles(name, snapshot, segment),
+                    [f for f in files if f["segment_id"] == segment],
+                )
+            stats = catalog.table("pg_statistic").scan(
+                snapshot, lambda r: r["table"] == name
+            )
+            assert catalog.get_stats(name, snapshot) is (
+                stats[0]["stats"] if stats else None
+            )
+
+
+class TestKeyedCatalogReads:
+    @given(ops=_CATALOG_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_keyed_reads_match_heap_scans_on_primary_standby_and_promoted(self, ops):
+        from repro.cluster.standby import StandbyMaster
+        from repro.txn.manager import TransactionManager
+
+        txns = TransactionManager()
+        catalog = CatalogService(
+            on_change=lambda table, op, row, xid: txns.wal.append(
+                xid, "change", table=table, op=op, row=row
+            )
+        )
+        standby = StandbyMaster(txns.wal)
+        open_txns, snapshots = [], []
+        for step, (op, which, table, name, segment) in enumerate(ops):
+            if op == "begin" or not open_txns:
+                open_txns.append(txns.begin())
+                if op == "begin":
+                    continue
+            txn = open_txns[which % len(open_txns)]
+            snapshot = txn.statement_snapshot()
+            snapshots.append(snapshot)
+            heap = catalog.table(table)
+            column = _KEYED[table]
+            match = (
+                lambda r, c=column, n=name, s=segment: r[c] == n and r["segment_id"] == s
+            )
+            if op == "insert":
+                heap.insert(
+                    {column: name, "segment_id": segment,
+                     "stats": TableStats(row_count=step)},
+                    txn.xid,
+                )
+            elif op == "update":
+                heap.update(snapshot, match, {"stats": TableStats(row_count=step)}, txn.xid)
+            elif op == "delete":
+                heap.delete(snapshot, match, txn.xid)
+            elif op == "vacuum":  # as VACUUM runs it: in a transaction of its own
+                with txns.run() as vacuum:
+                    heap.vacuum(vacuum.statement_snapshot())
+            else:
+                (txn.commit if op == "commit" else txn.abort)()
+                open_txns.remove(txn)
+        late = txns.xids.snapshot(txns.xids.begin())
+        snapshots.append(late)
+        _assert_keyed_reads_are_heap_scans(catalog, snapshots)
+        # The standby files each replayed version under the same key.
+        _assert_keyed_reads_are_heap_scans(standby.catalog, snapshots + [standby.snapshot()])
+        for table in _KEYED:
+            assert standby.catalog.table(table).scan(late) == catalog.table(table).scan(late)
+        promoted = standby.promote()
+        _assert_keyed_reads_are_heap_scans(promoted, snapshots + [standby.snapshot()])
+
+    def test_a_key_on_an_unkeyed_table_is_an_error(self):
+        xids = XidManager()
+        snapshot = xids.snapshot(xids.begin())
+        with pytest.raises(CatalogError, match="no key column"):
+            CatalogService().table("pg_depend").scan(snapshot, key="a")

@@ -4,7 +4,7 @@ The goldens pin the *structural* plan tree (slice headers and operator
 lines with estimates and annotations stripped), which must stay stable
 across cost model tweaks; separate assertions check the estimates and
 the verbose annotations —
-per-operator ``(actual rows=... calls=... time=...)`` and per-scan
+per-operator ``(actual rows=... calls=... time=... q_err=...)`` and per-scan
 ``(read=... remote=... cache hits=...)`` — are present and internally
 consistent with the query's own timing.
 """
@@ -34,8 +34,8 @@ def _explain(session, number, options="ANALYZE, VERBOSE"):
 
 
 def _structure(lines):
-    """Operator tree with estimates, annotations and timing lines
-    stripped."""
+    """Operator tree with estimates, annotations (``q_err`` among them)
+    and timing lines stripped."""
     out = []
     for line in lines:
         if line.lstrip().startswith("->") or line.startswith("Slice"):
@@ -140,8 +140,27 @@ class TestVerboseAnnotations:
         assert op_lines
         for line in op_lines:
             assert re.search(
-                r"\(actual rows=\d+ calls=\d+ time=\d+\.\d+s\)", line
+                r"\(actual rows=\d+ calls=\d+ time=\d+\.\d+s q_err=\d+\.\d\)", line
             ), line
+
+    @pytest.mark.parametrize("number", sorted(GOLDENS))
+    def test_q_err_is_estimate_against_actual_rows(self, session, number):
+        """``q_err`` = max / min of the printed estimate and the actual
+        rows, each clamped to at least 1."""
+        pattern = re.compile(r"est_rows=(\d+)  \(actual rows=(\d+) .* q_err=([\d.]+)\)")
+        for line in _explain(session, number):
+            if line.lstrip().startswith("->"):
+                found = pattern.search(line)
+                est, act = (max(1, int(v)) for v in found.group(1, 2))
+                assert found.group(3) == f"{max(est, act) / min(est, act):.1f}"
+
+    def test_q3_limit_shows_its_default_estimate_as_q_error(self, session):
+        """Q3's ``LIMIT 10`` keeps ``PlanNode``'s default ``est_rows=1000``,
+        so the limit that yields its 10 rows is 100x off."""
+        lines = _explain(session, 3)
+        top_limit = next(l for l in lines if l.lstrip().startswith("-> Limit"))
+        assert "est_rows=1000  (actual rows=10 " in top_limit
+        assert top_limit.endswith("q_err=100.0)")
 
     @pytest.mark.parametrize("number", sorted(GOLDENS))
     def test_scan_lines_annotate_storage(self, session, number):

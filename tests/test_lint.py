@@ -901,20 +901,29 @@ class TestInjectedConcurrencyViolations:
 
 
 # ============================================================== determinism
-class TestLintDeterminism:
-    def test_findings_identical_across_runs_and_file_order(self, live_lint):
-        """The lint gate itself obeys R5's spirit: a second full run, with
-        the project's file list shuffled, must render byte-identical
-        findings (order included) to the session's run."""
-        import random
+@pytest.fixture(scope="class")
+def shuffled_rerun():
+    """A second full lint run with the project's file list shuffled,
+    made once and shared by both determinism checks."""
+    import random
 
-        project = load_project()
-        random.Random(0xC0FFEE).shuffle(project.files)
-        rerun = [f.to_json() for f in project.run(get_rules())]
+    project = load_project()
+    random.Random(0xC0FFEE).shuffle(project.files)
+    return project.run(get_rules())
+
+
+class TestLintDeterminism:
+    def test_findings_identical_across_runs_and_file_order(
+        self, live_lint, shuffled_rerun
+    ):
+        """The lint gate itself obeys R5's spirit: a second full run, with
+        the project's file list shuffled, must report byte-identical
+        findings (order included) to the session's run."""
+        rerun = [f.to_json() for f in shuffled_rerun]
         first = [f.to_json() for f in live_lint.findings]
         assert json.dumps(rerun) == json.dumps(first)
 
-    def test_repeat_run_is_byte_identical(self, live_lint):
+    def test_repeat_run_is_byte_identical(self, live_lint, shuffled_rerun):
         first = [f.render() for f in live_lint.findings]
-        second = [f.render() for f in load_project().run(get_rules())]
+        second = [f.render() for f in shuffled_rerun]
         assert first == second

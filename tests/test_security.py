@@ -206,22 +206,24 @@ class TestExplainGoesThroughTheFrontHalf:
     #: ``EXPLAIN (ANALYZE, VERBOSE) SELECT * FROM secret WHERE b = 2`` as
     #: printed for a granted role before EXPLAIN shared the front half
     #: (``bytes moved`` re-pinned with the dispatch wire format: it was
-    #: 2425 when the message was sized by a pickle).
+    #: 2425 when the message was sized by a pickle; each ``q_err`` added
+    #: since).
     GRANTED_VERBOSE = [
         "Slice 1 (QD):",
         "  (actual time=0.0004s, rows sent=1)",
         "    QD: 0.0000s, 1 rows, 0 bytes",
         "  -> MotionRecv(slice 0, gather)  est_rows=5  "
-        "(actual rows=1 calls=1 time=0.0000s)",
+        "(actual rows=1 calls=1 time=0.0000s q_err=5.0)",
         "Slice 0 (gang of N):",
         "  (actual time=0.0003s, rows sent=1)",
         "  (skew: max=0.0003s mean=0.0003s min=0.0003s across 2 tasks)",
         "    seg0: 0.0003s, 0 rows, 0 bytes",
         "    seg1: 0.0003s, 1 rows, 20 bytes",
-        "  -> Motion(gather)  est_rows=5  (actual rows=0 calls=2 time=0.0002s)",
-        "    -> Project  est_rows=5  (actual rows=1 calls=2 time=0.0000s)",
+        "  -> Motion(gather)  est_rows=5  "
+        "(actual rows=0 calls=2 time=0.0002s q_err=5.0)",
+        "    -> Project  est_rows=5  (actual rows=1 calls=2 time=0.0000s q_err=5.0)",
         "      -> SeqScan(secret, filter)  est_rows=5  (actual rows=1 calls=2 "
-        "time=0.0000s) (read=96B remote=0B cache hits=0/2)",
+        "time=0.0000s q_err=5.0) (read=96B remote=0B cache hits=0/2)",
         "Total: 0.1466s simulated (critical path 0.0004s + overhead "
         "0.1462s), 1 rows, 5 tuples processed, 1161 bytes moved",
     ]

@@ -1,15 +1,175 @@
-"""Tests for the SQL lexer and parser."""
+"""Tests for the SQL lexer and parser.
+
+``reference_tokenize`` is the character-loop lexer the compiled pattern
+replaced, moved here verbatim: every input must give the same
+``(kind, value, position)`` stream, or the same error, from both. The
+parser is pinned by a digest of the ASTs it built before tokens carried
+a ``key``.
+"""
 
 import datetime
+import hashlib
+from typing import List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast, parse_sql, parse_statement, tokenize
-from repro.sql.lexer import TokenKind
+from repro.sql.lexer import Token, TokenKind
+from repro.tpch import QUERIES
+
+_MULTI_CHAR_OPS = ("<=", ">=", "<>", "!=", "||", "::")
+_SINGLE_CHAR_OPS = set("+-*/%(),;.=<>[]")
+
+
+def reference_tokenize(text: str) -> List[Token]:
+    """Tokenize SQL text; raises :class:`SqlSyntaxError` on bad input."""
+    tokens: List[Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        char = text[i]
+        if char.isspace():
+            i += 1
+            continue
+        if text.startswith("--", i):
+            newline = text.find("\n", i)
+            i = n if newline < 0 else newline + 1
+            continue
+        if text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end < 0:
+                raise SqlSyntaxError(f"unterminated comment at {i}")
+            i = end + 2
+            continue
+        if char == "'":
+            value, i = _read_string(text, i)
+            tokens.append(Token(TokenKind.STRING, value, i))
+            continue
+        if char == '"':
+            end = text.find('"', i + 1)
+            if end < 0:
+                raise SqlSyntaxError(f"unterminated quoted identifier at {i}")
+            tokens.append(Token(TokenKind.IDENT, text[i + 1 : end], i))
+            i = end + 1
+            continue
+        if char.isdigit() or (char == "." and i + 1 < n and text[i + 1].isdigit()):
+            start = i
+            seen_dot = False
+            while i < n and (text[i].isdigit() or (text[i] == "." and not seen_dot)):
+                if text[i] == ".":
+                    # Don't swallow a trailing dot followed by non-digit
+                    if i + 1 >= n or not text[i + 1].isdigit():
+                        break
+                    seen_dot = True
+                i += 1
+            if i < n and text[i] in "eE":
+                j = i + 1
+                if j < n and text[j] in "+-":
+                    j += 1
+                if j < n and text[j].isdigit():
+                    i = j
+                    while i < n and text[i].isdigit():
+                        i += 1
+            tokens.append(Token(TokenKind.NUMBER, text[start:i], start))
+            continue
+        if char.isalpha() or char == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(Token(TokenKind.IDENT, text[start:i], start))
+            continue
+        matched = False
+        for op in _MULTI_CHAR_OPS:
+            if text.startswith(op, i):
+                tokens.append(Token(TokenKind.OPERATOR, op, i))
+                i += len(op)
+                matched = True
+                break
+        if matched:
+            continue
+        if char in _SINGLE_CHAR_OPS:
+            tokens.append(Token(TokenKind.OPERATOR, char, i))
+            i += 1
+            continue
+        raise SqlSyntaxError(f"unexpected character {char!r} at position {i}")
+    tokens.append(Token(TokenKind.EOF, "", n))
+    return tokens
+
+
+def _read_string(text: str, start: int) -> tuple:
+    """Read a single-quoted string with '' as the escape for a quote."""
+    i = start + 1
+    out = []
+    n = len(text)
+    while i < n:
+        char = text[i]
+        if char == "'":
+            if i + 1 < n and text[i + 1] == "'":
+                out.append("'")
+                i += 2
+                continue
+            return "".join(out), i + 1
+        out.append(char)
+        i += 1
+    raise SqlSyntaxError(f"unterminated string literal at {start}")
+
+
+def _lexed(lexer, text):
+    """``(kind, value, position)`` per token, or the error's message."""
+    try:
+        return [(t.kind, t.value, t.position) for t in lexer(text)]
+    except SqlSyntaxError as exc:
+        return str(exc)
+
+
+#: Pieces a token soup is joined from: each token class with its edges.
+_FRAGMENTS = st.one_of(
+    st.sampled_from(
+        [
+            # keywords in mixed case, identifiers, unicode letters
+            "SELECT", "select", "SeLeCt", "fRoM", "Where", "nulls", "_x1",
+            "é", "ß", "ﬁrst", "Ωmega", "жук", "一二", "x²", "a½",
+            # unicode digits: decimal, superscript, and numeric non-digits
+            "٣", "²", "½", "Ⅻ", "①", "7",
+            # numbers and their edges
+            "1", "1.", ".5", "1e5", "1e+", "1E-", "1.5e-3", "1..2", "12.34.5",
+            # strings, quoted identifiers, comments
+            "'a'", "''", "'it''s'", "'''", "'a''", "'open", '"from"', '"a b"',
+            '"open', "/* c */", "/*", "/*/", "*/", "-- c\n", "--",
+            # operators, near-operators and strays
+            "/", "*", "<=", ">=", "<>", "!=", "||", "::", "!", "|", ":", "@",
+            "#", "?", ".", ",", "(", ")", ";", "[", "]", "%", "+", "-", "=",
+            # whitespace, ASCII and not
+            " ", "\t", "\n", "\x0b", "\x1c", "\u00a0", "\u2003",
+        ]
+    ),
+    st.characters(blacklist_categories=("Cs",)),
+)
 
 
 class TestLexer:
+    @given(text=st.lists(_FRAGMENTS, max_size=24).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_same_tokens_or_error_as_the_character_loop(self, text):
+        assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+
+    def test_same_tokens_for_every_character_in_context(self):
+        """Each code point up to U+3000 (every space, superscript,
+        fraction and Roman numeral among them) where a number, an
+        identifier or any token may start or go on."""
+        for code in range(0x3001):
+            char = chr(code)
+            text = f"{char}1{char}.{char}e{char} a{char} .{char}"
+            assert _lexed(tokenize, text) == _lexed(reference_tokenize, text), text
+
+    def test_keys(self):
+        tokens = tokenize("select \"Sel\", 1.5, 'x' <> sel")
+        assert [t.key for t in tokens] == [
+            "SELECT", None, ",", None, ",", None, "<>", "SEL", None
+        ]
+
     def test_basic_tokens(self):
         tokens = tokenize("SELECT a, 1.5 FROM t WHERE x <> 'it''s'")
         kinds = [t.kind for t in tokens]
@@ -324,3 +484,95 @@ class TestErrors:
     def test_rejected(self, text):
         with pytest.raises(SqlSyntaxError):
             parse_statement(text)
+
+
+class TestQuotedIdentifiers:
+    """A quoted identifier names a column, table or alias even when its
+    text spells a keyword; only an unquoted word is ever a keyword."""
+
+    def test_quoted_keyword_as_a_column(self):
+        stmt = parse_statement('SELECT "from" FROM t')
+        assert stmt.items[0].expr == ast.ColumnRef(name="from")
+        assert stmt.from_items[0] == ast.TableRef(name="t")
+
+    def test_quoted_keyword_as_an_alias(self):
+        stmt = parse_statement('SELECT a "order" FROM t')
+        assert stmt.items[0] == ast.SelectItem(expr=ast.ColumnRef(name="a"), alias="order")
+
+    def test_quoted_keyword_as_a_qualifier_and_a_table_alias(self):
+        stmt = parse_statement('SELECT "select".x FROM t AS "select"')
+        assert stmt.items[0].expr == ast.ColumnRef(name="x", table="select")
+        assert stmt.from_items[0] == ast.TableRef(name="t", alias="select")
+
+    def test_quoted_null_is_a_column(self):
+        assert parse_statement('SELECT "null"').items[0].expr == ast.ColumnRef(name="null")
+
+    @pytest.mark.parametrize("text", ["SELECT from FROM t", "SELECT select.x FROM t"])
+    def test_the_same_words_unquoted_are_keywords(self, text):
+        with pytest.raises(SqlSyntaxError):
+            parse_statement(text)
+
+
+#: The benchmark's ten point-lookup and tiny-join shapes, with keys filled in.
+SHORT_STATEMENTS = (
+    "SELECT c_custkey, c_name, c_acctbal FROM customer WHERE c_custkey = 17",
+    "SELECT o_orderkey, o_orderstatus, o_totalprice FROM orders WHERE o_orderkey = 1",
+    "SELECT p_partkey, p_name, p_retailprice FROM part WHERE p_partkey = 200",
+    "SELECT l_linenumber, l_quantity, l_extendedprice FROM lineitem "
+    "WHERE l_orderkey = 3 ORDER BY l_linenumber",
+    "SELECT c_name, n_name FROM customer, nation "
+    "WHERE c_nationkey = n_nationkey AND c_custkey = 42",
+    "SELECT s_name, n_name FROM supplier, nation "
+    "WHERE s_nationkey = n_nationkey AND s_suppkey = 9",
+    "SELECT count(*), sum(o_totalprice) FROM orders WHERE o_custkey = 37",
+    "SELECT count(*), max(l_shipdate) FROM lineitem WHERE l_orderkey = 5",
+    "SELECT o_orderkey, o_totalprice FROM orders WHERE o_custkey = 37 "
+    "ORDER BY o_totalprice DESC, o_orderkey LIMIT 3",
+    "SELECT ps_suppkey, ps_supplycost FROM partsupp WHERE ps_partkey = 11 "
+    "ORDER BY ps_supplycost, ps_suppkey LIMIT 2",
+)
+
+#: The DDL, DML and utility statements ``TestDdlParsing`` parses.
+DDL_STATEMENTS = (
+    "CREATE TABLE t (a INT NOT NULL, b VARCHAR(10)) "
+    "WITH (appendonly=true, orientation=column, compresstype=zlib, "
+    "compresslevel=5) DISTRIBUTED BY (a)",
+    "CREATE TABLE t (a INT) DISTRIBUTED RANDOMLY",
+    "CREATE TABLE s (id INT, d DATE) DISTRIBUTED BY (id) "
+    "PARTITION BY RANGE (d) (START (date '2008-01-01') INCLUSIVE "
+    "END (date '2009-01-01') EXCLUSIVE EVERY (INTERVAL '1 month'))",
+    "CREATE TABLE s (id INT, r TEXT) DISTRIBUTED BY (id) "
+    "PARTITION BY LIST (r) (PARTITION asia VALUES ('ASIA'), "
+    "PARTITION other VALUES ('EUROPE', 'AFRICA'))",
+    "CREATE EXTERNAL TABLE h (recordkey BYTEA, \"f:q\" INT) "
+    "LOCATION ('pxf://svc/sales?profile=HBase') "
+    "FORMAT 'CUSTOM' (formatter='pxfwritable_import')",
+    "CREATE VIEW v AS SELECT a FROM t",
+    "DROP TABLE t",
+    "DROP VIEW IF EXISTS v",
+    "DROP EXTERNAL TABLE e",
+    "INSERT INTO t (a, b) VALUES (1, 'x'), (2, NULL)",
+    "INSERT INTO t SELECT * FROM s",
+    "BEGIN",
+    "BEGIN ISOLATION LEVEL SERIALIZABLE",
+    "COMMIT",
+    "ROLLBACK",
+    "ABORT",
+    "SET TRANSACTION ISOLATION LEVEL READ COMMITTED",
+    "ANALYZE lineitem",
+    "ANALYZE",
+    "EXPLAIN SELECT 1",
+    "TRUNCATE TABLE t",
+    "BEGIN; SELECT 1; COMMIT;",
+)
+
+#: sha256 of the ASTs' reprs, one statement list per line, as parsed by
+#: the character-loop lexer and the ``.upper()``-comparing parser.
+AST_DIGEST = "94897468bf5cf4d6f9b559e543dd8f68651629df3437403ab91f81a63442090d"
+
+
+def test_asts_are_the_ones_pinned():
+    texts = [sql for n in sorted(QUERIES) for sql in QUERIES[n]]
+    texts += SHORT_STATEMENTS + DDL_STATEMENTS
+    reprs = "\n".join(repr(parse_sql(sql)) for sql in texts)
+    assert hashlib.sha256(reprs.encode()).hexdigest() == AST_DIGEST

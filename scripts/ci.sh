@@ -56,13 +56,13 @@ echo "== CO / Parquet decode to lists without NumPy =="
 # the engine must read and write the same bytes, fold the same
 # statistics, narrow every filter to the same rows, size every batch the
 # same (a census of Python values), place every key on the same segment
-# and agree with the row executor.
+# and agree with the row executor — and with SQLite on the scan shapes.
 REPRO_NO_NUMPY=1 python -m pytest -q \
     tests/test_storage.py tests/test_block_cache.py tests/test_codec.py \
     tests/test_analyze_columnar.py tests/test_predicate_form.py \
     tests/test_batch_sizing.py tests/test_vectors.py \
     tests/test_batch_differential.py tests/test_two_representations.py \
-    tests/test_placement.py
+    tests/test_placement.py tests/test_sqlite_reference.py
 
 echo "== the paper's figures: Fig 6-13 + ablations on the simulated clock =="
 # pytest is the one way to regenerate them (add -s for the tables); their

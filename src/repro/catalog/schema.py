@@ -13,6 +13,7 @@ import struct
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, repeat
+from operator import is_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.columnar import as_list
@@ -66,27 +67,69 @@ _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 LENGTH_PREFIX = struct.Struct("<I")
 
 
+#: Bitmap byte → the NULL flags of its eight values, lowest bit first.
+_BYTE_FLAGS = [tuple(bool(byte >> bit & 1) for bit in range(8)) for byte in range(256)]
+
+#: Eight values' NULL flags as one byte each (read as a little-endian
+#: ``u64``, in a 1-tuple as ``iter_unpack`` yields it) → their bitmap byte.
+_FLAG_BYTES = {
+    (int.from_bytes(bytes(flags), "little"),): byte
+    for byte, flags in enumerate(_BYTE_FLAGS)
+}
+_EIGHT_FLAGS = struct.Struct("<Q")
+
+
 def null_bitmap(values: Sequence[object]) -> bytes:
     """One bit per value, set where it is None: what precedes the
-    non-NULL values of a stored row or column chunk."""
-    bitmap = bytearray((len(values) + 7) // 8)
-    for i, value in enumerate(values):
-        if value is None:
-            bitmap[i >> 3] |= 1 << (i & 7)
-    return bytes(bitmap)
+    non-NULL values of a stored row or column chunk. (A byte per value
+    first, then eight of those to one bitmap byte: no Python step per
+    value.)"""
+    flags = bytes(map(is_, values, repeat(None)))
+    flags += bytes(-len(flags) % 8)
+    return bytes(map(_FLAG_BYTES.__getitem__, _EIGHT_FLAGS.iter_unpack(flags)))
 
 
 def null_flags(bitmap: bytes, count: int) -> List[bool]:
-    """:func:`null_bitmap` read back: True where the value is NULL."""
-    return [bool(bitmap[i >> 3] & (1 << (i & 7))) for i in range(count)]
+    """:func:`null_bitmap` read back: True where the value is NULL.
+    Raises ``IndexError`` when ``bitmap`` holds fewer than ``count`` bits."""
+    flags = list(chain.from_iterable(map(_BYTE_FLAGS.__getitem__, bitmap)))
+    if len(flags) < count:
+        raise IndexError("null bitmap shorter than its values")
+    del flags[count:]
+    return flags
 
 
 def _days_from_dates(dates: Sequence[datetime.date]) -> List[int]:
     return list(map(_EPOCH_ORDINAL.__rsub__, map(datetime.date.toordinal, dates)))
 
 
+#: Entries the day memo holds before it is cleared whole.
+_DAY_MEMO_CAP = 1 << 16
+
+
+class _Days(dict):
+    """Day number (days since 1970-01-01) → its ``date``, made on first
+    lookup. A ``date`` is immutable and a pure function of its day, so
+    every decoder shares one object per day and no value depends on what
+    the memo holds. A day outside ``date``'s range raises (``ValueError``
+    or ``OverflowError``) before anything is stored."""
+
+    __slots__ = ()
+
+    def __missing__(self, day: int) -> datetime.date:
+        value = datetime.date.fromordinal(_EPOCH_ORDINAL + day)
+        if len(self) >= _DAY_MEMO_CAP:
+            self.clear()
+        self[day] = value
+        return value
+
+
+#: The process's one day memo.
+_DAYS = _Days()
+
+
 def _dates_from_days(days: Sequence[int]) -> List[datetime.date]:
-    return list(map(datetime.date.fromordinal, map(_EPOCH_ORDINAL.__add__, days)))
+    return list(map(_DAYS.__getitem__, days))
 
 
 def _utf8_from_strs(texts: Sequence[str]) -> List[bytes]:
@@ -553,18 +596,19 @@ class RowCodec:
         zero_bitmap = self._zero_bitmap
         bitmap_len = len(zero_bitmap)
         segments = self._segments
-        #: Per segment: the unpacked struct tuples and the variable bytes.
-        fixed_rows: List[List[tuple]] = [[] for _ in segments]
-        variable_raws: List[List[bytes]] = [[] for _ in segments]
+        #: Per segment: every row's unpacked struct fields, back to back
+        #: (a field is a strided slice), and the variable bytes.
+        fields: List[list] = [[] for _ in segments]
+        raws: List[List[bytes]] = [[] for _ in segments]
         plan = [
-            (
-                unpacker.unpack_from,
-                unpacker.size,
-                fixed_rows[k].append,
-                None if variable is None else variable_raws[k].append,
-            )
+            (unpacker.unpack_from, unpacker.size, fields[k].extend, raws[k].append)
             for k, (unpacker, _fixed, variable) in enumerate(segments)
+            if variable is not None
         ]
+        # A trailing fixed-width run is one unpack per row, after the plan.
+        unpacker, _fixed, variable = segments[-1]
+        tail_unpack = unpacker.unpack_from if variable is None else None
+        tail_size, tail_extend = unpacker.size, fields[-1].extend
         nulls: List[Tuple[int, int]] = []  # (row, column) of every NULL
         try:
             for row in range(row_count):
@@ -573,27 +617,29 @@ class RowCodec:
                 offset = end
                 if bitmap != zero_bitmap:
                     offset = self._decode_nullable_row(
-                        buf, offset, bitmap, row, nulls, fixed_rows, variable_raws
+                        buf, offset, bitmap, row, nulls, fields, raws
                     )
                     continue
-                for unpack, size, add_fixed, add_variable in plan:
+                for unpack, size, extend, append in plan:
                     values = unpack(buf, offset)
-                    add_fixed(values)
+                    extend(values)
                     offset += size
-                    if add_variable is not None:
-                        end = offset + values[-1]
-                        add_variable(buf[offset:end])
-                        offset = end
+                    end = offset + values[-1]
+                    append(buf[offset:end])
+                    offset = end
+                if tail_unpack is not None:
+                    tail_extend(tail_unpack(buf, offset))
+                    offset += tail_size
             if offset > len(buf):
                 raise StorageError("row runs past the end of its payload")
             columns: list = [None] * ncols
             wires = self._wires
             for k, (_unpacker, fixed, variable) in enumerate(segments):
-                fields = list(zip(*fixed_rows[k]))
+                width = len(fixed) + (variable is not None)
                 for field_no, i in enumerate(fixed):
-                    columns[i] = wires[i].load(fields[field_no])
+                    columns[i] = wires[i].load(fields[k][field_no::width])
                 if variable is not None:
-                    columns[variable] = wires[variable].load(variable_raws[k])
+                    columns[variable] = wires[variable].load(raws[k])
         except (struct.error, IndexError, ValueError, OverflowError) as exc:
             # ValueError covers UnicodeDecodeError and out-of-range dates.
             raise StorageError(f"corrupt row data: {exc}") from exc
@@ -603,7 +649,7 @@ class RowCodec:
 
     def _decode_nullable_row(
         self, buf: bytes, offset: int, bitmap: bytes, row: int, nulls,
-        fixed_rows, variable_raws,
+        fields, raws,
     ) -> int:
         """One row that holds NULLs, value by value, into the same
         per-segment lists (a blank stored value fills each NULL's slot;
@@ -618,11 +664,10 @@ class RowCodec:
                 value, offset = wire.read(buf, offset)
                 stored.append(value)
         for k, (_unpacker, fixed, variable) in enumerate(self._segments):
-            values = [stored[i] for i in fixed]
+            fields[k].extend([stored[i] for i in fixed])
             if variable is not None:
-                values.append(0)  # the length prefix's slot
-                variable_raws[k].append(stored[variable])
-            fixed_rows[k].append(tuple(values))
+                fields[k].append(0)  # the length prefix's slot
+                raws[k].append(stored[variable])
         return offset
 
 

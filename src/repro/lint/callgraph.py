@@ -31,6 +31,9 @@ same-named methods of unrelated classes):
   inferred from ``self.attr = <typed thing>`` assignments or dataclass
   field annotations;
 * ``Cls(...)`` adds an edge to ``Cls.__init__`` and types the result;
+* a module-level ``NAME = Cls(...)`` types ``NAME`` wherever it is
+  referenced, and a reference adds edges to ``Cls``'s dunder methods
+  (``__missing__``, ``__getitem__``, ...), which Python calls implicitly;
 * bare references (callbacks) resolve like calls;
 * anything else falls back to the fuzzy name-match edge set.
 """
@@ -137,6 +140,8 @@ class CallGraph:
         self.resolved: Dict[str, Set[str]] = {}
         #: fuzzy fallback edges (bare-name matching, R3 only)
         self.fuzzy: Dict[str, Set[str]] = {}
+        #: module-level instances: "<path>::<name>" -> class key
+        self.instances: Dict[str, str] = {}
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -149,6 +154,7 @@ class CallGraph:
             graph._collect_imports(source)
         graph._resolve_bases()
         for source in project.files:
+            graph._collect_instances(source)
             graph._infer_attr_types(source)
         for source in project.files:
             graph._collect_edges(source)
@@ -234,7 +240,7 @@ class CallGraph:
                 return None  # a module itself, not a def
             qual = ".".join(rest)
             key = f"{path}::{qual}"
-            if key in self.nodes or key in self.classes:
+            if key in self.nodes or key in self.classes or key in self.instances:
                 return key
             # Re-export: from repro.lint import load_project resolves
             # through the package __init__'s own import table.
@@ -285,6 +291,39 @@ class CallGraph:
             if resolved in self.classes:
                 return resolved
         return None
+
+    # ------------------------------------------------------------- instances
+    def _collect_instances(self, source) -> None:
+        """Module-level ``NAME = Cls(...)`` bindings of project classes."""
+        for node in source.tree.body:
+            target: Optional[ast.expr] = None
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+            elif isinstance(node, ast.AnnAssign):
+                target = node.target
+            if isinstance(target, ast.Name) and isinstance(node.value, ast.Call):
+                cls_key = self._constructed_class(node.value, source.path)
+                if cls_key is not None:
+                    self.instances[f"{source.path}::{target.id}"] = cls_key
+
+    def _implicit_methods(self, cls_key: str) -> List[str]:
+        """Function keys of the dunder methods Python may call on an
+        instance of ``cls_key`` without naming them (construction aside),
+        the class's own first, then its first base's, and so on."""
+        out: List[str] = []
+        seen: Set[str] = set()
+        info = self.classes.get(cls_key)
+        while info is not None and info.key not in seen:
+            seen.add(info.key)
+            out.extend(
+                key
+                for name, key in info.methods.items()
+                if name.startswith("__")
+                and name.endswith("__")
+                and name not in ("__init__", "__new__")
+            )
+            info = self.classes.get(info.bases[0]) if info.bases else None
+        return out
 
     # ------------------------------------------------------- attribute types
     def _infer_attr_types(self, source) -> None:
@@ -373,6 +412,10 @@ class CallGraph:
         def add_resolved(owner: Optional[str], target: Optional[str]) -> None:
             if owner is None or target is None:
                 return
+            if target in self.instances:
+                for method in self._implicit_methods(self.instances[target]):
+                    add_resolved(owner, method)
+                return
             if target in self.classes:
                 init = self.classes[target].methods.get("__init__")
                 target = init
@@ -388,10 +431,10 @@ class CallGraph:
                 key = f"{source.path}::{qual}.{name}"
                 if key in self.nodes:
                     return key
-            # Module level def or class.
-            for key in (f"{source.path}::{name}",):
-                if key in self.nodes or key in self.classes:
-                    return key
+            # Module level def, class or instance.
+            key = f"{source.path}::{name}"
+            if key in self.nodes or key in self.classes or key in self.instances:
+                return key
             target = self.imports[source.path].get(name)
             if target is not None:
                 return self._lookup_qualified(target)
@@ -420,7 +463,7 @@ class CallGraph:
                 resolved = resolve_bare(node.id)
                 if resolved in self.classes:
                     return resolved  # ClassName.method(...) static-style
-                return None
+                return self.instances.get(resolved)
             if isinstance(node, ast.Attribute):
                 # self.attr → the enclosing class's inferred field type.
                 if (

@@ -770,6 +770,23 @@ class CrossQueryIsolationRule:
                         out.add(target.id)
         return out
 
+    @classmethod
+    def _container_instances(cls, project) -> Dict[str, List[str]]:
+        """Class key of a class subclassing a mutable builtin (a ``dict``
+        whose ``__missing__`` fills it, say) -> the ``path::NAME`` keys of
+        the module-level instances of it. A write through ``self`` in such
+        a class is a write to each of those names."""
+        graph: CallGraph = project.shared("callgraph", CallGraph.build)
+        out: Dict[str, List[str]] = {}
+        for key, cls_key in sorted(graph.instances.items()):
+            if any(
+                (CallGraph._dotted_name(base) or "").rpartition(".")[2]
+                in cls.MUTABLE_CONSTRUCTORS
+                for base in graph.classes[cls_key].base_exprs
+            ):
+                out.setdefault(cls_key, []).append(key)
+        return out
+
     def _class_mutables(self, source: SourceFile) -> Dict[str, Set[str]]:
         """class qualname -> attrs bound to mutables in the class body
         and never rebound per-instance via ``self.attr = ...``."""
@@ -864,7 +881,15 @@ class CrossQueryIsolationRule:
     def check_file(self, source: SourceFile, project) -> Iterator[Finding]:
         reach: Set[str] = project.shared("r7-reachable", self._reachable)
         registry: Dict[str, str] = project.shared("r7-registry", self._registry)
-        module_mutables = self._module_mutables(source)
+        containers: Dict[str, List[str]] = project.shared(
+            "r7-containers", self._container_instances
+        )
+        module_mutables = self._module_mutables(source) | {
+            key.split("::", 1)[1]
+            for keys in containers.values()
+            for key in keys
+            if key.startswith(f"{source.path}::")
+        }
         class_mutables = self._class_mutables(source)
         class_quals = set(class_mutables)
         for node in ast.walk(source.tree):
@@ -909,6 +934,23 @@ class CrossQueryIsolationRule:
                 continue
             shadowed = locals_cache.setdefault(id(func), self._locals_of(func))
             cls_qual = enclosing_class(scope)
+            bound = containers.get(f"{source.path}::{cls_qual}", [])
+
+            def through_self(node: ast.AST, owner: ast.expr) -> Optional[Finding]:
+                """A write through ``self`` in a container class whose
+                instances are bound to module names."""
+                if not (isinstance(owner, ast.Name) and owner.id == "self"):
+                    return None
+                for key in bound:
+                    found = emit(
+                        node,
+                        f"module-level mutable '{key.split('::', 1)[1]}' "
+                        f"(through self in {cls_qual})",
+                        key,
+                    )
+                    if found is not None:
+                        return found
+                return None
 
             for node in _walk_own(func):
                 finding: Optional[Finding] = None
@@ -937,6 +979,8 @@ class CrossQueryIsolationRule:
                                 f"module-level mutable '{target_expr.id}'",
                                 f"{source.path}::{target_expr.id}",
                             )
+                        elif bound and isinstance(target, ast.Subscript):
+                            finding = through_self(node, target_expr)
                         # -- class attribute assignment ------------------
                         if isinstance(target, ast.Attribute):
                             owner = target.value
@@ -973,6 +1017,8 @@ class CrossQueryIsolationRule:
                                 f"module-level mutable '{owner.id}'",
                                 f"{source.path}::{owner.id}",
                             )
+                        elif bound and isinstance(owner, ast.Name):
+                            finding = through_self(node, owner)
                         elif (
                             isinstance(owner, ast.Attribute)
                             and isinstance(owner.value, ast.Name)

@@ -41,6 +41,12 @@ SHARED_STATE: Dict[str, str] = {
         "== implies that text, and a full memo is cleared whole, so no "
         "placement depends on what it holds"
     ),
+    "src/repro/catalog/schema.py::_DAYS": (
+        "pure memo (stored day number -> immutable date); __missing__ "
+        "stores date.fromordinal of the key only once it succeeded, and a "
+        "full memo is cleared whole, so no decoded value depends on what "
+        "it holds"
+    ),
     # --- scheduler slot bookkeeping: contention is the *product* here.
     # --- Per-segment slots are shared by design; determinism is
     # --- guaranteed by the (ready_time, key) drain order, which R8

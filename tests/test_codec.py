@@ -22,7 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.schema import Column, DataType, TableSchema, TypeKind
+from repro.catalog import schema as schema_module
+from repro.catalog.schema import (
+    Column,
+    DataType,
+    TableSchema,
+    TypeKind,
+    null_bitmap,
+    null_flags,
+)
 from repro.columnar import as_list
 from repro.errors import CatalogError, StorageError
 from repro.hdfs import Hdfs
@@ -291,6 +299,151 @@ class TestCompiledAgainstPerValue:
                 ]
                 assert sum(n for n, _ in blocks([])) == len(rows)
             assert cache.hits > 0 or not rows
+
+
+#: Kinds with a struct code, and the length-prefixed ones.
+_FIXED_KINDS = sorted((k for k in TypeKind if DataType(k).wire.code), key=lambda k: k.value)
+_VARIABLE_KINDS = sorted(
+    (k for k in TypeKind if not DataType(k).wire.code), key=lambda k: k.value
+)
+
+
+@st.composite
+def mixed_blocks(draw, last_kinds):
+    """(schema, coerced rows): up to 7 nullable columns of any kind, the
+    last of ``last_kinds``; rows without NULLs and rows with one or more
+    interleaved, at least one of each."""
+    kinds = draw(st.lists(st.sampled_from(_FIXED_KINDS + _VARIABLE_KINDS), max_size=6))
+    kinds.append(draw(st.sampled_from(last_kinds)))
+    schema = TableSchema(
+        "m", [Column(f"c{i}", draw(_KINDS[k][0])) for i, k in enumerate(kinds)]
+    )
+    full_row = st.tuples(*(_KINDS[k][1] for k in kinds))
+    rows = []
+    for nulls in [[]] + draw(
+        st.lists(st.lists(st.integers(0, len(kinds) - 1), max_size=3), min_size=1,
+                 max_size=30)
+    ):
+        row = list(draw(full_row))
+        for i in nulls:
+            row[i] = None
+        rows.append(row)
+    rows.append([None] * len(kinds))
+    rows = draw(st.permutations(rows))
+    return schema, [schema.coerce_row(row) for row in rows]
+
+
+class TestMixedAoBlocks:
+    """``RowCodec.decode_rows`` slices every fixed-width field out of one
+    flat list per struct run, and a row that holds a NULL writes into the
+    same lists value by value: whatever the interleaving, a block reads
+    back as the per-value reference reads it."""
+
+    def _check(self, schema, rows):
+        payload = schema.row_codec().encode_rows(rows)
+        assert payload == reference_row_bytes(schema, rows)
+        columns, end = schema.row_codec().decode_rows(payload, 0, len(rows))
+        assert end == len(payload)
+        decoded = list(zip(*columns))
+        assert decoded == reference_decode_rows(schema, payload, len(rows)) == rows
+        assert [[type(v) for v in row] for row in decoded] == [
+            [type(v) for v in row] for row in rows
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=mixed_blocks(_FIXED_KINDS))
+    def test_last_struct_run_is_fixed_width(self, table):
+        schema, rows = table
+        assert schema.row_codec()._segments[-1][2] is None
+        self._check(schema, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=mixed_blocks(_VARIABLE_KINDS))
+    def test_last_column_is_variable_width(self, table):
+        schema, rows = table
+        assert schema.row_codec()._segments[-1][2] == len(schema.columns) - 1
+        self._check(schema, rows)
+
+
+# ------------------------------------------------------------- NULL bitmaps
+def reference_null_flags(bitmap, count):
+    return [bool(bitmap[i >> 3] & (1 << (i & 7))) for i in range(count)]
+
+
+class TestNullBitmaps:
+    """The table-driven bitmap codecs against the bit-at-a-time loops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(st.none(), st.integers(), st.just(0), st.just("")),
+                           max_size=70))
+    def test_null_bitmap_round_trips(self, values):
+        bitmap = null_bitmap(values)
+        assert bitmap == _null_bitmap(values)
+        assert null_flags(bitmap, len(values)) == [v is None for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(bitmap=st.binary(max_size=9), data=st.data())
+    def test_null_flags_is_the_bit_loop(self, bitmap, data):
+        count = data.draw(st.integers(0, len(bitmap) * 8 + 9))
+        try:
+            expected = reference_null_flags(bitmap, count)
+        except IndexError:
+            with pytest.raises(IndexError):
+                null_flags(bitmap, count)
+        else:
+            assert null_flags(bitmap, count) == expected
+
+
+# ------------------------------------------------------------ the day memo
+class TestDayMemo:
+    """DATE decodes read a process-wide memo: one ``date`` per day."""
+
+    @pytest.fixture()
+    def days(self, monkeypatch):
+        memo = schema_module._Days()
+        monkeypatch.setattr(schema_module, "_DAYS", memo)
+        return memo
+
+    def test_every_decoder_shares_one_date_per_day(self, days):
+        column = Column("d", DataType(TypeKind.DATE))
+        one = TableSchema("one", [column])
+        day = datetime.date(1998, 9, 2)
+        chunk = ColumnCodec(column).encode([day, day, None])
+        from_chunk = as_list(ColumnCodec(column).decode(chunk, 3))
+        rows = one.row_codec().encode_rows([(day,), (None,), (day,)])
+        (from_rows,), _end = one.row_codec().decode_rows(rows, 0, 3)
+        single, _end = column.type.decode(column.type.wire.pack(day), 0)
+        assert from_chunk[:2] == from_rows[::2] == [day, day]
+        key = (day - datetime.date(1970, 1, 1)).days
+        assert sorted(days) == [0, key]  # 0: the blank in the AO NULL's slot
+        assert all(v is days[key] for v in from_chunk[:2] + from_rows[::2] + [single])
+
+    @pytest.mark.parametrize("bad", [2**31 - 1, -(2**31), -719163, 2932897])
+    def test_a_day_out_of_range_raises_and_is_not_kept(self, days, bad):
+        column = Column("d", DataType(TypeKind.DATE))
+        stored = struct.pack("<i", bad)
+        with pytest.raises(StorageError):
+            ColumnCodec(column).decode(b"\x00" + stored, 1)
+        with pytest.raises(StorageError):  # a NULL beside it: the other path
+            ColumnCodec(column).decode(b"\x02" + stored, 2)
+        codec = TableSchema("d", [column, Column("x", DataType(TypeKind.INT8))]).row_codec()
+        with pytest.raises(StorageError):
+            codec.decode_rows(b"\x00" + stored + bytes(8), 0, 1)
+        with pytest.raises(StorageError):
+            codec.decode_rows(b"\x02" + stored, 0, 1)
+        assert days == {}
+
+    def test_a_full_memo_is_cleared_whole(self, days, monkeypatch):
+        monkeypatch.setattr(schema_module, "_DAY_MEMO_CAP", 4)
+        epoch = datetime.date(1970, 1, 1)
+        assert schema_module._dates_from_days([0, 1, 2, 3, 1]) == [
+            epoch + datetime.timedelta(days=d) for d in (0, 1, 2, 3, 1)
+        ]
+        assert sorted(days) == [0, 1, 2, 3]
+        assert schema_module._dates_from_days([9, 2]) == [
+            epoch + datetime.timedelta(days=9), epoch + datetime.timedelta(days=2)
+        ]
+        assert sorted(days) == [2, 9]
 
 
 # ---------------------------------------------------------------- corruption

@@ -631,6 +631,51 @@ class TestCrossQueryIsolation:
         findings = run_rules(sources, select=["R7"])
         assert findings == []
 
+    #: A memo filled by its own ``__missing__``: nothing outside the
+    #: class names a write, and the call graph has no caller of the
+    #: dunder but the subscript that makes Python call it.
+    MEMO_MODULE = (
+        "class _Memo(dict):\n"
+        "    def __missing__(self, key):\n"
+        "        if len(self) > 9:\n"
+        "            self.clear()\n"
+        "        self[key] = key * 2\n"
+        "        return key * 2\n"
+        "MEMO = _Memo()\n"
+        "def look(k):\n"
+        "    return MEMO[k]\n"
+    )
+
+    def _memo_sources(self, registry_entries=""):
+        sources = self._sources(registry_entries)
+        sources[self.ENTRY] = (
+            "from repro.mycache import look\n"
+            "def run_batch():\n"
+            "    look(1)\n"
+        )
+        sources["src/repro/mycache.py"] = self.MEMO_MODULE
+        return sources
+
+    def test_dict_subclass_memo_is_flagged_through_self(self):
+        findings = run_rules(self._memo_sources(), select=["R7"])
+        assert [(f.rule, f.line, f.context) for f in findings] == [
+            ("R7", 4, "_Memo.__missing__"),
+            ("R7", 5, "_Memo.__missing__"),
+        ]
+        assert all("src/repro/mycache.py::MEMO" in f.message for f in findings)
+
+    def test_registered_dict_subclass_memo_is_exempt(self):
+        findings = run_rules(
+            self._memo_sources("'src/repro/mycache.py::MEMO': 'pure memo'"),
+            select=["R7"],
+        )
+        assert findings == []
+
+    def test_dict_subclass_memo_nobody_reads_is_ignored(self):
+        sources = self._memo_sources()
+        sources[self.ENTRY] = "def run_batch():\n    return 0\n"
+        assert run_rules(sources, select=["R7"]) == []
+
     def test_live_registry_parses_and_has_reasons(self, live_lint):
         from repro.lint.rules import CrossQueryIsolationRule
 
@@ -869,6 +914,22 @@ class TestInjectedConcurrencyViolations:
         assert hits[0].path == "src/repro/executor/concurrent.py"
         assert hits[0].context == "_poison"
         assert "_RACE" in hits[0].message
+
+    def test_injected_dict_subclass_memo_is_caught_by_r7(self, repo_copy):
+        target = repo_copy / "src" / "repro" / "executor" / "concurrent.py"
+        target.write_text(
+            target.read_text()
+            + "\n\nclass _Memo(dict):\n"
+            "    def __missing__(self, key):\n"
+            "        self[key] = key\n"
+            "        return key\n\n\n"
+            "_MEMO = _Memo()\n"
+        )
+        hits = lint_tree(repo_copy, ["R7"])
+        assert [(f.rule, f.path, f.context) for f in hits] == [
+            ("R7", "src/repro/executor/concurrent.py", "_Memo.__missing__")
+        ]
+        assert "src/repro/executor/concurrent.py::_MEMO" in hits[0].message
 
     def test_injected_id_key_is_caught_by_r8(self, repo_copy):
         target = repo_copy / "src" / "repro" / "simtime" / "scheduler.py"

@@ -128,14 +128,17 @@ echo "== write-path budget on load_write (counts, not seconds) =="
 # statistics live) and overall. While ANALYZE zipped blocks into rows
 # and walked every value three times, and load_rows coerced row by row
 # (twice for INSERT), they read 58,761 and 553,821; folding column blocks
-# and coercing by column they read 17,008 and 418,274. The ceilings are
-# those readings + 15 %.
+# and coercing by column they read 17,008 and 418,274; with keyed catalog
+# reads and the flat AO decode, 13,340 and 313,068; with every first read
+# of a block taking the values its writer left in the block cache instead
+# of decoding, 13,340 and 302,030. The ceilings are that last reading
+# + 15 %.
 budget_json=$(python3 benchmarks/perf/run.py --workload load_write --quick --trace 1 | tail -n 1)
 python - "$budget_json" <<'PY'
 import json, sys
 metrics = json.loads(sys.argv[1])["metrics"]
 failed = False
-for name, ceiling in (("catalog.pycalls", 19600), ("python.pycalls", 481000)):
+for name, ceiling in (("catalog.pycalls", 15341), ("python.pycalls", 347335)):
     calls = metrics[name]["value"]
     over = calls > ceiling
     failed |= over

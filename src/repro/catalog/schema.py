@@ -152,9 +152,9 @@ class WireFormat:
     single-value API, :class:`RowCodec` and the storage layer's column
     chunks are all composed from it."""
 
-    __slots__ = ("code", "scalar", "dump", "load", "blank")
+    __slots__ = ("code", "scalar", "dump", "load", "blank", "interned")
 
-    def __init__(self, code, dump=None, load=list):
+    def __init__(self, code, dump=None, load=list, interned=False):
         #: ``struct`` format character, or None for length-prefixed bytes.
         self.code: Optional[str] = code
         self.scalar = struct.Struct("<" + code) if code else None
@@ -164,6 +164,21 @@ class WireFormat:
         self.load: Callable[[Sequence[object]], List[object]] = load
         #: A stored form standing in for NULL where a slot must be filled.
         self.blank: object = 0 if code else b""
+        #: Whether ``load`` hands out one shared object per value (DATE's
+        #: day memo) rather than a fresh equal one.
+        self.interned = interned
+
+    def as_loaded(self, values: Sequence[object]) -> List[object]:
+        """``values`` (coerced, None for NULL) as a list, the way ``load``
+        returns them from their stored forms: the values themselves, or
+        for an interned kind the shared objects, so that a column that was
+        never stored holds what a decoded one holds."""
+        if not self.interned:
+            return list(values)
+        if None not in values:
+            return self.load(self.dump(values))
+        loaded = iter(self.load(self.dump([v for v in values if v is not None])))
+        return [None if value is None else next(loaded) for value in values]
 
     # The single-value forms, for connectors and rows that hold NULLs.
     def pack(self, value: object) -> bytes:
@@ -196,7 +211,7 @@ _WIRE_FORMATS = {
     TypeKind.FLOAT8: _FLOAT_WIRE,
     TypeKind.DECIMAL: _FLOAT_WIRE,
     TypeKind.BOOL: WireFormat("?"),
-    TypeKind.DATE: WireFormat("i", _days_from_dates, _dates_from_days),
+    TypeKind.DATE: WireFormat("i", _days_from_dates, _dates_from_days, interned=True),
     TypeKind.CHAR: _TEXT_WIRE,
     TypeKind.VARCHAR: _TEXT_WIRE,
     TypeKind.TEXT: _TEXT_WIRE,
@@ -646,6 +661,14 @@ class RowCodec:
         for row, i in nulls:
             columns[i][row] = None
         return columns, offset
+
+    def decoded_columns(self, rows: Sequence[Sequence[object]]) -> List[List[object]]:
+        """The columns :meth:`decode_rows` returns for the bytes
+        :meth:`encode_rows` makes of ``rows`` (coerced), built from the
+        rows themselves: what a writer leaves in the block cache."""
+        if not rows:
+            return [[] for _ in self.columns]
+        return [wire.as_loaded(column) for wire, column in zip(self._wires, zip(*rows))]
 
     def _decode_nullable_row(
         self, buf: bytes, offset: int, bitmap: bytes, row: int, nulls,

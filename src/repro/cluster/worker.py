@@ -351,6 +351,7 @@ class SegmentWorker:
         cache = services.block_cache
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
+        written_before = cache.written if cache is not None else 0
         if services.metrics is not None:
             # Paired open/close counters: equal totals prove no charged
             # scan iterator leaked, even across cancels (the sanitizer's
@@ -398,6 +399,12 @@ class SegmentWorker:
                     metrics.counter(
                         "cache_misses", node=f"seg{segment_id}"
                     ).inc(miss_delta)
+                    # The misses whose decode the writer's values replaced.
+                    written_delta = cache.written - written_before
+                    if written_delta:
+                        metrics.counter(
+                            "cache_written", node=f"seg{segment_id}"
+                        ).inc(written_delta)
                 if remote:
                     metrics.counter(
                         "remote_read_bytes", node=f"seg{segment_id}"

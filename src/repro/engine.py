@@ -938,6 +938,7 @@ class Session:
                 schema,
                 schema.compression,
                 append=existing is not None,
+                cache=engine.block_cache,
             )
             self._charge_write(
                 acc,

@@ -24,6 +24,7 @@ from repro.storage.base import (
     pack_block,
     rows_from_blocks,
 )
+from repro.storage.cache import CachedBlock
 from repro.storage.compression import get_codec
 
 name = "ao"
@@ -37,16 +38,23 @@ def write(
     codec_name: str = "none",
     append: bool = False,
     block_rows: int = DEFAULT_BLOCK_ROWS,
+    cache=None,
 ) -> WriteResult:
-    """Write (or append) rows; returns new physical lengths and stats."""
+    """Write (or append) rows; returns new physical lengths and stats.
+    With a decode cache, each block is left in it unread, with its rows."""
     codec = get_codec(codec_name)
     row_codec = schema.row_codec()
     uncompressed_total = 0
     data = bytearray()
+    written = []
     for block in batched(rows, block_rows):
         payload = row_codec.encode_rows(block)
         uncompressed_total += len(payload)
-        data += pack_block(payload, len(block), codec)
+        framed = pack_block(payload, len(block), codec)
+        data += framed
+        written.append(
+            CachedBlock(len(block), len(framed), len(payload), written=block)
+        )
     if append and client.exists(base_path):
         writer = client.append(base_path)
     else:
@@ -54,6 +62,12 @@ def write(
     writer.write(bytes(data))
     writer.close()
     new_length = client.file_status(base_path).length
+    if cache is not None:
+        cache.add_written(
+            (name, base_path, client.write_epoch(base_path), codec_name),
+            new_length - len(data),
+            written,
+        )
     return WriteResult(
         paths={base_path: new_length},
         primary_path=base_path,
@@ -110,10 +124,13 @@ def scan_blocks(
             )
         return dict(enumerate(decoded))
 
+    def from_written(rows) -> Columns:
+        return dict(enumerate(row_codec.decoded_columns(rows)))
+
     for path, logical_length in paths.items():
         for row_count, decoded in cached_blocks(
             client, path, logical_length, name, codec, codec_name, stats,
-            cache, decode,
+            cache, decode, from_written,
         ):
             if row_count:
                 yield row_count, {i: decoded[i] for i in wanted}

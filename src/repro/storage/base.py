@@ -20,6 +20,8 @@ from repro.catalog.schema import (
 from repro.columnar.vector import (
     as_list,
     dict_vector,
+    float_vector,
+    int_vector,
     numeric_from_bytes,
     numeric_from_packed,
 )
@@ -118,6 +120,7 @@ def cached_blocks(
     stats: Optional[ScanStats],
     cache,
     decode: Callable[[bytes, int], Columns],
+    from_written: Callable[[object], Columns],
 ) -> Iterator[Tuple[int, Columns]]:
     """Yield ``(row_count, columns)`` for each block of ``path`` inside
     its transaction-visible ``logical_length``, decoding with
@@ -126,8 +129,11 @@ def cached_blocks(
     With a decode cache (see ``storage/cache.py``) the cached prefix is
     served without touching HDFS and only the tail beyond it is read,
     decoded and — while it stays contiguous with the prefix — cached.
-    Blocks are decoded one at a time as the consumer asks for them, so
-    a scan that is abandoned (LIMIT) is charged for what it decoded.
+    The prefix ends at the first unread block; reading one replaces its
+    decode by ``from_written(block.written)``, what ``decode`` would have
+    returned. Blocks are decoded one at a time as the consumer asks for
+    them, so a scan that is abandoned (LIMIT) is charged for what it
+    decoded.
     """
     if logical_length <= 0:
         return
@@ -139,14 +145,11 @@ def cached_blocks(
     entry = cache.open_entry(
         (format_name, path, client.write_epoch(path), codec_name)
     )
-    # The logical length always falls on a block boundary: appends write
-    # whole blocks.
-    served = 0
-    for block in entry.blocks:
-        if served + block.compressed_bytes > logical_length:
-            break
+    served = index = 0
+    for block in cache.prefix(entry, logical_length):
         cache.replay(block, stats)
         served += block.compressed_bytes
+        index += 1
         yield block.row_count, block.data
     if served >= logical_length:
         return
@@ -166,6 +169,13 @@ def cached_blocks(
             remote_total * consumed // tail_len
             - remote_total * start // tail_len
         )
+        block = cache.take_unread(entry, index, row_count, (framed, len(payload)))
+        index += 1
+        if block is not None:
+            columns = from_written(block.written)
+            cache.fill(block, columns, remote)
+            yield row_count, columns
+            continue
         columns = decode(payload, row_count)
         if entry.end_offset == served + start:  # still contiguous: cacheable
             before = entry.nbytes
@@ -284,11 +294,8 @@ class ColumnCodec:
         """Dictionary-code on the raw bytes: each distinct value of the
         chunk is UTF-8-decoded once."""
         raws, end = _read_prefixed(buf, offset, _present(count, nulls))
-        distinct = dict.fromkeys(raws)  # in order of first appearance
-        dictionary = self._wire.load(distinct)
-        code_of = dict(zip(distinct, range(len(distinct))))
-        codes = list(map(code_of.__getitem__, raws))
-        return dict_vector(_spread(codes, nulls, -1), dictionary), end
+        codes, distinct = _dictionary_codes(raws)
+        return dict_vector(_spread(codes, nulls, -1), self._wire.load(distinct)), end
 
     def _decode_plain(self, buf, offset, count, nulls):
         """DATE, BOOL (one bulk unpack) and BYTEA, as a Python list."""
@@ -303,6 +310,51 @@ class ColumnCodec:
             stored = struct.unpack_from(packed, buf, offset)
             end = offset + struct.calcsize(packed)
         return _spread(self._wire.load(stored), nulls, None), end
+
+    # ------------------------------------------------------- written values
+    def vector(self, values: Sequence[object]):
+        """What :meth:`decode` returns for the chunk :meth:`encode` makes
+        of ``values`` (coerced, None for NULL), built from the values
+        themselves: the same class, dtype and mask, a dictionary in order
+        of first appearance, one ``date`` per day from the day memo."""
+        return self._vector(values)
+
+    @cached_property
+    def _vector(self):
+        """``values -> vector`` for this column's kind."""
+        code = self._wire.code
+        if code in ("q", "d"):
+            make = float_vector if code == "d" else int_vector
+            return lambda values: _numeric_vector(make, values)
+        if self.column.type.is_string:
+            return _string_vector
+        return self._wire.as_loaded
+
+
+def _numeric_vector(make, values: Sequence[object]):
+    """``make`` over ``values``, with zero in each NULL's slot as a
+    decode leaves it."""
+    if None not in values:
+        return make(values)
+    nulls = [value is None for value in values]
+    return make([0 if value is None else value for value in values], nulls)
+
+
+def _string_vector(values: Sequence[object]):
+    """Dictionary-code the strings themselves: two are equal exactly when
+    their UTF-8 bytes are, so codes and dictionary are the decode's."""
+    codes, distinct = _dictionary_codes(values)
+    return dict_vector(codes, list(distinct))
+
+
+def _dictionary_codes(keys: Sequence[object]) -> Tuple[List[int], Dict[object, None]]:
+    """Each key's index among the distinct non-None keys, in order of
+    first appearance (-1 for None), and those keys."""
+    distinct = dict.fromkeys(keys)
+    distinct.pop(None, None)
+    code_of = dict(zip(distinct, range(len(distinct))))
+    code_of[None] = -1
+    return list(map(code_of.__getitem__, keys)), distinct
 
 
 def _present(count: int, nulls: Optional[List[bool]]) -> int:

@@ -18,6 +18,30 @@ isolation are handled by serving only the prefix of blocks inside the
 caller's transaction-visible logical length, which always falls on a
 block boundary.
 
+A block enters the cache one of two ways:
+
+* **decoded** — a scan read it from HDFS past the cached prefix and
+  decoded its payload;
+* **written** — a format's ``write`` appended it right after the cached
+  prefix and left it *unread*: its row count, sizes and the values the
+  writer held, nothing else (no vector, no remote bytes, no charge).
+
+An unread block is still a miss in every observable way. A scan stops
+serving the prefix at it and reads, decompresses and length-checks the
+tail from HDFS exactly as for an uncached block; only the decode of the
+payload is replaced, by the written values in the decode's
+representation (``ColumnCodec.vector``, ``RowCodec.decoded_columns``).
+The block then is an ordinary cached block. ``misses`` counts both ways,
+``written`` the misses served from written values. What the read checks
+is the frame: its header against the written block, and the
+decompressed length. The payload itself is not validated while the
+written values stand in for it, so damage inside a payload that keeps
+its length (possible under the checksum-less ``none``, ``rle`` and
+``snappy`` codecs) goes unreported until the block has left the cache
+and is decoded from disk — as a cache hit never re-validates a block.
+``prefix``, ``take_unread`` and ``fill`` hold this protocol; the
+formats' scan loops only call them.
+
 Simulated cost: a cache hit *replays* the exact compressed/uncompressed/
 remote byte counts the original decode charged, so the simulated cost
 model — and therefore every paper-shape benchmark figure — is unchanged
@@ -27,8 +51,9 @@ by caching.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+
+from repro.errors import StorageError
 
 if TYPE_CHECKING:  # base.py builds CachedBlocks, so it imports this module
     from repro.storage.base import ScanStats
@@ -37,27 +62,55 @@ if TYPE_CHECKING:  # base.py builds CachedBlocks, so it imports this module
 DEFAULT_CAPACITY_BYTES = 64 << 20
 
 
-@dataclass
 class CachedBlock:
-    """One decoded block plus the physical work its decode charged."""
+    """One decoded block plus the physical work its decode charged.
 
-    row_count: int
-    #: Framed on-disk size (header + compressed payload) — also the
-    #: file-offset advance of this block.
-    compressed_bytes: int
-    uncompressed_bytes: int
-    #: Bytes of this block's fetch served from a non-local HDFS replica.
-    remote_bytes: int
-    #: The decoded column vectors by column index, whatever the format:
-    #: every column of an AO block (plain lists — the format decodes
-    #: whole rows), the one column of a CO file's block, the chunks of a
-    #: Parquet row group decoded so far (typed ``repro.columnar.vector``
-    #: vectors; dictionary columns stay encoded, so they never pin
-    #: materialized Python strings).
-    data: Dict[int, object]
-    #: Parquet only: the group's chunk directory and, per decoded chunk,
-    #: the remote bytes its fetch charged.
-    detail: object = None
+    Slotted: a one-row INSERT leaves one block per column, and an
+    instance ``__dict__`` per block shows in the collector's work."""
+
+    __slots__ = (
+        "row_count",
+        "compressed_bytes",
+        "uncompressed_bytes",
+        "remote_bytes",
+        "data",
+        "detail",
+        "written",
+    )
+
+    def __init__(
+        self,
+        row_count: int,
+        compressed_bytes: int,
+        uncompressed_bytes: int,
+        remote_bytes: Optional[int] = None,
+        data: Optional[Dict[int, object]] = None,
+        detail: object = None,
+        written: object = None,
+    ) -> None:
+        self.row_count = row_count
+        #: Framed on-disk size (header + compressed payload) — also the
+        #: file-offset advance of this block.
+        self.compressed_bytes = compressed_bytes
+        self.uncompressed_bytes = uncompressed_bytes
+        #: Bytes of this block's fetch served from a non-local HDFS
+        #: replica (Parquet: of its group header); None while unread.
+        self.remote_bytes = remote_bytes
+        #: The decoded column vectors by column index, whatever the
+        #: format: every column of an AO block (plain lists — the format
+        #: decodes whole rows), the one column of a CO file's block, the
+        #: chunks of a Parquet row group decoded so far (typed
+        #: ``repro.columnar.vector`` vectors; dictionary columns stay
+        #: encoded, so they never pin materialized Python strings). None
+        #: in an unread AO or CO block.
+        self.data = data
+        #: Parquet only: the group's chunk directory and, per decoded
+        #: chunk, the remote bytes its fetch charged.
+        self.detail = detail
+        #: What the writer left for reads still to come: an unread AO
+        #: block's rows or CO block's column values; in Parquet, the
+        #: values of each chunk no scan has read yet, by column index.
+        self.written = written
 
 
 class _PrefixEntry:
@@ -91,6 +144,8 @@ class BlockDecodeCache:
         self.total_bytes = 0
         self.hits = 0
         self.misses = 0
+        #: Misses whose decode was replaced by the written values.
+        self.written = 0
         self.evictions = 0
         self.hit_blocks = 0
 
@@ -128,6 +183,97 @@ class BlockDecodeCache:
                 break
             self.total_bytes -= evicted.nbytes
             self.evictions += 1
+
+    # ------------------------------------------------------------ write side
+    def add_written(
+        self,
+        key: tuple,
+        offset: int,
+        blocks: Sequence[CachedBlock],
+        held_bytes: int = 0,
+    ) -> None:
+        """Add ``blocks``, unread, that a write appended at byte ``offset``
+        of the file of ``key`` — only where they continue its cached
+        prefix (a new file's empty one included) and the entry would
+        still fit the capacity; otherwise the blocks are left to the
+        first scan to decode, so a write never pins an entry above
+        capacity. ``held_bytes`` is what the blocks hold beyond their own
+        ``uncompressed_bytes`` (Parquet's chunks)."""
+        if not blocks:
+            return
+        entry = self._entries.get(key)
+        end, nbytes = (0, 0) if entry is None else (entry.end_offset, entry.nbytes)
+        added = held_bytes
+        for block in blocks:  # what ``_PrefixEntry.append`` will count
+            added += max(block.uncompressed_bytes, 64)
+        if end != offset or nbytes + added > self.capacity_bytes:
+            return
+        entry = self.open_entry(key)
+        for block in blocks:
+            entry.append(block)
+        entry.nbytes += held_bytes
+        self.account(entry, added)
+
+    # ------------------------------------------------------------- read side
+    def prefix(self, entry: _PrefixEntry, logical_length: int) -> Iterator[CachedBlock]:
+        """The blocks of ``entry`` a scan serves from the cache, in file
+        order: those inside ``logical_length`` (a block boundary: appends
+        write whole blocks), up to the first unread one. Blocks a
+        concurrent scan appends while this one is served are served too."""
+        end = 0
+        for block in entry.blocks:
+            end += block.compressed_bytes
+            if block.remote_bytes is None or end > logical_length:
+                return
+            yield block
+
+    def take_unread(
+        self, entry: _PrefixEntry, index: int, row_count: int, framing: object
+    ) -> Optional[CachedBlock]:
+        """The block at ``index`` of ``entry`` if it is unread, else None.
+        Unread blocks end an entry, so that is the block a read past the
+        served prefix finds at its offset: ``row_count`` and ``framing``
+        are what the read found in the header there — the framed and
+        uncompressed sizes, or a Parquet group's chunk directory — and a
+        disagreement with the written block is damage. The
+        caller builds the block's columns from ``written`` and hands them
+        to :meth:`fill`."""
+        blocks = entry.blocks
+        if index >= len(blocks) or blocks[index].remote_bytes is not None:
+            return None
+        block = blocks[index]
+        if block.detail is not None:  # Parquet: the group's chunk directory
+            written = block.detail["directory"]
+        else:
+            written = (block.compressed_bytes, block.uncompressed_bytes)
+        if (row_count, framing) != (block.row_count, written):
+            raise StorageError(
+                f"block {index} of {entry.key[1]} is not the block written there"
+            )
+        return block
+
+    def fill(
+        self,
+        block: CachedBlock,
+        columns: Dict[int, object],
+        remote_bytes: Optional[int] = None,
+    ) -> None:
+        """Cache ``columns``, what a read built from ``block``'s written
+        values once HDFS was read and checked as for any miss, and count
+        that miss. ``remote_bytes`` is what the read of an unread block
+        charged (Parquet: its group header); a Parquet chunk read later
+        leaves it as it is."""
+        if remote_bytes is not None:
+            block.remote_bytes = remote_bytes
+        if block.data is None:  # AO / CO: the whole block at once
+            block.data = columns
+            block.written = None
+        else:  # Parquet: the chunks the read projected
+            block.data.update(columns)
+            for i in columns:
+                del block.written[i]
+        self.misses += 1
+        self.written += 1
 
     # ------------------------------------------------------------ stats replay
     def replay(self, block: CachedBlock, stats: Optional[ScanStats]) -> None:

@@ -8,7 +8,7 @@ the query needs and compression sees homogeneous data (the paper notes
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
@@ -24,6 +24,7 @@ from repro.storage.base import (
     pack_block,
     rows_from_blocks,
 )
+from repro.storage.cache import CachedBlock
 from repro.storage.compression import get_codec
 
 name = "co"
@@ -41,18 +42,25 @@ def write(
     codec_name: str = "none",
     append: bool = False,
     block_rows: int = DEFAULT_BLOCK_ROWS,
+    cache=None,
 ) -> WriteResult:
-    """Write rows as per-column files ``<base>.c<i>``."""
+    """Write rows as per-column files ``<base>.c<i>``. With a decode
+    cache, each block is left in it unread, with its column's values."""
     codec = get_codec(codec_name)
     column_codecs = [ColumnCodec(column) for column in schema.columns]
     uncompressed_total = 0
     paths: Dict[str, int] = {}
     per_column_data = [bytearray() for _ in schema.columns]
+    per_column_written: List[List[CachedBlock]] = [[] for _ in schema.columns]
     for block in batched(rows, block_rows):
         for i, values in enumerate(zip(*block)):
             payload = column_codecs[i].encode(values)
             uncompressed_total += len(payload)
-            per_column_data[i] += pack_block(payload, len(block), codec)
+            framed = pack_block(payload, len(block), codec)
+            per_column_data[i] += framed
+            per_column_written[i].append(
+                CachedBlock(len(block), len(framed), len(payload), written=values)
+            )
     for i, data in enumerate(per_column_data):
         path = column_path(base_path, i)
         if append and client.exists(path):
@@ -62,6 +70,12 @@ def write(
         writer.write(bytes(data))
         writer.close()
         paths[path] = client.file_status(path).length
+        if cache is not None:
+            cache.add_written(
+                (name, path, client.write_epoch(path), codec_name),
+                paths[path] - len(data),
+                per_column_written[i],
+            )
     return WriteResult(
         paths=paths,
         primary_path=column_path(base_path, 0),
@@ -119,9 +133,11 @@ def scan_blocks(
         if index not in by_column:
             raise StorageError(f"missing column file for column {index}")
         path, logical_length = by_column[index]
+        column_codec = ColumnCodec(schema.columns[index])
         iterators[index] = cached_blocks(
             client, path, logical_length, name, codec, codec_name, stats,
-            cache, _chunk_decoder(schema, index),
+            cache, _one_column(index, column_codec.decode),
+            _one_column(index, column_codec.vector),
         )
     while True:
         vectors: Columns = {}
@@ -138,10 +154,8 @@ def scan_blocks(
         yield row_count, vectors
 
 
-def _chunk_decoder(schema: TableSchema, index: int):
-    """``(payload, row_count) -> {index: vector}`` for one column file's
-    blocks; compiles at the first block decoded."""
-    column_codec = ColumnCodec(schema.columns[index])
-    return lambda payload, row_count: {
-        index: column_codec.decode(payload, row_count)
-    }
+def _one_column(index: int, build):
+    """``build`` (a column codec's ``decode`` or ``vector``) for one
+    column file's blocks, its vector keyed by ``index``; the codec
+    compiles at the first block built."""
+    return lambda *args: {index: build(*args)}

@@ -49,23 +49,31 @@ def write(
     codec_name: str = "none",
     append: bool = False,
     block_rows: int = DEFAULT_BLOCK_ROWS,
+    cache=None,
 ) -> WriteResult:
-    """Write rows as a sequence of row groups."""
+    """Write rows as a sequence of row groups. With a decode cache, each
+    group is left in it unread, with every chunk's column values."""
     codec = get_codec(codec_name)
     column_codecs = [ColumnCodec(column) for column in schema.columns]
     uncompressed_total = 0
     data = bytearray()
+    #: Per group: (row count, offset in ``data``, directory, columns).
+    groups = []
+    chunk_bytes = 0  # what the groups' chunks hold, as a scan counts it
     for group in batched(rows, block_rows):
         chunks: List[bytes] = []
-        directory = bytearray()
-        for i, values in enumerate(zip(*group)):
+        directory = []
+        columns = dict(enumerate(zip(*group)))
+        for i, values in columns.items():
             payload = column_codecs[i].encode(values)
             uncompressed_total += len(payload)
             compressed = codec.compress(payload)
-            directory += _CHUNK_DIR.pack(len(payload), len(compressed))
+            directory.append((len(payload), len(compressed)))
             chunks.append(compressed)
+            chunk_bytes += max(len(payload), 64)
+        groups.append((len(group), len(data), directory, columns))
         data += _GROUP_HEADER.pack(GROUP_MAGIC, len(group), len(schema.columns))
-        data += bytes(directory)
+        data += b"".join(_CHUNK_DIR.pack(*sizes) for sizes in directory)
         for chunk in chunks:
             data += chunk
     if append and client.exists(base_path):
@@ -75,6 +83,30 @@ def write(
     writer.write(bytes(data))
     writer.close()
     new_length = client.file_status(base_path).length
+    if cache is not None:
+        start = new_length - len(data)
+        header_bytes = _GROUP_HEADER.size + _CHUNK_DIR.size * len(schema.columns)
+        cache.add_written(
+            (name, base_path, client.write_epoch(base_path), codec_name),
+            start,
+            [
+                CachedBlock(
+                    row_count,
+                    header_bytes + sum(c for _u, c in directory),
+                    0,  # the chunks are counted in chunk_bytes
+                    data={},
+                    detail={
+                        "header_bytes": header_bytes,
+                        "directory": directory,
+                        "chunks_start": start + offset + header_bytes,
+                        "chunk_remote": {},
+                    },
+                    written=columns,
+                )
+                for row_count, offset, directory, columns in groups
+            ],
+            chunk_bytes,
+        )
     return WriteResult(
         paths={base_path: new_length},
         primary_path=base_path,
@@ -126,26 +158,27 @@ def scan_blocks(
             continue
         reader = client.open(path)
         offset = 0
+        index = 0  # of the next group in the cache entry
         if cache is not None:
             key = ("parquet", path, client.write_epoch(path), codec_name)
             entry = cache.open_entry(key)
-            # Serve cached row groups inside the visible prefix.
-            for block in entry.blocks:
-                if offset + block.compressed_bytes > logical_length:
-                    break
+            # Serve cached row groups inside the visible prefix, up to the
+            # first one no scan has read yet.
+            for block in cache.prefix(entry, logical_length):
                 detail = block.detail
                 row_count = block.row_count
                 if stats is not None:
                     stats.rows += row_count
                     stats.blocks += 1
                 cache.replay_bytes(
-                    stats, detail["header_bytes"], 0, detail["header_remote"]
+                    stats, detail["header_bytes"], 0, block.remote_bytes
                 )
                 vectors: Columns = {}
                 directory = detail["directory"]
                 decoded = block.data
                 chunk_remotes = detail["chunk_remote"]
                 chunk_offset = detail["chunks_start"]
+                unread = block.written or {}
                 for i in range(ncols):
                     uncompressed_len, compressed_len = directory[i]
                     if i in wanted:
@@ -156,20 +189,25 @@ def scan_blocks(
                                 chunk_remotes[i],
                             )
                         else:
+                            written = unread.get(i)
                             values, chunk_remotes[i] = _read_chunk(
                                 client, reader, chunk_offset, compressed_len,
                                 uncompressed_len, row_count,
-                                column_codecs[i], codec, stats,
+                                column_codecs[i], codec, stats, written,
                             )
-                            decoded[i] = values
-                            added = max(uncompressed_len, 64)
-                            entry.nbytes += added
-                            cache.misses += 1
-                            cache.account(entry, added)
+                            if written is not None:  # held since the write
+                                cache.fill(block, {i: values})
+                            else:
+                                decoded[i] = values
+                                added = max(uncompressed_len, 64)
+                                entry.nbytes += added
+                                cache.misses += 1
+                                cache.account(entry, added)
                         vectors[i] = values
                     chunk_offset += compressed_len
                 yield row_count, vectors
                 offset += block.compressed_bytes
+                index += 1
         while offset < logical_length:
             reader.seek(offset)
             remote_before = client.remote_bytes_read
@@ -187,6 +225,11 @@ def scan_blocks(
                 _CHUNK_DIR.unpack_from(directory_raw, i * _CHUNK_DIR.size)
                 for i in range(ncols)
             ]
+            block = None
+            if cache is not None:
+                block = cache.take_unread(entry, index, row_count, directory)
+            index += 1
+            unread = block.written if block is not None else {}
             chunks_start = offset + _GROUP_HEADER.size + len(directory_raw)
             if stats is not None:
                 stats.compressed_bytes += _GROUP_HEADER.size + len(directory_raw)
@@ -201,22 +244,26 @@ def scan_blocks(
                     vectors[i], chunk_remotes[i] = _read_chunk(
                         client, reader, chunk_offset, compressed_len,
                         uncompressed_len, row_count, column_codecs[i],
-                        codec, stats,
+                        codec, stats, unread.get(i),
                     )
                 chunk_offset += compressed_len
-            if cache is not None and entry.end_offset == offset:
+            if block is not None:
+                # The written group becomes a cached one; the chunks this
+                # scan did not project stay unread.
+                block.detail["chunk_remote"].update(chunk_remotes)
+                cache.fill(block, vectors, header_remote)
+            elif cache is not None and entry.end_offset == offset:
                 before = entry.nbytes
                 entry.append(
                     CachedBlock(
                         row_count=row_count,
                         compressed_bytes=chunk_offset - offset,
                         uncompressed_bytes=0,  # chunk bytes tracked below
-                        remote_bytes=0,
+                        remote_bytes=header_remote,
                         data=dict(vectors),  # grows as scans project more
                         detail={
                             "header_bytes": _GROUP_HEADER.size
                             + len(directory_raw),
-                            "header_remote": header_remote,
                             "directory": directory,
                             "chunks_start": chunks_start,
                             "chunk_remote": chunk_remotes,
@@ -242,8 +289,11 @@ def _read_chunk(
     column_codec: ColumnCodec,
     codec,
     stats: Optional[ScanStats],
+    written: Optional[Sequence[object]] = None,
 ) -> Tuple[List[object], int]:
-    """Read + decode one column chunk; returns (values, remote bytes)."""
+    """Read + decode one column chunk; returns (values, remote bytes).
+    A chunk whose ``written`` values the writer left takes them in place
+    of the decode, once the read and its length check have passed."""
     reader.seek(chunk_offset)
     remote_before = client.remote_bytes_read
     compressed = reader.read(compressed_len)
@@ -251,7 +301,10 @@ def _read_chunk(
     payload = codec.decompress(compressed)
     if len(payload) != uncompressed_len:
         raise StorageError("chunk failed decompression check")
-    values = column_codec.decode(payload, row_count)
+    if written is None:
+        values = column_codec.decode(payload, row_count)
+    else:
+        values = column_codec.vector(written)
     if stats is not None:
         stats.compressed_bytes += compressed_len
         stats.uncompressed_bytes += uncompressed_len

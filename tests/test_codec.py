@@ -446,6 +446,111 @@ class TestDayMemo:
         assert sorted(days) == [2, 9]
 
 
+# ------------------------------------------------------------ written values
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -1e308])
+_EPOCH = datetime.date(1970, 1, 1)
+
+
+@st.composite
+def written_columns(draw):
+    """(column, coerced values): one column of any kind, its values drawn
+    from a small pool (so strings repeat) with no, sparse, heavy or only
+    NULLs, 0 to 40 of them; floats include -0.0, NaN and infinities."""
+    kind = draw(st.sampled_from(sorted(TypeKind, key=lambda k: k.value)))
+    type_strategy, raw = _KINDS[kind]
+    if kind in (TypeKind.FLOAT8, TypeKind.DECIMAL):
+        raw = st.one_of(raw, _EDGE_FLOATS)
+    column = Column("c", draw(type_strategy))
+    null_rate = draw(st.sampled_from((0.0, 0.1, 0.9, 1.0)))
+    value = (
+        raw if null_rate == 0.0 else
+        st.none() if null_rate == 1.0 else
+        st.one_of(st.none(), raw) if null_rate == 0.1 else
+        st.one_of(st.none(), st.none(), st.none(), raw)
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    return column, tuple(column.type.coerce(pool[i]) for i in picks)
+
+
+def _same_value(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, float):  # bit for bit: -0.0 and NaN too
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    else:
+        assert got == want
+    if isinstance(want, datetime.date):
+        assert got is want is schema_module._DAYS[(want - _EPOCH).days]
+
+
+def assert_same_column(got, want):
+    """``got`` is ``want``'s representation: class, dtype, data bits,
+    mask, dictionary and codes, or the same Python values."""
+    from repro.columnar.vector import DictVector
+
+    assert type(got) is type(want)
+    if isinstance(want, list):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _same_value(a, b)
+        return
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+    if want.mask is None:
+        assert got.mask is None
+    else:
+        assert got.mask.dtype == want.mask.dtype
+        assert got.mask.tolist() == want.mask.tolist()
+    if isinstance(want, DictVector):
+        assert got.dictionary == want.dictionary
+        assert list(map(type, got.dictionary)) == list(map(type, want.dictionary))
+
+
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "no-numpy"])
+class TestWrittenValues:
+    """A block a writer leaves in the cache is read back from the values
+    it wrote: they must come out as the decode of its bytes would."""
+
+    @staticmethod
+    def platform(numpy):
+        """A fresh day memo, and NumPy on or off."""
+        from repro.columnar import vector
+
+        patch = pytest.MonkeyPatch()
+        patch.setattr(schema_module, "_DAYS", schema_module._Days())
+        if not numpy:
+            patch.setattr(vector, "_np", None)
+        return patch
+
+    @settings(max_examples=150, deadline=None)
+    @given(written=written_columns())
+    def test_column_vector_is_the_decode_of_the_chunk(self, numpy, written):
+        column, values = written
+        patch = self.platform(numpy)
+        try:
+            codec = ColumnCodec(column)
+            decoded = codec.decode(codec.encode(values), len(values))
+            assert_same_column(codec.vector(values), decoded)
+        finally:
+            patch.undo()
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=tables())
+    def test_ao_columns_are_the_decode_of_the_rows(self, numpy, table):
+        schema, raw_rows = table
+        rows = [schema.row_codec().coerce_row(row) for row in raw_rows]
+        patch = self.platform(numpy)
+        try:
+            codec = schema.row_codec()
+            decoded, _end = codec.decode_rows(codec.encode_rows(rows), 0, len(rows))
+            written = codec.decoded_columns(rows)
+            assert len(written) == len(decoded) == len(schema.columns)
+            for got, want in zip(written, decoded):
+                assert_same_column(got, want)
+        finally:
+            patch.undo()
+
+
 # ---------------------------------------------------------------- corruption
 DAMAGE_SCHEMA = TableSchema(
     "d",

@@ -2,15 +2,23 @@
 
 SF 0.001 ``lineitem`` is loaded into stdlib ``sqlite3`` (dates as ISO
 text, DECIMAL as REAL) and into the three formats the ``scan_cold``
-benchmark reads, with its 128 KiB block cache, so most blocks are
-decoded on a cache miss. The benchmark's four scan shapes run on all
-four tables. Every AO, CO and Parquet decode path — fixed-width struct
-runs, length-prefixed strings, dictionary-coded chunks, the day memo —
-is then checked against rows that never went through them.
+benchmark reads. The benchmark's four scan shapes run on all four
+tables, once for each way a block enters the block cache:
 
-Counts and rows must be equal, ``wide_selective`` in its ``ORDER BY``
-order; float sums and averages must agree to a relative 1e-9, because
-the two engines add in different orders.
+* ``decoded`` — ``scan_cold``'s 128 KiB cache, emptied after the load,
+  so every block is decoded from its bytes on a miss: fixed-width struct
+  runs, length-prefixed strings, dictionary-coded chunks, the day memo;
+* ``written`` — a cache that holds everything, read straight after the
+  load, so every first read takes the values the writer left instead.
+
+Both are checked against rows that never went through either. The
+``load_write`` benchmark's shape — ``orders`` loaded in four chunks, ten
+one-row INSERTs and one rolled back, then ``ANALYZE`` and its two
+read-backs — runs on its three format+codec pairs the same way.
+
+Counts and rows must be equal, ``wide_selective`` and the group-by in
+their ``ORDER BY`` order; float sums and averages must agree to a
+relative 1e-9, because the two engines add in different orders.
 """
 
 import datetime
@@ -46,6 +54,20 @@ SHAPES = {
     ),
 }
 
+#: ``load_write``'s formats, its one-row INSERT and its two read-backs.
+LOAD_WRITE_FORMATS = (("ao", "none"), ("co", "zlib5"), ("parquet", "snappy"))
+ONE_ROW = (
+    "INSERT INTO {t} VALUES ({key}, {custkey}, 'O', {price}, '1995-06-17', "
+    "'1-URGENT', 'Clerk#000000001', 0, 'bench row {i}')"
+)
+READ_BACKS = {
+    "count_sum": "SELECT count(*), sum(o_totalprice) FROM {t}",
+    "by_priority": (
+        "SELECT o_orderpriority, count(*) FROM {t} "
+        "GROUP BY o_orderpriority ORDER BY o_orderpriority"
+    ),
+}
+
 _SQLITE_TYPES = {
     TypeKind.INT4: "INTEGER",
     TypeKind.INT8: "INTEGER",
@@ -62,38 +84,70 @@ def _iso(value):
     return value.isoformat() if isinstance(value, datetime.date) else value
 
 
-@pytest.fixture(scope="module")
-def engines():
-    """(repro session, engine, sqlite connection), loaded once."""
-    rows = generate(SCALE, seed=SEED).lineitem
-    engine = repro.Engine(
-        num_segment_hosts=2, segments_per_host=2, block_cache_bytes=128 * 1024
-    )
-    session = engine.connect()
-    for storage, compression in FORMATS:
-        name = f"lineitem_{storage}"
-        session.execute(
-            create_table_sql("lineitem", storage, compression).replace(
-                "CREATE TABLE lineitem ", f"CREATE TABLE {name} ", 1
-            )
+def _create(session, table, name, storage, compression):
+    session.execute(
+        create_table_sql(table, storage, compression).replace(
+            f"CREATE TABLE {table} ", f"CREATE TABLE {name} ", 1
         )
-        session.load_rows(name, rows)
-    # SQLite gets the values the engine stores: coerced by the table's
-    # own codec (CHAR(n) truncation, DECIMAL rounding), dates as text.
+    )
+
+
+def _sqlite(engine, name, table, rows):
+    """A SQLite database holding ``rows`` as table ``table``: coerced by
+    the engine's own codec for ``name`` (CHAR(n) truncation, DECIMAL
+    rounding), dates as text."""
     with engine.txns.run() as txn:
         schema = engine.catalog.lookup_relation(
-            "lineitem_ao", txn.statement_snapshot()
+            name, txn.statement_snapshot()
         )["schema"]
     db = sqlite3.connect(":memory:")
     db.execute(
-        "CREATE TABLE lineitem ("
+        f"CREATE TABLE {table} ("
         + ", ".join(f"{c.name} {_SQLITE_TYPES[c.type.kind]}" for c in schema.columns)
         + ")"
     )
     db.executemany(
-        f"INSERT INTO lineitem VALUES ({', '.join('?' * len(schema.columns))})",
+        f"INSERT INTO {table} VALUES ({', '.join('?' * len(schema.columns))})",
         [tuple(map(_iso, row)) for row in schema.row_codec().coerce_rows(rows)],
     )
+    return db
+
+
+@pytest.fixture(scope="module")
+def data():
+    return generate(SCALE, seed=SEED)
+
+
+def _load(data, cache_bytes):
+    """(repro session, engine, sqlite connection): SF 0.001 ``lineitem``
+    in the three formats behind a cache of ``cache_bytes``, and in
+    SQLite."""
+    engine = repro.Engine(
+        num_segment_hosts=2, segments_per_host=2, block_cache_bytes=cache_bytes
+    )
+    session = engine.connect()
+    for storage, compression in FORMATS:
+        name = f"lineitem_{storage}"
+        _create(session, "lineitem", name, storage, compression)
+        session.load_rows(name, data.lineitem)
+    return session, engine, _sqlite(engine, "lineitem_ao", "lineitem", data.lineitem)
+
+
+@pytest.fixture(scope="module")
+def engines(data):
+    """Blocks decoded from their bytes: ``scan_cold``'s 128 KiB cache,
+    emptied after the load."""
+    session, engine, db = _load(data, 128 * 1024)
+    engine.block_cache.clear()
+    yield session, engine, db
+    db.close()
+
+
+@pytest.fixture(scope="module")
+def written_engines(data):
+    """Blocks read from what the writer left: a cache that holds
+    everything, read straight after the load."""
+    session, engine, db = _load(data, 64 << 20)
     yield session, engine, db
     db.close()
 
@@ -113,16 +167,64 @@ def _assert_rows_agree(ours, theirs, exact):
                 assert a == b and type(a) is type(b)
 
 
-@pytest.mark.parametrize("storage", [storage for storage, _ in FORMATS])
-def test_scan_shapes_agree_with_sqlite(engines, storage):
-    session, engine, db = engines
-    misses = engine.block_cache.misses
+def _check_shapes(session, db, storage):
     for shape, sql in SHAPES.items():
         ours = session.execute(sql.format(t=f"lineitem_{storage}", d="DATE ")).rows
         theirs = db.execute(sql.format(t="lineitem", d="")).fetchall()
         assert theirs, f"{shape}: SQLite answered nothing"
         _assert_rows_agree(ours, theirs, exact=shape in ("count_one_column", "wide_selective"))
+
+
+@pytest.mark.parametrize("storage", [storage for storage, _ in FORMATS])
+def test_scan_shapes_agree_with_sqlite(engines, storage):
+    session, engine, db = engines
+    misses = engine.block_cache.misses
+    _check_shapes(session, db, storage)
     assert engine.block_cache.misses > misses  # decoded, not only replayed
+    assert engine.block_cache.written == 0
+
+
+@pytest.mark.parametrize("storage", [storage for storage, _ in FORMATS])
+def test_written_blocks_agree_with_sqlite(written_engines, storage):
+    session, engine, db = written_engines
+    cache = engine.block_cache
+    misses, written = cache.misses, cache.written
+    _check_shapes(session, db, storage)
+    # Every first read took the writer's values, none decoded.
+    assert cache.written - written == cache.misses - misses > 0
+
+
+@pytest.mark.parametrize("storage,compression", LOAD_WRITE_FORMATS)
+def test_load_write_shape_agrees_with_sqlite(data, storage, compression):
+    engine = repro.Engine(num_segment_hosts=2, segments_per_host=2)
+    session = engine.connect()
+    name = f"orders_{storage}"
+    _create(session, "orders", name, storage, compression)
+    rows = data.orders
+    size = -(-len(rows) // 4)
+    for chunk in range(4):
+        session.load_rows(name, rows[chunk * size:(chunk + 1) * size])
+    custkey = rows[0][1]
+    inserted = []
+    for i in range(10):
+        key, price = 90000000 + i, f"{1000 + i}.25"
+        session.execute(ONE_ROW.format(t=name, key=key, custkey=custkey, price=price, i=i))
+        inserted.append((key, custkey, "O", float(price), "1995-06-17", "1-URGENT",
+                         "Clerk#000000001", 0, f"bench row {i}"))
+    session.execute("BEGIN")
+    session.execute(ONE_ROW.format(t=name, key=99999999, custkey=custkey, price="1.5", i=99))
+    session.execute("ROLLBACK")
+    session.execute(f"ANALYZE {name}")
+    assert engine.block_cache.written > 0  # ANALYZE read what was written
+    db = _sqlite(engine, name, "orders", rows + inserted)
+    try:
+        for shape, sql in READ_BACKS.items():
+            ours = session.execute(sql.format(t=name)).rows
+            theirs = db.execute(sql.format(t="orders")).fetchall()
+            _assert_rows_agree(ours, theirs, exact=shape == "by_priority")
+        assert ours[-1][0].startswith("5-") and sum(n for _, n in ours) == len(rows) + 10
+    finally:
+        db.close()
 
 
 def test_the_shapes_select_something(engines):

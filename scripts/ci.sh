@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Local CI gate: determinism lint, tier-1 tests, the paper's figures, the
-# typed-kernel microbenchmark, benchmarks/perf with its count budgets, and
-# the DetSan concurrency-isolation sweep.
+# typed-kernel microbenchmark, and benchmarks/perf with its count budgets.
 # Run from the repo root:  bash scripts/ci.sh
 set -euo pipefail
 
@@ -44,6 +43,15 @@ echo "== two column representations (a typed vector is a NumPy vector, or the co
 # in every kernel, and every mask handed on would need converting again.
 if grep -rnE "from array import|is_numpy|_is_np_array" src/repro; then
     echo "found a second vector backend, or a check for one, under src/repro"
+    exit 1
+fi
+
+echo "== one isolation check (no runtime sanitizer under src/) =="
+# Serial = concurrent is checked by tier-1's differential and chaos
+# suites at run time and by lint rule R7 statically; a runtime sanitizer
+# coming back would be a third witness of the same contract.
+if grep -rniE "detsan|repro\.sanitize|IsolationViolation" src/repro; then
+    echo "found a runtime isolation sanitizer, or a hook for one, under src/repro"
     exit 1
 fi
 
@@ -169,9 +177,6 @@ print(f"  tpch_power: executor.pycalls + columnar.pycalls: {calls:,.0f} (ceiling
 sys.exit(1 if over else 0)
 PY
 
-echo "== throughput bench (qps floor, p99/p50 ceiling, serial bit-identity) =="
-python -m repro.bench --throughput --check
-
 echo "== observability gate (system views + Prometheus exposition) =="
 # Prometheus exposition must be well-formed (the exporter self-checks
 # against the text-format grammar) and every system view must answer
@@ -179,20 +184,5 @@ echo "== observability gate (system views + Prometheus exposition) =="
 # run at the top.
 python -m repro.obs --prom --check > /dev/null
 python -m repro.obs --smoke
-
-# Gated runtime leg: the DetSan chaos sweep replays 10 seeded concurrent
-# workloads x 4 streams and fails on any cross-query mutation outside
-# the shared-state registry. Skip with REPRO_SKIP_DETSAN=1.
-if [ "${REPRO_SKIP_DETSAN:-0}" != "1" ]; then
-    echo "== DetSan sweep (10 seeds x 4 streams) =="
-    python -m repro.sanitize --seeds 10 --streams 4
-    # Cancel leg: seeded mid-flight cancels under the sanitizer must
-    # tear down cleanly — no orphaned queue slot, no leaked charged
-    # iterator, no cross-query mutation.
-    echo "== DetSan cancel sweep (5 seeds x 4 streams) =="
-    python -m repro.sanitize --seeds 5 --streams 4 --cancel
-else
-    echo "== DetSan sweep skipped (REPRO_SKIP_DETSAN=1) =="
-fi
 
 echo "CI gate passed."

@@ -1,11 +1,8 @@
-"""The two benchmarks that are not paper figures, from the command line.
+"""The one benchmark that is not a paper figure, from the command line.
 
     python -m repro.bench --wallclock          # typed-kernel microbenchmark
     python -m repro.bench --wallclock --check  # perf guard (exit 1 on fail)
     python -m repro.bench --wallclock --check --no-report  # skip the JSON
-
-    python -m repro.bench --throughput          # N-stream concurrency sweep
-    python -m repro.bench --throughput --check  # qps floor + tail-ratio gate
 
 The paper's figures (6-13 and the ablations) are defined once, with
 their shape assertions, under ``benchmarks/``:
@@ -23,28 +20,23 @@ FIGURES_COMMAND = (
 
 
 def main(argv) -> int:
-    modes = [flag for flag in ("--throughput", "--wallclock") if flag in argv]
-    if len(modes) != 1:
-        print("usage: python -m repro.bench (--wallclock | --throughput) "
+    if "--wallclock" not in argv:
+        print("usage: python -m repro.bench --wallclock "
               "[--check] [--no-report] [--seed N]")
         print(f"the paper's figures run via `{FIGURES_COMMAND}`")
         return 2
-    (mode,) = modes
-    if mode == "--throughput":
-        from repro.bench.throughput import DEFAULT_SEED, run_throughput as run
+    from repro.bench.wallclock import DEFAULT_SEED, run_wallclock
 
-        out_path = "BENCH_throughput.json"
-    else:
-        from repro.bench.wallclock import DEFAULT_SEED, run_wallclock as run
-
-        out_path = "BENCH_wallclock.json"
+    out_path = "BENCH_wallclock.json"
     if "--no-report" in argv:
         # Run without (re)writing the artifact — used by the CI
         # fallback-mode pass so the committed BENCH_wallclock.json stays
         # the numpy-backend run.
         out_path = None
     seed = DEFAULT_SEED
-    rest = [a for a in argv if a not in (mode, "--check", "--no-report")]
+    rest = [
+        a for a in argv if a not in ("--wallclock", "--check", "--no-report")
+    ]
     if "--seed" in rest:
         at = rest.index("--seed")
         try:
@@ -54,9 +46,9 @@ def main(argv) -> int:
             return 2
         del rest[at : at + 2]
     if rest:
-        print(f"{mode} takes no other arguments: {rest}")
+        print(f"--wallclock takes no other arguments: {rest}")
         return 2
-    return run(out_path=out_path, check="--check" in argv, seed=seed)
+    return run_wallclock(out_path=out_path, check="--check" in argv, seed=seed)
 
 
 if __name__ == "__main__":

@@ -115,31 +115,16 @@ class _QueueState:
 class ResourceQueueManager:
     """Admission control over named queues on the simulated clock."""
 
-    def __init__(self, specs: Dict[str, QueueSpec], metrics=None, detsan=None):
+    def __init__(self, specs: Dict[str, QueueSpec], metrics=None):
         self._queues = {
             name: _QueueState(spec) for name, spec in sorted(specs.items())
         }
         self._metrics = metrics
-        self._detsan = detsan
         self._arrivals = 0
         #: query_id -> queue name, for release().
         self._owner: Dict[int, str] = {}
         #: query_id -> measured queue wait (admit − submit).
         self.waits: Dict[int, float] = {}
-        if detsan is not None:
-            self._owner = detsan.guard_dict(
-                self._owner, "ResourceQueueManager._owner"
-            )
-            self.waits = detsan.guard_dict(
-                self.waits, "ResourceQueueManager.waits"
-            )
-            for name, state in sorted(self._queues.items()):
-                state.running = detsan.guard_dict(
-                    state.running, "_QueueState.running"
-                )
-                state.waiting = detsan.guard_list(
-                    state.waiting, "_QueueState.waiting"
-                )
 
     # ------------------------------------------------------------- admission
     def submit(
@@ -206,27 +191,6 @@ class ResourceQueueManager:
             ).set(len(state.waiting))
 
     def _admit(
-        self,
-        state: _QueueState,
-        query_id: int,
-        memory: float,
-        submit_time: float,
-        now: float,
-        on_admit: Callable[[float], None],
-    ) -> None:
-        if self._detsan is not None:
-            # Admission runs on behalf of the *admitted* query — release()
-            # drains other queries' waiters, so re-scope the sanitizer
-            # before touching their bookkeeping (and before on_admit
-            # instantiates their task graphs).
-            with self._detsan.scope(query_id):
-                self._admit_scoped(
-                    state, query_id, memory, submit_time, now, on_admit
-                )
-            return
-        self._admit_scoped(state, query_id, memory, submit_time, now, on_admit)
-
-    def _admit_scoped(
         self,
         state: _QueueState,
         query_id: int,

@@ -71,9 +71,6 @@ class WorkerServices:
     num_segments: int
     #: Optional :class:`repro.obs.metrics.MetricsRegistry` — passive.
     metrics: object = None
-    #: Optional :class:`repro.sanitize.DetSan`: when set, each
-    #: dispatched task executes inside its query's sanitizer scope.
-    detsan: object = None
     #: ``query_id -> bool``: pending-cancellation probe (the engine's
     #: :meth:`~repro.engine.Engine.is_cancelled`). Workers refuse new
     #: slices and scan lanes for a cancelled query. None disables.
@@ -131,16 +128,6 @@ class SegmentWorker:
             return
         if message.kind != DISPATCH:
             return  # unknown kind: ignore, UDP-style
-        detsan = self.services.detsan
-        if detsan is not None:
-            # Attribute every mutation this task performs (block cache,
-            # LIKE cache, ...) to its query id.
-            with detsan.scope(message.payload[3].query_id):
-                self._run_dispatch(message)
-            return
-        self._run_dispatch(message)
-
-    def _run_dispatch(self, message: RpcMessage) -> None:
         task, root, sdp, ctx = message.payload
         probe = self.services.is_cancelled
         if probe is not None and probe(ctx.query_id):
@@ -354,8 +341,8 @@ class SegmentWorker:
         written_before = cache.written if cache is not None else 0
         if services.metrics is not None:
             # Paired open/close counters: equal totals prove no charged
-            # scan iterator leaked, even across cancels (the sanitizer's
-            # cancel sweep asserts opened == closed).
+            # scan iterator leaked, even across cancels (the cancel
+            # sweep asserts opened == closed).
             services.scans_opened.inc()
         try:
             yield from scan_fn(

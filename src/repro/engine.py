@@ -153,12 +153,6 @@ class Engine:
         #: sessions snapshot-diff it per statement onto
         #: ``QueryResult.metrics``. Purely passive — never charged.
         self.metrics = MetricsRegistry()
-        #: Optional :class:`repro.sanitize.DetSan` attached by
-        #: ``DetSan.install_engine``: workers scope every dispatched
-        #: task to its query id so mutations of shared caches are
-        #: attributed (and cross-query races on unregistered state
-        #: raise). None costs nothing.
-        self.detsan = None
         #: The live statement loops (:class:`repro.executor.concurrent.
         #: StatementLoop`), innermost last: a batch, a lone statement, or
         #: a lone statement nested in a batch (``INSERT … SELECT`` in a
@@ -358,7 +352,6 @@ class Engine:
             chaos_progress=self.chaos_progress,
             num_segments=self.num_segments,
             metrics=self.metrics,
-            detsan=self.detsan,
             is_cancelled=self.is_cancelled,
         )
         bus.metrics = self.metrics

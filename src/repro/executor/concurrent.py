@@ -148,39 +148,11 @@ class BatchResult:
     def latencies(self) -> List[float]:
         return sorted(o.latency for o in self.outcomes if o.ok)
 
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over successful-query latencies."""
-        return _nearest_rank(self.latencies(), p)
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(0.50)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(0.99)
-
-    def queue_waits(self) -> List[float]:
-        """Sorted per-statement queue waits (every settled statement
-        that went through admission, including zero waits)."""
-        return sorted(o.queue_wait for o in self.outcomes)
-
-    def wait_percentile(self, p: float) -> float:
-        """Nearest-rank percentile over queue-wait times."""
-        return _nearest_rank(self.queue_waits(), p)
-
     def rows(self, stream: int, index: int) -> Optional[List[tuple]]:
         for outcome in self.outcomes:
             if outcome.stream == stream and outcome.index == index:
                 return outcome.rows
         raise ReproError(f"no outcome for stream {stream} statement {index}")
-
-
-def _nearest_rank(ordered: List[float], p: float) -> float:
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1, int(p * len(ordered))))
-    return ordered[rank]
 
 
 @dataclass
@@ -223,14 +195,12 @@ class StatementLoop:
     """
 
     def __init__(
-        self, engine, allow_failures: bool = False, detsan=None,
-        shared: bool = False,
+        self, engine, allow_failures: bool = False, shared: bool = False
     ):
         self.engine = engine
         #: A :class:`ClusterError` settles its statement as an error
         #: outcome instead of propagating out of the clock's ``run()``.
         self.allow_failures = allow_failures
-        self.detsan = detsan
         #: Many statements share this loop (a batch), so what it could
         #: publish about sharing is worth publishing: its clock's slot
         #: timelines are a utilization pg_stat_segments reads live, and
@@ -238,13 +208,11 @@ class StatementLoop:
         #: metrics. A lone statement's clock starts at zero with it, and
         #: alone on its manager it always admits at once.
         self.shared = shared
-        self.runtime = runtime = engine.build_runtime()
+        self.runtime = engine.build_runtime()
         self.scheduler = EventScheduler()
-        self.scheduler.detsan = detsan
         self.manager = ResourceQueueManager(
             specs_from_security(engine.security),
             metrics=engine.metrics if shared else None,
-            detsan=detsan,
         )
         #: One bus, many traces: installed when the first traced
         #: statement registers, it demultiplexes every control message
@@ -259,13 +227,6 @@ class StatementLoop:
             "datagrams_delivered", mode=engine.interconnect
         )
         self._flushed = (0, 0)
-        if detsan is not None:
-            runtime._inflight = detsan.guard_dict(
-                runtime._inflight, "DistributedRuntime._inflight"
-            )
-            runtime.exchange._inbox = detsan.guard_dict(
-                runtime.exchange._inbox, "ExchangeFabric._inbox"
-            )
 
     def __enter__(self) -> "StatementLoop":
         self.engine._loops.append(self)
@@ -290,19 +251,6 @@ class StatementLoop:
                 "datagrams_dropped", mode=self.engine.interconnect
             ).inc(net.dropped - dropped)
         self._flushed = (net.delivered, net.dropped)
-
-    def scoped(self, query_id: int, fn: Callable[[], None]) -> None:
-        """Run ``fn`` inside the statement's sanitizer scope.
-
-        Event callbacks fired by *this* statement's own tasks are scoped
-        by the scheduler already; this covers the entry points that are
-        not — submission, retry-backoff timers, and cancel requests —
-        so every guarded mutation stays attributed."""
-        if self.detsan is None:
-            fn()
-            return
-        with self.detsan.scope(query_id):
-            fn()
 
     # ---------------------------------------------------------------- submit
     def submit(
@@ -334,15 +282,12 @@ class StatementLoop:
                     self._timeout(s, t),
             )
         try:
-            self.scoped(
+            self.manager.submit(
                 prepared.query_id,
-                lambda: self.manager.submit(
-                    prepared.query_id,
-                    prepared.queue_name,
-                    prepared.memory,
-                    outcome.submit,
-                    lambda admit, s=state: self._on_admit(s, admit),
-                ),
+                prepared.queue_name,
+                prepared.memory,
+                outcome.submit,
+                lambda admit, s=state: self._on_admit(s, admit),
             )
         except QueueLimitExceeded as exc:
             self._fail(state, exc)
@@ -563,9 +508,7 @@ class StatementLoop:
             engine.metrics.counter("query_retries").inc()
         self.scheduler.at(
             self.scheduler.now + delay,
-            lambda now, s=state: self.scoped(
-                s.outcome.query_id, lambda: self._start_attempt(s, now)
-            ),
+            lambda now, s=state: self._start_attempt(s, now),
         )
 
     def _fail(self, state: _Statement, exc: Exception) -> None:
@@ -596,9 +539,7 @@ class StatementLoop:
             return
         if self.engine.metrics is not None:
             self.engine.metrics.counter("queries_cancelled").inc()
-        self.scoped(
-            state.outcome.query_id, lambda: self._fail(state, exc)
-        )
+        self._fail(state, exc)
 
     def cancel(self, query_id: int) -> None:
         """Engine cancel hook (:meth:`Session.cancel` → ``cancel_query``):
@@ -656,7 +597,6 @@ class ConcurrentRunner:
         trace: bool = False,
         allow_failures: bool = False,
         before_query: Optional[Callable[[int, int], None]] = None,
-        detsan=None,
         admission_probe: Optional[Callable[[int, int], None]] = None,
         cancel_at: Optional[Dict[Tuple[int, int], float]] = None,
     ):
@@ -671,11 +611,6 @@ class ConcurrentRunner:
         #: ``(stream, index) -> simulated time``: arm a cancel request
         #: for that statement at an absolute clock time (tests/chaos).
         self.cancel_at = dict(cancel_at or {})
-        #: Optional :class:`repro.sanitize.DetSan`: when set, the run is
-        #: instrumented end to end — engine caches are guarded, the
-        #: shared scheduler/resqueue structures are guarded, and every
-        #: event executes inside its query's sanitizer scope.
-        self.detsan = detsan
         #: One session per stream — each stream is its own client.
         self.sessions = []
         for stream_id in range(len(streams)):
@@ -701,20 +636,8 @@ class ConcurrentRunner:
 
     # ------------------------------------------------------------------- run
     def run(self) -> BatchResult:
-        if self.detsan is None:
-            return self._run_batch()
-        self.detsan.install_engine(self.engine)
-        try:
-            return self._run_batch()
-        finally:
-            self.detsan.uninstall_engine(self.engine)
-
-    def _run_batch(self) -> BatchResult:
         self.loop = loop = StatementLoop(
-            self.engine,
-            allow_failures=self.allow_failures,
-            detsan=self.detsan,
-            shared=True,
+            self.engine, allow_failures=self.allow_failures, shared=True
         )
         self._outcomes = []
         with loop:
@@ -815,15 +738,12 @@ class ConcurrentRunner:
             )
 
         try:
-            self.loop.scoped(
+            manager.submit(
                 admission_id,
-                lambda: manager.submit(
-                    admission_id,
-                    outcome.queue,
-                    outcome.memory,
-                    outcome.submit,
-                    on_admit,
-                ),
+                outcome.queue,
+                outcome.memory,
+                outcome.submit,
+                on_admit,
             )
         except QueueLimitExceeded as exc:
             self._died_undispatched(outcome, session, exc)
@@ -851,12 +771,8 @@ class ConcurrentRunner:
     def _burn_setup(self, prefix: int, outcome: QueryOutcome) -> None:
         """A statement that never got as far as admission bypasses it
         and burns only its setup penalty on the timeline."""
-        self.loop.scoped(
-            prefix,
-            lambda: self._occupy(
-                prefix, outcome.serial_seconds,
-                lambda t: self._settle(outcome, t),
-            ),
+        self._occupy(
+            prefix, outcome.serial_seconds, lambda t: self._settle(outcome, t)
         )
 
     def _occupy(

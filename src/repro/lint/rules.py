@@ -659,7 +659,7 @@ class CrossQueryIsolationRule:
     (fuzzy name-matching would drag half the repo into the set and bury
     real races in noise).  A write is exempt when its
     ``path::qualname`` key appears in the shared-state registry
-    (``repro/sanitize/registry.py`` — parsed from the linted tree, not
+    (``repro/lint/shared_state.py`` — parsed from the linted tree, not
     the installed package) with a written reason, or under a per-line
     ``# lint: allow[R7]``."""
 
@@ -679,7 +679,7 @@ class CrossQueryIsolationRule:
         "cluster/worker.py",
         "simtime/scheduler.py",
     )
-    REGISTRY_SUFFIX = "sanitize/registry.py"
+    REGISTRY_SUFFIX = "lint/shared_state.py"
     REGISTRY_NAME = "SHARED_STATE"
 
     MUTABLE_CONSTRUCTORS = frozenset(
@@ -920,7 +920,7 @@ class CrossQueryIsolationRule:
                 f"{kind} is written by code reachable from the concurrent "
                 f"entry points: namespace it per-query/per-engine or "
                 f"register '{registry_key}' in "
-                f"repro/sanitize/registry.py with a reason",
+                f"repro/lint/shared_state.py with a reason",
             )
 
         for func in functions:

@@ -139,10 +139,6 @@ class EventScheduler:
     """
 
     def __init__(self) -> None:
-        #: Optional :class:`repro.sanitize.DetSan`: when set, the run
-        #: state is wrapped in mutation-tracking guards and every event
-        #: executes inside its query's sanitizer scope.
-        self.detsan = None
         self._tasks: Dict[TaskKey, _Task] = {}
         self._out: Dict[TaskKey, List[Tuple[TaskKey, float]]] = {}
         self._indegree: Dict[TaskKey, int] = {}
@@ -402,20 +398,13 @@ class EventScheduler:
         self._timers = {}
         self._now = 0.0
         self._running = True
-        if self.detsan is not None:
-            self._install_guards()
         try:
             for time, callback in self._pending_timers:
                 self._schedule_timer(time, callback)
             self._pending_timers = []
             for key in list(self._tasks):
                 if self._indeg[key] == 0:
-                    scope = self._event_scope(key)
-                    if scope is not None:
-                        with scope:
-                            self._release_task(key)
-                    else:
-                        self._release_task(key)
+                    self._release_task(key)
             while self._heap:
                 now, rank, _seq, key = heapq.heappop(self._heap)
                 self._now = now
@@ -425,14 +414,7 @@ class EventScheduler:
                     continue
                 if key in self._cancelled:
                     continue  # stale event of a cancelled task
-                scope = self._event_scope(key)
-                if scope is not None:
-                    with scope:
-                        if rank == _FINISH:
-                            self._complete(key, now)
-                        else:
-                            self._arrive(key, now)
-                elif rank == _FINISH:
+                if rank == _FINISH:
                     self._complete(key, now)
                 else:
                     self._arrive(key, now)
@@ -463,33 +445,6 @@ class EventScheduler:
         )
 
     # ----------------------------------------------------------- internals
-    def _install_guards(self) -> None:
-        """Wrap the freshly-built run state in DetSan mutation guards.
-
-        ``_busy``/``_parked`` are registered shared structures (slot
-        contention is the product); the per-task-key maps are *not*
-        registered, so the sanitizer's ownership check actively polices
-        them — a cross-query overwrite of another query's ready/finish
-        entry raises immediately."""
-        guard = self.detsan.guard_dict
-        self._busy = guard(self._busy, "EventScheduler._busy")
-        self._parked = guard(self._parked, "EventScheduler._parked")
-        self._ready = guard(self._ready, "EventScheduler._ready")
-        self._start = guard(self._start, "EventScheduler._start")
-        self._finish = guard(self._finish, "EventScheduler._finish")
-        self._waits = guard(self._waits, "EventScheduler._waits")
-
-    def _event_scope(self, key: TaskKey):
-        """Sanitizer scope for one event: the query half of a composed
-        task key (``(sn, slice, segment)``); None when untracked."""
-        if (
-            self.detsan is not None
-            and isinstance(key, tuple)
-            and len(key) == 3
-        ):
-            return self.detsan.scope(key[0])
-        return None
-
     def _release_task(self, key: TaskKey) -> None:
         """All dependencies satisfied: start now, or contend for the slot."""
         slot = self._tasks[key].slot
@@ -558,19 +513,10 @@ class EventScheduler:
 
     def _flush_deferred(self) -> None:
         """Launch mid-run additions once the triggering event settled
-        (the adding callback may still have been wiring their edges).
-
-        Each launch runs under its own task's sanitizer scope — the
-        flush happens after the adding event's scope has exited, but a
-        slot-less task starts (and writes its run state) right here."""
+        (the adding callback may still have been wiring their edges)."""
         if not self._deferred:
             return
         added, self._deferred = self._deferred, []
         for key in added:
             if self._indeg[key] == 0 and key not in self._start:
-                scope = self._event_scope(key)
-                if scope is not None:
-                    with scope:
-                        self._release_task(key)
-                else:
-                    self._release_task(key)
+                self._release_task(key)

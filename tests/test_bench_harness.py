@@ -158,7 +158,7 @@ class TestHistory:
         assert [e["qps"] for e in history] == [27.0, 28.9, 30.0]
 
     def test_same_numbers_under_other_keys_collapse(self, tmp_path, monkeypatch):
-        """BENCH_throughput.json's first four entries as they stood: one
+        """A throughput report's first four entries as they once stood: one
         measurement, told apart only by which keys the report had grown
         (``wait_p99_s``, ``commit``) — whole-dict inequality kept all four."""
         from repro.bench import reporting
@@ -193,7 +193,8 @@ class TestHistory:
 
 
 class TestCommandLine:
-    """``python -m repro.bench``: two benchmarks, no figures."""
+    """``python -m repro.bench``: one benchmark (``--wallclock``), no
+    figures."""
 
     def test_a_figure_name_exits_2_and_names_the_pytest_command(self, capsys):
         from repro.bench.__main__ import main
@@ -202,6 +203,7 @@ class TestCommandLine:
         assert "pytest benchmarks/ --benchmark-only" in capsys.readouterr().out
         assert main(["--wallclock", "fig6"]) == 2
         assert main(["--check"]) == 2
+        assert main(["--throughput"]) == 2
 
     @pytest.mark.parametrize("numpy, threshold", [(True, 5.0), (False, 1.5)])
     @pytest.mark.parametrize("margin, status", [(1.01, 0), (0.99, 1)])

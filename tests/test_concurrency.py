@@ -1,12 +1,21 @@
-"""PR 7 concurrency battery: slots, resource queues, the two-phase
-concurrent runner, trace isolation, and the throughput bench.
+"""Concurrency battery: slots, resource queues, the concurrent runner
+and trace isolation. With the chaos suite's concurrent phase, this is
+the runtime check that interleaving never changes an answer or a
+charged cost; lint rule R7 is the static one.
 
 The load-bearing properties:
 
 * **Serial/concurrent differential** — the same seeded statement mix
   run serially and at N=2/4/8 interleaved streams returns bit-identical
   rows per query, and every query's charged cost equals its serial cost
-  plus its explicitly-accounted queue wait (float-exact).
+  plus its explicitly-accounted queue wait (float-exact). The serial
+  answers themselves agree with stdlib ``sqlite3``.
+* **One shared clock, checked from outside** — every task of an
+  interleaved run starts exactly when its release, its inputs and its
+  segment slot allow, and the resource queue's recorded waits are the
+  ones the statements were charged.
+* **Throughput** — more streams finish more statements per simulated
+  second, and the latency tail stays within 5x the median.
 * **Seeded-interleaving purity** — for 25 seeds, re-running a workload
   reproduces identical makespans, per-query finish times, and waits:
   interleaving is a pure function of (seed, workload).
@@ -16,6 +25,8 @@ The load-bearing properties:
   batch: same retry charges, same refusal by a queue that can never
   admit, and an explicit transaction means the same thing in a stream.
 """
+
+import sqlite3
 
 import pytest
 
@@ -31,33 +42,37 @@ from repro.executor.concurrent import ConcurrentRunner
 from repro.obs.trace import trace_query_id_violations
 from repro.simtime.scheduler import EventScheduler, TaskGraph
 from repro.util import DeterministicRng
+from tests.test_sqlite_reference import _assert_rows_agree
 
 
 # --------------------------------------------------------------- fixtures
+CONC_DDL = "CREATE TABLE conc (a INT, b INT, c VARCHAR(8))"
+CONC_ROWS = [(i, (i * 7) % 100, f"v{i % 13}") for i in range(300)]
+
+#: The statements :func:`make_streams` draws from.
+POOL = [
+    "SELECT c, count(*), sum(b) FROM conc GROUP BY c ORDER BY c",
+    "SELECT a, b FROM conc WHERE b < 40 ORDER BY a",
+    "SELECT count(*) FROM conc WHERE a % 3 = 0",
+    "SELECT a, c FROM conc WHERE a = 17",
+]
+
+
 def build_engine(seed: int = 11) -> Engine:
     engine = Engine(num_segment_hosts=2, segments_per_host=2, seed=seed)
     session = engine.connect()
-    session.execute(
-        "CREATE TABLE conc (a INT, b INT, c VARCHAR(8)) DISTRIBUTED BY (a)"
-    )
-    rows = [(i, (i * 7) % 100, f"v{i % 13}") for i in range(300)]
-    session.load_rows("conc", rows)
+    session.execute(CONC_DDL + " DISTRIBUTED BY (a)")
+    session.load_rows("conc", CONC_ROWS)
     session.execute("ANALYZE")
     return engine
 
 
 def make_streams(seed: int, count: int, statements: int = 4):
-    pool = [
-        "SELECT c, count(*), sum(b) FROM conc GROUP BY c ORDER BY c",
-        "SELECT a, b FROM conc WHERE b < 40 ORDER BY a",
-        "SELECT count(*) FROM conc WHERE a % 3 = 0",
-        "SELECT a, c FROM conc WHERE a = 17",
-    ]
     streams = []
     for stream_id in range(count):
         rng = DeterministicRng(seed, "conc-test", f"stream{stream_id}")
         streams.append(
-            [pool[rng.randrange(len(pool))] for _ in range(statements)]
+            [POOL[rng.randrange(len(POOL))] for _ in range(statements)]
         )
     return streams
 
@@ -309,9 +324,10 @@ class TestSerialConcurrentDifferential:
             "CREATE RESOURCE QUEUE narrow WITH (active_statements=1)"
         )
         streams = make_streams(seed=9, count=3, statements=2)
-        batch = ConcurrentRunner(
+        runner = ConcurrentRunner(
             engine, streams, queues={0: "narrow", 1: "narrow", 2: "narrow"}
-        ).run()
+        )
+        batch = runner.run()
         waited = [o for o in batch.outcomes if o.queue_wait > 0]
         assert waited, "a 1-slot queue under 3 streams must park someone"
         for outcome in waited:
@@ -319,6 +335,11 @@ class TestSerialConcurrentDifferential:
                 outcome.serial_seconds + outcome.queue_wait
             )
             assert outcome.admit == outcome.submit + outcome.queue_wait
+        # The queue's record of every wait is the one its statement was
+        # charged: admitting one statement left the others' entries alone.
+        assert {o.query_id: o.queue_wait for o in batch.outcomes} == (
+            runner.manager.waits
+        )
         stats = batch.queue_stats["narrow"]
         assert stats.parked == len(waited)
         assert stats.wait_seconds == pytest.approx(
@@ -330,6 +351,79 @@ class TestSerialConcurrentDifferential:
         batch = ConcurrentRunner(build_engine(), streams).run()
         serial_sum = sum(o.serial_seconds for o in batch.outcomes)
         assert batch.makespan < serial_sum
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_every_task_starts_when_its_inputs_and_slot_allow(self, n):
+        """The shared clock, recomputed from outside the scheduler: each
+        task starts at the later of its ready time (its release, and each
+        input's finish plus the edge delay, from its statement's own task
+        graph) and the finish of the task before it on its segment slot —
+        never earlier, never with the slot idle — and its recorded slot
+        wait is the gap. A statement that overwrote another's ready,
+        start, finish or wait entry would move one of them."""
+        runner = ConcurrentRunner(build_engine(), make_streams(seed=5, count=n))
+        batch = runner.run()
+        scheduler = runner.loop.scheduler
+        start = scheduler._start
+        finish = scheduler._finish
+        waits = scheduler._waits
+        inputs = {}
+        for outcome in batch.outcomes:
+            qid = outcome.query_id
+            for (s1, g1), (s2, g2), delay in outcome.task_graph.edges:
+                inputs.setdefault((qid, s2, g2), []).append(
+                    ((qid, s1, g1), delay)
+                )
+        assert set(start) == set(finish) == set(scheduler._tasks)
+        slot_free = {}
+        for key in sorted(start, key=lambda k: (start[k], finish[k], k)):
+            task = scheduler._tasks[key]
+            ready = max(
+                [task.release]
+                + [finish[src] + delay for src, delay in inputs.get(key, [])]
+            )
+            assert start[key] == max(ready, slot_free.get(task.slot, ready))
+            assert waits[key] == start[key] - ready
+            assert finish[key] == start[key] + task.duration
+            if task.slot is not None:
+                slot_free[task.slot] = finish[key]
+        assert any(waits.values()), "no two statements contended for a slot"
+
+    def test_serial_answers_agree_with_sqlite(self):
+        """The differential's reference, checked outside the engine: the
+        pool's statements on ``conc`` against stdlib ``sqlite3`` — in
+        order under ORDER BY, as multisets otherwise."""
+        session = build_engine().connect()
+        db = sqlite3.connect(":memory:")
+        try:
+            db.execute(CONC_DDL)
+            db.executemany("INSERT INTO conc VALUES (?, ?, ?)", CONC_ROWS)
+            for sql in POOL:
+                ours = session.execute(sql).rows
+                theirs = db.execute(sql).fetchall()
+                assert theirs, f"SQLite answered nothing: {sql}"
+                if "ORDER BY" not in sql:
+                    ours, theirs = sorted(ours), sorted(theirs)
+                _assert_rows_agree(ours, theirs, exact=True)
+        finally:
+            db.close()
+
+    def test_streams_add_throughput_and_bound_the_tail(self):
+        """Eight streams finish more statements per simulated second than
+        one, and their nearest-rank p99 latency stays within 5x the p50:
+        admission bounds the tail, not only the mean."""
+        qps = {}
+        for n in (1, 8):
+            batch = ConcurrentRunner(
+                build_engine(), make_streams(seed=5, count=n)
+            ).run()
+            assert all(o.ok for o in batch.outcomes)
+            qps[n] = batch.qps
+        assert qps[8] > qps[1]
+        latencies = batch.latencies()
+        p50 = latencies[len(latencies) // 2]
+        p99 = latencies[min(len(latencies) - 1, int(0.99 * len(latencies)))]
+        assert p99 / p50 <= 5.0
 
 
 # --------------------------------------------------------------- one driver
@@ -567,26 +661,3 @@ class TestFinishedStatementsLeaveTheFabric:
         assert engine.metrics.counter("queries_cancelled").value == 1
         assert sum(not o.ok for o in batch.outcomes) == 1
         self.assert_fabric_empty(runner)
-
-
-# ------------------------------------------------------------ bench smoke
-class TestThroughputBench:
-    def test_throughput_smoke(self, tmp_path):
-        import repro.bench.throughput as tp
-
-        out = tmp_path / "BENCH_throughput.json"
-        saved = tp.STREAM_COUNTS
-        tp.STREAM_COUNTS = (1, 2)
-        try:
-            code = tp.run_throughput(out_path=str(out), check=False, seed=5)
-        finally:
-            tp.STREAM_COUNTS = saved
-        assert code == 0
-        import json
-
-        report = json.loads(out.read_text())
-        assert set(report["runs"]) == {"1", "2"}
-        for entry in report["runs"].values():
-            assert entry["answers_match"]
-            assert entry["qps"] > 0
-        assert report["history"]

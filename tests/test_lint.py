@@ -14,6 +14,7 @@ Three layers of coverage:
   rule id and file:line.
 """
 
+import ast
 import io
 import json
 import os
@@ -550,7 +551,7 @@ class TestCrossQueryIsolation:
             ),
         }
         if registry_entries is not None:
-            sources["src/repro/sanitize/registry.py"] = (
+            sources["src/repro/lint/shared_state.py"] = (
                 "SHARED_STATE = {" + registry_entries + "}\n"
             )
         return sources
@@ -610,7 +611,7 @@ class TestCrossQueryIsolation:
                 "    def go(self, sn):\n"
                 "        self.inflight.setdefault(sn, 0)\n"
             ),
-            "src/repro/sanitize/registry.py": "SHARED_STATE = {}\n",
+            "src/repro/lint/shared_state.py": "SHARED_STATE = {}\n",
         }
         findings = run_rules(sources, select=["R7"])
         assert [f.rule for f in findings] == ["R7"]
@@ -626,7 +627,7 @@ class TestCrossQueryIsolation:
                 "    def go(self, sn):\n"
                 "        self.inflight.setdefault(sn, 0)\n"
             ),
-            "src/repro/sanitize/registry.py": "SHARED_STATE = {}\n",
+            "src/repro/lint/shared_state.py": "SHARED_STATE = {}\n",
         }
         findings = run_rules(sources, select=["R7"])
         assert findings == []
@@ -684,6 +685,30 @@ class TestCrossQueryIsolation:
         for key, reason in registry.items():
             assert "::" in key
             assert len(reason) > 10, f"{key}: reason too thin to audit"
+
+    def test_every_entry_names_a_module_level_assignment(self, live_lint):
+        """R7 never reads an instance attribute, so an entry for one
+        exempts nothing, and the registry holds module-level memos only:
+        each key must name an assignment of that name at the top level of
+        that file."""
+        from repro.lint.rules import CrossQueryIsolationRule
+
+        files = {source.path: source for source in live_lint.project.files}
+        for key in CrossQueryIsolationRule._registry(live_lint.project):
+            path, name = key.split("::", 1)
+            assert path in files, f"{key}: no such file in the linted tree"
+            assigned = set()
+            for node in files[path].tree.body:
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                assigned.update(
+                    t.id for t in targets if isinstance(t, ast.Name)
+                )
+            assert name in assigned, f"{key}: not a module-level assignment"
 
 
 # ========================================================== R8 determinism

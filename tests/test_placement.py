@@ -204,7 +204,7 @@ def test_lint_accepts_the_memo_only_through_its_registry_entry():
     registry names it, not because a comment exempts it."""
     source = SCHEMA.read_text()
     assert "allow[R7]" not in source
-    registry = SCHEMA.parents[1] / "sanitize" / "registry.py"
+    registry = SCHEMA.parents[1] / "lint" / "shared_state.py"
     sources = {
         "src/repro/catalog/schema.py": source,
         "src/repro/executor/batch_ops.py": (
@@ -212,11 +212,11 @@ def test_lint_accepts_the_memo_only_through_its_registry_entry():
             "def place(columns, n):\n"
             "    return hash_columns(columns, len(columns[0]), n)\n"
         ),
-        "src/repro/sanitize/registry.py": registry.read_text(),
+        "src/repro/lint/shared_state.py": registry.read_text(),
     }
     rules = get_rules(["R7"])
     assert project_from_sources(sources).run(rules) == []
-    sources["src/repro/sanitize/registry.py"] = "SHARED_STATE = {}\n"
+    sources["src/repro/lint/shared_state.py"] = "SHARED_STATE = {}\n"
     findings = project_from_sources(sources).run(rules)
     assert [(f.rule, f.context) for f in findings] == [("R7", "_placements")]
     assert "schema.py::_PLACEMENTS" in findings[0].message

@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-echo "== repro-lint (R1..R9) =="
+echo "== repro-lint (R1, R2, R4..R9; R3 is retired) =="
 lint_start=$(date +%s.%N)
 lint_json=$(python -m repro.lint --json) || {
     status=$?
@@ -55,6 +55,17 @@ if grep -rniE "detsan|repro\.sanitize|IsolationViolation" src/repro; then
     exit 1
 fi
 
+echo "== one byte-charging check (no call graph under src/) =="
+# Every read and written byte is charged: tier-1's
+# tests/test_byte_conservation.py checks it at run time on every
+# statement it runs. A lint call graph coming back would be a second,
+# static witness of the same contract, one that missed a real uncharged
+# read (docs/perf/PR-31.md).
+if grep -rnE "callgraph|CallGraph" src/repro; then
+    echo "found a lint call graph, or a use of one, under src/repro"
+    exit 1
+fi
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
@@ -64,13 +75,15 @@ echo "== CO / Parquet decode to lists without NumPy =="
 # the engine must read and write the same bytes, fold the same
 # statistics, narrow every filter to the same rows, size every batch the
 # same (a census of Python values), place every key on the same segment
-# and agree with the row executor — and with SQLite on the scan shapes.
+# and agree with the row executor — and with SQLite on the scan shapes
+# and on `%` — and charge every byte it reads and writes.
 REPRO_NO_NUMPY=1 python -m pytest -q \
     tests/test_storage.py tests/test_block_cache.py tests/test_codec.py \
     tests/test_analyze_columnar.py tests/test_predicate_form.py \
     tests/test_batch_sizing.py tests/test_vectors.py \
     tests/test_batch_differential.py tests/test_two_representations.py \
-    tests/test_placement.py tests/test_sqlite_reference.py
+    tests/test_placement.py tests/test_sqlite_reference.py \
+    tests/test_postgres_rules.py tests/test_byte_conservation.py
 
 echo "== the paper's figures: Fig 6-13 + ablations on the simulated clock =="
 # pytest is the one way to regenerate them (add -s for the tables); their

@@ -123,7 +123,7 @@ def arith_fast(op: str, l, r) -> Optional[Vector]:
             and type(r.value) is int
             and r.value != 0
         ):
-            return IntVector(np.remainder(l.data, r.value), l.mask)
+            return IntVector(np.fmod(l.data, r.value), l.mask)
         return None
     if op not in ("+", "-", "*"):
         return None

@@ -989,8 +989,9 @@ class Session:
         written_bytes: int,
     ) -> None:
         """Charge one segfile write to the statement's accumulator:
-        replicated disk bytes, per-byte encode CPU, per-tuple CPU. The
-        R3 cost-conformance lint keys the write path off this call."""
+        replicated disk bytes, per-byte encode CPU, per-tuple CPU.
+        ``tests/test_byte_conservation.py`` holds the disk bytes to the
+        bytes appended to HDFS."""
         if acc is None:
             return
         acc.disk_write(max(written_bytes, 0), replicated=True)

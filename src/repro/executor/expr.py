@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import calendar
 import datetime
+import math
 import operator
 import re
 from collections import Counter
@@ -112,7 +113,13 @@ def sql_arith(op: str, left: object, right: object) -> object:
             return left / right  # SQL numeric division, not floor
         return left / right
     if op == "%":
-        return left % right
+        # PostgreSQL's rule: the remainder takes the dividend's sign.
+        if right == 0:
+            raise ExecutorError("division by zero")
+        if isinstance(left, int) and isinstance(right, int):
+            rem = abs(left) % abs(right)
+            return -rem if left < 0 else rem
+        return math.fmod(left, right)
     if op == "||":
         return str(left) + str(right)
     raise ExecutorError(f"unknown operator {op!r}")  # pragma: no cover

@@ -158,13 +158,15 @@ class QueryDispatch:
         plan: PhysicalPlan,
         sdp: SelfDescribedPlan,
         ctx: ExecutionContext,
-        init_seconds: float = 0.0,
+        init: Optional[QueryCost] = None,
     ):
         self.runtime = runtime
         self.plan = plan
         self.sdp = sdp
         self.ctx = ctx
-        self.init_seconds = init_seconds
+        #: What the init plans cost: their seconds are master overhead,
+        #: their bytes and tuples part of the statement's totals.
+        self.init = init if init is not None else QueryCost(seconds=0.0)
         model = ctx.cost_model
         self.master_acc = CostAccumulator(model)
         self.master_acc.fixed(model.query_setup)
@@ -234,7 +236,7 @@ class QueryDispatch:
                     charge_control(scratch, CATALOG_LOOKUP_BYTES)
                 else:
                     charge_control(scratch, task.payload_bytes)
-        return scratch.seconds + self.init_seconds
+        return scratch.seconds + self.init.seconds
 
     def dispatch_wave(self, index: int) -> None:
         """Send one wave's DISPATCH messages (children-first order)."""
@@ -396,7 +398,7 @@ class QueryDispatch:
         waves = self.waves
         ctx = self.ctx
         master_acc = self.master_acc
-        init_seconds = self.init_seconds
+        init = self.init
         model = ctx.cost_model
         missing = [
             (task.slice_id, task.segment)
@@ -457,10 +459,10 @@ class QueryDispatch:
                 rows.extend(report.result_rows)
 
         total = CostAccumulator(model)
-        total.disk_read_bytes = master_acc.disk_read_bytes
-        total.disk_write_bytes = master_acc.disk_write_bytes
-        total.net_bytes = master_acc.net_bytes
-        total.tuples = master_acc.tuples
+        total.disk_read_bytes = master_acc.disk_read_bytes + init.disk_read_bytes
+        total.disk_write_bytes = master_acc.disk_write_bytes + init.disk_write_bytes
+        total.net_bytes = master_acc.net_bytes + init.net_bytes
+        total.tuples = master_acc.tuples + init.tuples
         for report in self.reports.values():
             total.disk_read_bytes += report.disk_read_bytes
             total.disk_write_bytes += report.disk_write_bytes
@@ -472,7 +474,7 @@ class QueryDispatch:
             # assemblies already advanced the trace cursor).
             ctx.trace.assemble(waves, self.reports, schedule, master_acc.seconds)
 
-        overhead = master_acc.seconds + init_seconds
+        overhead = master_acc.seconds + init.seconds
         graph.overhead_seconds = overhead
         cost = QueryCost(
             seconds=schedule.makespan + overhead,
@@ -538,9 +540,10 @@ class DistributedRuntime:
         scoped per PhysicalPlan (nested init plans resolve their own),
         so each runs with a fresh param list.
         """
-        init_seconds = 0.0
+        init = None
         if plan.init_plans:
             params: List[object] = []
+            spent = CostAccumulator(ctx.cost_model)
             for init_plan in plan.init_plans:
                 sub = self.execute(
                     init_plan, sdp, dataclasses.replace(ctx, params=[])
@@ -548,11 +551,16 @@ class DistributedRuntime:
                 if len(sub.rows) > 1:
                     raise ExecutorError("InitPlan returned more than one row")
                 params.append(sub.rows[0][0] if sub.rows else None)
-                init_seconds += sub.cost.seconds
+                spent.seconds += sub.cost.seconds
+                spent.disk_read_bytes += sub.cost.disk_read_bytes
+                spent.disk_write_bytes += sub.cost.disk_write_bytes
+                spent.net_bytes += sub.cost.net_bytes
+                spent.tuples += sub.cost.tuples
+            init = QueryCost.from_accumulator(spent)
             ctx = dataclasses.replace(ctx, params=params)
         # Init plans reuse slice ids, and each one's dispatch dropped its
         # streams when it closed: none leak in here.
-        return QueryDispatch(self, plan, sdp, ctx, init_seconds=init_seconds)
+        return QueryDispatch(self, plan, sdp, ctx, init=init)
 
     def execute(
         self, plan: PhysicalPlan, sdp: SelfDescribedPlan, ctx: ExecutionContext

@@ -1,23 +1,23 @@
-"""``repro.lint``: the determinism & simulated-cost sanitizer.
+"""``repro.lint``: the determinism & isolation linter.
 
 Every claim this reproduction makes — bit-identical answers under seeded
-chaos schedules, byte-identical simulated figures with the decode cache
-on, row/batch differential equality — rests on invariants that ordinary
-tests cannot see being *violated by new code*:
+chaos schedules, serial≡concurrent answers and charges, row/batch
+differential equality — rests on invariants that new code can break
+without any test noticing yet:
 
 * no wall-clock or unseeded randomness in engine code (R1, R2),
-* every payload byte moved through storage/HDFS/network is charged to
-  the ``repro.simtime`` cost model (R3),
 * typed ``ClusterError``/``FaultInjected`` exceptions are never swallowed
   by broad ``except`` clauses, so query-level recovery can fire (R4),
 * nothing iterates an unordered ``set``/``frozenset`` into plan choice or
-  query output without ``sorted(...)`` (R5).
+  query output without ``sorted(...)`` (R5),
+* observability never charges the clock (R6), module-level state that
+  queries share is registered (R7), the scheduler's order is total (R8),
+  and dispatch and charged iterators are paired with their ends (R9).
 
-This package machine-enforces them with a small AST-based analysis
-framework: a pluggable rule registry (:mod:`repro.lint.rules`), a
-project-wide call graph for cost-conformance (:mod:`repro.lint.callgraph`),
-per-line ``# lint: allow[RULE-ID] — reason`` suppressions as the one way
-to exempt a finding, and machine-readable JSON output.
+Each rule reads one file's AST (:mod:`repro.lint.rules`); a per-line
+``# lint: allow[RULE-ID] — reason`` comment is the one way to exempt a
+finding. "Every moved byte is charged" (the retired R3) is checked at run
+time instead, by ``tests/test_byte_conservation.py``.
 
 Run it as ``python -m repro.lint`` (exit 0 clean / 1 findings / 2
 internal error) or through the tier-1 gate ``tests/test_lint.py``.

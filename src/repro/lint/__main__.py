@@ -1,4 +1,4 @@
-"""``python -m repro.lint``: run the determinism & cost sanitizer.
+"""``python -m repro.lint``: run the determinism & isolation linter.
 
     python -m repro.lint                  # lint src/repro
     python -m repro.lint --json           # machine-readable findings
@@ -27,7 +27,7 @@ from repro.lint.rules import RULES, get_rules
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="determinism & simulated-cost sanitizer for the engine",
+        description="determinism & isolation linter for the engine",
     )
     parser.add_argument(
         "paths", nargs="*", help="files/directories to lint (default: src/repro)"

@@ -1,12 +1,11 @@
-"""Framework plumbing for the sanitizer: sources, findings, projects.
+"""Framework plumbing for the linter: sources, findings, projects.
 
 The moving parts, in the order a run uses them:
 
 * :func:`load_project` walks a source tree and parses every ``.py`` file
   into a :class:`SourceFile` (AST + per-line suppressions).
 * :class:`Project` hands each registered rule the parsed files plus
-  shared analyses (the cost-conformance call graph is built lazily and
-  cached here so several rules could reuse it).
+  shared analyses (R7's registry is parsed once and cached here).
 * Rules yield :class:`Finding`s; findings matching a per-line
   ``# lint: allow[RULE-ID] — reason`` comment are dropped at collection
   time.  That comment is the only exemption mechanism: it sits on the
@@ -139,7 +138,7 @@ class Project:
     _caches: dict = field(default_factory=dict)
 
     def shared(self, key: str, build) -> object:
-        """Memoize a project-wide analysis (e.g. the call graph)."""
+        """Memoize a project-wide analysis (e.g. R7's registry)."""
         if key not in self._caches:
             self._caches[key] = build(self)
         return self._caches[key]

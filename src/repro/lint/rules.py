@@ -1,30 +1,31 @@
-"""The rule registry: six invariants the reproduction's claims rest on.
+"""The rule registry: eight static invariants the reproduction rests on.
 
 ==== ===================== =====================================================
 id   name                  protects
 ==== ===================== =====================================================
-R1   no-wall-clock         reproducibility: simulated figures and chaos runs
-                           must not read the host clock outside ``bench/``
-R2   seeded-randomness     reproducibility: all stochastic choices flow through
-                           seeded ``util.rng.DeterministicRng`` streams
-R3   cost-conformance      validity of simulated figures: payload bytes moved in
-                           storage/hdfs/network/interconnect/obs must be
-                           reachable from a ``repro.simtime`` charging context
-R4   exception-hygiene     recovery correctness: broad ``except`` may not
-                           swallow ``ClusterError``/``FaultInjected``, or the
-                           query-restart loop (paper §2.6) never sees the fault
-R5   deterministic-iter    plan/answer determinism: no unordered set iteration
-                           into planner, executor, columnar, or catalog output,
-                           or into the scheduler or resource-queue
-                           interleaving, without ``sorted(...)``
-R6   obs-passivity         trace=on bit-identity: ``repro.obs`` may read the
-                           simulated clock but never charge it, mutate cost
-                           state, or force lazy column vectors to materialize
+R1   no-wall-clock         reproducibility: no host clock outside ``bench/``
+R2   seeded-randomness     reproducibility: every stochastic choice draws from a
+                           seeded ``util.rng.DeterministicRng`` stream
+R4   exception-hygiene     recovery: a broad ``except`` may not swallow
+                           ``ClusterError``/``FaultInjected`` (paper §2.6)
+R5   deterministic-iter    determinism: no unsorted set iteration into plans,
+                           answers, or the scheduler/resource-queue order
+R6   obs-passivity         trace=on bit-identity: ``repro.obs`` reads the
+                           simulated clock but never charges it, mutates cost
+                           state, or forces lazy column vectors
+R7   cross-query-isolation serial≡concurrent: module/class-level mutables are
+                           written only if ``lint/shared_state.py`` says why
+R8   scheduler-determinism the interleaving depends on no ``id()``, dict-view
+                           ``min``/``max`` or unkeyed heap entry
+R9   rpc-pairing           every DISPATCH site handles COMPLETE and ABORT; a
+                           charged iterator left by ``break`` is closed
 ==== ===================== =====================================================
 
-Rules are ordinary objects with ``id``/``name``/``description`` and a
-``check_file(source, project)`` generator; register new ones by
-appending to :data:`RULES`.
+R3 (cost-conformance) is retired, and its id is not reused: every byte
+read or written is checked at run time by
+``tests/test_byte_conservation.py``.  Rules are ordinary objects with
+``id``/``name``/``description`` and a ``check_file(source, project)``
+generator; register new ones by appending to :data:`RULES`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
-from repro.lint.callgraph import CallGraph
 from repro.lint.core import Finding, SourceFile
 
 
@@ -47,8 +47,7 @@ def _walk_own(func: ast.AST) -> Iterator[ast.AST]:
     ``ast.walk`` visits every descendant, so a ``continue`` on nested
     ``FunctionDef`` nodes skips the def node itself but still scans its
     body as if it belonged to the outer function; this walker prunes the
-    whole subtree (nested defs are separate call-graph nodes and are
-    analyzed on their own)."""
+    whole subtree (nested defs are analyzed on their own)."""
     stack: List[ast.AST] = [func]
     while stack:
         node = stack.pop()
@@ -210,78 +209,6 @@ class SeededRandomnessRule:
                     node,
                     f"module-level random.{attr}() uses shared global state: "
                     "use a seeded util.rng.DeterministicRng stream",
-                )
-
-
-# =========================================================================== R3
-class CostConformanceRule:
-    """Every payload byte moved through the simulated storage stack must
-    be *chargeable* to the simulated clock: the byte-moving call must
-    execute inside the dynamic extent of a function that invokes the
-    ``repro.simtime`` charging API (directly, above, or below — see
-    :mod:`repro.lint.callgraph`).  Uncharged byte movement silently
-    deflates the paper-shape figures."""
-
-    id = "R3"
-    name = "cost-conformance"
-    description = (
-        "byte movement in storage//hdfs//network//interconnect not reachable "
-        "from a simtime charging context"
-    )
-
-    #: Names of the primitive byte-movement operations in this codebase.
-    PRIMITIVES = frozenset(
-        {
-            # DataNode / NameNode block plumbing
-            "store_block",
-            "read_block",
-            "replace_block",
-            "_append_block",
-            "_read_block",
-            # HDFS client byte APIs
-            "write",
-            "write_file",
-            "read",
-            "read_file",
-            "read_all",
-            # datagram fabric
-            "send",
-        }
-    )
-
-    SCOPE_DIRS = ("storage", "hdfs", "network", "interconnect", "obs")
-    #: Individual byte-moving modules outside those trees: the
-    #: control-plane RPC layer and the event-driven scheduler.
-    SCOPE_FILES = ("cluster/rpc.py", "simtime/scheduler.py")
-
-    def check_file(self, source: SourceFile, project) -> Iterator[Finding]:
-        if not (
-            _in_dir(source.path, *self.SCOPE_DIRS)
-            or any(source.path.endswith(f) for f in self.SCOPE_FILES)
-        ):
-            return
-        graph: CallGraph = project.shared("callgraph", CallGraph.build)
-        covered: Set[str] = project.shared(
-            "cost-coverage", lambda p: graph.coverage()
-        )
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name: Optional[str] = None
-            if isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            elif isinstance(node.func, ast.Name):
-                name = node.func.id
-            if name not in self.PRIMITIVES:
-                continue
-            scope = source.scope_of(node)
-            key = f"{source.path}::{scope}"
-            if scope == "<module>" or key not in covered:
-                yield source.finding(
-                    self.id,
-                    node,
-                    f"uncharged byte movement: {name}() in {scope} is not "
-                    "reachable from any repro.simtime charging context",
                 )
 
 
@@ -651,13 +578,10 @@ class ObsPassivityRule:
 
 # =========================================================================== R7
 class CrossQueryIsolationRule:
-    """Writes to module-level or class-level mutable state from code
-    reachable from the concurrent entry points break the serial≡
-    concurrent bit-identity contract unless the sharing is deliberate.
-
-    Reachability is computed over the *resolved* call-graph edges only
-    (fuzzy name-matching would drag half the repo into the set and bury
-    real races in noise).  A write is exempt when its
+    """Writes to module-level or class-level mutable state break the
+    serial≡concurrent bit-identity contract unless the sharing is
+    deliberate: every module outside ``bench/`` is checked, since any
+    of them may run inside a statement.  A write is exempt when its
     ``path::qualname`` key appears in the shared-state registry
     (``repro/lint/shared_state.py`` — parsed from the linted tree, not
     the installed package) with a written reason, or under a per-line
@@ -666,19 +590,10 @@ class CrossQueryIsolationRule:
     id = "R7"
     name = "cross-query-isolation"
     description = (
-        "module/class-level mutable state written by code reachable from "
-        "the concurrent entry points and not in the shared-state registry"
+        "module/class-level mutable state written by a function outside "
+        "bench/ and not in the shared-state registry"
     )
 
-    #: Functions in these files are the concurrent roots: everything the
-    #: multi-query composer, the workers, and the event scheduler run.
-    ENTRY_FILES = (
-        "executor/concurrent.py",
-        "executor/runner.py",
-        "executor/batch_ops.py",
-        "cluster/worker.py",
-        "simtime/scheduler.py",
-    )
     REGISTRY_SUFFIX = "lint/shared_state.py"
     REGISTRY_NAME = "SHARED_STATE"
 
@@ -731,12 +646,6 @@ class CrossQueryIsolationRule:
                         return {str(k): str(v) for k, v in value.items()}
         return {}
 
-    @classmethod
-    def _reachable(cls, project) -> Set[str]:
-        graph: CallGraph = project.shared("callgraph", CallGraph.build)
-        roots = graph.functions_in(*cls.ENTRY_FILES)
-        return graph.reachable_from(roots, include_fuzzy=False)
-
     # --------------------------------------------------------- file indexes
     def _is_mutable_value(self, node: Optional[ast.expr]) -> bool:
         if isinstance(
@@ -770,21 +679,32 @@ class CrossQueryIsolationRule:
                         out.add(target.id)
         return out
 
-    @classmethod
-    def _container_instances(cls, project) -> Dict[str, List[str]]:
-        """Class key of a class subclassing a mutable builtin (a ``dict``
-        whose ``__missing__`` fills it, say) -> the ``path::NAME`` keys of
-        the module-level instances of it. A write through ``self`` in such
-        a class is a write to each of those names."""
-        graph: CallGraph = project.shared("callgraph", CallGraph.build)
+    def _container_instances(self, source: SourceFile) -> Dict[str, List[str]]:
+        """Class name -> the module-level names bound to ``Cls(...)``,
+        for each class of this file that subclasses a mutable builtin
+        (a ``dict`` whose ``__missing__`` fills it, say). A write through
+        ``self`` in such a class is a write to each of those names."""
+        containers = {
+            node.name
+            for node in source.tree.body
+            if isinstance(node, ast.ClassDef)
+            and any(
+                (base.id if isinstance(base, ast.Name) else getattr(base, "attr", ""))
+                in self.MUTABLE_CONSTRUCTORS
+                for base in node.bases
+            )
+        }
         out: Dict[str, List[str]] = {}
-        for key, cls_key in sorted(graph.instances.items()):
-            if any(
-                (CallGraph._dotted_name(base) or "").rpartition(".")[2]
-                in cls.MUTABLE_CONSTRUCTORS
-                for base in graph.classes[cls_key].base_exprs
+        for node in source.tree.body:
+            if (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id in containers
             ):
-                out.setdefault(cls_key, []).append(key)
+                out.setdefault(node.value.func.id, []).extend(
+                    target.id for target in node.targets if isinstance(target, ast.Name)
+                )
         return out
 
     def _class_mutables(self, source: SourceFile) -> Dict[str, Set[str]]:
@@ -879,17 +799,11 @@ class CrossQueryIsolationRule:
         return bound - globals_
 
     def check_file(self, source: SourceFile, project) -> Iterator[Finding]:
-        reach: Set[str] = project.shared("r7-reachable", self._reachable)
+        if _in_dir(source.path, "bench"):
+            return
         registry: Dict[str, str] = project.shared("r7-registry", self._registry)
-        containers: Dict[str, List[str]] = project.shared(
-            "r7-containers", self._container_instances
-        )
-        module_mutables = self._module_mutables(source) | {
-            key.split("::", 1)[1]
-            for keys in containers.values()
-            for key in keys
-            if key.startswith(f"{source.path}::")
-        }
+        containers = self._container_instances(source)
+        module_mutables = self._module_mutables(source).union(*containers.values())
         class_mutables = self._class_mutables(source)
         class_quals = set(class_mutables)
         for node in ast.walk(source.tree):
@@ -917,8 +831,8 @@ class CrossQueryIsolationRule:
             return source.finding(
                 self.id,
                 node,
-                f"{kind} is written by code reachable from the concurrent "
-                f"entry points: namespace it per-query/per-engine or "
+                f"{kind} is shared by every query in the process: "
+                f"namespace it per-query/per-engine or "
                 f"register '{registry_key}' in "
                 f"repro/lint/shared_state.py with a reason",
             )
@@ -929,12 +843,11 @@ class CrossQueryIsolationRule:
                 if source.scope_of(func) != "<module>"
                 else func.name
             )
-            key = f"{source.path}::{scope}"
-            if key not in reach:
-                continue
             shadowed = locals_cache.setdefault(id(func), self._locals_of(func))
             cls_qual = enclosing_class(scope)
-            bound = containers.get(f"{source.path}::{cls_qual}", [])
+            bound = [
+                f"{source.path}::{name}" for name in containers.get(cls_qual, [])
+            ]
 
             def through_self(node: ast.AST, owner: ast.expr) -> Optional[Finding]:
                 """A write through ``self`` in a container class whose
@@ -1313,7 +1226,6 @@ class RpcPairingRule:
 RULES = [
     NoWallClockRule(),
     SeededRandomnessRule(),
-    CostConformanceRule(),
     ExceptionHygieneRule(),
     DeterministicIterationRule(),
     ObsPassivityRule(),

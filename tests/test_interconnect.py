@@ -43,6 +43,26 @@ class TestUdpBasics:
         drain(net, send, recv)
         assert recv.received == list(range(100))
 
+    def test_every_wire_byte_is_counted(self):
+        """On a clean network every datagram the sender puts on the wire
+        is one it counted: the net carries exactly ``bytes_sent`` from
+        its address, and the receiver sees no duplicate."""
+        net, send, recv = make_udp_pair()
+        wire = {}
+        net_send = net.send
+
+        def counted(src, dst, payload, size):
+            wire[src] = wire.get(src, 0) + size
+            net_send(src, dst, payload, size)
+
+        net.send = counted
+        for i in range(100):
+            send.send(i, size=64)
+        send.finish()
+        drain(net, send, recv)
+        assert wire[("hostA", 4000)] == send.bytes_sent > 0
+        assert recv.duplicates == 0
+
     def test_empty_stream(self):
         net, send, recv = make_udp_pair()
         send.finish()

@@ -1,17 +1,20 @@
-"""The determinism & cost sanitizer: rules, suppressions, CLI.
+"""The determinism & isolation linter: rules, suppressions, CLI.
 
 Three layers of coverage:
 
-* **Rule units** — each of R1..R9 gets positive and negative synthetic
+* **Rule units** — each rule gets positive and negative synthetic
   snippets via :func:`project_from_sources`, so the detectors are pinned
   independently of the live tree.
 * **Framework** — suppression comments, rule selection.
 * **The repo gate** — ``test_repo_clean`` is the tier-1 hook: the live
   source tree must have zero findings, every ``# lint: allow`` in it
-  must exempt a real finding and say why, and the injection tests prove
-  the gate actually fires (a wall-clock read dropped into executor
-  code, a swallowing handler dropped into engine code) with the right
-  rule id and file:line.
+  must exempt a real finding and say why, every shared-state registry
+  entry must exempt one, and the injection tests prove the gate fires
+  (a violation planted into one file of the session's parsed tree) with
+  the right rule id and file:line.
+
+The retired R3 (every moved byte is charged) is checked at run time by
+``tests/test_byte_conservation.py``.
 """
 
 import ast
@@ -25,9 +28,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.lint import load_project, repo_root
+from repro.lint import Project, SourceFile, load_project, repo_root
 from repro.lint.core import _SUPPRESS_RE, project_from_sources
-from repro.lint.rules import RULES, get_rules
+from repro.lint.__main__ import main as lint_main
+from repro.lint.rules import RULES, CrossQueryIsolationRule, get_rules
+from repro.lint.shared_state import SHARED_STATE
 
 REPO = repo_root()
 
@@ -40,28 +45,26 @@ def run_rules(sources, select=None):
 
 @pytest.fixture(scope="session")
 def live_lint():
-    """The live tree, loaded and linted once a session (3-7 s a run):
-    tests that judge the tree as it is read this; tests that plant a
-    violation in a copy, or compare this run with another, do their
-    own."""
+    """The live tree, parsed and linted once a session: tests that judge
+    the tree as it is read this, and planting tests swap one file of it."""
     project = load_project()
     return SimpleNamespace(project=project, findings=project.run(get_rules()))
 
 
-@pytest.fixture()
-def repo_copy(tmp_path):
-    """A src/repro copy to mutate without touching the live tree."""
-    import shutil
-
-    shutil.copytree(REPO / "src" / "repro", tmp_path / "src" / "repro")
-    return tmp_path
-
-
-def lint_tree(tree_root, select):
-    """Findings of the ``select`` rules on a planted tree. Rules run
-    independently of each other: the one under test is the whole gate's
-    verdict on the planted line."""
-    return load_project(root=tree_root).run(get_rules(select))
+def lint_planted(live_lint, path, edit, select):
+    """Findings of the ``select`` rules once ``path`` of the session's
+    parsed tree is replaced by ``edit(its text)``. Every rule reads one
+    file (R7 also the registry), so that file and the registry are the
+    whole gate's verdict on the planted line; nothing else is re-parsed."""
+    (source,) = [s for s in live_lint.project.files if s.path == path]
+    registry = [
+        s for s in live_lint.project.files if s.path.endswith("lint/shared_state.py")
+    ]
+    project = Project(
+        root=live_lint.project.root,
+        files=[SourceFile(path, edit(source.text))] + registry,
+    )
+    return project.run(get_rules(select))
 
 
 # ================================================================ R1 wall-clock
@@ -134,51 +137,6 @@ class TestSeededRandomness:
             "x = rng.random()\n"
         )
         assert not run_rules({"src/repro/chaos/plan.py": src}, select=["R2"])
-
-
-# ========================================================== R3 cost conformance
-class TestCostConformance:
-    CHARGED = (
-        "class Store:\n"
-        "    def put(self, data, acc):\n"
-        "        acc.disk_write(len(data))\n"
-        "        self.node.store_block(data)\n"
-    )
-    UNCHARGED = (
-        "class Store:\n"
-        "    def put(self, data):\n"
-        "        self.node.store_block(data)\n"
-    )
-
-    def test_flags_uncharged_byte_movement(self):
-        findings = run_rules(
-            {"src/repro/storage/ao.py": self.UNCHARGED}, select=["R3"]
-        )
-        assert [f.rule for f in findings] == ["R3"]
-        assert "store_block" in findings[0].message
-        assert findings[0].context == "Store.put"
-
-    def test_direct_charger_covered(self):
-        assert not run_rules(
-            {"src/repro/storage/ao.py": self.CHARGED}, select=["R3"]
-        )
-
-    def test_covered_via_caller_above(self):
-        # The charging happens in a *caller*: put() itself never charges,
-        # but scan() charges and calls put(), so put() is in the DOWN set.
-        src = (
-            "def scan(acc, store, data):\n"
-            "    acc.disk_read(len(data))\n"
-            "    put(store, data)\n"
-            "def put(store, data):\n"
-            "    store.store_block(data)\n"
-        )
-        assert not run_rules({"src/repro/hdfs/datanode.py": src}, select=["R3"])
-
-    def test_out_of_scope_dirs_ignored(self):
-        assert not run_rules(
-            {"src/repro/planner/join.py": self.UNCHARGED}, select=["R3"]
-        )
 
 
 # ========================================================= R4 exception hygiene
@@ -406,10 +364,9 @@ class TestObsPassivity:
 
 # ================================================================ rule registry
 class TestRegistry:
-    def test_nine_rules_registered(self):
-        assert [r.id for r in RULES] == [
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"
-        ]
+    def test_rule_ids_in_order(self):
+        # R3 is retired; ids are never reused, since allow comments name them.
+        assert [r.id for r in RULES] == ["R1", "R2", "R4", "R5", "R6", "R7", "R8", "R9"]
 
     def test_select_by_id_and_name(self):
         assert [r.id for r in get_rules(["R1", "exception-hygiene"])] == ["R1", "R4"]
@@ -451,24 +408,22 @@ class TestRepoGate:
                     )
         assert allows, "no allow comments found — tokenizing broke"
 
-    def test_injected_wall_clock_is_caught(self, repo_copy):
+    def test_injected_wall_clock_is_caught(self, live_lint):
         """Acceptance check: time.time() in executor code must fail R1
         with the right file and line."""
-        target = repo_copy / "src" / "repro" / "executor" / "runner.py"
-        src = target.read_text()
-        clock_line = src.count("\n") + 2  # after the appended import
-        target.write_text(src + "import time\n_T0 = time.time()\n")
-        findings = lint_tree(repo_copy, ["R1"])
-        hits = [f for f in findings if f.rule == "R1"]
-        assert hits, "injected wall-clock read not caught"
-        assert hits[0].path == "src/repro/executor/runner.py"
-        assert hits[0].line == clock_line
+        path = "src/repro/executor/runner.py"
+        findings = lint_planted(
+            live_lint, path, lambda src: src + "import time\n_T0 = time.time()\n", ["R1"]
+        )
+        source = next(s for s in live_lint.project.files if s.path == path)
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("R1", path, source.text.count("\n") + 2)
+        ]
 
-    def test_injected_swallowing_handler_is_caught(self, repo_copy):
+    def test_injected_swallowing_handler_is_caught(self, live_lint):
         """Acceptance check: a swallowing except Exception in engine.py
         must fail R4."""
-        target = repo_copy / "src" / "repro" / "engine.py"
-        src = target.read_text()
+        path = "src/repro/engine.py"
         injected = (
             "\n\ndef _swallow(op):\n"
             "    try:\n"
@@ -476,64 +431,58 @@ class TestRepoGate:
             "    except Exception:\n"
             "        return None\n"
         )
-        line_of_except = src.count("\n") + 1 + 5  # 2 blank + def/try/return
-        target.write_text(src + injected)
-        findings = lint_tree(repo_copy, ["R4"])
-        hits = [f for f in findings if f.rule == "R4" and f.path == "src/repro/engine.py"]
-        assert hits, "injected swallowing handler not caught"
-        assert hits[0].context == "_swallow"
-        assert hits[0].line == line_of_except
+        findings = lint_planted(live_lint, path, lambda src: src + injected, ["R4"])
+        hits = [f for f in findings if f.path == path]
+        assert [(f.rule, f.context) for f in hits] == [("R4", "_swallow")]
+        source = next(s for s in live_lint.project.files if s.path == path)
+        assert hits[0].line == source.text.count("\n") + 1 + 5
 
 
 # ==================================================================== CLI layer
 class TestCli:
-    def run_cli(self, *args):
+    def test_exit_zero_and_json_shape_on_clean_repo(self):
+        """The one subprocess run: the console entry point on the live tree."""
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src")
-        return subprocess.run(
-            [sys.executable, "-m", "repro.lint", *args],
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.lint", "--json"],
             capture_output=True,
             text=True,
             cwd=REPO,
             env=env,
         )
-
-    def test_exit_zero_and_json_shape_on_clean_repo(self):
-        proc = self.run_cli("--json")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         report = json.loads(proc.stdout)
         assert report["findings"] == []
-        assert report["rules"] == [
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"
-        ]
+        assert report["rules"] == ["R1", "R2", "R4", "R5", "R6", "R7", "R8", "R9"]
         assert report["files"] > 50
         assert report["version"] == 2
 
-    def test_exit_one_on_findings(self, tmp_path):
+    def test_exit_one_on_findings(self, tmp_path, capsys):
         bad = tmp_path / "x.py"
         # Path must carry no exempt directory; lint an explicit file.
         bad.write_text("import time\nt = time.time()\n")
-        proc = self.run_cli(str(bad))
-        assert proc.returncode == 1
-        assert "R1" in proc.stdout
+        assert lint_main([str(bad)]) == 1
+        assert "R1" in capsys.readouterr().out
 
-    def test_exit_two_on_internal_error(self, tmp_path):
+    def test_exit_two_on_internal_error(self, tmp_path, capsys):
         broken = tmp_path / "broken.py"
         broken.write_text("def f(:\n")
-        proc = self.run_cli(str(broken))
-        assert proc.returncode == 2
-        assert "internal error" in proc.stderr
+        assert lint_main([str(broken)]) == 2
+        assert "internal error" in capsys.readouterr().err
 
-    def test_list_rules(self):
-        proc = self.run_cli("--list-rules")
-        assert proc.returncode == 0
-        for rid in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"):
-            assert rid in proc.stdout
+    def test_list_rules(self, capsys):
+        assert lint_main(["--list-rules"]) == 0
+        out = capsys.readouterr().out
+        for rule in RULES:
+            assert rule.id in out
+        assert "R3" not in out
+
 
 # ============================================================= R7 isolation
 class TestCrossQueryIsolation:
-    """R7: mutable module/class state written by code reachable from the
-    concurrent entry points must be registered or namespaced."""
+    """R7: mutable module/class state written by any function outside
+    ``bench/`` must be registered or namespaced."""
 
     ENTRY = "src/repro/executor/concurrent.py"
 
@@ -573,12 +522,19 @@ class TestCrossQueryIsolation:
         )
         assert findings == []
 
-    def test_unreachable_mutation_is_ignored(self):
+    def test_unreachable_mutation_is_flagged(self):
         sources = self._sources()
-        # Same mutation, but nothing in an entry file calls it.
+        # Same mutation, though nothing calls it: R7 reads every module.
         sources[self.ENTRY] = "def run_batch():\n    return 0\n"
         findings = run_rules(sources, select=["R7"])
-        assert findings == []
+        assert [(f.rule, f.path, f.context) for f in findings] == [
+            ("R7", "src/repro/mycache.py", "put")
+        ]
+
+    def test_bench_is_not_in_scope(self):
+        sources = self._sources()
+        sources["src/repro/bench/mycache.py"] = sources.pop("src/repro/mycache.py")
+        assert run_rules(sources, select=["R7"]) == []
 
     def test_mutator_call_is_flagged(self):
         sources = self._sources()
@@ -633,8 +589,8 @@ class TestCrossQueryIsolation:
         assert findings == []
 
     #: A memo filled by its own ``__missing__``: nothing outside the
-    #: class names a write, and the call graph has no caller of the
-    #: dunder but the subscript that makes Python call it.
+    #: class names a write, and nothing calls the dunder but the
+    #: subscript that makes Python call it.
     MEMO_MODULE = (
         "class _Memo(dict):\n"
         "    def __missing__(self, key):\n"
@@ -672,14 +628,16 @@ class TestCrossQueryIsolation:
         )
         assert findings == []
 
-    def test_dict_subclass_memo_nobody_reads_is_ignored(self):
+    def test_dict_subclass_memo_nobody_reads_is_flagged(self):
         sources = self._memo_sources()
         sources[self.ENTRY] = "def run_batch():\n    return 0\n"
-        assert run_rules(sources, select=["R7"]) == []
+        findings = run_rules(sources, select=["R7"])
+        assert [(f.line, f.context) for f in findings] == [
+            (4, "_Memo.__missing__"),
+            (5, "_Memo.__missing__"),
+        ]
 
     def test_live_registry_parses_and_has_reasons(self, live_lint):
-        from repro.lint.rules import CrossQueryIsolationRule
-
         registry = CrossQueryIsolationRule._registry(live_lint.project)
         assert registry, "SHARED_STATE not found in the linted tree"
         for key, reason in registry.items():
@@ -691,8 +649,6 @@ class TestCrossQueryIsolation:
         exempts nothing, and the registry holds module-level memos only:
         each key must name an assignment of that name at the top level of
         that file."""
-        from repro.lint.rules import CrossQueryIsolationRule
-
         files = {source.path: source for source in live_lint.project.files}
         for key in CrossQueryIsolationRule._registry(live_lint.project):
             path, name = key.split("::", 1)
@@ -709,6 +665,21 @@ class TestCrossQueryIsolation:
                     t.id for t in targets if isinstance(t, ast.Name)
                 )
             assert name in assigned, f"{key}: not a module-level assignment"
+
+    @pytest.mark.parametrize("key", sorted(SHARED_STATE))
+    def test_every_entry_exempts_a_write(self, live_lint, key):
+        """Without its entry, each registered name is an R7 finding:
+        nothing is registered that R7 would not flag."""
+        path = key.split("::", 1)[0]
+        others = {k: v for k, v in SHARED_STATE.items() if k != key}
+        registry = SourceFile(
+            "src/repro/lint/shared_state.py", f"SHARED_STATE = {others!r}\n"
+        )
+        source = next(s for s in live_lint.project.files if s.path == path)
+        project = Project(root=live_lint.project.root, files=[source, registry])
+        findings = project.run(get_rules(["R7"]))
+        assert findings, f"{key}: R7 flags nothing without this entry"
+        assert all(f"'{key}'" in f.message for f in findings)
 
 
 # ========================================================== R8 determinism
@@ -924,78 +895,81 @@ class TestRpcPairing:
 
 # ===================================================== injected-race gate
 class TestInjectedConcurrencyViolations:
-    """Acceptance checks: each new rule must fire on a planted violation
-    in a copy of the live tree, with the right rule id and file."""
+    """Acceptance checks: each concurrency rule must fire on a violation
+    planted into one file of the live tree, with the right rule id and
+    file."""
 
-    def test_injected_shared_dict_is_caught_by_r7(self, repo_copy):
-        target = repo_copy / "src" / "repro" / "executor" / "concurrent.py"
-        src = target.read_text()
-        target.write_text(
-            src + "\n_RACE = {}\n\n\ndef _poison(sn):\n    _RACE[sn] = sn\n"
+    CONCURRENT = "src/repro/executor/concurrent.py"
+
+    def test_injected_shared_dict_is_caught_by_r7(self, live_lint):
+        hits = lint_planted(
+            live_lint,
+            self.CONCURRENT,
+            lambda src: src + "\n_RACE = {}\n\n\ndef _poison(sn):\n    _RACE[sn] = sn\n",
+            ["R7"],
         )
-        hits = [f for f in lint_tree(repo_copy, ["R7"])]
-        assert hits, "injected cross-query shared dict not caught"
-        assert hits[0].rule == "R7"
-        assert hits[0].path == "src/repro/executor/concurrent.py"
-        assert hits[0].context == "_poison"
+        assert [(f.rule, f.path, f.context) for f in hits] == [
+            ("R7", self.CONCURRENT, "_poison")
+        ]
         assert "_RACE" in hits[0].message
 
-    def test_injected_dict_subclass_memo_is_caught_by_r7(self, repo_copy):
-        target = repo_copy / "src" / "repro" / "executor" / "concurrent.py"
-        target.write_text(
-            target.read_text()
+    def test_injected_dict_subclass_memo_is_caught_by_r7(self, live_lint):
+        hits = lint_planted(
+            live_lint,
+            self.CONCURRENT,
+            lambda src: src
             + "\n\nclass _Memo(dict):\n"
             "    def __missing__(self, key):\n"
             "        self[key] = key\n"
             "        return key\n\n\n"
-            "_MEMO = _Memo()\n"
+            "_MEMO = _Memo()\n",
+            ["R7"],
         )
-        hits = lint_tree(repo_copy, ["R7"])
         assert [(f.rule, f.path, f.context) for f in hits] == [
-            ("R7", "src/repro/executor/concurrent.py", "_Memo.__missing__")
+            ("R7", self.CONCURRENT, "_Memo.__missing__")
         ]
-        assert "src/repro/executor/concurrent.py::_MEMO" in hits[0].message
+        assert f"{self.CONCURRENT}::_MEMO" in hits[0].message
 
-    def test_injected_id_key_is_caught_by_r8(self, repo_copy):
-        target = repo_copy / "src" / "repro" / "simtime" / "scheduler.py"
-        src = target.read_text()
-        line = src.count("\n") + 3  # blank + def, id() on the return line
-        target.write_text(
-            src + "\ndef _bad_key(obj):\n    return id(obj)\n"
+    def test_injected_id_key_is_caught_by_r8(self, live_lint):
+        path = "src/repro/simtime/scheduler.py"
+        hits = lint_planted(
+            live_lint,
+            path,
+            lambda src: src + "\ndef _bad_key(obj):\n    return id(obj)\n",
+            ["R8"],
         )
-        hits = lint_tree(repo_copy, ["R8"])
-        assert hits, "injected id() key not caught"
-        assert hits[0].rule == "R8"
-        assert hits[0].path == "src/repro/simtime/scheduler.py"
-        assert hits[0].line == line
+        source = next(s for s in live_lint.project.files if s.path == path)
+        assert [(f.rule, f.path, f.line) for f in hits] == [
+            ("R8", path, source.text.count("\n") + 3)
+        ]
 
-    def test_injected_abandoned_iterator_is_caught_by_r9(self, repo_copy):
-        target = repo_copy / "src" / "repro" / "executor" / "runner.py"
-        src = target.read_text()
-        target.write_text(
-            src
+    def test_injected_abandoned_iterator_is_caught_by_r9(self, live_lint):
+        path = "src/repro/executor/runner.py"
+        hits = lint_planted(
+            live_lint,
+            path,
+            lambda src: src
             + "\ndef _skim_rows(child, acc):\n"
             "    rows = child(acc)\n"
             "    for row in rows:\n"
-            "        break\n"
+            "        break\n",
+            ["R9"],
         )
-        hits = lint_tree(repo_copy, ["R9"])
-        assert hits, "injected abandoned charged iterator not caught"
-        assert hits[0].rule == "R9"
-        assert hits[0].path == "src/repro/executor/runner.py"
-        assert hits[0].context == "_skim_rows"
+        assert [(f.rule, f.path, f.context) for f in hits] == [
+            ("R9", path, "_skim_rows")
+        ]
 
 
 # ============================================================== determinism
 @pytest.fixture(scope="class")
-def shuffled_rerun():
-    """A second full lint run with the project's file list shuffled,
-    made once and shared by both determinism checks."""
+def shuffled_rerun(live_lint):
+    """A second full run of every rule over the session's parsed files in
+    a shuffled order, made once and shared by both determinism checks."""
     import random
 
-    project = load_project()
-    random.Random(0xC0FFEE).shuffle(project.files)
-    return project.run(get_rules())
+    files = list(live_lint.project.files)
+    random.Random(0xC0FFEE).shuffle(files)
+    return Project(root=live_lint.project.root, files=files).run(get_rules())
 
 
 class TestLintDeterminism:

@@ -199,24 +199,22 @@ def test_long_strings_never_enter_the_memo(fresh_memo):
 
 # --------------------------------------------------------------- registry
 def test_lint_accepts_the_memo_only_through_its_registry_entry():
-    """R7 flags a write to a module-level mutable that the concurrent
-    entry points reach; the memo passes because the shared-state
-    registry names it, not because a comment exempts it."""
+    """R7 flags a write to a module-level mutable; the memo passes
+    because the shared-state registry names it, not because a comment
+    exempts it."""
+    from repro.lint.shared_state import SHARED_STATE
+
     source = SCHEMA.read_text()
     assert "allow[R7]" not in source
     registry = SCHEMA.parents[1] / "lint" / "shared_state.py"
     sources = {
         "src/repro/catalog/schema.py": source,
-        "src/repro/executor/batch_ops.py": (
-            "from repro.catalog.schema import hash_columns\n\n"
-            "def place(columns, n):\n"
-            "    return hash_columns(columns, len(columns[0]), n)\n"
-        ),
         "src/repro/lint/shared_state.py": registry.read_text(),
     }
     rules = get_rules(["R7"])
     assert project_from_sources(sources).run(rules) == []
-    sources["src/repro/lint/shared_state.py"] = "SHARED_STATE = {}\n"
+    others = {k: v for k, v in SHARED_STATE.items() if not k.endswith("::_PLACEMENTS")}
+    sources["src/repro/lint/shared_state.py"] = f"SHARED_STATE = {others!r}\n"
     findings = project_from_sources(sources).run(rules)
     assert [(f.rule, f.context) for f in findings] == [("R7", "_placements")]
     assert "schema.py::_PLACEMENTS" in findings[0].message

@@ -66,6 +66,16 @@ if grep -rnE "callgraph|CallGraph" src/repro; then
     exit 1
 fi
 
+echo "== one owner of a table's files (storage/table.py) =="
+# Naming, appending, truncating and deleting a table's HDFS files is
+# repro.storage.table's alone; the statement facade and the MapReduce
+# formats reach the files through it.
+if grep -nE "client\.(truncate|delete)\(|file_status\(|_table_generation|segment_data_path" \
+    src/repro/engine.py src/repro/storage/hadoop_formats.py; then
+    echo "found file handling outside src/repro/storage/table.py"
+    exit 1
+fi
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
@@ -83,7 +93,8 @@ REPRO_NO_NUMPY=1 python -m pytest -q \
     tests/test_batch_sizing.py tests/test_vectors.py \
     tests/test_batch_differential.py tests/test_two_representations.py \
     tests/test_placement.py tests/test_sqlite_reference.py \
-    tests/test_postgres_rules.py tests/test_byte_conservation.py
+    tests/test_postgres_rules.py tests/test_byte_conservation.py \
+    tests/test_table_files.py
 
 echo "== the paper's figures: Fig 6-13 + ablations on the simulated clock =="
 # pytest is the one way to regenerate them (add -s for the tables); their

@@ -138,11 +138,9 @@ class HawqBench:
 
     def table_stored_bytes(self, table: str) -> int:
         """Physical (compressed) bytes of one table on HDFS."""
-        snapshot = self.engine.txns.begin().statement_snapshot()
-        total = 0
-        for segfile in self.engine.catalog.segfiles(table, snapshot):
-            total += sum(segfile["paths"].values())
-        return total
+        with self.engine.txns.run() as txn:
+            files = self.engine.catalog.segfiles(table, txn.statement_snapshot())
+        return sum(sum(segfile["paths"].values()) for segfile in files)
 
 
 @dataclass

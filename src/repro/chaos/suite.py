@@ -36,6 +36,7 @@ from repro.engine import Engine
 from repro.errors import ClusterError
 from repro.executor.concurrent import ConcurrentRunner
 from repro.obs.trace import rpc_closure_violations, trace_query_id_violations
+from repro.storage.table import segfiles
 from repro.tpch import QUERIES, create_table_sql, generate
 from repro.util import DeterministicRng
 
@@ -626,21 +627,20 @@ def check_recovery_invariants(
 
 
 def orphaned_files(engine: Engine) -> List[str]:
-    """Non-empty HDFS files under the data path no catalog segfile
-    references — bytes an aborted transaction failed to reclaim."""
+    """HDFS files under the data path no catalog segfile references —
+    files an aborted transaction or a DROP failed to delete."""
     with engine.txns.run() as txn:
         snapshot = txn.statement_snapshot()
-        referenced = set()
-        for relation in engine.catalog.relations(snapshot):
-            if relation.get("kind") != "table":
-                continue
-            for segfile in engine.catalog.segfiles(relation["name"], snapshot):
-                # ``paths`` maps file path -> committed logical length.
-                referenced.update(segfile["paths"].keys())
+        referenced = {
+            path
+            for relation in engine.catalog.relations(snapshot)
+            for _schema, segfile in segfiles(engine.catalog, relation, snapshot)
+            for path in segfile["paths"]
+        }
     return [
         status.path
         for status in engine.hdfs.list_status(engine.data_path)
-        if status.length > 0 and status.path not in referenced
+        if status.path not in referenced
     ]
 
 

@@ -21,9 +21,10 @@ Typical use::
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import (
     Column,
@@ -32,7 +33,6 @@ from repro.catalog.schema import (
     Partition,
     PartitionSpec,
     TableSchema,
-    hash_columns,
 )
 from repro.catalog.security import PermissionDenied, SecurityManager
 from repro.catalog.service import (
@@ -47,11 +47,9 @@ from repro.cluster.rpc import RpcBus
 from repro.cluster.segment import Segment
 from repro.cluster.standby import StandbyMaster
 from repro.cluster.worker import SegmentWorker, WorkerServices
-from repro.columnar import take_columns
 from repro.errors import (
     CatalogError,
     ClusterError,
-    ExecutorError,
     MasterUnavailable,
     ReproError,
     SemanticError,
@@ -60,7 +58,7 @@ from repro.errors import (
     UndefinedObject,
 )
 from repro.executor.concurrent import run_statement
-from repro.executor.expr import compile_expr
+from repro.executor.expr import _Interval, add_interval, compile_expr
 from repro.executor.runner import (
     DistributedRuntime,
     ExecutionContext,
@@ -86,8 +84,7 @@ from repro.pxf.registry import PxfRegistry
 from repro.simtime import CostAccumulator, CostModel, QueryCost
 from repro.sql import ast
 from repro.sql.parser import parse_sql
-from repro.storage import get_format
-from repro.storage.base import WriteResult
+from repro.storage import table as table_files
 from repro.storage.cache import (
     DEFAULT_CAPACITY_BYTES as DEFAULT_CACHE_BYTES,
     BlockDecodeCache,
@@ -118,7 +115,6 @@ class Engine:
         executor_mode: str = "batch",
         block_cache_bytes: int = DEFAULT_CACHE_BYTES,
         max_query_retries: int = 3,
-        retry_backoff: float = 0.25,
     ):
         self.cost_model = cost_model or CostModel()
         self.interconnect = interconnect
@@ -143,8 +139,6 @@ class Engine:
         #: Bounded query-restart policy (paper §2.6: restarting a query
         #: against failover assignments beats heavyweight recovery).
         self.max_query_retries = max_query_retries
-        #: Base simulated-clock backoff before a retry; doubles per retry.
-        self.retry_backoff = retry_backoff
         #: Optional chaos fault injector (see :mod:`repro.chaos`). The
         #: engine reports scan progress to it and it fires scheduled
         #: faults on the simulated clock, possibly mid-query.
@@ -175,7 +169,9 @@ class Engine:
         ]
         self.num_segments = len(self.segments)
 
-        self.txns = TransactionManager()
+        self.txns = TransactionManager(
+            delete_files=lambda paths: table_files.delete(self, paths)
+        )
         self.catalog = CatalogService(on_change=self._on_catalog_change)
         self.standby = StandbyMaster(self.txns.wal) if with_standby else None
         self.fault_detector = FaultDetector(self.segments, seed=seed)
@@ -192,14 +188,11 @@ class Engine:
             loops=self._loops,
             is_cancelled=self.is_cancelled,
         )
-        self._load_rng = itertools.count()  # round-robin for random dist
+        self.load_rng = itertools.count()  # round-robin for random dist
         #: Engine-wide statement id allocator: every dispatched query
         #: gets a unique id so RPCs and traces from concurrent sessions
         #: stay attributable (and selectable) per statement.
         self._query_ids = itertools.count(1)
-        #: Bumped by ALTER TABLE storage rewrites so new physical files
-        #: never collide with a previous generation's paths.
-        self._table_generation: Dict[str, int] = {}
 
         with self.txns.run() as txn:
             for segment in self.segments:
@@ -364,12 +357,6 @@ class Engine:
         runtime.services = services
         self.metrics.counter("workers_spawned").inc(self.num_segments + 1)
         return runtime
-
-    # --------------------------------------------------------------- helpers
-    def segment_data_path(self, table: str, segment_id: int, segfile_id: int) -> str:
-        generation = self._table_generation.get(table.lower(), 0)
-        gen_part = f"/g{generation}" if generation else ""
-        return f"{self.data_path}/{table}{gen_part}/seg{segment_id}/f{segfile_id}"
 
 
 class Session:
@@ -713,6 +700,13 @@ class Session:
         )
         return planner.plan(query)
 
+    def _relation(self, name: str, snapshot: Snapshot) -> dict:
+        """The visible ``pg_class`` row of ``name``."""
+        relation = self.engine.catalog.lookup_relation(name, snapshot)
+        if relation is None:
+            raise UndefinedObject(f"relation {name!r} does not exist")
+        return relation
+
     def _resource_queue(self):
         """The session's admission queue: the ``SET resource_queue``
         override when present, else the role's assigned queue."""
@@ -736,9 +730,7 @@ class Session:
     def _insert(self, stmt: ast.InsertStmt, txn: Transaction) -> QueryResult:
         engine = self.engine
         snapshot = txn.statement_snapshot()
-        relation = engine.catalog.lookup_relation(stmt.table, snapshot)
-        if relation is None:
-            raise UndefinedObject(f"relation {stmt.table!r} does not exist")
+        relation = self._relation(stmt.table, snapshot)
         schema = relation["schema"]
         txn.lock(f"rel:{schema.name}", LockMode.ROW_EXCLUSIVE)
         self._check_privilege("insert", schema.name, txn)
@@ -806,202 +798,15 @@ class Session:
         snapshot: Optional[Snapshot] = None,
         acc: Optional[CostAccumulator] = None,
     ) -> int:
-        """Bulk-load ``rows`` (the ETL / COPY / INSERT path), coercing
-        them — once, here, a column at a time — into the table's types.
-        Transactional.
-
-        INSERT and COPY always pass an ``acc`` so the written bytes are
-        charged to the statement's simulated cost; bare ETL callers may
-        omit it (their loads are setup, not a measured statement)."""
-        engine = self.engine
-        if not isinstance(rows, (list, tuple)):
-            rows = list(rows)  # any iterable; the column passes re-read it
-        own_txn = txn is None
-        if own_txn:
-            txn = engine.txns.begin(self.default_isolation)
-            snapshot = txn.statement_snapshot()
-        assert snapshot is not None
-        try:
-            schema = engine.catalog.get_schema(table, snapshot)
-            columns = schema.row_codec().coerce_columns(rows)
-            targets = self._route_partitions(schema, columns, snapshot)
-            total = 0
-            for child_schema, child_columns in targets:
-                total += self._write_table_rows(
-                    child_schema, child_columns, txn, snapshot, acc=acc
-                )
-            if own_txn:
-                engine.txns.commit(txn)
-            return total
-        except Exception:
-            if own_txn:
-                engine.txns.abort(txn)
-            raise
-
-    def _route_partitions(
-        self,
-        schema: TableSchema,
-        columns: List[Sequence[object]],
-        snapshot: Snapshot,
-    ) -> List[Tuple[TableSchema, List[Sequence[object]]]]:
-        """``columns`` (coerced) split between the child partitions that
-        hold their rows; ``spec.route`` runs once per distinct value."""
-        spec = schema.partition_spec
-        if spec is None:
-            return [(schema, columns)]
-        children = {
-            partition.name: child_name
-            for child_name, partition in self.engine.catalog.lookup_relation(
-                schema.name, snapshot
-            )["children"]
-        }
-        values = columns[schema.column_index(spec.column)]
-        routes: Dict[object, str] = {}
-        for value in dict.fromkeys(values):
-            partition = spec.route(value)
-            if partition is None:
-                raise ExecutorError(
-                    f"no partition of {schema.name} holds {value!r}"
-                )
-            routes[value] = partition.name
-        buckets: Dict[str, List[int]] = {}
-        for i, part_name in enumerate(map(routes.__getitem__, values)):
-            buckets.setdefault(part_name, []).append(i)
-        out = []
-        for part_name, picked in buckets.items():
-            child_schema = self.engine.catalog.get_schema(
-                children[part_name], snapshot
+        """Bulk-load ``rows`` (the ETL / COPY / INSERT path) in ``txn`` or
+        in a transaction of its own. INSERT and COPY pass an ``acc`` to
+        charge the written bytes to; a bare ETL load is setup, uncharged."""
+        if txn is not None:
+            return table_files.load(self.engine, table, rows, txn, snapshot, acc)
+        with self.engine.txns.run(self.default_isolation) as txn:
+            return table_files.load(
+                self.engine, table, rows, txn, txn.statement_snapshot(), acc
             )
-            out.append((child_schema, take_columns(columns, picked)))
-        return out
-
-    def _write_table_rows(
-        self,
-        schema: TableSchema,
-        columns: List[Sequence[object]],
-        txn: Transaction,
-        snapshot: Snapshot,
-        acc: Optional[CostAccumulator] = None,
-    ) -> int:
-        """Append the rows held column-wise in ``columns`` (coerced):
-        placed by column, handed to the format's writer as tuples."""
-        engine = self.engine
-        num_segments = engine.num_segments
-        rows = list(zip(*columns))
-        if schema.distribution.is_hash:
-            places = hash_columns(
-                [
-                    columns[schema.column_index(name)]
-                    for name in schema.distribution.columns
-                ],
-                len(rows),
-                num_segments,
-            )
-        else:
-            start = next(engine._load_rng)
-            places = [(start + i) % num_segments for i in range(len(rows))]
-        buckets: Dict[int, List[tuple]] = {}
-        for place, row in zip(places, rows):
-            buckets.setdefault(place, []).append(row)
-
-        from repro.txn.manager import AppendedFile
-
-        lane = engine.txns.segfiles.acquire(schema.name, txn.xid)
-        fmt = get_format(schema.storage_format)
-        segfiles = {
-            (f["segment_id"], f["segfile_id"]): f
-            for f in engine.catalog.segfiles(schema.name, snapshot)
-        }
-        for segment_id, segment_rows in sorted(buckets.items()):
-            segment = engine.segments[segment_id]
-            client = segment.client(engine.hdfs)
-            base_path = engine.segment_data_path(schema.name, segment_id, lane)
-            existing = segfiles.get((segment_id, lane))
-            prev = existing["paths"] if existing is not None else {}
-            # Truncate garbage left by aborted appends before writing.
-            for path, logical in prev.items():
-                if client.exists(path):
-                    physical = client.file_status(path).length
-                    if physical > logical:
-                        client.truncate(path, logical)
-            result = fmt.write(
-                client,
-                base_path,
-                segment_rows,
-                schema,
-                schema.compression,
-                append=existing is not None,
-                cache=engine.block_cache,
-            )
-            self._charge_write(
-                acc,
-                schema,
-                result,
-                sum(
-                    length - prev.get(path, 0)
-                    for path, length in result.paths.items()
-                ),
-            )
-            for path in result.paths:
-                txn.record_append(
-                    AppendedFile(
-                        table=schema.name,
-                        segment_id=segment_id,
-                        segfile_id=lane,
-                        path=path,
-                        previous_length=prev.get(path, 0),
-                        truncate=lambda p, n, c=client: (
-                            c.truncate(p, n) if c.exists(p) else None
-                        ),
-                    )
-                )
-            if existing is None:
-                engine.catalog.register_segfile(
-                    schema.name,
-                    segment_id,
-                    lane,
-                    dict(result.paths),
-                    txn.xid,
-                    uncompressed_length=result.uncompressed_bytes,
-                    tupcount=result.tupcount,
-                )
-            else:
-                engine.catalog.update_segfile(
-                    snapshot,
-                    schema.name,
-                    segment_id,
-                    lane,
-                    {
-                        "paths": dict(result.paths),
-                        "uncompressed_length": existing["uncompressed_length"]
-                        + result.uncompressed_bytes,
-                        "tupcount": existing["tupcount"] + result.tupcount,
-                    },
-                    txn.xid,
-                )
-        return len(rows)
-
-    def _charge_write(
-        self,
-        acc: Optional[CostAccumulator],
-        schema: TableSchema,
-        result: "WriteResult",
-        written_bytes: int,
-    ) -> None:
-        """Charge one segfile write to the statement's accumulator:
-        replicated disk bytes, per-byte encode CPU, per-tuple CPU.
-        ``tests/test_byte_conservation.py`` holds the disk bytes to the
-        bytes appended to HDFS."""
-        if acc is None:
-            return
-        acc.disk_write(max(written_bytes, 0), replicated=True)
-        acc.cpu_bytes(
-            result.uncompressed_bytes, self.engine.cost_model.cpu_format_byte
-        )
-        acc.cpu_tuples(result.tupcount, ncolumns=len(schema.columns))
-        self.engine.metrics.counter(
-            "bytes_written", format=schema.storage_format
-        ).inc(max(written_bytes, 0))
 
     def _vacuum(self, stmt: ast.VacuumStmt, txn: Transaction) -> QueryResult:
         """Reclaim physical garbage: truncate segment files back to their
@@ -1010,30 +815,16 @@ class Session:
         engine = self.engine
         snapshot = txn.statement_snapshot()
         if stmt.table is not None:
-            names = [stmt.table.lower()]
-            relation = engine.catalog.lookup_relation(stmt.table, snapshot)
-            if relation is None:
-                raise UndefinedObject(f"relation {stmt.table!r} does not exist")
+            relations = [self._relation(stmt.table, snapshot)]
             self._check_privilege("all", stmt.table, txn)
-            names.extend(c for c, _ in relation.get("children", []))
         else:
             self._require_superuser("VACUUM of every table and the catalog")
-            names = [
-                r["name"]
+            relations = [  # the leaves: a partitioned parent has no files
+                r
                 for r in engine.catalog.relations(snapshot)
-                if r["kind"] == "table"
+                if r["kind"] == "table" and not r["children"]
             ]
-        reclaimed = 0
-        for name in names:
-            for segfile in engine.catalog.segfiles(name, snapshot):
-                client = engine.segments[segfile["segment_id"]].client(engine.hdfs)
-                for path, logical in segfile["paths"].items():
-                    if not client.exists(path):
-                        continue
-                    physical = client.file_status(path).length
-                    if physical > logical:
-                        client.truncate(path, logical)
-                        reclaimed += physical - logical
+        reclaimed = table_files.vacuum(engine, relations, snapshot)
         dead = 0
         if stmt.table is None:
             horizon = engine.txns.xids.snapshot(txn.xid)
@@ -1048,7 +839,8 @@ class Session:
 
         engine = self.engine
         snapshot = txn.statement_snapshot()
-        schema = engine.catalog.get_schema(stmt.table, snapshot)
+        relation = self._relation(stmt.table, snapshot)
+        schema = relation["schema"]
         path = stmt.path if stmt.path.startswith("/") else "/" + stmt.path
         if stmt.direction == "from":
             self._check_privilege("insert", schema.name, txn)
@@ -1071,10 +863,7 @@ class Session:
             return result
         self._check_privilege("select", schema.name, txn)
         txn.lock(f"rel:{schema.name}", LockMode.ACCESS_SHARE)
-        rows = list(self._read_all_rows(schema.name, snapshot))
-        relation = engine.catalog.lookup_relation(schema.name, snapshot)
-        for child_name, _p in relation.get("children", []):
-            rows.extend(self._read_all_rows(child_name, snapshot))
+        rows = list(table_files.read(engine, relation, snapshot))
         writer = TextWriter(engine.hdfs, stmt.delimiter)
         acc = CostAccumulator(engine.cost_model)
         unloaded = writer.write(path, rows, schema)
@@ -1157,13 +946,14 @@ class Session:
         txn.lock(f"rel:{name}", LockMode.ACCESS_EXCLUSIVE)
         self._check_privilege("all", name, txn)
         dependents = engine.catalog.dependents_of(name, snapshot)
-        child_names = {c for c, _ in relation.get("children", [])}
+        child_names = [c for c, _ in relation["children"]]
         blocking = [d for d in dependents if d not in child_names]
         if blocking:
             raise SemanticError(
                 f"cannot drop {name}: {', '.join(sorted(blocking))} depend on it"
             )
-        for child_name, _partition in relation.get("children", []):
+        table_files.retire(engine, relation, txn, snapshot)
+        for child_name in child_names:
             engine.catalog.drop_table(child_name, txn.xid, snapshot)
             engine.txns.segfiles.drop_table(child_name)
         engine.catalog.drop_table(name, txn.xid, snapshot)
@@ -1171,44 +961,24 @@ class Session:
         return _ok(f"DROP {stmt.object_kind.upper()}")
 
     def _truncate(self, stmt: ast.TruncateStmt, txn: Transaction) -> QueryResult:
-        engine = self.engine
         snapshot = txn.statement_snapshot()
-        schema = engine.catalog.get_schema(stmt.table, txn.statement_snapshot())
-        txn.lock(f"rel:{schema.name}", LockMode.ACCESS_EXCLUSIVE)
-        self._check_privilege("all", schema.name, txn)
-        names = [schema.name]
-        relation = engine.catalog.lookup_relation(schema.name, snapshot)
-        names.extend(c for c, _ in relation.get("children", []))
-        for name in names:
-            for segfile in engine.catalog.segfiles(name, snapshot):
-                engine.catalog.update_segfile(
-                    snapshot,
-                    name,
-                    segfile["segment_id"],
-                    segfile["segfile_id"],
-                    {
-                        "paths": {p: 0 for p in segfile["paths"]},
-                        "uncompressed_length": 0,
-                        "tupcount": 0,
-                    },
-                    txn.xid,
-                )
+        relation = self._relation(stmt.table, snapshot)
+        txn.lock(f"rel:{relation['name']}", LockMode.ACCESS_EXCLUSIVE)
+        self._check_privilege("all", relation["name"], txn)
+        table_files.truncate(self.engine, relation, txn, snapshot)
         return _ok("TRUNCATE TABLE")
 
     def _alter_table(self, stmt: ast.AlterTableStmt, txn: Transaction) -> QueryResult:
         """ALTER TABLE ... SET WITH (orientation=..., compresstype=...):
         online storage-model transformation — the feature the paper lists
-        as "in product roadmap" (Section 2.5). Reads every committed row,
-        rewrites it under the new physical design in a fresh path
-        generation, and swaps the catalog entries transactionally (old
-        physical files become garbage if the transaction commits, and the
-        new ones if it aborts — either way the catalog stays consistent)."""
+        as "in product roadmap" (Section 2.5). Each leaf is rewritten in
+        new files (:func:`repro.storage.table.rewrite`); the old files
+        are deleted after commit (once no older snapshot is live), the
+        new ones on abort."""
         engine = self.engine
         snapshot = txn.statement_snapshot()
         name = stmt.name.lower()
-        relation = engine.catalog.lookup_relation(name, snapshot)
-        if relation is None:
-            raise UndefinedObject(f"relation {name!r} does not exist")
+        relation = self._relation(name, snapshot)
         if relation["kind"] != "table":
             raise SemanticError("ALTER TABLE SET WITH applies to tables only")
         txn.lock(f"rel:{name}", LockMode.ACCESS_EXCLUSIVE)
@@ -1216,38 +986,14 @@ class Session:
 
         options = {k.lower(): str(v).lower() for k, v in stmt.options.items()}
         acc = CostAccumulator(engine.cost_model)
-        targets = [(c, p) for c, p in relation.get("children", [])] or [(name, None)]
-        for child_name, _partition in targets:
-            child_rel = engine.catalog.lookup_relation(child_name, snapshot)
-            old_schema: TableSchema = child_rel["schema"]
-            new_schema = _apply_storage_options(old_schema, options)
-            rows = list(self._read_all_rows(child_name, snapshot))
-            # Retire the old physical design in the catalog...
-            engine.catalog.table("gp_segfile").delete(
-                snapshot, lambda r, n=child_name: r["table"] == n, txn.xid
-            )
+        for leaf in table_files.leaves(relation):
+            leaf_rel = engine.catalog.lookup_relation(leaf, snapshot)
+            new_schema = _apply_storage_options(leaf_rel["schema"], options)
+            table_files.rewrite(engine, leaf_rel, new_schema, txn, snapshot, acc)
+        if relation["children"]:
+            parent = _apply_storage_options(relation["schema"], options)
             engine.catalog.table("pg_class").update(
-                snapshot,
-                lambda r, n=child_name: r["name"] == n,
-                {"schema": new_schema},
-                txn.xid,
-            )
-            # ...and write the data back under a fresh path generation.
-            engine._table_generation[child_name] = (
-                engine._table_generation.get(child_name, 0) + 1
-            )
-            fresh_snapshot = txn.statement_snapshot()
-            if rows:
-                self._write_table_rows(
-                    new_schema, list(zip(*rows)), txn, fresh_snapshot, acc=acc
-                )
-        if relation.get("children"):
-            parent_schema = _apply_storage_options(relation["schema"], options)
-            engine.catalog.table("pg_class").update(
-                snapshot,
-                lambda r: r["name"] == name,
-                {"schema": parent_schema},
-                txn.xid,
+                snapshot, lambda r: r["name"] == name, {"schema": parent}, txn.xid
             )
         result = _ok("ALTER TABLE")
         result.cost = QueryCost.from_accumulator(acc)
@@ -1274,47 +1020,17 @@ class Session:
         self, name: str, txn: Transaction, snapshot: Snapshot
     ) -> TableStats:
         engine = self.engine
-        relation = engine.catalog.lookup_relation(name, snapshot)
-        if relation is None:
-            raise UndefinedObject(f"relation {name!r} does not exist")
+        relation = self._relation(name, snapshot)
         if relation["kind"] == "external":
             stats = engine.pxf.analyze(relation["pxf"], relation["schema"])
             engine.catalog.set_stats(name, stats, txn.xid, snapshot)
             return stats
-        children = relation.get("children", [])
-        scan_names = [c for c, _ in children] or [name]
         stats = TableStats.from_blocks(
-            itertools.chain.from_iterable(
-                self._read_all(scan_name, snapshot, "scan_blocks")
-                for scan_name in scan_names
-            ),
+            table_files.read(engine, relation, snapshot, "scan_blocks"),
             relation["schema"].column_names,
         )
         engine.catalog.set_stats(name, stats, txn.xid, snapshot)
         return stats
-
-    def _read_all_rows(self, name: str, snapshot: Snapshot) -> Iterator[tuple]:
-        """Every visible row as a tuple, for the callers that need
-        tuples (COPY TO, ALTER TABLE ... SET WITH)."""
-        return self._read_all(name, snapshot, "scan")
-
-    def _read_all(self, name: str, snapshot: Snapshot, entry: str) -> Iterator:
-        """What the storage format's ``entry`` (``scan``: row tuples,
-        ``scan_blocks``: ``(row_count, {column index: vector})``) yields
-        for every visible segment file of ``name``, all columns."""
-        engine = self.engine
-        schema = engine.catalog.get_schema(name, snapshot)
-        scan = getattr(get_format(schema.storage_format), entry)
-        for segfile in engine.catalog.segfiles(name, snapshot):
-            segment = engine.segments[segfile["segment_id"]]
-            client = segment.client(engine.hdfs)
-            yield from scan(
-                client,
-                segfile["paths"],
-                schema,
-                schema.compression,
-                cache=engine.block_cache,
-            )
 
     # --------------------------------------------------------------- EXPLAIN
     def _explain(self, stmt: ast.ExplainStmt, txn: Transaction) -> QueryResult:
@@ -1583,8 +1299,6 @@ def _tables_of(query: LogicalQuery, subplans: bool = False) -> List[str]:
 
 def compile_expr_value(expr: ast.Expr) -> object:
     """Evaluate a constant AST expression (INSERT ... VALUES)."""
-    from repro.planner.analyzer import Analyzer
-
     bound = Analyzer(_EmptyCatalog())._expr(expr, [], allow_aggregates=False)
     return compile_expr(bound, [])(())
 
@@ -1603,8 +1317,6 @@ def _ok(message: str) -> QueryResult:
 # --------------------------------------------------------------- DDL helpers
 def _apply_storage_options(schema: TableSchema, options: dict) -> TableSchema:
     """New TableSchema with WITH-clause storage options applied."""
-    import dataclasses
-
     storage_format = schema.storage_format
     compression = schema.compression
     if "orientation" in options:
@@ -1638,30 +1350,12 @@ def _schema_from_ast(stmt: ast.CreateTableStmt) -> TableSchema:
         # HAWQ/Greenplum default: hash on the first column.
         distribution = Distribution.hash(columns[0].name)
 
-    options = {k.lower(): str(v).lower() for k, v in stmt.options.items()}
-    orientation = options.get("orientation", "row")
-    storage_format = {"row": "ao", "column": "co", "parquet": "parquet"}.get(
-        orientation
-    )
-    if storage_format is None:
-        raise SemanticError(f"unknown orientation {orientation!r}")
-    compresstype = options.get("compresstype", "none")
-    compresslevel = options.get("compresslevel")
-    if compresstype in ("zlib", "gzip"):
-        compression = f"{compresstype}{compresslevel or 1}"
-    else:
-        compression = compresstype
-
     partition_spec = (
         _partition_spec(stmt.partition_by, columns) if stmt.partition_by else None
     )
-    return TableSchema(
-        name=stmt.name,
-        columns=columns,
-        distribution=distribution,
-        partition_spec=partition_spec,
-        storage_format=storage_format,
-        compression=compression,
+    return _apply_storage_options(
+        TableSchema(stmt.name, columns, distribution, partition_spec),
+        {k.lower(): str(v).lower() for k, v in stmt.options.items()},
     )
 
 
@@ -1683,8 +1377,6 @@ def _partition_spec(clause: ast.PartitionByClause, columns) -> PartitionSpec:
         return PartitionSpec(
             column=clause.column, kind="range", partitions=partitions
         )
-    from repro.executor.expr import add_interval, _Interval  # interval stepping
-
     every = compile_expr_value(clause.every)
     parts: List[Partition] = []
     lower = start

@@ -84,6 +84,10 @@ from repro.simtime.scheduler import EventScheduler, TaskGraph
 #: keys stay homogeneous int 3-tuples (stable tie-breaks).
 _ATTEMPT_STRIDE = 4096
 
+#: Simulated seconds a statement waits before its first restart; the
+#: wait doubles with each further restart.
+RETRY_BACKOFF = 0.25
+
 
 @dataclass
 class QueryOutcome:
@@ -502,7 +506,7 @@ class StatementLoop:
             exhausted.__cause__ = exc
             self._fail(state, exhausted)
             return
-        delay = engine.retry_backoff * (2 ** (state.retries - 1))
+        delay = RETRY_BACKOFF * (2 ** (state.retries - 1))
         state.backoff_seconds += delay
         if engine.metrics is not None:
             engine.metrics.counter("query_retries").inc()

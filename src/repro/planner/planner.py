@@ -62,7 +62,6 @@ class PlannerOptions:
     enable_direct_dispatch: bool = True
     enable_partition_elimination: bool = True
     enable_colocation: bool = True  # ablation: ignore existing distributions
-    enable_broadcast: bool = True
 
 
 class Planner:
@@ -552,7 +551,7 @@ class Planner:
                         lambda e=exprs: (self._motion("redistribute", left, e), right),
                     )
                 )
-        if self.options.enable_broadcast and right.dist.kind != "replicated":
+        if right.dist.kind != "replicated":
             candidates.append(
                 (
                     right.est_bytes * (self.num_segments - 1),

@@ -44,9 +44,6 @@ class WriteResult:
 
     #: New *physical* length of every file touched (path -> length).
     paths: Dict[str, int]
-    #: The file the catalog's ``logical_length`` tracks (AO/Parquet data
-    #: file; for CO the lengths of all column files are recorded).
-    primary_path: str
     uncompressed_bytes: int = 0
     tupcount: int = 0
 

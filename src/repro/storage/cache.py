@@ -51,7 +51,7 @@ by caching.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import StorageError
 
@@ -309,6 +309,12 @@ class BlockDecodeCache:
     def clear(self) -> None:
         self._entries.clear()
         self.total_bytes = 0
+
+    def discard(self, paths: Iterable[str]) -> None:
+        """Forget every entry of ``paths``: their files were deleted."""
+        deleted = set(paths)
+        for key in [key for key in self._entries if key[1] in deleted]:
+            self.total_bytes -= self._entries.pop(key).nbytes
 
     def __len__(self) -> int:
         return len(self._entries)

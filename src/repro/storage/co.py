@@ -78,7 +78,6 @@ def write(
             )
     return WriteResult(
         paths=paths,
-        primary_path=column_path(base_path, 0),
         uncompressed_bytes=uncompressed_total,
         tupcount=len(rows),
     )

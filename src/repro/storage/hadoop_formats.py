@@ -17,12 +17,12 @@ file per segment and commits them in the catalog, transactionally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.catalog.schema import TableSchema
 from repro.errors import UndefinedObject
 from repro.storage import get_format
+from repro.storage.table import segfiles
 
 
 @dataclass(frozen=True)
@@ -45,37 +45,31 @@ class HawqTableInputFormat:
     def get_splits(self, table: str) -> List[TableSplit]:
         """One split per committed segment file lane."""
         engine = self.engine
-        snapshot = engine.txns.begin().statement_snapshot()
-        relation = engine.catalog.lookup_relation(table, snapshot)
-        if relation is None:
-            raise UndefinedObject(f"relation {table!r} does not exist")
-        names = [c for c, _ in relation.get("children", [])] or [table.lower()]
-        splits: List[TableSplit] = []
-        for name in names:
-            for segfile in engine.catalog.segfiles(name, snapshot):
-                segment = engine.segments[segfile["segment_id"]]
-                splits.append(
-                    TableSplit(
-                        table=name,
-                        segment_id=segfile["segment_id"],
-                        segfile_id=segfile["segfile_id"],
-                        paths=tuple(sorted(segfile["paths"].items())),
-                        host=segment.effective_host(),
-                    )
+        with engine.txns.run() as txn:
+            snapshot = txn.statement_snapshot()
+            relation = engine.catalog.lookup_relation(table, snapshot)
+            if relation is None:
+                raise UndefinedObject(f"relation {table!r} does not exist")
+            return [
+                TableSplit(
+                    table=segfile["table"],
+                    segment_id=segfile["segment_id"],
+                    segfile_id=segfile["segfile_id"],
+                    paths=tuple(sorted(segfile["paths"].items())),
+                    host=engine.segments[segfile["segment_id"]].effective_host(),
                 )
-        return splits
+                for _schema, segfile in segfiles(engine.catalog, relation, snapshot)
+            ]
 
     def read_split(
         self, split: TableSplit, columns: Optional[Sequence[int]] = None
     ) -> Iterator[tuple]:
         """Decode one split's rows with the table's storage format."""
         engine = self.engine
-        snapshot = engine.txns.begin().statement_snapshot()
-        schema = engine.catalog.get_schema(split.table, snapshot)
-        fmt = get_format(schema.storage_format)
-        client = engine.hdfs.client(split.host)
-        yield from fmt.scan(
-            client,
+        with engine.txns.run() as txn:
+            schema = engine.catalog.get_schema(split.table, txn.statement_snapshot())
+        yield from get_format(schema.storage_format).scan(
+            engine.hdfs.client(split.host),
             dict(split.paths),
             schema,
             schema.compression,

@@ -109,7 +109,6 @@ def write(
         )
     return WriteResult(
         paths={base_path: new_length},
-        primary_path=base_path,
         uncompressed_bytes=uncompressed_total,
         tupcount=len(rows),
     )

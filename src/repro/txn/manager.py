@@ -4,14 +4,16 @@ Transactions are only noticeable on the master (paper Section 5): there
 is no two-phase commit; segments are stateless and catalog changes made
 during execution are piggybacked back to the master, which commits them
 in the UCS. Aborting a transaction truncates any user-data bytes it
-appended beyond the previously committed logical length.
+appended beyond the previously committed logical length and deletes the
+files it created; the files a committed one retired are deleted once
+every transaction live at its commit has ended.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import TransactionAborted, TransactionError
 from repro.txn.locks import LockManager, LockMode
@@ -46,9 +48,11 @@ class AppendedFile:
     segfile_id: int
     path: str
     previous_length: int
-    #: Callable that truncates the physical file back (wired by the engine
-    #: to the segment's HDFS client).
+    #: Truncates the physical file back (the segment's HDFS client's).
     truncate: Callable[[str, int], None]
+    #: This transaction created the file: abort deletes it instead of
+    #: truncating it to nothing.
+    created: bool = False
 
 
 class Transaction:
@@ -63,6 +67,8 @@ class Transaction:
         self.state = "active"  # active | committed | aborted
         self._txn_snapshot: Optional[Snapshot] = None
         self.appended_files: List[AppendedFile] = []
+        #: Files a commit retires (DROP TABLE's, ALTER TABLE's old ones).
+        self.retired_files: List[str] = []
 
     # ------------------------------------------------------------ snapshots
     def statement_snapshot(self) -> Snapshot:
@@ -89,6 +95,12 @@ class Transaction:
         self._check_active()
         self.appended_files.append(appended)
 
+    def retire(self, path: str) -> None:
+        """Have ``path`` deleted once this transaction has committed and
+        no snapshot taken before that commit is live; abort keeps it."""
+        self._check_active()
+        self.retired_files.append(path)
+
     # ------------------------------------------------------------- lifecycle
     def commit(self) -> None:
         self.manager.commit(self)
@@ -104,7 +116,11 @@ class Transaction:
 class TransactionManager:
     """Owns xids, locks, the WAL and the swimming-lane allocator."""
 
-    def __init__(self, wal: Optional[WriteAheadLog] = None):
+    def __init__(
+        self,
+        wal: Optional[WriteAheadLog] = None,
+        delete_files: Optional[Callable[[List[str]], None]] = None,
+    ):
         self.xids = XidManager()
         self.locks = LockManager()
         self.wal = wal or WriteAheadLog()
@@ -112,6 +128,12 @@ class TransactionManager:
         #: Live Transaction objects by xid, so a master crash can abort
         #: every in-flight transaction (and run truncate-on-abort).
         self._live: Dict[int, Transaction] = {}
+        #: Deletes user-data files (and whatever is cached of them).
+        self.delete_files = delete_files or (lambda paths: None)
+        #: Files committed transactions retired, each list with the xids
+        #: live at that commit: their snapshots may still read the files,
+        #: so the list is deleted once every one of them has ended.
+        self._retired: List[Tuple[FrozenSet[int], List[str]]] = []
 
     # ------------------------------------------------------------ lifecycle
     def begin(
@@ -130,15 +152,24 @@ class TransactionManager:
         self.xids.commit(txn.xid)
         self.wal.append(txn.xid, "commit")
         txn.state = "committed"
+        if txn.retired_files:
+            waiting = frozenset(self._live.keys() - {txn.xid})
+            self._retired.append((waiting, txn.retired_files))
         self._cleanup(txn)
 
     def abort(self, txn: Transaction) -> None:
         if txn.state != "active":
             return  # aborting twice is a no-op
-        # Truncate garbage bytes this transaction appended (Section 5.3/5.4):
-        # the catalog's logical lengths roll back automatically via MVCC.
-        for appended in txn.appended_files:
-            appended.truncate(appended.path, appended.previous_length)
+        # Undo appends latest first (Section 5.3/5.4): truncate the garbage
+        # bytes, and delete the files this transaction created (no other
+        # snapshot sees them). The catalog's logical lengths roll back
+        # automatically via MVCC.
+        created = dict.fromkeys(a.path for a in txn.appended_files if a.created)
+        for appended in reversed(txn.appended_files):
+            if appended.path not in created:
+                appended.truncate(appended.path, appended.previous_length)
+        if created:
+            self.delete_files(list(created))
         self.xids.abort(txn.xid)
         self.wal.append(txn.xid, "abort")
         txn.state = "aborted"
@@ -148,6 +179,16 @@ class TransactionManager:
         self._live.pop(txn.xid, None)
         self.segfiles.release(txn.xid)
         self.locks.release_all(txn.xid)
+        done: List[str] = []
+        pending = []
+        for waiting, paths in self._retired:
+            if waiting.isdisjoint(self._live):
+                done.extend(paths)
+            else:
+                pending.append((waiting, paths))
+        self._retired = pending
+        if done:
+            self.delete_files(done)
 
     def abort_all_active(self) -> List[int]:
         """Abort every in-flight transaction (master crash / failover).

@@ -38,6 +38,13 @@ class XidManager:
     def is_committed(self, xid: int) -> bool:
         return xid in self.committed
 
+    def committed_since(self, snapshot: "Snapshot") -> bool:
+        """Has a transaction committed whose effects ``snapshot`` cannot
+        see (it was running, or not yet begun, when it was taken)?"""
+        return not snapshot.active.isdisjoint(self.committed) or any(
+            xid in self.committed for xid in range(snapshot.xmax, self._next_xid)
+        )
+
     def snapshot(self, for_xid: int) -> "Snapshot":
         """Take a snapshot as of now, on behalf of transaction ``for_xid``."""
         return Snapshot(

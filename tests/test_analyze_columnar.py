@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import repro
 from repro.catalog.stats import ColumnAccumulator, ColumnStats, TableStats
 from repro.columnar import vector
+from repro.storage import table as table_files
 from repro.storage.base import rows_from_blocks
 from repro.tpch import generate, load_tpch
 from repro.tpch.schema import TABLE_NAMES
@@ -100,9 +101,7 @@ def stored_against_reference(session, name: str) -> TableStats:
     try:
         snapshot = txn.statement_snapshot()
         relation = engine.catalog.lookup_relation(name, snapshot)
-        rows = []
-        for scan_name in [c for c, _ in relation.get("children", [])] or [name]:
-            rows.extend(session._read_all_rows(scan_name, snapshot))
+        rows = list(table_files.read(engine, relation, snapshot))
         stats = engine.catalog.get_stats(name, snapshot)
     finally:
         engine.txns.commit(txn)

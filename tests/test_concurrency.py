@@ -38,7 +38,7 @@ from repro.cluster.resqueue import (
 )
 from repro.engine import Engine
 from repro.errors import CatalogError, ReproError
-from repro.executor.concurrent import ConcurrentRunner
+from repro.executor.concurrent import RETRY_BACKOFF, ConcurrentRunner
 from repro.obs.trace import trace_query_id_violations
 from repro.simtime.scheduler import EventScheduler, TaskGraph
 from repro.util import DeterministicRng
@@ -448,7 +448,7 @@ class TestLoneStatementIsTheOneStatementBatch:
         engine, session, fault_free = self.killed_mid_query()
         lone = session.execute(self.SQL)
         assert lone.retries == 1 and lone.rows == fault_free.rows
-        assert lone.cost.seconds == fault_free.cost.seconds + engine.retry_backoff
+        assert lone.cost.seconds == fault_free.cost.seconds + RETRY_BACKOFF
         assert lone.metrics["query_retries"] == 1
 
         engine, _session, _fault_free = self.killed_mid_query()

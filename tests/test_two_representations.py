@@ -35,6 +35,7 @@ from repro.columnar.vector import (
     numeric_from_packed,
 )
 from repro.executor.batch import ColumnBatch
+from repro.storage import table as table_files
 from repro.storage.base import ColumnCodec
 from repro.tpch import QUERIES, generate, load_tpch
 from repro.tpch.schema import TABLE_NAMES
@@ -93,7 +94,9 @@ def test_every_scanned_vector_sits_on_ndarrays(storage, tpch_data):
     with session.engine.txns.run() as txn:
         snapshot = txn.statement_snapshot()
         for name in (*TABLE_NAMES, "sparse", "hollow"):
-            for _row_count, columns in session._read_all(name, snapshot, "scan_blocks"):
+            relation = session.engine.catalog.lookup_relation(name, snapshot)
+            blocks = table_files.read(session.engine, relation, snapshot, "scan_blocks")
+            for _row_count, columns in blocks:
                 for col in columns.values():
                     assert_invariant(col, seen)
                     masked += isinstance(col, Vector) and col.mask is not None

@@ -76,6 +76,18 @@ if grep -nE "client\.(truncate|delete)\(|file_status\(|_table_generation|segment
     exit 1
 fi
 
+echo "== one statement timeline (dispatch charged once, EXPLAIN ANALYZE reads the trace) =="
+# The master charges a dispatch once, when it opens; each wave's share
+# of the task DAG is composed once, when the wave settles; and EXPLAIN
+# ANALYZE reads every slice and task line off the statement's trace. A
+# scratch replay of the charges, a second composition of the DAG or a
+# second per-slice timing record coming back would be a copy that has
+# to be kept float-identical by hand.
+if grep -rnE "predicted_overhead|SliceTiming|TaskTiming|add_graph|_composed" src/repro; then
+    echo "found a second record of a statement's timeline under src/repro"
+    exit 1
+fi
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 

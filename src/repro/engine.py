@@ -68,6 +68,7 @@ from repro.hdfs import Hdfs
 from repro.interconnect.exchange import ExchangeFabric
 from repro.network.simnet import NetworkConditions, SimNetwork
 from repro.obs.activity import ClusterTelemetry
+from repro.obs.explain import render_analyze
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sysviews import (
     SYSTEM_VIEW_COLUMNS,
@@ -111,7 +112,6 @@ class Engine:
         pipelined: bool = True,
         work_mem: float = 1.5e9,
         data_path: str = "/hawq",
-        with_standby: bool = True,
         executor_mode: str = "batch",
         block_cache_bytes: int = DEFAULT_CACHE_BYTES,
         max_query_retries: int = 3,
@@ -173,7 +173,8 @@ class Engine:
             delete_files=lambda paths: table_files.delete(self, paths)
         )
         self.catalog = CatalogService(on_change=self._on_catalog_change)
-        self.standby = StandbyMaster(self.txns.wal) if with_standby else None
+        #: The warm standby master; None once a crash consumed it.
+        self.standby = StandbyMaster(self.txns.wal)
         self.fault_detector = FaultDetector(self.segments, seed=seed)
         self.pxf = PxfRegistry()
         self.pxf.attach_hdfs(self.hdfs)
@@ -264,7 +265,7 @@ class Engine:
     def promote_standby(self) -> None:
         """Fail the master over to the warm standby."""
         if self.standby is None:
-            raise ReproError("engine was built without a standby master")
+            raise ReproError("no standby master remains to promote")
         self.catalog = self.standby.promote()
         # The promoted catalog starts logging to the (new) WAL so a
         # future standby could be attached.
@@ -1048,70 +1049,14 @@ class Session:
                 plan=plan,
             )
         # EXPLAIN ANALYZE: actually run the statement — locks, privileges,
-        # queue slot and all — and annotate each slice from its scheduler
-        # timeline: the composed finish time on the event clock, rows
-        # moved, and the per-segment task breakdown beneath it. VERBOSE
-        # additionally forces a trace and appends per-operator rows/time
-        # and per-table bytes/cache columns from the trace's spans.
-        result = self._select(stmt.statement, txn, force_trace=stmt.verbose)
-        plan = result.plan
-        lines = plan.explain().splitlines()
-        # Select the trace by this statement's query id — "latest
-        # trace" would race with other sessions under concurrency.
-        trace = self.tracer.for_query(result.query_id)
-        if stmt.verbose and trace is not None:
-            lines = plan.explain(
-                annotate=_trace_annotator(trace)
-            ).splitlines()
-        annotated = []
-        for line in lines:
-            annotated.append(line)
-            if line.startswith("Slice "):
-                slice_id = int(line.split()[1])
-                timing = result.slices.get(slice_id)
-                if timing is not None:
-                    annotated.append(
-                        f"  (actual time={timing.finish:.4f}s, "
-                        f"rows sent={timing.rows})"
-                    )
-                    if stmt.verbose:
-                        gang = [
-                            timing.tasks[seg].seconds
-                            for seg in sorted(timing.tasks)
-                            if seg != QD_SEGMENT
-                        ]
-                        if len(gang) >= 2:
-                            # Skew attribution across the gang: how
-                            # unevenly the slice's work landed.
-                            annotated.append(
-                                f"  (skew: max={max(gang):.4f}s "
-                                f"mean={sum(gang) / len(gang):.4f}s "
-                                f"min={min(gang):.4f}s "
-                                f"across {len(gang)} tasks)"
-                            )
-                    for segment in sorted(timing.tasks):
-                        task = timing.tasks[segment]
-                        who = (
-                            "QD"
-                            if segment == QD_SEGMENT
-                            else f"seg{segment}"
-                        )
-                        annotated.append(
-                            f"    {who}: {task.seconds:.4f}s, "
-                            f"{task.rows} rows, {task.bytes} bytes"
-                        )
-        annotated.append(
-            f"Total: {result.cost.seconds:.4f}s simulated "
-            f"(critical path {result.makespan:.4f}s + overhead "
-            f"{result.overhead_seconds:.4f}s), "
-            f"{len(result.rows)} rows, {result.cost.tuples} tuples "
-            f"processed, {result.cost.net_bytes} bytes moved"
-        )
+        # queue slot and all — with a trace (tracing is passive), and
+        # render it from that trace.
+        result = self._select(stmt.statement, txn, force_trace=True)
         return QueryResult(
-            rows=[(line,) for line in annotated],
+            rows=[(line,) for line in render_analyze(result, stmt.verbose)],
             column_names=["QUERY PLAN"],
             cost=result.cost,
-            plan=plan,
+            plan=result.plan,
         )
 
 
@@ -1204,40 +1149,6 @@ class PreparedSelect:
         if self.statement is not None:
             self.statement.fail()
         self.session.engine._cancel_requests.discard(self.query_id)
-
-
-def _trace_annotator(trace):
-    """Build the EXPLAIN (ANALYZE, VERBOSE) per-node annotation callback
-    from a query trace: operator spans keyed by plan-node identity, plus
-    storage-layer per-table read/cache aggregates for scans.
-
-    An operator's ``q_err`` is how many times the printed estimate is off
-    from the actual rows, either way: ``max / min`` of the two, each
-    clamped to at least 1 so an empty result stays finite."""
-    ops = trace.operator_stats()
-    scans = trace.scan_stats()
-
-    def annotate(node) -> Optional[str]:
-        parts: List[str] = []
-        stats = ops.get(id(node))
-        if stats is not None:
-            est, act = max(1, round(node.est_rows)), max(1, stats["rows"])
-            parts.append(
-                f"(actual rows={stats['rows']} calls={stats['calls']} "
-                f"time={stats['acc_seconds']:.4f}s "
-                f"q_err={max(est, act) / min(est, act):.1f})"
-            )
-        table = getattr(getattr(node, "table", None), "table_name", None)
-        if table is not None and table in scans:
-            scan = scans[table]
-            lookups = scan["cache_hits"] + scan["cache_misses"]
-            parts.append(
-                f"(read={scan['read_bytes']}B remote={scan['remote_bytes']}B "
-                f"cache hits={scan['cache_hits']}/{lookups})"
-            )
-        return " ".join(parts) if parts else None
-
-    return annotate
 
 
 # ----------------------------------------------------------------- adapters

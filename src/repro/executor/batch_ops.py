@@ -658,6 +658,7 @@ class BatchOperators:
             acc, count, sum(s.nbytes() for s in streams.values()),
             len(receivers),
         )
+        self.motion_rows = count
         for target in sorted(streams):
             stream = streams[target]
             nbytes = stream.nbytes()

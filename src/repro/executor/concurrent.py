@@ -47,10 +47,10 @@ is exactly its lone cost plus its measured queue wait
 contention shows up in *latency* (and the batch makespan), never in the
 charged cost — a parked task delays the query, it does not make the
 query do more work. The exactness hangs on
-:meth:`~repro.executor.runner.QueryDispatch.predicted_overhead`: wave-0
-tasks release at admit time plus the master overhead the dispatch
-*will* charge, so an uncontended query finishes at ``admit +
-serial_seconds`` on the loop's clock.
+:attr:`~repro.executor.runner.QueryDispatch.overhead_seconds`: a
+dispatch charges the master's whole overhead when it opens, wave-0
+tasks release at admit time plus that overhead, and an uncontended
+query finishes at ``admit + serial_seconds`` on the loop's clock.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from repro.cluster.resqueue import (
 from repro.cluster.worker import SegmentWorker
 from repro.errors import (
     ClusterError,
-    ExecutorError,
     HdfsError,
     QueryCanceled,
     QueryRetriesExhausted,
@@ -176,7 +175,7 @@ class _Statement:
     retries: int = 0
     backoff_seconds: float = 0.0
     #: Release base of the current attempt: admit/retry time plus the
-    #: dispatch's predicted master overhead.
+    #: dispatch's master overhead.
     base: float = 0.0
     #: Every scheduler task key this statement created (all attempts).
     keys: List[Tuple[int, int, int]] = field(default_factory=list)
@@ -363,7 +362,7 @@ class StatementLoop:
             prepared.plan, prepared.sdp, prepared.ctx
         )
         self._after_delivery(state)
-        state.base = at_time + state.dispatch.predicted_overhead()
+        state.base = at_time + state.dispatch.overhead_seconds
         self._dispatch_wave(state, 0)
 
     def _dispatch_wave(self, state: _Statement, wave_index: int) -> None:
@@ -374,20 +373,7 @@ class StatementLoop:
         dispatch.dispatch_wave(wave_index)
         self.runtime.net.run()
         self._after_delivery(state)
-        for slice_id, segment in dispatch.wave_keys(wave_index):
-            if (slice_id, segment) in dispatch.reports:
-                continue
-            # A DISPATCH addressed to a dropped channel vanished
-            # silently (UDP semantics) — notice the death at the wave
-            # boundary, exactly where gather() would.
-            if not self.runtime.bus.is_open(f"seg{segment}"):
-                raise SegmentDown(
-                    f"segment {segment} died before completing its task"
-                )
-            raise ExecutorError(
-                f"no completion report for task {(slice_id, segment)}"
-            )
-        graph = dispatch.wave_graph(wave_index)
+        graph = dispatch.settle_wave(wave_index)
         qid = state.outcome.query_id
         stride = (state.attempt - 1) * _ATTEMPT_STRIDE
         in_wave = []
@@ -424,9 +410,7 @@ class StatementLoop:
     def _gather_and_commit(
         self, state: _Statement, finish_time: float
     ) -> None:
-        """The last wave completed on the clock: gather and commit. A
-        gather-raised ``SegmentDown`` re-enters the retry path like any
-        other step's."""
+        """The last wave completed on the clock: gather and commit."""
         outcome = state.outcome
         result = state.dispatch.gather()
         result.retries = state.retries

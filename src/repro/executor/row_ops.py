@@ -354,6 +354,7 @@ class RowOperators:
                 buffer_bytes[target] += size
                 sent_bytes += size
         self._charge_send(acc, count, sent_bytes, len(receivers))
+        self.motion_rows = count
         for target in sorted(buffers):
             self.rows_out += len(buffers[target])
             self.bytes_out += buffer_bytes[target]

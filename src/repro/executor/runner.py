@@ -51,12 +51,7 @@ from repro.planner.dispatch import (
 )
 from repro.planner.physical import PhysicalPlan
 from repro.simtime import CostAccumulator, CostModel, QueryCost
-from repro.simtime.scheduler import (
-    SliceTiming,
-    TaskGraph,
-    TaskKey,
-    TaskTiming,
-)
+from repro.simtime.scheduler import TaskGraph, TaskKey
 
 
 @dataclass
@@ -103,9 +98,6 @@ class QueryResult:
     cost: QueryCost
     plan: Optional[PhysicalPlan] = None
     message: str = ""
-    #: Per-slice scheduler timelines (EXPLAIN ANALYZE): composed finish
-    #: time on the event clock, rows sent, per-segment task breakdown.
-    slices: Dict[int, SliceTiming] = field(default_factory=dict)
     #: Critical-path length through the task DAG (worker time only).
     makespan: float = 0.0
     #: Master-side fixed costs + init-plan time, on top of the makespan.
@@ -167,18 +159,16 @@ class QueryDispatch:
         #: What the init plans cost: their seconds are master overhead,
         #: their bytes and tuples part of the statement's totals.
         self.init = init if init is not None else QueryCost(seconds=0.0)
-        model = ctx.cost_model
-        self.master_acc = CostAccumulator(model)
-        self.master_acc.fixed(model.query_setup)
         self.waves = make_slice_tasks(plan, sdp, ctx.num_segments)
+        self.master_acc = self._charge_dispatch()
         self.roots = {s.slice_id: s.root for s in plan.slices}
         self.reports: Dict[TaskKey, TaskReport] = {}
         self.acks: Dict[TaskKey, str] = {}
         self.closed = False
         self._wave_of = {wave[0].slice_id: wave for wave in self.waves}
-        #: wave index -> its share of the task DAG, once composed: a
+        #: Each settled wave's share of the task DAG, in wave order: a
         #: settled wave's reports (and its senders' motion) never change.
-        self._composed: Dict[int, tuple] = {}
+        self._settled: List[TaskGraph] = []
         # A worker executes one task at a time: tasks landing on the same
         # segment serialize in dispatch (wave) order. This is what keeps
         # sibling join branches — which all run on the same gang of
@@ -205,46 +195,45 @@ class QueryDispatch:
     def wave_count(self) -> int:
         return len(self.waves)
 
-    def wave_keys(self, index: int) -> List[TaskKey]:
-        """The (slice_id, segment) keys of one wave's tasks."""
-        return [(t.slice_id, t.segment) for t in self.waves[index]]
+    @property
+    def overhead_seconds(self) -> float:
+        """Master-side seconds ahead of the first task: the dispatch
+        charged at construction plus the init plans' time. The statement
+        loop releases wave 0 this long after admission, which keeps
+        ``charged_seconds = serial_seconds + queue_wait`` exact under
+        interleaving; gather adds it to the makespan."""
+        return self.master_acc.seconds + self.init.seconds
 
-    def predicted_overhead(self) -> float:
-        """The master-side seconds this dispatch *will* charge.
-
-        The master's charges are a pure function of the wave structure
-        (fixed setup/dispatch costs plus control-message wire time), so
-        replaying the exact ``fixed()`` sequence on a scratch
-        accumulator — same ops, same order — reproduces the eventual
-        ``master_acc.seconds`` float-exactly *before* any wave goes
-        out. The statement loop releases wave-0 tasks at admit time
-        plus this value, which keeps ``charged_seconds =
-        serial_seconds + queue_wait`` exact under interleaving.
-        """
+    def _charge_dispatch(self) -> CostAccumulator:
+        """The master's whole dispatch, charged once: query setup, then
+        per wave a gang setup and per task its dispatch cost and the
+        DISPATCH message's wire time. It is a pure function of the wave
+        structure, so it is known before any wave goes out."""
         model = self.ctx.cost_model
-        scratch = CostAccumulator(model)
-        scratch.fixed(model.query_setup)
+        acc = CostAccumulator(model)
+        acc.fixed(model.query_setup)
         for wave in self.waves:
-            scratch.fixed(model.gang_setup)
+            acc.fixed(model.gang_setup)
             for task in wave:
-                scratch.fixed(model.dispatch_per_segment)
+                acc.fixed(model.dispatch_per_segment)
                 if task.segment == QD_SEGMENT:
-                    continue
+                    continue  # loopback to the master's own worker: no wire
                 if not self.ctx.metadata_dispatch:
+                    # Ablation: the plan goes out thin and the QE turns
+                    # around and storms the master's catalog, one RPC
+                    # per object it needs (schema, files, stats, types).
                     lookups = max(len(self.sdp.metadata), 1) * 4
-                    scratch.fixed(model.catalog_rpc * lookups)
-                    charge_control(scratch, CATALOG_LOOKUP_BYTES)
+                    acc.fixed(model.catalog_rpc * lookups)
+                    charge_control(acc, CATALOG_LOOKUP_BYTES)
                 else:
-                    charge_control(scratch, task.payload_bytes)
-        return scratch.seconds + self.init.seconds
+                    charge_control(acc, task.payload_bytes)
+        return acc
 
     def dispatch_wave(self, index: int) -> None:
-        """Send one wave's DISPATCH messages (children-first order)."""
-        model = self.ctx.cost_model
+        """Send one wave's DISPATCH messages (children-first order); the
+        master paid for them when the dispatch was opened."""
         bus = self.runtime.bus
-        self.master_acc.fixed(model.gang_setup)
         for task in self.waves[index]:
-            self.master_acc.fixed(model.dispatch_per_segment)
             message = RpcMessage(
                 kind=DISPATCH,
                 sender=MASTER,
@@ -252,20 +241,9 @@ class QueryDispatch:
                 size=task.payload_bytes,
                 query_id=self.ctx.query_id,
             )
-            if task.segment == QD_SEGMENT:
-                # Loopback dispatch to the master's own worker: no wire.
-                bus.send(MASTER, f"seg{task.segment}", message)
-                continue
-            if not self.ctx.metadata_dispatch:
-                # Ablation: the plan goes out thin and the QE turns
-                # around and storms the master's catalog, one RPC per
-                # object it needs (schema, files, stats, types).
-                lookups = max(len(self.sdp.metadata), 1) * 4
-                self.master_acc.fixed(model.catalog_rpc * lookups)
-                message.size = CATALOG_LOOKUP_BYTES
-            bus.send(
-                MASTER, f"seg{task.segment}", message, acc=self.master_acc
-            )
+            if task.segment != QD_SEGMENT and not self.ctx.metadata_dispatch:
+                message.size = CATALOG_LOOKUP_BYTES  # the thin plan
+            bus.send(MASTER, f"seg{task.segment}", message)
 
     def abort(self) -> None:
         """Clean up a failed or cancelled dispatch.
@@ -332,22 +310,38 @@ class QueryDispatch:
             delays[slice_id] = 2 * per_segment * model.scale / model.disk_seq_bw
         return delays
 
-    def _wave_parts(self, index: int, stage_delay: Dict[int, float]):
-        """Wave ``index``'s share of the task DAG, from its COMPLETE
-        reports: its tasks at the gang-mean duration, the motion edges
-        into them, and the same-segment edges into them.
+    def settle_wave(self, index: int) -> TaskGraph:
+        """Wave ``index`` has run: check that every task reported, and
+        compose the wave's share of the task DAG — its tasks at the
+        gang-mean duration, then the motion edges and the same-segment
+        edges into them. The statement loop adds it to the live clock;
+        gather replays every settled wave's share, in wave order.
 
         Motion edges: every sender task feeds every consumer task (the
         consumer's MotionRecv drains the whole gang's streams, so the
         barrier is complete-bipartite), charged one interconnect latency
         plus the sender's staging delay."""
         wave = self.waves[index]
+        reports = self.reports
+        for task in wave:
+            if (task.slice_id, task.segment) in reports:
+                continue
+            # A DISPATCH addressed to a dropped channel vanished
+            # silently (UDP semantics): the master notices the worker's
+            # death here, at the wave boundary.
+            if not self.runtime.bus.is_open(f"seg{task.segment}"):
+                raise SegmentDown(
+                    f"segment {task.segment} died before completing its task"
+                )
+            raise ExecutorError(
+                f"no completion report for task {(task.slice_id, task.segment)}"
+            )
         plan_slice = self.plan.slices[index]  # one wave per slice, in order
         slice_id = plan_slice.slice_id
-        reports = self.reports
         seconds = [reports[(slice_id, task.segment)].seconds for task in wave]
         mean = sum(seconds) / len(seconds)
         tasks = [((slice_id, task.segment), mean) for task in wave]
+        stage_delay = self._stage_delays()
         latency = self.ctx.cost_model.net_latency
         motion = [
             ((child_id, child_task.segment), key, delay)
@@ -362,91 +356,27 @@ class QueryDispatch:
         after = [
             (runs_after[key], key, 0.0) for key, _mean in tasks if key in runs_after
         ]
-        return tasks, motion, after
-
-    def wave_graph(self, index: int) -> TaskGraph:
-        """Wave ``index``'s tasks and the edges *into* them: what the
-        statement loop adds to the live scheduler when the wave settles.
-        The same floats, in the same order, as this wave's entries of
-        :meth:`task_graph`."""
-        parts = self._composed[index] = self._wave_parts(
-            index, self._stage_delays()
-        )
-        tasks, motion, after = parts
-        return TaskGraph(tasks=tasks, edges=motion + after)
-
-    def task_graph(self) -> TaskGraph:
-        """Compose the whole task DAG: every task, then every motion
-        edge, then every same-segment edge, each in wave order."""
-        stage_delay = self._stage_delays()
-        graph = TaskGraph(tasks=[], edges=[])
-        same_segment = []
-        for index in range(len(self.waves)):
-            tasks, motion, after = self._composed.get(
-                index
-            ) or self._wave_parts(index, stage_delay)
-            graph.tasks.extend(tasks)
-            graph.edges.extend(motion)
-            same_segment.extend(after)
-        graph.edges.extend(same_segment)
+        graph = TaskGraph(tasks=tasks, edges=motion + after)
+        self._settled.append(graph)
         return graph
 
     # ----------------------------------------------------------------- gather
     def gather(self) -> QueryResult:
-        """Assemble the result once every task has reported COMPLETE."""
+        """Assemble the result once every wave has settled."""
         plan = self.plan
         waves = self.waves
         ctx = self.ctx
         master_acc = self.master_acc
         init = self.init
         model = ctx.cost_model
-        missing = [
-            (task.slice_id, task.segment)
-            for wave in waves
-            for task in wave
-            if (task.slice_id, task.segment) not in self.reports
-        ]
-        if missing:
-            # A DISPATCH addressed to a channel that dropped before
-            # delivery vanishes silently (UDP semantics) — the master
-            # notices the worker's death here, at gather time.
-            dead = [
-                seg
-                for _sid, seg in missing
-                if not self.runtime.bus.is_open(f"seg{seg}")
-            ]
-            if dead:
-                raise SegmentDown(
-                    f"segment {dead[0]} died before completing its task"
-                )
-            raise ExecutorError(f"no completion report for tasks {missing[:4]}")
-
-        # Capture the task DAG as a portable TaskGraph (tasks and edges
-        # in the exact insertion order the serial schedule uses), then
-        # replay it: the graph is also attached to the result so the
-        # concurrent runtime can re-compose this query against others
-        # on shared per-segment slots.
-        graph = self.task_graph()
+        # Replay the settled waves' task DAG: the graph is also attached
+        # to the result, where the concurrent runtime reads the segments
+        # and edges it touched.
+        graph = TaskGraph(
+            tasks=[task for part in self._settled for task in part.tasks],
+            edges=[edge for part in self._settled for edge in part.edges],
+        )
         schedule = graph.replay()
-
-        slices: Dict[int, SliceTiming] = {}
-        for wave in waves:
-            slice_id = wave[0].slice_id
-            timing = SliceTiming(
-                finish=max(
-                    schedule.finish[(slice_id, task.segment)] for task in wave
-                ),
-                rows=0,
-            )
-            for task in wave:
-                report = self.reports[(slice_id, task.segment)]
-                timing.rows += report.rows_out
-                timing.tasks[task.segment] = TaskTiming(
-                    seconds=report.seconds,
-                    rows=report.rows_out,
-                    bytes=report.bytes_out,
-                )
-            slices[slice_id] = timing
 
         rows: List[tuple] = []
         top_id = plan.top_slice.slice_id
@@ -474,8 +404,7 @@ class QueryDispatch:
             # assemblies already advanced the trace cursor).
             ctx.trace.assemble(waves, self.reports, schedule, master_acc.seconds)
 
-        overhead = master_acc.seconds + init.seconds
-        graph.overhead_seconds = overhead
+        overhead = self.overhead_seconds
         cost = QueryCost(
             seconds=schedule.makespan + overhead,
             disk_read_bytes=total.disk_read_bytes,
@@ -489,7 +418,6 @@ class QueryDispatch:
             column_names=plan.output_names,
             cost=cost,
             plan=plan,
-            slices=slices,
             makespan=schedule.makespan,
             overhead_seconds=overhead,
             critical_path=schedule.critical_path,
@@ -575,6 +503,7 @@ class DistributedRuntime:
                 # task synchronously, and their motion streams + control
                 # replies settle before the next (consumer) wave goes out.
                 self.net.run()
+                dispatch.settle_wave(index)
         except Exception:
             # Best-effort abort to the surviving workers, then let the
             # statement loop see the original failure. The trace

@@ -78,6 +78,9 @@ class SliceExecutor(RowOperators, BatchOperators):
         #: Rows / bytes pushed through this slice's root motion.
         self.rows_out = 0
         self.bytes_out = 0
+        #: Rows the root motion took from its child: a broadcast row
+        #: counts once, however many receivers it reached.
+        self.motion_rows = 0
 
     # ----------------------------------------------------- kernel memoization
     # Compiled row/batch kernels are cached on the statement's
@@ -157,6 +160,10 @@ class SliceExecutor(RowOperators, BatchOperators):
     ) -> None:
         trace = self.ctx.trace
         if trace is not None:
+            if isinstance(node, Motion):
+                # A sender yields nothing to a parent: its actual rows
+                # are the ones it sent.
+                attrs["rows"] = self.motion_rows
             trace.op_mark(
                 self.task.slice_id,
                 self.segment,

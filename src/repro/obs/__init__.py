@@ -9,6 +9,9 @@ Two instruments, one contract:
 * :mod:`repro.obs.metrics` — per-node labeled counters/gauges/
   histograms, snapshot-diffed per query onto ``QueryResult.metrics``.
 
+:mod:`repro.obs.explain` renders ``EXPLAIN ANALYZE`` from a statement's
+trace.
+
 The contract: observability is *passive*. Recording never charges a
 cost accumulator, never reads the wall clock, and never perturbs a
 simulated figure — with tracing enabled, answers and ``cost.seconds``

@@ -165,19 +165,19 @@ class ClusterTelemetry:
         """Fold one settled statement into the repository and the
         cumulative segment aggregates."""
         self.statements.observe_statement(sql, result)
-        slices = getattr(result, "slices", None) or {}
-        for slice_id in sorted(slices):
-            timing = slices[slice_id]
-            for segment_id in sorted(timing.tasks):
-                if segment_id == _QD_SEGMENT:
-                    continue
-                task = timing.tasks[segment_id]
-                self._segment_tasks[segment_id] = (
-                    self._segment_tasks.get(segment_id, 0) + 1
-                )
-                self._segment_busy[segment_id] = (
-                    self._segment_busy.get(segment_id, 0.0) + task.seconds
-                )
+        # The executed task DAG: each task's duration is its time on
+        # the scheduler's timeline, as a batch's slot timelines count it.
+        graph = getattr(result, "task_graph", None)
+        tasks = graph.tasks if graph is not None else []
+        for (_slice_id, segment_id), seconds in tasks:
+            if segment_id == _QD_SEGMENT:
+                continue
+            self._segment_tasks[segment_id] = (
+                self._segment_tasks.get(segment_id, 0) + 1
+            )
+            self._segment_busy[segment_id] = (
+                self._segment_busy.get(segment_id, 0.0) + seconds
+            )
         self._observed_span += getattr(result, "makespan", 0.0) or 0.0
 
     # ------------------------------------------------------------- view rows

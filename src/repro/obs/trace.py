@@ -413,6 +413,15 @@ class QueryTrace:
     def root_spans(self) -> List[Span]:
         return [span for span in self.spans if span.cat == "task"]
 
+    def last_plan_tasks(self) -> List[Span]:
+        """The task spans of the last plan assembled: the statement's
+        own, after those of the init plans that assembled before it."""
+        start = max(
+            (i for i, span in enumerate(self.spans) if span.cat == "master"),
+            default=0,
+        )
+        return [span for span in self.spans[start:] if span.cat == "task"]
+
     def tracks(self) -> List[str]:
         """Every track with at least one span, master first."""
         seen = {span.track for span in self.spans}

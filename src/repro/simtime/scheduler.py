@@ -51,26 +51,6 @@ def _disarmed(_now: float) -> None:
 
 
 @dataclass
-class TaskTiming:
-    """Per-task facts surfaced to EXPLAIN ANALYZE."""
-
-    seconds: float
-    rows: int
-    bytes: int
-
-
-@dataclass
-class SliceTiming:
-    """One slice's timeline summary: composed finish time on the event
-    clock, rows sent through its motion (or returned, for the top
-    slice), and the per-segment task breakdown."""
-
-    finish: float
-    rows: int
-    tasks: Dict[int, TaskTiming] = field(default_factory=dict)
-
-
-@dataclass
 class TaskSchedule:
     """The scheduler's output: when every task ran, and what bound it."""
 
@@ -97,25 +77,19 @@ class _Task:
 class TaskGraph:
     """One executed query's task DAG, portable across schedulers.
 
-    Captured by the distributed runtime at gather time (tasks carry the
-    gang-mean durations the serial schedule used, edges the motion and
-    same-segment serialization constraints), and replayed either alone
-    (:meth:`replay` — reproduces the serial makespan exactly) or
-    composed with other queries' graphs on a shared scheduler with
-    per-segment slots. ``overhead_seconds`` is the master-side time that
-    precedes the tasks: dispatch overhead plus init-plan execution.
+    Composed wave by wave by the distributed runtime as each wave
+    settles (tasks carry gang-mean durations, edges the motion and
+    same-segment serialization constraints): the statement loop adds
+    each wave's share to its live clock, and gather replays the whole
+    graph alone (:meth:`replay`).
     """
 
     tasks: List[Tuple[TaskKey, float]]
     edges: List[Tuple[TaskKey, TaskKey, float]]
-    overhead_seconds: float = 0.0
 
     def segments(self) -> List[int]:
         """Every real segment this query's slices touch (QD excluded)."""
         return sorted({seg for (_sid, seg), _d in self.tasks if seg >= 0})
-
-    def makespan(self) -> float:
-        return self.replay().makespan
 
     def replay(self) -> TaskSchedule:
         """Re-run this graph alone on a fresh scheduler."""
@@ -227,31 +201,6 @@ class EventScheduler:
         self._indegree[dst] += 1
         if self._running:
             self._indeg[dst] += 1
-
-    def add_graph(self, graph: TaskGraph, prefix: int, release: float = 0.0,
-                  shared_slots: bool = True) -> List[TaskKey]:
-        """Instantiate one query's :class:`TaskGraph` atomically.
-
-        Keys are namespaced as ``(prefix, slice_id, segment)`` so many
-        queries coexist; ``release`` delays every task (queue admission
-        plus the query's own master-side overhead); with
-        ``shared_slots`` each real segment becomes the task's slot (QD
-        tasks never contend — every session runs its own QD process).
-        Returns the instantiated keys, for :meth:`watch`.
-        """
-        keys: List[TaskKey] = []
-        for (slice_id, segment), duration in graph.tasks:
-            key = (prefix, slice_id, segment)
-            self.add_task(
-                key,
-                duration,
-                release=release,
-                slot=segment if (shared_slots and segment >= 0) else None,
-            )
-            keys.append(key)
-        for (s1, g1), (s2, g2), delay in graph.edges:
-            self.add_edge((prefix, s1, g1), (prefix, s2, g2), delay=delay)
-        return keys
 
     def watch(
         self, keys: Iterable[TaskKey], callback: Callable[[float], None]

@@ -67,32 +67,41 @@ def test_tpch_row_vs_batch_identical(row_tpch, batch_tpch, number):
 @pytest.mark.parametrize("number", sorted(QUERIES))
 def test_tpch_makespan_matches_rederived_critical_path(batch_tpch, number):
     """The reported makespan must equal a critical path independently
-    re-derived from the per-task timings and the plan's slice tree.
+    re-derived from the per-task timings of the statement's trace and
+    the plan's slice tree.
 
     Tasks in a gang share one duration (the gang mean — per-segment
     imbalance at a tiny scale factor is sampling noise), every motion
     edge charges one interconnect latency, and a segment's worker runs
     one task at a time in dispatch order — so a task starts at
     ``max(children finish + latency, when its segment frees up)``."""
-    result = _run_tpch(batch_tpch, number)
+    batch_tpch.trace_enabled = True
+    try:
+        result = _run_tpch(batch_tpch, number)
+    finally:
+        batch_tpch.trace_enabled = False
+    tasks = {}
+    for span in result.trace.last_plan_tasks():
+        tasks.setdefault(span.slice_id, []).append(span)
     plan = result.plan
     model = batch_tpch.engine.cost_model
     finish = {}
     avail = {}  # segment -> simulated time its worker becomes free
     for plan_slice in plan.slices:  # children-first == dispatch order
-        timing = result.slices[plan_slice.slice_id]
-        mean = sum(t.seconds for t in timing.tasks.values()) / len(timing.tasks)
+        spans = tasks[plan_slice.slice_id]
+        mean = sum(s.attrs["acc_seconds"] for s in spans) / len(spans)
         barrier = max(
             (finish[c] + model.net_latency for c in plan_slice.child_slices),
             default=0.0,
         )
         slice_finish = 0.0
-        for segment in timing.tasks:
-            done = max(barrier, avail.get(segment, 0.0)) + mean
-            avail[segment] = done
+        for span in spans:
+            done = max(barrier, avail.get(span.segment, 0.0)) + mean
+            avail[span.segment] = done
             slice_finish = max(slice_finish, done)
         finish[plan_slice.slice_id] = slice_finish
-        assert timing.finish == pytest.approx(slice_finish, rel=1e-9)
+        reported = max(s.attrs["sched_finish"] for s in spans)
+        assert reported == pytest.approx(slice_finish, rel=1e-9)
     expected = finish[plan.top_slice.slice_id]
     assert result.makespan == pytest.approx(expected, rel=1e-9)
     assert result.cost.seconds == pytest.approx(

@@ -150,25 +150,6 @@ class TestSchedulerSlots:
         with pytest.raises(ReproError):
             sched.run()
 
-    def test_add_graph_namespaces_and_contends(self):
-        graph = TaskGraph(
-            tasks=[((0, 0), 2.0), ((1, -1), 1.0)],
-            edges=[((0, 0), (1, -1), 0.5)],
-        )
-        sched = EventScheduler()
-        keys_a = sched.add_graph(graph, 1)
-        keys_b = sched.add_graph(graph, 2)
-        out = sched.run()
-        assert set(keys_a) == {(1, 0, 0), (1, 1, -1)}
-        # Segment 0 is a shared slot; QD (-1) tasks are slotless.
-        seg_spans = sorted(
-            (out.start[k], out.finish[k])
-            for k in out.start
-            if k[2] == 0
-        )
-        assert seg_spans[0][1] <= seg_spans[1][0]
-        assert out.finish[keys_b[1]] == out.finish[(2, 0, 0)] + 0.5 + 1.0
-
 
 # ------------------------------------------------------- resource queues
 class TestResourceQueues:
@@ -498,6 +479,16 @@ class TestLoneStatementIsTheOneStatementBatch:
 
 
 # ------------------------------------------------- seeded interleaving purity
+def _add_graph(sched, graph, prefix):
+    """One query's graph on a shared scheduler: keys namespaced by
+    ``prefix``, each real segment a slot (QD tasks never contend)."""
+    for (slice_id, segment), duration in graph.tasks:
+        slot = segment if segment >= 0 else None
+        sched.add_task((prefix, slice_id, segment), duration, slot=slot)
+    for (s1, g1), (s2, g2), delay in graph.edges:
+        sched.add_edge((prefix, s1, g1), (prefix, s2, g2), delay=delay)
+
+
 class TestInterleavingPurity:
     def test_25_seeds_reproduce_exactly(self):
         for seed in range(25):
@@ -523,7 +514,7 @@ class TestInterleavingPurity:
         for _ in range(3):
             sched = EventScheduler()
             for prefix in range(4):
-                sched.add_graph(graph, prefix)
+                _add_graph(sched, graph, prefix)
             out = sched.run()
             runs.append((out.makespan, tuple(sorted(out.finish.items()))))
         assert len(set(runs)) == 1

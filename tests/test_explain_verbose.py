@@ -1,4 +1,5 @@
-"""Golden tests for ``EXPLAIN (ANALYZE, VERBOSE)`` on TPC-H Q1/Q3/Q6.
+"""Golden tests for ``EXPLAIN (ANALYZE, VERBOSE)`` on TPC-H Q1/Q3/Q6,
+and for plain ``EXPLAIN ANALYZE`` on Q11, whose InitPlan runs first.
 
 The goldens pin the *structural* plan tree (slice headers and operator
 lines with estimates and annotations stripped), which must stay stable
@@ -28,7 +29,10 @@ def session():
 
 
 def _explain(session, number, options="ANALYZE, VERBOSE"):
-    stmt = QUERIES[number][0]
+    return _explain_sql(session, QUERIES[number][0], options)
+
+
+def _explain_sql(session, stmt, options="ANALYZE, VERBOSE"):
     result = session.execute(f"EXPLAIN ({options}) {stmt}")
     return [row[0] for row in result.rows]
 
@@ -276,3 +280,131 @@ class TestRowExecutorParity:
     def test_verbose_output_is_line_identical(self, outputs, number):
         assert outputs["batch"][number] == outputs["row"][number]
         assert any("(actual rows=" in line for line in outputs["batch"][number])
+
+
+class TestMotionActuals:
+    def test_no_motion_reads_zero_rows_above_a_non_empty_input(self, session):
+        """A Motion's actual rows are the rows it took from its child (a
+        broadcast row once), not the zero rows it yields to a parent."""
+        motions = 0
+        for number in sorted(QUERIES):
+            lines = []
+            for stmt in QUERIES[number]:  # Q15 wraps its SELECT in a view
+                if not stmt.lstrip().upper().startswith("SELECT"):
+                    session.execute(stmt)
+                    continue
+                lines += _explain_sql(session, stmt)
+            for line, child in zip(lines, lines[1:]):
+                if not line.lstrip().startswith("-> Motion("):
+                    continue
+                motions += 1
+                sent = int(re.search(r"actual rows=(\d+)", line).group(1))
+                taken = int(re.search(r"actual rows=(\d+)", child).group(1))
+                assert sent == taken, f"Q{number}: {line.strip()}"
+        assert motions > 22
+
+
+# Captured before EXPLAIN ANALYZE read its timings from the trace: the
+# InitPlan's slices reuse the statement's slice ids and assemble first
+# on the same trace, and must not leak into the statement's lines.
+GOLDEN_Q11_ANALYZE = [
+    "InitPlan:",
+    "  Slice 3 (QD):",
+    "    -> Project  est_rows=1",
+    "      -> HashAgg(final, 0 keys, 1 aggs)  est_rows=1",
+    "        -> MotionRecv(slice 2, gather)  est_rows=1",
+    "  Slice 2 (gang of N):",
+    "    -> Motion(gather)  est_rows=1",
+    "      -> HashAgg(partial, 0 keys, 1 aggs)  est_rows=1",
+    "        -> HashJoin(inner, 1 keys)  est_rows=1",
+    "          -> HashJoin(inner, 1 keys)  est_rows=40",
+    "            -> SeqScan(partsupp)  est_rows=800",
+    "            -> MotionRecv(slice 0, broadcast)  est_rows=80",
+    "          -> MotionRecv(slice 1, broadcast)  est_rows=8",
+    "  Slice 1 (gang of N):",
+    "    -> Motion(broadcast)  est_rows=8",
+    "      -> SeqScan(nation, filter)  est_rows=1",
+    "  Slice 0 (gang of N):",
+    "    -> Motion(broadcast)  est_rows=80",
+    "      -> SeqScan(supplier)  est_rows=10",
+    "Slice 3 (QD):",
+    "  (actual time=0.0016s, rows sent=154)",
+    "    QD: 0.0001s, 154 rows, 0 bytes",
+    "  -> Sort  est_rows=1",
+    "    -> MotionRecv(slice 2, gather)  est_rows=1",
+    "Slice 2 (gang of N):",
+    "  (actual time=0.0013s, rows sent=154)",
+    "    seg0: 0.0005s, 19 rows, 380 bytes",
+    "    seg1: 0.0005s, 19 rows, 380 bytes",
+    "    seg2: 0.0006s, 19 rows, 380 bytes",
+    "    seg3: 0.0005s, 17 rows, 340 bytes",
+    "    seg4: 0.0006s, 20 rows, 400 bytes",
+    "    seg5: 0.0006s, 20 rows, 400 bytes",
+    "    seg6: 0.0005s, 19 rows, 380 bytes",
+    "    seg7: 0.0006s, 21 rows, 420 bytes",
+    "  -> Motion(gather)  est_rows=1",
+    "    -> Sort  est_rows=1",
+    "      -> Project  est_rows=1",
+    "        -> Filter  est_rows=1",
+    "          -> HashAgg(single, 1 keys, 1 aggs)  est_rows=1",
+    "            -> HashJoin(inner, 1 keys)  est_rows=1",
+    "              -> HashJoin(inner, 1 keys)  est_rows=40",
+    "                -> SeqScan(partsupp)  est_rows=800",
+    "                -> MotionRecv(slice 0, broadcast)  est_rows=80",
+    "              -> MotionRecv(slice 1, broadcast)  est_rows=8",
+    "Slice 1 (gang of N):",
+    "  (actual time=0.0007s, rows sent=8)",
+    "    seg0: 0.0003s, 0 rows, 0 bytes",
+    "    seg1: 0.0003s, 0 rows, 0 bytes",
+    "    seg2: 0.0003s, 0 rows, 0 bytes",
+    "    seg3: 0.0003s, 0 rows, 0 bytes",
+    "    seg4: 0.0003s, 0 rows, 0 bytes",
+    "    seg5: 0.0003s, 0 rows, 0 bytes",
+    "    seg6: 0.0003s, 8 rows, 184 bytes",
+    "    seg7: 0.0003s, 0 rows, 0 bytes",
+    "  -> Motion(broadcast)  est_rows=8",
+    "    -> SeqScan(nation, filter)  est_rows=1",
+    "Slice 0 (gang of N):",
+    "  (actual time=0.0003s, rows sent=80)",
+    "    seg0: 0.0003s, 8 rows, 160 bytes",
+    "    seg1: 0.0003s, 8 rows, 160 bytes",
+    "    seg2: 0.0003s, 8 rows, 160 bytes",
+    "    seg3: 0.0003s, 8 rows, 160 bytes",
+    "    seg4: 0.0004s, 24 rows, 480 bytes",
+    "    seg5: 0.0003s, 8 rows, 160 bytes",
+    "    seg6: 0.0003s, 8 rows, 160 bytes",
+    "    seg7: 0.0003s, 8 rows, 160 bytes",
+    "  -> Motion(broadcast)  est_rows=80",
+    "    -> SeqScan(supplier)  est_rows=10",
+    "Total: 0.5086s simulated (critical path 0.0016s + overhead 0.5070s), "
+    "154 rows, 7917 tuples processed, 93788 bytes moved",
+]
+
+
+class TestInitPlanTimings:
+    @pytest.fixture(scope="class")
+    def default_session(self):
+        session = Engine(seed=7).connect()
+        load_tpch(session, scale=SCALE)
+        return session
+
+    def test_q11_plain_analyze_matches_golden(self, default_session):
+        (stmt,) = QUERIES[11]
+        lines = [
+            row[0]
+            for row in default_session.execute(f"EXPLAIN ANALYZE {stmt}").rows
+        ]
+        assert lines == GOLDEN_Q11_ANALYZE
+
+    def test_q11_trace_holds_both_assemblies(self, default_session):
+        (stmt,) = QUERIES[11]
+        default_session.execute(f"EXPLAIN ANALYZE {stmt}")
+        trace = default_session.tracer.last
+        tasks = trace.root_spans()
+        own = trace.last_plan_tasks()
+        assert len(tasks) == 50 and len(own) == 25
+        assert sum(1 for span in trace.spans if span.cat == "master") == 2
+        for slice_id in (0, 1, 2):
+            in_own = sum(1 for span in own if span.slice_id == slice_id)
+            assert in_own == 8
+            assert sum(1 for span in tasks if span.slice_id == slice_id) == 16

@@ -7,8 +7,8 @@ The two contracts under test:
   untraced twin (recording reads the simulated clock, never spends it).
 * **Faithful decomposition** — the trace's per-(slice, segment) root
   spans are exactly the event scheduler's task windows: the latest root
-  span end *equals* ``cost.seconds``, and per-slice windows match the
-  ``QueryResult.slices`` timings the scheduler reported.
+  span end *equals* ``cost.seconds``, and the last assembled plan's
+  windows end at the statement's makespan.
 
 Plus the units around them: the metrics registry, per-query snapshot
 diffs (block-cache hit/miss deltas ride ``QueryResult.metrics``), RPC
@@ -102,20 +102,16 @@ class TestMakespanDecomposition:
             assert span.duration == pytest.approx(sched, abs=1e-12)
 
     @pytest.mark.parametrize("number", TRACED_QUERIES)
-    def test_slice_finish_times_consistent_with_result(
-        self, traced_runs, number
-    ):
-        """The last assembled plan's windows agree with QueryResult.slices
-        (the scheduler timings EXPLAIN ANALYZE prints)."""
+    def test_last_plan_windows_end_at_makespan(self, traced_runs, number):
+        """The last assembled plan's task windows (the scheduler timings
+        EXPLAIN ANALYZE prints) end at the statement's makespan."""
         _, traced, trace = traced_runs[number]
-        finishes = {}
-        for span in trace.root_spans():
-            key = span.slice_id
-            finishes[key] = max(
-                finishes.get(key, 0.0), span.attrs["sched_finish"]
-            )
-        for slice_id, timing in traced.slices.items():
-            assert finishes[slice_id] == pytest.approx(timing.finish)
+        tasks = trace.last_plan_tasks()
+        assert {span.slice_id for span in tasks} == {
+            plan_slice.slice_id for plan_slice in traced.plan.slices
+        }
+        finish = max(span.attrs["sched_finish"] for span in tasks)
+        assert finish == traced.makespan
 
     @pytest.mark.parametrize("number", TRACED_QUERIES)
     def test_operator_spans_nest_inside_their_task_window(

@@ -173,6 +173,14 @@ def session():
     return s
 
 
+def _segments_by_slice(result):
+    """slice id -> the segments its tasks ran on, from the task DAG."""
+    out = {}
+    for (slice_id, segment), _duration in result.task_graph.tasks:
+        out.setdefault(slice_id, set()).add(segment)
+    return out
+
+
 class TestDistributedExecution:
     def test_seconds_decompose_into_makespan_plus_overhead(self, session):
         result = session.execute("SELECT v, count(*) FROM pts GROUP BY v")
@@ -189,13 +197,13 @@ class TestDistributedExecution:
         result = session.execute(
             "SELECT v, count(*) FROM pts GROUP BY v ORDER BY v"
         )
-        gangs = {s.slice_id: s.gang for s in result.plan.slices}
-        for slice_id, timing in result.slices.items():
-            if gangs[slice_id] == "1":
-                assert set(timing.tasks) == {QD_SEGMENT}
+        tasks = _segments_by_slice(result)
+        for plan_slice in result.plan.slices:
+            if plan_slice.gang == "1":
+                assert tasks[plan_slice.slice_id] == {QD_SEGMENT}
             else:
                 # One task per segment, each executed by a SegmentWorker.
-                assert set(timing.tasks) == set(
+                assert tasks[plan_slice.slice_id] == set(
                     range(session.engine.num_segments)
                 )
 
@@ -203,13 +211,13 @@ class TestDistributedExecution:
         result = session.execute("SELECT v FROM pts WHERE id = 7")
         assert result.plan.direct_dispatch_segment is not None
         gang_n = [
-            timing
-            for slice_id, timing in result.slices.items()
-            if QD_SEGMENT not in timing.tasks
+            segments
+            for segments in _segments_by_slice(result).values()
+            if QD_SEGMENT not in segments
         ]
         assert gang_n  # the scan slice exists...
-        for timing in gang_n:
-            assert len(timing.tasks) == 1  # ...and ran on one segment only
+        for segments in gang_n:
+            assert len(segments) == 1  # ...and ran on one segment only
 
     def test_direct_dispatch_charges_fewer_dispatches(self, session):
         # Fixed dispatch costs are charged on the RPC send path, so a

@@ -207,7 +207,8 @@ class TestExplainGoesThroughTheFrontHalf:
     #: printed for a granted role before EXPLAIN shared the front half
     #: (``bytes moved`` re-pinned with the dispatch wire format: it was
     #: 2425 when the message was sized by a pickle; each ``q_err`` added
-    #: since).
+    #: since; the Motion's actual rows re-pinned from 0 when a sender
+    #: came to count the rows it sent).
     GRANTED_VERBOSE = [
         "Slice 1 (QD):",
         "  (actual time=0.0004s, rows sent=1)",
@@ -220,7 +221,7 @@ class TestExplainGoesThroughTheFrontHalf:
         "    seg0: 0.0003s, 0 rows, 0 bytes",
         "    seg1: 0.0003s, 1 rows, 20 bytes",
         "  -> Motion(gather)  est_rows=5  "
-        "(actual rows=0 calls=2 time=0.0002s q_err=5.0)",
+        "(actual rows=1 calls=2 time=0.0002s q_err=5.0)",
         "    -> Project  est_rows=5  (actual rows=1 calls=2 time=0.0000s q_err=5.0)",
         "      -> SeqScan(secret, filter)  est_rows=5  (actual rows=1 calls=2 "
         "time=0.0000s q_err=5.0) (read=96B remote=0B cache hits=0/2)",

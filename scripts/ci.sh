@@ -88,6 +88,16 @@ if grep -rnE "predicted_overhead|SliceTiming|TaskTiming|add_graph|_composed" src
     exit 1
 fi
 
+echo "== one scan provider (every SeqScan reaches both executors as blocks) =="
+# A worker lends its executor one scan: the blocks of a table's segfile
+# lanes, or a master-only relation's rows one per block. A second,
+# row-shaped provider for tables or for the catalog and system views
+# would be a second read path that both executors must agree on by hand.
+if grep -rnE "batch_scan|_batch_scan_provider|catalog_rows|sysview_rows" src/repro; then
+    echo "found a second scan provider under src/repro"
+    exit 1
+fi
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
@@ -98,7 +108,7 @@ echo "== CO / Parquet decode to lists without NumPy =="
 # statistics, narrow every filter to the same rows, size every batch the
 # same (a census of Python values), place every key on the same segment
 # and agree with the row executor — and with SQLite on the scan shapes
-# and on `%` — and charge every byte it reads and writes.
+# and on `%`, `IN` and LIKE — and charge every byte it reads and writes.
 REPRO_NO_NUMPY=1 python -m pytest -q \
     tests/test_storage.py tests/test_block_cache.py tests/test_codec.py \
     tests/test_analyze_columnar.py tests/test_predicate_form.py \

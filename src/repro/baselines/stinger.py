@@ -31,6 +31,7 @@ from repro.planner import exprs as ex
 from repro.planner.analyzer import Analyzer, RelationInfo
 from repro.planner.decorrelate import decorrelate
 from repro.planner.logical import DerivedSource, LogicalQuery, RelEntry
+from repro.planner.planner import applicable_quals, needed_columns, split_eq
 from repro.simtime import CostModel
 from repro.sql import ast
 from repro.sql.parser import parse_sql
@@ -154,7 +155,7 @@ class StingerEngine:
     ) -> Tuple[Dataset, List[tuple]]:
         """Execute one SELECT block as a chain of MapReduce jobs."""
         pool = list(query.quals)
-        needed = self._needed_columns(query)
+        needed = {i: sorted(cols) for i, cols in needed_columns(query).items()}
 
         # Scan (or recursively compute) every relation.
         rel_data: List[Tuple[Dataset, List[tuple]]] = []
@@ -170,7 +171,10 @@ class StingerEngine:
             quals = (
                 list(ex.conjuncts(rel.join_cond)) if rel.join_cond is not None else []
             )
-            quals += self._applicable(pool, joined, index)
+            applicable = applicable_quals(pool, joined, index)
+            for qual in applicable:
+                pool.remove(qual)
+            quals += applicable
             dataset, layout = self._join_job(
                 rel.join_type if rel.join_type != "inner" else "inner",
                 dataset,
@@ -268,34 +272,6 @@ class StingerEngine:
             layout,
         )
 
-    def _needed_columns(self, query: LogicalQuery) -> Dict[int, List[int]]:
-        needed: Dict[int, set] = {i: set() for i in range(len(query.rels))}
-        exprs: List[ex.BoundExpr] = [t for t, _ in query.targets]
-        exprs.extend(query.quals)
-        exprs.extend(query.group_by)
-        if query.having is not None:
-            exprs.append(query.having)
-        exprs.extend(k.expr for k in query.order_by)
-        for rel in query.rels:
-            if rel.join_cond is not None:
-                exprs.append(rel.join_cond)
-        for expr in exprs:
-            for var in ex.vars_of(expr, 0):
-                if var.rel in needed:
-                    needed[var.rel].add(var.col)
-        return {i: sorted(cols) for i, cols in needed.items()}
-
-    def _applicable(
-        self, pool: List[ex.BoundExpr], joined: set, cand: int
-    ) -> List[ex.BoundExpr]:
-        out = []
-        for qual in list(pool):
-            rels = ex.rels_of(qual)
-            if cand in rels and rels <= joined | {cand} and not ex.has_aggregate(qual):
-                out.append(qual)
-                pool.remove(qual)
-        return out
-
     # ------------------------------------------------------------------ joins
     def _join_job(
         self,
@@ -311,7 +287,7 @@ class StingerEngine:
     ) -> Tuple[Dataset, List[tuple]]:
         left_keys, right_keys, residual = [], [], []
         for qual in quals:
-            pair = self._split_eq(qual, joined, cand)
+            pair = split_eq(qual, joined, cand)
             if pair is not None:
                 left_keys.append(pair[0])
                 right_keys.append(pair[1])
@@ -415,16 +391,6 @@ class StingerEngine:
             reduce_cpu_weight=1.5,
         )
         return dataset, out_layout
-
-    def _split_eq(self, qual, joined: set, cand: int):
-        if not (isinstance(qual, ex.BOp) and qual.op == "="):
-            return None
-        left_rels, right_rels = ex.rels_of(qual.left), ex.rels_of(qual.right)
-        if left_rels and left_rels <= joined and right_rels == {cand}:
-            return qual.left, qual.right
-        if right_rels and right_rels <= joined and left_rels == {cand}:
-            return qual.right, qual.left
-        return None
 
     # ------------------------------------------------------------ aggregation
     def _agg_job(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, List
+from typing import Callable, List
 
 from repro.catalog.service import CATALOG_RELATION_COLUMNS
 from repro.obs.sysviews import SYSTEM_VIEW_COLUMNS
@@ -64,8 +64,9 @@ class WorkerServices:
     pxf: object
     #: The engine's segment list (indexed by segment id).
     segments: List
-    #: ``(relation_name, snapshot) -> rows`` for master-only catalog scans.
-    catalog_rows: Callable[[str, object], Iterator[tuple]]
+    #: ``(relation_name, snapshot) -> rows`` of a master-only relation:
+    #: a catalog table at the snapshot, or a system view's live state.
+    master_rows: Callable[[str, object], List[tuple]]
     chaos_point: Callable
     chaos_progress: Callable
     num_segments: int
@@ -75,9 +76,6 @@ class WorkerServices:
     #: :meth:`~repro.engine.Engine.is_cancelled`). Workers refuse new
     #: slices and scan lanes for a cancelled query. None disables.
     is_cancelled: Callable[[int], bool] = None
-    #: ``view_name -> rows`` for master-only system-view scans
-    #: (:mod:`repro.obs.sysviews`) — live telemetry read at scan time.
-    sysview_rows: Callable[[str], List] = None
 
     # The paired open/close counters of every charged scan, bound at
     # first use (rendering a series key costs more than the increment).
@@ -159,7 +157,6 @@ class SegmentWorker:
         )
         providers = SliceProviders(
             scan=self._scan_provider(sdp),
-            batch_scan=self._batch_scan_provider(sdp),
             external=self._external_provider(),
         )
         executor = SliceExecutor(root, task, ctx, providers, self.exchange, acc)
@@ -194,25 +191,24 @@ class SegmentWorker:
 
     # -------------------------------------------------------------- providers
     def _scan_provider(self, sdp: SelfDescribedPlan):
+        """The one source of every ``SeqScan``, for both executors: an
+        iterator of ``(row_count, {column_index: values})`` blocks."""
         services = self.services
 
         def provider(table_source, partitions, segment_id, columns, acc):
-            if table_source.table_name in CATALOG_RELATION_COLUMNS:
-                # Master-only data: the catalog lives on the master, so
-                # one QE serves it and the rest see an empty scan.
-                if segment_id == 0:
-                    yield from services.catalog_rows(
-                        table_source.table_name, sdp.snapshot
-                    )
-                return
             if (
-                services.sysview_rows is not None
-                and table_source.table_name in SYSTEM_VIEW_COLUMNS
+                table_source.table_name in CATALOG_RELATION_COLUMNS
+                or table_source.table_name in SYSTEM_VIEW_COLUMNS
             ):
-                # System views are master-only telemetry: zero-cost,
-                # served by one QE at scan time (live state).
+                # Master-only data (the catalog, live telemetry): one QE
+                # serves it at no charge and the rest see an empty scan.
+                # One row per block, so a streaming LIMIT above pulls
+                # exactly the rows the row executor pulls.
                 if segment_id == 0:
-                    yield from services.sysview_rows(table_source.table_name)
+                    for row in services.master_rows(
+                        table_source.table_name, sdp.snapshot
+                    ):
+                        yield 1, {i: [value] for i, value in enumerate(row)}
                 return
             names = (
                 partitions if partitions is not None else [table_source.table_name]
@@ -222,10 +218,8 @@ class SegmentWorker:
             client = segment.client(services.hdfs)
             for name in names:
                 meta = sdp.metadata[name]
-                fmt = get_format(meta.storage_format)
                 for lane in meta.segfiles.get(segment_id, []):
                     yield from self._charged_scan(
-                        fmt.scan,
                         client,
                         lane.paths,
                         meta,
@@ -234,45 +228,6 @@ class SegmentWorker:
                         segment_id=segment_id,
                         name=name,
                     )
-
-        return provider
-
-    def _batch_scan_provider(self, sdp: SelfDescribedPlan):
-        """Block-granular sibling of :meth:`_scan_provider`: returns an
-        iterator of ``(row_count, {column_index: values})`` column blocks
-        for the vectorized executor, or None when the source only exists
-        as rows (catalog relations)."""
-        services = self.services
-
-        def provider(table_source, partitions, segment_id, columns, acc):
-            if table_source.table_name in CATALOG_RELATION_COLUMNS:
-                return None  # master-only catalog data: row fallback
-            if table_source.table_name in SYSTEM_VIEW_COLUMNS:
-                return None  # system views only exist as rows
-            names = (
-                partitions if partitions is not None else [table_source.table_name]
-            )
-            segment = services.segments[segment_id]
-            self._check_segment_up(segment)
-            client = segment.client(services.hdfs)
-
-            def blocks():
-                for name in names:
-                    meta = sdp.metadata[name]
-                    fmt = get_format(meta.storage_format)
-                    for lane in meta.segfiles.get(segment_id, []):
-                        yield from self._charged_scan(
-                            fmt.scan_blocks,
-                            client,
-                            lane.paths,
-                            meta,
-                            columns,
-                            acc,
-                            segment_id=segment_id,
-                            name=name,
-                        )
-
-            return blocks()
 
         return provider
 
@@ -286,7 +241,6 @@ class SegmentWorker:
 
     def _charged_scan(
         self,
-        scan_fn,
         client,
         paths,
         meta,
@@ -295,13 +249,12 @@ class SegmentWorker:
         segment_id=None,
         name=None,
     ):
-        """Run one segfile-lane scan, charging the cost model the same
-        way regardless of entry point (row tuples or column blocks):
-        disk for compressed bytes, CPU for decompression + decode, and
-        network for remote-replica reads — including charges the decode
-        cache *replays* on hits (``ScanStats.remote_bytes``). Charging
-        happens in ``finally`` so an abandoned scan (LIMIT) still pays
-        for the blocks it decoded.
+        """Run one segfile-lane scan (the format's ``scan_blocks``),
+        charging the cost model: disk for compressed bytes, CPU for
+        decompression + decode, and network for remote-replica reads —
+        including charges the decode cache *replays* on hits
+        (``ScanStats.remote_bytes``). Charging happens in ``finally`` so
+        an abandoned scan (LIMIT) still pays for the blocks it decoded.
 
         Chaos instrumentation: the lane is an execution point (due fault
         events fire before the scan starts) and, on normal completion,
@@ -345,7 +298,7 @@ class SegmentWorker:
             # sweep asserts opened == closed).
             services.scans_opened.inc()
         try:
-            yield from scan_fn(
+            yield from get_format(meta.storage_format).scan_blocks(
                 client,
                 paths,
                 meta.schema,

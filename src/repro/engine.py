@@ -86,6 +86,7 @@ from repro.simtime import CostAccumulator, CostModel, QueryCost
 from repro.sql import ast
 from repro.sql.parser import parse_sql
 from repro.storage import table as table_files
+from repro.storage.base import rows_from_blocks
 from repro.storage.cache import (
     DEFAULT_CAPACITY_BYTES as DEFAULT_CACHE_BYTES,
     BlockDecodeCache,
@@ -255,6 +256,13 @@ class Engine:
         """True when ``query_id`` has a pending cancellation request."""
         return query_id in self._cancel_requests
 
+    def master_rows(self, name: str, snapshot: Snapshot) -> List[tuple]:
+        """Rows of a master-only relation: a system view's live state,
+        or a catalog table's rows visible to ``snapshot``."""
+        if name in SYSTEM_VIEW_COLUMNS:
+            return system_view_rows(self.telemetry, name)
+        return catalog_relation_rows(self.catalog, name, snapshot)
+
     def recover_segment(self, segment_id: int) -> None:
         self.fault_detector.recover_segment(segment_id)
         with self.txns.run() as txn:
@@ -338,10 +346,7 @@ class Engine:
             block_cache=self.block_cache,
             pxf=self.pxf,
             segments=self.segments,
-            catalog_rows=lambda name, snapshot: catalog_relation_rows(
-                self.catalog, name, snapshot
-            ),
-            sysview_rows=lambda name: system_view_rows(self.telemetry, name),
+            master_rows=self.master_rows,
             chaos_point=self.chaos_point,
             chaos_progress=self.chaos_progress,
             num_segments=self.num_segments,
@@ -864,7 +869,12 @@ class Session:
             return result
         self._check_privilege("select", schema.name, txn)
         txn.lock(f"rel:{schema.name}", LockMode.ACCESS_SHARE)
-        rows = list(table_files.read(engine, relation, snapshot))
+        rows = list(
+            rows_from_blocks(
+                table_files.read(engine, relation, snapshot),
+                len(schema.columns),
+            )
+        )
         writer = TextWriter(engine.hdfs, stmt.delimiter)
         acc = CostAccumulator(engine.cost_model)
         unloaded = writer.write(path, rows, schema)
@@ -1027,7 +1037,7 @@ class Session:
             engine.catalog.set_stats(name, stats, txn.xid, snapshot)
             return stats
         stats = TableStats.from_blocks(
-            table_files.read(engine, relation, snapshot, "scan_blocks"),
+            table_files.read(engine, relation, snapshot),
             relation["schema"].column_names,
         )
         engine.catalog.set_stats(name, stats, txn.xid, snapshot)

@@ -9,8 +9,8 @@ output column once; hash aggregation folds columns into per-group
 accumulators by factorized group code; a motion places a batch with one
 columnar hash over the key columns and ships one batch per receiver —
 so rows exist as tuples only where a row-shaped source or sink forces
-them: a ``NestLoopJoin``'s condition loop, scans that only exist as
-rows (PXF, catalog relations, system views), and the top slice's return.
+them: a ``NestLoopJoin``'s condition loop, the sources that only exist
+as rows (PXF, ``Result``), and the top slice's return.
 
 Two contracts shape every operator here:
 
@@ -178,16 +178,9 @@ class BatchOperators:
     def _scan_batches(
         self, node: SeqScan, segment: int, acc: CostAccumulator
     ) -> Batches:
-        provider = self.providers.batch_scan
-        source = (
-            provider(node.table, node.partitions, segment, node.columns, acc)
-            if provider is not None
-            else None
+        source = self.providers.scan(
+            node.table, node.partitions, segment, node.columns, acc
         )
-        if source is None:  # catalog relations, system views: row-only
-            return self._row_source_batches(
-                node, self._run_scan(node, segment, acc)
-            )
         predicate = (
             self._compile_predicate(node.filter, self._scan_layout(node))
             if node.filter is not None

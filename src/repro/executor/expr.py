@@ -43,19 +43,30 @@ _LIKE_CACHE: Dict[str, "re.Pattern"] = {}
 
 
 def _like_pattern(pattern: str) -> "re.Pattern":
+    """SQL LIKE as a regex anchored at both ends: ``%`` is any run of
+    characters, ``_`` any one, and a backslash (PostgreSQL's default
+    escape) makes the character after it literal."""
     compiled = _LIKE_CACHE.get(pattern)
     if compiled is None:
-        regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-        compiled = re.compile(f"^{regex}$", re.DOTALL)
+        parts = []
+        chars = iter(pattern)
+        for char in chars:
+            if char == "\\":
+                char = next(chars, None)
+                if char is None:
+                    raise ExecutorError(
+                        "LIKE pattern must not end with escape character"
+                    )
+                parts.append(re.escape(char))
+            elif char == "%":
+                parts.append(".*")
+            elif char == "_":
+                parts.append(".")
+            else:
+                parts.append(re.escape(char))
+        compiled = re.compile("".join(parts) + r"\Z", re.DOTALL)
         _LIKE_CACHE[pattern] = compiled
     return compiled
-
-
-def like_match(value: Optional[str], pattern: str) -> Optional[bool]:
-    """SQL LIKE; ``%`` and ``_`` wildcards, anchored both ends."""
-    if value is None:
-        return None
-    return _like_pattern(pattern).match(value) is not None
 
 
 def add_interval(
@@ -450,23 +461,33 @@ def _compile_row(
             return lambda row: target.coerce(operand(row))
         if isinstance(node, ex.BLike):
             operand = compile_node(node.operand)
-            pattern, negated = node.pattern, node.negated
+            match, negated = _like_pattern(node.pattern).match, node.negated
             def f_like(row):
-                value = like_match(operand(row), pattern)
+                value = operand(row)
                 if value is None:
                     return None
-                return (not value) if negated else value
+                return (match(value) is None) if negated else (
+                    match(value) is not None
+                )
             return f_like
         if isinstance(node, ex.BIn):
             operand = compile_node(node.operand)
             items = [compile_node(i) for i in node.items]
             negated = node.negated
             def f_in(row):
+                # Three-valued: no match against a list holding a NULL
+                # is NULL, not FALSE.
                 value = operand(row)
                 if value is None:
                     return None
-                found = any(item(row) == value for item in items)
-                return (not found) if negated else found
+                answer = negated
+                for item in items:
+                    candidate = item(row)
+                    if candidate is None:
+                        answer = None
+                    elif candidate == value:
+                        return not negated
+                return answer
             return f_in
         if isinstance(node, ex.BIsNull):
             operand = compile_node(node.operand)
@@ -855,7 +876,8 @@ def compile_expr_batch(
                 _like_pattern(node.pattern).match, node.negated, truth,
             )
         if isinstance(node, ex.BIn) and all(
-            isinstance(i, ex.BConst) for i in node.items
+            isinstance(i, ex.BConst) and i.value is not None
+            for i in node.items
         ):
             return _in_kernel(
                 compile_node(node.operand),
@@ -1097,7 +1119,10 @@ def compile_expr_batch(
                     ivals = item(cols, n, sub_rows)
                     still = []
                     for (p, r), iv in zip(pending, ivals):
-                        if iv == vals[p]:
+                        if iv is None:
+                            out[p] = None  # NULL unless a later item matches
+                            still.append((p, r))
+                        elif iv == vals[p]:
                             out[p] = not negated
                         else:
                             still.append((p, r))

@@ -11,8 +11,10 @@ receiver. All simulated charges land on the task's own
 task's duration on the event-driven scheduler's timeline.
 
 This module holds the driver, the tracing and kernel-memo plumbing, and
-only what *both* executors run: the row sources (scans that exist only
-as rows, ``Result``), the nested-loop pair walk and the charge helpers.
+only what *both* executors run: the row sources (PXF scans, ``Result``),
+the nested-loop pair walk and the charge helpers. A ``SeqScan`` reaches
+both executors as the blocks of one provider; the row executor reads
+them as rows here (``_run_scan``), the vectorized one as batches.
 The operators are two independent implementations that agree on every
 result row and on every charge, to the last float bit — the vectorized
 ones of :mod:`repro.executor.batch_ops` (production) and the
@@ -42,16 +44,16 @@ from repro.planner.physical import (
     SeqScan,
 )
 from repro.simtime import CostAccumulator
+from repro.storage.base import rows_from_blocks
 
 
 @dataclass
 class SliceProviders:
     """Segment-local data sources a worker lends to its executor."""
 
-    #: scan(table_source, partitions, segment_id, columns, acc) -> rows
+    #: scan(table_source, partitions, segment_id, columns, acc)
+    #: -> iterator of (row_count, {column_index: values}) blocks
     scan: Callable
-    #: batch_scan(...) -> iterator of (row_count, {col: values}) or None
-    batch_scan: Callable
     #: external(table_source, segment_id, columns, pushed, acc) -> rows
     external: Callable
 
@@ -178,9 +180,9 @@ class SliceExecutor(RowOperators, BatchOperators):
     def _node_rows(
         self, node: PlanNode, segment: int, acc: CostAccumulator
     ) -> Iterator[tuple]:
-        """Rows of one node. The sources — leaves that only exist as
-        rows — are what both executors run; every operator above them
-        is the reference executor's."""
+        """Rows of one node. The row sources (PXF scans, ``Result``) are
+        what both executors run; a ``SeqScan`` read as rows and every
+        operator above are the reference executor's."""
         if isinstance(node, (SeqScan, ExternalScan)):
             return self._run_scan(node, segment, acc)
         if isinstance(node, Result):
@@ -206,7 +208,10 @@ class SliceExecutor(RowOperators, BatchOperators):
         rows = (
             provider(node.table, segment, node.columns, node.pushed_filters, acc)
             if external
-            else provider(node.table, node.partitions, segment, node.columns, acc)
+            else rows_from_blocks(
+                provider(node.table, node.partitions, segment, node.columns, acc),
+                len(node.table.schema.columns),
+            )
         )
         count = 0
         for row in rows:

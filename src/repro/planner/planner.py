@@ -64,6 +64,57 @@ class PlannerOptions:
     enable_colocation: bool = True  # ablation: ignore existing distributions
 
 
+# ------------------------------------------------------- query-shape helpers
+# What a query block asks of its relations, shared by every engine that
+# plans one (this planner and the Stinger baseline).
+def needed_columns(query: LogicalQuery) -> Dict[int, Set[int]]:
+    """The columns each relation of ``query`` must produce."""
+    needed: Dict[int, Set[int]] = {i: set() for i in range(len(query.rels))}
+    exprs: List[ex.BoundExpr] = []
+    exprs.extend(t for t, _ in query.targets)
+    exprs.extend(query.quals)
+    exprs.extend(query.group_by)
+    if query.having is not None:
+        exprs.append(query.having)
+    exprs.extend(k.expr for k in query.order_by)
+    for rel in query.rels:
+        if rel.join_cond is not None:
+            exprs.append(rel.join_cond)
+    for expr in exprs:
+        for var in ex.vars_of(expr, level=0):
+            if var.rel in needed:
+                needed[var.rel].add(var.col)
+    return needed
+
+
+def applicable_quals(
+    pool: List[ex.BoundExpr], joined: Set[int], cand: int
+) -> List[ex.BoundExpr]:
+    """The quals of ``pool`` that joining ``cand`` to ``joined`` can
+    evaluate, in pool order (the pool is left as it is)."""
+    out = []
+    for qual in pool:
+        rels = ex.rels_of(qual)
+        if cand in rels and rels <= joined | {cand} and not ex.has_aggregate(qual):
+            out.append(qual)
+    return out
+
+
+def split_eq(
+    qual: ex.BoundExpr, joined: Set[int], cand: int
+) -> Optional[Tuple[ex.BoundExpr, ex.BoundExpr]]:
+    """Return (left_expr, right_expr) if ``qual`` is an equality
+    bridging the joined set and the candidate."""
+    if not (isinstance(qual, ex.BOp) and qual.op == "="):
+        return None
+    left_rels, right_rels = ex.rels_of(qual.left), ex.rels_of(qual.right)
+    if left_rels and left_rels <= joined and right_rels == {cand}:
+        return qual.left, qual.right
+    if right_rels and right_rels <= joined and left_rels == {cand}:
+        return qual.right, qual.left
+    return None
+
+
 class Planner:
     """Plans one LogicalQuery for a cluster of ``num_segments``."""
 
@@ -124,7 +175,7 @@ class Planner:
 
     def _plan_block_inner(self, query: LogicalQuery) -> PlanNode:
         pool = list(query.quals)
-        needed = self._needed_columns(query)
+        needed = needed_columns(query)
         nodes: Dict[int, PlanNode] = {}
         for index, rel in enumerate(query.rels):
             nodes[index] = self._plan_rel(index, rel, pool, needed)
@@ -227,24 +278,6 @@ class Planner:
                 rel.join_cond = shift(rel.join_cond)
 
     # ----------------------------------------------------------------- scans
-    def _needed_columns(self, query: LogicalQuery) -> Dict[int, Set[int]]:
-        needed: Dict[int, Set[int]] = {i: set() for i in range(len(query.rels))}
-        exprs: List[ex.BoundExpr] = []
-        exprs.extend(t for t, _ in query.targets)
-        exprs.extend(query.quals)
-        exprs.extend(query.group_by)
-        if query.having is not None:
-            exprs.append(query.having)
-        exprs.extend(k.expr for k in query.order_by)
-        for rel in query.rels:
-            if rel.join_cond is not None:
-                exprs.append(rel.join_cond)
-        for expr in exprs:
-            for var in ex.vars_of(expr, level=0):
-                if var.rel in needed:
-                    needed[var.rel].add(var.col)
-        return needed
-
     def _plan_rel(
         self,
         index: int,
@@ -390,9 +423,9 @@ class Planner:
         while remaining:
             best = None
             for cand in sorted(remaining):
-                quals = self._applicable_quals(pool, joined_set, cand)
+                quals = applicable_quals(pool, joined_set, cand)
                 keys = sum(
-                    1 for q in quals if self._split_eq(q, joined_set, cand) is not None
+                    1 for q in quals if split_eq(q, joined_set, cand) is not None
                 )
                 cand_rows = nodes[cand].est_rows
                 est = self.estimator.join_rows(node.est_rows, cand_rows, keys)
@@ -410,37 +443,13 @@ class Planner:
         for cand in special_ids:
             rel = query.rels[cand]
             quals = ex.conjuncts(rel.join_cond) if rel.join_cond is not None else []
-            quals = quals + self._applicable_quals(pool, joined_set, cand)
+            quals = quals + applicable_quals(pool, joined_set, cand)
             est = node.est_rows if rel.join_type != "inner" else node.est_rows
             node = self._build_join(
                 rel.join_type, node, joined_set, nodes[cand], cand, quals, pool, est
             )
             joined_set.add(cand)
         return node
-
-    def _applicable_quals(
-        self, pool: List[ex.BoundExpr], joined: Set[int], cand: int
-    ) -> List[ex.BoundExpr]:
-        out = []
-        for qual in pool:
-            rels = ex.rels_of(qual)
-            if cand in rels and rels <= joined | {cand} and not ex.has_aggregate(qual):
-                out.append(qual)
-        return out
-
-    def _split_eq(
-        self, qual: ex.BoundExpr, joined: Set[int], cand: int
-    ) -> Optional[Tuple[ex.BoundExpr, ex.BoundExpr]]:
-        """Return (left_expr, right_expr) if ``qual`` is an equality
-        bridging the joined set and the candidate."""
-        if not (isinstance(qual, ex.BOp) and qual.op == "="):
-            return None
-        left_rels, right_rels = ex.rels_of(qual.left), ex.rels_of(qual.right)
-        if left_rels and left_rels <= joined and right_rels == {cand}:
-            return qual.left, qual.right
-        if right_rels and right_rels <= joined and left_rels == {cand}:
-            return qual.right, qual.left
-        return None
 
     def _build_join(
         self,
@@ -458,7 +467,7 @@ class Planner:
                 pool.remove(qual)
         left_keys, right_keys, residual = [], [], []
         for qual in quals:
-            pair = self._split_eq(qual, joined, cand)
+            pair = split_eq(qual, joined, cand)
             if pair is not None:
                 left_keys.append(pair[0])
                 right_keys.append(pair[1])

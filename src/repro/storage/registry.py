@@ -9,9 +9,12 @@ Every format module exposes the same interface::
     scan_blocks(client, paths, schema, codec_name, columns, stats, cache)
         -> Iterator[(row_count, {column_index: values})]
 
-``scan_blocks`` is the vectorized entry: it yields decoded column
-vectors block-at-a-time for the batch executor. ``cache`` is an
-optional ``storage.cache.BlockDecodeCache`` that both entries use to
+``scan_blocks`` is the engine's one read path: every table scan, in
+both executors, and every whole-table read (ANALYZE, COPY TO, ALTER)
+takes decoded column vectors from it block-at-a-time. ``scan`` is its
+row view (``rows_from_blocks``) for readers outside the engine: the
+InputFormat splits and the Stinger baseline's file reader. ``cache`` is
+an optional ``storage.cache.BlockDecodeCache`` that both entries use to
 skip re-reading + re-decoding unchanged file prefixes.
 """
 

@@ -29,7 +29,7 @@ import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema, hash_columns
-from repro.columnar import take_columns
+from repro.columnar import fresh_list, take_columns
 from repro.errors import ExecutorError, TransactionError
 from repro.simtime import CostAccumulator
 from repro.storage import co
@@ -55,14 +55,13 @@ def segfiles(
             yield schema, segfile
 
 
-def read(engine, relation: dict, snapshot: Snapshot, entry: str = "scan") -> Iterator:
-    """What the storage format's ``entry`` (``scan``: row tuples,
-    ``scan_blocks``: ``(row_count, {column index: vector})``) yields for
-    every visible segfile of ``relation``, all columns, through the block
+def read(engine, relation: dict, snapshot: Snapshot) -> Iterator:
+    """The ``(row_count, {column index: vector})`` blocks of every
+    visible segfile of ``relation``, all columns, through the block
     cache."""
     for schema, segfile in segfiles(engine.catalog, relation, snapshot):
         client = engine.segments[segfile["segment_id"]].client(engine.hdfs)
-        yield from getattr(get_format(schema.storage_format), entry)(
+        yield from get_format(schema.storage_format).scan_blocks(
             client,
             segfile["paths"],
             schema,
@@ -295,7 +294,11 @@ def rewrite(
     """ALTER TABLE … SET WITH on one leaf: read every visible row, retire
     its files and segfile rows, write the rows again under ``schema``."""
     name = relation["name"]
-    rows = list(read(engine, relation, snapshot))
+    blocks = list(read(engine, relation, snapshot))
+    columns = [
+        list(itertools.chain.from_iterable(fresh_list(b[i]) for _n, b in blocks))
+        for i in range(len(schema.columns))
+    ]
     retire(engine, relation, txn, snapshot)
     engine.catalog.table("gp_segfile").delete(
         snapshot, lambda r: r["table"] == name, txn.xid
@@ -303,8 +306,8 @@ def rewrite(
     engine.catalog.table("pg_class").update(
         snapshot, lambda r: r["name"] == name, {"schema": schema}, txn.xid
     )
-    if rows:
-        write(engine, schema, list(zip(*rows)), txn, txn.statement_snapshot(), acc)
+    if columns[0]:
+        write(engine, schema, columns, txn, txn.statement_snapshot(), acc)
 
 
 def truncate(engine, relation: dict, txn: Transaction, snapshot: Snapshot) -> None:

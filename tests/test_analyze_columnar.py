@@ -101,7 +101,12 @@ def stored_against_reference(session, name: str) -> TableStats:
     try:
         snapshot = txn.statement_snapshot()
         relation = engine.catalog.lookup_relation(name, snapshot)
-        rows = list(table_files.read(engine, relation, snapshot))
+        rows = list(
+            rows_from_blocks(
+                table_files.read(engine, relation, snapshot),
+                len(relation["schema"].columns),
+            )
+        )
         stats = engine.catalog.get_stats(name, snapshot)
     finally:
         engine.txns.commit(txn)

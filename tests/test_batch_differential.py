@@ -242,30 +242,21 @@ def _column_vector(values):
 
 
 class _FakeTables:
-    """Segment-local storage for hand-built plans: the row scan and the
-    block scan charge the same odd amount per block, when the block is
-    first touched, like ``_charged_scan`` does."""
+    """Segment-local storage for hand-built plans: the one scan charges
+    an odd amount per block, when the block is first touched, like
+    ``_charged_scan`` does."""
 
     def __init__(self, tables):
         self.tables = tables  # name -> rows
 
-    def _blocks(self, name, acc):
-        rows = self.tables[name]
+    def scan(self, table, partitions, segment, columns, acc):
+        rows = self.tables[table.table_name]
         for start in range(0, len(rows), BLOCK):
             acc.fixed(1e-6 * (start + 1) / 3)
-            yield rows[start:start + BLOCK]
-
-    def scan(self, table, partitions, segment, columns, acc):
-        for block in self._blocks(table.table_name, acc):
-            yield from block
-
-    def batch_scan(self, table, partitions, segment, columns, acc):
-        def blocks():
-            for block in self._blocks(table.table_name, acc):
-                yield len(block), {
-                    c: _column_vector([row[c] for row in block]) for c in columns
-                }
-        return blocks()
+            block = rows[start:start + BLOCK]
+            yield len(block), {
+                c: _column_vector([row[c] for row in block]) for c in columns
+            }
 
 
 def _scan(rel, name, ncols):
@@ -297,7 +288,7 @@ def _execute(root, mode, tables, *, is_top=True, receivers=(), inbox=(), trace=N
         query_id=1, trace=trace,
     )
     fake = _FakeTables(tables)
-    providers = SliceProviders(scan=fake.scan, batch_scan=fake.batch_scan, external=None)
+    providers = SliceProviders(scan=fake.scan, external=None)
     task = SliceTask(
         slice_id=1, segment=0, gang="N", is_top=is_top, receivers=list(receivers),
         num_plan_slices=2,
@@ -632,3 +623,41 @@ def test_operator_actuals_below_a_streaming_limit(row_tpch, batch_tpch):
             differing[name] = rows_a
     # Each of the four segments pulled limit+1 rows through the probe.
     assert differing == {"HashJoin": 56, "SeqScan": 56}
+
+
+# ----------------------------------------------- master-only relations
+MASTER_ONLY = (
+    "SELECT name, kind FROM pg_class WHERE kind = 'table'",
+    "SELECT status, count(*) FROM gp_segment_configuration GROUP BY status",
+    "SELECT name FROM pg_class LIMIT 2",
+    "SELECT segment_id, tasks FROM pg_stat_segments WHERE tasks > 0 LIMIT 2",
+    "SELECT count(*), sum(tasks) FROM pg_stat_segments",
+)
+
+
+@pytest.fixture(scope="module")
+def master_only_sessions():
+    sessions = []
+    for mode in ("row", "batch"):
+        session = Engine(
+            num_segment_hosts=2, segments_per_host=2, executor_mode=mode
+        ).connect()
+        for name in "abcdef":
+            session.execute(f"CREATE TABLE {name} (k INT) DISTRIBUTED BY (k)")
+        session.execute("INSERT INTO a VALUES (1), (2), (3)")
+        session.execute("SELECT count(*) FROM a")
+        sessions.append(session)
+    return sessions
+
+
+@pytest.mark.parametrize("query", MASTER_ONLY)
+def test_master_only_scans_explain_alike(master_only_sessions, query):
+    """Catalog relations and system views reach both executors through
+    the one scan provider, a row per block: every EXPLAIN (ANALYZE,
+    VERBOSE) line agrees, down to the rows a streaming LIMIT pulls."""
+    row, batch = (
+        [line for (line,) in s.execute("EXPLAIN (ANALYZE, VERBOSE) " + query).rows]
+        for s in master_only_sessions
+    )
+    assert row == batch
+    assert any("SeqScan" in line and "actual rows=" in line for line in row)

@@ -185,7 +185,7 @@ def _two_slices(sender_root, receiver_root, tables, monkeypatch):
         num_segments=4, cost_model=CostModel(), executor_mode="batch", query_id=1
     )
     fake = _FakeTables(tables)
-    providers = SliceProviders(scan=fake.scan, batch_scan=fake.batch_scan, external=None)
+    providers = SliceProviders(scan=fake.scan, external=None)
     rows = None
     for slice_id, root in enumerate((sender_root, receiver_root)):
         task = SliceTask(

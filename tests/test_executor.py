@@ -11,10 +11,10 @@ from repro import Engine
 from repro.errors import ExecutorError
 from repro.executor.aggregates import make_state
 from repro.executor.expr import (
+    _like_pattern,
     add_interval,
     compile_expr,
     estimate_row_bytes,
-    like_match,
     sql_arith,
     sql_compare,
 )
@@ -66,11 +66,11 @@ class TestValueSemantics:
         assert sql_arith("||", "a", 1) == "a1"
 
     def test_like(self):
-        assert like_match("forest green", "forest%")
-        assert like_match("abc", "a_c")
-        assert not like_match("abc", "a_d")
-        assert like_match(None, "x%") is None
-        assert like_match("special requests here", "%special%requests%")
+        assert _like_pattern("forest%").match("forest green")
+        assert _like_pattern("a_c").match("abc")
+        assert not _like_pattern("a_d").match("abc")
+        assert _like_pattern("%special%requests%").match("special requests here")
+        assert not _like_pattern("a").match("a\n")
 
     def test_add_interval_months_clamp(self):
         assert add_interval(datetime.date(1999, 1, 31), 1, "month") == datetime.date(

@@ -5,10 +5,15 @@ agree with PostgreSQL the SQLite answer is the reference; where SQLite
 differs (a zero divisor yields NULL there) the PostgreSQL rule is written
 into the test.
 
-``%`` takes the dividend's sign (``-7 % 3`` is -1). It runs three ways:
-the row executor (``sql_arith``), the batch executor on an AO table
-(value lists), and on a CO table whose ints are typed vectors, where
-``column % constant`` is one NumPy ``fmod``.
+Every rule runs three ways: the row executor, the batch executor on an
+AO table (value lists), and on a CO table whose ints are typed vectors.
+
+* ``%`` takes the dividend's sign (``-7 % 3`` is -1); on CO,
+  ``column % constant`` is one NumPy ``fmod``.
+* ``IN`` is three-valued: no match against a list holding a NULL is
+  NULL, so ``x NOT IN (1, NULL)`` keeps no row.
+* Backslash is LIKE's default escape. SQLite has no default escape, so
+  its statements carry an explicit ``ESCAPE '\\'``.
 """
 
 import itertools
@@ -24,6 +29,25 @@ DIVISORS = (-3, -2, -1, 1, 2, 3)
 ROWS = [
     (k, a, b) for k, (a, b) in enumerate(itertools.product(DIVIDENDS, DIVISORS))
 ]
+WORDS = [
+    (0, 1, 1, "a_c"), (1, 2, None, "abc"), (2, None, 3, "a%c"),
+    (3, 3, 2, "a\\c"), (4, 7, 7, None), (5, 1, None, "a\nb"),
+    (6, None, None, "abc\n"), (7, 4, 3, "xa_cx"),
+]
+IN_STATEMENTS = (
+    "SELECT k, a IN (1, NULL), a NOT IN (1, NULL) FROM w ORDER BY k",
+    "SELECT k FROM w WHERE a NOT IN (1, NULL) ORDER BY k",
+    "SELECT k FROM w WHERE a IN (1, NULL) ORDER BY k",
+    "SELECT k FROM w WHERE NOT (a IN (2, NULL)) ORDER BY k",
+    "SELECT k FROM w WHERE a NOT IN (1, 2) ORDER BY k",
+    "SELECT k, a IN (b, 3), a NOT IN (b, 7) FROM w ORDER BY k",
+    "SELECT k FROM w WHERE a NOT IN (b, 7) ORDER BY k",
+    "SELECT k, s IN ('abc', NULL), s NOT IN ('abc', 'a_c') FROM w ORDER BY k",
+    "SELECT k FROM w WHERE s NOT IN ('abc', NULL) ORDER BY k",
+)
+LIKE_PATTERNS = (
+    "a\\_c", "a\\%c", "a\\\\c", "a_c", "%\\_%", "a\\bc", "abc", "a%b", "%c",
+)
 STATEMENTS = (
     "SELECT k, a % b FROM m ORDER BY k",
     "SELECT k, a % 3 FROM m ORDER BY k",
@@ -38,6 +62,9 @@ def reference():
     db = sqlite3.connect(":memory:")
     db.execute("CREATE TABLE m (k INTEGER, a INTEGER, b INTEGER)")
     db.executemany("INSERT INTO m VALUES (?, ?, ?)", ROWS)
+    db.execute("CREATE TABLE w (k INTEGER, a INTEGER, b INTEGER, s TEXT)")
+    db.executemany("INSERT INTO w VALUES (?, ?, ?, ?)", WORDS)
+    db.execute("PRAGMA case_sensitive_like = ON")
     return db
 
 
@@ -57,6 +84,11 @@ def session(request):
         f"(appendonly=true, orientation={orientation}) DISTRIBUTED BY (k)"
     )
     session.load_rows("m", ROWS)
+    session.execute(
+        "CREATE TABLE w (k INT NOT NULL, a INT, b INT, s TEXT) WITH "
+        f"(appendonly=true, orientation={orientation}) DISTRIBUTED BY (k)"
+    )
+    session.load_rows("w", WORDS)
     return session
 
 
@@ -79,4 +111,30 @@ def test_zero_divisor_raises_like_division(session, sql):
     """PostgreSQL raises ``division by zero`` for ``%`` as for ``/``
     (SQLite returns NULL, so this is the rule, not the reference)."""
     with pytest.raises(ExecutorError, match="division by zero"):
+        session.execute(sql)
+
+
+@pytest.mark.parametrize("sql", IN_STATEMENTS)
+def test_in_list_with_a_null_is_three_valued(session, reference, sql):
+    assert session.execute(sql).rows == [
+        tuple(row) for row in reference.execute(sql).fetchall()
+    ]
+
+
+@pytest.mark.parametrize("pattern", LIKE_PATTERNS)
+@pytest.mark.parametrize("op", ["LIKE", "NOT LIKE"])
+def test_backslash_is_the_like_escape(session, reference, pattern, op):
+    sql = f"SELECT k FROM w WHERE s {op} '{pattern}' ORDER BY k"
+    expected = reference.execute(
+        f"SELECT k FROM w WHERE s {op} '{pattern}' ESCAPE '\\' ORDER BY k"
+    ).fetchall()
+    assert session.execute(sql).rows == [tuple(row) for row in expected]
+
+
+@pytest.mark.parametrize(
+    "sql",
+    ["SELECT k FROM w WHERE s LIKE 'a\\'", "SELECT 'a' LIKE 'a\\'"],
+)
+def test_pattern_ending_in_the_escape_raises(session, sql):
+    with pytest.raises(ExecutorError, match="must not end with escape"):
         session.execute(sql)

@@ -95,7 +95,7 @@ def test_every_scanned_vector_sits_on_ndarrays(storage, tpch_data):
         snapshot = txn.statement_snapshot()
         for name in (*TABLE_NAMES, "sparse", "hollow"):
             relation = session.engine.catalog.lookup_relation(name, snapshot)
-            blocks = table_files.read(session.engine, relation, snapshot, "scan_blocks")
+            blocks = table_files.read(session.engine, relation, snapshot)
             for _row_count, columns in blocks:
                 for col in columns.values():
                     assert_invariant(col, seen)

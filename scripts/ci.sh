@@ -151,8 +151,12 @@ echo "== per-statement budget on the short workloads (counts, not seconds) =="
 # With tokens keyed once by the lexer and catalog versions filed by
 # relation name they read 5,627 / 0.225 and 5,549 / 0.3 (6,894 and 6,817
 # before), and the Python calls inside repro/sql read 138 a statement on
-# both (569 before); the two call ceilings are these readings + 15 %.
-for budget in "short_serial 6470 159 0.32" "short_streams 6380 159 0.35"; do
+# both (569 before); the sql ceiling is that reading + 15 %.
+# With dispatch metadata kept per catalog version, no random draws on a
+# lossless link and metric series found without formatting their keys,
+# they read 5,026 and 5,008 Python calls (5,557 and 5,477 before); the
+# two call ceilings are these readings + 15 %.
+for budget in "short_serial 5780 159 0.32" "short_streams 5760 159 0.35"; do
     set -- $budget
     budget_json=$(python3 benchmarks/perf/run.py --workload "$1" --quick --trace 1 | tail -n 1)
     python - "$budget_json" "$@" <<'PY'

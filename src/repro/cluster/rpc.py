@@ -115,10 +115,6 @@ class RpcBus:
         #: observers of the control plane — they never charge the clock.
         self.trace = None
         self.metrics = None
-        #: message kind -> its bound (``rpc_messages``, ``rpc_bytes``)
-        #: counters: the kinds are a closed set, so :meth:`send` renders
-        #: each labelled series key once per bus, not once per message.
-        self._sent: Dict[str, Tuple[object, object]] = {}
 
     def register(
         self, name: str, handler: Callable[[RpcMessage], None]
@@ -203,12 +199,6 @@ class RpcBus:
             # never sent, so the protocol log only holds real traffic.
             self.trace.on_rpc(sender, dest, message)
         if self.metrics is not None:
-            counters = self._sent.get(message.kind)
-            if counters is None:
-                counters = self._sent[message.kind] = (
-                    self.metrics.counter("rpc_messages", kind=message.kind),
-                    self.metrics.counter("rpc_bytes", kind=message.kind),
-                )
-            counters[0].inc()
-            counters[1].inc(message.size)
+            self.metrics.counter("rpc_messages", kind=message.kind).inc()
+            self.metrics.counter("rpc_bytes", kind=message.kind).inc(message.size)
         self._net.send(src.address, dst.address, message, message.size)

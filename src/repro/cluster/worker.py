@@ -22,7 +22,6 @@ SegmentDown` surfaces and the statement loop's bounded restart takes over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List
 
 from repro.catalog.service import CATALOG_RELATION_COLUMNS
@@ -76,16 +75,6 @@ class WorkerServices:
     #: :meth:`~repro.engine.Engine.is_cancelled`). Workers refuse new
     #: slices and scan lanes for a cancelled query. None disables.
     is_cancelled: Callable[[int], bool] = None
-
-    # The paired open/close counters of every charged scan, bound at
-    # first use (rendering a series key costs more than the increment).
-    @cached_property
-    def scans_opened(self):
-        return self.metrics.counter("charged_scans_opened")
-
-    @cached_property
-    def scans_closed(self):
-        return self.metrics.counter("charged_scans_closed")
 
 
 class SegmentWorker:
@@ -296,7 +285,7 @@ class SegmentWorker:
             # Paired open/close counters: equal totals prove no charged
             # scan iterator leaked, even across cancels (the cancel
             # sweep asserts opened == closed).
-            services.scans_opened.inc()
+            services.metrics.counter("charged_scans_opened").inc()
         try:
             yield from get_format(meta.storage_format).scan_blocks(
                 client,
@@ -309,7 +298,7 @@ class SegmentWorker:
             )
         finally:
             if services.metrics is not None:
-                services.scans_closed.inc()
+                services.metrics.counter("charged_scans_closed").inc()
             acc.disk_read(int(stats.compressed_bytes * io_factor))
             acc.cpu_bytes(
                 stats.uncompressed_bytes,

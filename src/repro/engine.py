@@ -174,6 +174,10 @@ class Engine:
             delete_files=lambda paths: table_files.delete(self, paths)
         )
         self.catalog = CatalogService(on_change=self._on_catalog_change)
+        #: Each dispatched table's metadata and wire bytes, under the
+        #: catalog versions they were built from (see
+        #: :func:`~repro.planner.dispatch.build_self_described_plan`).
+        self.dispatch_memo: dict = {}
         #: The warm standby master; None once a crash consumed it.
         self.standby = StandbyMaster(self.txns.wal)
         self.fault_detector = FaultDetector(self.segments, seed=seed)
@@ -659,7 +663,9 @@ class Session:
         return PreparedSelect(
             session=self,
             plan=plan,
-            sdp=build_self_described_plan(plan, engine.catalog, snapshot),
+            sdp=build_self_described_plan(
+                plan, engine.catalog, snapshot, engine.dispatch_memo
+            ),
             ctx=ExecutionContext(
                 num_segments=engine.num_segments,
                 cost_model=engine.cost_model,

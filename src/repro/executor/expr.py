@@ -121,7 +121,9 @@ def sql_arith(op: str, left: object, right: object) -> object:
         if right == 0:
             raise ExecutorError("division by zero")
         if isinstance(left, int) and isinstance(right, int):
-            return left / right  # SQL numeric division, not floor
+            # PostgreSQL's rule: integer division truncates toward zero.
+            quotient = abs(left) // abs(right)
+            return -quotient if (left < 0) != (right < 0) else quotient
         return left / right
     if op == "%":
         # PostgreSQL's rule: the remainder takes the dividend's sign.

@@ -26,7 +26,6 @@ critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Sized, Tuple
 
 from repro.network.simnet import Datagram, SimNetwork
@@ -112,18 +111,8 @@ class ExchangeFabric:
                 slice_id, sender, receiver, len(rows), nbytes, query_id=query_id
             )
         if self.metrics is not None:
-            streams, volume = self._motion_counters
-            streams.inc()
-            volume.inc(nbytes)
-
-    @cached_property
-    def _motion_counters(self):
-        """(``motion_streams``, ``motion_bytes``), bound at the first
-        stream this fabric delivers."""
-        return (
-            self.metrics.counter("motion_streams"),
-            self.metrics.counter("motion_bytes"),
-        )
+            self.metrics.counter("motion_streams").inc()
+            self.metrics.counter("motion_bytes").inc(nbytes)
 
     def receive(
         self, query_id: int, slice_id: int, receiver: int

@@ -15,7 +15,12 @@ deliveries exactly as it would under an OS scheduler.
 
 All randomness comes from a :class:`~repro.util.DeterministicRng`, so a
 given seed always produces the same loss/reorder pattern — every protocol
-branch is reproducibly testable.
+branch is reproducibly testable. A *lossless* link (no loss,
+duplication, corruption or jitter, as on every runtime the engine
+builds) has nothing to draw: each datagram arrives once, uncorrupted,
+after ``latency + size / bandwidth``. Its net makes no draws and builds
+no generator; the first send on a lossy link seeds it and draws exactly
+what it always drew.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ from repro.util import DeterministicRng
 Address = Tuple[str, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkConditions:
-    """Tunable physical characteristics of the simulated fabric."""
+    """Physical characteristics of the simulated fabric, fixed for a
+    net's life (so a lossless net stays lossless)."""
 
     latency: float = 100e-6
     jitter: float = 50e-6
@@ -69,7 +75,8 @@ class SimNetwork:
 
     def __init__(self, conditions: Optional[NetworkConditions] = None, seed: int = 0):
         self.conditions = conditions or NetworkConditions()
-        self._rng = DeterministicRng(seed, "simnet")
+        self._seed = seed
+        self._rng: Optional[DeterministicRng] = None
         self._now = 0.0
         self._events: list = []
         self._counter = itertools.count()
@@ -110,20 +117,29 @@ class SimNetwork:
     def send(self, src: Address, dst: Address, payload: object, size: int) -> None:
         """Send one datagram; it may be lost, duplicated or reordered."""
         self.bytes_sent += size
+        c = self.conditions
+        if not (c.loss_rate or c.dup_rate or c.corrupt_rate or c.jitter):
+            # Lossless: the draws below would all come out "deliver once,
+            # intact", and ``random() * 0.0`` adds exactly 0.0.
+            datagram = Datagram(src=src, dst=dst, payload=payload, size=size)
+            self.schedule(
+                c.latency + size / c.bandwidth,
+                lambda d=datagram: self._deliver(d),
+            )
+            return
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = DeterministicRng(self._seed, "simnet")
         copies = 1
-        if self._rng.chance(self.conditions.loss_rate):
+        if rng.chance(c.loss_rate):
             self.dropped += 1
             copies = 0
-        elif self._rng.chance(self.conditions.dup_rate):
+        elif rng.chance(c.dup_rate):
             self.duplicated += 1
             copies = 2
         for _ in range(copies):
-            delay = (
-                self.conditions.latency
-                + self._rng.random() * self.conditions.jitter
-                + size / self.conditions.bandwidth
-            )
-            corrupt = self._rng.chance(self.conditions.corrupt_rate)
+            delay = c.latency + rng.random() * c.jitter + size / c.bandwidth
+            corrupt = rng.chance(c.corrupt_rate)
             if corrupt:
                 self.corrupted += 1
             datagram = Datagram(

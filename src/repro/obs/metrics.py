@@ -115,12 +115,22 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Labeled metric instruments, keyed by rendered name."""
+    """Labeled metric instruments, keyed by rendered name.
+
+    A call finds a series it has seen before through ``(kind, name,
+    labels in the order passed)`` without rendering the key; only the
+    first call in each label order renders it. Label values that are
+    not strings always go through the rendered key, because ``==`` can
+    join values that render apart (``1``, ``1.0``, ``True``).
+    """
 
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
+        self._series: Dict[tuple, object] = {}
 
     def _get(self, kind, name: str, labels: Dict[str, object]):
+        """The series a lookup in ``_series`` missed: found (or made)
+        under its rendered key, and filed for the next lookup."""
         key = _key(name, labels)
         metric = self._metrics.get(key)
         if metric is None:
@@ -131,16 +141,21 @@ class MetricsRegistry:
                 f"metric {key!r} already registered as "
                 f"{type(metric).__name__}, not {kind.__name__}"
             )
+        if all(type(value) is str for value in labels.values()):
+            self._series[(kind, name, *labels.items())] = metric
         return metric
 
     def counter(self, name: str, **labels: object) -> Counter:
-        return self._get(Counter, name, labels)
+        metric = self._series.get((Counter, name, *labels.items()))
+        return metric if metric is not None else self._get(Counter, name, labels)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._get(Gauge, name, labels)
+        metric = self._series.get((Gauge, name, *labels.items()))
+        return metric if metric is not None else self._get(Gauge, name, labels)
 
     def histogram(self, name: str, **labels: object) -> Histogram:
-        return self._get(Histogram, name, labels)
+        metric = self._series.get((Histogram, name, *labels.items()))
+        return metric if metric is not None else self._get(Histogram, name, labels)
 
     def snapshot(self) -> "MetricsSnapshot":
         """A flat, immutable view: key -> scalar value."""

@@ -14,21 +14,25 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.catalog.schema import TableSchema
-from repro.catalog.service import CatalogService
+from repro.catalog.service import CATALOG_RELATION_COLUMNS, CatalogService
 from repro.errors import PlannerError
+from repro.obs.sysviews import SYSTEM_VIEW_COLUMNS
 from repro.planner.physical import PhysicalPlan, PlanNode, PlanSlice, SeqScan
-from repro.planner.wire import encode
+from repro.planner.wire import encode, encode_dispatch
 from repro.txn.mvcc import Snapshot
 
 #: Pseudo segment id of the query dispatcher's own executor (gang "1"
 #: slices — final gathers, Result-only plans — run on the master).
 QD_SEGMENT = -1
 
+#: Most table versions a dispatch memo holds; a full one is cleared whole.
+METADATA_MEMO_LIMIT = 256
 
-@dataclass
+
+@dataclass(frozen=True)
 class SegfileMeta:
     """One lane of one table on one segment, as dispatched to QEs."""
 
@@ -37,9 +41,10 @@ class SegfileMeta:
     tupcount: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableMetadata:
-    """Everything a QE needs to scan one table."""
+    """Everything a QE needs to scan one table. Shared by every
+    dispatch that sees the same catalog versions, so never changed."""
 
     schema: TableSchema
     storage_format: str
@@ -152,39 +157,68 @@ def tables_in_plan(plan: PhysicalPlan) -> Set[str]:
     return names
 
 
+def _table_entry(
+    name: str, relation: Dict[str, object], lanes: List[Dict[str, object]]
+) -> Tuple[TableMetadata, bytes]:
+    """One table's metadata and its wire bytes as a ``metadata`` item
+    (its name, then the :class:`TableMetadata`)."""
+    schema: TableSchema = relation["schema"]
+    segfiles: Dict[int, List[SegfileMeta]] = {}
+    for row in lanes:
+        segfiles.setdefault(row["segment_id"], []).append(
+            SegfileMeta(
+                segfile_id=row["segfile_id"],
+                paths=dict(row["paths"]),
+                tupcount=row["tupcount"],
+            )
+        )
+    table_meta = TableMetadata(
+        schema=schema,
+        storage_format=schema.storage_format,
+        compression=schema.compression,
+        segfiles=segfiles,
+    )
+    return table_meta, encode(name) + encode(table_meta)
+
+
 def build_self_described_plan(
     plan: PhysicalPlan,
     catalog: CatalogService,
     snapshot: Snapshot,
+    memo: Optional[dict] = None,
 ) -> SelfDescribedPlan:
-    """Decorate a plan with the metadata its QEs will need."""
-    from repro.catalog.service import CATALOG_RELATION_COLUMNS
-    from repro.obs.sysviews import SYSTEM_VIEW_COLUMNS
+    """Decorate a plan with the metadata its QEs will need.
 
+    A table's metadata is a function of the catalog row versions the
+    snapshot sees — its ``pg_class`` row and its ``gp_segfile`` rows, in
+    scan order — and those versions are immutable. ``memo`` (the
+    engine's) keeps each table's :class:`TableMetadata` and wire bytes
+    under the identities of those versions, and holds the versions
+    themselves so no identity can be reused while its entry lives; a
+    full memo is cleared whole. The message is framed around the stored
+    bytes, byte-identical to ``encode((plan, metadata))``.
+    """
+    if memo is None:
+        memo = {}
     metadata: Dict[str, TableMetadata] = {}
+    entries: List[bytes] = []
     for name in sorted(tables_in_plan(plan)):
         if name in CATALOG_RELATION_COLUMNS or name in SYSTEM_VIEW_COLUMNS:
             continue  # system tables/views live on the master only
         relation = catalog.lookup_relation(name, snapshot)
         if relation is None:
             raise PlannerError(f"table {name!r} vanished before dispatch")
-        schema: TableSchema = relation["schema"]
-        table_meta = TableMetadata(
-            schema=schema,
-            storage_format=schema.storage_format,
-            compression=schema.compression,
-        )
-        for row in catalog.segfiles(name, snapshot):
-            table_meta.segfiles.setdefault(row["segment_id"], []).append(
-                SegfileMeta(
-                    segfile_id=row["segfile_id"],
-                    paths=dict(row["paths"]),
-                    tupcount=row["tupcount"],
-                )
-            )
-        metadata[name] = table_meta
+        lanes = catalog.segfiles(name, snapshot)
+        key = (name, id(relation), *map(id, lanes))
+        hit = memo.get(key)
+        if hit is None:
+            if len(memo) >= METADATA_MEMO_LIMIT:
+                memo.clear()
+            hit = memo[key] = (relation, lanes, *_table_entry(name, relation, lanes))
+        _relation, _lanes, metadata[name], table_bytes = hit
+        entries.append(table_bytes)
 
-    raw = encode((plan, metadata))
+    raw = encode_dispatch(plan, entries)
     compressed = zlib.compress(raw, 1)
     return SelfDescribedPlan(
         plan=plan,

@@ -24,7 +24,8 @@ is ``E``, its class's name and its value.
 
 Each table's schema travels once, in ``metadata[name]``, as bytes
 encoded once per (frozen, shared) ``TableSchema`` version and kept on
-it. A scan's ``TableSource`` is ``^`` and the table's name — QEs resolve
+it. The dispatcher keeps each metadata item's bytes too, and
+:func:`encode_dispatch` frames the message around them. A scan's ``TableSource`` is ``^`` and the table's name — QEs resolve
 ``metadata[name]`` — except an external table's, which has no metadata
 entry and goes whole: name, schema and PXF options.
 """
@@ -36,7 +37,7 @@ import datetime
 import enum
 import struct
 from decimal import Decimal
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.catalog.schema import TableSchema
 from repro.planner.logical import TableSource
@@ -196,6 +197,20 @@ def encode(value: object) -> bytes:
     inside it, that has no encoding."""
     out = bytearray()
     _ENCODERS[type(value)](value, out)
+    return bytes(out)
+
+
+def encode_dispatch(plan: object, entries: Sequence[bytes]) -> bytes:
+    """``encode((plan, metadata))`` from the plan and each metadata
+    item's bytes already encoded (``encode(name) + encode(value)``, in
+    the dict's order): the same framing :func:`encode` writes for a
+    2-tuple and a dict, so the bytes are identical."""
+    out = bytearray(b"(\x02")
+    _ENCODERS[type(plan)](plan, out)
+    out += b"{"
+    _uint(len(entries), out)
+    for entry in entries:
+        out += entry
     return bytes(out)
 
 

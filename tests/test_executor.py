@@ -56,7 +56,10 @@ class TestValueSemantics:
         assert sql_arith("*", 2, None) is None
 
     def test_division(self):
-        assert sql_arith("/", 7, 2) == 3.5  # SQL numeric, not floor
+        # Integers truncate toward zero, as in PostgreSQL (not floor).
+        assert sql_arith("/", 7, 2) == 3
+        assert sql_arith("/", -7, 2) == -3
+        assert sql_arith("/", 7, 2.0) == 3.5
 
     def test_division_by_zero(self):
         with pytest.raises(ExecutorError):

@@ -26,6 +26,7 @@ from repro.obs import (
     MetricsSnapshot,
     QueryTrace,
     TraceCollector,
+    render_prometheus,
     render_summary,
     rpc_closure_violations,
     to_chrome_trace,
@@ -195,6 +196,72 @@ class TestMetricsRegistry:
         reg.counter("x")
         with pytest.raises(TypeError):
             reg.gauge("x")
+
+    def test_label_order_reaches_one_series(self):
+        reg = MetricsRegistry()
+        reg.counter("bytes_read", format="co", node="seg1").inc(7)
+        reg.counter("bytes_read", node="seg1", format="co").inc(5)
+        reg.counter("bytes_read", format="co", node="seg1").inc(1)
+        assert reg.counter("bytes_read", node="seg1", format="co").value == 13
+        assert reg.snapshot().as_dict() == {"bytes_read{format=co,node=seg1}": 13}
+
+    def test_kind_conflict_raises_after_a_labelled_lookup(self):
+        reg = MetricsRegistry()
+        reg.counter("x", node="seg0").inc()
+        reg.counter("x", node="seg0").inc()
+        with pytest.raises(TypeError):
+            reg.gauge("x", node="seg0")
+        with pytest.raises(TypeError):
+            reg.histogram("x", node="seg0")
+
+    def test_values_that_compare_equal_keep_their_own_series(self):
+        reg = MetricsRegistry()
+        for value in (1, True, 1.0, "1", 1, True):
+            reg.counter("n", node=value).inc()
+        assert reg.snapshot().as_dict() == {
+            "n{node=1}": 3, "n{node=True}": 2, "n{node=1.0}": 1,
+        }
+
+    def test_snapshot_keys_and_exposition_are_pinned(self):
+        reg = MetricsRegistry()
+        reg.counter("rpc_bytes", kind="dispatch").inc(100)
+        reg.counter("bytes_read", format="co", node="seg1").inc(7)
+        reg.counter("bytes_read", node="seg1", format="co").inc(5)
+        reg.counter("bytes_read", node="seg0", format="ao").inc(2)
+        reg.gauge("waiters", queue='q"1').set(2.5)
+        reg.histogram("wait_seconds", queue="pg_default").observe(0.5)
+        reg.histogram("wait_seconds", queue="pg_default").observe(1.5)
+        reg.counter("statements").inc()
+        assert list(reg.snapshot()) == [
+            "bytes_read{format=ao,node=seg0}",
+            "bytes_read{format=co,node=seg1}",
+            "rpc_bytes{kind=dispatch}",
+            "statements",
+            "wait_seconds{queue=pg_default}.count",
+            "wait_seconds{queue=pg_default}.max",
+            "wait_seconds{queue=pg_default}.min",
+            "wait_seconds{queue=pg_default}.total",
+            'waiters{queue=q"1}',
+        ]
+        assert render_prometheus(reg) == (
+            "# TYPE bytes_read counter\n"
+            'bytes_read{format="ao",node="seg0"} 2\n'
+            'bytes_read{format="co",node="seg1"} 12\n'
+            "# TYPE rpc_bytes counter\n"
+            'rpc_bytes{kind="dispatch"} 100\n'
+            "# TYPE statements counter\n"
+            "statements 1\n"
+            "# TYPE wait_seconds_count counter\n"
+            'wait_seconds_count{queue="pg_default"} 2\n'
+            "# TYPE wait_seconds_sum counter\n"
+            'wait_seconds_sum{queue="pg_default"} 2\n'
+            "# TYPE wait_seconds_min gauge\n"
+            'wait_seconds_min{queue="pg_default"} 0.5\n'
+            "# TYPE wait_seconds_max gauge\n"
+            'wait_seconds_max{queue="pg_default"} 1.5\n'
+            "# TYPE waiters gauge\n"
+            'waiters{queue="q\\"1"} 2.5\n'
+        )
 
     def test_snapshot_diff_keeps_nonzero_deltas(self):
         reg = MetricsRegistry()

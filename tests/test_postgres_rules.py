@@ -10,6 +10,10 @@ AO table (value lists), and on a CO table whose ints are typed vectors.
 
 * ``%`` takes the dividend's sign (``-7 % 3`` is -1); on CO,
   ``column % constant`` is one NumPy ``fmod``.
+* Integer ``/`` truncates toward zero (``-7 / 2`` is -3); an integer
+  over a float divides exactly, and a NULL operand gives NULL. Every
+  evaluator (both executors, constant folding, the Stinger baseline)
+  goes through ``sql_arith``, so one rule covers them all.
 * ``IN`` is three-valued: no match against a list holding a NULL is
   NULL, so ``x NOT IN (1, NULL)`` keeps no row.
 * Backslash is LIKE's default escape. SQLite has no default escape, so
@@ -54,6 +58,17 @@ STATEMENTS = (
     "SELECT k, a % -2 FROM m ORDER BY k",
     "SELECT k, 7 % b, -7 % b FROM m ORDER BY k",
     "SELECT k FROM m WHERE a % 3 = -1 ORDER BY k",
+)
+
+DIVISION_STATEMENTS = (
+    "SELECT k, a / b FROM m ORDER BY k",
+    "SELECT k, a / 2, a / -2, a / 3 FROM m ORDER BY k",
+    "SELECT k, -7 / b, 7 / b FROM m ORDER BY k",
+    "SELECT k FROM m WHERE a / b = -2 ORDER BY k",
+    "SELECT k, a / 2.0, a / (b * 1.0), 2.5 / b FROM m ORDER BY k",
+    "SELECT k, a / b, a / 2, 7 / b, b / 2.0 FROM w ORDER BY k",
+    "SELECT k, a / NULL, NULL / b FROM w ORDER BY k",
+    "SELECT -7 / 2, 7 / -2, -7 / -2, 1 / 3, -1 / 3, -7 / 2.0, 7 / NULL",
 )
 
 
@@ -110,6 +125,21 @@ def test_literal_remainder():
 def test_zero_divisor_raises_like_division(session, sql):
     """PostgreSQL raises ``division by zero`` for ``%`` as for ``/``
     (SQLite returns NULL, so this is the rule, not the reference)."""
+    with pytest.raises(ExecutorError, match="division by zero"):
+        session.execute(sql)
+
+
+@pytest.mark.parametrize("sql", DIVISION_STATEMENTS)
+def test_integer_division_truncates_toward_zero(session, reference, sql):
+    assert session.execute(sql).rows == [
+        tuple(row) for row in reference.execute(sql).fetchall()
+    ]
+
+
+@pytest.mark.parametrize(
+    "sql", ["SELECT a / 0 FROM m", "SELECT a / (b - b) FROM m", "SELECT 7 / 0"]
+)
+def test_integer_division_by_zero_raises(session, sql):
     with pytest.raises(ExecutorError, match="division by zero"):
         session.execute(sql)
 

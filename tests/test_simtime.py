@@ -169,6 +169,48 @@ class TestSimNetwork:
         with pytest.raises(InterconnectError):
             net.register(("a", 1), lambda d: None)
 
+    def test_lossless_link_delivers_after_latency_and_serialization(self):
+        conditions = NetworkConditions(latency=2e-4, jitter=0.0, bandwidth=1e6)
+        net = SimNetwork(conditions, seed=3)
+        got = []
+        net.register(("b", 1), lambda d: got.append((d.payload, net.now, d.corrupted)))
+        sends = [(0, 1500), (1, 10), (2, 1500), (3, 700)]
+        expected = []
+        for payload, size in sends:
+            net.send(("a", 1), ("b", 1), payload, size=size)
+            expected.append((payload, 0.0 + 2e-4 + size / 1e6, False))
+        net.schedule(0.01, lambda: net.send(("a", 1), ("b", 1), 4, size=64))
+        expected.append((4, 0.01 + (2e-4 + 64 / 1e6), False))
+        net.run()
+        expected.sort(key=lambda arrival: arrival[1])  # the heap's order
+        assert got == expected  # exact floats; ties keep send order
+        assert [p for p, _, _ in got[:2]] == [1, 3]
+        assert net.delivered == 5 and net.dropped == net.duplicated == 0
+        assert net._rng is None  # no generator was built
+
+    def test_lossy_link_draws_as_before(self):
+        """Counts and arrivals of a lossy net at a fixed seed, pinned
+        from the commit before lossless links stopped drawing."""
+        conditions = NetworkConditions(
+            loss_rate=0.2, dup_rate=0.1, corrupt_rate=0.1, jitter=50e-6
+        )
+        net = SimNetwork(conditions, seed=7)
+        got = []
+        net.register(("b", 1), lambda d: got.append((d.payload, d.corrupted, net.now)))
+        for i in range(200):
+            net.send(("a", 1), ("b", 1), i, size=100 + i)
+        net.run()
+        assert (net.delivered, net.dropped, net.duplicated, net.corrupted) == (
+            168, 43, 11, 10,
+        )
+        assert net.bytes_sent == 39900
+        assert net.now == 0.0001495017172595844
+        assert got[:3] == [
+            (77, False, 0.0001004278957787132),
+            (27, False, 0.00010045422173781673),
+            (46, False, 0.0001004990282435181),
+        ]
+
 
 class TestEventScheduler:
     def test_empty_schedule(self):

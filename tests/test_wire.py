@@ -16,7 +16,7 @@ import pytest
 
 from repro.catalog.schema import Column, DataType
 from repro.planner.physical import ExternalScan, SeqScan
-from repro.planner.wire import encode
+from repro.planner.wire import encode, encode_dispatch
 from repro.tpch import QUERIES
 from tests.test_payload_canary import build_session, dispatched, statements
 
@@ -144,6 +144,13 @@ class TestComplete:
         assert len(set(encoded)) == len(values)  # no two values collide
         assert encode({3, 1, 2}) == encode({2, 3, 1}) == encode(frozenset({1, 2, 3}))
         assert encode(Point(1)) == b"@s\x05Pointi\x02f" + bytes(6) + b"\xe0\x3f"
+
+    @pytest.mark.parametrize("size", [0, 1, 127, 128, 300])
+    def test_a_message_framed_around_encoded_items_is_the_pair(self, size):
+        plan = ("plan", [1, 2.5, None])
+        metadata = {f"t{i}": {"rows": i} for i in range(size)}
+        items = [encode(name) + encode(meta) for name, meta in metadata.items()]
+        assert encode_dispatch(plan, items) == encode((plan, metadata))
 
     @pytest.mark.parametrize(
         "changed",

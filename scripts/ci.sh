@@ -98,6 +98,59 @@ if grep -rnE "batch_scan|_batch_scan_provider|catalog_rows|sysview_rows" src/rep
     exit 1
 fi
 
+echo "== one relation-access step (lookup, privilege, then lock, in Session.access_relation) =="
+# Each verb states only its lock mode and privilege; looking the relation
+# up, checking the privilege before the lock and taking the lock without
+# waiting are decided once. A relation lock key, a lock or a privilege
+# check anywhere else would be a second place deciding them.
+python - <<'PY'
+import ast, pathlib, sys
+
+found = []
+for path in sorted(pathlib.Path("src/repro").rglob("*.py")):
+    if path.parent.name == "txn":
+        continue  # the lock manager itself
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owner[node] = func.name  # innermost function wins
+    for node in ast.walk(tree):
+        lock_key = (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.startswith("rel:")
+        )
+        call = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        target = ast.unparse(node.func) if call else ""
+        lock = call and (
+            node.func.attr == "lock" or target.endswith("locks.acquire")
+        )
+        check = call and target.endswith("security.check")
+        if (lock_key or lock or check) and owner.get(node) != "access_relation":
+            found.append(f"{path}:{node.lineno}: {ast.unparse(node)[:70]}")
+for line in found:
+    print(line)
+sys.exit(1 if found else 0)
+PY
+
+echo "== master-only relations are known to one module (catalog/master_relations.py) =="
+# Which relations live on the master alone, and their schemas, are
+# repro.catalog.master_relations's; everyone else asks is_master_only().
+if grep -rnE "CATALOG_RELATION_COLUMNS|SYSTEM_VIEW_COLUMNS" src/repro --include='*.py' \
+    | grep -v "^src/repro/catalog/master_relations.py:"; then
+    echo "found a master-only relation table read outside catalog/master_relations.py"
+    exit 1
+fi
+
+echo "== engine.py is the session facade (DDL and ANALYZE are repro.ddl's) =="
+if grep -nE "def _?(create_table|create_view|create_external_table|drop|truncate|alter_table|analyze|analyze_table|analyze_relation|schema_from_ast|apply_storage_options|partition_spec|create_role|drop_role|alter_role|grant)\(|class _?CatalogAdapter" \
+    src/repro/engine.py; then
+    echo "found a DDL verb defined in src/repro/engine.py"
+    exit 1
+fi
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 

@@ -171,12 +171,12 @@ class StingerBench:
         )
         from repro.catalog.schema import TableSchema
         from repro.tpch.schema import create_table_sql
-        from repro.engine import _schema_from_ast
+        from repro.ddl import schema_from_ast
         from repro.sql.parser import parse_statement
 
         for table in TABLE_NAMES:
             ddl = parse_statement(create_table_sql(table, "ao", "none", "hash"))
-            schema = _schema_from_ast(ddl)
+            schema = schema_from_ast(ddl)
             stinger.load_table(schema, getattr(data, table))
         return cls(config=config, engine=stinger, data=data, actual_bytes=actual)
 

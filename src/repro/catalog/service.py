@@ -384,73 +384,3 @@ class CatalogService:
         )
         return [r["dependent"] for r in rows]
 
-
-# ---------------------------------------------------------- SQL-on-catalog
-#: Flattened, scalar-typed projections of the system tables, so external
-#: applications can query the catalog with standard SQL (paper 2.2:
-#: "External applications can query the catalog using standard SQL").
-CATALOG_RELATION_COLUMNS: Dict[str, List[str]] = {
-    "pg_class": ["name", "kind", "owner", "storage_format", "compression"],
-    "gp_segment_configuration": ["segment_id", "host", "status"],
-    "gp_segfile": [
-        "table", "segment_id", "segfile_id", "tupcount", "logical_length",
-    ],
-    "pg_statistic": ["table", "row_count", "total_bytes"],
-    "pg_depend": ["dependent", "referenced"],
-}
-
-
-def catalog_relation_schema(name: str) -> TableSchema:
-    """A TableSchema describing the SQL view of one system table."""
-    from repro.catalog.schema import Column, DataType, Distribution
-
-    types = {
-        "segment_id": "int", "segfile_id": "int", "tupcount": "int8",
-        "logical_length": "int8", "row_count": "float8",
-        "total_bytes": "float8",
-    }
-    columns = [
-        Column(col, DataType.parse(types.get(col, "text")))
-        for col in CATALOG_RELATION_COLUMNS[name]
-    ]
-    return TableSchema(
-        name=name, columns=columns, distribution=Distribution.random()
-    )
-
-
-def catalog_relation_rows(
-    service: "CatalogService", name: str, snapshot: Snapshot
-) -> List[tuple]:
-    """Visible rows of one system table, flattened to scalars."""
-    raw = service.table(name).scan(snapshot)
-    out: List[tuple] = []
-    for row in raw:
-        if name == "pg_class":
-            schema = row.get("schema")
-            out.append(
-                (
-                    row.get("name"),
-                    row.get("kind"),
-                    row.get("owner"),
-                    schema.storage_format if schema is not None else None,
-                    schema.compression if schema is not None else None,
-                )
-            )
-        elif name == "gp_segment_configuration":
-            out.append((row["segment_id"], row["host"], row["status"]))
-        elif name == "gp_segfile":
-            out.append(
-                (
-                    row["table"],
-                    row["segment_id"],
-                    row["segfile_id"],
-                    row["tupcount"],
-                    sum(row["paths"].values()),
-                )
-            )
-        elif name == "pg_statistic":
-            stats = row["stats"]
-            out.append((row["table"], stats.row_count, stats.total_bytes))
-        elif name == "pg_depend":
-            out.append((row["dependent"], row["referenced"]))
-    return out

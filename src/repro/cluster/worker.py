@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List
 
-from repro.catalog.service import CATALOG_RELATION_COLUMNS
-from repro.obs.sysviews import SYSTEM_VIEW_COLUMNS
+from repro.catalog.master_relations import is_master_only
 from repro.cluster.rpc import (
     ABORT,
     ACK,
@@ -185,10 +184,7 @@ class SegmentWorker:
         services = self.services
 
         def provider(table_source, partitions, segment_id, columns, acc):
-            if (
-                table_source.table_name in CATALOG_RELATION_COLUMNS
-                or table_source.table_name in SYSTEM_VIEW_COLUMNS
-            ):
+            if is_master_only(table_source.table_name):
                 # Master-only data (the catalog, live telemetry): one QE
                 # serves it at no charge and the rest see an empty scan.
                 # One row per block, so a streaming LIMIT above pulls

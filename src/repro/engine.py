@@ -5,7 +5,9 @@ stateless segments, the unified catalog service on the master, a warm
 standby fed by log shipping, and a fault detector — and ``Session``
 (from :meth:`Engine.connect`) is the libpq-equivalent: it parses,
 analyzes, plans, dispatches self-described plans and returns results
-with their simulated cost.
+with their simulated cost. DDL, ANALYZE and the security verbs are
+:mod:`repro.ddl`'s; every statement reaches a relation through the one
+access step, :meth:`Session.access_relation`.
 
 Typical use::
 
@@ -21,26 +23,16 @@ Typical use::
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.catalog.schema import (
-    Column,
-    DataType,
-    Distribution,
-    Partition,
-    PartitionSpec,
-    TableSchema,
-)
+from repro import ddl
+from repro.catalog import master_relations
+from repro.catalog.schema import TableSchema
 from repro.catalog.security import PermissionDenied, SecurityManager
-from repro.catalog.service import (
-    CATALOG_RELATION_COLUMNS,
-    CatalogService,
-    catalog_relation_rows,
-    catalog_relation_schema,
-)
+from repro.catalog.service import CatalogService
 from repro.catalog.stats import TableStats
 from repro.cluster.fault import FaultDetector
 from repro.cluster.rpc import RpcBus
@@ -49,7 +41,6 @@ from repro.cluster.standby import StandbyMaster
 from repro.cluster.worker import SegmentWorker, WorkerServices
 from repro.errors import (
     CatalogError,
-    ClusterError,
     MasterUnavailable,
     ReproError,
     SemanticError,
@@ -58,7 +49,6 @@ from repro.errors import (
     UndefinedObject,
 )
 from repro.executor.concurrent import run_statement
-from repro.executor.expr import _Interval, add_interval, compile_expr
 from repro.executor.runner import (
     DistributedRuntime,
     ExecutionContext,
@@ -70,16 +60,10 @@ from repro.network.simnet import NetworkConditions, SimNetwork
 from repro.obs.activity import ClusterTelemetry
 from repro.obs.explain import render_analyze
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sysviews import (
-    SYSTEM_VIEW_COLUMNS,
-    system_view_rows,
-    system_view_schema,
-)
 from repro.obs.trace import TraceCollector
-from repro.planner import exprs as ex
-from repro.planner.analyzer import Analyzer, RelationInfo
+from repro.planner.analyzer import Analyzer
 from repro.planner.dispatch import QD_SEGMENT, build_self_described_plan
-from repro.planner.logical import DerivedSource, LogicalQuery
+from repro.planner.logical import LogicalQuery
 from repro.planner.planner import Planner, PlannerOptions
 from repro.pxf.registry import PxfRegistry
 from repro.simtime import CostAccumulator, CostModel, QueryCost
@@ -185,10 +169,10 @@ class Engine:
         self.pxf.attach_hdfs(self.hdfs)
         self.security = SecurityManager()
         #: Passive cluster telemetry behind the pg_stat_* system views
-        #: (:mod:`repro.obs.sysviews`): it reads live statement / queue /
-        #: segment state off the running loops, and every settled
-        #: statement lands in its workload repository. Reads only — lint
-        #: R6 keeps the views passive.
+        #: (:mod:`repro.catalog.master_relations`): it reads live
+        #: statement / queue / segment state off the running loops, and
+        #: every settled statement lands in its workload repository.
+        #: Reads only — lint R6 keeps the views passive.
         self.telemetry = ClusterTelemetry(
             segments=self.segments,
             loops=self._loops,
@@ -259,13 +243,6 @@ class Engine:
     def is_cancelled(self, query_id: int) -> bool:
         """True when ``query_id`` has a pending cancellation request."""
         return query_id in self._cancel_requests
-
-    def master_rows(self, name: str, snapshot: Snapshot) -> List[tuple]:
-        """Rows of a master-only relation: a system view's live state,
-        or a catalog table's rows visible to ``snapshot``."""
-        if name in SYSTEM_VIEW_COLUMNS:
-            return system_view_rows(self.telemetry, name)
-        return catalog_relation_rows(self.catalog, name, snapshot)
 
     def recover_segment(self, segment_id: int) -> None:
         self.fault_detector.recover_segment(segment_id)
@@ -350,7 +327,7 @@ class Engine:
             block_cache=self.block_cache,
             pxf=self.pxf,
             segments=self.segments,
-            master_rows=self.master_rows,
+            master_rows=functools.partial(master_relations.rows, self),
             chaos_point=self.chaos_point,
             chaos_progress=self.chaos_progress,
             num_segments=self.num_segments,
@@ -420,13 +397,19 @@ class Session:
     def _execute_statement(self, stmt: ast.Statement, sql: str) -> QueryResult:
         if isinstance(stmt, ast.SelectStmt):
             return run_statement(self._prepare_statement(stmt, sql))
-        result = self._session_verb(stmt)
-        if result is not None:
+        session_verb = _SESSION_VERBS.get(type(stmt))
+        if session_verb is not None:
+            # It manages the session itself: no transaction of its own,
+            # no metrics attribution.
+            result = session_verb(self, stmt)
             self.engine.telemetry.record_statement(sql, result)
             return result
+        verb = _VERBS.get(type(stmt))
+        if verb is None:
+            raise SqlError(f"unsupported statement {type(stmt).__name__}")
         statement = self._open_statement(sql)
         try:
-            result = self._run_in_txn(stmt, statement.txn)
+            result = verb(self, stmt, statement.txn)
         except Exception:
             statement.fail()
             raise
@@ -445,81 +428,6 @@ class Session:
             self, sql, txn, implicit, metrics_before, wal_before
         )
 
-    def _session_verb(self, stmt: ast.Statement) -> Optional[QueryResult]:
-        """Statements that manage the session itself — no transaction of
-        their own, no metrics attribution; None for any other."""
-        if isinstance(stmt, ast.BeginStmt):
-            return self._begin(stmt)
-        if isinstance(stmt, ast.CommitStmt):
-            return self._commit()
-        if isinstance(stmt, ast.RollbackStmt):
-            return self._rollback()
-        if isinstance(stmt, ast.SetStmt):
-            return self._set(stmt)
-        return None
-
-    def _run_in_txn(self, stmt: ast.Statement, txn: Transaction) -> QueryResult:
-        if isinstance(stmt, ast.InsertStmt):
-            return self._insert(stmt, txn)
-        if isinstance(stmt, ast.CreateTableStmt):
-            return self._create_table(stmt, txn)
-        if isinstance(stmt, ast.CreateViewStmt):
-            return self._create_view(stmt, txn)
-        if isinstance(stmt, ast.CreateExternalTableStmt):
-            return self._create_external_table(stmt, txn)
-        if isinstance(stmt, ast.DropStmt):
-            return self._drop(stmt, txn)
-        if isinstance(stmt, ast.AnalyzeStmt):
-            return self._analyze(stmt, txn)
-        if isinstance(stmt, ast.ExplainStmt):
-            return self._explain(stmt, txn)
-        if isinstance(stmt, ast.TruncateStmt):
-            return self._truncate(stmt, txn)
-        if isinstance(stmt, ast.CopyStmt):
-            return self._copy(stmt, txn)
-        if isinstance(stmt, ast.VacuumStmt):
-            return self._vacuum(stmt, txn)
-        if isinstance(stmt, ast.AlterTableStmt):
-            return self._alter_table(stmt, txn)
-        if isinstance(stmt, ast.CreateRoleStmt):
-            self._require_superuser("CREATE ROLE")
-            self.engine.security.create_role(
-                stmt.name, superuser=stmt.superuser,
-                resource_queue=stmt.resource_queue,
-            )
-            return _ok("CREATE ROLE")
-        if isinstance(stmt, ast.DropRoleStmt):
-            self._require_superuser("DROP ROLE")
-            self.engine.security.drop_role(stmt.name)
-            return _ok("DROP ROLE")
-        if isinstance(stmt, ast.AlterRoleStmt):
-            self._require_superuser("ALTER ROLE")
-            if stmt.resource_queue:
-                self.engine.security.set_role_queue(stmt.name, stmt.resource_queue)
-            return _ok("ALTER ROLE")
-        if isinstance(stmt, ast.CreateResourceQueueStmt):
-            self._require_superuser("CREATE RESOURCE QUEUE")
-            options = {k.lower(): v for k, v in stmt.options.items()}
-            self.engine.security.create_queue(
-                stmt.name,
-                active_statements=int(options.get("active_statements", 20)),
-                memory_limit=float(options.get("memory_limit", 8e9)),
-                priority=int(options.get("priority", 0)),
-            )
-            return _ok("CREATE RESOURCE QUEUE")
-        if isinstance(stmt, ast.DropResourceQueueStmt):
-            self._require_superuser("DROP RESOURCE QUEUE")
-            self.engine.security.drop_queue(stmt.name)
-            return _ok("DROP RESOURCE QUEUE")
-        if isinstance(stmt, ast.GrantStmt):
-            self._check_privilege("all", stmt.relation, txn)
-            if stmt.revoke:
-                self.engine.security.revoke(stmt.privilege, stmt.relation, stmt.role)
-                return _ok("REVOKE")
-            self.engine.security.grant(stmt.privilege, stmt.relation, stmt.role)
-            return _ok("GRANT")
-        raise SqlError(f"unsupported statement {type(stmt).__name__}")
-
     # ------------------------------------------------------------- txn verbs
     def _begin(self, stmt: ast.BeginStmt) -> QueryResult:
         if self.in_transaction:
@@ -530,53 +438,41 @@ class Session:
             else self.default_isolation
         )
         self._txn = self.engine.txns.begin(isolation)
-        return _ok("BEGIN")
+        return ddl.ok("BEGIN")
 
-    def _commit(self) -> QueryResult:
+    def _commit(self, stmt: ast.CommitStmt) -> QueryResult:
         if not self.in_transaction:
             raise TransactionError("no transaction in progress")
         self.engine.txns.commit(self._txn)
         self._txn = None
-        return _ok("COMMIT")
+        return ddl.ok("COMMIT")
 
-    def _rollback(self) -> QueryResult:
+    def _rollback(self, stmt: ast.RollbackStmt) -> QueryResult:
         if not self.in_transaction:
             raise TransactionError("no transaction in progress")
         self.engine.txns.abort(self._txn)
         self._txn = None
-        return _ok("ROLLBACK")
+        return ddl.ok("ROLLBACK")
 
     def _set(self, stmt: ast.SetStmt) -> QueryResult:
+        """A session GUC; one this session does not keep is accepted and
+        ignored."""
+        value = str(stmt.value).lower()
         if stmt.name == "transaction_isolation":
             self.default_isolation = IsolationLevel.parse(stmt.value)
-            return _ok("SET")
-        if stmt.name == "role":
-            self.engine.security.role(stmt.value)  # must exist
-            self.role = stmt.value.lower()
-            return _ok("SET")
-        if stmt.name == "trace":
-            self.trace_enabled = str(stmt.value).lower() in (
-                "on", "true", "1", "yes",
-            )
-            return _ok("SET")
-        if stmt.name == "resource_queue":
-            value = str(stmt.value).lower()
-            if value in ("default", ""):
-                self._queue_override = None
-                return _ok("SET")
-            if value not in self.engine.security.queues:
-                raise CatalogError(
-                    f"resource queue {value!r} does not exist"
-                )
-            self._queue_override = value
-            return _ok("SET")
-        if stmt.name == "statement_timeout":
-            value = str(stmt.value).lower()
-            if value in ("off", "0", ""):
-                self.statement_timeout = 0.0
-                return _ok("SET")
+        elif stmt.name == "role":
+            self.engine.security.role(value)  # must exist
+            self.role = value
+        elif stmt.name == "trace":
+            self.trace_enabled = value in ("on", "true", "1", "yes")
+        elif stmt.name == "resource_queue":
+            queue = None if value in ("default", "") else value
+            if queue is not None and queue not in self.engine.security.queues:
+                raise CatalogError(f"resource queue {value!r} does not exist")
+            self._queue_override = queue
+        elif stmt.name == "statement_timeout":
             try:
-                seconds = float(value)
+                seconds = 0.0 if value in ("off", "") else float(value)
             except ValueError:
                 raise SqlError(
                     f"invalid statement_timeout value {stmt.value!r}"
@@ -584,24 +480,44 @@ class Session:
             if seconds < 0:
                 raise SqlError("statement_timeout may not be negative")
             self.statement_timeout = seconds
-            return _ok("SET")
-        return _ok("SET")  # other GUCs are accepted and ignored
+        return ddl.ok("SET")
 
-    # ------------------------------------------------------------- security
-    def _require_superuser(self, action: str) -> None:
+    # ------------------------------------------------------- relation access
+    def require_superuser(self, action: str) -> None:
         if not self.engine.security.role(self.role).superuser:
             raise PermissionDenied(f"{action} requires a superuser role")
 
-    def _check_privilege(self, privilege: str, relation: str, txn) -> None:
-        """Owner and superuser are always allowed; else consult grants."""
-        security = self.engine.security
-        if security.role(self.role).superuser:
-            return
-        snapshot = txn.statement_snapshot()
-        rel = self.engine.catalog.lookup_relation(relation, snapshot)
-        if rel is not None and rel.get("owner") == self.role:
-            return
-        security.check(self.role, privilege, relation)
+    def access_relation(
+        self,
+        txn: Transaction,
+        snapshot: Snapshot,
+        name: str,
+        mode: LockMode,
+        privilege: Optional[str] = None,
+        relation: Optional[dict] = None,
+        if_exists: bool = False,
+    ) -> Optional[dict]:
+        """The one step by which a statement reaches a relation, in
+        PostgreSQL's order: look up its visible ``pg_class`` row (unless
+        the caller resolved it under ``snapshot`` already), check
+        ``privilege`` — the owner and a superuser always hold it — and
+        only then lock it, so an unprivileged role never holds or waits
+        on a lock. The lock does not wait: a conflicting holder fails the
+        statement with :class:`~repro.errors.LockTimeout`. Without a
+        ``privilege`` the statement creates ``name`` and only locks it.
+        Returns the row; None for a missing one under ``if_exists``."""
+        name = name.lower()
+        if privilege is not None:
+            if relation is None:
+                relation = self.engine.catalog.lookup_relation(name, snapshot)
+                if relation is None:
+                    if if_exists:
+                        return None
+                    raise UndefinedObject(f"relation {name!r} does not exist")
+            if relation["owner"] != self.role:
+                self.engine.security.check(self.role, privilege, name)
+        txn.lock(f"rel:{name}", mode, wait=False)
+        return relation
 
     # ---------------------------------------------------------------- SELECT
     def prepare_select(self, sql: str) -> Optional["PreparedSelect"]:
@@ -631,14 +547,6 @@ class Session:
         except Exception:
             statement.fail()
             raise
-
-    def _select(
-        self, stmt: ast.SelectStmt, txn: Transaction, force_trace: bool = False
-    ) -> QueryResult:
-        """A SELECT inside another statement (``INSERT … SELECT``,
-        ``EXPLAIN ANALYZE``): it runs in that statement's transaction
-        and under its bracket."""
-        return run_statement(self._prepare(stmt, txn, force_trace=force_trace))
 
     def _prepare(
         self,
@@ -686,21 +594,22 @@ class Session:
         )
 
     def _plan_select(self, stmt: ast.SelectStmt, txn: Transaction, snapshot: Snapshot):
-        """Analyze, take ACCESS SHARE locks, check SELECT privileges,
+        """Analyze, reach every table read with ACCESS SHARE and SELECT,
         plan. Plain EXPLAIN stops here: no slot, nothing dispatched."""
-        engine = self.engine
-        query = Analyzer(_CatalogAdapter(engine.catalog, snapshot)).analyze(stmt)
-        for name in _tables_of(query, subplans=True):
-            if name in CATALOG_RELATION_COLUMNS or name in SYSTEM_VIEW_COLUMNS:
-                continue  # catalog/system-view reads are unlocked
-            txn.lock(f"rel:{name}", LockMode.ACCESS_SHARE)
-            self._check_privilege("select", name, txn)
+        adapter = ddl.CatalogAdapter(self.engine.catalog, snapshot)
+        query = Analyzer(adapter).analyze(stmt)
+        for name in query.tables(subplans=True):
+            if not master_relations.is_master_only(name):
+                self.access_relation(
+                    txn, snapshot, name, LockMode.ACCESS_SHARE, "select",
+                    relation=adapter.rows[name],
+                )
         return self._plan(query, snapshot)
 
     def _plan(self, query: LogicalQuery, snapshot: Snapshot):
         engine = self.engine
         stats: Dict[str, TableStats] = {}
-        for name in _tables_of(query):
+        for name in query.tables():
             table_stats = engine.catalog.get_stats(name, snapshot)
             if table_stats is not None:
                 stats[name] = table_stats
@@ -711,13 +620,6 @@ class Session:
             partition_children=self._partition_children(query, snapshot),
         )
         return planner.plan(query)
-
-    def _relation(self, name: str, snapshot: Snapshot) -> dict:
-        """The visible ``pg_class`` row of ``name``."""
-        relation = self.engine.catalog.lookup_relation(name, snapshot)
-        if relation is None:
-            raise UndefinedObject(f"relation {name!r} does not exist")
-        return relation
 
     def _resource_queue(self):
         """The session's admission queue: the ``SET resource_queue``
@@ -731,7 +633,7 @@ class Session:
     ) -> Dict[str, List]:
         """Children of the partitioned tables ``query`` scans — the
         planner asks about no other relation."""
-        names = _tables_of(query, subplans=True)
+        names = query.tables(subplans=True)
         return {
             relation["name"]: relation["children"]
             for relation in self.engine.catalog.relations(snapshot, names)
@@ -742,17 +644,17 @@ class Session:
     def _insert(self, stmt: ast.InsertStmt, txn: Transaction) -> QueryResult:
         engine = self.engine
         snapshot = txn.statement_snapshot()
-        relation = self._relation(stmt.table, snapshot)
+        relation = self.access_relation(
+            txn, snapshot, stmt.table, LockMode.ROW_EXCLUSIVE, "insert"
+        )
         schema = relation["schema"]
-        txn.lock(f"rel:{schema.name}", LockMode.ROW_EXCLUSIVE)
-        self._check_privilege("insert", schema.name, txn)
 
         if stmt.select is not None:
-            inner = self._select(stmt.select, txn)
-            raw_rows = inner.rows
+            # in this statement's transaction, under its bracket
+            raw_rows = run_statement(self._prepare(stmt.select, txn)).rows
         else:
             raw_rows = [
-                tuple(compile_expr_value(expr) for expr in row) for row in stmt.rows
+                tuple(map(ddl.compile_expr_value, row)) for row in stmt.rows
             ]
         rows = self._shape_rows(schema, stmt.columns, raw_rows)
 
@@ -767,7 +669,7 @@ class Session:
             count = engine.pxf.write(
                 pxf_info, schema, schema.row_codec().coerce_rows(rows), acc
             )
-            result = _ok(f"INSERT 0 {count}")
+            result = ddl.ok(f"INSERT 0 {count}")
             result.cost.seconds += acc.seconds
             return result
         if relation["kind"] == "view":
@@ -777,7 +679,7 @@ class Session:
         count = self.load_rows(
             schema.name, rows, txn=txn, snapshot=snapshot, acc=acc
         )
-        result = _ok(f"INSERT 0 {count}")
+        result = ddl.ok(f"INSERT 0 {count}")
         result.cost = QueryCost.from_accumulator(acc)
         return result
 
@@ -827,22 +729,27 @@ class Session:
         engine = self.engine
         snapshot = txn.statement_snapshot()
         if stmt.table is not None:
-            relations = [self._relation(stmt.table, snapshot)]
-            self._check_privilege("all", stmt.table, txn)
+            relations = [
+                self.access_relation(
+                    txn, snapshot, stmt.table, LockMode.ACCESS_SHARE, "all"
+                )
+            ]
         else:
-            self._require_superuser("VACUUM of every table and the catalog")
+            self.require_superuser("VACUUM of every table and the catalog")
             relations = [  # the leaves: a partitioned parent has no files
                 r
                 for r in engine.catalog.relations(snapshot)
                 if r["kind"] == "table" and not r["children"]
             ]
-        reclaimed = table_files.vacuum(engine, relations, snapshot)
+        reclaimed = table_files.vacuum(engine, relations, snapshot, txn.xid)
         dead = 0
         if stmt.table is None:
             horizon = engine.txns.xids.snapshot(txn.xid)
             for catalog_table in engine.catalog.tables.values():
                 dead += catalog_table.vacuum(horizon)
-        return _ok(f"VACUUM (reclaimed {reclaimed} bytes, {dead} dead catalog rows)")
+        return ddl.ok(
+            f"VACUUM (reclaimed {reclaimed} bytes, {dead} dead catalog rows)"
+        )
 
     def _copy(self, stmt: ast.CopyStmt, txn: Transaction) -> QueryResult:
         """COPY: bulk load from / unload to delimited text on HDFS —
@@ -851,12 +758,16 @@ class Session:
 
         engine = self.engine
         snapshot = txn.statement_snapshot()
-        relation = self._relation(stmt.table, snapshot)
+        copy_in = stmt.direction == "from"
+        mode, privilege = (
+            (LockMode.ROW_EXCLUSIVE, "insert")
+            if copy_in
+            else (LockMode.ACCESS_SHARE, "select")
+        )
+        relation = self.access_relation(txn, snapshot, stmt.table, mode, privilege)
         schema = relation["schema"]
         path = stmt.path if stmt.path.startswith("/") else "/" + stmt.path
-        if stmt.direction == "from":
-            self._check_privilege("insert", schema.name, txn)
-            txn.lock(f"rel:{schema.name}", LockMode.ROW_EXCLUSIVE)
+        if copy_in:
             resolver = TextResolver(stmt.delimiter)
             acc = CostAccumulator(engine.cost_model)
             raw = engine.hdfs.client().read_file(path).decode("utf-8")
@@ -870,11 +781,9 @@ class Session:
             count = self.load_rows(
                 schema.name, rows, txn=txn, snapshot=snapshot, acc=acc
             )
-            result = _ok(f"COPY {count}")
+            result = ddl.ok(f"COPY {count}")
             result.cost = QueryCost.from_accumulator(acc)
             return result
-        self._check_privilege("select", schema.name, txn)
-        txn.lock(f"rel:{schema.name}", LockMode.ACCESS_SHARE)
         rows = list(
             rows_from_blocks(
                 table_files.read(engine, relation, snapshot),
@@ -886,168 +795,9 @@ class Session:
         unloaded = writer.write(path, rows, schema)
         acc.disk_write(unloaded, replicated=True)
         acc.cpu_tuples(len(rows), ncolumns=len(schema.columns))
-        result = _ok(f"COPY {len(rows)}")
+        result = ddl.ok(f"COPY {len(rows)}")
         result.cost = QueryCost.from_accumulator(acc)
         return result
-
-    # ------------------------------------------------------------------- DDL
-    def _create_table(self, stmt: ast.CreateTableStmt, txn: Transaction) -> QueryResult:
-        schema = _schema_from_ast(stmt)
-        snapshot = txn.statement_snapshot()
-        txn.lock(f"rel:{schema.name}", LockMode.ACCESS_EXCLUSIVE)
-        children: List[Tuple[str, Partition]] = []
-        if schema.partition_spec is not None:
-            for partition in schema.partition_spec.partitions:
-                child = schema.child_schema(partition)
-                self.engine.catalog.create_table(
-                    child, txn.xid, snapshot, owner=self.role
-                )
-                self.engine.catalog.add_dependency(child.name, schema.name, txn.xid)
-                children.append((child.name, partition))
-        self.engine.catalog.create_table(
-            schema, txn.xid, snapshot, children=children, owner=self.role
-        )
-        return _ok("CREATE TABLE")
-
-    def _create_view(self, stmt: ast.CreateViewStmt, txn: Transaction) -> QueryResult:
-        snapshot = txn.statement_snapshot()
-        analyzer = Analyzer(_CatalogAdapter(self.engine.catalog, snapshot))
-        analyzed = analyzer.analyze(stmt.query)  # validates now
-        schema = TableSchema(
-            name=stmt.name,
-            columns=[
-                Column(name or f"column{i}", DataType.parse("text"))
-                for i, name in enumerate(analyzed.output_names)
-            ],
-            distribution=Distribution.random(),
-        )
-        self.engine.catalog.create_table(
-            schema, txn.xid, snapshot, kind="view", view_def=stmt.query,
-            owner=self.role,
-        )
-        for name in _tables_of(analyzed, subplans=True):
-            self.engine.catalog.add_dependency(stmt.name, name, txn.xid)
-        return _ok("CREATE VIEW")
-
-    def _create_external_table(
-        self, stmt: ast.CreateExternalTableStmt, txn: Transaction
-    ) -> QueryResult:
-        snapshot = txn.statement_snapshot()
-        schema = TableSchema(
-            name=stmt.name,
-            columns=[
-                Column(c.name, DataType.parse(c.type_name), c.not_null)
-                for c in stmt.columns
-            ],
-            distribution=Distribution.random(),
-        )
-        pxf_info = self.engine.pxf.parse_location(
-            stmt.location, stmt.format_name, stmt.format_options
-        )
-        pxf_info["writable"] = stmt.writable
-        self.engine.catalog.create_table(
-            schema, txn.xid, snapshot, kind="external", pxf=pxf_info,
-            owner=self.role,
-        )
-        return _ok("CREATE EXTERNAL TABLE")
-
-    def _drop(self, stmt: ast.DropStmt, txn: Transaction) -> QueryResult:
-        engine = self.engine
-        snapshot = txn.statement_snapshot()
-        name = stmt.name.lower()
-        relation = engine.catalog.lookup_relation(name, snapshot)
-        if relation is None:
-            if stmt.if_exists:
-                return _ok(f"DROP (skipped, {name} does not exist)")
-            raise UndefinedObject(f"relation {name!r} does not exist")
-        txn.lock(f"rel:{name}", LockMode.ACCESS_EXCLUSIVE)
-        self._check_privilege("all", name, txn)
-        dependents = engine.catalog.dependents_of(name, snapshot)
-        child_names = [c for c, _ in relation["children"]]
-        blocking = [d for d in dependents if d not in child_names]
-        if blocking:
-            raise SemanticError(
-                f"cannot drop {name}: {', '.join(sorted(blocking))} depend on it"
-            )
-        table_files.retire(engine, relation, txn, snapshot)
-        for child_name in child_names:
-            engine.catalog.drop_table(child_name, txn.xid, snapshot)
-            engine.txns.segfiles.drop_table(child_name)
-        engine.catalog.drop_table(name, txn.xid, snapshot)
-        engine.txns.segfiles.drop_table(name)
-        return _ok(f"DROP {stmt.object_kind.upper()}")
-
-    def _truncate(self, stmt: ast.TruncateStmt, txn: Transaction) -> QueryResult:
-        snapshot = txn.statement_snapshot()
-        relation = self._relation(stmt.table, snapshot)
-        txn.lock(f"rel:{relation['name']}", LockMode.ACCESS_EXCLUSIVE)
-        self._check_privilege("all", relation["name"], txn)
-        table_files.truncate(self.engine, relation, txn, snapshot)
-        return _ok("TRUNCATE TABLE")
-
-    def _alter_table(self, stmt: ast.AlterTableStmt, txn: Transaction) -> QueryResult:
-        """ALTER TABLE ... SET WITH (orientation=..., compresstype=...):
-        online storage-model transformation — the feature the paper lists
-        as "in product roadmap" (Section 2.5). Each leaf is rewritten in
-        new files (:func:`repro.storage.table.rewrite`); the old files
-        are deleted after commit (once no older snapshot is live), the
-        new ones on abort."""
-        engine = self.engine
-        snapshot = txn.statement_snapshot()
-        name = stmt.name.lower()
-        relation = self._relation(name, snapshot)
-        if relation["kind"] != "table":
-            raise SemanticError("ALTER TABLE SET WITH applies to tables only")
-        txn.lock(f"rel:{name}", LockMode.ACCESS_EXCLUSIVE)
-        self._check_privilege("all", name, txn)
-
-        options = {k.lower(): str(v).lower() for k, v in stmt.options.items()}
-        acc = CostAccumulator(engine.cost_model)
-        for leaf in table_files.leaves(relation):
-            leaf_rel = engine.catalog.lookup_relation(leaf, snapshot)
-            new_schema = _apply_storage_options(leaf_rel["schema"], options)
-            table_files.rewrite(engine, leaf_rel, new_schema, txn, snapshot, acc)
-        if relation["children"]:
-            parent = _apply_storage_options(relation["schema"], options)
-            engine.catalog.table("pg_class").update(
-                snapshot, lambda r: r["name"] == name, {"schema": parent}, txn.xid
-            )
-        result = _ok("ALTER TABLE")
-        result.cost = QueryCost.from_accumulator(acc)
-        return result
-
-    # --------------------------------------------------------------- ANALYZE
-    def _analyze(self, stmt: ast.AnalyzeStmt, txn: Transaction) -> QueryResult:
-        snapshot = txn.statement_snapshot()
-        if stmt.table is not None:
-            self._check_privilege("all", stmt.table, txn)
-            names = [stmt.table.lower()]
-        else:
-            self._require_superuser("ANALYZE of every table")
-            names = [
-                r["name"]
-                for r in self.engine.catalog.relations(snapshot)
-                if r["kind"] == "table"
-            ]
-        for name in names:
-            self.analyze_table(name, txn, snapshot)
-        return _ok("ANALYZE")
-
-    def analyze_table(
-        self, name: str, txn: Transaction, snapshot: Snapshot
-    ) -> TableStats:
-        engine = self.engine
-        relation = self._relation(name, snapshot)
-        if relation["kind"] == "external":
-            stats = engine.pxf.analyze(relation["pxf"], relation["schema"])
-            engine.catalog.set_stats(name, stats, txn.xid, snapshot)
-            return stats
-        stats = TableStats.from_blocks(
-            table_files.read(engine, relation, snapshot),
-            relation["schema"].column_names,
-        )
-        engine.catalog.set_stats(name, stats, txn.xid, snapshot)
-        return stats
 
     # --------------------------------------------------------------- EXPLAIN
     def _explain(self, stmt: ast.ExplainStmt, txn: Transaction) -> QueryResult:
@@ -1067,13 +817,31 @@ class Session:
         # EXPLAIN ANALYZE: actually run the statement — locks, privileges,
         # queue slot and all — with a trace (tracing is passive), and
         # render it from that trace.
-        result = self._select(stmt.statement, txn, force_trace=True)
+        result = run_statement(self._prepare(stmt.statement, txn, force_trace=True))
         return QueryResult(
             rows=[(line,) for line in render_analyze(result, stmt.verbose)],
             column_names=["QUERY PLAN"],
             cost=result.cost,
             plan=result.plan,
         )
+
+
+#: Statements that manage the session itself, by type.
+_SESSION_VERBS = {
+    ast.BeginStmt: Session._begin,
+    ast.CommitStmt: Session._commit,
+    ast.RollbackStmt: Session._rollback,
+    ast.SetStmt: Session._set,
+}
+
+#: Every other statement but SELECT, by type: ``verb(session, stmt, txn)``.
+_VERBS = {
+    ast.InsertStmt: Session._insert,
+    ast.ExplainStmt: Session._explain,
+    ast.CopyStmt: Session._copy,
+    ast.VacuumStmt: Session._vacuum,
+    **ddl.VERBS,
+}
 
 
 @dataclass
@@ -1165,161 +933,3 @@ class PreparedSelect:
         if self.statement is not None:
             self.statement.fail()
         self.session.engine._cancel_requests.discard(self.query_id)
-
-
-# ----------------------------------------------------------------- adapters
-class _CatalogAdapter:
-    """Analyzer-facing view of the catalog under one snapshot."""
-
-    def __init__(self, catalog: CatalogService, snapshot: Snapshot):
-        self.catalog = catalog
-        self.snapshot = snapshot
-
-    def resolve(self, name: str) -> RelationInfo:
-        if name.lower() in CATALOG_RELATION_COLUMNS:
-            # Standard SQL over the system catalog (paper Section 2.2).
-            return RelationInfo(
-                kind="table", schema=catalog_relation_schema(name.lower())
-            )
-        if name.lower() in SYSTEM_VIEW_COLUMNS:
-            # System views: master-only telemetry relations, queryable
-            # with ordinary SQL just like the catalog projections.
-            return RelationInfo(
-                kind="table", schema=system_view_schema(name.lower())
-            )
-        relation = self.catalog.lookup_relation(name, self.snapshot)
-        if relation is None:
-            raise SemanticError(f"relation {name!r} does not exist")
-        if relation["kind"] == "view":
-            return RelationInfo(kind="view", view_query=relation["view_def"])
-        if relation["kind"] == "external":
-            return RelationInfo(
-                kind="external", schema=relation["schema"], pxf=relation["pxf"]
-            )
-        return RelationInfo(kind="table", schema=relation["schema"])
-
-
-def _tables_of(query: LogicalQuery, subplans: bool = False) -> List[str]:
-    """All base-table names referenced by a logical query (recursively).
-
-    Before decorrelation IN / EXISTS / scalar subqueries still sit inside
-    expressions; ``subplans`` includes their tables too."""
-    names = set()
-    pending = [query]
-    while pending:
-        q = pending.pop()
-        for rel in q.rels:
-            if isinstance(rel.source, DerivedSource):
-                pending.append(rel.source.query)
-            else:
-                names.add(rel.source.table_name)
-        pending.extend(q.init_plans)
-        if subplans:
-            pending.extend(
-                node.query
-                for expr in q.expressions()
-                for node in ex.walk(expr)
-                if isinstance(node, ex.BSubPlan)
-            )
-    return sorted(names)
-
-
-def compile_expr_value(expr: ast.Expr) -> object:
-    """Evaluate a constant AST expression (INSERT ... VALUES)."""
-    bound = Analyzer(_EmptyCatalog())._expr(expr, [], allow_aggregates=False)
-    return compile_expr(bound, [])(())
-
-
-class _EmptyCatalog:
-    def resolve(self, name: str):  # pragma: no cover - constants only
-        raise SemanticError(f"relation {name!r} does not exist")
-
-
-def _ok(message: str) -> QueryResult:
-    return QueryResult(
-        rows=[], column_names=[], cost=QueryCost(seconds=0.0), message=message
-    )
-
-
-# --------------------------------------------------------------- DDL helpers
-def _apply_storage_options(schema: TableSchema, options: dict) -> TableSchema:
-    """New TableSchema with WITH-clause storage options applied."""
-    storage_format = schema.storage_format
-    compression = schema.compression
-    if "orientation" in options:
-        mapping = {"row": "ao", "column": "co", "parquet": "parquet"}
-        if options["orientation"] not in mapping:
-            raise SemanticError(f"unknown orientation {options['orientation']!r}")
-        storage_format = mapping[options["orientation"]]
-    if "compresstype" in options:
-        compresstype = options["compresstype"]
-        level = options.get("compresslevel")
-        if compresstype in ("zlib", "gzip"):
-            compression = f"{compresstype}{level or 1}"
-        else:
-            compression = compresstype
-    elif "compresslevel" in options and compression[:-1] in ("zlib", "gzip"):
-        compression = f"{compression[:-1]}{options['compresslevel']}"
-    return dataclasses.replace(
-        schema, storage_format=storage_format, compression=compression
-    )
-
-
-def _schema_from_ast(stmt: ast.CreateTableStmt) -> TableSchema:
-    columns = [
-        Column(c.name, DataType.parse(c.type_name), c.not_null) for c in stmt.columns
-    ]
-    if stmt.distributed_by:
-        distribution = Distribution.hash(*stmt.distributed_by)
-    elif stmt.distributed_randomly:
-        distribution = Distribution.random()
-    else:
-        # HAWQ/Greenplum default: hash on the first column.
-        distribution = Distribution.hash(columns[0].name)
-
-    partition_spec = (
-        _partition_spec(stmt.partition_by, columns) if stmt.partition_by else None
-    )
-    return _apply_storage_options(
-        TableSchema(stmt.name, columns, distribution, partition_spec),
-        {k.lower(): str(v).lower() for k, v in stmt.options.items()},
-    )
-
-
-def _partition_spec(clause: ast.PartitionByClause, columns) -> PartitionSpec:
-    if clause.kind == "list":
-        partitions = tuple(
-            Partition(
-                name=name,
-                in_values=tuple(compile_expr_value(v) for v in values),
-            )
-            for name, values in clause.list_parts
-        )
-        return PartitionSpec(column=clause.column, kind="list", partitions=partitions)
-
-    start = compile_expr_value(clause.start)
-    end = compile_expr_value(clause.end)
-    if clause.every is None:
-        partitions = (Partition(name="1", lower=start, upper=end),)
-        return PartitionSpec(
-            column=clause.column, kind="range", partitions=partitions
-        )
-    every = compile_expr_value(clause.every)
-    parts: List[Partition] = []
-    lower = start
-    index = 1
-    while lower < end:
-        if isinstance(every, _Interval):
-            upper = add_interval(lower, every.quantity, every.unit)
-        else:
-            upper = lower + every
-        if upper > end:
-            upper = end
-        parts.append(Partition(name=str(index), lower=lower, upper=upper))
-        lower = upper
-        index += 1
-        if index > 10000:
-            raise SemanticError("EVERY produced too many partitions")
-    return PartitionSpec(
-        column=clause.column, kind="range", partitions=tuple(parts)
-    )

@@ -354,10 +354,9 @@ class HdfsClient:
     def open(self, path: str) -> "HdfsReader":
         return HdfsReader(self, self.fs._inode(path))
 
-    def read_file(self, path: str, length: Optional[int] = None) -> bytes:
-        """Read the whole file (or its first ``length`` bytes)."""
-        reader = self.open(path)
-        return reader.read_all() if length is None else reader.read(length)
+    def read_file(self, path: str) -> bytes:
+        """Read the whole file."""
+        return self.open(path).read_all()
 
     def file_status(self, path: str) -> FileStatus:
         return self.fs._status(self.fs._inode(path))

@@ -22,7 +22,7 @@ CLI: ``python -m repro.obs --query 3 --export trace.json`` traces a
 TPC-H query and writes Chrome trace_event JSON for Perfetto.
 """
 
-from repro.obs.activity import ClusterTelemetry, StatementStats, fingerprint
+from repro.obs.activity import ClusterTelemetry, StatementStats, fingerprint, render_top
 from repro.obs.export import (
     prometheus_violations,
     render_prometheus,
@@ -37,12 +37,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
 )
-from repro.obs.sysviews import (
-    SYSTEM_VIEW_COLUMNS,
-    render_top,
-    system_view_rows,
-    system_view_schema,
-)
 from repro.obs.trace import (
     Instant,
     QueryTrace,
@@ -53,7 +47,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "SYSTEM_VIEW_COLUMNS",
     "ClusterTelemetry",
     "Counter",
     "Gauge",
@@ -72,8 +65,6 @@ __all__ = [
     "render_summary",
     "render_top",
     "rpc_closure_violations",
-    "system_view_rows",
-    "system_view_schema",
     "to_chrome_trace",
     "validate_chrome_trace",
 ]

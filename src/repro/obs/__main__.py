@@ -28,13 +28,13 @@ import sys
 
 from repro.engine import Engine
 from repro.executor.concurrent import ConcurrentRunner
+from repro.obs.activity import render_top
 from repro.obs.export import (
     prometheus_violations,
     render_prometheus,
     render_summary,
     to_chrome_trace,
 )
-from repro.obs.sysviews import render_top
 from repro.tpch import QUERIES, create_table_sql, generate
 
 #: Tables required per supported query (Q1/Q6 scan lineitem; Q3 joins).

@@ -1,11 +1,12 @@
 """Live cluster activity and the session workload repository.
 
 :class:`ClusterTelemetry` is the passive facade behind the SQL system
-views (:mod:`repro.obs.sysviews`). The runtime *publishes* into it —
-every statement runs on a :class:`~repro.executor.concurrent.
-StatementLoop` that sits on the engine's stack of live loops while it
-runs, and every settled statement lands in the :class:`StatementStats`
-workload repository — and the views *read* from it. Nothing here charges the
+views (:mod:`repro.catalog.master_relations`) and the ``--top``
+dashboard (:func:`render_top`). The runtime *publishes* into it — every
+statement runs on a :class:`~repro.executor.concurrent.StatementLoop`
+that sits on the engine's stack of live loops while it runs, and every
+settled statement lands in the :class:`StatementStats` workload
+repository — and the views *read* from it. Nothing here charges the
 simulated clock or mutates any engine structure the executor reads
 (lint R6 obs-passivity holds for this whole package), so interleaving
 system-view queries with a workload leaves every row and every charged
@@ -139,7 +140,7 @@ class ClusterTelemetry:
       workload repository and the cumulative per-segment timeline
       aggregates.
 
-    Every reader (:func:`repro.obs.sysviews.system_view_rows`) only
+    Every reader (the system views, the ``--top`` dashboard) only
     inspects; the facade never calls back into the runtime.
     """
 
@@ -296,3 +297,56 @@ class ClusterTelemetry:
             "queues": self.resqueue_rows(),
             "segments": self.segment_rows(),
         }
+
+
+# ----------------------------------------------------------------- dashboard
+def _bar(fraction: float, width: int = 20) -> str:
+    filled = int(round(max(0.0, min(1.0, fraction)) * width))
+    return "#" * filled + "." * (width - filled)
+
+
+def render_top(overview: Dict[str, object]) -> str:
+    """The ``--top`` text dashboard from one telemetry snapshot:
+    activity table, per-queue slot gauges, per-segment utilization
+    bars. Pure rendering — the snapshot is the input."""
+    lines: List[str] = []
+    lines.append(
+        f"cluster activity @ t={overview['now']:.4f}s (simulated clock)"
+    )
+    lines.append("")
+    activity = overview["activity"]
+    lines.append(f"statements ({len(activity)} live):")
+    lines.append(
+        f"  {'qid':>5}  {'state':<11}{'queue':<14}"
+        f"{'wait_s':>9}  {'att':>3}  {'slices':>7}"
+    )
+    for row in activity:
+        qid, state, queue, wait, attempt, dispatched, completed = row
+        lines.append(
+            f"  {qid:>5}  {state:<11}{queue:<14}"
+            f"{wait:>9.4f}  {attempt:>3}  {completed:>3}/{dispatched}"
+        )
+    if not activity:
+        lines.append("  (idle)")
+    lines.append("")
+    lines.append("resource queues:")
+    for row in overview["queues"]:
+        name, slots, in_use, mem_limit, mem_used, waiters, head = row
+        fraction = in_use / slots if slots else 0.0
+        suffix = f"  waiting={waiters}"
+        if head is not None:
+            suffix += f" head=q{head}"
+        lines.append(
+            f"  {name:<14}[{_bar(fraction)}] {in_use:>3}/{slots:<3} slots  "
+            f"mem {mem_used / 1e9:.2f}/{mem_limit / 1e9:.2f} GB{suffix}"
+        )
+    lines.append("")
+    lines.append("segments:")
+    for row in overview["segments"]:
+        segment_id, host, tasks, busy, utilization = row
+        lines.append(
+            f"  seg{segment_id:<3}{host:<8}[{_bar(utilization)}] "
+            f"{utilization * 100:5.1f}%  {tasks:>4} tasks  "
+            f"{busy:.4f}s busy"
+        )
+    return "\n".join(lines)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.catalog.schema import TableSchema
-from repro.catalog.service import CATALOG_RELATION_COLUMNS, CatalogService
+from repro.catalog.master_relations import is_master_only
+from repro.catalog.service import CatalogService
 from repro.errors import PlannerError
-from repro.obs.sysviews import SYSTEM_VIEW_COLUMNS
 from repro.planner.physical import PhysicalPlan, PlanNode, PlanSlice, SeqScan
 from repro.planner.wire import encode, encode_dispatch
 from repro.txn.mvcc import Snapshot
@@ -203,8 +203,8 @@ def build_self_described_plan(
     metadata: Dict[str, TableMetadata] = {}
     entries: List[bytes] = []
     for name in sorted(tables_in_plan(plan)):
-        if name in CATALOG_RELATION_COLUMNS or name in SYSTEM_VIEW_COLUMNS:
-            continue  # system tables/views live on the master only
+        if is_master_only(name):
+            continue
         relation = catalog.lookup_relation(name, snapshot)
         if relation is None:
             raise PlannerError(f"table {name!r} vanished before dispatch")

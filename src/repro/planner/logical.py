@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.catalog.schema import TableSchema
-from repro.planner.exprs import BoundExpr
+from repro.planner.exprs import BoundExpr, BSubPlan, walk
 
 
 @dataclass
@@ -90,3 +90,27 @@ class LogicalQuery:
         exprs.extend(k.expr for k in self.order_by)
         exprs.extend(r.join_cond for r in self.rels if r.join_cond is not None)
         return exprs
+
+    def tables(self, subplans: bool = False) -> List[str]:
+        """Every base-table name this query reads, derived tables and
+        init plans included, sorted. Before decorrelation IN / EXISTS /
+        scalar subqueries still sit inside expressions; ``subplans``
+        includes their tables too."""
+        names = set()
+        pending = [self]
+        while pending:
+            query = pending.pop()
+            for rel in query.rels:
+                if isinstance(rel.source, DerivedSource):
+                    pending.append(rel.source.query)
+                else:
+                    names.add(rel.source.table_name)
+            pending.extend(query.init_plans)
+            if subplans:
+                pending.extend(
+                    node.query
+                    for expr in query.expressions()
+                    for node in walk(expr)
+                    if isinstance(node, BSubPlan)
+                )
+        return sorted(names)

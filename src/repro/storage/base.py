@@ -135,7 +135,7 @@ def cached_blocks(
     if logical_length <= 0:
         return
     if cache is None:
-        data = client.read_file(path, logical_length)
+        data = _read_exactly(client.open(path), path, logical_length)
         for row_count, payload, _framed in iter_blocks(data, codec, stats):
             yield row_count, decode(payload, row_count)
         return
@@ -153,7 +153,7 @@ def cached_blocks(
     reader = client.open(path)
     reader.seek(served)
     remote_before = client.remote_bytes_read
-    data = reader.read(logical_length - served)
+    data = _read_exactly(reader, path, logical_length - served)
     remote_total = client.remote_bytes_read - remote_before
     tail_len = len(data)
     consumed = 0
@@ -188,6 +188,15 @@ def cached_blocks(
             cache.misses += 1
             cache.account(entry, entry.nbytes - before)
         yield row_count, columns
+
+
+def _read_exactly(reader, path: str, length: int) -> bytes:
+    """``length`` bytes from ``reader``: a committed file shorter than its
+    logical length has lost rows, which a scan must not hide."""
+    data = reader.read(length)
+    if len(data) != length:
+        raise StorageError(f"{path} is shorter than its committed {length} bytes")
+    return data
 
 
 def rows_from_blocks(

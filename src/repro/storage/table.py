@@ -340,12 +340,16 @@ def reclaim(client, paths: Dict[str, int]) -> int:
     return reclaimed
 
 
-def vacuum(engine, relations: Iterable[dict], snapshot: Snapshot) -> int:
-    """:func:`reclaim` every visible segfile of ``relations``."""
+def vacuum(engine, relations: Iterable[dict], snapshot: Snapshot, xid: int) -> int:
+    """:func:`reclaim` every visible segfile of ``relations`` but those
+    in a writer lane another live transaction holds: the bytes past
+    their logical length are its appends, not an aborted one's."""
+    lanes = engine.txns.segfiles
     return sum(
         reclaim(engine.segments[f["segment_id"]].client(engine.hdfs), f["paths"])
         for relation in relations
         for _schema, f in segfiles(engine.catalog, relation, snapshot)
+        if lanes.holder(f["table"], f["segfile_id"]) in (None, xid)
     )
 
 

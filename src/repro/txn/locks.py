@@ -1,11 +1,12 @@
 """Table-level locking with deadlock detection (paper Section 5.2).
 
 DML takes weak locks (ACCESS_SHARE for reads, ROW_EXCLUSIVE for inserts)
-and DDL takes ACCESS_EXCLUSIVE, so concurrent selects proceed while an
-ALTER/DROP waits. A wait-for graph is maintained and checked on every
-blocked request; the requester that would close a cycle is aborted
-(HAWQ runs its checker periodically — on a discrete simulation, checking
-at wait time is equivalent and deterministic).
+and DDL takes ACCESS_EXCLUSIVE, which conflicts with both. Statements ask
+with ``wait=False``: a conflict fails the statement with LockTimeout. A
+queued request keeps a wait-for graph, checked on every blocked request;
+the requester that would close a cycle is aborted (HAWQ runs its checker
+periodically — on a discrete simulation, checking at wait time is
+equivalent and deterministic).
 """
 
 from __future__ import annotations

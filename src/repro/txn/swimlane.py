@@ -47,5 +47,9 @@ class SegfileAllocator:
                 if owner == xid:
                     lanes[segfile_id] = None
 
+    def holder(self, table: str, segfile_id: int) -> Optional[int]:
+        """The xid holding lane ``segfile_id`` of ``table``; None if free."""
+        return self._lanes.get(table.lower(), {}).get(segfile_id)
+
     def drop_table(self, table: str) -> None:
         self._lanes.pop(table.lower(), None)

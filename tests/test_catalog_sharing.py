@@ -329,12 +329,12 @@ class TestPartitionChildrenLookup:
         return session
 
     def plan(self, session, sql):
-        from repro.engine import _CatalogAdapter
+        from repro.ddl import CatalogAdapter
         from repro.planner.analyzer import Analyzer
         from repro.sql.parser import parse_statement
 
         snapshot = snapshot_of(session.engine)
-        adapter = _CatalogAdapter(session.engine.catalog, snapshot)
+        adapter = CatalogAdapter(session.engine.catalog, snapshot)
         query = Analyzer(adapter).analyze(parse_statement(sql))
         return query, snapshot
 

@@ -8,7 +8,7 @@ import pytest
 import repro.engine as engine_module
 import repro.planner.dispatch as dispatch_module
 from repro import Engine
-from repro.engine import _CatalogAdapter
+from repro.ddl import CatalogAdapter
 from repro.planner.analyzer import Analyzer
 from repro.planner.dispatch import build_self_described_plan, tables_in_plan
 from repro.planner.wire import encode
@@ -38,7 +38,7 @@ def env():
 def plan_for(engine, session, sql):
     txn = engine.txns.begin()
     snapshot = txn.statement_snapshot()
-    analyzer = Analyzer(_CatalogAdapter(engine.catalog, snapshot))
+    analyzer = Analyzer(CatalogAdapter(engine.catalog, snapshot))
     query = analyzer.analyze(parse_statement(sql))
     plan = session._plan(query, snapshot)
     return plan, snapshot

@@ -325,14 +325,14 @@ class TestViewsAndMeta:
         """Self-described plans are measured and compressed (3.1)."""
         from repro.planner.analyzer import Analyzer
         from repro.planner.dispatch import build_self_described_plan
-        from repro.engine import _CatalogAdapter
+        from repro.ddl import CatalogAdapter
         from repro.sql.parser import parse_statement
 
         session.execute("CREATE TABLE t (a INT) DISTRIBUTED BY (a)")
         session.execute("INSERT INTO t VALUES (1)")
         txn = engine.txns.begin()
         snapshot = txn.statement_snapshot()
-        analyzer = Analyzer(_CatalogAdapter(engine.catalog, snapshot))
+        analyzer = Analyzer(CatalogAdapter(engine.catalog, snapshot))
         query = analyzer.analyze(parse_statement("SELECT * FROM t"))
         plan = session._plan(query, snapshot)
         sdp = build_self_described_plan(plan, engine.catalog, snapshot)
@@ -434,6 +434,29 @@ class TestVacuum:
         # the dropped table's versions are physically gone
         rows = engine.catalog.table("pg_class")._rows
         assert all(v.data["name"] != "dead" for v in rows)
+
+    @pytest.mark.parametrize("statement", ["VACUUM t", "VACUUM"])
+    @pytest.mark.parametrize("orientation", ["row", "column", "parquet"])
+    def test_vacuum_keeps_an_open_transaction_s_appends(
+        self, engine, orientation, statement
+    ):
+        """Bytes past a segfile's committed length are an open writer's
+        appends while its lane is held: VACUUM must leave them for the
+        commit to make visible."""
+        writer, vacuumer = engine.connect(), engine.connect()
+        writer.execute(
+            f"CREATE TABLE t (a INT) WITH (appendonly=true, "
+            f"orientation={orientation}) DISTRIBUTED BY (a)"
+        )
+        writer.execute("INSERT INTO t VALUES (1), (2), (3)")
+        writer.execute("BEGIN")
+        writer.execute("INSERT INTO t VALUES (4), (5), (6)")
+        assert "reclaimed 0 bytes" in vacuumer.execute(statement).message
+        writer.execute("COMMIT")
+        assert sorted(vacuumer.query("SELECT a FROM t")) == [
+            (i,) for i in range(1, 7)
+        ]
+        assert vacuumer.query("SELECT sum(tupcount) FROM gp_segfile") == [(6,)]
 
     def test_vacuum_missing_table(self, session):
         with pytest.raises(UndefinedObject):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import compile_expr_value
+from repro.ddl import compile_expr_value
 from repro.errors import ExecutorError
 
 

@@ -23,7 +23,7 @@ at most half a percent.
 import pytest
 
 from repro import Engine
-from repro.engine import _CatalogAdapter
+from repro.ddl import CatalogAdapter
 from repro.planner.analyzer import Analyzer
 from repro.planner.dispatch import build_self_described_plan
 from repro.sql.parser import parse_statement
@@ -156,7 +156,7 @@ def dispatched(session, sql):
     txn = engine.txns.begin()
     try:
         snapshot = txn.statement_snapshot()
-        analyzer = Analyzer(_CatalogAdapter(engine.catalog, snapshot))
+        analyzer = Analyzer(CatalogAdapter(engine.catalog, snapshot))
         plan = session._plan(analyzer.analyze(parse_statement(sql)), snapshot)
         return build_self_described_plan(plan, engine.catalog, snapshot)
     finally:

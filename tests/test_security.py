@@ -10,11 +10,12 @@ from repro.catalog.security import (
     SecurityManager,
 )
 from repro.cluster.resqueue import ResourceQueueManager, specs_from_security
-from repro.errors import CatalogError, PxfError, SemanticError
+from repro.errors import CatalogError, LockTimeout, PxfError, SemanticError
 from repro.storage.hadoop_formats import (
     HawqTableInputFormat,
     HawqTableOutputFormat,
 )
+from repro.txn.locks import LockMode
 
 
 class TestSecurityManager:
@@ -197,6 +198,50 @@ class TestMaintenanceStatementsAskWhoIsAsking:
         truncated = allowed and statement.startswith("TRUNCATE")
         rows = engine.connect().query("SELECT a, g FROM t")
         assert sorted(rows) == ([] if truncated else [(1, 1), (2, 7)])
+
+
+    #: What each verb holds on the relation it names inside BEGIN (the
+    #: owner runs it; ``u`` is a table it creates).
+    HELD = {
+        "SELECT a FROM t": ("t", LockMode.ACCESS_SHARE),
+        "COPY t TO '/out/t.tbl'": ("t", LockMode.ACCESS_SHARE),
+        "INSERT INTO t VALUES (3, 3)": ("t", LockMode.ROW_EXCLUSIVE),
+        "COPY t FROM '/load/t.tbl'": ("t", LockMode.ROW_EXCLUSIVE),
+        "DROP TABLE t": ("t", LockMode.ACCESS_EXCLUSIVE),
+        "TRUNCATE TABLE t": ("t", LockMode.ACCESS_EXCLUSIVE),
+        "ALTER TABLE t SET WITH (orientation=column)": (
+            "t", LockMode.ACCESS_EXCLUSIVE,
+        ),
+        "CREATE TABLE u (a INT)": ("u", LockMode.ACCESS_EXCLUSIVE),
+        "ANALYZE t": ("t", LockMode.ACCESS_SHARE),
+        "VACUUM t": ("t", LockMode.ACCESS_SHARE),
+    }
+
+    @pytest.mark.parametrize("statement", sorted(HELD))
+    def test_the_lock_each_verb_holds(self, engine, statement):
+        engine.hdfs.client().write_file("/load/t.tbl", b"3|3\n")
+        session = engine.connect(role="owner")
+        session.execute("BEGIN")
+        session.execute(statement)
+        name, mode = self.HELD[statement]
+        assert engine.txns.locks.holders(f"rel:{name}") == [
+            (session._txn.xid, mode)
+        ]
+        session.execute("ROLLBACK")
+        assert engine.txns.locks.holders(f"rel:{name}") == []
+
+    def test_a_stranger_is_refused_before_the_lock(self, engine):
+        """The privilege is checked before the lock is asked for: a role
+        that may not DROP never waits on, or fails for, a reader's lock."""
+        reader = engine.connect()
+        reader.execute("BEGIN")
+        assert sorted(reader.query("SELECT a FROM t")) == [(1,), (2,)]
+        with pytest.raises(PermissionDenied):
+            engine.connect(role="stranger").execute("DROP TABLE t")
+        with pytest.raises(LockTimeout):
+            engine.connect(role="owner").execute("DROP TABLE t")
+        reader.execute("COMMIT")
+        engine.connect(role="owner").execute("DROP TABLE t")
 
 
 class TestExplainGoesThroughTheFrontHalf:

@@ -19,18 +19,13 @@ The load-bearing properties:
 
 import pytest
 
+from repro.catalog.master_relations import SCHEMAS, SYSTEM_VIEW_COLUMNS
 from repro.engine import Engine
 from repro.errors import QueryCanceled
 from repro.executor.concurrent import ConcurrentRunner
-from repro.obs.activity import fingerprint
+from repro.obs.activity import fingerprint, render_top
 from repro.obs.export import prometheus_violations, render_prometheus
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.obs.sysviews import (
-    SYSTEM_VIEW_COLUMNS,
-    render_top,
-    system_view_rows,
-    system_view_schema,
-)
 from tests.test_cancellation import MidStatementHook
 
 
@@ -150,7 +145,7 @@ class TestSystemViewSql:
 
     def test_schema_matches_columns(self):
         for name, columns in sorted(SYSTEM_VIEW_COLUMNS.items()):
-            schema = system_view_schema(name)
+            schema = SCHEMAS[name]
             assert [col.name for col in schema.columns] == columns
 
 
@@ -380,9 +375,9 @@ class TestCancelProbe:
         seen = []
 
         def cancel_and_look():
-            seen.extend(system_view_rows(telemetry, "pg_stat_activity"))
+            seen.extend(telemetry.activity_rows())
             engine.cancel_query(seen[0][0])
-            seen.extend(system_view_rows(telemetry, "pg_stat_activity"))
+            seen.extend(telemetry.activity_rows())
 
         engine.attach_chaos(MidStatementHook(cancel_and_look))
         with pytest.raises(QueryCanceled):
@@ -392,7 +387,7 @@ class TestCancelProbe:
         running, cancelling = seen
         assert running[:3] == (running[0], "running", "pg_default")
         assert cancelling == (running[0], "cancelling") + running[2:]
-        assert system_view_rows(telemetry, "pg_stat_activity") == []
+        assert telemetry.activity_rows() == []
 
 
 # ---------------------------------------------------- queue pressure (S1)

@@ -12,7 +12,7 @@ rows reference, and every table must hold the rows of a Python model.
 import pytest
 
 from repro import Engine
-from repro.errors import TransactionError
+from repro.errors import LockTimeout, StorageError, TransactionError
 from repro.storage.hadoop_formats import HawqTableInputFormat
 
 ORIENTATION = {"ao": "row", "co": "column", "parquet": "parquet"}
@@ -202,11 +202,16 @@ class TestOlderSnapshots:
     ROWS = [(i, f"r{i % 5}") for i in range(30)]
 
     def open_reader(self, engine, fmt):
+        """A serializable reader whose snapshot sees ``ROWS`` in ``t``. It
+        fixes the snapshot by reading another table: a read of ``t`` would
+        hold ACCESS SHARE on it, and the writer's DROP or ALTER could not
+        take its lock."""
         writer, reader = engine.connect(), engine.connect()
         writer.execute(ddl("t", fmt, False))
         writer.execute(f"INSERT INTO t VALUES {values(self.ROWS)}")
+        writer.execute(ddl("other", fmt, False))
         reader.execute("BEGIN ISOLATION LEVEL SERIALIZABLE")
-        assert sorted(reader.query("SELECT a, b FROM t")) == self.ROWS
+        assert reader.query("SELECT a, b FROM other") == []
         return writer, reader
 
     @pytest.mark.parametrize("fmt", ["ao", "co", "parquet"])
@@ -234,6 +239,41 @@ class TestOlderSnapshots:
         assert files_on_hdfs(engine) == files_in_catalog(engine)
         assert reader.query("SELECT a, b FROM t") == [(100, "new")]
 
+    #: DDL statement -> ``t``'s pg_class storage format(s) and row count
+    #: once the statement has run.
+    LOCKED_OUT = {
+        "DROP TABLE t": ([], None),
+        "ALTER TABLE t SET WITH (orientation=column)": ([("co",)], len(ROWS)),
+        "TRUNCATE t": ([("ao",)], 0),
+    }
+
+    @pytest.mark.parametrize("statement", sorted(LOCKED_OUT))
+    def test_ddl_under_an_open_reader_fails_and_changes_nothing(self, statement):
+        """DDL takes ACCESS EXCLUSIVE without waiting: while a reader holds
+        ACCESS SHARE on ``t`` the statement fails with LockTimeout before
+        it changes anything, and succeeds once the reader has ended."""
+        engine = make_engine()
+        writer, reader = engine.connect(), engine.connect()
+        writer.execute(ddl("t", "ao", False))
+        writer.execute(f"INSERT INTO t VALUES {values(self.ROWS)}")
+        pg_class = "SELECT storage_format FROM pg_class WHERE name = 't'"
+        reader.execute("BEGIN")
+        assert sorted(reader.query("SELECT a, b FROM t")) == self.ROWS
+        files_before = files_in_catalog(engine)
+        with pytest.raises(LockTimeout, match="rel:t"):
+            writer.execute(statement)
+        assert files_on_hdfs(engine) == files_in_catalog(engine) == files_before
+        assert writer.query(pg_class) == [("ao",)]
+        assert sorted(reader.query("SELECT a, b FROM t")) == self.ROWS
+        reader.execute("COMMIT")
+
+        writer.execute(statement)
+        formats, count = self.LOCKED_OUT[statement]
+        assert files_on_hdfs(engine) == files_in_catalog(engine)
+        assert writer.query(pg_class) == formats
+        if count is not None:
+            assert len(writer.query("SELECT a FROM t")) == count
+
     @pytest.mark.parametrize("first_rows", [[], [(1, "a")]], ids=["new", "append"])
     def test_an_insert_behind_a_committed_insert_fails(self, first_rows):
         """The writer takes lane 0, commits and frees it; the reader then
@@ -256,6 +296,23 @@ class TestOlderSnapshots:
         assert sorted(reader.query("SELECT a, b FROM t")) == expected
         reader.execute("INSERT INTO t VALUES (5, 'r')")
         assert sorted(reader.query("SELECT a, b FROM t")) == expected + [(5, "r")]
+
+
+@pytest.mark.parametrize("cache_bytes", [0, 1 << 24], ids=["no-cache", "cache"])
+@pytest.mark.parametrize("fmt", ["ao", "co", "parquet"])
+def test_a_file_cut_short_is_an_error_not_fewer_rows(fmt, cache_bytes):
+    """A committed file shorter than its logical length has lost rows: a
+    scan raises instead of returning the rows that are left."""
+    engine = Engine(
+        num_segment_hosts=2, segments_per_host=2, block_cache_bytes=cache_bytes
+    )
+    session = engine.connect()
+    session.execute(ddl("t", fmt, False))
+    session.execute(f"INSERT INTO t VALUES {values(TestOlderSnapshots.ROWS)}")
+    path = min(files_in_catalog(engine))
+    engine.hdfs.client().truncate(path, 0)
+    with pytest.raises(StorageError):
+        session.query("SELECT a, b FROM t")
 
 
 def test_reading_through_the_input_format_leaves_no_transaction():

@@ -98,6 +98,46 @@ if grep -rnE "batch_scan|_batch_scan_provider|catalog_rows|sysview_rows" src/rep
     exit 1
 fi
 
+echo "== one barrier per motion, and gather's schedule in one pass =="
+# A motion is one (senders, consumers, delay) barrier, not a sender x
+# receiver list of pair edges, and TaskGraph.replay computes a
+# statement's stand-alone schedule in one slotless pass. A per-pair
+# motion list in settle_wave, or an EventScheduler built to replay a
+# settled graph, would bring back the control plane's per-pair and
+# second-clock bookkeeping.
+python - <<'PY'
+import ast, sys
+
+def method(path, owner, name):
+    tree = ast.parse(open(path).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == owner:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return item
+    sys.exit(f"{path}: {owner}.{name} not found")
+
+found = []
+replay = method("src/repro/simtime/scheduler.py", "TaskGraph", "replay")
+for node in ast.walk(replay):
+    if isinstance(node, ast.Name) and node.id == "EventScheduler":
+        found.append(f"TaskGraph.replay:{node.lineno}: builds an EventScheduler")
+settle = method("src/repro/executor/runner.py", "QueryDispatch", "settle_wave")
+for node in ast.walk(settle):
+    comprehension = isinstance(
+        node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    )
+    if comprehension and len(node.generators) > 1:
+        found.append(f"settle_wave:{node.lineno}: a comprehension over pairs")
+    if isinstance(node, ast.For) and any(
+        isinstance(inner, ast.For) for inner in ast.walk(node) if inner is not node
+    ):
+        found.append(f"settle_wave:{node.lineno}: a loop over pairs")
+for line in found:
+    print(line)
+sys.exit(1 if found else 0)
+PY
+
 echo "== one relation-access step (lookup, privilege, then lock, in Session.access_relation) =="
 # Each verb states only its lock mode and privilege; looking the relation
 # up, checking the privilege before the lock and taking the lock without
@@ -207,9 +247,11 @@ echo "== per-statement budget on the short workloads (counts, not seconds) =="
 # both (569 before); the sql ceiling is that reading + 15 %.
 # With dispatch metadata kept per catalog version, no random draws on a
 # lossless link and metric series found without formatting their keys,
-# they read 5,026 and 5,008 Python calls (5,557 and 5,477 before); the
-# two call ceilings are these readings + 15 %.
-for budget in "short_serial 5780 159 0.32" "short_streams 5760 159 0.35"; do
+# they read 5,026 and 5,008 Python calls (5,557 and 5,477 before); with
+# a motion as one barrier, gather's schedule in one pass, a lossless
+# datagram as one heap entry and the cache totals read in one unsorted
+# pass, 4,762 and 4,676. The two call ceilings are these readings + 15 %.
+for budget in "short_serial 5476 159 0.32" "short_streams 5377 159 0.35"; do
     set -- $budget
     budget_json=$(python3 benchmarks/perf/run.py --workload "$1" --quick --trace 1 | tail -n 1)
     python - "$budget_json" "$@" <<'PY'
@@ -258,7 +300,7 @@ for name, ceiling in (("catalog.pycalls", 15341), ("python.pycalls", 347335)):
 sys.exit(1 if failed else 0)
 PY
 
-echo "== executor budget on tpch_power (counts, not seconds) =="
+echo "== executor and control-plane budgets on tpch_power (counts, not seconds) =="
 # What one traced quick round of the 22 TPC-H statements costs in Python
 # calls inside the operators and their column kernels (repro/executor +
 # repro/columnar). With filters that narrow a selection and batches
@@ -277,6 +319,24 @@ ceiling = 188600
 over = calls > ceiling
 print(f"  tpch_power: executor.pycalls + columnar.pycalls: {calls:,.0f} (ceiling {ceiling:,})"
       + ("  OVER BUDGET" if over else ""))
+sys.exit(1 if over else 0)
+PY
+
+# The same round's control plane: the Python calls inside the event
+# clock, the datagram net, the RPC bus and the exchange (repro/simtime +
+# network + cluster + interconnect). With a motion as one barrier,
+# gather's schedule in one pass and a lossless datagram as one heap
+# entry it reads 52,730 (84,587 before); the ceiling is that reading
+# + 15 %.
+python - "$budget_json" <<'PY'
+import json, sys
+metrics = json.loads(sys.argv[1])["metrics"]
+layers = ("simtime", "network", "cluster", "interconnect")
+calls = sum(metrics[f"{layer}.pycalls"]["value"] for layer in layers)
+ceiling = 60640
+over = calls > ceiling
+print(f"  tpch_power: simtime + network + cluster + interconnect pycalls: "
+      f"{calls:,.0f} (ceiling {ceiling:,})" + ("  OVER BUDGET" if over else ""))
 sys.exit(1 if over else 0)
 PY
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import InterconnectError, SegmentDown
-from repro.network.simnet import Datagram, SimNetwork
+from repro.network.simnet import SimNetwork
 from repro.simtime import CostAccumulator
 
 # Message kinds of the dispatch protocol.
@@ -100,6 +100,14 @@ class RpcChannel:
     name: str
     address: Tuple[str, int]
     open: bool = True
+    #: The endpoint's message handler (None once the bus closed).
+    handler: Optional[Callable[[RpcMessage], None]] = None
+
+    def deliver(self, message: RpcMessage) -> None:
+        """What the net hands an arriving message to: a dead process
+        drops it, like real UDP."""
+        if self.open:
+            self.handler(message)
 
 
 class RpcBus:
@@ -108,13 +116,23 @@ class RpcBus:
     def __init__(self, net: SimNetwork):
         self._net = net
         self._ports = itertools.count(_BASE_PORT)
-        self._handlers: Dict[str, Callable[[RpcMessage], None]] = {}
         self.channels: Dict[str, RpcChannel] = {}
         #: Optional :class:`repro.obs.trace.QueryTrace` recorder and
         #: :class:`repro.obs.metrics.MetricsRegistry`. Both are passive
         #: observers of the control plane — they never charge the clock.
         self.trace = None
         self.metrics = None
+
+    @property
+    def metrics(self):
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry) -> None:
+        self._metrics = registry
+        #: message kind -> its (messages, bytes) counters, each found
+        #: in the registry at the kind's first send.
+        self._counters: Dict[str, tuple] = {}
 
     def register(
         self, name: str, handler: Callable[[RpcMessage], None]
@@ -142,17 +160,10 @@ class RpcBus:
                 if on_revive is not None:
                     on_revive(name)
         address = (_RPC_HOST, next(self._ports))
-        self._net.register(address, lambda d: self._receive(name, d))
-        channel = RpcChannel(name=name, address=address)
+        channel = RpcChannel(name=name, address=address, handler=handler)
+        self._net.bind(address, channel.deliver)
         self.channels[name] = channel
-        self._handlers[name] = handler
         return channel
-
-    def _receive(self, name: str, datagram: Datagram) -> None:
-        channel = self.channels.get(name)
-        if channel is None or not channel.open:
-            return  # dead process: datagram vanishes, like real UDP
-        self._handlers[name](datagram.payload)
 
     def drop(self, name: str) -> None:
         """Kill the named endpoint's process: close its channel."""
@@ -169,13 +180,14 @@ class RpcBus:
     def close(self) -> None:
         """Unbind every endpoint from the net and forget its handler.
 
-        The net holds this bus through the receive closures it
-        registered and the bus holds its endpoints' owners through
-        their handlers; cutting both lets a finished process group die
-        by refcount instead of waiting for the cycle collector."""
+        The net holds this bus's channels through their bound
+        ``deliver`` methods and the channels hold their endpoints'
+        owners through their handlers; cutting both lets a finished
+        process group die by refcount instead of waiting for the cycle
+        collector."""
         for channel in self.channels.values():
             self._net.unregister(channel.address)
-        self._handlers.clear()
+            channel.handler = None
 
     def send(
         self,
@@ -198,7 +210,13 @@ class RpcBus:
             # Past the open-checks: a send that raised SegmentDown was
             # never sent, so the protocol log only holds real traffic.
             self.trace.on_rpc(sender, dest, message)
-        if self.metrics is not None:
-            self.metrics.counter("rpc_messages", kind=message.kind).inc()
-            self.metrics.counter("rpc_bytes", kind=message.kind).inc(message.size)
+        if self._metrics is not None:
+            counters = self._counters.get(message.kind)
+            if counters is None:
+                counters = self._counters[message.kind] = (
+                    self._metrics.counter("rpc_messages", kind=message.kind),
+                    self._metrics.counter("rpc_bytes", kind=message.kind),
+                )
+            counters[0].inc()
+            counters[1].inc(message.size)
         self._net.send(src.address, dst.address, message, message.size)

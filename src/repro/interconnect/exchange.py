@@ -17,10 +17,9 @@ same in both modes.
 
 The fabric is shared by every in-flight query: inboxes and stream
 records are namespaced by query id, so interleaved dispatch never mixes
-two queries' motion data. The runtime turns each query's records into
-cross-timeline edges of the event-driven scheduler (sender task →
-receiver task), which is how motion data movement shapes the query's
-critical path.
+two queries' motion data. On the event-driven scheduler each motion is
+one barrier (every sender task → every receiver task), which is how
+motion data movement shapes the query's critical path.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sized, Tuple
 
-from repro.network.simnet import Datagram, SimNetwork
+from repro.network.simnet import SimNetwork
 
 _EXCHANGE_HOST = "exchange"
 _BASE_PORT = 7000
@@ -36,7 +35,7 @@ _BASE_PORT = 7000
 
 @dataclass
 class StreamRecord:
-    """One motion stream that crossed the fabric (a scheduler edge)."""
+    """One motion stream that crossed the fabric."""
 
     slice_id: int
     sender: int
@@ -62,6 +61,17 @@ class ExchangeFabric:
         self.trace = None
         self.metrics = None
 
+    @property
+    def metrics(self):
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry) -> None:
+        self._metrics = registry
+        #: The (streams, bytes) counters, found in the registry at the
+        #: first delivery.
+        self._counters = None
+
     def attach(self, segment_id: int) -> None:
         """Bind a segment's exchange endpoint (QD uses segment id -1).
 
@@ -70,7 +80,7 @@ class ExchangeFabric:
         if segment_id in self._addresses:
             return
         address = (_EXCHANGE_HOST, _BASE_PORT + 1 + segment_id)
-        self._net.register(address, self._deliver)
+        self._net.bind(address, self._deliver)
         self._addresses[segment_id] = address
 
     def send(
@@ -90,8 +100,8 @@ class ExchangeFabric:
             nbytes,
         )
 
-    def _deliver(self, datagram: Datagram) -> None:
-        query_id, slice_id, sender, receiver, rows, nbytes = datagram.payload
+    def _deliver(self, stream: tuple) -> None:
+        query_id, slice_id, sender, receiver, rows, nbytes = stream
         self._inbox.setdefault((query_id, slice_id, receiver), {})[sender] = (
             rows,
             nbytes,
@@ -110,9 +120,15 @@ class ExchangeFabric:
             self.trace.stream(
                 slice_id, sender, receiver, len(rows), nbytes, query_id=query_id
             )
-        if self.metrics is not None:
-            self.metrics.counter("motion_streams").inc()
-            self.metrics.counter("motion_bytes").inc(nbytes)
+        if self._metrics is not None:
+            counters = self._counters
+            if counters is None:
+                counters = self._counters = (
+                    self._metrics.counter("motion_streams"),
+                    self._metrics.counter("motion_bytes"),
+                )
+            counters[0].inc()
+            counters[1].inc(nbytes)
 
     def receive(
         self, query_id: int, slice_id: int, receiver: int

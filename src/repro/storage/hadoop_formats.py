@@ -44,30 +44,37 @@ class HawqTableInputFormat:
 
     def get_splits(self, table: str) -> List[TableSplit]:
         """One split per committed segment file lane."""
+        with self.engine.txns.run() as txn:
+            return self._splits(table, txn.statement_snapshot())
+
+    def _splits(self, table: str, snapshot) -> List[TableSplit]:
         engine = self.engine
-        with engine.txns.run() as txn:
-            snapshot = txn.statement_snapshot()
-            relation = engine.catalog.lookup_relation(table, snapshot)
-            if relation is None:
-                raise UndefinedObject(f"relation {table!r} does not exist")
-            return [
-                TableSplit(
-                    table=segfile["table"],
-                    segment_id=segfile["segment_id"],
-                    segfile_id=segfile["segfile_id"],
-                    paths=tuple(sorted(segfile["paths"].items())),
-                    host=engine.segments[segfile["segment_id"]].effective_host(),
-                )
-                for _schema, segfile in segfiles(engine.catalog, relation, snapshot)
-            ]
+        relation = engine.catalog.lookup_relation(table, snapshot)
+        if relation is None:
+            raise UndefinedObject(f"relation {table!r} does not exist")
+        return [
+            TableSplit(
+                table=segfile["table"],
+                segment_id=segfile["segment_id"],
+                segfile_id=segfile["segfile_id"],
+                paths=tuple(sorted(segfile["paths"].items())),
+                host=engine.segments[segfile["segment_id"]].effective_host(),
+            )
+            for _schema, segfile in segfiles(engine.catalog, relation, snapshot)
+        ]
 
     def read_split(
         self, split: TableSplit, columns: Optional[Sequence[int]] = None
     ) -> Iterator[tuple]:
         """Decode one split's rows with the table's storage format."""
+        with self.engine.txns.run() as txn:
+            yield from self._scan(split, txn.statement_snapshot(), columns)
+
+    def _scan(
+        self, split: TableSplit, snapshot, columns: Optional[Sequence[int]] = None
+    ) -> Iterator[tuple]:
         engine = self.engine
-        with engine.txns.run() as txn:
-            schema = engine.catalog.get_schema(split.table, txn.statement_snapshot())
+        schema = engine.catalog.get_schema(split.table, snapshot)
         yield from get_format(schema.storage_format).scan(
             engine.hdfs.client(split.host),
             dict(split.paths),
@@ -77,9 +84,14 @@ class HawqTableInputFormat:
         )
 
     def read_table(self, table: str) -> Iterator[tuple]:
-        """All committed rows, split by split."""
-        for split in self.get_splits(table):
-            yield from self.read_split(split)
+        """All committed rows, split by split, read inside the one
+        transaction whose snapshot produced the splits: it stays open
+        until the last row, so a DROP committed meanwhile leaves the
+        files until the reader has finished."""
+        with self.engine.txns.run() as txn:
+            snapshot = txn.statement_snapshot()
+            for split in self._splits(table, snapshot):
+                yield from self._scan(split, snapshot)
 
 
 class HawqTableOutputFormat:

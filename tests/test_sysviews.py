@@ -17,13 +17,15 @@ The load-bearing properties:
   stay bit-identical to a cancel-only baseline.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.catalog.master_relations import SCHEMAS, SYSTEM_VIEW_COLUMNS
 from repro.engine import Engine
 from repro.errors import QueryCanceled
 from repro.executor.concurrent import ConcurrentRunner
-from repro.obs.activity import fingerprint, render_top
+from repro.obs.activity import StatementStats, fingerprint, render_top
 from repro.obs.export import prometheus_violations, render_prometheus
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from tests.test_cancellation import MidStatementHook
@@ -131,6 +133,53 @@ class TestSystemViewSql:
         expected = first.cost.seconds + second.cost.seconds
         assert rows[0][1] == pytest.approx(expected)
         assert rows[0][2] == pytest.approx(expected / 2)
+
+    def test_statement_repository_counts_cache_hits_and_misses(self):
+        """A fingerprint's cache columns sum its statements' labelled
+        ``cache_hits`` / ``cache_misses`` series: a cold run misses and
+        a warm one hits."""
+        engine = build_engine()
+        session = engine.connect()
+        engine.block_cache.clear()
+        cold = session.execute(HEAVY)
+        warm = session.execute(HEAVY)
+        assert cold.metrics.total("cache_misses") > 0
+        assert warm.metrics.total("cache_hits") > 0
+        rows = session.execute(
+            "SELECT calls, cache_hits, cache_misses FROM pg_stat_statements "
+            f"WHERE fingerprint = '{fingerprint(HEAVY)}'"
+        ).rows
+        assert rows == [
+            (
+                2,
+                cold.metrics.total("cache_hits") + warm.metrics.total("cache_hits"),
+                cold.metrics.total("cache_misses")
+                + warm.metrics.total("cache_misses"),
+            )
+        ]
+
+    def test_statement_repository_reads_only_labelled_cache_series(self):
+        """Only ``cache_hits{…}`` and ``cache_misses{…}`` keys count: not
+        a bare series of the same name, nor one whose name only starts
+        with it."""
+        stats = StatementStats()
+        delta = MetricsSnapshot(
+            {
+                "cache_hits{node=seg0}": 3,
+                "cache_hits{node=seg1}": 4.0,
+                "cache_misses{node=seg0}": 5,
+                "cache_hits": 100,
+                "cache_hits_total{node=seg0}": 100,
+                "cache_written{node=seg0}": 100,
+                "bytes_read{format=ao,node=seg0}": 100,
+            }
+        )
+        result = SimpleNamespace(rows=[], metrics=delta)
+        stats.observe_statement("SELECT 1", result)
+        stats.observe_statement("SELECT 2", result)
+        (row,) = stats.statement_rows()
+        assert row[0] == "select ?"
+        assert row[-2:] == (14, 10)
 
     def test_fingerprint_rules(self):
         assert fingerprint("SELECT * FROM t WHERE a = 7") == (

@@ -324,3 +324,21 @@ def test_reading_through_the_input_format_leaves_no_transaction():
         (1,), (2,), (3,), (4,)
     ]
     assert engine.crash_master() == []
+
+
+@pytest.mark.parametrize("fmt", ["ao", "co", "parquet"])
+def test_a_drop_committed_mid_read_table_leaves_the_files_to_the_reader(fmt):
+    """The InputFormat takes no lock, so a DROP can commit while it
+    reads: the reader still gets every row its snapshot saw, and the
+    dropped files go once it has finished."""
+    engine = make_engine()
+    session = engine.connect()
+    session.execute(ddl("t", fmt, False))
+    session.execute(f"INSERT INTO t VALUES {values(TestOlderSnapshots.ROWS)}")
+    rows = HawqTableInputFormat(engine).read_table("t")
+    first = next(rows)
+    session.execute("DROP TABLE t")
+    engine.block_cache.clear()
+    assert files_on_hdfs(engine) > files_in_catalog(engine)
+    assert sorted([first, *rows]) == TestOlderSnapshots.ROWS
+    assert files_on_hdfs(engine) == files_in_catalog(engine)

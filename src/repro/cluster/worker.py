@@ -92,7 +92,6 @@ class SegmentWorker:
         self.exchange = exchange
         self.services = services
         self.channel = bus.register(self.name, self._on_message)
-        exchange.attach(segment_id)
         #: Loopback: the master's own worker pays no wire time.
         self.is_loopback = segment_id == QD_SEGMENT
         #: Current in-flight task/context (one at a time), for passive

@@ -35,7 +35,6 @@ from repro.catalog.security import PermissionDenied, SecurityManager
 from repro.catalog.service import CatalogService
 from repro.catalog.stats import TableStats
 from repro.cluster.fault import FaultDetector
-from repro.cluster.rpc import RpcBus
 from repro.cluster.segment import Segment
 from repro.cluster.standby import StandbyMaster
 from repro.cluster.worker import SegmentWorker, WorkerServices
@@ -55,8 +54,6 @@ from repro.executor.runner import (
     QueryResult,
 )
 from repro.hdfs import Hdfs
-from repro.interconnect.exchange import ExchangeFabric
-from repro.network.simnet import NetworkConditions, SimNetwork
 from repro.obs.activity import ClusterTelemetry
 from repro.obs.explain import render_analyze
 from repro.obs.metrics import MetricsRegistry
@@ -304,24 +301,16 @@ class Engine:
     def build_runtime(self) -> DistributedRuntime:
         """Stand up a fresh QD/QE process group for one statement loop.
 
-        Everything message-borne rides one :class:`SimNetwork` whose
-        conditions mirror the cost model (same latency, zero jitter so
-        same-sized dispatches deliver FIFO in segment order — execution
-        order, and therefore the chaos clock, stays deterministic). One
-        :class:`SegmentWorker` per segment, plus the master's own
-        loopback worker for gang "1" slices. Segments are stateless, so
-        a restart simply revives a dead worker against fresh failover
-        assignments.
+        Every RPC message and motion stream rides the runtime's one
+        in-order queue, so workers execute in dispatch order and the
+        chaos clock stays deterministic; a message's cost is charged by
+        its sender. One :class:`SegmentWorker` per segment, plus the
+        master's own loopback worker for gang "1" slices. Segments are
+        stateless, so a restart simply revives a dead worker against
+        fresh failover assignments.
         """
-        conditions = NetworkConditions(
-            latency=self.cost_model.net_latency,
-            jitter=0.0,
-            bandwidth=self.cost_model.net_bw,
-        )
-        net = SimNetwork(conditions, seed=self.seed)
-        bus = RpcBus(net)
-        exchange = ExchangeFabric(net)
-        runtime = DistributedRuntime(net, bus, exchange)
+        runtime = DistributedRuntime()
+        bus, exchange = runtime.bus, runtime.exchange
         services = WorkerServices(
             hdfs=self.hdfs,
             block_cache=self.block_cache,

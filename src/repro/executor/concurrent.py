@@ -224,12 +224,12 @@ class StatementLoop:
         #: query_id -> in-flight statement (pg_stat_activity reads it).
         self.statements: Dict[int, _Statement] = {}
         #: The statement whose lifecycle step is on the stack right now
-        #: (its slices may be on the workers, inside ``net.run()``).
+        #: (its slices may be on the workers, inside ``queue.deliver()``).
         self._executing: Optional[_Statement] = None
         self._datagrams = engine.metrics.counter(
             "datagrams_delivered", mode=engine.interconnect
         )
-        self._flushed = (0, 0)
+        self._flushed = 0
 
     def __enter__(self) -> "StatementLoop":
         self.engine._loops.append(self)
@@ -242,18 +242,13 @@ class StatementLoop:
         self._flush_datagrams()
 
     def _flush_datagrams(self) -> None:
-        """Publish what the net delivered and dropped since the last
-        flush: before each statement's metrics are attributed, and once
-        more when the loop ends, for what failed statements and their
-        aborts delivered."""
-        net = self.runtime.net
-        delivered, dropped = self._flushed
-        self._datagrams.inc(net.delivered - delivered)
-        if net.dropped > dropped:
-            self.engine.metrics.counter(
-                "datagrams_dropped", mode=self.engine.interconnect
-            ).inc(net.dropped - dropped)
-        self._flushed = (net.delivered, net.dropped)
+        """Publish what the queue delivered since the last flush: before
+        each statement's metrics are attributed, and once more when the
+        loop ends, for what failed statements and their aborts
+        delivered."""
+        delivered = self.runtime.queue.delivered
+        self._datagrams.inc(delivered - self._flushed)
+        self._flushed = delivered
 
     # ---------------------------------------------------------------- submit
     def submit(
@@ -371,7 +366,7 @@ class StatementLoop:
         dispatch = state.dispatch
         scheduler = self.scheduler
         dispatch.dispatch_wave(wave_index)
-        self.runtime.net.run()
+        self.runtime.queue.deliver()
         self._after_delivery(state)
         graph = dispatch.settle_wave(wave_index)
         qid = state.outcome.query_id
@@ -449,7 +444,7 @@ class StatementLoop:
     def _revive_workers(self) -> None:
         """Re-instantiate workers whose endpoints died: stateless QE
         processes make restart cheap (paper Section 2.6) — a replacement
-        process revives the name on a fresh port."""
+        process revives the name on a channel of its own."""
         bus = self.runtime.bus
         for name, channel in sorted(bus.channels.items()):
             if channel.open or not name.startswith("seg"):
@@ -494,8 +489,7 @@ class StatementLoop:
             return
         delay = RETRY_BACKOFF * (2 ** (state.retries - 1))
         state.backoff_seconds += delay
-        if engine.metrics is not None:
-            engine.metrics.counter("query_retries").inc()
+        engine.metrics.counter("query_retries").inc()
         self.scheduler.at(
             self.scheduler.now + delay,
             lambda now, s=state: self._start_attempt(s, now),
@@ -527,8 +521,7 @@ class StatementLoop:
         like ``pg_cancel_backend`` errors only the cancelled backend."""
         if state.settled:
             return
-        if self.engine.metrics is not None:
-            self.engine.metrics.counter("queries_cancelled").inc()
+        self.engine.metrics.counter("queries_cancelled").inc()
         self._fail(state, exc)
 
     def cancel(self, query_id: int) -> None:

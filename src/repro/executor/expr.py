@@ -855,14 +855,6 @@ def compile_expr_batch(
             return col if sel is None else take(col, sel)
         return f_col
 
-    def row_fallback(node: ex.BoundExpr) -> BatchFn:
-        """Bridge rare node types through the row compiler."""
-        row_fn = compile_expr(node, layout, params)
-        def f_fallback(cols, n, sel):
-            indices = range(n) if sel is None else sel
-            return [row_fn(tuple(col[i] for col in cols)) for i in indices]
-        return f_fallback
-
     def boolean_leaf(node: ex.BoundExpr, truth: bool) -> Optional[BatchFn]:
         """The kernel of a comparison, ``IN (constants)``, LIKE or
         IS [NOT] NULL in the form asked for — both forms of a node type
@@ -1150,7 +1142,7 @@ def compile_expr_batch(
             raise ExecutorError(
                 "subplan survived decorrelation (unsupported query shape)"
             )
-        return row_fallback(node)
+        raise ExecutorError(f"cannot compile {type(node).__name__}")
 
     def compile_function(node: ex.BFunc) -> BatchFn:
         args = [compile_node(a) for a in node.args]

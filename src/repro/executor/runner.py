@@ -3,9 +3,9 @@
 The master (QD) no longer runs slices inline. It cuts the self-described
 plan into per-segment :class:`~repro.planner.dispatch.SliceTask`s, sends
 each one as a DISPATCH message over :class:`~repro.cluster.rpc.RpcBus`
-to the owning :class:`~repro.cluster.worker.SegmentWorker`, and drains
-the simulated network until every worker has reported COMPLETE. Waves go
-out children-first, so a wave's motion inputs sit in the
+to the owning :class:`~repro.cluster.worker.SegmentWorker`, and delivers
+the runtime's message queue until every worker has reported COMPLETE.
+Waves go out children-first, so a wave's motion inputs sit in the
 :class:`~repro.interconnect.exchange.ExchangeFabric` before its
 consumers start.
 
@@ -34,6 +34,7 @@ from repro.cluster.rpc import (
     COMPLETE,
     DISPATCH,
     MASTER,
+    MessageQueue,
     RpcBus,
     RpcMessage,
     TaskReport,
@@ -42,7 +43,6 @@ from repro.cluster.rpc import (
 from repro.errors import ExecutorError, ReproError, SegmentDown
 from repro.interconnect.exchange import ExchangeFabric
 from repro.obs.metrics import MetricsSnapshot
-from repro.network.simnet import SimNetwork
 from repro.planner.dispatch import (
     QD_SEGMENT,
     SelfDescribedPlan,
@@ -63,7 +63,7 @@ class ExecutionContext:
     #: 'batch' runs every operator on column batches (identical results
     #: and identical simulated charges); 'row' is the tuple-at-a-time
     #: reference executor.
-    executor_mode: str = "row"
+    executor_mode: str
     params: List[object] = field(default_factory=list)
     #: 'udp' or 'tcp' — which interconnect carries the motions.
     interconnect: str = "udp"
@@ -247,7 +247,7 @@ class QueryDispatch:
     def abort(self) -> None:
         """Clean up a failed or cancelled dispatch.
 
-        Drains the net (already-queued deliveries run to completion;
+        Drains the queue (already-queued deliveries run to completion;
         their late replies route here and are discarded — a further
         failure inside the drain is swallowed, the query is dead either
         way), broadcasts a query-tagged ABORT to the surviving workers,
@@ -268,7 +268,7 @@ class QueryDispatch:
         # deliveries during the drain carry no new information.
         for _ in range(10_000):
             try:
-                self.runtime.net.run()
+                self.runtime.queue.deliver()
                 return
             except ReproError:  # lint: allow[R4] — abort drain, see above
                 continue
@@ -278,7 +278,7 @@ class QueryDispatch:
         """Deregister from the runtime's in-flight routing table and
         drop the query's exchange streams: gathered or aborted, nothing
         reads them again, and a loop shared by many statements must not
-        carry every finished one's records to its end."""
+        carry every finished one's streams to its end."""
         if self.closed:
             return
         self.closed = True
@@ -289,25 +289,19 @@ class QueryDispatch:
             else:
                 del self.runtime._inflight[self.ctx.query_id]
 
-    def _stage_delays(self) -> Dict[int, float]:
-        """Per sending slice, the disk round trip its motion output pays
-        when pipelining is ablated: staged to disk and read back by the
-        consumer, per segment. Empty when slices pipeline."""
+    def _stage_delay(self, slice_id: int) -> float:
+        """The disk round trip a settled sending slice's motion output
+        pays when pipelining is ablated: staged to disk and read back by
+        the consumer, per segment. Zero when slices pipeline."""
         ctx = self.ctx
         if ctx.pipelined:
-            return {}
+            return 0.0
         model = ctx.cost_model
-        sent: Dict[int, int] = {}
-        for record in self.runtime.exchange.records:
-            if record.query_id != ctx.query_id:
-                continue  # another in-flight query's motion
-            sent[record.slice_id] = sent.get(record.slice_id, 0) + record.nbytes
-        delays: Dict[int, float] = {}
-        for wave in self.waves:
-            slice_id = wave[0].slice_id
-            per_segment = sent.get(slice_id, 0) / max(len(wave), 1)
-            delays[slice_id] = 2 * per_segment * model.scale / model.disk_seq_bw
-        return delays
+        wave = self._wave_of[slice_id]
+        reports = self.reports
+        sent = sum(reports[(slice_id, task.segment)].bytes_out for task in wave)
+        per_segment = sent / max(len(wave), 1)
+        return 2 * per_segment * model.scale / model.disk_seq_bw
 
     def settle_wave(self, index: int) -> TaskGraph:
         """Wave ``index`` has run: check that every task reported, and
@@ -326,8 +320,8 @@ class QueryDispatch:
         for task in wave:
             if (task.slice_id, task.segment) in reports:
                 continue
-            # A DISPATCH addressed to a dropped channel vanished
-            # silently (UDP semantics): the master notices the worker's
+            # A DISPATCH to a dropped channel was delivered to no one
+            # (UDP semantics): the master notices the worker's
             # death here, at the wave boundary.
             if not self.runtime.bus.is_open(f"seg{task.segment}"):
                 raise SegmentDown(
@@ -341,13 +335,12 @@ class QueryDispatch:
         seconds = [reports[(slice_id, task.segment)].seconds for task in wave]
         mean = sum(seconds) / len(seconds)
         keys = [(slice_id, task.segment) for task in wave]
-        stage_delay = self._stage_delays()
         latency = self.ctx.cost_model.net_latency
         constraints = [
             (
                 [(child_id, child.segment) for child in self._wave_of[child_id]],
                 keys,
-                latency + stage_delay.get(child_id, 0.0),
+                latency + self._stage_delay(child_id),
             )
             for child_id in plan_slice.child_slices
         ]
@@ -429,22 +422,24 @@ class QueryDispatch:
 class DistributedRuntime:
     """The QD's dispatcher: routes replies to in-flight dispatches.
 
-    Owns the master's RPC endpoint; workers are registered on the same
-    bus by the engine. One runtime now serves *many* concurrent plan
-    executions — each :meth:`begin` registers a
-    :class:`QueryDispatch` in the in-flight table, and every COMPLETE
-    reply routes to its owner by the message's ``query_id``. An ACK is
-    charged, counted, traced and delivered, and nothing reads it.
-    Replies for queries no longer in flight (aborted, cancelled, or
-    already gathered) are discarded, UDP-style.
+    Owns the process group's :class:`~repro.cluster.rpc.MessageQueue`,
+    the RPC bus and the exchange fabric on it, and the master's RPC
+    endpoint; workers are registered on the same bus by the engine.
+    One runtime serves *many* concurrent plan executions — each
+    :meth:`begin` registers a :class:`QueryDispatch` in the in-flight
+    table, and every COMPLETE reply routes to its owner by the
+    message's ``query_id``. An ACK is charged, counted, traced and
+    delivered, and nothing reads it. Replies for queries no longer in
+    flight (aborted, cancelled, or already gathered) are discarded,
+    UDP-style.
     """
 
-    def __init__(self, net: SimNetwork, bus: RpcBus, exchange: ExchangeFabric):
-        self.net = net
-        self.bus = bus
-        self.exchange = exchange
+    def __init__(self) -> None:
+        self.queue = MessageQueue()
+        self.bus = RpcBus(self.queue)
+        self.exchange = ExchangeFabric(self.queue)
         self._inflight: Dict[int, QueryDispatch] = {}
-        bus.register(MASTER, self._on_message)
+        self.bus.register(MASTER, self._on_message)
 
     # --------------------------------------------------------------- messages
     def _on_message(self, message: RpcMessage) -> None:
@@ -497,10 +492,10 @@ class DistributedRuntime:
         try:
             for index in range(dispatch.wave_count):
                 dispatch.dispatch_wave(index)
-                # Drain the net: DISPATCH delivery runs each worker's
+                # Deliver the queue: DISPATCH delivery runs each worker's
                 # task synchronously, and their motion streams + control
                 # replies settle before the next (consumer) wave goes out.
-                self.net.run()
+                self.queue.deliver()
                 dispatch.settle_wave(index)
         except Exception:
             # Best-effort abort to the surviving workers, then let the
@@ -512,13 +507,13 @@ class DistributedRuntime:
 
     def close(self) -> None:
         """End this QD/QE process group: its statement loop closes it
-        when its lone statement, or its batch, ends. Net, bus, exchange,
-        workers and this runtime reference each other through the
-        handlers they registered; unbinding them frees the group by
-        refcount. A closed runtime delivers nothing — results already
-        gathered stay valid."""
+        when its lone statement, or its batch, ends. What is still
+        queued is discarded, and the bus forgets its handlers, through
+        which the workers and this runtime reference each other; that
+        frees the group by refcount. A closed runtime delivers nothing —
+        results already gathered stay valid."""
+        self.queue.clear()
         self.bus.close()
-        self.exchange.close()
 
     def _broadcast_abort(self, query_id: int = 0) -> None:
         for name, channel in sorted(self.bus.channels.items()):

@@ -12,7 +12,7 @@ Tuple streams between execution slices flow over one of two transports:
   exhaustion.
 """
 
-from repro.interconnect.exchange import ExchangeFabric, StreamRecord
+from repro.interconnect.exchange import ExchangeFabric
 from repro.interconnect.packet import Packet, PacketType, StreamKey
 from repro.interconnect.tcp import (
     TcpEndpoint,
@@ -34,7 +34,6 @@ __all__ = [
     "ExchangeFabric",
     "Packet",
     "PacketType",
-    "StreamRecord",
     "ReceiverState",
     "SenderState",
     "StreamKey",

@@ -1,7 +1,11 @@
 """A discrete-event, unreliable datagram network.
 
-This is the substrate the UDP interconnect (Section 4 of the paper) is
-built on. It deliberately behaves like real IP hardware and kernels:
+This is the substrate the UDP and TCP interconnects (Section 4 of the
+paper) are built on: the Fig 12 benchmark and the chaos suite's
+interconnect drill run them over it. (The engine's own runtime does not:
+its messages ride an in-order queue, :class:`repro.cluster.rpc.
+MessageQueue`.) It deliberately behaves like real IP hardware and
+kernels:
 
 * datagrams may be **dropped** (``loss_rate``),
 * **duplicated** (``dup_rate``),
@@ -15,22 +19,16 @@ deliveries exactly as it would under an OS scheduler.
 
 All randomness comes from a :class:`~repro.util.DeterministicRng`, so a
 given seed always produces the same loss/reorder pattern — every protocol
-branch is reproducibly testable. A *lossless* link (no loss,
-duplication, corruption or jitter, as on every runtime the engine
-builds) has nothing to draw: each datagram arrives once, uncorrupted,
-after ``latency + size / bandwidth``. Its net makes no draws and builds
-no generator; the first send on a lossy link seeds it and draws exactly
-what it always drew. A datagram is one heap entry, with no callback or
-:class:`TimerHandle` (nothing cancels a delivery), and an endpoint bound
-with :meth:`SimNetwork.bind` is handed the payload alone, with no
-:class:`Datagram` built for it.
+branch is reproducibly testable. The generator is seeded at the first
+send. A datagram is one heap entry, with no callback or
+:class:`TimerHandle` (nothing cancels a delivery).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import InterconnectError
@@ -42,7 +40,7 @@ Address = Tuple[str, int]
 @dataclass(frozen=True)
 class NetworkConditions:
     """Physical characteristics of the simulated fabric, fixed for a
-    net's life (so a lossless net stays lossless)."""
+    net's life."""
 
     latency: float = 100e-6
     jitter: float = 50e-6
@@ -86,7 +84,6 @@ class SimNetwork:
         self._events: list = []
         self._counter = itertools.count()
         self._handlers: Dict[Address, Callable[[Datagram], None]] = {}
-        self._receivers: Dict[Address, Callable[[object], None]] = {}
         self.delivered = 0
         self.dropped = 0
         self.duplicated = 0
@@ -112,43 +109,18 @@ class SimNetwork:
     # -------------------------------------------------------------- endpoints
     def register(self, address: Address, handler: Callable[[Datagram], None]) -> None:
         """Bind a datagram handler to ``(host, port)``."""
-        if address in self._handlers or address in self._receivers:
+        if address in self._handlers:
             raise InterconnectError(f"address already bound: {address}")
         self._handlers[address] = handler
 
-    def bind(self, address: Address, receiver: Callable[[object], None]) -> None:
-        """Bind a receiver that takes each arriving datagram's payload
-        alone: it never sees the sender, the size or the corrupted flag."""
-        if address in self._handlers or address in self._receivers:
-            raise InterconnectError(f"address already bound: {address}")
-        self._receivers[address] = receiver
-
     def unregister(self, address: Address) -> None:
         self._handlers.pop(address, None)
-        self._receivers.pop(address, None)
 
     # ------------------------------------------------------------------ send
     def send(self, src: Address, dst: Address, payload: object, size: int) -> None:
         """Send one datagram; it may be lost, duplicated or reordered."""
         self.bytes_sent += size
         c = self.conditions
-        if not (c.loss_rate or c.dup_rate or c.corrupt_rate or c.jitter):
-            # Lossless: the draws below would all come out "deliver once,
-            # intact", and ``random() * 0.0`` adds exactly 0.0.
-            heapq.heappush(
-                self._events,
-                (
-                    self._now + (c.latency + size / c.bandwidth),
-                    next(self._counter),
-                    None,
-                    dst,
-                    payload,
-                    src,
-                    size,
-                    False,
-                ),
-            )
-            return
         rng = self._rng
         if rng is None:
             rng = self._rng = DeterministicRng(self._seed, "simnet")
@@ -193,7 +165,6 @@ class SimNetwork:
         """
         processed = 0
         events = self._events
-        receivers = self._receivers
         handlers = self._handlers
         while events:
             if until is not None and until():
@@ -211,19 +182,14 @@ class SimNetwork:
             if callback is not None:
                 callback()
             else:
-                # A datagram arrives: its port is looked up now.
+                # A datagram arrives: its port is looked up now. No
+                # handler: the port is closed, and the datagram is
+                # silently dropped, like real UDP.
                 _time, _seq, _none, dst, payload, src, size, corrupted = entry
-                receiver = receivers.get(dst)
-                if receiver is not None:
+                handler = handlers.get(dst)
+                if handler is not None:
                     self.delivered += 1
-                    receiver(payload)
-                else:
-                    handler = handlers.get(dst)
-                    # No handler: the port is closed, and the datagram is
-                    # silently dropped, like real UDP.
-                    if handler is not None:
-                        self.delivered += 1
-                        handler(Datagram(src, dst, payload, size, corrupted))
+                    handler(Datagram(src, dst, payload, size, corrupted))
             processed += 1
             if processed > max_events:
                 raise InterconnectError("simulation exceeded max_events")

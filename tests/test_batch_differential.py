@@ -201,11 +201,11 @@ def test_executor_row_vs_batch_identical(row_nums, batch_nums, sql):
 
 from repro.columnar import vector  # noqa: E402
 from repro.columnar.vector import dict_vector, float_vector, int_vector  # noqa: E402
+from repro.cluster.rpc import MessageQueue  # noqa: E402
 from repro.executor.batch import ColumnBatch  # noqa: E402
 from repro.executor.runner import ExecutionContext  # noqa: E402
 from repro.executor.slice_runner import SliceExecutor, SliceProviders  # noqa: E402
 from repro.interconnect.exchange import ExchangeFabric  # noqa: E402
-from repro.network.simnet import SimNetwork  # noqa: E402
 from repro.planner import exprs as ex  # noqa: E402
 from repro.planner.dispatch import SliceTask  # noqa: E402
 from repro.planner.logical import SortKey, TableSource  # noqa: E402
@@ -276,13 +276,11 @@ def _var(rel, col):
 def _execute(root, mode, tables, *, is_top=True, receivers=(), inbox=(), trace=None):
     """Run one (slice, segment) task; returns what the differential
     compares: rows, the accumulator, and the streams it sent."""
-    net = SimNetwork()
-    fabric = ExchangeFabric(net)
-    for seg in range(-1, 4):
-        fabric.attach(seg)
+    queue = MessageQueue()
+    fabric = ExchangeFabric(queue)
     for sender, payload, nbytes in inbox:
         fabric.send(1, 0, sender, 0, payload, nbytes)
-    net.run()
+    queue.deliver()
     ctx = ExecutionContext(
         num_segments=4, cost_model=CostModel(), executor_mode=mode,
         query_id=1, trace=trace,
@@ -296,7 +294,7 @@ def _execute(root, mode, tables, *, is_top=True, receivers=(), inbox=(), trace=N
     acc = CostAccumulator(ctx.cost_model)
     executor = SliceExecutor(root, task, ctx, providers, fabric, acc)
     rows = executor.run()
-    net.run()
+    queue.deliver()
     sent = {}
     for receiver in receivers:
         streams, nbytes = fabric.receive(1, 1, receiver)
@@ -305,9 +303,8 @@ def _execute(root, mode, tables, *, is_top=True, receivers=(), inbox=(), trace=N
             if isinstance(payload, ColumnBatch):
                 payload = list(payload.to_rows())
             sent[receiver] = (payload, nbytes)
-    records = [(r.sender, r.receiver, r.rows, r.nbytes) for r in fabric.records]
     charged = (acc.seconds, acc.tuples, acc.net_bytes, acc.disk_write_bytes)
-    return rows, charged, sent, records, (executor.rows_out, executor.bytes_out)
+    return rows, charged, sent, (executor.rows_out, executor.bytes_out)
 
 
 def _assert_modes_agree(build_plan, tables, **kwargs):
@@ -315,7 +312,7 @@ def _assert_modes_agree(build_plan, tables, **kwargs):
     batch = _execute(build_plan(), "batch", tables, **kwargs)
     assert batch[0] == row[0]  # rows, in order
     assert batch[1] == row[1]  # every charge, float-exact
-    assert batch[2:] == row[2:]  # streams, records, task report
+    assert batch[2:] == row[2:]  # streams, task report
     return batch
 
 
@@ -547,8 +544,8 @@ MOTION_ROWS = [
     ("redistribute", [4, 0, 1]), ("redistribute", []),
 ])
 def test_motion_streams(backend, kind, keys, rows):
-    """Per-target rows, stream sizes, stream records and the send
-    charges of one motion, row executor against batch."""
+    """Per-target rows, stream sizes and the send charges of one
+    motion, row executor against batch."""
 
     def plan():
         child = Filter(

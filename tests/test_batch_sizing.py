@@ -17,12 +17,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import vector
+from repro.cluster.rpc import MessageQueue
 from repro.executor.batch import ColumnBatch
 from repro.executor.expr import RowSizer, fixed_width
 from repro.executor.runner import ExecutionContext
 from repro.executor.slice_runner import SliceExecutor, SliceProviders
 from repro.interconnect.exchange import ExchangeFabric
-from repro.network.simnet import SimNetwork
 from repro.planner import exprs as ex
 from repro.planner.dispatch import SliceTask
 from repro.planner.logical import SortKey
@@ -156,14 +156,14 @@ def test_every_stream_is_charged_at_its_rows_sizes(backend, kind, keys, rows):
     sized through ``dense`` / ``partition``, never as the scan's block."""
     child = Filter(child=_scan(0, "t", 5), cond=ex.BOp("<>", _var(0, 3), ex.BConst(1.0)))
     motion = Motion(kind=kind, child=child, hash_exprs=[_var(0, c) for c in keys])
-    _rows, charged, sent, records, (rows_out, bytes_out) = _execute(
+    _rows, charged, sent, (rows_out, bytes_out) = _execute(
         motion, "batch", {"t": rows}, is_top=False, receivers=[0, 1, 2, 3]
     )
     assert sent
     for payload, nbytes in sent.values():
         assert nbytes == _row_bytes(payload)
     total = sum(nbytes for _payload, nbytes in sent.values())
-    assert bytes_out == total == sum(record[3] for record in records)
+    assert bytes_out == total
     assert rows_out == sum(len(payload) for payload, _nbytes in sent.values())
 
 
@@ -178,9 +178,8 @@ def _two_slices(sender_root, receiver_root, tables, monkeypatch):
         return real(self, acc, actual_bytes)
 
     monkeypatch.setattr(SliceExecutor, "_charge_spill", recording)
-    net = SimNetwork()
-    fabric = ExchangeFabric(net)
-    fabric.attach(0)
+    queue = MessageQueue()
+    fabric = ExchangeFabric(queue)
     ctx = ExecutionContext(
         num_segments=4, cost_model=CostModel(), executor_mode="batch", query_id=1
     )
@@ -195,7 +194,7 @@ def _two_slices(sender_root, receiver_root, tables, monkeypatch):
         rows = SliceExecutor(
             root, task, ctx, providers, fabric, CostAccumulator(ctx.cost_model)
         ).run()
-        net.run()
+        queue.deliver()
     return rows, spilled
 
 

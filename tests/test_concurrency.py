@@ -622,7 +622,6 @@ class TestFinishedStatementsLeaveTheFabric:
     @staticmethod
     def assert_fabric_empty(runner):
         exchange = runner.loop.runtime.exchange
-        assert exchange.records == []
         assert exchange._inbox == {}
 
     def test_after_a_batch(self):

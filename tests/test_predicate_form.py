@@ -270,6 +270,23 @@ class TestErrorParity:
             batch()
 
 
+def test_an_unknown_node_is_refused_by_every_compiler(backend):
+    """A node type no compiler knows raises at compile time, the same
+    error from the row compiler and from both batch forms."""
+
+    class BUnknown(ex.BoundExpr):
+        pass
+
+    expr = ex.BOp("and", _positive(0), BUnknown())
+    for compile_it in (
+        lambda: compile_expr(expr, LAYOUT),
+        lambda: compile_expr_batch(expr, LAYOUT),
+        lambda: compile_expr_batch(expr, LAYOUT, predicate=True),
+    ):
+        with pytest.raises(ExecutorError, match="cannot compile BUnknown"):
+            compile_it()
+
+
 def test_typed_sides_stay_typed_until_the_outermost_and(backend):
     """Which path an AND takes is read off the operands it is handed:
     typed comparisons combine in one Kleene pass (NumPy), plain lists

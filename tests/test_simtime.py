@@ -188,7 +188,6 @@ class TestSimNetwork:
         assert got == expected  # exact floats; ties keep send order
         assert [p for p, _, _ in got[:2]] == [1, 3]
         assert net.delivered == 5 and net.dropped == net.duplicated == 0
-        assert net._rng is None  # no generator was built
 
     def test_lossy_link_draws_as_before(self):
         """Counts and arrivals of a lossy net at a fixed seed, pinned

@@ -68,12 +68,12 @@ class WorkerServices:
     chaos_point: Callable
     chaos_progress: Callable
     num_segments: int
-    #: Optional :class:`repro.obs.metrics.MetricsRegistry` — passive.
-    metrics: object = None
+    #: The engine's :class:`repro.obs.metrics.MetricsRegistry` — passive.
+    metrics: object
     #: ``query_id -> bool``: pending-cancellation probe (the engine's
     #: :meth:`~repro.engine.Engine.is_cancelled`). Workers refuse new
-    #: slices and scan lanes for a cancelled query. None disables.
-    is_cancelled: Callable[[int], bool] = None
+    #: slices and scan lanes for a cancelled query.
+    is_cancelled: Callable[[int], bool]
 
 
 class SegmentWorker:
@@ -114,8 +114,7 @@ class SegmentWorker:
         if message.kind != DISPATCH:
             return  # unknown kind: ignore, UDP-style
         task, root, sdp, ctx = message.payload
-        probe = self.services.is_cancelled
-        if probe is not None and probe(ctx.query_id):
+        if self.services.is_cancelled(ctx.query_id):
             # Refuse the slice outright: the master's abort broadcast and
             # this dispatch can cross on the wire, and a cancelled query
             # must not start new work it would only throw away.
@@ -248,10 +247,7 @@ class SegmentWorker:
         while a generator is being closed would corrupt the unwind."""
         services = self.services
         services.chaos_point(segment_id=segment_id)
-        probe = services.is_cancelled
-        if probe is not None and self._ctx is not None and probe(
-            self._ctx.query_id
-        ):
+        if self._ctx is not None and services.is_cancelled(self._ctx.query_id):
             # Cancellation point between lanes: a long multi-segfile scan
             # observes the cancel request without finishing every lane.
             raise QueryCanceled(
@@ -276,11 +272,11 @@ class SegmentWorker:
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
         written_before = cache.written if cache is not None else 0
-        if services.metrics is not None:
-            # Paired open/close counters: equal totals prove no charged
-            # scan iterator leaked, even across cancels (the cancel
-            # sweep asserts opened == closed).
-            services.metrics.counter("charged_scans_opened").inc()
+        metrics = services.metrics
+        # Paired open/close counters: equal totals prove no charged scan
+        # iterator leaked, even across cancels (the cancel sweep asserts
+        # opened == closed).
+        metrics.counter("charged_scans_opened").inc()
         try:
             yield from get_format(meta.storage_format).scan_blocks(
                 client,
@@ -292,8 +288,7 @@ class SegmentWorker:
                 cache=services.block_cache,
             )
         finally:
-            if services.metrics is not None:
-                services.metrics.counter("charged_scans_closed").inc()
+            metrics.counter("charged_scans_closed").inc()
             acc.disk_read(int(stats.compressed_bytes * io_factor))
             acc.cpu_bytes(
                 stats.uncompressed_bytes,
@@ -308,31 +303,29 @@ class SegmentWorker:
             miss_delta = (
                 (cache.misses - misses_before) if cache is not None else 0
             )
-            metrics = services.metrics
-            if metrics is not None:
+            metrics.counter(
+                "bytes_read",
+                format=meta.storage_format,
+                node=f"seg{segment_id}",
+            ).inc(int(stats.compressed_bytes))
+            if hit_delta:
                 metrics.counter(
-                    "bytes_read",
-                    format=meta.storage_format,
-                    node=f"seg{segment_id}",
-                ).inc(int(stats.compressed_bytes))
-                if hit_delta:
+                    "cache_hits", node=f"seg{segment_id}"
+                ).inc(hit_delta)
+            if miss_delta:
+                metrics.counter(
+                    "cache_misses", node=f"seg{segment_id}"
+                ).inc(miss_delta)
+                # The misses whose decode the writer's values replaced.
+                written_delta = cache.written - written_before
+                if written_delta:
                     metrics.counter(
-                        "cache_hits", node=f"seg{segment_id}"
-                    ).inc(hit_delta)
-                if miss_delta:
-                    metrics.counter(
-                        "cache_misses", node=f"seg{segment_id}"
-                    ).inc(miss_delta)
-                    # The misses whose decode the writer's values replaced.
-                    written_delta = cache.written - written_before
-                    if written_delta:
-                        metrics.counter(
-                            "cache_written", node=f"seg{segment_id}"
-                        ).inc(written_delta)
-                if remote:
-                    metrics.counter(
-                        "remote_read_bytes", node=f"seg{segment_id}"
-                    ).inc(remote)
+                        "cache_written", node=f"seg{segment_id}"
+                    ).inc(written_delta)
+            if remote:
+                metrics.counter(
+                    "remote_read_bytes", node=f"seg{segment_id}"
+                ).inc(remote)
             trace = getattr(self._ctx, "trace", None)
             if trace is not None:
                 trace.op_mark(

@@ -80,6 +80,9 @@ from repro.txn.mvcc import Snapshot
 class Engine:
     """One simulated HAWQ cluster."""
 
+    #: The HDFS directory that holds every table's files.
+    data_path = "/hawq"
+
     def __init__(
         self,
         num_segment_hosts: int = 4,
@@ -93,7 +96,6 @@ class Engine:
         metadata_dispatch: bool = True,
         pipelined: bool = True,
         work_mem: float = 1.5e9,
-        data_path: str = "/hawq",
         executor_mode: str = "batch",
         block_cache_bytes: int = DEFAULT_CACHE_BYTES,
         max_query_retries: int = 3,
@@ -103,14 +105,13 @@ class Engine:
         self.metadata_dispatch = metadata_dispatch
         self.pipelined = pipelined
         self.work_mem = work_mem
-        self.data_path = data_path
         self.planner_options = planner_options or PlannerOptions()
         self.seed = seed
         if executor_mode not in ("row", "batch"):
             raise ReproError(f"unknown executor_mode {executor_mode!r}")
-        #: 'batch' (default) vectorizes SeqScan→Filter→Project pipelines
-        #: and key/aggregate extraction; 'row' is the differential-test
-        #: fallback. Results and simulated costs are identical.
+        #: 'batch' (default) runs every operator on column batches; 'row'
+        #: is the reference executor, the oracle of the differential tests
+        #: and the perf harness. Results and simulated costs are identical.
         self.executor_mode = executor_mode
         #: Segment-local LRU cache of decoded storage blocks; 0 disables.
         #: Cache hits replay their original simulated charges, so figures

@@ -12,7 +12,9 @@ without any test noticing yet:
   query output without ``sorted(...)`` (R5),
 * observability never charges the clock (R6), module-level state that
   queries share is registered (R7), the scheduler's order is total (R8),
-  and dispatch and charged iterators are paired with their ends (R9).
+  dispatch and charged iterators are paired with their ends (R9), and
+  what one module or function owns, or the engine retired, is named
+  nowhere else (R10).
 
 Each rule reads one file's AST (:mod:`repro.lint.rules`); a per-line
 ``# lint: allow[RULE-ID] — reason`` comment is the one way to exempt a

@@ -1,4 +1,4 @@
-"""The rule registry: eight static invariants the reproduction rests on.
+"""The rule registry: nine static invariants the reproduction rests on.
 
 ==== ===================== =====================================================
 id   name                  protects
@@ -19,6 +19,9 @@ R8   scheduler-determinism the interleaving depends on no ``id()``, dict-view
                            ``min``/``max`` or unkeyed heap entry
 R9   rpc-pairing           every DISPATCH site handles COMPLETE and ABORT; a
                            charged iterator left by ``break`` is closed
+R10  single-owner          one owner per claim (paper §2–§5): no name that
+                           :data:`OWNED` retires, or gives one owner, is
+                           spelled in code where its entry forbids it
 ==== ===================== =====================================================
 
 R3 (cost-conformance) is retired, and its id is not reused: every byte
@@ -31,7 +34,8 @@ generator; register new ones by appending to :data:`RULES`.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Set, Tuple
 
 from repro.lint.core import Finding, SourceFile
 
@@ -307,6 +311,7 @@ class DeterministicIterationRule:
     SET_METHODS = frozenset(
         {"union", "intersection", "difference", "symmetric_difference", "copy"}
     )
+    DEFAULTED_READS = frozenset({"get", "setdefault", "pop"})
     SET_ANNOTATIONS = frozenset(
         {"set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet"}
     )
@@ -367,11 +372,12 @@ class DeterministicIterationRule:
                     return True
                 if node.func.id in set_funcs:
                     return True
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.SET_METHODS
-            ):
-                return self._is_set_expr(node.func.value, set_names, set_funcs)
+            if isinstance(node.func, ast.Attribute):
+                if node.func.attr in self.SET_METHODS:
+                    return self._is_set_expr(node.func.value, set_names, set_funcs)
+                # A dict read whose default is a set holds sets.
+                if node.func.attr in self.DEFAULTED_READS and len(node.args) > 1:
+                    return self._is_set_expr(node.args[1], set_names, set_funcs)
         return False
 
     def _collect_set_names(
@@ -1223,6 +1229,207 @@ class RpcPairingRule:
         yield from self._check_iterators(source)
 
 
+# ========================================================================== R10
+class Owned(NamedTuple):
+    """One R10 entry: ``names`` may not be spelled ``within`` these
+    places except inside ``owner``. A place is a path under ``repro/`` (a
+    directory if it ends in ``/``, the whole tree if empty), narrowed to
+    a class or function by ``::Qual.name``."""
+
+    names: Tuple[str, ...]
+    reason: str
+    within: Tuple[str, ...] = ("",)
+    owner: Tuple[str, ...] = ()
+
+
+#: What a loop nested in a loop, or a comprehension over two iterables,
+#: spells (see :func:`_spelled`).
+PAIRS = "<pairs>"
+
+OWNED = (
+    Owned(
+        ("deepcopy", "pickle"),
+        "the DISPATCH message is sized by planner/wire.py's by-value "
+        "encoding; a copy or a pickle is a second, identity-dependent path",
+    ),
+    Owned(
+        ("array.array", "is_numpy", "_is_np_array"),
+        "a typed vector is a NumPy vector, or the column is a list; another "
+        "buffer needs a check of which one it holds in every kernel",
+    ),
+    Owned(
+        ("detsan", "DetSan", "repro.sanitize", "IsolationViolation"),
+        "serial = concurrent is checked by the differential and chaos suites "
+        "and by R7; a runtime sanitizer is a third witness",
+    ),
+    Owned(
+        ("callgraph", "CallGraph"),
+        "tests/test_byte_conservation.py checks that every byte is charged; "
+        "a lint call graph is a static witness that missed an uncharged read",
+    ),
+    Owned(
+        ("client.truncate", "client.delete", "file_status",
+         "_table_generation", "segment_data_path"),
+        "naming, appending, truncating and deleting a table's HDFS files "
+        "is storage/table.py's alone",
+        within=("engine.py", "storage/hadoop_formats.py"),
+    ),
+    Owned(
+        ("predicted_overhead", "SliceTiming", "TaskTiming", "add_graph", "_composed"),
+        "a dispatch is charged once, a wave's DAG composed once, and EXPLAIN "
+        "ANALYZE reads the trace; a second timeline needs float-identity by hand",
+    ),
+    Owned(
+        ("batch_scan", "_batch_scan_provider", "catalog_rows", "sysview_rows"),
+        "a worker lends its executor one scan, as blocks, for tables and "
+        "master-only relations alike; a row-shaped one is a second read path",
+    ),
+    Owned(
+        ("EventScheduler",),
+        "replay computes a stand-alone schedule in one slotless pass; an "
+        "EventScheduler replaying a settled graph is a second clock",
+        within=("simtime/scheduler.py::TaskGraph.replay",),
+    ),
+    Owned(
+        (PAIRS,),
+        "a motion is one (senders, consumers, delay) barrier, not a "
+        "sender x receiver list of pair edges",
+        within=("executor/runner.py::QueryDispatch.settle_wave",),
+    ),
+    Owned(
+        ("repro.network",),
+        "RPC messages and motion streams ride the runtime's in-order queue; "
+        "the datagram net, which the engine never clocks, is the interconnect's",
+        within=("engine.py", "interconnect/exchange.py", "executor/", "cluster/"),
+    ),
+    Owned(
+        ("bind",),
+        "SimNetwork has one kind of endpoint",
+        within=("network/simnet.py::SimNetwork",),
+    ),
+    Owned(
+        # lint: allow[R10] — the entry names the lock key it gives one owner
+        ("lock", "locks.acquire", "security.check", "rel:"),
+        "lookup, privilege check, then a lock taken without waiting, decided "
+        "once",
+        owner=("txn/", "engine.py::Session.access_relation"),
+    ),
+    Owned(
+        ("CATALOG_RELATION_COLUMNS", "SYSTEM_VIEW_COLUMNS"),
+        "which relations live on the master alone is master_relations.py's; "
+        "everyone else asks is_master_only()",
+        owner=("catalog/master_relations.py",),
+    ),
+    Owned(
+        tuple(
+            f"def {u}{verb}"
+            for verb in (
+                "create_table", "create_view", "create_external_table", "drop",
+                "truncate", "alter_table", "analyze", "analyze_table",
+                "analyze_relation", "schema_from_ast", "apply_storage_options",
+                "partition_spec", "create_role", "drop_role", "alter_role", "grant",
+            )
+            for u in ("", "_")
+        )
+        + ("class CatalogAdapter", "class _CatalogAdapter"),
+        "engine.py is the session facade: DDL and ANALYZE are ddl.py's",
+        within=("engine.py",),
+    ),
+)
+
+
+def _placed(path: str, scope: str, places: Tuple[str, ...]) -> bool:
+    """True if ``path`` (and, for a ``::`` place, ``scope``) is in one
+    of ``places``; ``scope=None`` asks about the path alone."""
+    path = "/" + path
+    for place in places:
+        where, _, qual = place.partition("::")
+        where = "/repro/" + where
+        if (where in path if where.endswith("/") else path.endswith(where)) and (
+            scope is None or not qual or scope == qual or scope.startswith(qual + ".")
+        ):
+            return True
+    return False
+
+
+def _runs(dotted: str) -> Iterator[str]:
+    parts = dotted.split(".")
+    for start in range(len(parts)):
+        for end in range(start + 1, len(parts) + 1):
+            yield ".".join(parts[start:end])
+
+
+def _spelled(node: ast.AST, pairs: bool) -> Iterator[str]:
+    """The names ``node`` spells in code: an identifier; each trailing
+    run of an attribute chain (``security.check`` in
+    ``self.engine.security.check``); each run of an imported module path;
+    ``def f``/``class C`` beside a definition's own name; a string's
+    ``key:`` prefix; and, if ``pairs``, :data:`PAIRS`."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        parts = [node.attr]
+        value = node.value
+        while isinstance(value, ast.Attribute):
+            parts.append(value.attr)
+            value = value.value
+        if isinstance(value, ast.Name):
+            parts.append(value.id)
+        for cut in range(1, len(parts) + 1):
+            yield ".".join(reversed(parts[:cut]))
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield node.name
+        yield ("class " if isinstance(node, ast.ClassDef) else "def ") + node.name
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        module = getattr(node, "module", None)
+        for alias in node.names:
+            yield from _runs(f"{module}.{alias.name}" if module else alias.name)
+    elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+        yield node.arg
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        head, colon, _ = node.value.partition(":")
+        if colon and head.isidentifier():
+            yield head + colon
+    if pairs and (
+        isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp))
+        and len(node.generators) > 1
+        or isinstance(node, ast.For)
+        and any(isinstance(inner, ast.For) for inner in ast.walk(node) if inner is not node)
+    ):
+        yield PAIRS
+
+
+class SingleOwnerRule:
+    """Whole-program ownership claims (paper §2–§5), one table of them
+    (:data:`OWNED`): a path the engine retired stays retired, and what
+    one module or function owns is spelled nowhere else. A comment or
+    docstring that mentions a name is not a finding."""
+
+    id = "R10"
+    name = "single-owner"
+    description = "a name OWNED retires, or gives one owner, spelled where it may not be"
+
+    def check_file(self, source: SourceFile, project) -> Iterator[Finding]:
+        index: Dict[str, List[Owned]] = {}
+        for entry in OWNED:
+            if _placed(source.path, None, entry.within):
+                for name in entry.names:
+                    index.setdefault(name, []).append(entry)
+        pairs = PAIRS in index
+        reported: Set[tuple] = set()
+        for node in ast.walk(source.tree):
+            for name in _spelled(node, pairs):
+                for entry in index.get(name, ()):
+                    scope = source.scope_of(node)
+                    if (
+                        (node.lineno, entry) not in reported
+                        and _placed(source.path, scope, entry.within)
+                        and not _placed(source.path, scope, entry.owner)
+                    ):
+                        reported.add((node.lineno, entry))
+                        yield source.finding(self.id, node, f"{name}: {entry.reason}")
+
+
 RULES = [
     NoWallClockRule(),
     SeededRandomnessRule(),
@@ -1232,6 +1439,7 @@ RULES = [
     CrossQueryIsolationRule(),
     SchedulerDeterminismRule(),
     RpcPairingRule(),
+    SingleOwnerRule(),
 ]
 
 

@@ -31,7 +31,7 @@ import pytest
 from repro.lint import Project, SourceFile, load_project, repo_root
 from repro.lint.core import _SUPPRESS_RE, project_from_sources
 from repro.lint.__main__ import main as lint_main
-from repro.lint.rules import RULES, CrossQueryIsolationRule, get_rules
+from repro.lint.rules import OWNED, RULES, CrossQueryIsolationRule, get_rules
 from repro.lint.shared_state import SHARED_STATE
 
 REPO = repo_root()
@@ -257,6 +257,25 @@ class TestDeterministicIteration:
         findings = run_rules({"src/repro/executor/nodes.py": src}, select=["R5"])
         assert len(findings) == 1
 
+    def test_flags_set_reached_through_a_dict_default(self):
+        src = (
+            "def f(needed, i):\n"
+            "    cols = list(needed.get(i, set()))\n"
+            "    for c in needed.setdefault(i, set()):\n"
+            "        pass\n"
+        )
+        findings = run_rules({"src/repro/planner/planner.py": src}, select=["R5"])
+        assert [f.line for f in findings] == [2, 3]
+
+    def test_sorted_dict_default_and_list_default_are_clean(self):
+        src = (
+            "def f(needed, i):\n"
+            "    cols = sorted(needed.get(i, set()))\n"
+            "    for c in needed.pop(i, []):\n"
+            "        pass\n"
+        )
+        assert not run_rules({"src/repro/planner/planner.py": src}, select=["R5"])
+
     def test_out_of_scope_dirs_ignored(self):
         src = "for x in {3, 1, 2}:\n    print(x)\n"
         assert not run_rules({"src/repro/hdfs/filesystem.py": src}, select=["R5"])
@@ -366,7 +385,9 @@ class TestObsPassivity:
 class TestRegistry:
     def test_rule_ids_in_order(self):
         # R3 is retired; ids are never reused, since allow comments name them.
-        assert [r.id for r in RULES] == ["R1", "R2", "R4", "R5", "R6", "R7", "R8", "R9"]
+        assert [r.id for r in RULES] == [
+            "R1", "R2", "R4", "R5", "R6", "R7", "R8", "R9", "R10"
+        ]
 
     def test_select_by_id_and_name(self):
         assert [r.id for r in get_rules(["R1", "exception-hygiene"])] == ["R1", "R4"]
@@ -454,7 +475,9 @@ class TestCli:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         report = json.loads(proc.stdout)
         assert report["findings"] == []
-        assert report["rules"] == ["R1", "R2", "R4", "R5", "R6", "R7", "R8", "R9"]
+        assert report["rules"] == [
+            "R1", "R2", "R4", "R5", "R6", "R7", "R8", "R9", "R10"
+        ]
         assert report["files"] > 50
         assert report["version"] == 2
 
@@ -891,6 +914,108 @@ class TestRpcPairing:
             "        break\n"
         )
         assert run_rules({"src/repro/tpch/gen.py": src}, select=["R9"]) == []
+
+
+# ============================================================ R10 single owner
+#: One plant per OWNED claim: (the name R10 reports, file, the line the
+#: plant follows — None for the file's end —, the plant, the planted
+#: lines R10 must flag). Each plant also failed the grep or AST guard
+#: that scripts/ci.sh ran before the claim became an R10 entry.
+GUARD_PLANTS = [
+    ("deepcopy", "src/repro/planner/wire.py", None,
+     "import copy\n_C = copy.deepcopy(())\n", [2]),
+    ("pickle", "src/repro/planner/dispatch.py", None, "import pickle\n", [1]),
+    ("array.array", "src/repro/columnar/vector.py", None,
+     "from array import array\n", [1]),
+    ("repro.sanitize", "src/repro/executor/concurrent.py", None,
+     "from repro.sanitize import detsan\n", [1]),
+    ("callgraph", "src/repro/lint/core.py", None,
+     "from repro.lint.callgraph import CallGraph\n", [1]),
+    ("client.delete", "src/repro/engine.py", None,
+     "\n\ndef _drop_files(engine, path):\n    engine.hdfs.client.delete(path)\n", [4]),
+    ("file_status", "src/repro/storage/hadoop_formats.py", None,
+     "\n\ndef _length(client, path):\n    return client.file_status(path).length\n",
+     [4]),
+    ("SliceTiming", "src/repro/obs/explain.py", None,
+     "\n\nclass SliceTiming:\n    pass\n", [3]),
+    ("sysview_rows", "src/repro/cluster/worker.py", None,
+     "\n\ndef sysview_rows(name):\n    return []\n", [3]),
+    ("EventScheduler", "src/repro/simtime/scheduler.py",
+     "    def replay(self) -> TaskSchedule:", "        EventScheduler()\n", [1]),
+    ("<pairs>", "src/repro/executor/runner.py",
+     "    def settle_wave(self, index: int) -> TaskGraph:",
+     "        _edges = [(a, b) for a in range(2) for b in range(2)]\n"
+     "        for a in range(2):\n            for b in range(2):\n                pass\n",
+     [1, 2]),
+    ("repro.network", "src/repro/cluster/rpc.py", None,
+     "import repro.network.simnet\n", [1]),
+    ("bind", "src/repro/network/simnet.py", "class SimNetwork:",
+     "    def bind(self, address):\n        return address\n", [1]),
+    ("security.check", "src/repro/ddl.py", None,
+     "\n\ndef _sneak(engine, txn):\n    txn.lock('rel:x', None)\n"
+     "    engine.security.check(None, 'SELECT', 'x')\n", [4, 5]),
+    ("SYSTEM_VIEW_COLUMNS", "src/repro/engine.py", None,
+     "from repro.catalog.master_relations import SYSTEM_VIEW_COLUMNS\n", [1]),
+    ("def _create_table", "src/repro/engine.py", None,
+     "\n\ndef _create_table(session, stmt):\n    return stmt\n", [3]),
+]
+
+
+def plant(live_lint, path, anchor, text):
+    """Findings of every rule once ``text`` is planted in ``path`` after
+    the first line holding ``anchor`` (or at the end), and the number of
+    the line the plant follows."""
+    source = next(s for s in live_lint.project.files if s.path == path)
+    lines = source.text.splitlines(keepends=True)
+    at = len(lines)
+    if anchor is not None:
+        at = next(i for i, line in enumerate(lines) if anchor in line) + 1
+    planted = "".join(lines[:at]) + text + "".join(lines[at:])
+    return lint_planted(live_lint, path, lambda _: planted, None), at
+
+
+class TestSingleOwner:
+    @pytest.mark.parametrize(
+        "name, path, anchor, text, lines", GUARD_PLANTS, ids=[c[0] for c in GUARD_PLANTS]
+    )
+    def test_plant_fails_r10_at_its_line(self, live_lint, name, path, anchor, text, lines):
+        findings, at = plant(live_lint, path, anchor, text)
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("R10", path, at + n) for n in lines
+        ]
+        assert findings[-1].message.startswith(f"{name}: ")
+
+    def test_every_entry_has_a_plant(self):
+        planted = {case[0] for case in GUARD_PLANTS}
+        assert [entry for entry in OWNED if not planted.intersection(entry.names)] == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# (a by-value encoding: no deepcopy of the plan)\n",
+            'def _f():\n    """No deepcopy, pickle or CallGraph here."""\n',
+        ],
+    )
+    def test_comment_or_docstring_is_not_a_finding(self, live_lint, text):
+        findings, _ = plant(live_lint, "src/repro/planner/wire.py", None, text)
+        assert findings == []
+
+    def test_owner_may_spell_what_it_owns(self):
+        src = (
+            "class Session:\n"
+            "    def access_relation(self, txn, name):\n"
+            "        txn.lock(f'rel:{name}', 'S', wait=False)\n"
+            "    def other(self, txn):\n"
+            "        txn.lock('rel:t', 'S')\n"
+        )
+        findings = run_rules({"src/repro/engine.py": src}, select=["R10"])
+        assert [f.line for f in findings] == [5]
+        assert not run_rules({"src/repro/txn/manager.py": src}, select=["R10"])
+
+    def test_outside_within_is_not_read(self):
+        src = "def f(client, path):\n    return client.file_status(path)\n"
+        assert not run_rules({"src/repro/storage/ao.py": src}, select=["R10"])
+        assert run_rules({"src/repro/engine.py": src}, select=["R10"])
 
 
 # ===================================================== injected-race gate

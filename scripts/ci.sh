@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-echo "== repro-lint (R1, R2, R4..R10; R3 is retired) =="
+echo "== repro-lint: R1 wall clock, R2 seeds, R4 handlers, R5 set order, R6 obs, R7 shared state, R8 scheduler keys, R9 rpc pairing, R10 owners =="
 lint_start=$(date +%s.%N)
 lint_json=$(python -m repro.lint --json) || {
     status=$?

@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import struct
 from itertools import chain
+from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence
 
 try:  # pragma: no cover - exercised via REPRO_NO_NUMPY in CI
@@ -294,18 +295,29 @@ def take(col, sel: Sequence[int]):
 
 
 def take_columns(columns: Sequence[object], sel: Sequence[int]) -> list:
-    """:func:`take` over several columns with one shared index vector
-    (converted to an index array once when any column is a typed vector,
-    not once per column)."""
-    if any(isinstance(c, Vector) for c in columns):
-        idx = _np.asarray(sel, dtype=_np.intp)
-        return [
-            c.take(idx) if isinstance(c, Vector)
-            else c.take(sel) if isinstance(c, ConstVector)
-            else [c[i] for i in sel]
-            for c in columns
-        ]
-    return [take(c, sel) for c in columns]
+    """:func:`take` over several columns with one shared index vector:
+    converted to an index array once when any column is a typed vector,
+    and to one ``itemgetter`` that every plain-list column shares when
+    two or more rows are taken (one of one index returns the value, not
+    a tuple, so shorter selections take the list path of :func:`take`)."""
+    idx = (
+        _np.asarray(sel, dtype=_np.intp)
+        if any(isinstance(c, Vector) for c in columns)
+        else None
+    )
+    pick = (
+        itemgetter(*sel)
+        if len(sel) > 1
+        and not all(isinstance(c, (Vector, ConstVector)) for c in columns)
+        else None
+    )
+    return [
+        c.take(idx) if isinstance(c, Vector)
+        else c.take(sel) if isinstance(c, ConstVector)
+        else list(pick(c)) if pick is not None
+        else [c[i] for i in sel]
+        for c in columns
+    ]
 
 
 def concat(chunks: Sequence[object]):

@@ -66,8 +66,7 @@ class SourceFile:
         self.lines = text.splitlines()
         self.tree = ast.parse(text, filename=path)
         self.suppressions = self._scan_suppressions()
-        self._scope_of: Dict[int, str] = {}
-        self._index_scopes()
+        self._index()
 
     # ------------------------------------------------------------ suppressions
     def _scan_suppressions(self) -> Dict[int, set]:
@@ -89,25 +88,23 @@ class SourceFile:
         return False
 
     # ------------------------------------------------------------------ scopes
-    def _index_scopes(self) -> None:
-        """Map every AST node id to its innermost enclosing function."""
-
-        def visit(node: ast.AST, scope: str) -> None:
+    def _index(self) -> None:
+        """One breadth-first walk: :attr:`nodes` in ``ast.walk`` order,
+        which every rule iterates, and each node's innermost enclosing
+        function or class."""
+        self.nodes: List[ast.AST] = [self.tree]
+        self._scope_of: Dict[int, str] = {id(self.tree): "<module>"}
+        inner = ["<module>"]  # the scope of each node's children
+        for node, scope in zip(self.nodes, inner):  # both grow as read
             for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
-                    self._scope_of[id(child)] = scope
-                    visit(child, inner)
-                elif isinstance(child, ast.ClassDef):
-                    inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
-                    self._scope_of[id(child)] = scope
-                    visit(child, inner)
+                self._scope_of[id(child)] = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner.append(
+                        child.name if scope == "<module>" else f"{scope}.{child.name}"
+                    )
                 else:
-                    self._scope_of[id(child)] = scope
-                    visit(child, scope)
-
-        self._scope_of[id(self.tree)] = "<module>"
-        visit(self.tree, "<module>")
+                    inner.append(scope)
+                self.nodes.append(child)
 
     def scope_of(self, node: ast.AST) -> str:
         return self._scope_of.get(id(node), "<module>")

@@ -285,8 +285,15 @@ class Planner:
         pool: List[ex.BoundExpr],
         needed: Dict[int, Set[int]],
     ) -> PlanNode:
-        # Pull this relation's single-table predicates out of the pool.
-        mine = [q for q in pool if ex.rels_of(q) == {index} and not ex.has_aggregate(q)]
+        # Pull this relation's single-table predicates out of the pool. A
+        # left join's nullable side keeps its WHERE quals in the pool:
+        # they filter the joined rows, padding included, above the join.
+        mine = [
+            q for q in pool
+            if rel.join_type != "left"
+            and ex.rels_of(q) == {index}
+            and not ex.has_aggregate(q)
+        ]
         for qual in mine:
             pool.remove(qual)
         cond = ex.make_conjunction(mine)
@@ -443,7 +450,8 @@ class Planner:
         for cand in special_ids:
             rel = query.rels[cand]
             quals = ex.conjuncts(rel.join_cond) if rel.join_cond is not None else []
-            quals = quals + applicable_quals(pool, joined_set, cand)
+            if rel.join_type != "left":
+                quals = quals + applicable_quals(pool, joined_set, cand)
             est = node.est_rows if rel.join_type != "inner" else node.est_rows
             node = self._build_join(
                 rel.join_type, node, joined_set, nodes[cand], cand, quals, pool, est
@@ -754,7 +762,21 @@ class Planner:
         node = project
 
         if query.distinct:
+            if hidden:
+                raise PlannerError(
+                    "for SELECT DISTINCT, ORDER BY expressions must appear "
+                    "in select list"
+                )
             node = self._plan_distinct(node, len(targets))
+            # The dedup's layout is its group keys: sort on those.
+            sort_keys = [
+                SortKey(
+                    ex.BGroupRef(key.expr.index),
+                    ascending=key.ascending,
+                    nulls_first=key.nulls_first,
+                )
+                for key in sort_keys
+            ]
 
         if sort_keys:
             local_sort = Sort(child=node, keys=sort_keys)

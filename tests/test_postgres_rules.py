@@ -18,6 +18,10 @@ AO table (value lists), and on a CO table whose ints are typed vectors.
   NULL, so ``x NOT IN (1, NULL)`` keeps no row.
 * Backslash is LIKE's default escape. SQLite has no default escape, so
   its statements carry an explicit ``ESCAPE '\\'``.
+* ``SELECT DISTINCT`` sorts on its select list; an ORDER BY expression
+  outside it is an error.
+* A WHERE qual over a left join's nullable side filters the joined rows,
+  NULL padding included; it does not join.
 """
 
 import itertools
@@ -26,7 +30,7 @@ import sqlite3
 import pytest
 
 import repro
-from repro.errors import ExecutorError
+from repro.errors import ExecutorError, PlannerError
 
 DIVIDENDS = (-8, -7, -6, -1, 0, 1, 6, 7, 8)
 DIVISORS = (-3, -2, -1, 1, 2, 3)
@@ -168,3 +172,51 @@ def test_backslash_is_the_like_escape(session, reference, pattern, op):
 def test_pattern_ending_in_the_escape_raises(session, sql):
     with pytest.raises(ExecutorError, match="must not end with escape"):
         session.execute(sql)
+
+
+DISTINCT_STATEMENTS = (
+    "SELECT DISTINCT a FROM w ORDER BY a NULLS LAST",
+    "SELECT DISTINCT b, a FROM w ORDER BY a DESC NULLS FIRST, b NULLS LAST",
+    "SELECT DISTINCT a % 2 FROM m ORDER BY a % 2",
+)
+
+
+@pytest.mark.parametrize("sql", DISTINCT_STATEMENTS)
+def test_distinct_sorts_on_its_select_list(session, reference, sql):
+    assert session.execute(sql).rows == [
+        tuple(row) for row in reference.execute(sql).fetchall()
+    ]
+
+
+def test_order_by_outside_a_distinct_select_list_raises(session):
+    with pytest.raises(PlannerError, match="must appear in select list"):
+        session.execute("SELECT DISTINCT a FROM w ORDER BY k")
+
+
+LEFT_JOIN_STATEMENTS = (
+    "SELECT w.k FROM w LEFT JOIN m ON w.a = m.k WHERE m.k IS NULL ORDER BY w.k",
+    "SELECT w.k, m.a FROM w LEFT JOIN m ON w.a = m.k WHERE m.a > 0 ORDER BY w.k",
+    "SELECT w.k, m.b FROM w LEFT JOIN m ON w.b = m.k AND m.a < 0 "
+    "WHERE m.b IS NULL ORDER BY w.k",
+)
+
+
+@pytest.mark.parametrize("sql", LEFT_JOIN_STATEMENTS)
+def test_where_on_a_left_joins_nullable_side_filters_above_it(
+    session, reference, sql
+):
+    assert session.execute(sql).rows == [
+        tuple(row) for row in reference.execute(sql).fetchall()
+    ]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a correlated scalar subquery is decorrelated into an inner "
+    "join, so an outer row that matches nothing is dropped (ROADMAP item 10)",
+)
+def test_select_list_correlated_scalar_keeps_unmatched_rows(session, reference):
+    sql = "SELECT w.k, (SELECT max(m.a) FROM m WHERE m.k = w.a) FROM w ORDER BY w.k"
+    assert session.execute(sql).rows == [
+        tuple(row) for row in reference.execute(sql).fetchall()
+    ]

@@ -391,7 +391,7 @@ def test_kernel_memo_lives_and_dies_with_its_statement(monkeypatch):
 # row executor's per-row arithmetic exactly — a placement that differs
 # sends a row to the wrong segment, a size that differs moves sim_s.
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.catalog.schema import hash_columns, hash_values  # noqa: E402
@@ -531,6 +531,58 @@ def test_concat_and_take_keep_values_and_types(monkeypatch, fallback):
     assert [list(c) for c in cols] == [
         [None, 1, None], ["q", "p", "q"], [9, 9, 9], ["y", "x", "y"],
     ]
+
+
+
+def _take_column(kind, values):
+    """One column of ``kind`` holding ``values`` (ints or None)."""
+    mask = [v is None for v in values]
+    if kind == "list":
+        return list(values)
+    if kind == "int":
+        return int_vector([v or 0 for v in values], mask)
+    if kind == "float":
+        return float_vector([float(v or 0) for v in values], mask)
+    if kind == "dict":
+        return dict_vector([-1 if v is None else v % 3 for v in values], ["a", "b", "c"])
+    return ConstVector(7, len(values))
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    kinds=st.lists(
+        st.sampled_from(["list", "int", "float", "dict", "const"]),
+        min_size=1, max_size=5,
+    ),
+    n=st.integers(min_value=0, max_value=6),
+    data=st.data(),
+)
+def test_take_columns_is_take_per_column(monkeypatch, fallback, kinds, n, data):
+    """The shared index array and the shared ``itemgetter`` give what
+    :func:`take` gives column by column, representation included, for
+    selections of 0, 1 and n rows and for ``range`` selections."""
+    if fallback:
+        force_fallback(monkeypatch)
+    values = data.draw(
+        st.lists(st.one_of(st.none(), st.integers(-5, 5)), min_size=n, max_size=n)
+    )
+    columns = [_take_column(kind, values) for kind in kinds]
+    index = st.integers(min_value=0, max_value=max(n - 1, 0))
+    picks = st.sampled_from(sorted({0, 1, n} if n else {0})).flatmap(
+        lambda k: st.lists(index, min_size=k, max_size=k)
+    )
+    spans = st.tuples(st.integers(0, n), st.integers(0, n)).map(
+        lambda ends: range(min(ends), max(ends))
+    )
+    sel = data.draw(st.one_of(picks, spans))
+    got = take_columns(columns, sel)
+    want = [vector.take(col, sel) for col in columns]
+    assert [type(c) for c in got] == [type(c) for c in want]
+    assert [list(c) for c in got] == [list(c) for c in want]
 
 
 # -------------------------------------------------------- constant folding

@@ -74,18 +74,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events) + len(self.abort_at_lsn_offsets)
 
-    def describe(self) -> List[str]:
-        lines = [
-            f"t={event.at:.4f}s {event.kind}"
-            + (f" target={event.target}" if event.target is not None else "")
-            + (f" args={event.args}" if event.args else "")
-            for event in self.events
-        ]
-        lines.extend(
-            f"wal+{offset} abort_txn_at_lsn" for offset in self.abort_at_lsn_offsets
-        )
-        return lines
-
 
 def random_plan(
     seed: int,

@@ -2,9 +2,9 @@
 
 The query dispatcher (QD) and every :class:`~repro.cluster.worker.
 SegmentWorker` own one :class:`RpcChannel` on a shared :class:`RpcBus`.
-All control traffic — plan dispatch, acks, completion reports, aborts —
-is appended to one :class:`MessageQueue`, which motion streams share and
-which delivers every message in send order. Every charged send pays
+Control traffic (dispatch, completion, abort; an ACK is sent but never
+queued: nothing reads it) rides one :class:`MessageQueue`, which motion
+streams share and which delivers in send order. Every charged send pays
 real bytes plus **one** ``net_latency`` on the sender's cost accumulator
 (latency is per message, never per fragment: a multi-fragment payload is
 batched into one charged send); the queue itself keeps no clock.
@@ -216,9 +216,12 @@ class RpcBus:
         dest: str,
         message: RpcMessage,
         acc: Optional[CostAccumulator] = None,
+        queued: bool = True,
     ) -> None:
         """Send one control message; charges ``acc`` (when given) the
-        message's bytes plus exactly one ``net_latency``."""
+        message's bytes plus exactly one ``net_latency``. A message
+        nobody reads (a worker's ACK) is sent ``queued=False``: charged,
+        traced and counted, but never put on the queue."""
         src = self.channels.get(sender)
         dst = self.channels.get(dest)
         if src is None or not src.open:
@@ -240,4 +243,5 @@ class RpcBus:
                 )
             counters[0].inc()
             counters[1].inc(message.size)
-        self._queue.put(dst, message)
+        if queued:
+            self._queue.put(dst, message)

@@ -140,6 +140,7 @@ class SegmentWorker:
                 query_id=ctx.query_id,
             ),
             acc=charged,
+            queued=False,  # the master reads no ACK
         )
         providers = SliceProviders(
             scan=self._scan_provider(sdp),

@@ -24,7 +24,9 @@ The lifecycle of one statement, entirely event-driven:
    per-segment slots. Each motion becomes one scheduler barrier.
 3. **Wave barrier.** When every task of wave *w* finishes on the
    clock, a watch callback dispatches wave *w+1*, so a lone query's
-   timeline composes to the makespan its task graph replays to.
+   timeline composes to the makespan its task graph replays to. A
+   statement's InitPlans are its leading waves, depth-first: each one's
+   value is bound before the plan that reads it sends wave 0.
 4. **Settle.** The last wave's completion gathers rows, commits the
    statement's transaction, and releases the queue slot — which may
    admit parked waiters in the same event.
@@ -46,11 +48,11 @@ is exactly its lone cost plus its measured queue wait
 (``charged_seconds == serial_seconds + queue_wait``, float-exact). Slot
 contention shows up in *latency* (and the batch makespan), never in the
 charged cost — a parked task delays the query, it does not make the
-query do more work. The exactness hangs on
-:attr:`~repro.executor.runner.QueryDispatch.overhead_seconds`: a
-dispatch charges the master's whole overhead when it opens, wave-0
-tasks release at admit time plus that overhead, and an uncontended
-query finishes at ``admit + serial_seconds`` on the loop's clock.
+query do more work. A statement's charged seconds are its replayed
+makespan plus its master overhead, InitPlans included; on the clock
+each plan's wave 0 releases its master dispatch time after the plan
+before it finished, so an uncontended query finishes at ``admit +
+serial_seconds`` up to float reassociation.
 """
 
 from __future__ import annotations
@@ -74,14 +76,9 @@ from repro.errors import (
     ReproError,
     SegmentDown,
 )
+from repro.executor.runner import QueryDispatch
 from repro.obs.trace import TraceRouter
 from repro.simtime.scheduler import EventScheduler, TaskGraph
-
-#: Retry attempts namespace the slice id inside a task key —
-#: ``(query_id, attempt * STRIDE + slice_id, segment)`` — so a retried
-#: wave never collides with the failed attempt's finished tasks while
-#: keys stay homogeneous int 3-tuples (stable tie-breaks).
-_ATTEMPT_STRIDE = 4096
 
 #: Simulated seconds a statement waits before its first restart; the
 #: wait doubles with each further restart.
@@ -170,13 +167,21 @@ class _Statement:
     #: The gathered result; read by whoever kept the statement (a lone
     #: statement's caller — a batch keeps only outcomes).
     result: object = None
-    #: 1-based attempt number (namespaces scheduler task keys).
+    #: 1-based attempt number.
     attempt: int = 0
     retries: int = 0
     backoff_seconds: float = 0.0
-    #: Release base of the current attempt: admit/retry time plus the
-    #: dispatch's master overhead.
+    #: The attempt's plans still to open (the next one last); InitPlan
+    #: results gathered but not yet bound.
+    plans: List = field(default_factory=list)
+    gathered: List = field(default_factory=list)
+    #: Release base of the open dispatch: its opening time plus its
+    #: master dispatch time.
     base: float = 0.0
+    #: Task keys are ``(query_id, offset + slice_id, segment)``; each
+    #: dispatch opened (InitPlan or retry) starts past every slice key
+    #: used before, so keys never collide and stay int 3-tuples.
+    offset: int = 0
     #: Every scheduler task key this statement created (all attempts).
     keys: List[Tuple[int, int, int]] = field(default_factory=list)
     admitted: bool = False
@@ -224,7 +229,7 @@ class StatementLoop:
         #: query_id -> in-flight statement (pg_stat_activity reads it).
         self.statements: Dict[int, _Statement] = {}
         #: The statement whose lifecycle step is on the stack right now
-        #: (its slices may be on the workers, inside ``queue.deliver()``).
+        #: (its slices may be on the workers, inside ``runtime.execute``).
         self._executing: Optional[_Statement] = None
         self._datagrams = engine.metrics.counter(
             "datagrams_delivered", mode=engine.interconnect
@@ -310,7 +315,12 @@ class StatementLoop:
             # Sessions randomly fail down segments over to live hosts.
             engine.fault_detector.assign_failover()
         self._revive_workers()
-        self._step(state, self._begin, at_time)
+        prepared = state.prepared
+        if prepared.trace is not None:
+            prepared.trace.begin_attempt()
+        state.plans = _run_order(prepared.plan)[::-1]
+        state.gathered = []
+        self._step(state, self._open, at_time)
 
     def _step(self, state: _Statement, step, *args) -> None:
         """Run one step of the lifecycle, trapping cluster faults into
@@ -339,25 +349,19 @@ class StatementLoop:
         finally:
             self._executing = outer
 
-    def _after_delivery(self, state: _Statement) -> None:
-        """``state``'s own slices just ran on the workers. A cancel
-        request for it arriving from in there (a chaos or scan-progress
-        hook calling ``Session.cancel``) could not tear the dispatch
-        down under the workers' feet, so :meth:`cancel` left it pending:
-        if no worker's lane probe raised it, raise it here."""
-        query_id = state.outcome.query_id
-        if self.engine.is_cancelled(query_id):
-            raise QueryCanceled(f"query {query_id} cancelled by request")
-
-    def _begin(self, state: _Statement, at_time: float) -> None:
+    def _open(self, state: _Statement, at_time: float) -> None:
+        """Open the next plan at ``at_time`` and send its wave 0; the
+        results of its InitPlans are the last ones gathered."""
         prepared = state.prepared
-        if prepared.trace is not None:
-            prepared.trace.begin_attempt()
-        state.dispatch = self.runtime.begin(
-            prepared.plan, prepared.sdp, prepared.ctx
+        plan = state.plans.pop()
+        split = len(state.gathered) - len(plan.init_plans)
+        inits = state.gathered[split:]
+        del state.gathered[split:]
+        dispatch = state.dispatch = QueryDispatch(
+            self.runtime, plan, prepared.sdp, prepared.ctx, inits
         )
-        self._after_delivery(state)
-        state.base = at_time + state.dispatch.overhead_seconds
+        state.offset = 1 + max((key[1] for key in state.keys), default=-1)
+        state.base = at_time + dispatch.master_acc.seconds
         self._dispatch_wave(state, 0)
 
     def _dispatch_wave(self, state: _Statement, wave_index: int) -> None:
@@ -365,15 +369,19 @@ class StatementLoop:
         time, and their reported durations become scheduler tasks."""
         dispatch = state.dispatch
         scheduler = self.scheduler
-        dispatch.dispatch_wave(wave_index)
-        self.runtime.queue.deliver()
-        self._after_delivery(state)
-        graph = dispatch.settle_wave(wave_index)
+        self.runtime.execute(dispatch, wave_index)
+        # The statement's own slices just ran on the workers. A cancel
+        # request for it from in there (a chaos or scan-progress hook
+        # calling ``Session.cancel``) could not tear the dispatch down
+        # under the workers' feet, so :meth:`cancel` left it pending: if
+        # no worker's lane probe raised it, raise it here.
         qid = state.outcome.query_id
-        stride = (state.attempt - 1) * _ATTEMPT_STRIDE
-        in_wave = []
+        if self.engine.is_cancelled(qid):
+            raise QueryCanceled(f"query {qid} cancelled by request")
+        graph = dispatch.settle_wave(wave_index)
+        offset, in_wave = state.offset, []
         for (slice_id, segment), duration in graph.tasks:
-            key = (qid, stride + slice_id, segment)
+            key = (qid, offset + slice_id, segment)
             scheduler.add_task(
                 key,
                 duration,
@@ -384,14 +392,14 @@ class StatementLoop:
         state.keys.extend(in_wave)
         for senders, consumers, delay in graph.constraints:
             scheduler.add_barrier(
-                [(qid, stride + s, g) for s, g in senders],
-                [(qid, stride + s, g) for s, g in consumers],
+                [(qid, offset + s, g) for s, g in senders],
+                [(qid, offset + s, g) for s, g in consumers],
                 delay=delay,
             )
         # The wave barrier: the next wave (or the gather) goes out when
         # every task of this one has finished on the clock, so a lone
         # query's timeline composes to its replayed makespan exactly.
-        if wave_index + 1 < dispatch.wave_count:
+        if wave_index + 1 < len(dispatch.waves):
             scheduler.watch(
                 in_wave,
                 lambda t, s=state, w=wave_index + 1: self._step(
@@ -400,16 +408,18 @@ class StatementLoop:
             )
         else:
             scheduler.watch(
-                in_wave,
-                lambda t, s=state: self._step(s, self._gather_and_commit, t),
+                in_wave, lambda t, s=state: self._step(s, self._gather, t)
             )
 
-    def _gather_and_commit(
-        self, state: _Statement, finish_time: float
-    ) -> None:
-        """The last wave completed on the clock: gather and commit."""
-        outcome = state.outcome
+    def _gather(self, state: _Statement, finish_time: float) -> None:
+        """The open plan's last wave finished on the clock: gather it. An
+        InitPlan's result waits for the next plan, which opens now."""
         result = state.dispatch.gather()
+        if state.plans:
+            state.gathered.append(result)
+            self._open(state, finish_time)
+            return
+        outcome = state.outcome
         result.retries = state.retries
         result.cost.seconds += state.backoff_seconds
         result.queue_wait_seconds = outcome.queue_wait
@@ -433,6 +443,8 @@ class StatementLoop:
         state.settled = True
         state.prepared = None
         state.dispatch = None
+        state.plans = []
+        state.gathered = []
         outcome = state.outcome
         outcome.finish = finish_time
         outcome.charged_seconds = outcome.serial_seconds + outcome.queue_wait
@@ -530,14 +542,12 @@ class StatementLoop:
         in-flight one aborts at the current event."""
         state = self.statements.get(query_id)
         if state is None or state is self._executing:
-            return  # another loop's, already settled — or see _after_delivery
+            return  # another loop's, already settled — or see _dispatch_wave
         self._cancel_state(
             state, QueryCanceled(f"query {query_id} cancelled by request")
         )
 
     def _timeout(self, state: _Statement, timeout: float) -> None:
-        if state.settled:
-            return
         query_id = state.outcome.query_id
         self._cancel_state(
             state,
@@ -546,6 +556,11 @@ class StatementLoop:
                 f"{timeout}s exceeded"
             ),
         )
+
+
+def _run_order(plan) -> List:
+    """A statement's plans in run order: each after its InitPlans."""
+    return [p for init in plan.init_plans for p in _run_order(init)] + [plan]
 
 
 def run_statement(prepared):

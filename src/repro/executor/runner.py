@@ -1,13 +1,11 @@
 """Master-side query execution: dispatch, gather, and the event clock.
 
-The master (QD) no longer runs slices inline. It cuts the self-described
-plan into per-segment :class:`~repro.planner.dispatch.SliceTask`s, sends
-each one as a DISPATCH message over :class:`~repro.cluster.rpc.RpcBus`
-to the owning :class:`~repro.cluster.worker.SegmentWorker`, and delivers
-the runtime's message queue until every worker has reported COMPLETE.
-Waves go out children-first, so a wave's motion inputs sit in the
-:class:`~repro.interconnect.exchange.ExchangeFabric` before its
-consumers start.
+The master (QD) cuts the self-described plan into per-segment
+:class:`~repro.planner.dispatch.SliceTask`s and sends each one as a
+DISPATCH message over :class:`~repro.cluster.rpc.RpcBus` to its
+:class:`~repro.cluster.worker.SegmentWorker`, which reports COMPLETE.
+Waves go out children-first (the statement loop drives them), so a
+wave's motion inputs sit in the exchange before its consumers start.
 
 Timing: every task's COMPLETE carries the simulated seconds its
 accumulator charged. The runtime replays those durations on the
@@ -100,6 +98,9 @@ class QueryResult:
     message: str = ""
     #: Critical-path length through the task DAG (worker time only).
     makespan: float = 0.0
+    #: The InitPlans' worker time, then this makespan: the span the
+    #: tasks of ``task_graph`` ran in, one plan after another.
+    worker_span: float = 0.0
     #: Master-side fixed costs + init-plan time, on top of the makespan.
     overhead_seconds: float = 0.0
     #: The (slice_id, segment) chain that bounded the makespan.
@@ -118,9 +119,9 @@ class QueryResult:
     #: statements that never dispatched).
     query_id: int = 0
     #: The executed (slice, segment) task DAG with its gang-mean
-    #: durations, barriers and edges — what the concurrent runtime
-    #: replays when composing many queries onto shared per-segment
-    #: slots. None for undispatched statements.
+    #: durations, barriers and edges, the InitPlans' tasks included
+    #: (keyed past the plan's own slice ids): every task that held a
+    #: segment slot. None for undispatched statements.
     task_graph: Optional[TaskGraph] = None
     #: Simulated seconds this statement waited for resource-queue
     #: admission (0.0 when the slot was free at submit — always, for a
@@ -140,8 +141,8 @@ class QueryDispatch:
     :class:`~repro.planner.physical.PhysicalPlan`. The statement loop
     (:mod:`repro.executor.concurrent`) dispatches each wave from a
     scheduler event, with many dispatches in flight on the same runtime
-    — replies route back here by the message's ``query_id``; init plans
-    walk their waves synchronously (:meth:`DistributedRuntime.execute`).
+    — replies route back here by the message's ``query_id``; a
+    statement's InitPlans are dispatches of their own, opened ahead of it.
     """
 
     def __init__(
@@ -150,15 +151,28 @@ class QueryDispatch:
         plan: PhysicalPlan,
         sdp: SelfDescribedPlan,
         ctx: ExecutionContext,
-        init: Optional[QueryCost] = None,
+        inits: List[QueryResult],
     ):
         self.runtime = runtime
         self.plan = plan
         self.sdp = sdp
-        self.ctx = ctx
         #: What the init plans cost: their seconds are master overhead,
         #: their bytes and tuples part of the statement's totals.
-        self.init = init if init is not None else QueryCost(seconds=0.0)
+        self.init = QueryCost(seconds=0.0)
+        #: Their results, whose tasks and span the statement's carries.
+        self._inits = inits
+        if plan.init_plans:
+            # ``inits`` are their gathered results, in order: each single
+            # value is a parameter of this plan (scoped per PhysicalPlan,
+            # so a nested InitPlan binds its own).
+            params: List[object] = []
+            for sub in inits:
+                if len(sub.rows) > 1:
+                    raise ExecutorError("InitPlan returned more than one row")
+                params.append(sub.rows[0][0] if sub.rows else None)
+                self.init.add(sub.cost)
+            ctx = dataclasses.replace(ctx, params=params)
+        self.ctx = ctx
         self.waves = make_slice_tasks(plan, sdp, ctx.num_segments)
         self.master_acc = self._charge_dispatch()
         self.roots = {s.slice_id: s.root for s in plan.slices}
@@ -184,24 +198,9 @@ class QueryDispatch:
                 if task.segment in last_on_segment:
                     self._runs_after[key] = last_on_segment[task.segment]
                 last_on_segment[task.segment] = key
-        # Nested executions share a query id (a query's init plans are
-        # plans of the same statement); shadow the outer entry and
-        # restore it at close.
-        self._shadow = runtime._inflight.get(ctx.query_id)
+        # A statement's plans (its InitPlans, then its own) share its
+        # query id and run one at a time: one entry routes its replies.
         runtime._inflight[ctx.query_id] = self
-
-    @property
-    def wave_count(self) -> int:
-        return len(self.waves)
-
-    @property
-    def overhead_seconds(self) -> float:
-        """Master-side seconds ahead of the first task: the dispatch
-        charged at construction plus the init plans' time. The statement
-        loop releases wave 0 this long after admission, which keeps
-        ``charged_seconds = serial_seconds + queue_wait`` exact under
-        interleaving; gather adds it to the makespan."""
-        return self.master_acc.seconds + self.init.seconds
 
     def _charge_dispatch(self) -> CostAccumulator:
         """The master's whole dispatch, charged once: query setup, then
@@ -228,35 +227,21 @@ class QueryDispatch:
                     charge_control(acc, task.payload_bytes)
         return acc
 
-    def dispatch_wave(self, index: int) -> None:
-        """Send one wave's DISPATCH messages (children-first order); the
-        master paid for them when the dispatch was opened."""
-        bus = self.runtime.bus
-        for task in self.waves[index]:
-            message = RpcMessage(
-                kind=DISPATCH,
-                sender=MASTER,
-                payload=(task, self.roots[task.slice_id], self.sdp, self.ctx),
-                size=task.payload_bytes,
-                query_id=self.ctx.query_id,
-            )
-            if task.segment != QD_SEGMENT and not self.ctx.metadata_dispatch:
-                message.size = CATALOG_LOOKUP_BYTES  # the thin plan
-            bus.send(MASTER, f"seg{task.segment}", message)
-
     def abort(self) -> None:
-        """Clean up a failed or cancelled dispatch.
-
-        Drains the queue (already-queued deliveries run to completion;
-        their late replies route here and are discarded — a further
-        failure inside the drain is swallowed, the query is dead either
-        way), broadcasts a query-tagged ABORT to the surviving workers,
-        synthesizes trace closures for tasks that will never report,
-        and closes. The caller (the statement loop) owns the original
-        exception.
-        """
+        """Clean up a failed or cancelled dispatch: drain the queue
+        (late replies are discarded, a failure inside the drain is
+        swallowed), broadcast a query-tagged ABORT to the surviving
+        workers, close the trace's tasks that will never report, and
+        close. The statement loop owns the original exception."""
         self._drain()
-        self.runtime._broadcast_abort(query_id=self.ctx.query_id)
+        bus = self.runtime.bus
+        for name, channel in sorted(bus.channels.items()):
+            if name != MASTER and channel.open:
+                abort = RpcMessage(
+                    kind=ABORT, sender=MASTER, size=ABORT_BYTES,
+                    query_id=self.ctx.query_id,
+                )
+                bus.send(MASTER, name, abort)
         self._drain()
         if self.ctx.trace is not None:
             self.ctx.trace.attempt_aborted()
@@ -283,11 +268,7 @@ class QueryDispatch:
             return
         self.closed = True
         self.runtime.exchange.clear(self.ctx.query_id)
-        if self.runtime._inflight.get(self.ctx.query_id) is self:
-            if self._shadow is not None:
-                self.runtime._inflight[self.ctx.query_id] = self._shadow
-            else:
-                del self.runtime._inflight[self.ctx.query_id]
+        self.runtime._inflight.pop(self.ctx.query_id, None)
 
     def _stage_delay(self, slice_id: int) -> float:
         """The disk round trip a settled sending slice's motion output
@@ -359,8 +340,6 @@ class QueryDispatch:
         waves = self.waves
         ctx = self.ctx
         master_acc = self.master_acc
-        init = self.init
-        model = ctx.cost_model
         # Replay the settled waves' task DAG: the graph is also attached
         # to the result, where the concurrent runtime reads the segments
         # it touched.
@@ -381,42 +360,55 @@ class QueryDispatch:
             if report.result_rows is not None:
                 rows.extend(report.result_rows)
 
-        total = CostAccumulator(model)
-        total.disk_read_bytes = master_acc.disk_read_bytes + init.disk_read_bytes
-        total.disk_write_bytes = master_acc.disk_write_bytes + init.disk_write_bytes
-        total.net_bytes = master_acc.net_bytes + init.net_bytes
-        total.tuples = master_acc.tuples + init.tuples
+        # The counters sum over the master, the init plans and every
+        # task; the seconds are set below, from the critical path.
+        cost = QueryCost.from_accumulator(master_acc)
+        cost.add(self.init)
         for report in self.reports.values():
-            total.disk_read_bytes += report.disk_read_bytes
-            total.disk_write_bytes += report.disk_write_bytes
-            total.net_bytes += report.net_bytes
-            total.tuples += report.tuples
+            cost.add(report)
         if ctx.trace is not None:
             # Absolute span placement: the scheduler's task windows,
             # shifted past this plan's dispatch overhead (init-plan
             # assemblies already advanced the trace cursor).
             ctx.trace.assemble(waves, self.reports, schedule, master_acc.seconds)
 
-        overhead = self.overhead_seconds
-        cost = QueryCost(
-            seconds=schedule.makespan + overhead,
-            disk_read_bytes=total.disk_read_bytes,
-            disk_write_bytes=total.disk_write_bytes,
-            net_bytes=total.net_bytes,
-            tuples=total.tuples,
-        )
+        # Master-side seconds: the dispatch charged at construction plus
+        # the init plans' time (on the loop they ran as earlier waves).
+        overhead = master_acc.seconds + self.init.seconds
+        cost.seconds = schedule.makespan + overhead
         self.close()
+        if self._inits:
+            graph = _with_init_tasks(graph, [sub.task_graph for sub in self._inits])
         return QueryResult(
             rows=rows,
             column_names=plan.output_names,
             cost=cost,
             plan=plan,
             makespan=schedule.makespan,
+            worker_span=sum(sub.worker_span for sub in self._inits) + schedule.makespan,
             overhead_seconds=overhead,
             critical_path=schedule.critical_path,
             query_id=ctx.query_id,
             task_graph=graph,
         )
+
+
+def _with_init_tasks(graph: TaskGraph, inits: List[TaskGraph]) -> TaskGraph:
+    """``graph`` with its InitPlans' tasks and constraints ahead of its
+    own, as they held segment slots. Each InitPlan's slice ids move past
+    every id before it, so keys stay unique; no constraint links them to
+    the plan's tasks (the statement loop ran them first)."""
+    out, shifts, offset = TaskGraph(tasks=[]), [], 0
+    for part in [graph] + inits:
+        offset += 1 + max(s for (s, _g), _d in part.tasks)
+        shifts.append(offset)
+    for part, by in zip(inits + [graph], shifts[:-1] + [0]):
+        out.tasks += [((by + s, g), d) for (s, g), d in part.tasks]
+        out.constraints += [
+            ([(by + s, g) for s, g in senders], [(by + s, g) for s, g in to], delay)
+            for senders, to, delay in part.constraints
+        ]
+    return out
 
 
 class DistributedRuntime:
@@ -426,12 +418,10 @@ class DistributedRuntime:
     the RPC bus and the exchange fabric on it, and the master's RPC
     endpoint; workers are registered on the same bus by the engine.
     One runtime serves *many* concurrent plan executions — each
-    :meth:`begin` registers a :class:`QueryDispatch` in the in-flight
-    table, and every COMPLETE reply routes to its owner by the
-    message's ``query_id``. An ACK is charged, counted, traced and
-    delivered, and nothing reads it. Replies for queries no longer in
-    flight (aborted, cancelled, or already gathered) are discarded,
-    UDP-style.
+    :class:`QueryDispatch` registers itself in the in-flight table, and
+    every COMPLETE reply routes to its owner by the message's
+    ``query_id``. Replies for queries no longer in flight
+    (aborted, cancelled, or already gathered) are discarded, UDP-style.
     """
 
     def __init__(self) -> None:
@@ -439,91 +429,42 @@ class DistributedRuntime:
         self.bus = RpcBus(self.queue)
         self.exchange = ExchangeFabric(self.queue)
         self._inflight: Dict[int, QueryDispatch] = {}
-        self.bus.register(MASTER, self._on_message)
+        self.bus.register(MASTER, self._on_complete)
 
     # --------------------------------------------------------------- messages
-    def _on_message(self, message: RpcMessage) -> None:
+    def _on_complete(self, message: RpcMessage) -> None:
+        """The master reads one kind of message, a task's COMPLETE: a
+        worker's ACK is charged and counted at send, never queued."""
         dispatch = self._inflight.get(message.query_id)
-        if dispatch is None:
-            return  # late reply of an aborted or finished query
-        if message.kind == COMPLETE:
+        if dispatch is not None:  # else a late reply of a dead query
             report: TaskReport = message.payload
             dispatch.reports[(report.slice_id, report.segment)] = report
 
     # ----------------------------------------------------------------- driver
-    def begin(
-        self, plan: PhysicalPlan, sdp: SelfDescribedPlan, ctx: ExecutionContext
-    ) -> QueryDispatch:
-        """Open one plan execution: resolve init plans, register in-flight.
-
-        InitPlans run first (serially, on this same runtime): their
-        single values become the plan's parameters. Parameters are
-        scoped per PhysicalPlan (nested init plans resolve their own),
-        so each runs with a fresh param list.
-        """
-        init = None
-        if plan.init_plans:
-            params: List[object] = []
-            spent = CostAccumulator(ctx.cost_model)
-            for init_plan in plan.init_plans:
-                sub = self.execute(
-                    init_plan, sdp, dataclasses.replace(ctx, params=[])
-                )
-                if len(sub.rows) > 1:
-                    raise ExecutorError("InitPlan returned more than one row")
-                params.append(sub.rows[0][0] if sub.rows else None)
-                spent.seconds += sub.cost.seconds
-                spent.disk_read_bytes += sub.cost.disk_read_bytes
-                spent.disk_write_bytes += sub.cost.disk_write_bytes
-                spent.net_bytes += sub.cost.net_bytes
-                spent.tuples += sub.cost.tuples
-            init = QueryCost.from_accumulator(spent)
-            ctx = dataclasses.replace(ctx, params=params)
-        # Init plans reuse slice ids, and each one's dispatch dropped its
-        # streams when it closed: none leak in here.
-        return QueryDispatch(self, plan, sdp, ctx, init=init)
-
-    def execute(
-        self, plan: PhysicalPlan, sdp: SelfDescribedPlan, ctx: ExecutionContext
-    ) -> QueryResult:
-        """Dispatch a sliced physical plan synchronously and gather —
-        how :meth:`begin` resolves a statement's init plans."""
-        dispatch = self.begin(plan, sdp, ctx)
-        try:
-            for index in range(dispatch.wave_count):
-                dispatch.dispatch_wave(index)
-                # Deliver the queue: DISPATCH delivery runs each worker's
-                # task synchronously, and their motion streams + control
-                # replies settle before the next (consumer) wave goes out.
-                self.queue.deliver()
-                dispatch.settle_wave(index)
-        except Exception:
-            # Best-effort abort to the surviving workers, then let the
-            # statement loop see the original failure. The trace
-            # synthesizes closures for tasks that will never report.
-            dispatch.abort()
-            raise
-        return dispatch.gather()
+    def execute(self, dispatch: QueryDispatch, index: int) -> None:
+        """Run wave ``index`` of ``dispatch`` on the workers: send its
+        DISPATCH messages (the master paid for them when the dispatch
+        opened) and deliver the queue, which runs each task and carries
+        its motion streams and COMPLETE home in send order. The statement
+        loop's wave step is the one caller; it settles the wave after."""
+        ctx = dispatch.ctx
+        for task in dispatch.waves[index]:
+            message = RpcMessage(
+                kind=DISPATCH,
+                sender=MASTER,
+                payload=(task, dispatch.roots[task.slice_id], dispatch.sdp, ctx),
+                size=task.payload_bytes,
+                query_id=ctx.query_id,
+            )
+            if task.segment != QD_SEGMENT and not ctx.metadata_dispatch:
+                message.size = CATALOG_LOOKUP_BYTES  # the thin plan
+            self.bus.send(MASTER, f"seg{task.segment}", message)
+        self.queue.deliver()
 
     def close(self) -> None:
-        """End this QD/QE process group: its statement loop closes it
-        when its lone statement, or its batch, ends. What is still
-        queued is discarded, and the bus forgets its handlers, through
-        which the workers and this runtime reference each other; that
-        frees the group by refcount. A closed runtime delivers nothing —
-        results already gathered stay valid."""
+        """End this QD/QE process group when its loop ends: discard what
+        is queued and cut the bus's handlers, through which workers and
+        runtime reference each other, so the group dies by refcount.
+        Results already gathered stay valid."""
         self.queue.clear()
         self.bus.close()
-
-    def _broadcast_abort(self, query_id: int = 0) -> None:
-        for name, channel in sorted(self.bus.channels.items()):
-            if name == MASTER or not channel.open:
-                continue
-            self.bus.send(
-                MASTER,
-                name,
-                RpcMessage(
-                    kind=ABORT, sender=MASTER, size=ABORT_BYTES,
-                    query_id=query_id,
-                ),
-            )

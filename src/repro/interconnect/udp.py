@@ -93,9 +93,6 @@ class UdpEndpoint:
         self.corrupt_dropped = 0
         network.register(address, self._on_datagram)
 
-    def close(self) -> None:
-        self.network.unregister(self.address)
-
     # ------------------------------------------------------------- factories
     def create_sender(self, stream: StreamKey, peer: Address) -> "UdpSender":
         """Open the sending half of a virtual connection to ``peer``."""
@@ -217,9 +214,6 @@ class UdpSender:
         if isinstance(payload, (bytes, bytearray)):
             return len(payload)
         return 256
-
-    def _inflight(self) -> int:
-        return self._next_seq - 1 - self._last_sc
 
     def _pump(self) -> None:
         """Send queued packets while window and receiver capacity allow."""

@@ -1308,6 +1308,17 @@ OWNED = (
         within=("executor/runner.py::QueryDispatch.settle_wave",),
     ),
     Owned(
+        ("runtime.execute", "queue.deliver", "settle_wave"),
+        "a statement's waves, its InitPlans' too, are run and settled on the "
+        "statement loop; a second driver takes no slot",
+        within=("executor/", "cluster/"),
+        owner=(
+            "executor/concurrent.py::StatementLoop._dispatch_wave",
+            "executor/runner.py::QueryDispatch",
+            "executor/runner.py::DistributedRuntime.execute",
+        ),
+    ),
+    Owned(
         ("repro.network",),
         "RPC messages and motion streams ride the runtime's in-order queue; "
         "the datagram net, which the engine never clocks, is the interconnect's",

@@ -113,9 +113,6 @@ class SimNetwork:
             raise InterconnectError(f"address already bound: {address}")
         self._handlers[address] = handler
 
-    def unregister(self, address: Address) -> None:
-        self._handlers.pop(address, None)
-
     # ------------------------------------------------------------------ send
     def send(self, src: Address, dst: Address, payload: object, size: int) -> None:
         """Send one datagram; it may be lost, duplicated or reordered."""

@@ -180,7 +180,7 @@ class ClusterTelemetry:
             self._segment_busy[segment_id] = (
                 self._segment_busy.get(segment_id, 0.0) + seconds
             )
-        self._observed_span += getattr(result, "makespan", 0.0) or 0.0
+        self._observed_span += getattr(result, "worker_span", 0.0) or 0.0
 
     # ------------------------------------------------------------- view rows
     def activity_rows(self) -> List[tuple]:
@@ -227,9 +227,10 @@ class ClusterTelemetry:
     def _slice_progress(loop, state) -> Tuple[int, int]:
         """(slices dispatched, slices completed) for one statement.
 
-        Task keys are attempt-namespaced ``(qid, stride+slice, seg)``;
-        grouping by the namespaced slice id counts a retried wave as a
-        re-dispatch, which is the honest operator-facing number.
+        Task keys are ``(qid, offset+slice, seg)``, each dispatch of the
+        statement (an InitPlan, a retry) at its own offset; grouping by
+        the offset slice id counts an InitPlan's slices and a retried
+        wave's re-dispatch, which is the honest operator-facing number.
         """
         by_slice: Dict[int, List[tuple]] = {}
         for key in state.keys:

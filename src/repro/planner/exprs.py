@@ -12,7 +12,7 @@ planner relies on it to match GROUP BY keys inside output expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import PlannerError
 
@@ -331,3 +331,30 @@ def has_aggregate(expr: BoundExpr) -> bool:
 
 def has_subplan(expr: BoundExpr) -> bool:
     return any(isinstance(node, BSubPlan) for node in walk(expr))
+
+
+#: Operators that give NULL when either operand is NULL.
+_NULL_IN_NULL_OUT = frozenset(("=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "%"))
+
+
+def is_strict(expr: BoundExpr, rels: Set[int], null: bool = False) -> bool:
+    """True if ``expr`` cannot be TRUE while every column of ``rels`` is
+    NULL (with ``null``: if it is NULL then), so a WHERE qual rejects the
+    rows a left join pads with NULLs (PostgreSQL's
+    ``reduce_outer_joins``). Comparisons, LIKE, IN lists and arithmetic
+    over such a column are NULL; an AND is strict if one arm is, an OR
+    only if both are. ``IS NULL``, ``COALESCE``, ``CASE`` and every
+    other function are not."""
+    if isinstance(expr, BVar):
+        return expr.level == 0 and expr.rel in rels
+    if isinstance(expr, (BNot, BLike, BIn)):
+        return is_strict(expr.operand, rels, True)
+    if not isinstance(expr, BOp):
+        return False
+    if expr.op == "and" and not null:
+        return is_strict(expr.left, rels) or is_strict(expr.right, rels)
+    if expr.op in ("and", "or"):
+        return is_strict(expr.left, rels, null) and is_strict(expr.right, rels, null)
+    return expr.op in _NULL_IN_NULL_OUT and (
+        is_strict(expr.left, rels, True) or is_strict(expr.right, rels, True)
+    )

@@ -163,6 +163,7 @@ class Planner:
     # ------------------------------------------------------------ block plan
     def _plan_block(self, query: LogicalQuery) -> PlanNode:
         self._hoist_init_plans(query)
+        self._reduce_outer_joins(query)
         if not query.rels:
             return Result(exprs=[t for t, _ in query.targets])
 
@@ -247,6 +248,22 @@ class Planner:
         present = {self._canon(k) for k in key_ids if k is not None}
         return all(self._canon(k) in present for k in dist.keys)
 
+    @staticmethod
+    def _reduce_outer_joins(query: LogicalQuery) -> None:
+        """A left join whose nullable side a WHERE qual rejects when NULL
+        (``ex.is_strict``) is an inner join, its ON quals WHERE quals that
+        may reject another's padding in turn (``reduce_outer_joins``)."""
+        reduced = True
+        while reduced:
+            reduced = False
+            for index, rel in enumerate(query.rels):
+                if rel.join_type == "left" and any(
+                    ex.is_strict(qual, {index}) for qual in query.quals
+                ):
+                    query.quals.extend(ex.conjuncts(rel.join_cond))
+                    rel.join_type, rel.join_cond = "inner", None
+                    reduced = True
+
     def _hoist_init_plans(self, query: LogicalQuery) -> None:
         """Move this block's InitPlans into the top-level list, shifting
         its BParam indexes to the flat numbering."""
@@ -287,6 +304,7 @@ class Planner:
     ) -> PlanNode:
         # Pull this relation's single-table predicates out of the pool. A
         # left join's nullable side keeps its WHERE quals in the pool:
+        # none rejects NULL (or the join was reduced to an inner one), so
         # they filter the joined rows, padding included, above the join.
         mine = [
             q for q in pool

@@ -222,3 +222,12 @@ class QueryCost:
             net_bytes=acc.net_bytes,
             tuples=acc.tuples,
         )
+
+    def add(self, other) -> None:
+        """Add ``other``'s seconds and counters (a ``QueryCost``, a
+        :class:`CostAccumulator` or a task's report) to this cost."""
+        self.seconds += other.seconds
+        self.disk_read_bytes += other.disk_read_bytes
+        self.disk_write_bytes += other.disk_write_bytes
+        self.net_bytes += other.net_bytes
+        self.tuples += other.tuples

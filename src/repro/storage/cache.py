@@ -150,13 +150,6 @@ class BlockDecodeCache:
         self.hit_blocks = 0
 
     # ----------------------------------------------------------------- lookup
-    def entry(self, key: tuple) -> Optional[_PrefixEntry]:
-        """Return the prefix entry for ``key`` (LRU-touching it), if any."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
     def open_entry(self, key: tuple) -> _PrefixEntry:
         """Return the entry for ``key``, creating an empty one on miss."""
         entry = self._entries.get(key)

@@ -105,9 +105,6 @@ class LockManager:
     def holders(self, key: str) -> List[Tuple[int, LockMode]]:
         return list(self._granted.get(key, []))
 
-    def waiting(self) -> List[Tuple[int, str, LockMode]]:
-        return [(r.xid, r.key, r.mode) for r in self._waiting]
-
     # ------------------------------------------------------------- internals
     def _grantable(self, xid: int, key: str, mode: LockMode) -> bool:
         for holder_xid, held_mode in self._granted.get(key, []):

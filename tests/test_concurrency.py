@@ -656,3 +656,169 @@ class TestFinishedStatementsLeaveTheFabric:
         assert engine.metrics.counter("queries_cancelled").value == 1
         assert sum(not o.ok for o in batch.outcomes) == 1
         self.assert_fabric_empty(runner)
+
+
+# ------------------------------------------------------ InitPlans on the loop
+class TestInitPlansOnTheLoop:
+    """A statement's InitPlans are its leading waves on the statement
+    loop: their tasks hold segment slots under the statement's admission,
+    and a kill or a cancel that lands in one is handled like one in any
+    other wave. Q11 and Q22 carry one InitPlan each, Q6 none."""
+
+    @pytest.fixture(scope="class")
+    def tpch(self):
+        from repro.tpch import QUERIES, generate
+
+        return QUERIES, generate(0.001, seed=77)
+
+    @staticmethod
+    def engine(data) -> Engine:
+        from repro.tpch import load_tpch
+
+        engine = Engine(num_segment_hosts=2, segments_per_host=2)
+        load_tpch(engine.connect(), scale=0.001, data=data)
+        return engine
+
+    @staticmethod
+    def init_slices(session, sql) -> int:
+        """Slice keys the statement's InitPlans take on the loop."""
+        session.execute(sql)
+        return sum(len(p.slices) for p in session.last_plan.init_plans)
+
+    def test_initplan_tasks_hold_segment_slots(self, tpch):
+        queries, data = tpch
+        q6, q11, q22 = (queries[n][-1] for n in (6, 11, 22))
+        streams = [[q11, q6], [q6, q22], [q22, q11], [q6, q6]]
+        serial = {}
+        session = self.engine(data).connect()
+        for sql in (q6, q11, q22):
+            result = session.execute(sql)
+            serial[sql] = (result.rows, result.cost.seconds)
+        init_slices = {sql: self.init_slices(session, sql) for sql in (q11, q22)}
+
+        runner = ConcurrentRunner(self.engine(data), streams)
+        batch = runner.run()
+        scheduler = runner.loop.scheduler
+        for outcome in batch.outcomes:
+            assert (outcome.rows, outcome.serial_seconds) == serial[outcome.sql]
+            assert outcome.charged_seconds == (
+                outcome.serial_seconds + outcome.queue_wait
+            )
+        init_keys, waited = [], []
+        for outcome in batch.outcomes:
+            count = init_slices.get(outcome.sql, 0)
+            keys = [k for k in scheduler._tasks if k[0] == outcome.query_id]
+            inits = [k for k in keys if k[1] < count]
+            assert bool(inits) == bool(count)
+            # Greenplum's order: every InitPlan task finishes before the
+            # statement's own first task starts.
+            if inits:
+                last = max(scheduler._finish[k] for k in inits)
+                assert all(
+                    scheduler._start[k] >= last for k in keys if k[1] >= count
+                )
+            init_keys += inits
+            waited += [k for k in inits if scheduler._waits[k] > 0]
+        # Each InitPlan task on a segment holds that segment's slot ...
+        assert init_keys and all(
+            scheduler._tasks[k].slot == (k[2] if k[2] >= 0 else None)
+            for k in init_keys
+        )
+        # ... no two tasks share a slot at once ...
+        busy = {}
+        for key in sorted(scheduler._tasks, key=lambda k: scheduler._start[k]):
+            slot = scheduler._tasks[key].slot
+            if slot is not None:
+                assert scheduler._start[key] >= busy.get(slot, 0.0)
+                busy[slot] = scheduler._finish[key]
+        # ... and some waited for one behind another statement's task.
+        assert waited
+
+    def test_kill_inside_an_initplan_wave_restarts_the_statement(self, tpch):
+        queries, data = tpch
+        sql = queries[11][-1]
+        engine = self.engine(data)
+        session = engine.connect()
+        fault_free = session.execute(sql)
+
+        class KillInInitPlan:
+            """Chaos stand-in: drops segment 1's worker at the first scan
+            lane that starts while an InitPlan is the open plan."""
+
+            fired = False
+
+            def tick(self, segment_id=None, in_query=False):
+                (state,) = engine._loops[-1].statements.values()
+                if not self.fired and state.plans:
+                    self.fired = True
+                    engine.fail_segment(1)
+                    engine.drop_worker_channel(1)
+
+            def pulse(self, seconds, segment_id=None, in_query=False):
+                pass
+
+            def detach(self):
+                pass
+
+        hook = KillInInitPlan()
+        engine.attach_chaos(hook)
+        result = session.execute(sql)
+        assert hook.fired and result.retries == 1
+        assert result.rows == fault_free.rows
+        assert result.cost.seconds == fault_free.cost.seconds + RETRY_BACKOFF
+
+    def test_cancel_inside_an_initplan_wave_leaves_nothing(self, tpch):
+        queries, data = tpch
+        q6, q11 = queries[6][-1], queries[11][-1]
+        streams = [[q11], [q6, q6]]
+        reference = ConcurrentRunner(self.engine(data), streams)
+        target, *survivors = reference.run().outcomes
+        count = self.init_slices(self.engine(data).connect(), q11)
+        scheduler = reference.loop.scheduler
+        inits = [
+            k for k in scheduler._tasks if k[0] == target.query_id and k[1] < count
+        ]
+        start = min(scheduler._start[k] for k in inits)
+        end = max(scheduler._finish[k] for k in inits)
+
+        engine = self.engine(data)
+        runner = ConcurrentRunner(
+            engine, streams, cancel_at={(0, 0): (start + end) / 2}
+        )
+        batch = runner.run()
+        cancelled, *others = batch.outcomes
+        assert cancelled.error.endswith("cancelled by request")
+        assert [o.rows for o in others] == [o.rows for o in survivors]
+        # Only InitPlan tasks ever went out, every one of them is settled
+        # on the clock, and none of the statement is left on the loop.
+        loop = runner.loop
+        keys = [k for k in loop.scheduler._tasks if k[0] == cancelled.query_id]
+        assert keys and all(k[1] < count for k in keys)
+        assert set(loop.scheduler._finish) == set(loop.scheduler._tasks)
+        assert loop.statements == {}
+        assert loop.runtime._inflight == {}
+        assert loop.runtime.exchange._inbox == {}
+        assert engine.metrics.counter("queries_cancelled").value == 1
+
+    def test_live_and_cumulative_segment_views_count_the_same_tasks(self, tpch):
+        """pg_stat_segments reads the slot timelines while a batch runs
+        and the recorded statements' task graphs after it: for a lone
+        Q11 both count its InitPlan's tasks, and the cumulative busy
+        time stays within the span it is a fraction of."""
+        queries, data = tpch
+        engine = self.engine(data)
+        before = {row[0]: row[2:4] for row in engine.telemetry.segment_rows()}
+        runner = ConcurrentRunner(engine, [[queries[11][-1]]])
+        runner.run()
+        live = runner.loop.scheduler.slot_usage()
+        after = {row[0]: row[2:4] for row in engine.telemetry.segment_rows()}
+        recorded = {
+            segment: (tasks - before[segment][0], busy - before[segment][1])
+            for segment, (tasks, busy) in after.items()
+        }
+        assert {s: tasks for s, (tasks, _b) in recorded.items()} == {
+            s: live.get(s, (0, 0.0))[0] for s in recorded
+        }
+        for segment, (_tasks, busy) in recorded.items():
+            assert busy == pytest.approx(live.get(segment, (0, 0.0))[1])
+        assert all(0.0 < row[4] <= 1.0 for row in engine.telemetry.segment_rows())

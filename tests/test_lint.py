@@ -398,6 +398,10 @@ GUARD_PLANTS = [
      "        _edges = [(a, b) for a in range(2) for b in range(2)]\n"
      "        for a in range(2):\n            for b in range(2):\n                pass\n",
      [1, 2]),
+    ("settle_wave", "src/repro/executor/runner.py", "        self.bus.close()",
+     "\n    def run_init_plan(self, plan, sdp, ctx):\n"
+     "        dispatch = QueryDispatch(self, plan, sdp, ctx, [])\n"
+     "        self.queue.deliver()\n        dispatch.settle_wave(0)\n", [4, 5]),
     ("repro.network", "src/repro/cluster/rpc.py", None,
      "import repro.network.simnet\n", [1]),
     ("bind", "src/repro/network/simnet.py", "class SimNetwork:",

@@ -17,6 +17,7 @@ from repro.catalog.stats import ColumnStats, TableStats
 from repro.planner import exprs as ex
 from repro.planner.analyzer import Analyzer
 from repro.planner.physical import (
+    Filter,
     HashAgg,
     HashJoin,
     Motion,
@@ -304,3 +305,69 @@ class TestSlicing:
         plan = plan_sql(catalog, "SELECT v, count(*) FROM big GROUP BY v")
         text = plan.explain()
         assert "HashAgg" in text and "Motion" in text and "Slice" in text
+
+
+class TestOuterJoinReduction:
+    """A WHERE qual that rejects NULL on a left join's nullable side
+    turns the join inner (PostgreSQL's ``reduce_outer_joins``): the qual
+    goes into that side's scan. One that does not stays above the join."""
+
+    def left_join(self, catalog, where):
+        plan = plan_sql(
+            catalog,
+            f"SELECT big.v FROM big LEFT JOIN dim ON big.v = dim.id WHERE {where}",
+        )
+        (join,) = nodes_of(plan, HashJoin)
+        scan = next(s for s in nodes_of(plan, SeqScan) if s.table.table_name == "dim")
+        return join, scan, nodes_of(plan, Filter)
+
+    @pytest.mark.parametrize(
+        "where",
+        ["dim.label > 3", "dim.label + 1 = big.w", "dim.label IN (1, 2)",
+         "dim.label > 3 AND dim.label IS NULL"],
+    )
+    def test_strict_qual_makes_the_join_inner(self, catalog, where):
+        join, scan, filters = self.left_join(catalog, where)
+        assert join.join_type == "inner"
+        assert filters == []
+        if "big" not in where:
+            assert scan.filter is not None  # pushed into the nullable scan
+
+    @pytest.mark.parametrize(
+        "where",
+        ["dim.label IS NULL", "dim.label > 3 OR dim.label IS NULL",
+         "coalesce(dim.label, 0) = 0",
+         "CASE WHEN dim.label IS NULL THEN 1 ELSE 0 END = 1"],
+    )
+    def test_non_strict_qual_stays_above_the_left_join(self, catalog, where):
+        join, scan, filters = self.left_join(catalog, where)
+        assert join.join_type == "left"
+        assert scan.filter is None
+        assert len(filters) == 1
+
+    def test_is_strict_walk(self):
+        label = ex.BVar(rel=1, col=1)
+        other = ex.BVar(rel=0, col=1)
+        three = ex.BConst(3)
+        gt = ex.BOp(">", label, three)
+        null = ex.BIsNull(label)
+        cases = [
+            (gt, True),
+            (ex.BOp(">", ex.BOp("*", label, three), other), True),
+            (ex.BLike(label, "a%"), True),
+            (ex.BIn(label, (three,), negated=True), True),
+            (ex.BNot(gt), True),
+            (ex.BOp("and", null, gt), True),
+            (ex.BOp("or", gt, ex.BOp("<", label, other)), True),
+            (ex.BOp(">", other, three), False),
+            (ex.BIn(other, (label,)), False),
+            (null, False),
+            (ex.BOp("or", gt, null), False),
+            (ex.BNot(ex.BOp("and", gt, ex.BOp(">", other, three))), False),
+            (ex.BOp(">", ex.BFunc("coalesce", (label, three)), three), False),
+            (ex.BOp("=", ex.BCase(((null, three),), three), three), False),
+        ]
+        assert [ex.is_strict(expr, {1}) for expr, _ in cases] == [
+            strict for _, strict in cases
+        ]
+

@@ -21,7 +21,9 @@ AO table (value lists), and on a CO table whose ints are typed vectors.
 * ``SELECT DISTINCT`` sorts on its select list; an ORDER BY expression
   outside it is an error.
 * A WHERE qual over a left join's nullable side filters the joined rows,
-  NULL padding included; it does not join.
+  NULL padding included; it does not join. One that rejects NULL there
+  (a comparison, LIKE, an IN list, arithmetic) drops every padded row,
+  so the join is planned as an inner one with the qual in the scan.
 """
 
 import itertools
@@ -195,9 +197,28 @@ def test_order_by_outside_a_distinct_select_list_raises(session):
 
 LEFT_JOIN_STATEMENTS = (
     "SELECT w.k FROM w LEFT JOIN m ON w.a = m.k WHERE m.k IS NULL ORDER BY w.k",
-    "SELECT w.k, m.a FROM w LEFT JOIN m ON w.a = m.k WHERE m.a > 0 ORDER BY w.k",
     "SELECT w.k, m.b FROM w LEFT JOIN m ON w.b = m.k AND m.a < 0 "
     "WHERE m.b IS NULL ORDER BY w.k",
+    "SELECT w.k, m.a FROM w LEFT JOIN m ON w.a = m.k "
+    "WHERE m.a < -7 OR m.a IS NULL ORDER BY w.k",
+    "SELECT w.k, m.a FROM w LEFT JOIN m ON w.a = m.k "
+    "WHERE coalesce(m.a, 0) = 0 ORDER BY w.k",
+    "SELECT w.k, m.a FROM w LEFT JOIN m ON w.a = m.k "
+    "WHERE CASE WHEN m.a IS NULL THEN 1 ELSE 0 END = 1 ORDER BY w.k",
+)
+#: Each WHERE qual rejects NULL on the nullable side: the left join is
+#: planned as an inner one.
+STRICT_LEFT_JOIN_STATEMENTS = (
+    "SELECT w.k, m.a FROM w LEFT JOIN m ON w.a = m.k WHERE m.a > 0 ORDER BY w.k",
+    "SELECT w.k, m.a FROM w LEFT JOIN m ON w.a = m.k WHERE m.a < -7 ORDER BY w.k",
+    "SELECT w.k, m.a FROM w LEFT JOIN m ON w.a = m.k "
+    "WHERE m.a + m.b < -8 ORDER BY w.k",
+    "SELECT w.k, m.b FROM w LEFT JOIN m ON w.b = m.k "
+    "WHERE m.b IN (1, 2, 3) ORDER BY w.k",
+    "SELECT w.k, x.s FROM w LEFT JOIN w x ON w.a = x.k "
+    "WHERE x.s LIKE 'a%' ORDER BY w.k",
+    "SELECT w.k, m.a, x.k FROM w LEFT JOIN m ON w.a = m.k "
+    "LEFT JOIN w x ON x.k = m.b + 3 WHERE x.a > 0 ORDER BY w.k, m.a",
 )
 
 
@@ -208,6 +229,13 @@ def test_where_on_a_left_joins_nullable_side_filters_above_it(
     assert session.execute(sql).rows == [
         tuple(row) for row in reference.execute(sql).fetchall()
     ]
+
+
+@pytest.mark.parametrize("sql", STRICT_LEFT_JOIN_STATEMENTS)
+def test_strict_where_qual_turns_a_left_join_inner(session, reference, sql):
+    result = session.execute(sql)
+    assert "HashJoin(left" not in result.plan.explain()
+    assert result.rows == [tuple(row) for row in reference.execute(sql).fetchall()]
 
 
 @pytest.mark.xfail(

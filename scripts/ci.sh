@@ -56,8 +56,9 @@ python -m pytest benchmarks/ --benchmark-only --ignore=benchmarks/perf -q
 echo "== typed-kernel microbenchmark with NumPy (batch >= 5x row on 100k CO rows) =="
 # The one check that runs the typed-vector kernels at a size where they
 # pay; whole-statement wall time is benchmarks/perf's (below, and
-# BENCHMARK.json's bounds).
-python -m repro.bench --wallclock --check
+# BENCHMARK.json's bounds). --no-report: a local run leaves the tracked
+# BENCH_wallclock.json as it is.
+python -m repro.bench --wallclock --check --no-report
 
 echo "== the same microbenchmark without NumPy: list batches against rows (batch >= 1.5x row) =="
 REPRO_NO_NUMPY=1 python -m repro.bench --wallclock --check --no-report

@@ -21,6 +21,14 @@ semantics —
 
 NULLs use Kleene semantics throughout: value arrays may hold garbage at
 NULL positions because the mask wins.
+
+Every helper decides from its operands' types alone, before it touches
+NumPy: a NumPy arm runs only when an operand is a typed
+:class:`~repro.columnar.vector.Vector`, which exists only once NumPy is
+loaded, and an arm over ``ConstVector`` operands needs no NumPy. So
+plain-list and ``ConstVector`` operands take the same arm whether or not
+some earlier CO read has loaded NumPy, and an AO-only process never
+loads it here.
 """
 
 from __future__ import annotations
@@ -81,9 +89,6 @@ def _lut_apply(np, codes_vec: DictVector, lut):
 # ------------------------------------------------------------- comparisons
 def cmp_fast(py_op, l, r) -> Optional[object]:
     """Vectorized SQL comparison (NULL-propagating), or None."""
-    np = numpy_module()
-    if np is None:
-        return None
     l_const = isinstance(l, ConstVector)
     r_const = isinstance(r, ConstVector)
     if l_const and r_const:
@@ -99,13 +104,13 @@ def cmp_fast(py_op, l, r) -> Optional[object]:
                 lut = [py_op(const, s) for s in vec.dictionary]
             else:
                 lut = [py_op(s, const) for s in vec.dictionary]
-            return _lut_apply(np, vec, lut)
+            return _lut_apply(numpy_module(), vec, lut)
         if _numeric_pair_ok(vec, const):
             data = py_op(const, vec.data) if flipped else py_op(vec.data, const)
             return BoolVector(data, vec.mask)
         return None
     if type(l) is type(r) and isinstance(l, (IntVector, FloatVector)):
-        return BoolVector(py_op(l.data, r.data), _merge_masks(np, l, r))
+        return BoolVector(py_op(l.data, r.data), _merge_masks(numpy_module(), l, r))
     return None
 
 
@@ -113,9 +118,6 @@ def cmp_fast(py_op, l, r) -> Optional[object]:
 def arith_fast(op: str, l, r) -> Optional[Vector]:
     """Vectorized ``+``/``-``/``*`` (floats) and ``%`` (int by nonzero
     int constant), or None."""
-    np = numpy_module()
-    if np is None:
-        return None
     if op == "%":
         if (
             isinstance(l, IntVector)
@@ -123,10 +125,13 @@ def arith_fast(op: str, l, r) -> Optional[Vector]:
             and type(r.value) is int
             and r.value != 0
         ):
-            return IntVector(np.fmod(l.data, r.value), l.mask)
+            return IntVector(numpy_module().fmod(l.data, r.value), l.mask)
         return None
-    if op not in ("+", "-", "*"):
+    if op not in ("+", "-", "*") or not (
+        isinstance(l, FloatVector) or isinstance(r, FloatVector)
+    ):
         return None
+    np = numpy_module()
     py_op = {"+": np.add, "-": np.subtract, "*": np.multiply}[op]
     if isinstance(l, FloatVector) and isinstance(r, FloatVector):
         return FloatVector(py_op(l.data, r.data), _merge_masks(np, l, r))
@@ -158,9 +163,9 @@ def _bool_parts(np, v):
 
 
 def kleene_and(l, r) -> Optional[BoolVector]:
-    np = numpy_module()
-    if np is None:
+    if not (isinstance(l, BoolVector) or isinstance(r, BoolVector)):
         return None
+    np = numpy_module()
     pl, pr = _bool_parts(np, l), _bool_parts(np, r)
     if pl is None or pr is None:
         return None
@@ -172,9 +177,9 @@ def kleene_and(l, r) -> Optional[BoolVector]:
 
 
 def kleene_or(l, r) -> Optional[BoolVector]:
-    np = numpy_module()
-    if np is None:
+    if not (isinstance(l, BoolVector) or isinstance(r, BoolVector)):
         return None
+    np = numpy_module()
     pl, pr = _bool_parts(np, l), _bool_parts(np, r)
     if pl is None or pr is None:
         return None
@@ -195,48 +200,46 @@ def not_fast(v) -> Optional[object]:
 
 # ------------------------------------------------------- null tests / LIKE
 def isnull_fast(v, negated: bool) -> Optional[object]:
-    np = numpy_module()
     if isinstance(v, ConstVector):
         is_null = v.value is None
         return ConstVector((not is_null) if negated else is_null, len(v))
-    if np is None or not isinstance(v, Vector):
+    if not isinstance(v, Vector):
         return None
     if isinstance(v, DictVector):
         null = v.data < 0
     else:
-        null = _null_array(np, v.mask, len(v))
+        null = _null_array(numpy_module(), v.mask, len(v))
     return BoolVector(~null if negated else null.copy(), None)
 
 
 def like_fast(v, match, negated: bool) -> Optional[object]:
     """``match`` is the compiled pattern's ``.match``; LUT over the
     dictionary, then code mapping."""
-    np = numpy_module()
     if isinstance(v, ConstVector):
         if v.value is None:
             return ConstVector(None, len(v))
         hit = match(v.value) is not None
         return ConstVector((not hit) if negated else hit, len(v))
-    if np is None or not isinstance(v, DictVector):
+    if not isinstance(v, DictVector):
         return None
     if negated:
         lut = [match(s) is None for s in v.dictionary]
     else:
         lut = [match(s) is not None for s in v.dictionary]
-    return _lut_apply(np, v, lut)
+    return _lut_apply(numpy_module(), v, lut)
 
 
 def in_const_fast(v, items: tuple, negated: bool) -> Optional[object]:
     """``x IN (consts)``: dictionary LUT for strings, ``np.isin`` for
     int vectors against all-int item lists."""
-    np = numpy_module()
     if isinstance(v, ConstVector):
         if v.value is None:
             return ConstVector(None, len(v))
         found = v.value in items
         return ConstVector((not found) if negated else found, len(v))
-    if np is None or not isinstance(v, Vector):
+    if not isinstance(v, Vector):
         return None
+    np = numpy_module()
     if isinstance(v, DictVector):
         lut = [((s in items) != negated) for s in v.dictionary]
         return _lut_apply(np, v, lut)

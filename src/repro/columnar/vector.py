@@ -16,41 +16,60 @@ The contract every consumer relies on:
 * Vectors are read-only by convention: kernels build new vectors, they
   never mutate inputs (a projection may alias an input column).
 
-A vector exists only where NumPy does. Every constructor reads the
-module global ``_np`` per call; without NumPy (not installed,
-``REPRO_NO_NUMPY=1``, or ``_np = None`` monkeypatched in a test) it
-returns the plain list of the same Python values, ``None`` for NULL —
-what an AO block's columns are on every platform, and what every
-consumer of a column already takes.
+A vector exists only where NumPy does, and NumPy is imported only when
+the first vector is built. Importing this module imports nothing heavy:
+the constructors (``int_vector``, ``float_vector``, ``bool_vector``,
+``numeric_from_bytes``, ``numeric_from_packed``, ``dict_vector``) call
+:func:`numpy_module`, which imports NumPy on its first call. Only a CO
+or Parquet read or write calls them; an AO block decodes to plain lists
+and never asks, so a process that reads only AO tables never loads
+NumPy. Without NumPy (not installed, ``REPRO_NO_NUMPY=1``, or
+``_np = None`` monkeypatched in a test) a constructor returns the plain
+list of the same Python values, ``None`` for NULL — what an AO block's
+columns are on every platform, and what every consumer of a column
+already takes.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import struct
 from itertools import chain
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence
 
-try:  # pragma: no cover - exercised via REPRO_NO_NUMPY in CI
-    if os.environ.get("REPRO_NO_NUMPY"):
-        _np = None
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover - image always has numpy
-    _np = None
+#: Whether this platform has the typed backend: NumPy is installed and
+#: ``REPRO_NO_NUMPY`` is unset. Reading it imports nothing.
+NUMPY_AVAILABLE = (
+    not os.environ.get("REPRO_NO_NUMPY")
+    and importlib.util.find_spec("numpy") is not None
+)
 
-#: Whether NumPy was importable (and not disabled) at load.
-NUMPY_AVAILABLE = _np is not None
+_UNLOADED = object()
+#: ``_UNLOADED`` until :func:`numpy_module` first runs, then the NumPy
+#: module, or ``None`` on a platform without it.
+_np = _UNLOADED
 
 
 def numpy_module():
-    """The active NumPy module, or None on a platform without it.
+    """The NumPy module, imported on the first call, or None on a
+    platform without it.
 
-    Read dynamically so tests can monkeypatch ``vector._np`` and stand
-    the NumPy-less platform up: constructors hand out lists and every
-    kernel takes its generic arm.
+    Every vector constructor calls it, so NumPy loads with the first
+    typed column and never before. A kernel calls it only once an
+    operand is a :class:`Vector`, when it is loaded already. Tests
+    monkeypatch ``vector._np = None`` to stand the NumPy-less platform
+    up: constructors hand out lists and every kernel takes its generic
+    arm.
     """
+    global _np
+    if _np is _UNLOADED:
+        _np = None
+        if NUMPY_AVAILABLE:
+            import numpy
+
+            _np = numpy
     return _np
 
 
@@ -210,13 +229,14 @@ class ConstVector:
 def _column(kind, dtype: str, values: Sequence[object], mask):
     """A ``kind`` vector over ``values`` — without NumPy, the list of
     the same values with ``None`` wherever ``mask`` says NULL."""
-    if _np is None:
+    np = numpy_module()
+    if np is None:
         if mask is None:
             return list(values)
         return [None if null else value for value, null in zip(values, mask)]
     return kind(
-        _np.array(values, dtype=dtype),
-        None if mask is None else _np.asarray(mask, dtype=bool),
+        np.array(values, dtype=dtype),
+        None if mask is None else np.asarray(mask, dtype=bool),
     )
 
 
@@ -236,9 +256,10 @@ def bool_vector(values: Sequence[bool], mask=None):
 def numeric_from_bytes(buf, is_float: bool, count: int):
     """Column over exactly ``count`` packed little-endian 8-byte values
     with no NULLs — the zero-copy storage decode fast path."""
-    if _np is None:
+    np = numpy_module()
+    if np is None:
         return list(struct.unpack(f"<{count}{'d' if is_float else 'q'}", buf))
-    data = _np.frombuffer(buf, dtype="<f8" if is_float else "<i8", count=count)
+    data = np.frombuffer(buf, dtype="<f8" if is_float else "<i8", count=count)
     return FloatVector(data) if is_float else IntVector(data)
 
 
@@ -246,19 +267,21 @@ def numeric_from_packed(buf, is_float: bool, count: int, null_flags):
     """Column where ``buf`` packs only the non-NULL values and
     ``null_flags`` (len ``count``) says which rows are NULL."""
     packed = numeric_from_bytes(buf, is_float, count - sum(null_flags))
-    if _np is None:
+    np = numpy_module()
+    if np is None:
         present = iter(packed)
         return [None if null else next(present) for null in null_flags]
-    mask = _np.array(null_flags, dtype=bool)
-    data = _np.zeros(count, dtype=packed.data.dtype)
+    mask = np.array(null_flags, dtype=bool)
+    data = np.zeros(count, dtype=packed.data.dtype)
     data[~mask] = packed.data
     return type(packed)(data, mask)
 
 
 def dict_vector(codes: Sequence[int], dictionary: List[str]):
-    if _np is None:
+    np = numpy_module()
+    if np is None:
         return [None if c < 0 else dictionary[c] for c in codes]
-    return DictVector(_np.array(codes, dtype=_np.int64), dictionary)
+    return DictVector(np.array(codes, dtype=np.int64), dictionary)
 
 
 # ------------------------------------------------------------ materializers

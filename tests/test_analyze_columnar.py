@@ -35,15 +35,6 @@ from repro.tpch.schema import TABLE_NAMES
 from tests.test_codec import tables
 
 
-@pytest.fixture(params=["numpy", "fallback"])
-def backend(request, monkeypatch):
-    if request.param == "fallback":
-        monkeypatch.setattr(vector, "_np", None)
-    elif vector._np is None:
-        pytest.skip("NumPy backend disabled (REPRO_NO_NUMPY)")
-    return request.param
-
-
 #: The backend fixture only pins the backend: nothing to reset per input.
 _FIXTURE_OK = [HealthCheck.function_scoped_fixture]
 

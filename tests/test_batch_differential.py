@@ -199,7 +199,6 @@ def test_executor_row_vs_batch_identical(row_nums, batch_nums, sql):
 # so every join type x residual x data shape is pinned directly: same
 # rows in the same order, same accumulator to the last float bit.
 
-from repro.columnar import vector  # noqa: E402
 from repro.columnar.vector import dict_vector, float_vector, int_vector  # noqa: E402
 from repro.cluster.rpc import MessageQueue  # noqa: E402
 from repro.executor.batch import ColumnBatch  # noqa: E402
@@ -314,15 +313,6 @@ def _assert_modes_agree(build_plan, tables, **kwargs):
     assert batch[1] == row[1]  # every charge, float-exact
     assert batch[2:] == row[2:]  # streams, task report
     return batch
-
-
-@pytest.fixture(params=["numpy", "fallback"])
-def backend(request, monkeypatch):
-    if request.param == "fallback":
-        monkeypatch.setattr(vector, "_np", None)
-    elif vector.numpy_module() is None:
-        pytest.skip("NumPy backend disabled")
-    return request.param
 
 
 #: (probe rows, build rows): columns are (key, second key, value).

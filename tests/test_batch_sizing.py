@@ -16,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import vector
 from repro.cluster.rpc import MessageQueue
 from repro.executor.batch import ColumnBatch
 from repro.executor.expr import RowSizer, fixed_width
@@ -37,15 +36,6 @@ from tests.test_batch_differential import (
     _scan,
     _var,
 )
-
-
-@pytest.fixture(params=["numpy", "fallback"])
-def backend(request, monkeypatch):
-    if request.param == "fallback":
-        monkeypatch.setattr(vector, "_np", None)
-    elif vector.numpy_module() is None:
-        pytest.skip("NumPy backend disabled")
-    return request.param
 
 
 def _row_bytes(rows):

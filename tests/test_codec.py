@@ -19,7 +19,7 @@ import hashlib
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import schema as schema_module
@@ -506,49 +506,37 @@ def assert_same_column(got, want):
         assert list(map(type, got.dictionary)) == list(map(type, want.dictionary))
 
 
-@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "no-numpy"])
+#: Each example stands its own day memo up; the backend only pins NumPy.
+_FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+
+
 class TestWrittenValues:
     """A block a writer leaves in the cache is read back from the values
     it wrote: they must come out as the decode of its bytes would."""
 
-    @staticmethod
-    def platform(numpy):
-        """A fresh day memo, and NumPy on or off."""
-        from repro.columnar import vector
-
-        patch = pytest.MonkeyPatch()
-        patch.setattr(schema_module, "_DAYS", schema_module._Days())
-        if not numpy:
-            patch.setattr(vector, "_np", None)
-        return patch
-
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, suppress_health_check=_FIXTURE_OK)
     @given(written=written_columns())
-    def test_column_vector_is_the_decode_of_the_chunk(self, numpy, written):
+    def test_column_vector_is_the_decode_of_the_chunk(self, backend, written):
         column, values = written
-        patch = self.platform(numpy)
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schema_module, "_DAYS", schema_module._Days())
             codec = ColumnCodec(column)
             decoded = codec.decode(codec.encode(values), len(values))
             assert_same_column(codec.vector(values), decoded)
-        finally:
-            patch.undo()
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, suppress_health_check=_FIXTURE_OK)
     @given(table=tables())
-    def test_ao_columns_are_the_decode_of_the_rows(self, numpy, table):
+    def test_ao_columns_are_the_decode_of_the_rows(self, backend, table):
         schema, raw_rows = table
         rows = [schema.row_codec().coerce_row(row) for row in raw_rows]
-        patch = self.platform(numpy)
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schema_module, "_DAYS", schema_module._Days())
             codec = schema.row_codec()
             decoded, _end = codec.decode_rows(codec.encode_rows(rows), 0, len(rows))
             written = codec.decoded_columns(rows)
             assert len(written) == len(decoded) == len(schema.columns)
             for got, want in zip(written, decoded):
                 assert_same_column(got, want)
-        finally:
-            patch.undo()
 
 
 # ---------------------------------------------------------------- corruption

@@ -247,21 +247,12 @@ def test_mid_query_restart_preserves_differential():
 
 import datetime
 
-from repro.columnar import ConstVector, vector
+from repro.columnar import ConstVector
 from repro.columnar.vector import float_vector, int_vector
 from repro.executor.expr import compile_expr, compile_expr_batch
 from repro.planner import exprs as ex
 
 ONE_COLUMN = [("r", 0, 0)]
-
-
-@pytest.fixture(params=["numpy", "fallback"])
-def backend(request, monkeypatch):
-    if request.param == "fallback":
-        monkeypatch.setattr(vector, "_np", None)
-    elif vector.numpy_module() is None:
-        pytest.skip("NumPy backend disabled")
-    return request.param
 
 
 @pytest.mark.parametrize("typed", [False, True], ids=["list", "vector"])

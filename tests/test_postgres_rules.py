@@ -248,3 +248,19 @@ def test_select_list_correlated_scalar_keeps_unmatched_rows(session, reference):
     assert session.execute(sql).rows == [
         tuple(row) for row in reference.execute(sql).fetchall()
     ]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="NOT IN (subquery) is a plain anti join, so a NULL probe row "
+    "that matches nothing is kept where SQL's answer is NULL (ROADMAP "
+    "item 10)",
+)
+def test_not_in_subquery_drops_a_null_probe(session, reference):
+    sql = (
+        "SELECT k, a FROM w WHERE a NOT IN "
+        "(SELECT a FROM m WHERE a IS NOT NULL AND b = 1) ORDER BY k"
+    )
+    assert session.execute(sql).rows == [
+        tuple(row) for row in reference.execute(sql).fetchall()
+    ]

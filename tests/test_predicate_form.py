@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import vector
 from repro.columnar.vector import (
     ConstVector,
     dict_vector,
@@ -41,15 +40,6 @@ FLOATS = st.sampled_from([-1.5, 0.0, 0.5, 2.0, float("inf")])
 STRINGS = st.sampled_from(["", "a", "ab", "abc", "b%", "B", "naïve"])
 PATTERNS = st.sampled_from(["a%", "%b", "_b%", "%", "", "na_ve", "%ï%"])
 COMPARISONS = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
-
-
-@pytest.fixture(params=["numpy", "fallback"])
-def backend(request, monkeypatch):
-    if request.param == "fallback":
-        monkeypatch.setattr(vector, "_np", None)
-    elif vector.numpy_module() is None:
-        pytest.skip("NumPy backend disabled")
-    return request.param
 
 
 def _var(col):

@@ -10,11 +10,20 @@ surface as a wrong answer far from its cause; here it fails by name.
 ``ColumnCodec.decode`` return the plain list of the same values
 (``None`` for NULL), and TPC-H on CO tables returns the rows and the
 simulated seconds it returns on typed vectors.
+
+(c) *NumPy loads with the first typed column.* An AO-only process never
+imports it, and its statements answer and charge the same once a CO
+scan has loaded it.
 """
 
 import datetime
+import json
 import operator
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +221,64 @@ def test_tpch_on_co_tables_reads_the_same_without_numpy(tpch_data, monkeypatch):
     typed = run()
     monkeypatch.setattr(vector, "_np", None)
     assert run() == typed
+
+
+# ------------------------------- (c) NumPy loads with the first typed column
+#: Run in a fresh interpreter: an AO-only session, then one CO scan, then
+#: the AO statements again. Prints what it saw as JSON.
+_AO_THEN_CO = r"""
+import json
+import sys
+
+import repro
+from repro.tpch import QUERIES, generate, load_tpch
+
+session = repro.Engine(num_segment_hosts=2, segments_per_host=2).connect()
+load_tpch(session, storage_format="ao", data=generate(0.001, seed=5))
+session.execute(
+    "CREATE TABLE t (a INT NOT NULL, b FLOAT, s TEXT) "
+    "WITH (appendonly=true, orientation=row) DISTRIBUTED BY (a)"
+)
+session.load_rows("t", [
+    (i, None if i % 5 == 0 else i * 0.5, None if i % 7 == 0 else f"s{i % 4}")
+    for i in range(400)
+])
+session.execute("ANALYZE t")
+statements = [sql for number in (1, 3, 6, 11, 13, 19) for sql in QUERIES[number]] + [
+    "SELECT a, b * 2.0 + 1.0, a % 3 FROM t WHERE b > 10.0 AND s LIKE 's1%' ORDER BY a",
+    "SELECT count(*) FROM t WHERE s IS NULL OR a IN (1, 2, 3) OR b = NULL",
+    "SELECT s, count(*), sum(b) FROM t WHERE 1 = 1 AND NOT (a < 5) GROUP BY s ORDER BY s",
+]
+def run():
+    return [(r.rows, r.cost.seconds) for r in map(session.execute, statements)]
+before = run()
+session.execute("EXPLAIN (ANALYZE) " + QUERIES[6][0])
+session.execute("SELECT * FROM pg_stat_statements")
+ao_only = "numpy" in sys.modules
+session.execute(
+    "CREATE TABLE c (a INT NOT NULL, b FLOAT) "
+    "WITH (appendonly=true, orientation=column) DISTRIBUTED BY (a)"
+)
+session.load_rows("c", [(i, i * 0.25) for i in range(100)])
+session.engine.block_cache.clear()
+session.execute("SELECT sum(b) FROM c WHERE a > 10")
+after_co = "numpy" in sys.modules
+print(json.dumps({"ao_only": ao_only, "after_co": after_co, "same": run() == before}))
+"""
+
+
+def test_numpy_loads_with_the_first_typed_column():
+    """A process that reads only AO tables never imports NumPy — through
+    DDL, load, ANALYZE, TPC-H statements, EXPLAIN (ANALYZE) and a system
+    view. The first CO scan loads it, and the AO statements run again
+    after that return the same rows and simulated seconds: a kernel's arm
+    is chosen by its operands, not by whether NumPy is loaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _AO_THEN_CO],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {
+        "ao_only": False, "after_co": vector.NUMPY_AVAILABLE, "same": True
+    }

@@ -597,63 +597,111 @@ class RowCodec:
         )
 
     # -------------------------------------------------------------- decode
+    @cached_property
+    def _layouts(self) -> Dict[Optional[frozenset], tuple]:
+        return {}
+
+    def _layout(self, wanted: Optional[Iterable[int]]) -> tuple:
+        """How a decode of the columns ``wanted`` (None: every column)
+        walks a NULL-free row: ``(steps, read)``, ``read`` the columns it
+        builds and one step per piece of :attr:`_segments` — ``(struct,
+        fixed column indexes read, variable column index or None, whether
+        that column is read)``. The struct covers the piece's bytes as
+        the piece's does, with a pad for each fixed field not read.
+        Compiled once per set of columns."""
+        key = None if wanted is None else frozenset(wanted)
+        layout = self._layouts.get(key)
+        if layout is not None:
+            return layout
+        read = range(len(self.columns)) if key is None else key
+        wires = self._wires
+        steps = []
+        for unpacker, fixed, variable in self._segments:
+            kept = tuple(i for i in fixed if i in read)
+            if kept != fixed:
+                codes = "".join(
+                    wires[i].code if i in read else f"{wires[i].scalar.size}x"
+                    for i in fixed
+                )
+                prefix = "" if variable is None else "I"
+                unpacker = struct.Struct(f"<{codes}{prefix}")
+            steps.append((unpacker, kept, variable, variable in read))
+        layout = self._layouts[key] = (steps, read)
+        return layout
+
     def decode_rows(
-        self, buf: bytes, offset: int, row_count: int
-    ) -> Tuple[List[List[object]], int]:
+        self,
+        buf: bytes,
+        offset: int,
+        row_count: int,
+        wanted: Optional[Iterable[int]] = None,
+    ) -> Tuple[List[Optional[List[object]]], int]:
         """``row_count`` rows starting at ``offset``, as one list of
-        values per column; returns ``(columns, end offset)``.
+        values per column; returns ``(columns, end offset)``. Only the
+        columns ``wanted`` (None: every column) are built; the others
+        come back as None, their values stepped over by width or length
+        prefix and never loaded.
 
         Raises :class:`StorageError` when the bytes are not that many
-        well-formed rows."""
-        ncols = len(self.columns)
-        if row_count == 0:
-            return [[] for _ in range(ncols)], offset
+        well-formed rows. A value is checked when its column is read: a
+        bad one in a column left out (invalid UTF-8, a day out of range)
+        fails only the decodes that read it."""
+        steps, read = self._layout(wanted)
         zero_bitmap = self._zero_bitmap
         bitmap_len = len(zero_bitmap)
-        segments = self._segments
-        #: Per segment: every row's unpacked struct fields, back to back
-        #: (a field is a strided slice), and the variable bytes.
-        fields: List[list] = [[] for _ in segments]
-        raws: List[List[bytes]] = [[] for _ in segments]
+        #: Per step: every row's unpacked struct fields, back to back (a
+        #: field is a strided slice), and the variable bytes read.
+        fields: List[list] = [[] for _ in steps]
+        raws: List[List[bytes]] = [[] for _ in steps]
         plan = [
-            (unpacker.unpack_from, unpacker.size, fields[k].extend, raws[k].append)
-            for k, (unpacker, _fixed, variable) in enumerate(segments)
+            (
+                unpacker.unpack_from,
+                unpacker.size,
+                fields[k].extend if kept else None,
+                raws[k].append if loaded else None,
+            )
+            for k, (unpacker, kept, variable, loaded) in enumerate(steps)
             if variable is not None
         ]
-        # A trailing fixed-width run is one unpack per row, after the plan.
-        unpacker, _fixed, variable = segments[-1]
-        tail_unpack = unpacker.unpack_from if variable is None else None
-        tail_size, tail_extend = unpacker.size, fields[-1].extend
-        nulls: List[Tuple[int, int]] = []  # (row, column) of every NULL
+        # A trailing fixed-width run is one unpack per row, after the
+        # plan, or a step over its width when none of it is read.
+        unpacker, kept, variable, _loaded = steps[-1]
+        tail_size = unpacker.size if variable is None else 0
+        tail_unpack = unpacker.unpack_from if tail_size and kept else None
+        tail_extend = fields[-1].extend
+        starts_zero = buf.startswith
+        nulls: List[Tuple[int, int]] = []  # (row, column) of every NULL read
         try:
             for row in range(row_count):
-                end = offset + bitmap_len
-                bitmap = buf[offset:end]
-                offset = end
-                if bitmap != zero_bitmap:
+                if not starts_zero(zero_bitmap, offset):
                     offset = self._decode_nullable_row(
-                        buf, offset, bitmap, row, nulls, fields, raws
+                        buf, offset, row, nulls, steps, read, fields, raws
                     )
                     continue
+                offset += bitmap_len
                 for unpack, size, extend, append in plan:
                     values = unpack(buf, offset)
-                    extend(values)
-                    offset += size
-                    end = offset + values[-1]
-                    append(buf[offset:end])
-                    offset = end
+                    if extend is not None:
+                        extend(values)
+                    if append is None:
+                        offset += size + values[-1]
+                    else:
+                        offset += size
+                        end = offset + values[-1]
+                        append(buf[offset:end])
+                        offset = end
                 if tail_unpack is not None:
                     tail_extend(tail_unpack(buf, offset))
-                    offset += tail_size
+                offset += tail_size
             if offset > len(buf):
                 raise StorageError("row runs past the end of its payload")
-            columns: list = [None] * ncols
+            columns: list = [None] * len(self.columns)
             wires = self._wires
-            for k, (_unpacker, fixed, variable) in enumerate(segments):
-                width = len(fixed) + (variable is not None)
-                for field_no, i in enumerate(fixed):
+            for k, (_unpacker, kept, variable, loaded) in enumerate(steps):
+                width = len(kept) + (variable is not None)
+                for field_no, i in enumerate(kept):
                     columns[i] = wires[i].load(fields[k][field_no::width])
-                if variable is not None:
+                if loaded:
                     columns[variable] = wires[variable].load(raws[k])
         except (struct.error, IndexError, ValueError, OverflowError) as exc:
             # ValueError covers UnicodeDecodeError and out-of-range dates.
@@ -671,25 +719,30 @@ class RowCodec:
         return [wire.as_loaded(column) for wire, column in zip(self._wires, zip(*rows))]
 
     def _decode_nullable_row(
-        self, buf: bytes, offset: int, bitmap: bytes, row: int, nulls,
-        fields, raws,
+        self, buf: bytes, offset: int, row: int, nulls, steps, read, fields, raws,
     ) -> int:
-        """One row that holds NULLs, value by value, into the same
-        per-segment lists (a blank stored value fills each NULL's slot;
-        ``nulls`` remembers where they are)."""
+        """One row that holds NULLs (its bitmap at ``offset``), value by
+        value, into the same per-step lists as a NULL-free row (a blank
+        stored value fills each NULL's slot; ``nulls`` remembers the
+        ``read`` columns' ones)."""
+        end = offset + len(self._zero_bitmap)
+        flags = null_flags(buf[offset:end], len(self.columns))
+        offset = end
         stored = []
-        flags = null_flags(bitmap, len(self.columns))
         for i, (wire, null) in enumerate(zip(self._wires, flags)):
             if null:
-                nulls.append((row, i))
+                if i in read:
+                    nulls.append((row, i))
                 stored.append(wire.blank)
             else:
                 value, offset = wire.read(buf, offset)
                 stored.append(value)
-        for k, (_unpacker, fixed, variable) in enumerate(self._segments):
-            fields[k].extend([stored[i] for i in fixed])
-            if variable is not None:
-                fields[k].append(0)  # the length prefix's slot
+        for k, (_unpacker, kept, variable, loaded) in enumerate(steps):
+            if kept:
+                fields[k].extend([stored[i] for i in kept])
+                if variable is not None:
+                    fields[k].append(0)  # the length prefix's slot
+            if loaded:
                 raws[k].append(stored[variable])
         return offset
 

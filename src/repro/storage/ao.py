@@ -2,9 +2,11 @@
 
 Rows are serialized whole (null bitmap + column values) into blocks,
 each block compressed independently, blocks appended to one HDFS file
-per (segment, segfile) lane. Scans always decode every column — the
-format's disadvantage against CO/Parquet for narrow projections, which
-Figure 11 quantifies.
+per (segment, segfile) lane. A scan reads, decompresses and is charged
+for every byte of every row — the format's disadvantage against
+CO/Parquet for narrow projections, which Figure 11 quantifies — but
+builds values only for the columns it reads; the others are stepped
+over.
 """
 
 from __future__ import annotations
@@ -86,13 +88,13 @@ def scan(
 ) -> Iterator[Tuple[object, ...]]:
     """Scan rows up to each path's logical length.
 
-    ``columns`` is accepted for interface uniformity but AO reads and
-    decodes whole rows regardless, and hands them back whole; projection
-    happens above. ``paths`` maps the data file to its
-    transaction-visible logical length.
+    Rows come back whole, in the schema's shape: the ``columns`` read
+    hold their values, the others None placeholders (projection happens
+    above). ``paths`` maps the data file to its transaction-visible
+    logical length.
     """
     return rows_from_blocks(
-        scan_blocks(client, paths, schema, codec_name, None, stats, cache),
+        scan_blocks(client, paths, schema, codec_name, columns, stats, cache),
         len(schema.columns),
     )
 
@@ -106,22 +108,40 @@ def scan_blocks(
     stats: Optional[ScanStats] = None,
     cache=None,
 ) -> Iterator[Tuple[int, Columns]]:
-    """Yield ``(row_count, {column_index: values})`` per block.
+    """Yield ``(row_count, {column_index: values})`` per block, one list
+    per column of ``columns`` (all of them for None).
 
-    A block is decoded once, whole (that is the format), into one list
-    per column; the decode cache keeps those, and every scan hands out
-    the ``columns`` it asked for (all of them for None)."""
-    wanted = range(len(schema.columns)) if columns is None else columns
+    A block is read and decompressed whole (that is the format) but
+    decoded only for the columns the scan reads. The decode cache keeps
+    a block decoded in part with its payload, and a later hit that reads
+    other columns decodes them from it, without HDFS; the payload goes
+    once the block holds every column."""
+    ncols = len(schema.columns)
+    wanted = range(ncols) if columns is None else columns
     codec = get_codec(codec_name)
     row_codec = schema.row_codec()  # compiles at the first block decoded
 
-    def decode(payload: bytes, row_count: int) -> Columns:
-        decoded, end = row_codec.decode_rows(payload, 0, row_count)
+    def add(payload: bytes, row_count: int, decoded: Columns, read) -> None:
+        # Every row is walked, so framing damage fails even a scan that
+        # reads no column.
+        values, end = row_codec.decode_rows(payload, 0, row_count, read)
         if end != len(payload):
             raise StorageError(
                 f"block is {len(payload)} bytes, its {row_count} rows take {end}"
             )
-        return dict(enumerate(decoded))
+        for i in read:
+            decoded[i] = values[i]
+
+    def decode(payload: bytes, row_count: int) -> Columns:
+        decoded: Columns = {}
+        add(payload, row_count, decoded, wanted)
+        return decoded
+
+    def complete(payload: bytes, row_count: int, decoded: Columns) -> Optional[bytes]:
+        missing = [i for i in wanted if i not in decoded]
+        if missing:
+            add(payload, row_count, decoded, missing)
+        return payload if len(decoded) < ncols else None
 
     def from_written(rows) -> Columns:
         return dict(enumerate(row_codec.decoded_columns(rows)))
@@ -129,7 +149,7 @@ def scan_blocks(
     for path, logical_length in paths.items():
         for row_count, decoded in cached_blocks(
             client, path, logical_length, name, codec, codec_name, stats,
-            cache, decode, from_written,
+            cache, decode, from_written, complete,
         ):
             if row_count:
                 yield row_count, {i: decoded[i] for i in wanted}

@@ -118,6 +118,7 @@ def cached_blocks(
     cache,
     decode: Callable[[bytes, int], Columns],
     from_written: Callable[[object], Columns],
+    complete: Optional[Callable[[bytes, int, Columns], Optional[bytes]]] = None,
 ) -> Iterator[Tuple[int, Columns]]:
     """Yield ``(row_count, columns)`` for each block of ``path`` inside
     its transaction-visible ``logical_length``, decoding with
@@ -131,6 +132,14 @@ def cached_blocks(
     returned. Blocks are decoded one at a time as the consumer asks for
     them, so a scan that is abandoned (LIMIT) is charged for what it
     decoded.
+
+    ``complete`` is given by a format whose ``decode`` builds only the
+    columns its scan reads (AO): ``complete(payload, row_count, columns)``
+    adds to ``columns`` what the scan reads and they lack, decoded from
+    ``payload``, and returns the payload while they still lack a column
+    of the block, else None. A block cached in part keeps that payload,
+    and a hit on it completes it for the scan — replayed and counted as
+    any hit, without touching HDFS.
     """
     if logical_length <= 0:
         return
@@ -147,6 +156,8 @@ def cached_blocks(
         cache.replay(block, stats)
         served += block.compressed_bytes
         index += 1
+        if block.payload is not None:
+            block.payload = complete(block.payload, block.row_count, block.data)
         yield block.row_count, block.data
     if served >= logical_length:
         return
@@ -175,6 +186,8 @@ def cached_blocks(
             continue
         columns = decode(payload, row_count)
         if entry.end_offset == served + start:  # still contiguous: cacheable
+            # AO: nothing is missing yet, so this says whether it is whole.
+            rest = None if complete is None else complete(payload, row_count, columns)
             before = entry.nbytes
             entry.append(
                 CachedBlock(
@@ -183,6 +196,7 @@ def cached_blocks(
                     uncompressed_bytes=len(payload),
                     remote_bytes=remote,
                     data=columns,
+                    payload=rest,
                 )
             )
             cache.misses += 1

@@ -76,6 +76,7 @@ class CachedBlock:
         "data",
         "detail",
         "written",
+        "payload",
     )
 
     def __init__(
@@ -87,6 +88,7 @@ class CachedBlock:
         data: Optional[Dict[int, object]] = None,
         detail: object = None,
         written: object = None,
+        payload: Optional[bytes] = None,
     ) -> None:
         self.row_count = row_count
         #: Framed on-disk size (header + compressed payload) — also the
@@ -97,9 +99,9 @@ class CachedBlock:
         #: replica (Parquet: of its group header); None while unread.
         self.remote_bytes = remote_bytes
         #: The decoded column vectors by column index, whatever the
-        #: format: every column of an AO block (plain lists — the format
-        #: decodes whole rows), the one column of a CO file's block, the
-        #: chunks of a Parquet row group decoded so far (typed
+        #: format: the columns of an AO block its scans have read so far
+        #: (plain lists), the one column of a CO file's block, the chunks
+        #: of a Parquet row group decoded so far (typed
         #: ``repro.columnar.vector`` vectors; dictionary columns stay
         #: encoded, so they never pin materialized Python strings). None
         #: in an unread AO or CO block.
@@ -111,6 +113,10 @@ class CachedBlock:
         #: block's rows or CO block's column values; in Parquet, the
         #: values of each chunk no scan has read yet, by column index.
         self.written = written
+        #: AO only: the decompressed payload of a block whose ``data``
+        #: lacks a column, which a later scan that reads it decodes from
+        #: here; None once ``data`` holds every column.
+        self.payload = payload
 
 
 class _PrefixEntry:

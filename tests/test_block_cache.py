@@ -172,8 +172,10 @@ class TestCacheMechanics:
 
 
 class TestAoColumnPrefix:
-    """An AO entry holds every column of each block it covers (the
-    format decodes whole rows once); a hit hands out just the columns a
+    """An AO block enters the cache with every column when its writer
+    left it, and with the columns its first scan read when that scan
+    decoded it from disk — then with its payload too, from which a later
+    hit builds the columns it lacks. A hit hands out just the columns a
     scan asked for, and only the prefix of blocks the caller may see."""
 
     @staticmethod
@@ -197,6 +199,39 @@ class TestAoColumnPrefix:
         misses = cache.misses
         assert all_rows(session) == expected(base_rows(200))  # other columns: hits
         assert cache.misses == misses and cache.hits > 0
+
+    def test_a_cold_narrow_scan_then_select_star_completes_its_blocks(
+        self, monkeypatch
+    ):
+        from repro.storage import base
+
+        reads = []
+        read_exactly = base._read_exactly
+        monkeypatch.setattr(
+            base, "_read_exactly",
+            lambda *args: reads.append(args[1]) or read_exactly(*args),
+        )
+        session = make_session("ao")
+        cache = session.engine.block_cache
+        cache.clear()  # blocks come from disk, not from the written values
+        assert self.narrow(session) == sorted(row[2] for row in base_rows(200))
+        blocks = self.cached_blocks(cache)
+        assert blocks and sum(b.row_count for b in blocks) == 200
+        for block in blocks:  # the scan's column, and what builds the rest
+            assert sorted(block.data) == [2]
+            assert len(block.payload) == block.uncompressed_bytes
+        assert (cache.hits, cache.misses, cache.written) == (0, 2, 0)
+        assert len(reads) == 2
+        assert all_rows(session) == expected(base_rows(200))
+        assert len(reads) == 2
+        # The counters a whole-row decode read at the first scan: the
+        # SELECT * is served as hits.
+        assert (cache.hits, cache.misses, cache.written) == (2, 2, 0)
+        assert self.cached_blocks(cache) == blocks
+        for block in blocks:
+            assert sorted(block.data) == [0, 1, 2] and block.payload is None
+        cacheless = make_session("ao", block_cache_bytes=0)
+        assert all_rows(session) == all_rows(cacheless)
 
     def test_hit_after_insert_serves_prefix_then_tail(self):
         session = make_session("ao")

@@ -17,6 +17,7 @@ storage formats run whole blocks through ``RowCodec`` (AO) and
 import datetime
 import hashlib
 import struct
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -278,13 +279,12 @@ class TestCompiledAgainstPerValue:
                 assert scan(None) == rows
                 projected = scan([narrow])
                 assert [r[narrow] for r in projected] == [r[narrow] for r in rows]
-                if fmt_name != "ao":  # unprojected columns are placeholders
-                    assert all(
-                        v is None
-                        for r in projected
-                        for i, v in enumerate(r)
-                        if i != narrow
-                    )
+                assert all(  # unprojected columns are placeholders
+                    v is None
+                    for r in projected
+                    for i, v in enumerate(r)
+                    if i != narrow
+                )
                 assert len(scan([])) == len(rows)
                 whole = blocks(None)
                 assert sum(n for n, _ in whole) == len(rows)
@@ -363,6 +363,70 @@ class TestMixedAoBlocks:
         schema, rows = table
         assert schema.row_codec()._segments[-1][2] == len(schema.columns) - 1
         self._check(schema, rows)
+
+
+def _typed(*sql_types):
+    return TableSchema(
+        "s", [Column(f"c{i}", DataType.parse(t)) for i, t in enumerate(sql_types)]
+    )
+
+
+#: Schemas for the column subsets, each with a NULL-free row that
+#: ``_subset_rows`` puts a NULL into, column by column.
+SUBSET_SCHEMAS = {
+    "last column fixed-width": (
+        _typed("INT8", "TEXT", "DATE", "VARCHAR(6)", "BOOL", "FLOAT8"),
+        (7, "sé", datetime.date(1994, 1, 1), "ab", True, 2.5),
+    ),
+    "last column variable-width": (
+        _typed("INT4", "DATE", "TEXT", "DECIMAL(9,2)", "BYTEA"),
+        (-3, datetime.date(1, 1, 1), "", 0.25, b"\x00\xff"),
+    ),
+    "all fixed-width": (
+        _typed("INT8", "FLOAT8", "DATE", "BOOL"),
+        (2**40, -0.5, datetime.date(9999, 12, 31), False),
+    ),
+    "all variable-width": (
+        _typed("TEXT", "BYTEA", "CHAR(3)"),
+        ("x" * 300, b"", "é𝄞"),
+    ),
+}
+
+
+def _subset_rows(schema, full):
+    """Rows without NULLs, with one NULL in each column, and all NULL."""
+    full = schema.coerce_row(full)
+    rows = [full]
+    for i in range(len(full)):
+        rows += [full[:i] + (None,) + full[i + 1:], full]
+    return rows + [(None,) * len(full), full]
+
+
+class TestColumnSubsets:
+    """``decode_rows`` of a subset of the columns builds exactly those
+    columns of the full decode, ends where it ends, and leaves the rest
+    None."""
+
+    @pytest.mark.parametrize("name", sorted(SUBSET_SCHEMAS))
+    def test_every_subset_is_the_full_decode(self, name):
+        schema, full = SUBSET_SCHEMAS[name]
+        codec = schema.row_codec()
+        ncols = len(schema.columns)
+        rows = _subset_rows(schema, full)
+        for block in ([], rows[:1], rows[1:2], rows):
+            payload = codec.encode_rows(block)
+            whole, end = codec.decode_rows(payload, 0, len(block))
+            assert end == len(payload)
+            assert list(zip(*whole)) == block
+            for size in range(ncols + 1):
+                for wanted in combinations(range(ncols), size):
+                    columns, subset_end = codec.decode_rows(
+                        payload, 0, len(block), wanted
+                    )
+                    assert subset_end == end
+                    assert columns == [
+                        whole[i] if i in wanted else None for i in range(ncols)
+                    ]
 
 
 # ------------------------------------------------------------- NULL bitmaps
@@ -589,14 +653,60 @@ class TestDamagedPayloads:
     ``struct.error``/``IndexError``/``UnicodeDecodeError``, and never a
     silently short or shifted block."""
 
-    def test_ao(self):
+    @pytest.mark.parametrize("columns", [None, [0], [2], []])
+    def test_ao(self, columns):
+        """Framing damage fails every AO scan, also one that builds no
+        value of the damaged column: it still steps over every row."""
         payload = DAMAGE_SCHEMA.row_codec().encode_rows(DAMAGE_ROWS)
         prefix_at = 1 + 8  # row 0: bitmap, k, then note's length prefix
         for what, damaged, count in _damaged(payload, prefix_at):
             client = make_client()
             data = pack_block(damaged, count, NONE)
             client.write_file("/d/f0", data)
-            _assert_storage_error("ao", client, {"/d/f0": len(data)}, None)
+            _assert_storage_error("ao", client, {"/d/f0": len(data)}, columns)
+
+    @pytest.mark.parametrize("null_row", [False, True])
+    def test_ao_bad_values_fail_only_the_scans_that_read_them(self, null_row):
+        """Invalid UTF-8 in ``note`` and a day out of range in ``day``
+        pass a scan of ``k`` alone; a later scan that reads either column
+        fails — from disk, or on the cache hit that completes the block
+        from its kept payload — and the block's good columns still
+        serve."""
+        codec = DAMAGE_SCHEMA.row_codec()
+        rows = list(DAMAGE_ROWS)
+        if null_row:  # the bad values sit in a row that holds a NULL
+            rows[3] = (3, "note-3-é", None)
+            rows[5] = (5, None, rows[5][2])
+        payload = bytearray(codec.encode_rows(rows))
+        # Row 3's note ends with "é" (then its day, if any); row 5 ends
+        # with its day.
+        note_end = len(codec.encode_rows(rows[:4])) - 4 * (rows[3][2] is not None)
+        day_end = len(codec.encode_rows(rows[:6]))
+        assert payload[note_end - 2 : note_end] == "é".encode()
+        payload[note_end - 2 : note_end] = b"\xff\xfe"
+        payload[day_end - 4 : day_end] = struct.pack("<i", 2**31 - 1)
+        client = make_client()
+        data = pack_block(bytes(payload), len(rows), NONE)
+        client.write_file("/d/f0", data)
+        paths = {"/d/f0": len(data)}
+        fmt = get_format("ao")
+        keys = [row[0] for row in rows]
+
+        def scan(columns, cache):
+            blocks = fmt.scan_blocks(client, paths, DAMAGE_SCHEMA, "none",
+                                     columns=columns, cache=cache)
+            return [x for _, v in blocks for x in v[columns[0]]]
+
+        for cache in (None, BlockDecodeCache()):
+            assert scan([0], cache) == keys
+            for bad in ([1], [2], [0, 1], [2, 0]):
+                with pytest.raises(StorageError, match="corrupt row data"):
+                    scan(bad, cache)
+            assert scan([0], cache) == keys
+        (entry,) = cache._entries.values()
+        (block,) = entry.blocks
+        assert sorted(block.data) == [0] and block.payload == bytes(payload)
+        assert (cache.hits, cache.misses) == (5, 1)
 
     def test_co(self):
         note = DAMAGE_SCHEMA.columns[1]

@@ -129,6 +129,48 @@ class TestFormats:
         list(fmt.scan(client, dict(result.paths), SCHEMA, "none", columns=[0], stats=proj))
         assert proj.compressed_bytes == full.compressed_bytes
 
+    def test_ao_projection_is_charged_every_payload_byte(self):
+        """An AO scan builds only the columns it reads, but the simulated
+        clock still charges it for decoding the whole payload: Fig 11's
+        AO-vs-CO gap stays in the cost model."""
+        from repro import Engine
+        from repro.storage.cache import BlockDecodeCache
+
+        fs = make_fs()
+        client = fs.client("h1")
+        fmt = get_format("ao")
+        result = fmt.write(client, "/t/f0", sample_rows(), SCHEMA, "zlib1")
+        (length,) = result.paths.values()
+        assert length < result.uncompressed_bytes  # one compressed block
+        for cache in (None, BlockDecodeCache()):
+            stats = ScanStats()
+            blocks = list(fmt.scan_blocks(client, dict(result.paths), SCHEMA,
+                                          "zlib1", columns=[0], stats=stats,
+                                          cache=cache))
+            assert [sorted(columns) for _, columns in blocks] == [[0]]
+            assert stats.blocks == 1
+            assert stats.uncompressed_bytes == result.uncompressed_bytes
+
+        costs = {}
+        for orientation in ("row", "column"):
+            engine = Engine(num_segment_hosts=2, segments_per_host=1)
+            session = engine.connect()
+            session.execute(
+                "CREATE TABLE w (k INT8 NOT NULL, price DECIMAL(12,2), day DATE, "
+                f"note VARCHAR(40), flag BOOL) WITH (appendonly=true, "
+                f"orientation={orientation}, compresstype=zlib, compresslevel=1) "
+                "DISTRIBUTED BY (k)"
+            )
+            session.load_rows("w", sample_rows())
+            engine.block_cache.clear()  # decode from disk, not written values
+            result = session.execute("SELECT count(k) FROM w")
+            assert result.rows == [(500,)]
+            costs[orientation] = result.cost.seconds
+        # What the whole-row decode charged before AO scans built only the
+        # columns they read: the charge must not move by a bit.
+        assert costs == {"row": 0.14683830036581197, "column": 0.1468079727931624}
+        assert costs["row"] > costs["column"]
+
     @pytest.mark.parametrize("fmt_name", ["ao", "co", "parquet"])
     def test_append(self, fmt_name):
         fs = make_fs()

@@ -97,13 +97,20 @@ BUDGETS = {
     # pass, a lossless datagram as one heap entry and the cache totals
     # read in one unsorted pass, 4,762 and 4,676; with RPC messages and
     # motion streams on one in-order queue instead of the datagram net,
-    # 4,583 and 4,588 (4,735 and 4,649 before, on the same box). The two
-    # call ceilings are these readings + 15 %.
+    # 4,583 and 4,588 (4,735 and 4,649 before, on the same box). With
+    # each expression tree walked once by the front half, the DISPATCH
+    # message's common values written inline and a statement's metrics
+    # diffed without two snapshots, they read 3,500 and 3,501 (4,559 and
+    # 4,563 before, on the same box), and the Python calls inside
+    # repro/planner 378.7 and 378.7 (697.7 and 697.7 before). The call
+    # ceilings are these readings + 15 %.
     ("short_serial", True): {
-        "python.pycalls": 5271, "sql.pycalls": 159, "python.gc_collections": 0.32,
+        "python.pycalls": 4026, "sql.pycalls": 159, "planner.pycalls": 436,
+        "python.gc_collections": 0.32,
     },
     ("short_streams", True): {
-        "python.pycalls": 5276, "sql.pycalls": 159, "python.gc_collections": 0.35,
+        "python.pycalls": 4026, "sql.pycalls": 159, "planner.pycalls": 436,
+        "python.gc_collections": 0.35,
     },
     # The write path: create / load / insert / ANALYZE / read-back, in
     # the catalog layer (where ANALYZE's statistics live) and overall.

@@ -22,7 +22,7 @@ SegmentDown` surfaces and the statement loop's bounded restart takes over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, Dict, List, Optional
 
 from repro.catalog.master_relations import is_master_only
 from repro.cluster.rpc import (
@@ -70,6 +70,9 @@ class WorkerServices:
     num_segments: int
     #: The engine's :class:`repro.obs.metrics.MetricsRegistry` — passive.
     metrics: object
+    #: ``(metric, format, segment_id)`` -> the series of ``metrics`` a
+    #: scan lane counts into; the engine's, so it outlives each runtime.
+    lane_series: Dict[tuple, object]
     #: ``query_id -> bool``: pending-cancellation probe (the engine's
     #: :meth:`~repro.engine.Engine.is_cancelled`). Workers refuse new
     #: slices and scan lanes for a cancelled query.
@@ -98,6 +101,21 @@ class SegmentWorker:
         #: scan instrumentation.
         self._task = None
         self._ctx = None
+
+    def _lane_counter(
+        self, name: str, segment_id: Optional[int], format: Optional[str] = None
+    ):
+        """The counter ``name{[format=...,]node=seg<segment_id>}`` a
+        scan lane counts into: looked up in the registry, and its label
+        formatted, once per engine (``WorkerServices.lane_series``)."""
+        series = self.services.lane_series
+        counter = series.get((name, format, segment_id))
+        if counter is None:
+            labels = {} if format is None else {"format": format}
+            labels["node"] = f"seg{segment_id}"
+            counter = self.services.metrics.counter(name, **labels)
+            series[name, format, segment_id] = counter
+        return counter
 
     # --------------------------------------------------------------- messages
     def _on_message(self, message: RpcMessage) -> None:
@@ -304,29 +322,19 @@ class SegmentWorker:
             miss_delta = (
                 (cache.misses - misses_before) if cache is not None else 0
             )
-            metrics.counter(
-                "bytes_read",
-                format=meta.storage_format,
-                node=f"seg{segment_id}",
-            ).inc(int(stats.compressed_bytes))
+            self._lane_counter("bytes_read", segment_id, meta.storage_format).inc(
+                int(stats.compressed_bytes)
+            )
             if hit_delta:
-                metrics.counter(
-                    "cache_hits", node=f"seg{segment_id}"
-                ).inc(hit_delta)
+                self._lane_counter("cache_hits", segment_id).inc(hit_delta)
             if miss_delta:
-                metrics.counter(
-                    "cache_misses", node=f"seg{segment_id}"
-                ).inc(miss_delta)
+                self._lane_counter("cache_misses", segment_id).inc(miss_delta)
                 # The misses whose decode the writer's values replaced.
                 written_delta = cache.written - written_before
                 if written_delta:
-                    metrics.counter(
-                        "cache_written", node=f"seg{segment_id}"
-                    ).inc(written_delta)
+                    self._lane_counter("cache_written", segment_id).inc(written_delta)
             if remote:
-                metrics.counter(
-                    "remote_read_bytes", node=f"seg{segment_id}"
-                ).inc(remote)
+                self._lane_counter("remote_read_bytes", segment_id).inc(remote)
             trace = getattr(self._ctx, "trace", None)
             if trace is not None:
                 trace.op_mark(

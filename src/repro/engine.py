@@ -127,9 +127,12 @@ class Engine:
         #: faults on the simulated clock, possibly mid-query.
         self.chaos = None
         #: Engine-wide observability counters (see :mod:`repro.obs`);
-        #: sessions snapshot-diff it per statement onto
+        #: sessions diff its levels per statement onto
         #: ``QueryResult.metrics``. Purely passive — never charged.
         self.metrics = MetricsRegistry()
+        #: Scan lanes' series of ``metrics``, found once per engine
+        #: (``WorkerServices.lane_series``).
+        self.lane_series: dict = {}
         #: The live statement loops (:class:`repro.executor.concurrent.
         #: StatementLoop`), innermost last: a batch, a lone statement, or
         #: a lone statement nested in a batch (``INSERT … SELECT`` in a
@@ -322,6 +325,7 @@ class Engine:
             chaos_progress=self.chaos_progress,
             num_segments=self.num_segments,
             metrics=self.metrics,
+            lane_series=self.lane_series,
             is_cancelled=self.is_cancelled,
         )
         bus.metrics = self.metrics
@@ -410,7 +414,7 @@ class Session:
         """Open the per-statement bracket: the session's explicit
         transaction when one is open, an implicit one otherwise."""
         engine = self.engine
-        metrics_before = engine.metrics.snapshot()
+        metrics_before = engine.metrics.levels()
         wal_before = len(engine.txns.wal)
         implicit = not self.in_transaction
         txn = engine.txns.begin(self.default_isolation) if implicit else self._txn
@@ -588,15 +592,18 @@ class Session:
         plan. Plain EXPLAIN stops here: no slot, nothing dispatched."""
         adapter = ddl.CatalogAdapter(self.engine.catalog, snapshot)
         query = Analyzer(adapter).analyze(stmt)
-        for name in query.tables(subplans=True):
+        names = query.tables(subplans=True)
+        for name in names:
             if not master_relations.is_master_only(name):
                 self.access_relation(
                     txn, snapshot, name, LockMode.ACCESS_SHARE, "select",
                     relation=adapter.rows[name],
                 )
-        return self._plan(query, snapshot)
+        return self._plan(query, snapshot, names)
 
-    def _plan(self, query: LogicalQuery, snapshot: Snapshot):
+    def _plan(self, query: LogicalQuery, snapshot: Snapshot, names: List[str]):
+        """Plan ``query``; ``names`` is ``query.tables(subplans=True)``,
+        every table it reads, subqueries included."""
         engine = self.engine
         stats: Dict[str, TableStats] = {}
         for name in query.tables():
@@ -607,7 +614,7 @@ class Session:
             num_segments=engine.num_segments,
             stats=stats,
             options=engine.planner_options,
-            partition_children=self._partition_children(query, snapshot),
+            partition_children=self._partition_children(names, snapshot),
         )
         return planner.plan(query)
 
@@ -619,11 +626,10 @@ class Session:
         return self.engine.security.queue_for(self.role)
 
     def _partition_children(
-        self, query: LogicalQuery, snapshot: Snapshot
+        self, names: List[str], snapshot: Snapshot
     ) -> Dict[str, List]:
-        """Children of the partitioned tables ``query`` scans — the
-        planner asks about no other relation."""
-        names = query.tables(subplans=True)
+        """Children of the partitioned tables among ``names``, the tables
+        a statement reads — the planner asks about no other relation."""
         return {
             relation["name"]: relation["children"]
             for relation in self.engine.catalog.relations(snapshot, names)
@@ -846,7 +852,8 @@ class _StatementBracket:
     sql: str
     txn: Transaction
     implicit: bool
-    metrics_before: object
+    #: ``engine.metrics.levels()`` when the statement opened.
+    metrics_before: List[object]
     wal_before: int
 
     def finish(self, result: QueryResult) -> None:
@@ -861,7 +868,7 @@ class _StatementBracket:
         wal_delta = len(engine.txns.wal) - self.wal_before
         if wal_delta:
             engine.metrics.counter("wal_records").inc(wal_delta)
-        result.metrics = engine.metrics.snapshot().diff(self.metrics_before)
+        result.metrics = engine.metrics.since(self.metrics_before)
         engine.telemetry.record_statement(self.sql, result)
 
     def fail(self) -> None:

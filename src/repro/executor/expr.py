@@ -315,6 +315,8 @@ def fixed_width(col) -> Optional[int]:
 #: InitPlan result) is — a subtree holding none of them is literal-only.
 _NON_LITERAL = (ex.BVar, ex.BParam, ex.BGroupRef, ex.BAggRef, ex.BTargetRef,
                 ex.BAgg, ex.BSubPlan)
+#: The nodes ``fold_constants`` never replaces: literals and the above.
+_NOT_FOLDED = (ex.BConst, ex.BInterval) + _NON_LITERAL
 
 
 #: What evaluating an expression over literals can raise: division by
@@ -333,7 +335,7 @@ def fold_constants(expr: ex.BoundExpr) -> ex.BoundExpr:
     only if — and when — a row actually reaches it."""
 
     def fold(node: ex.BoundExpr) -> Optional[ex.BoundExpr]:
-        if isinstance(node, (ex.BConst, ex.BInterval) + _NON_LITERAL):
+        if isinstance(node, _NOT_FOLDED):
             return None
         below = ex.walk(node)
         next(below)
@@ -644,6 +646,8 @@ def _true_rows(fn, rows, l, r) -> List[int]:
         b = r.value
         if b is None:
             return []
+        if fn is operator.eq and type(l) is list and b == b:
+            return _equal_rows(rows, l, b)
         return [i for i, a in zip(rows, l) if a is not None and fn(a, b)]
     if isinstance(l, ConstVector):
         a = l.value
@@ -654,6 +658,22 @@ def _true_rows(fn, rows, l, r) -> List[int]:
         i for i, a, b in zip(rows, l, r)
         if a is not None and b is not None and fn(a, b)
     ]
+
+
+def _equal_rows(rows, values: list, b) -> List[int]:
+    """``column = b`` over a plain list, by ``list.index``'s C-level
+    scan: it tests ``a is b or a == b``, which is ``a == b`` because
+    ``b`` equals itself (the caller checks: a NaN does not), and no
+    ``None`` equals a non-NULL ``b``."""
+    out = []
+    find, append = values.index, out.append
+    at = -1
+    try:
+        while True:
+            at = find(b, at + 1)
+            append(rows[at])
+    except ValueError:
+        return out
 
 
 # The boolean leaves. Each is compiled in one of two forms from the one

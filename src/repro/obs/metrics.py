@@ -8,8 +8,9 @@ charge the simulated clock (lint R6 enforces this for the whole ``obs``
 package), so enabling or reading them cannot perturb any simulated
 figure.
 
-Per-query attribution works by snapshot-diffing: the session snapshots
-the registry before a statement and exposes ``after.diff(before)`` on
+Per-query attribution works by diffing: the session takes the
+registry's ``levels()`` before a statement and exposes ``since(levels)``
+— what ``after.diff(before)`` of two snapshots would give — on
 ``QueryResult.metrics``. That is what lets the bench harness report a
 cache hit *rate per query* even though the block decode cache itself
 only keeps process-global counters.
@@ -21,7 +22,7 @@ key alone.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 
 def _key(name: str, labels: Dict[str, object]) -> str:
@@ -161,16 +162,73 @@ class MetricsRegistry:
         """A flat, immutable view: key -> scalar value."""
         data: Dict[str, float] = {}
         for key, metric in self._metrics.items():
-            if isinstance(metric, Histogram):
-                data[f"{key}.count"] = metric.count
-                data[f"{key}.total"] = metric.total
-                if metric.min is not None:
-                    data[f"{key}.min"] = metric.min
-                if metric.max is not None:
-                    data[f"{key}.max"] = metric.max
+            if type(metric) is Histogram:
+                data.update(_histogram_series(key, _histogram_level(metric)))
             else:
                 data[key] = metric.value
         return MetricsSnapshot(data)
+
+    def levels(self) -> List[object]:
+        """Every series' level in registration order, rendering no key:
+        the before-image :meth:`since` diffs against."""
+        return [
+            _histogram_level(metric) if type(metric) is Histogram else metric.value
+            for metric in self._metrics.values()
+        ]
+
+    def since(self, levels: List[object]) -> "MetricsSnapshot":
+        """``snapshot().diff(before)``, where ``levels`` was taken when
+        ``before`` would have been: the same keys, order and deltas,
+        without copying the registry twice. A counter or gauge is
+        compared with its level and gets an entry only if it moved.
+        Series are never unregistered, so ``levels`` is a prefix of the
+        registry."""
+        out: Dict[str, float] = {}
+        metrics = iter(self._metrics.items())
+        # ``levels`` first: zip stops on it without taking a series.
+        for before, (key, metric) in zip(levels, metrics):
+            if type(metric) is Histogram:
+                _diff_into(
+                    out,
+                    _histogram_series(key, _histogram_level(metric)),
+                    _histogram_series(key, before),
+                )
+            else:
+                delta = metric.value - before
+                if delta != 0:
+                    out[key] = delta
+        for key, metric in metrics:  # registered since ``levels``
+            if type(metric) is Histogram:
+                _diff_into(out, _histogram_series(key, _histogram_level(metric)), {})
+            elif metric.value != 0:
+                out[key] = metric.value
+        return MetricsSnapshot(out)
+
+
+def _histogram_level(histogram: Histogram) -> tuple:
+    return (histogram.count, histogram.total, histogram.min, histogram.max)
+
+
+def _histogram_series(key: str, level: tuple) -> Dict[str, float]:
+    """The scalar series a snapshot expands one histogram's level into
+    (no min / max before its first observation)."""
+    count, total, low, high = level
+    series = {f"{key}.count": count, f"{key}.total": total}
+    if low is not None:
+        series[f"{key}.min"] = low
+    if high is not None:
+        series[f"{key}.max"] = high
+    return series
+
+
+def _diff_into(out: Dict[str, float], now: Dict[str, float],
+               before: Dict[str, float]) -> None:
+    """``now - before`` by key into ``out``, keeping only the series
+    that changed (a key missing from ``before`` counts from 0)."""
+    for key, value in now.items():
+        delta = value - before.get(key, 0)
+        if delta != 0:
+            out[key] = delta
 
 
 class MetricsSnapshot(Mapping):
@@ -201,10 +259,7 @@ class MetricsSnapshot(Mapping):
         one subtraction rule covers every instrument.
         """
         out: Dict[str, float] = {}
-        for key, value in self._data.items():
-            delta = value - earlier._data.get(key, 0)
-            if delta != 0:
-                out[key] = delta
+        _diff_into(out, self._data, earlier._data)
         return MetricsSnapshot(out)
 
     def total(self, name: str) -> float:

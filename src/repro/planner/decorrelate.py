@@ -16,10 +16,14 @@ Only subplans appearing as top-level WHERE/HAVING conjuncts can change
 join structure; a subplan nested under OR raises a clear PlannerError
 (no TPC-H query needs it).
 
-Semantics notes (documented deviations, both irrelevant to TPC-H data):
-``NOT IN`` with NULLs in the subquery output behaves as an anti join;
-a correlated ``COUNT`` over zero matching rows would drop the outer row
-rather than compare against 0.
+Semantics notes (documented deviations, see DESIGN.md's "Known
+simplifications"; neither reaches a TPC-H answer): ``NOT IN`` is an anti
+join, so NULLs in the subquery output or on the probe side do not give
+SQL's answer. A correlated scalar aggregate is an inner join, so an
+outer row that no inner row matches is dropped: right under a WHERE
+comparison for MIN / MAX / AVG / SUM (their NULL never compares true),
+wrong for ``COUNT`` (which should compare 0), and wrong in a SELECT list
+for every aggregate, which should give NULL for that row instead.
 """
 
 from __future__ import annotations
@@ -37,6 +41,15 @@ def decorrelate(query: LogicalQuery) -> LogicalQuery:
     for rel in query.rels:
         if isinstance(rel.source, DerivedSource):
             decorrelate(rel.source.query)
+    if not any(map(ex.has_subplan, query.expressions())):
+        # Nothing to rewrite. The rewrite below would walk every tree to
+        # change nothing but HAVING's conjunction, which it rebuilds
+        # left-deep: that changes the plan, so it is kept.
+        if query.having is not None:
+            query.having = ex.make_conjunction(ex.conjuncts(query.having))
+        for init in query.init_plans:
+            decorrelate(init)
+        return query
 
     # Join predicates manufactured mid-rewrite (by the scalar-aggregate
     # transform) land in _pending_quals so the reassignment below cannot

@@ -11,7 +11,8 @@ planner relies on it to match GROUP BY keys inside output expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import PlannerError
@@ -183,34 +184,47 @@ def make_conjunction(parts: List[BoundExpr]) -> Optional[BoundExpr]:
     return result
 
 
+#: Node types with no child expression.
+_LEAVES = frozenset(
+    (BConst, BInterval, BVar, BParam, BAggRef, BGroupRef, BTargetRef)
+)
+#: Node types whose one child is ``operand``.
+_OPERAND = frozenset((BNot, BCast, BExtract, BIsNull, BLike))
+
+
 def walk(expr: BoundExpr) -> Iterator[BoundExpr]:
-    """Yield the expression and all of its descendants."""
-    yield expr
-    if isinstance(expr, BOp):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, BNot):
-        yield from walk(expr.operand)
-    elif isinstance(expr, BFunc):
-        for arg in expr.args:
-            yield from walk(arg)
-    elif isinstance(expr, BAgg) and expr.arg is not None:
-        yield from walk(expr.arg)
-    elif isinstance(expr, BCase):
-        for cond, result in expr.whens:
-            yield from walk(cond)
-            yield from walk(result)
-        if expr.else_result is not None:
-            yield from walk(expr.else_result)
-    elif isinstance(expr, (BCast, BExtract, BIsNull, BLike)):
-        yield from walk(expr.operand)
-    elif isinstance(expr, BIn):
-        yield from walk(expr.operand)
-        for item in expr.items:
-            yield from walk(item)
-    elif isinstance(expr, BSubPlan):
-        if expr.test is not None:
-            yield from walk(expr.test)
+    """Yield the expression and all of its descendants: pre-order, each
+    node's children left to right (``BIn``'s operand before its items,
+    each ``CASE`` condition before its result). One loop over a stack of
+    the nodes still to visit, which takes children right to left."""
+    stack = [expr]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        node = pop()
+        yield node
+        cls = type(node)
+        if cls in _LEAVES:
+            continue
+        if cls is BOp:
+            push(node.right)
+            push(node.left)
+        elif cls in _OPERAND:
+            push(node.operand)
+        elif cls is BFunc:
+            extend(reversed(node.args))
+        elif cls is BAgg or cls is BSubPlan:
+            child = node.arg if cls is BAgg else node.test
+            if child is not None:
+                push(child)
+        elif cls is BIn:
+            extend(reversed(node.items))
+            push(node.operand)
+        elif cls is BCase:
+            if node.else_result is not None:
+                push(node.else_result)
+            for cond, result in reversed(node.whens):
+                push(result)
+                push(cond)
 
 
 def transform(
@@ -218,48 +232,59 @@ def transform(
 ) -> BoundExpr:
     """Bottom-up rewrite: ``fn`` may return a replacement or None to keep.
 
-    ``fn`` is applied to children first, then to the rebuilt node.
+    ``fn`` is applied to children first, then to the rebuilt node. A
+    node none of whose children changed is kept, not copied: nodes are
+    immutable, so a rewrite that replaces nothing returns ``expr``.
     """
     rebuilt = _rebuild(expr, fn)
     replacement = fn(rebuilt)
     return replacement if replacement is not None else rebuilt
 
 
+def _same(new: tuple, old: tuple) -> bool:
+    return all(map(operator.is_, new, old))
+
+
 def _rebuild(expr: BoundExpr, fn) -> BoundExpr:
-    if isinstance(expr, BOp):
-        return BOp(expr.op, transform(expr.left, fn), transform(expr.right, fn))
-    if isinstance(expr, BNot):
-        return BNot(transform(expr.operand, fn))
-    if isinstance(expr, BFunc):
-        return BFunc(expr.name, tuple(transform(a, fn) for a in expr.args))
-    if isinstance(expr, BAgg):
-        arg = transform(expr.arg, fn) if expr.arg is not None else None
-        return BAgg(expr.func, arg, expr.distinct)
-    if isinstance(expr, BCase):
-        whens = tuple(
-            (transform(c, fn), transform(r, fn)) for c, r in expr.whens
-        )
+    """``expr`` with its children transformed, dispatched on its type."""
+    cls = type(expr)
+    if cls in _LEAVES:
+        return expr
+    if cls is BOp:
+        left, right = transform(expr.left, fn), transform(expr.right, fn)
+        if left is expr.left and right is expr.right:
+            return expr
+        return BOp(expr.op, left, right)
+    if cls in _OPERAND:
+        operand = transform(expr.operand, fn)
+        return expr if operand is expr.operand else replace(expr, operand=operand)
+    if cls is BFunc:
+        args = tuple(transform(a, fn) for a in expr.args)
+        return expr if _same(args, expr.args) else BFunc(expr.name, args)
+    if cls is BAgg or cls is BSubPlan:
+        child = expr.arg if cls is BAgg else expr.test
+        if child is None:
+            return expr
+        new = transform(child, fn)
+        if new is child:
+            return expr
+        return replace(expr, arg=new) if cls is BAgg else replace(expr, test=new)
+    if cls is BIn:
+        operand = transform(expr.operand, fn)
+        items = tuple(transform(i, fn) for i in expr.items)
+        if operand is expr.operand and _same(items, expr.items):
+            return expr
+        return BIn(operand, items, expr.negated)
+    if cls is BCase:
+        whens = tuple((transform(c, fn), transform(r, fn)) for c, r in expr.whens)
         else_result = (
             transform(expr.else_result, fn) if expr.else_result is not None else None
         )
+        if else_result is expr.else_result and all(
+            _same(when, old) for when, old in zip(whens, expr.whens)
+        ):
+            return expr
         return BCase(whens, else_result)
-    if isinstance(expr, BCast):
-        return BCast(transform(expr.operand, fn), expr.type_name)
-    if isinstance(expr, BExtract):
-        return BExtract(expr.part, transform(expr.operand, fn))
-    if isinstance(expr, BIsNull):
-        return BIsNull(transform(expr.operand, fn), expr.negated)
-    if isinstance(expr, BLike):
-        return BLike(transform(expr.operand, fn), expr.pattern, expr.negated)
-    if isinstance(expr, BIn):
-        return BIn(
-            transform(expr.operand, fn),
-            tuple(transform(i, fn) for i in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, BSubPlan):
-        test = transform(expr.test, fn) if expr.test is not None else None
-        return BSubPlan(expr.kind, expr.query, test, expr.negated)
     return expr
 
 

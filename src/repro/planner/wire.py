@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import enum
+import operator
 import struct
 from decimal import Decimal
 from typing import Callable, Sequence
@@ -87,14 +88,44 @@ def _sized(tag: bytes, dump: Callable[[object], bytes]) -> Encoder:
     return encode_sized
 
 
-def _items(tag: bytes) -> Encoder:
-    def encode_items(values, out: bytearray) -> None:
-        out += tag
-        _uint(len(values), out)
-        for value in values:
-            _ENCODERS[type(value)](value, out)
+#: ``i`` and the one varint byte of each int in ``range(64)``.
+_SMALL_INTS = [b"i" + bytes((n << 1,)) for n in range(64)]
 
-    return encode_items
+
+def _values(values, out: bytearray) -> None:
+    """Each of ``values`` in turn. A list or tuple inside is written
+    here, and so are the values a plan is mostly made of — an int in
+    ``range(64)``, an ASCII str shorter than 128, a float, None — the
+    bytes their own encoders write; the rest go through ``_ENCODERS``."""
+    for value in values:
+        cls = type(value)
+        if cls is int and 0 <= value < 64:
+            out += _SMALL_INTS[value]
+        elif cls is str and len(value) < 128 and value.isascii():
+            out += b"s"
+            out.append(len(value))
+            out += value.encode()
+        elif cls is tuple or cls is list:
+            out += b"(" if cls is tuple else b"["
+            count = len(value)
+            if count < 0x80:  # its one varint byte
+                out.append(count)
+            else:
+                _uint(count, out)
+            _values(value, out)
+        elif cls is float:
+            out += b"f"
+            out += _pack_double(value)
+        elif value is None:
+            out += b"N"
+        else:
+            _ENCODERS[cls](value, out)
+
+
+def _sequence(value, out: bytearray) -> None:
+    """A list or tuple: tag, count and items, as :func:`_values` writes
+    one."""
+    _values((value,), out)
 
 
 def _dict(mapping: dict, out: bytearray) -> None:
@@ -114,12 +145,16 @@ def _set(values, out: bytearray) -> None:
 def _dataclass(cls: type) -> Encoder:
     head = b"@" + encode(cls.__name__)
     names = [field.name for field in dataclasses.fields(cls)]
+    if len(names) > 1:
+        fields = operator.attrgetter(*names)
+    else:  # attrgetter of one name gives the value bare, not a tuple
+
+        def fields(obj: object) -> tuple:
+            return tuple(getattr(obj, name) for name in names)
 
     def encode_fields(obj: object, out: bytearray) -> None:
         out += head
-        for name in names:
-            value = getattr(obj, name)
-            _ENCODERS[type(value)](value, out)
+        _values(fields(obj), out)
 
     return encode_fields
 
@@ -180,8 +215,8 @@ _ENCODERS = _Encoders(
         bytes: _sized(b"b", bytes),
         Decimal: _sized(b"D", lambda value: str(value).encode()),
         datetime.date: _date,
-        list: _items(b"["),
-        tuple: _items(b"("),
+        list: _sequence,
+        tuple: _sequence,
         dict: _dict,
         set: _set,
         frozenset: _set,

@@ -340,9 +340,9 @@ class TestPartitionChildrenLookup:
 
     def test_mapping_holds_only_the_statement_s_tables(self, parts):
         query, snapshot = self.plan(parts, "SELECT a FROM t WHERE a = 1")
-        assert parts._partition_children(query, snapshot) == {}
+        assert parts._partition_children(query.tables(subplans=True), snapshot) == {}
         query, snapshot = self.plan(parts, "SELECT id FROM pt WHERE g = 7")
-        mapping = parts._partition_children(query, snapshot)
+        mapping = parts._partition_children(query.tables(subplans=True), snapshot)
         assert list(mapping) == ["pt"]
         assert [name for name, _ in mapping["pt"]] == ["pt_1_prt_1", "pt_1_prt_2"]
 
@@ -360,5 +360,5 @@ class TestPartitionChildrenLookup:
         """Before decorrelation these tables sit inside expressions, not
         in the FROM list — the children lookup must still find them."""
         query, snapshot = self.plan(parts, sql)
-        assert "pt" in parts._partition_children(query, snapshot)
+        assert "pt" in parts._partition_children(query.tables(subplans=True), snapshot)
         assert sorted(parts.query(sql)) == expected

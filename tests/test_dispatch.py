@@ -40,7 +40,7 @@ def plan_for(engine, session, sql):
     snapshot = txn.statement_snapshot()
     analyzer = Analyzer(CatalogAdapter(engine.catalog, snapshot))
     query = analyzer.analyze(parse_statement(sql))
-    plan = session._plan(query, snapshot)
+    plan = session._plan(query, snapshot, query.tables(subplans=True))
     return plan, snapshot
 
 

@@ -334,7 +334,7 @@ class TestViewsAndMeta:
         snapshot = txn.statement_snapshot()
         analyzer = Analyzer(CatalogAdapter(engine.catalog, snapshot))
         query = analyzer.analyze(parse_statement("SELECT * FROM t"))
-        plan = session._plan(query, snapshot)
+        plan = session._plan(query, snapshot, query.tables(subplans=True))
         sdp = build_self_described_plan(plan, engine.catalog, snapshot)
         assert "t" in sdp.metadata
         assert sdp.metadata["t"].segfiles

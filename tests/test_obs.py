@@ -272,6 +272,39 @@ class TestMetricsRegistry:
         delta = reg.snapshot().diff(before)
         assert delta.as_dict() == {"a": 3}
 
+    def test_since_levels_is_the_snapshot_diff(self):
+        """What a statement's bracket reads — ``since(levels())`` — is
+        ``snapshot().diff(before)``: the same keys, in the same order,
+        with the same values, for every kind of series, moved or not,
+        and for series registered after the levels were taken."""
+        reg = MetricsRegistry()
+        reg.counter("still").inc(4)
+        reg.counter("moved", node="seg0").inc(1)
+        reg.gauge("level").set(2.5)
+        reg.gauge("same").set(1.0)
+        reg.histogram("h", queue="q").observe(3.0)
+        reg.histogram("idle")
+        levels, before = reg.levels(), reg.snapshot()
+        assert reg.since(levels).as_dict() == {}
+        reg.counter("moved", node="seg0").inc(2)
+        reg.gauge("level").set(-0.5)
+        reg.gauge("same").set(1.0)
+        reg.histogram("h", queue="q").observe(1.0)
+        reg.histogram("idle").observe(0.25)
+        reg.counter("new", node="seg1").inc(3)
+        reg.counter("new_zero")
+        reg.gauge("new_gauge").set(0.75)
+        reg.histogram("new_h").observe(2.0)
+        since, diff = reg.since(levels), reg.snapshot().diff(before)
+        assert list(since.unsorted_items()) == list(diff.unsorted_items())
+        assert since.as_dict() == {
+            "h{queue=q}.count": 1, "h{queue=q}.total": 1.0, "h{queue=q}.min": -2.0,
+            "idle.count": 1, "idle.total": 0.25, "idle.min": 0.25, "idle.max": 0.25,
+            "level": -3.0, "moved{node=seg0}": 2, "new{node=seg1}": 3,
+            "new_gauge": 0.75, "new_h.count": 1, "new_h.total": 2.0,
+            "new_h.min": 2.0, "new_h.max": 2.0,
+        }
+
     def test_total_sums_across_labels(self):
         reg = MetricsRegistry()
         reg.counter("n", node="seg0").inc(1)

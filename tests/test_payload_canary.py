@@ -5,12 +5,13 @@ by-value wire encoding of ``planner/wire.py`` and charges its compressed
 length: ``compressed_bytes`` becomes ``SliceTask.payload_bytes`` and so
 charged seconds. Nothing else in tier-1 notices when that encoding
 moves — answers stay right and only the simulated clock drifts — so 18
-statements' ``(plan_bytes, compressed_bytes, cost.seconds)`` are pinned
-here. What the pins guard is the *wire format*: the tags and framing,
-which fields of which plan nodes travel, each table's schema once. A
-change to any of those re-pins them, deliberately
+statements' ``(plan_bytes, compressed_bytes, cost.seconds)`` and the 22
+TPC-H statements' ``(plan_bytes, compressed_bytes)`` are pinned here.
+What the pins guard is the *wire format*: the tags and framing, which
+fields of which plan nodes travel, each table's schema once. A change
+to any of those re-pins them, deliberately
 (``PYTHONPATH=src python tests/test_payload_canary.py`` prints the
-table). They no longer guard who shares which object — the encoding is
+tables). They no longer guard who shares which object — the encoding is
 identity-free, and ``tests/test_wire.py`` holds it to that.
 
 ``PICKLED`` keeps the literals of the encoding this one replaced
@@ -74,6 +75,33 @@ PINS = {
     'view_self_join': (3209, 924, 0.25505705724957256),
     'external': (1093, 468, 0.15928602047225826),
     'external_join': (2046, 789, 0.20665192305331206),
+}
+
+#: TPC-H query -> (plan_bytes, compressed_bytes) of its SELECT, on the
+#: same engine (Q15: with its view created).
+TPCH_SIZES = {
+    1: (4629, 1185),
+    2: (11832, 2607),
+    3: (5787, 1636),
+    4: (4603, 1335),
+    5: (10275, 2436),
+    6: (2565, 884),
+    7: (10524, 2495),
+    8: (14164, 3112),
+    9: (12128, 2682),
+    10: (8948, 2130),
+    11: (6442, 1490),
+    12: (5119, 1431),
+    13: (4221, 1213),
+    14: (4379, 1290),
+    15: (6718, 1643),
+    16: (5720, 1558),
+    17: (5595, 1590),
+    18: (6744, 1778),
+    19: (5487, 1468),
+    20: (9400, 2344),
+    21: (9046, 2210),
+    22: (5405, 1492),
 }
 
 #: The same under the pickle this encoding replaced (old -> new).
@@ -157,7 +185,8 @@ def dispatched(session, sql):
     try:
         snapshot = txn.statement_snapshot()
         analyzer = Analyzer(CatalogAdapter(engine.catalog, snapshot))
-        plan = session._plan(analyzer.analyze(parse_statement(sql)), snapshot)
+        query = analyzer.analyze(parse_statement(sql))
+        plan = session._plan(query, snapshot, query.tables(subplans=True))
         return build_self_described_plan(plan, engine.catalog, snapshot)
     finally:
         engine.txns.abort(txn)
@@ -204,7 +233,28 @@ def test_repeating_a_statement_repeats_its_payload(env):
         assert measure(session, sqls[label]) == measure(session, sqls[label])
 
 
+def tpch_sizes(session):
+    """TPC-H query -> (plan_bytes, compressed_bytes) of its SELECT; runs
+    Q15's CREATE VIEW / DROP VIEW around it."""
+    sizes = {}
+    for number in sorted(QUERIES):
+        for sql in QUERIES[number]:
+            if sql.lstrip().lower().startswith("select"):
+                sdp = dispatched(session, sql)
+                sizes[number] = (sdp.plan_bytes, sdp.compressed_bytes)
+            else:
+                session.execute(sql)
+    return sizes
+
+
+def test_every_tpch_payload_size_is_pinned(env):
+    session, _ = env
+    assert tpch_sizes(session) == TPCH_SIZES
+
+
 if __name__ == "__main__":
     _session, _data = build_session()
     for _label, _sql in statements(_data).items():
         print(f"    {_label!r}: {measure(_session, _sql)!r},")
+    for _number, _sizes in tpch_sizes(_session).items():
+        print(f"    {_number}: {_sizes!r},")

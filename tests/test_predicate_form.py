@@ -15,6 +15,8 @@ every column representation a scan can hand over:
   may raise is still evaluated where the left side is NULL.
 """
 
+import operator
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -300,3 +302,58 @@ def test_typed_sides_stay_typed_until_the_outermost_and(backend):
     assert predicate(plain, 6, [5, 0, 3]) == predicate(typed, 6, [5, 0, 3]) == [0]
     mixed = [plain[0], typed[1], typed[2], plain[3], typed[4]]
     assert predicate(mixed, 6, None) == [0]
+
+
+# ------------------------------------------------- column = constant, lists
+NAN = float("nan")
+
+#: (plain-list column, constant): NULLs, repeats, no match, ``TRUE = 1``,
+#: ``1.0 = 1``, and NaN — a constant that is not equal to itself, and a
+#: column holding that very object, which ``list.index``'s identity test
+#: would match.
+EQUALS_CASES = [
+    ([3, None, 3, 1, None, 3], 3),
+    ([None, None, None], 1),
+    ([4, 5, 6], 7),
+    ([], 1),
+    ([True, 1, 1.0, 2, False], 1),
+    ([True, 1, 0, False, None], True),
+    ([1.0, 1, 2.0, None], 1),
+    ([1, 2, 1.0], 1.0),
+    (["a", "b", "a", None, ""], "a"),
+    (["a", "b"], ""),
+    ([NAN, 1.0, NAN, None], NAN),
+    ([1.0, 2.0], NAN),
+]
+
+
+def _generic_equals(values, b, indices):
+    """The per-row comprehension the kernel replaces."""
+    return [i for i, a in zip(indices, values) if a is not None and a == b]
+
+
+@pytest.mark.parametrize("values, b", EQUALS_CASES, ids=lambda v: repr(v)[:20])
+class TestEqualsConstantOverAList:
+    def test_the_kernel_is_the_comprehension(self, values, b):
+        from repro.executor.expr import _true_rows
+
+        n = len(values)
+        for rows in (range(n), list(range(n))[::-1], [i * 3 + 1 for i in range(n)]):
+            got = _true_rows(operator.eq, rows, values, ConstVector(b, n))
+            assert got == _generic_equals(values, b, rows)
+            assert all(type(i) is int for i in got)
+
+    def test_through_a_selection_vector(self, backend, values, b):
+        """``column = constant`` compiled in predicate form, over a plain
+        list, with and without a selection: the row compiler's rows."""
+        n = len(values)
+        plain = [list(values)] + [[None] * n] * (NCOLS - 1)
+        expr = ex.BOp("=", _var(0), ex.BConst(b))
+        predicate = compile_expr_batch(expr, LAYOUT, predicate=True)
+        row_fn = compile_expr(expr, LAYOUT)
+        rows = list(zip(*plain))
+        for sel in (None, list(range(n))[::2], list(range(n))[::-1]):
+            indices = range(n) if sel is None else sel
+            expected = [i for i in indices if row_fn(rows[i]) is True]
+            assert predicate(plain, n, sel) == expected
+            assert expected == _generic_equals([values[i] for i in indices], b, indices)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.catalog.schema import Column, DataType
 from repro.planner.physical import ExternalScan, SeqScan
+from repro.planner import wire
 from repro.planner.wire import encode, encode_dispatch
 from repro.tpch import QUERIES
 from tests.test_payload_canary import build_session, dispatched, statements
@@ -187,6 +188,69 @@ class TestComplete:
             meta, schema=dataclasses.replace(meta.schema, columns=columns)
         )
         assert encode((plan, metadata)) not in (before, longer)
+
+
+@dataclasses.dataclass
+class _Bare:
+    pass
+
+
+@dataclasses.dataclass
+class _One:
+    value: object
+
+
+@dataclasses.dataclass
+class _Two:
+    first: object
+    second: object
+
+
+#: Each side of every inline test: an int just inside and outside
+#: ``range(64)``, bools (not ints), strs either side of 128 characters
+#: and past ASCII, None, and values that always take the generic path.
+BOUNDARY = [
+    -1, 0, 63, 64, 2 ** 63, True, False, "a" * 127, "a" * 128, "é", "a" * 126 + "é",
+    "", None, 0.5, [], (63,),
+]
+
+
+def _generic(value) -> bytes:
+    """``value`` through its type's encoder, never inline."""
+    out = bytearray()
+    wire._ENCODERS[type(value)](value, out)
+    return bytes(out)
+
+
+class TestInlineValues:
+    """Lists, tuples and dataclass fields write None, small ints and
+    short ASCII strs inline: the bytes must be the generic encoders'."""
+
+    @pytest.mark.parametrize("value", BOUNDARY, ids=lambda v: repr(v)[:12])
+    def test_in_a_list_and_a_tuple(self, value):
+        generic = _generic(value)
+        assert encode([value]) == b"[\x01" + generic
+        assert encode((value, value)) == b"(\x02" + generic * 2
+
+    @pytest.mark.parametrize("value", BOUNDARY, ids=lambda v: repr(v)[:12])
+    def test_as_a_dataclass_field(self, value):
+        generic = _generic(value)
+        assert encode(_One(value)) == b"@" + encode("_One") + generic
+        assert encode(_Two(value, 1)) == b"@" + encode("_Two") + generic + b"i\x02"
+        assert encode(_Two(1, value)) == b"@" + encode("_Two") + b"i\x02" + generic
+        assert encode(_Bare()) == b"@" + encode("_Bare")
+
+    def test_the_boundary_bytes(self):
+        assert encode([63, 64, -1]) == b"[\x03i\x7ei\x80\x01i\x01"
+        assert encode([True, False, None]) == b"[\x03TFN"
+        assert encode(["a" * 127]) == b"[\x01s\x7f" + b"a" * 127
+        assert encode(["a" * 128]) == b"[\x01s\x80\x01" + b"a" * 128
+        assert encode(["é"]) == b"[\x01s\x02" + "é".encode()
+        assert encode([2 ** 63]) == b"[\x01i" + bytes([0x80] * 9) + b"\x02"
+
+    def test_a_long_list_counts_in_a_varint(self):
+        for count, varint in ((127, b"\x7f"), (128, b"\x80\x01"), (300, b"\xac\x02")):
+            assert encode([None] * count) == b"[" + varint + b"N" * count
 
 
 class TestSchemaOncePerTable:

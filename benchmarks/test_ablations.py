@@ -1,7 +1,7 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
 Each ablation disables one HAWQ mechanism and measures what it was
-buying:
+buying (the measurements are ``repro.bench.figures.ablation_*``):
 
 * **direct dispatch** (Section 3): single-segment lookups skip the full
   N-gang dispatch;
@@ -10,205 +10,75 @@ buying:
 * **partition elimination** (Section 2.3): date-ranged scans skip
   partitions the predicate excludes;
 * **pipelined motions** (Section 3): slices stream through motions
-  instead of materializing between stages (the MapReduce failure mode).
+  instead of materializing between stages (the MapReduce failure mode);
+* **co-location awareness** (Section 2.3): joins on the distribution
+  key skip the redistribution.
 """
 
-import pytest
-
-from repro.bench.harness import (
-    BenchConfig,
-    NOMINAL_160GB,
-    default_scale_factor,
-    get_data,
-)
+from repro.bench import contract, figures
 from repro.bench.reporting import print_figure
-from repro.engine import Engine
-from repro.planner.planner import PlannerOptions
-from repro.simtime import CostModel
-from repro.tpch.schema import load_tpch
 
 
-def _engine(**kwargs) -> Engine:
-    model = CostModel()
-    model.io_cached = True
-    model.scale = 1000.0
-    return Engine(
-        num_segment_hosts=8, segments_per_host=2, cost_model=model, **kwargs
+def _run(benchmark, name, title, header, rows=None):
+    """Measure one ablation, print it, record its gain and check its cells."""
+    cells = benchmark.pedantic(getattr(figures, name), rounds=1, iterations=1)
+    print_figure(
+        title, header,
+        rows(cells) if rows else [("on", cells["on"]), ("off", cells["off"])],
     )
+    benchmark.extra_info["gain"] = cells["off"] / cells["on"]
+    contract.check_figure(name, cells)
+    assert cells["on"] < cells["off"]
+    return cells
 
 
 def test_ablation_direct_dispatch(benchmark):
-    def run():
-        data = get_data(default_scale_factor())
-        times = {}
-        for enabled in (True, False):
-            engine = _engine(
-                planner_options=PlannerOptions(enable_direct_dispatch=enabled)
-            )
-            session = engine.connect()
-            load_tpch(session, data=data)
-            keys = [row[0] for row in data.orders[:40]]
-            total = 0.0
-            for key in keys:
-                result = session.execute(
-                    f"SELECT * FROM orders WHERE o_orderkey = {key}"
-                )
-                assert len(result.rows) == 1
-                total += result.cost.seconds
-            times[enabled] = total
-        return times
-
-    times = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_figure(
+    cells = _run(
+        benchmark, "ablation_direct_dispatch",
         "Ablation: direct dispatch (40 single-row lookups)",
         ["direct dispatch", "total s"],
-        [("on", times[True]), ("off", times[False])],
     )
-    benchmark.extra_info["gain"] = times[False] / times[True]
-    assert times[True] < times[False]
+    assert cells["rows_on"] == cells["rows_off"] == [1] * 40
 
 
 def test_ablation_metadata_dispatch(benchmark):
-    def run():
-        data = get_data(default_scale_factor())
-        times = {}
-        for enabled in (True, False):
-            engine = _engine(metadata_dispatch=enabled)
-            session = engine.connect()
-            load_tpch(session, data=data)
-            result = session.execute(
-                """
-                select n_name, count(*) from customer, orders, nation
-                where c_custkey = o_custkey and c_nationkey = n_nationkey
-                group by n_name
-                """
-            )
-            times[enabled] = result.cost.seconds
-        return times
-
-    times = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_figure(
+    _run(
+        benchmark, "ablation_metadata_dispatch",
         "Ablation: metadata dispatch (self-described plans vs catalog RPCs)",
         ["metadata dispatch", "query s"],
-        [("on", times[True]), ("off", times[False])],
     )
-    benchmark.extra_info["gain"] = times[False] / times[True]
-    assert times[True] < times[False]
 
 
 def test_ablation_partition_elimination(benchmark):
-    def run():
-        data = get_data(default_scale_factor())
-        times = {}
-        for enabled in (True, False):
-            engine = _engine(
-                planner_options=PlannerOptions(
-                    enable_partition_elimination=enabled
-                )
-            )
-            session = engine.connect()
-            session.execute(
-                """
-                CREATE TABLE sales_part (id INT, saledate DATE, amt DECIMAL(10,2))
-                DISTRIBUTED BY (id)
-                PARTITION BY RANGE (saledate)
-                (START (date '1992-01-01') INCLUSIVE
-                 END (date '1999-01-01') EXCLUSIVE
-                 EVERY (INTERVAL '6 month'))
-                """
-            )
-            rows = [
-                (o[0], o[4], float(o[3])) for o in data.orders
-            ]  # orderkey, orderdate, totalprice
-            session.load_rows("sales_part", rows)
-            result = session.execute(
-                "SELECT count(*), sum(amt) FROM sales_part "
-                "WHERE saledate >= date '1996-01-01' "
-                "AND saledate < date '1996-07-01'"
-            )
-            times[enabled] = result.cost.seconds
-            # Verify pruning happened (or not) on the scan node.
-            times[(enabled, "result")] = result.rows[0]
-        return times
-
-    times = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert times[(True, "result")] == times[(False, "result")]
-    print_figure(
+    cells = _run(
+        benchmark, "ablation_partition_elimination",
         "Ablation: partition elimination (6-month slice of 7 years)",
         ["elimination", "query s"],
-        [("on", times[True]), ("off", times[False])],
     )
-    benchmark.extra_info["gain"] = times[False] / times[True]
-    assert times[True] < times[False]
+    assert cells["answer_on"] == cells["answer_off"]
 
 
 def test_ablation_pipelining(benchmark):
-    def run():
-        data = get_data(default_scale_factor())
-        times = {}
-        for pipelined in (True, False):
-            engine = _engine(pipelined=pipelined)
-            session = engine.connect()
-            load_tpch(session, data=data)
-            result = session.execute(
-                """
-                select n_name, sum(l_extendedprice * (1 - l_discount)) as rev
-                from customer, orders, lineitem, supplier, nation, region
-                where c_custkey = o_custkey and l_orderkey = o_orderkey
-                  and l_suppkey = s_suppkey and c_nationkey = s_nationkey
-                  and s_nationkey = n_nationkey and n_regionkey = r_regionkey
-                group by n_name order by rev desc
-                """
-            )
-            times[pipelined] = result.cost.seconds
-        return times
-
-    times = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_figure(
+    _run(
+        benchmark, "ablation_pipelining",
         "Ablation: pipelined slices vs staged (materialize-per-stage)",
         ["execution", "query s"],
-        [("pipelined", times[True]), ("staged", times[False])],
+        rows=lambda c: [("pipelined", c["on"]), ("staged", c["off"])],
     )
-    benchmark.extra_info["gain"] = times[False] / times[True]
-    assert times[True] < times[False]
 
 
 def test_ablation_colocation_awareness(benchmark):
     """PlannerOptions.enable_colocation=False makes the planner ignore
     existing hash distributions entirely — every join redistributes, as
     if all tables were randomly distributed (Section 2.3's motivation)."""
-
-    def run():
-        data = get_data(default_scale_factor())
-        times = {}
-        for enabled in (True, False):
-            engine = _engine(
-                planner_options=PlannerOptions(enable_colocation=enabled)
-            )
-            session = engine.connect()
-            load_tpch(session, data=data)
-            result = session.execute(
-                """
-                select l_orderkey, count(l_quantity)
-                from lineitem, orders
-                where l_orderkey = o_orderkey and l_tax > 0.01
-                group by l_orderkey
-                """
-            )
-            times[enabled] = result.cost.seconds
-            times[(enabled, "slices")] = len(result.plan.slices)
-        return times
-
-    times = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_figure(
+    cells = _run(
+        benchmark, "ablation_colocation",
         "Ablation: co-location awareness (the paper's Figure 3 query)",
         ["colocation", "query s", "slices"],
-        [
-            ("on", times[True], times[(True, "slices")]),
-            ("off", times[False], times[(False, "slices")]),
+        rows=lambda c: [
+            ("on", c["on"], c["slices_on"]),
+            ("off", c["off"], c["slices_off"]),
         ],
     )
-    benchmark.extra_info["gain"] = times[False] / times[True]
-    assert times[True] < times[False]
     # The co-located plan is Figure 3(a): fewer slices.
-    assert times[(True, "slices")] < times[(False, "slices")]
+    assert cells["slices_on"] < cells["slices_off"]

@@ -4,44 +4,13 @@ Paper (CPU-bound case, data fits in page cache):
 Stinger 7935 s, HAWQ AO 239 s, CO 211 s, Parquet 172 s — HAWQ ~45x.
 """
 
-from repro.bench.harness import (
-    BenchConfig,
-    NOMINAL_160GB,
-    default_scale_factor,
-    get_hawq,
-    get_stinger,
-    suite_seconds,
-)
+from repro.bench import contract
+from repro.bench.figures import PAPER_160GB as PAPER, fig06
 from repro.bench.reporting import print_figure
-
-PAPER = {"stinger": 7935.0, "ao": 239.0, "co": 211.0, "parquet": 172.0}
-
-
-def _config(fmt: str) -> BenchConfig:
-    return BenchConfig(
-        nominal_bytes=NOMINAL_160GB,
-        scale_factor=default_scale_factor(),
-        storage_format=fmt,
-        compression="none",
-        io_cached=True,
-    )
-
-
-def run_figure():
-    measured = {}
-    for fmt in ("ao", "co", "parquet"):
-        measured[fmt] = suite_seconds(get_hawq(_config(fmt)).run_suite())
-    stinger = get_stinger(_config("ao"))
-    results = stinger.run_suite()
-    assert all(status == "ok" for _, status in results.values()), (
-        "no query should OOM at 160GB"
-    )
-    measured["stinger"] = suite_seconds(results)
-    return measured
 
 
 def test_fig06_overall_160g(benchmark):
-    measured = benchmark.pedantic(run_figure, rounds=1, iterations=1)
+    measured = benchmark.pedantic(fig06, rounds=1, iterations=1)
     rows = [
         (
             system,
@@ -58,9 +27,13 @@ def test_fig06_overall_160g(benchmark):
         rows,
         notes=["headline: HAWQ ~45x faster than Stinger at 160GB"],
     )
-    benchmark.extra_info.update({f"sim_{k}": v for k, v in measured.items()})
+    benchmark.extra_info.update(
+        {f"sim_{k}": v for k, v in measured.items() if k != "oom"}
+    )
+    contract.check_figure("fig06", measured)
 
     # Shape assertions: ordering and rough factors must match the paper.
+    assert measured["oom"] == [], "no query should OOM at 160GB"
     assert measured["parquet"] <= measured["co"] <= measured["ao"]
     speedup = measured["stinger"] / measured["parquet"]
     assert 20 <= speedup <= 90, f"expected ~45x, got {speedup:.0f}x"

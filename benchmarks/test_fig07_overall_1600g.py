@@ -4,43 +4,13 @@ Paper: Stinger 95502 s over 19 queries (3 fail with reducer OOM),
 HAWQ AO 5115 s, CO 2490 s, Parquet 2950 s — HAWQ ~40x.
 """
 
-from repro.bench.harness import (
-    BenchConfig,
-    NOMINAL_1600GB,
-    default_scale_factor,
-    get_hawq,
-    get_stinger,
-    suite_seconds,
-)
+from repro.bench import contract
+from repro.bench.figures import PAPER_1600GB as PAPER, PAPER_OOM_COUNT, fig07
 from repro.bench.reporting import print_figure
-
-PAPER = {"stinger": 95502.0, "ao": 5115.0, "co": 2490.0, "parquet": 2950.0}
-PAPER_OOM_COUNT = 3
-
-
-def _config(fmt: str) -> BenchConfig:
-    return BenchConfig(
-        nominal_bytes=NOMINAL_1600GB,
-        scale_factor=default_scale_factor(),
-        storage_format=fmt,
-        compression="none",
-        io_cached=False,
-    )
-
-
-def run_figure():
-    measured = {}
-    for fmt in ("ao", "co", "parquet"):
-        measured[fmt] = suite_seconds(get_hawq(_config(fmt)).run_suite())
-    results = get_stinger(_config("ao")).run_suite()
-    oom = sorted(n for n, (_, status) in results.items() if status == "oom")
-    measured["stinger"] = suite_seconds(results)
-    measured["oom"] = oom
-    return measured
 
 
 def test_fig07_overall_1600g(benchmark):
-    measured = benchmark.pedantic(run_figure, rounds=1, iterations=1)
+    measured = benchmark.pedantic(fig07, rounds=1, iterations=1)
     rows = [
         (
             system,
@@ -65,6 +35,7 @@ def test_fig07_overall_1600g(benchmark):
         {f"sim_{k}": v for k, v in measured.items() if k != "oom"}
     )
     benchmark.extra_info["oom_queries"] = str(measured["oom"])
+    contract.check_figure("fig07", measured)
 
     # Shapes: column formats beat row at IO-bound; CO best; ~3 OOMs; big gap.
     assert measured["co"] < measured["ao"]

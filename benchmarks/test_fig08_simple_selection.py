@@ -5,44 +5,17 @@ from task start-up/coordination and stage materialization, since the
 plans themselves are trivial.
 """
 
-from repro.bench.harness import (
-    BenchConfig,
-    NOMINAL_1600GB,
-    default_scale_factor,
-    get_hawq,
-    get_stinger,
-)
+from repro.bench import contract
+from repro.bench.figures import fig08, speedups
 from repro.bench.reporting import print_figure
-from repro.tpch.queries import SIMPLE_SELECTION_QUERIES
-
-
-def _config() -> BenchConfig:
-    return BenchConfig(
-        nominal_bytes=NOMINAL_1600GB,
-        scale_factor=default_scale_factor(),
-        storage_format="co",
-        compression="none",
-        io_cached=False,
-    )
-
-
-def run_figure():
-    hawq = get_hawq(_config())
-    stinger = get_stinger(_config())
-    per_query = {}
-    for n in SIMPLE_SELECTION_QUERIES:
-        h = hawq.run_query(n).cost.seconds
-        result, status = stinger.run_query(n)
-        s = result.seconds if status == "ok" else float("nan")
-        per_query[n] = (h, s, status)
-    return per_query
 
 
 def test_fig08_simple_selection(benchmark):
-    per_query = benchmark.pedantic(run_figure, rounds=1, iterations=1)
+    per_query = benchmark.pedantic(fig08, rounds=1, iterations=1)
     rows = [
-        (f"Q{n}", h, s if status == "ok" else "OOM", (s / h if status == "ok" else "-"))
-        for n, (h, s, status) in per_query.items()
+        (q, c["hawq"], "OOM" if c["stinger"] is None else c["stinger"],
+         "-" if c["stinger"] is None else c["stinger"] / c["hawq"])
+        for q, c in per_query.items()
     ]
     print_figure(
         "Figure 8: simple selection queries, 1.6TB",
@@ -50,10 +23,9 @@ def test_fig08_simple_selection(benchmark):
         rows,
         notes=["paper: HAWQ ~10x faster on simple selections"],
     )
-    ratios = [
-        s / h for h, s, status in per_query.values() if status == "ok"
-    ]
+    ratios = speedups(per_query)
     benchmark.extra_info["mean_speedup"] = sum(ratios) / len(ratios)
+    contract.check_figure("fig08", per_query)
     # The simple-query gap should be clearly smaller than the complex-join
     # gap (Fig 9) but still large: paper says ~10x.
     assert all(r > 3 for r in ratios), ratios

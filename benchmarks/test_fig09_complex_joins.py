@@ -4,46 +4,17 @@ Paper: HAWQ ~40x faster — cost-based planning, pipelined motions and the
 interconnect dominate here; some Stinger runs OOM outright.
 """
 
-import math
-
-from repro.bench.harness import (
-    BenchConfig,
-    NOMINAL_1600GB,
-    default_scale_factor,
-    get_hawq,
-    get_stinger,
-)
+from repro.bench import contract
+from repro.bench.figures import fig08, fig09, speedups
 from repro.bench.reporting import print_figure
-from repro.tpch.queries import COMPLEX_JOIN_QUERIES
-
-
-def _config() -> BenchConfig:
-    return BenchConfig(
-        nominal_bytes=NOMINAL_1600GB,
-        scale_factor=default_scale_factor(),
-        storage_format="co",
-        compression="none",
-        io_cached=False,
-    )
-
-
-def run_figure():
-    hawq = get_hawq(_config())
-    stinger = get_stinger(_config())
-    per_query = {}
-    for n in COMPLEX_JOIN_QUERIES:
-        h = hawq.run_query(n).cost.seconds
-        result, status = stinger.run_query(n)
-        s = result.seconds if status == "ok" else float("nan")
-        per_query[n] = (h, s, status)
-    return per_query
 
 
 def test_fig09_complex_joins(benchmark):
-    per_query = benchmark.pedantic(run_figure, rounds=1, iterations=1)
+    per_query = benchmark.pedantic(fig09, rounds=1, iterations=1)
     rows = [
-        (f"Q{n}", h, s if status == "ok" else "OOM", (s / h if status == "ok" else "-"))
-        for n, (h, s, status) in per_query.items()
+        (q, c["hawq"], "OOM" if c["stinger"] is None else c["stinger"],
+         "-" if c["stinger"] is None else c["stinger"] / c["hawq"])
+        for q, c in per_query.items()
     ]
     print_figure(
         "Figure 9: complex join queries, 1.6TB",
@@ -51,19 +22,11 @@ def test_fig09_complex_joins(benchmark):
         rows,
         notes=["paper: HAWQ ~40x faster on complex joins"],
     )
-    ratios = [s / h for h, s, status in per_query.values() if status == "ok"]
+    ratios = speedups(per_query)
     mean = sum(ratios) / len(ratios)
     benchmark.extra_info["mean_speedup"] = mean
+    contract.check_figure("fig09", per_query)
     assert mean > 12, f"expected ~40x on complex joins, got {mean:.0f}x"
     # Complex joins must show a larger gap than simple selections (Fig 8).
-    from repro.tpch.queries import SIMPLE_SELECTION_QUERIES
-
-    hawq = get_hawq(_config())
-    stinger = get_stinger(_config())
-    simple_ratios = []
-    for n in SIMPLE_SELECTION_QUERIES:
-        h = hawq.run_query(n).cost.seconds
-        result, status = stinger.run_query(n)
-        if status == "ok":
-            simple_ratios.append(result.seconds / h)
+    simple_ratios = speedups(fig08())
     assert mean > sum(simple_ratios) / len(simple_ratios)

@@ -5,58 +5,28 @@ co-located equi-joins skip the redistribution motions entirely
 (Section 2.3's alignment argument, Q9 walked through in Section 8.3).
 """
 
-from repro.bench.harness import (
-    BenchConfig,
-    NOMINAL_1600GB,
-    default_scale_factor,
-    get_hawq,
-)
+from repro.bench import contract
+from repro.bench.figures import PAPER_DISTRIBUTION_GAIN, distribution_gains, fig10
 from repro.bench.reporting import print_figure
-
-QUERIES = (5, 8, 9, 18)
-PAPER_IMPROVEMENT = 2.0
-
-
-def _config(fmt: str, distribution: str) -> BenchConfig:
-    return BenchConfig(
-        nominal_bytes=NOMINAL_1600GB,
-        scale_factor=default_scale_factor(),
-        storage_format=fmt,
-        compression="none",
-        distribution=distribution,
-        io_cached=False,
-    )
-
-
-def run_figure():
-    out = {}
-    for fmt in ("ao", "co"):
-        for distribution in ("hash", "random"):
-            bench = get_hawq(_config(fmt, distribution))
-            for n in QUERIES:
-                out[(fmt, distribution, n)] = bench.run_query(n).cost.seconds
-    return out
 
 
 def test_fig10_distribution(benchmark):
-    out = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    rows = []
-    improvements = []
-    for fmt in ("ao", "co"):
-        for n in QUERIES:
-            hash_time = out[(fmt, "hash", n)]
-            random_time = out[(fmt, "random", n)]
-            improvements.append(random_time / hash_time)
-            rows.append(
-                (f"{fmt.upper()} Q{n}", hash_time, random_time, random_time / hash_time)
-            )
+    out = benchmark.pedantic(fig10, rounds=1, iterations=1)
+    rows = [
+        (f"{fmt.upper()} {q}", hash_time, out[fmt]["random"][q],
+         out[fmt]["random"][q] / hash_time)
+        for fmt in ("ao", "co")
+        for q, hash_time in out[fmt]["hash"].items()
+    ]
     print_figure(
         "Figure 10: hash vs random distribution, 1.6TB",
         ["config", "hash s", "random s", "random/hash"],
         rows,
-        notes=[f"paper: distribution keys bring ~{PAPER_IMPROVEMENT}x overall"],
+        notes=[f"paper: distribution keys bring ~{PAPER_DISTRIBUTION_GAIN}x overall"],
     )
+    improvements = distribution_gains(out)
     mean = sum(improvements) / len(improvements)
     benchmark.extra_info["mean_improvement"] = mean
+    contract.check_figure("fig10", out)
     assert all(r > 1.0 for r in improvements), improvements
     assert 1.2 <= mean <= 4.0, f"expected ~2x, got {mean:.2f}x"

@@ -11,66 +11,38 @@ and CO (snappy / gzip for Parquet):
   saved IO dwarfs decompression CPU.
 """
 
-from repro.bench.harness import (
-    BenchConfig,
-    NOMINAL_160GB,
-    NOMINAL_1600GB,
-    default_scale_factor,
-    get_hawq,
-    suite_seconds,
-)
+from repro.bench import contract
+from repro.bench.figures import CODECS, fig11a, fig11b
 from repro.bench.reporting import print_figure
 
-#: Codec ladder per storage format (parquet uses snappy/gzip naming).
-CODECS = {
-    "ao": ("none", "quicklz", "zlib1", "zlib5", "zlib9"),
-    "co": ("none", "quicklz", "zlib1", "zlib5", "zlib9"),
-    "parquet": ("none", "snappy", "gzip1", "gzip5", "gzip9"),
-}
+
+def _rows(out):
+    return [
+        (fmt, codec, cell["lineitem_bytes"] / 1e6, cell["suite_s"])
+        for fmt, ladder in out.items()
+        for codec, cell in ladder.items()
+    ]
 
 
-def _config(nominal, cached, fmt, codec) -> BenchConfig:
-    return BenchConfig(
-        nominal_bytes=nominal,
-        scale_factor=default_scale_factor(),
-        storage_format=fmt,
-        compression=codec,
-        io_cached=cached,
-    )
-
-
-def run_scale(nominal, cached):
-    out = {}
-    for fmt, codecs in CODECS.items():
-        for codec in codecs:
-            bench = get_hawq(_config(nominal, cached, fmt, codec))
-            size = bench.table_stored_bytes("lineitem")
-            seconds = suite_seconds(bench.run_suite())
-            out[(fmt, codec)] = (size, seconds)
-    return out
+def _ladder(out, fmt, key):
+    return [out[fmt][codec][key] for codec in CODECS[fmt]]
 
 
 def test_fig11a_compression_160g(benchmark):
-    out = benchmark.pedantic(
-        lambda: run_scale(NOMINAL_160GB, True), rounds=1, iterations=1
-    )
-    rows = [
-        (fmt, codec, size / 1e6, seconds)
-        for (fmt, codec), (size, seconds) in out.items()
-    ]
+    out = benchmark.pedantic(fig11a, rounds=1, iterations=1)
     print_figure(
         "Figure 11(a): compression at 160GB (CPU-bound)",
         ["format", "codec", "lineitem MB (actual)", "suite s (simulated)"],
-        rows,
+        _rows(out),
         notes=[
             "paper: times INCREASE with compression level when CPU-bound",
             "paper: light codecs ~3x ratio; zlib levels add little more",
         ],
     )
+    contract.check_figure("fig11a", out)
     for fmt in ("ao", "co", "parquet"):
-        ladder = CODECS[fmt]
-        sizes = [out[(fmt, c)][0] for c in ladder]
-        times = [out[(fmt, c)][1] for c in ladder]
+        sizes = _ladder(out, fmt, "lineitem_bytes")
+        times = _ladder(out, fmt, "suite_s")
         # Light codec compresses ~3x; deeper levels shave only a bit more.
         assert sizes[1] < sizes[0] / 2, (fmt, sizes)
         assert sizes[4] <= sizes[1]
@@ -79,26 +51,20 @@ def test_fig11a_compression_160g(benchmark):
         assert times[4] > times[0], (fmt, times)
         assert times[4] > times[1], (fmt, times)
     # Column formats compress better than the row format.
-    assert out[("co", "zlib1")][0] < out[("ao", "zlib1")][0]
+    assert out["co"]["zlib1"]["lineitem_bytes"] < out["ao"]["zlib1"]["lineitem_bytes"]
 
 
 def test_fig11b_compression_1600g(benchmark):
-    out = benchmark.pedantic(
-        lambda: run_scale(NOMINAL_1600GB, False), rounds=1, iterations=1
-    )
-    rows = [
-        (fmt, codec, size / 1e6, seconds)
-        for (fmt, codec), (size, seconds) in out.items()
-    ]
+    out = benchmark.pedantic(fig11b, rounds=1, iterations=1)
     print_figure(
         "Figure 11(b): compression at 1.6TB (IO-bound)",
         ["format", "codec", "lineitem MB (actual)", "suite s (simulated)"],
-        rows,
+        _rows(out),
         notes=["paper: the story flips — compression WINS when IO-bound"],
     )
+    contract.check_figure("fig11b", out)
     for fmt in ("ao", "co", "parquet"):
-        ladder = CODECS[fmt]
-        times = [out[(fmt, c)][1] for c in ladder]
+        times = _ladder(out, fmt, "suite_s")
         # IO-bound: any compression beats none.
         assert times[1] < times[0], (fmt, times)
         assert times[2] < times[0], (fmt, times)

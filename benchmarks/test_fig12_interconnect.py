@@ -10,90 +10,18 @@ streams per host, the TCP model's per-connection set-up and concurrency
 penalty throttle it, while UDP multiplexes one socket.
 """
 
-from repro.bench.harness import (
-    BenchConfig,
-    NOMINAL_160GB,
-    default_scale_factor,
-    get_hawq,
-    suite_seconds,
-)
+from repro.bench import contract
+from repro.bench.figures import fig12, fig12_packet, tcp_gap
 from repro.bench.reporting import print_figure
-from repro.interconnect import StreamKey, TcpEndpoint, TcpFabric, UdpEndpoint
-from repro.network import NetworkConditions, SimNetwork
-
-PAPER_UDP_GAIN_RANDOM = 0.54  # UDP outperforms TCP by 54% on random dist
-
-
-def _config(interconnect: str, distribution: str) -> BenchConfig:
-    return BenchConfig(
-        nominal_bytes=NOMINAL_160GB,
-        scale_factor=default_scale_factor(),
-        storage_format="co",
-        compression="none",
-        distribution=distribution,
-        interconnect=interconnect,
-        io_cached=True,
-    )
-
-
-def run_macro():
-    out = {}
-    for distribution in ("hash", "random"):
-        for transport in ("udp", "tcp"):
-            bench = get_hawq(_config(transport, distribution))
-            out[(distribution, transport)] = suite_seconds(bench.run_suite())
-    return out
-
-
-def run_packet_micro(num_streams: int = 1024, packets_per_stream: int = 12):
-    """Simulated seconds to drain many concurrent streams, per transport."""
-    # UDP: all streams share one socket pair.
-    net = SimNetwork(NetworkConditions(loss_rate=0.01), seed=11)
-    sender_ep = UdpEndpoint(net, ("a", 1))
-    receiver_ep = UdpEndpoint(net, ("b", 1))
-    pairs = []
-    for i in range(num_streams):
-        key = StreamKey(1, 1, 1, i, 1000 + i)
-        recv = receiver_ep.create_receiver(key, ("a", 1))
-        send = sender_ep.create_sender(key, ("b", 1))
-        pairs.append((send, recv))
-    for send, _ in pairs:
-        for p in range(packets_per_stream):
-            send.send(p, size=512)
-        send.finish()
-    udp_time = net.run(
-        until=lambda: all(s.done and r.done for s, r in pairs), max_time=120
-    )
-
-    # TCP: one connection per stream, with set-up and concurrency cost.
-    net2 = SimNetwork(NetworkConditions(loss_rate=0.01), seed=11)
-    fabric = TcpFabric(net2)
-    a = TcpEndpoint(fabric, ("a", 1))
-    b = TcpEndpoint(fabric, ("b", 1))
-    tcp_pairs = []
-    for i in range(num_streams):
-        key = StreamKey(1, 1, 1, i, 1000 + i)
-        recv = b.create_receiver(key)
-        send = a.create_sender(key, b)
-        recv.attach_sender(send)
-        tcp_pairs.append((send, recv))
-    for send, _ in tcp_pairs:
-        for p in range(packets_per_stream):
-            send.send(p, size=512)
-        send.finish()
-    tcp_time = net2.run(
-        until=lambda: all(s.done and r.done for s, r in tcp_pairs), max_time=120
-    )
-    return udp_time, tcp_time
 
 
 def test_fig12_interconnect(benchmark):
-    out = benchmark.pedantic(run_macro, rounds=1, iterations=1)
-    rows = []
-    for distribution in ("hash", "random"):
-        udp = out[(distribution, "udp")]
-        tcp = out[(distribution, "tcp")]
-        rows.append((distribution, udp, tcp, (tcp - udp) / udp))
+    out = benchmark.pedantic(fig12, rounds=1, iterations=1)
+    rows = [
+        (distribution, out[distribution]["udp"], out[distribution]["tcp"],
+         tcp_gap(out, distribution))
+        for distribution in ("hash", "random")
+    ]
     print_figure(
         "Figure 12: TCP vs UDP interconnect, 160GB",
         ["distribution", "UDP s", "TCP s", "TCP slower by"],
@@ -103,12 +31,11 @@ def test_fig12_interconnect(benchmark):
             "random (deeper plans, more connections)"
         ],
     )
-    hash_gap = (out[("hash", "tcp")] - out[("hash", "udp")]) / out[("hash", "udp")]
-    random_gap = (
-        out[("random", "tcp")] - out[("random", "udp")]
-    ) / out[("random", "udp")]
+    hash_gap = tcp_gap(out, "hash")
+    random_gap = tcp_gap(out, "random")
     benchmark.extra_info["hash_gap"] = hash_gap
     benchmark.extra_info["random_gap"] = random_gap
+    contract.check_figure("fig12", out)
     # Shape: near-tie on hash; clear UDP win on random; random >> hash gap.
     assert abs(hash_gap) < 0.25, hash_gap
     assert 0.2 <= random_gap <= 1.5, random_gap
@@ -116,14 +43,12 @@ def test_fig12_interconnect(benchmark):
 
 
 def test_fig12_packet_level(benchmark):
-    udp_time, tcp_time = benchmark.pedantic(
-        run_packet_micro, rounds=1, iterations=1
-    )
+    out = benchmark.pedantic(fig12_packet, rounds=1, iterations=1)
     print_figure(
         "Figure 12 (micro): packet-level protocol, 1024 concurrent streams",
         ["transport", "simulated s"],
-        [("udp", udp_time), ("tcp", tcp_time)],
+        list(out.items()),
     )
-    benchmark.extra_info["udp"] = udp_time
-    benchmark.extra_info["tcp"] = tcp_time
-    assert udp_time < tcp_time
+    benchmark.extra_info.update(out)
+    contract.check_figure("fig12_packet", out)
+    assert out["udp"] < out["tcp"]

@@ -7,78 +7,43 @@ Paper:
     nodes — near-linear speed-up.
 """
 
-from repro.bench.harness import (
-    BenchConfig,
-    default_scale_factor,
-    get_hawq,
-    suite_seconds,
-)
+from repro.bench import contract
+from repro.bench.figures import NODES, PER_NODE_BYTES, fig13a, fig13b
 from repro.bench.reporting import print_figure
-
-NODES = (4, 8, 12, 16)
-PER_NODE_BYTES = 40e9
-FIXED_TOTAL_BYTES = 160e9
-#: The paper runs these on a subset of machines of the same testbed,
-#: with 6 segments per node.
-SEGMENTS_PER_NODE = 6
-
-
-def _config(nodes: int, nominal: float) -> BenchConfig:
-    return BenchConfig(
-        nominal_bytes=nominal,
-        scale_factor=default_scale_factor(),
-        storage_format="co",
-        compression="none",
-        io_cached=True,  # 160-640GB across 4-16 nodes stays cacheable
-        sim_segments=nodes,  # one simulated segment per node...
-        paper_segments=nodes * SEGMENTS_PER_NODE,  # ...stands for 6 real ones
-    )
-
-
-def run_scaleup():
-    out = {}
-    for nodes in NODES:
-        bench = get_hawq(_config(nodes, PER_NODE_BYTES * nodes))
-        out[nodes] = suite_seconds(bench.run_suite())
-    return out
-
-
-def run_speedup():
-    out = {}
-    for nodes in NODES:
-        bench = get_hawq(_config(nodes, FIXED_TOTAL_BYTES))
-        out[nodes] = suite_seconds(bench.run_suite())
-    return out
 
 
 def test_fig13a_scaleup(benchmark):
-    out = benchmark.pedantic(run_scaleup, rounds=1, iterations=1)
-    base = out[NODES[0]]
-    rows = [(n, PER_NODE_BYTES * n / 1e9, out[n], out[n] / base) for n in NODES]
+    out = benchmark.pedantic(fig13a, rounds=1, iterations=1)
+    base = out[str(NODES[0])]
+    rows = [
+        (n, PER_NODE_BYTES * n / 1e9, out[str(n)], out[str(n)] / base) for n in NODES
+    ]
     print_figure(
         "Figure 13(a): fixed 40GB/node, 4->16 nodes (scale-up)",
         ["nodes", "dataset GB", "suite s", "vs 4 nodes"],
         rows,
         notes=["paper: time grows only ~13% as data quadruples"],
     )
-    growth = out[NODES[-1]] / base
+    growth = out[str(NODES[-1])] / base
     benchmark.extra_info["growth"] = growth
+    contract.check_figure("fig13a", out)
     assert growth < 1.4, f"scale-up should be near-flat, got {growth:.2f}x"
 
 
 def test_fig13b_speedup(benchmark):
-    out = benchmark.pedantic(run_speedup, rounds=1, iterations=1)
-    base = out[NODES[0]]
-    rows = [(n, out[n], out[n] / base, base / out[n]) for n in NODES]
+    out = benchmark.pedantic(fig13b, rounds=1, iterations=1)
+    base = out[str(NODES[0])]
+    rows = [(n, out[str(n)], out[str(n)] / base, base / out[str(n)]) for n in NODES]
     print_figure(
         "Figure 13(b): fixed 160GB total, 4->16 nodes (speed-up)",
         ["nodes", "suite s", "vs 4 nodes", "speedup"],
         rows,
         notes=["paper: 16-node time is ~28% of the 4-node time"],
     )
-    ratio = out[NODES[-1]] / base
+    ratio = out[str(NODES[-1])] / base
     benchmark.extra_info["ratio"] = ratio
+    contract.check_figure("fig13b", out)
     assert 0.15 <= ratio <= 0.6, f"expected ~0.28, got {ratio:.2f}"
     # Monotone improvement with cluster size.
-    times = [out[n] for n in NODES]
+    times = [out[str(n)] for n in NODES]
     assert times == sorted(times, reverse=True), times

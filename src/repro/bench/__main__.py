@@ -4,8 +4,10 @@
     python -m repro.bench --wallclock --check  # perf guard (exit 1 on fail)
     python -m repro.bench --wallclock --check --no-report  # skip the JSON
 
-The paper's figures (6-13 and the ablations) are defined once, with
-their shape assertions, under ``benchmarks/``:
+The paper's figures (6-13 and the ablations) are measured once, in
+``repro.bench.figures``; their tables and shape assertions are under
+``benchmarks/``, and ``CONTRACT.json`` holds every cell
+(``repro.bench.contract``):
 ``python -m pytest benchmarks/ --benchmark-only --ignore=benchmarks/perf -s``
 prints every table.
 """

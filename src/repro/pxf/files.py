@@ -222,7 +222,6 @@ class TextWriter(Writer):
         else:
             client.write_file(source, data)
         return len(data)
-        return len(data)
 
 
 class JsonWriter(Writer):

@@ -15,7 +15,6 @@ storage formats run whole blocks through ``RowCodec`` (AO) and
 """
 
 import datetime
-import hashlib
 import struct
 from itertools import combinations
 
@@ -23,6 +22,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench import contract
+from repro.bench.statements import FROZEN_FORMATS, written_digest
 from repro.catalog import schema as schema_module
 from repro.catalog.schema import (
     Column,
@@ -933,64 +934,11 @@ def test_a_schema_version_compiles_its_row_codec_once():
 
 
 # ------------------------------------------------------------ frozen format
-LINEITEM = TableSchema(
-    "lineitem",
-    [
-        Column(name, DataType.parse(sql_type), not_null=True)
-        for name, sql_type in (
-            ("l_orderkey", "INT8"), ("l_partkey", "INTEGER"),
-            ("l_suppkey", "INTEGER"), ("l_linenumber", "INTEGER"),
-            ("l_quantity", "DECIMAL(15,2)"), ("l_extendedprice", "DECIMAL(15,2)"),
-            ("l_discount", "DECIMAL(15,2)"), ("l_tax", "DECIMAL(15,2)"),
-            ("l_returnflag", "CHAR(1)"), ("l_linestatus", "CHAR(1)"),
-            ("l_shipdate", "DATE"), ("l_commitdate", "DATE"),
-            ("l_receiptdate", "DATE"), ("l_shipinstruct", "CHAR(25)"),
-            ("l_shipmode", "CHAR(10)"), ("l_comment", "VARCHAR(44)"),
-        )
-    ],
-)
-
-
-def lineitem_rows(n=50):
-    ship = datetime.date(1992, 1, 2)
-    return [
-        LINEITEM.coerce_row((
-            1 + i // 4, 1 + (i * 37) % 200, 1 + (i * 11) % 10, 1 + i % 4,
-            1 + i % 50, 901.0 + i * 13.37, (i % 11) / 100, (i % 9) / 100,
-            "ARN"[i % 3], "OF"[i % 2],
-            ship + datetime.timedelta(days=i * 37),
-            ship + datetime.timedelta(days=i * 37 + 30),
-            ship + datetime.timedelta(days=i * 37 + 9),
-            ("DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN")[i % 4],
-            ("REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB")[i % 7],
-            f"carefully final deposits {i} — naïve",
-        ))
-        for i in range(n)
-    ]
-
-
-#: sha256 over (path, bytes) of every file ``write`` produced. The
-#: compressed bytes are zlib's, so these also pin zlib's output for
-#: levels 1 and 5 on this input (stable across zlib 1.2/1.3).
-FROZEN = {
-    ("ao", "zlib1"): "cdf20ebee93667d511dbe4b6368fd2b10cb5bc35086d740d81639b3c9b70b73c",
-    ("co", "zlib5"): "c73c50d48156ec5f7620fd7d68caae9cb91a0c55366b9e78f8ad2ccf586fd183",
-    ("parquet", "snappy"): "e51bb7af671124a11c4357ee23959e802e4303737f1875b0ffa083745c665b97",
-}
-
-
-def written_digest(fmt_name: str, codec_name: str) -> str:
-    client = make_client()
-    result = get_format(fmt_name).write(
-        client, "/frozen/f0", lineitem_rows(), LINEITEM, codec_name
-    )
-    digest = hashlib.sha256()
-    for path in sorted(result.paths):
-        digest.update(path.encode())
-        digest.update(client.read_file(path))
-    return digest.hexdigest()
-
-
-@pytest.mark.parametrize("fmt_name,codec_name", sorted(FROZEN))
+@pytest.mark.parametrize("fmt_name,codec_name", FROZEN_FORMATS)
 def test_on_disk_format_is_frozen(fmt_name, codec_name):
-    assert written_digest(fmt_name, codec_name) == FROZEN[fmt_name, codec_name]
+    """sha256 over (path, bytes) of every file one ``write`` produced
+    (``statements/frozen_formats``)."""
+    contract.check(
+        ("statements", "frozen_formats", f"{fmt_name}/{codec_name}"),
+        written_digest(fmt_name, codec_name),
+    )

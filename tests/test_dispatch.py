@@ -14,7 +14,7 @@ from repro.planner.dispatch import build_self_described_plan, tables_in_plan
 from repro.planner.wire import encode
 from repro.sql.parser import parse_statement
 from repro.tpch import QUERIES, generate, load_tpch
-from tests.test_payload_canary import SHORT_TEMPLATES
+from repro.bench.statements import SHORT_TEMPLATES
 
 
 @pytest.fixture

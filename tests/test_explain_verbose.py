@@ -1,10 +1,11 @@
 """Golden tests for ``EXPLAIN (ANALYZE, VERBOSE)`` on TPC-H Q1/Q3/Q6,
 and for plain ``EXPLAIN ANALYZE`` on Q11, whose InitPlan runs first.
 
-The goldens pin the *structural* plan tree (slice headers and operator
-lines with estimates and annotations stripped), which must stay stable
-across cost model tweaks; separate assertions check the estimates and
-the verbose annotations —
+The goldens, kept in ``CONTRACT.json`` (``statements/explain_structure``
+and ``statements/q11_analyze``), pin the *structural* plan tree (slice
+headers and operator lines with estimates and annotations stripped),
+which must stay stable across cost model tweaks; separate assertions
+check the estimates and the verbose annotations —
 per-operator ``(actual rows=... calls=... time=... q_err=...)`` and per-scan
 ``(read=... remote=... cache hits=...)`` — are present and internally
 consistent with the query's own timing.
@@ -14,99 +15,37 @@ import re
 
 import pytest
 
+from repro.bench import contract
+from repro.bench.statements import (
+    GOLDEN_QUERIES,
+    SCALE,
+    explain_lines,
+    explain_session,
+    plan_structure,
+    q11_analyze,
+)
 from repro.engine import Engine
 from repro.tpch import QUERIES, load_tpch
-
-SCALE = 0.001
 
 
 @pytest.fixture(scope="module")
 def session():
-    engine = Engine(num_segment_hosts=2, segments_per_host=2, seed=7)
-    session = engine.connect()
-    load_tpch(session, scale=SCALE)
-    return session
+    return explain_session()
 
 
 def _explain(session, number, options="ANALYZE, VERBOSE"):
-    return _explain_sql(session, QUERIES[number][0], options)
-
-
-def _explain_sql(session, stmt, options="ANALYZE, VERBOSE"):
-    result = session.execute(f"EXPLAIN ({options}) {stmt}")
-    return [row[0] for row in result.rows]
-
-
-def _structure(lines):
-    """Operator tree with estimates, annotations (``q_err`` among them)
-    and timing lines stripped."""
-    out = []
-    for line in lines:
-        if line.lstrip().startswith("->") or line.startswith("Slice"):
-            out.append(line.split("  est_rows=")[0].split("  (actual")[0].rstrip())
-    return out
-
-
-GOLDEN_Q1 = [
-    "Slice 2 (QD):",
-    "  -> Sort",
-    "    -> MotionRecv(slice 1, gather)",
-    "Slice 1 (gang of N):",
-    "  -> Motion(gather)",
-    "    -> Sort",
-    "      -> Project",
-    "        -> HashAgg(final, 2 keys, 8 aggs)",
-    "          -> MotionRecv(slice 0, redistribute)",
-    "Slice 0 (gang of N):",
-    "  -> Motion(redistribute)",
-    "    -> HashAgg(partial, 2 keys, 8 aggs)",
-    "      -> SeqScan(lineitem, filter)",
-]
-
-GOLDEN_Q3 = [
-    "Slice 2 (QD):",
-    "  -> Limit",
-    "    -> Sort",
-    "      -> MotionRecv(slice 1, gather)",
-    "Slice 1 (gang of N):",
-    "  -> Motion(gather)",
-    "    -> Limit",
-    "      -> Sort",
-    "        -> Project",
-    "          -> HashAgg(single, 3 keys, 1 aggs)",
-    "            -> HashJoin(inner, 1 keys)",
-    "              -> SeqScan(lineitem, filter)",
-    "              -> HashJoin(inner, 1 keys)",
-    "                -> SeqScan(orders, filter)",
-    "                -> MotionRecv(slice 0, broadcast)",
-    "Slice 0 (gang of N):",
-    "  -> Motion(broadcast)",
-    "    -> SeqScan(customer, filter)",
-]
-
-GOLDEN_Q6 = [
-    "Slice 1 (QD):",
-    "  -> Project",
-    "    -> HashAgg(final, 0 keys, 1 aggs)",
-    "      -> MotionRecv(slice 0, gather)",
-    "Slice 0 (gang of N):",
-    "  -> Motion(gather)",
-    "    -> HashAgg(partial, 0 keys, 1 aggs)",
-    "      -> SeqScan(lineitem, filter)",
-]
-
-GOLDENS = {1: GOLDEN_Q1, 3: GOLDEN_Q3, 6: GOLDEN_Q6}
+    return explain_lines(session, QUERIES[number][0], options)
 
 
 class TestGoldenStructure:
-    @pytest.mark.parametrize("number", sorted(GOLDENS))
+    @pytest.mark.parametrize("number", GOLDEN_QUERIES)
     def test_plan_tree_matches_golden(self, session, number):
         lines = _explain(session, number)
-        assert _structure(lines) == GOLDENS[number]
+        contract.check(("statements", "explain_structure", number), plan_structure(lines))
 
 
 class TestEstimates:
-    @pytest.mark.parametrize("number", sorted(GOLDENS))
+    @pytest.mark.parametrize("number", GOLDEN_QUERIES)
     def test_every_form_prints_each_operators_estimate_once(self, session, number):
         """``est_rows=<int>`` follows each operator, the planner's own
         estimate rounded, the same in EXPLAIN and both ANALYZE forms."""
@@ -137,7 +76,7 @@ class TestEstimates:
 
 
 class TestVerboseAnnotations:
-    @pytest.mark.parametrize("number", sorted(GOLDENS))
+    @pytest.mark.parametrize("number", GOLDEN_QUERIES)
     def test_every_operator_line_has_actuals(self, session, number):
         lines = _explain(session, number)
         op_lines = [l for l in lines if l.lstrip().startswith("->")]
@@ -147,7 +86,7 @@ class TestVerboseAnnotations:
                 r"\(actual rows=\d+ calls=\d+ time=\d+\.\d+s q_err=\d+\.\d\)", line
             ), line
 
-    @pytest.mark.parametrize("number", sorted(GOLDENS))
+    @pytest.mark.parametrize("number", GOLDEN_QUERIES)
     def test_q_err_is_estimate_against_actual_rows(self, session, number):
         """``q_err`` = max / min of the printed estimate and the actual
         rows, each clamped to at least 1."""
@@ -166,7 +105,7 @@ class TestVerboseAnnotations:
         assert "est_rows=1000  (actual rows=10 " in top_limit
         assert top_limit.endswith("q_err=100.0)")
 
-    @pytest.mark.parametrize("number", sorted(GOLDENS))
+    @pytest.mark.parametrize("number", GOLDEN_QUERIES)
     def test_scan_lines_annotate_storage(self, session, number):
         lines = _explain(session, number)
         scans = [l for l in lines if "SeqScan(" in l]
@@ -182,7 +121,7 @@ class TestVerboseAnnotations:
         read = int(re.search(r"read=(\d+)B", scan).group(1))
         assert read > 0
 
-    @pytest.mark.parametrize("number", sorted(GOLDENS))
+    @pytest.mark.parametrize("number", GOLDEN_QUERIES)
     def test_slice_times_bounded_by_critical_path(self, session, number):
         lines = _explain(session, number)
         slice_times = [
@@ -215,7 +154,7 @@ class TestOptionForms:
                 f"EXPLAIN ANALYZE VERBOSE {stmt}"
             ).rows
         ]
-        assert _structure(paren) == _structure(legacy)
+        assert plan_structure(paren) == plan_structure(legacy)
 
     def test_analyze_without_verbose_has_no_operator_actuals(self, session):
         lines = _explain(session, 6, options="ANALYZE")
@@ -293,7 +232,7 @@ class TestMotionActuals:
                 if not stmt.lstrip().upper().startswith("SELECT"):
                     session.execute(stmt)
                     continue
-                lines += _explain_sql(session, stmt)
+                lines += explain_lines(session, stmt)
             for line, child in zip(lines, lines[1:]):
                 if not line.lstrip().startswith("-> Motion("):
                     continue
@@ -304,83 +243,6 @@ class TestMotionActuals:
         assert motions > 22
 
 
-# Captured before EXPLAIN ANALYZE read its timings from the trace: the
-# InitPlan's slices reuse the statement's slice ids and assemble first
-# on the same trace, and must not leak into the statement's lines.
-GOLDEN_Q11_ANALYZE = [
-    "InitPlan:",
-    "  Slice 3 (QD):",
-    "    -> Project  est_rows=1",
-    "      -> HashAgg(final, 0 keys, 1 aggs)  est_rows=1",
-    "        -> MotionRecv(slice 2, gather)  est_rows=1",
-    "  Slice 2 (gang of N):",
-    "    -> Motion(gather)  est_rows=1",
-    "      -> HashAgg(partial, 0 keys, 1 aggs)  est_rows=1",
-    "        -> HashJoin(inner, 1 keys)  est_rows=1",
-    "          -> HashJoin(inner, 1 keys)  est_rows=40",
-    "            -> SeqScan(partsupp)  est_rows=800",
-    "            -> MotionRecv(slice 0, broadcast)  est_rows=80",
-    "          -> MotionRecv(slice 1, broadcast)  est_rows=8",
-    "  Slice 1 (gang of N):",
-    "    -> Motion(broadcast)  est_rows=8",
-    "      -> SeqScan(nation, filter)  est_rows=1",
-    "  Slice 0 (gang of N):",
-    "    -> Motion(broadcast)  est_rows=80",
-    "      -> SeqScan(supplier)  est_rows=10",
-    "Slice 3 (QD):",
-    "  (actual time=0.0016s, rows sent=154)",
-    "    QD: 0.0001s, 154 rows, 0 bytes",
-    "  -> Sort  est_rows=1",
-    "    -> MotionRecv(slice 2, gather)  est_rows=1",
-    "Slice 2 (gang of N):",
-    "  (actual time=0.0013s, rows sent=154)",
-    "    seg0: 0.0005s, 19 rows, 380 bytes",
-    "    seg1: 0.0005s, 19 rows, 380 bytes",
-    "    seg2: 0.0006s, 19 rows, 380 bytes",
-    "    seg3: 0.0005s, 17 rows, 340 bytes",
-    "    seg4: 0.0006s, 20 rows, 400 bytes",
-    "    seg5: 0.0006s, 20 rows, 400 bytes",
-    "    seg6: 0.0005s, 19 rows, 380 bytes",
-    "    seg7: 0.0006s, 21 rows, 420 bytes",
-    "  -> Motion(gather)  est_rows=1",
-    "    -> Sort  est_rows=1",
-    "      -> Project  est_rows=1",
-    "        -> Filter  est_rows=1",
-    "          -> HashAgg(single, 1 keys, 1 aggs)  est_rows=1",
-    "            -> HashJoin(inner, 1 keys)  est_rows=1",
-    "              -> HashJoin(inner, 1 keys)  est_rows=40",
-    "                -> SeqScan(partsupp)  est_rows=800",
-    "                -> MotionRecv(slice 0, broadcast)  est_rows=80",
-    "              -> MotionRecv(slice 1, broadcast)  est_rows=8",
-    "Slice 1 (gang of N):",
-    "  (actual time=0.0007s, rows sent=8)",
-    "    seg0: 0.0003s, 0 rows, 0 bytes",
-    "    seg1: 0.0003s, 0 rows, 0 bytes",
-    "    seg2: 0.0003s, 0 rows, 0 bytes",
-    "    seg3: 0.0003s, 0 rows, 0 bytes",
-    "    seg4: 0.0003s, 0 rows, 0 bytes",
-    "    seg5: 0.0003s, 0 rows, 0 bytes",
-    "    seg6: 0.0003s, 8 rows, 184 bytes",
-    "    seg7: 0.0003s, 0 rows, 0 bytes",
-    "  -> Motion(broadcast)  est_rows=8",
-    "    -> SeqScan(nation, filter)  est_rows=1",
-    "Slice 0 (gang of N):",
-    "  (actual time=0.0003s, rows sent=80)",
-    "    seg0: 0.0003s, 8 rows, 160 bytes",
-    "    seg1: 0.0003s, 8 rows, 160 bytes",
-    "    seg2: 0.0003s, 8 rows, 160 bytes",
-    "    seg3: 0.0003s, 8 rows, 160 bytes",
-    "    seg4: 0.0004s, 24 rows, 480 bytes",
-    "    seg5: 0.0003s, 8 rows, 160 bytes",
-    "    seg6: 0.0003s, 8 rows, 160 bytes",
-    "    seg7: 0.0003s, 8 rows, 160 bytes",
-    "  -> Motion(broadcast)  est_rows=80",
-    "    -> SeqScan(supplier)  est_rows=10",
-    "Total: 0.5086s simulated (critical path 0.0016s + overhead 0.5070s), "
-    "154 rows, 7917 tuples processed, 93788 bytes moved",
-]
-
-
 class TestInitPlanTimings:
     @pytest.fixture(scope="class")
     def default_session(self):
@@ -389,12 +251,9 @@ class TestInitPlanTimings:
         return session
 
     def test_q11_plain_analyze_matches_golden(self, default_session):
-        (stmt,) = QUERIES[11]
-        lines = [
-            row[0]
-            for row in default_session.execute(f"EXPLAIN ANALYZE {stmt}").rows
-        ]
-        assert lines == GOLDEN_Q11_ANALYZE
+        """Captured before EXPLAIN ANALYZE read its timings from the trace
+        (``statements/q11_analyze``)."""
+        contract.check(("statements", "q11_analyze"), q11_analyze(default_session))
 
     def test_q11_trace_holds_both_assemblies(self, default_session):
         (stmt,) = QUERIES[11]

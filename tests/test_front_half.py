@@ -11,16 +11,14 @@ decorrelate, and the 22 TPC-H plans must not move (their EXPLAIN is
 pinned by digest).
 """
 
-import hashlib
-
 import pytest
 
+from repro.bench import contract
+from repro.bench.statements import build_session, explain_digests
 from repro.planner import exprs as ex
 from repro.planner.decorrelate import decorrelate
 from repro.planner.logical import DerivedSource, LogicalQuery
-from repro.tpch import QUERIES
 from tests.test_analyzer import DictCatalog, analyze, table
-from tests.test_payload_canary import build_session
 
 
 def reference_walk(expr):
@@ -279,46 +277,7 @@ class TestDecorrelate:
         assert query.having.right.right == ex.BParam(0)
 
 
-#: TPC-H query -> the first 16 hex digits of the SHA-256 of its EXPLAIN
-#: on the payload canary's engine (Q15: with its view created).
-EXPLAIN_DIGESTS = {
-    1: "f007dc61a373c5e0",
-    2: "50d47659854625cf",
-    3: "c9537a440d20d5f2",
-    4: "d567c4789305f802",
-    5: "35118dcc9df3dfab",
-    6: "56047338287bceb1",
-    7: "6302ad5441ce13a7",
-    8: "17758d486493ed04",
-    9: "23c0d4daa98209be",
-    10: "1d47e949f6f116e3",
-    11: "7a17d5b980bdb901",
-    12: "5d6d29c2d2d7e0ec",
-    13: "d666c3b442389221",
-    14: "4708a8462925a4da",
-    15: "395bcc7b73c7afe8",
-    16: "3fecdd55f0b94d21",
-    17: "d2d7046edf9363a3",
-    18: "8143c3c3ae5bfc81",
-    19: "453e7929eb0073dc",
-    20: "c9164761c14cc99d",
-    21: "0808efaaac14c6d2",
-    22: "966dab7dc1049f8e",
-}
-
-
-def explain_digests(session):
-    digests = {}
-    for number in sorted(QUERIES):
-        for sql in QUERIES[number]:
-            if sql.lstrip().lower().startswith("select"):
-                text = "\n".join(row[0] for row in session.execute("EXPLAIN " + sql).rows)
-                digests[number] = hashlib.sha256(text.encode()).hexdigest()[:16]
-            else:
-                session.execute(sql)  # Q15's CREATE VIEW / DROP VIEW
-    return digests
-
-
 def test_the_tpch_plans_are_pinned():
+    """The 22 EXPLAIN texts, by digest (``statements/explain_digests``)."""
     session, _ = build_session()
-    assert explain_digests(session) == EXPLAIN_DIGESTS
+    contract.check(("statements", "explain_digests"), explain_digests(session))

@@ -2,6 +2,8 @@
 JSON, sequence files), filter pushdown, locality, and SQL over external
 tables — including the paper's Section 6.1 examples."""
 
+import datetime
+
 import pytest
 
 from repro import Engine
@@ -221,6 +223,26 @@ class TestFileConnectors:
         )
         rows = session.query("SELECT id, name FROM ej ORDER BY id")
         assert rows == [(1, "a"), (2, None)]
+
+    def test_json_export_round_trip(self, engine):
+        """``JsonWriter``: two INSERTs into a writable table, read back
+        through a readable one on the same path. NULL, DATE and DECIMAL
+        survive, and the second INSERT appends."""
+        session = engine.connect()
+        columns = "(id INT, d DATE, amount DECIMAL(10,2), name TEXT)"
+        location = "LOCATION ('pxf://svc/ext/out.json?profile=Json') FORMAT 'CUSTOM' ()"
+        session.execute(f"CREATE WRITABLE EXTERNAL TABLE jout {columns} {location}")
+        session.execute(f"CREATE EXTERNAL TABLE jin {columns} {location}")
+        session.execute(
+            "INSERT INTO jout VALUES (1, date '1998-09-02', 12.34, 'a'), (2, NULL, NULL, NULL)"
+        )
+        session.execute("INSERT INTO jout VALUES (3, date '2000-01-01', -0.5, 'c')")
+        assert engine.hdfs.client().read_file("/ext/out.json").count(b"\n") == 3
+        assert session.query("SELECT id, d, amount, name FROM jin ORDER BY id") == [
+            (1, datetime.date(1998, 9, 2), 12.34, "a"),
+            (2, None, None, None),
+            (3, datetime.date(2000, 1, 1), -0.5, "c"),
+        ]
 
     def test_sequence_file_connector(self, engine):
         schema = self.schema()

@@ -17,7 +17,7 @@ from repro.executor import batch_ops, row_ops
 from repro.executor.batch_ops import BatchOperators
 from repro.executor.row_ops import RowOperators
 from repro.tpch import QUERIES
-from tests.test_payload_canary import build_session, statements
+from repro.bench.statements import build_session, statements
 
 
 def _methods(cls):

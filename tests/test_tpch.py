@@ -6,10 +6,11 @@ import datetime
 
 import pytest
 
-from repro import Engine
 from repro.baselines import StingerEngine
+from repro.bench import contract
 from repro.bench.harness import rows_match
-from repro.tpch import QUERIES, TABLE_NAMES, generate, load_tpch
+from repro.bench.statements import TPCH_SEED, traffic, traffic_session
+from repro.tpch import QUERIES, TABLE_NAMES, generate
 from repro.tpch.dbgen import CURRENT_DATE, END_DATE, START_DATE
 
 SCALE = 0.001
@@ -17,15 +18,12 @@ SCALE = 0.001
 
 @pytest.fixture(scope="module")
 def data():
-    return generate(SCALE, seed=77)
+    return generate(SCALE, seed=TPCH_SEED)
 
 
 @pytest.fixture(scope="module")
 def hawq(data):
-    engine = Engine(num_segment_hosts=4, segments_per_host=1)
-    session = engine.connect()
-    load_tpch(session, scale=SCALE, data=data)
-    return session
+    return traffic_session(data)
 
 
 @pytest.fixture(scope="module")
@@ -154,56 +152,13 @@ def test_limit_queries_ordering_agrees(hawq, stinger):
             r = stinger.execute(stmt)
             if r.column_names:
                 stinger_rows = r.rows
-        # compare only the deterministic sort prefix of each row
-        assert len(hawq_rows) == len(stinger_rows)
-
-
-#: Q number -> per statement: (datagrams_delivered, rpc_messages,
-#: rpc_bytes, motion_streams, motion_bytes, cost.seconds). Every queued
-#: message of a statement is delivered exactly once, so a message lost or
-#: doubled moves a pin; an answer moved by the order of delivery fails the
-#: cross-validation above. A task's ACK is sent (an RPC message) but never
-#: queued, so each statement delivers its motion streams plus two
-#: messages per task: ``rpc_messages / 3 * 2 + motion_streams``.
-TRAFFIC_PINS = {
-    1: [(28, 27, 10800, 10, 1560, 0.19433326614273505)],
-    2: [(113, 99, 79840, 47, 6677, 0.4240084213570517)],
-    3: [(36, 27, 13672, 18, 2816, 0.19362752099918007)],
-    4: [(50, 39, 17256, 24, 46714, 0.23291181471919645)],
-    5: [(89, 75, 57168, 39, 10621, 0.3494601330952991)],
-    6: [(14, 15, 4284, 4, 48, 0.1537713758371795)],
-    7: [(111, 75, 59424, 61, 186261, 0.35103492470470105)],
-    8: [(94, 111, 109380, 20, 892, 0.46651609913931696)],
-    9: [(150, 87, 74084, 92, 92924, 0.3897109366833469)],
-    10: [(86, 51, 34496, 52, 105182, 0.27215658503994794)],
-    11: [(100, 78, 37872, 48, 4912, 0.45802821726493054)],
-    12: [(28, 27, 12312, 10, 280, 0.19342252561666665)],
-    13: [(62, 39, 15984, 36, 92140, 0.2301739271553204)],
-    14: [(38, 27, 11352, 20, 29192, 0.19301013046367527)],
-    15: [
-        (0, 0, 0, 0, 0, 0.0),
-        (82, 66, 35324, 38, 1747, 0.42433411142713684),
-        (0, 0, 0, 0, 0, 0.0),
-    ],
-    16: [(43, 39, 19704, 17, 9991, 0.2291433399863987)],
-    17: [(54, 51, 25936, 20, 16048, 0.27416574174529934)],
-    18: [(50, 39, 22128, 24, 21140, 0.23653932943475164)],
-    19: [(38, 27, 12656, 20, 34932, 0.19363964099145303)],
-    20: [(98, 75, 56016, 48, 41780, 0.3491893000833334)],
-    21: [(71, 75, 53472, 21, 197666, 0.3576620477252139)],
-    22: [(62, 54, 25728, 26, 18204, 0.38054289111324796)],
-}
+        assert len(hawq_rows) == len(stinger_rows), number
+        for position, (h, st) in enumerate(zip(hawq_rows, stinger_rows)):
+            assert rows_match([h], [st]), (number, position, h, st)
 
 
 @pytest.mark.parametrize("number", sorted(QUERIES))
 def test_query_traffic_is_pinned(hawq, number):
-    got = []
-    for stmt in QUERIES[number]:
-        r = hawq.execute(stmt)
-        m = r.metrics
-        got.append((
-            m.total("datagrams_delivered"), m.total("rpc_messages"),
-            m.total("rpc_bytes"), m.total("motion_streams"),
-            m.total("motion_bytes"), r.cost.seconds,
-        ))
-    assert got == TRAFFIC_PINS[number]
+    """Each statement's messages, bytes, streams and ``cost.seconds``
+    (``repro.bench.statements.traffic``) are the contract's."""
+    contract.check(("statements", "traffic", number), traffic(hawq, number))

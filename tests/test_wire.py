@@ -19,7 +19,7 @@ from repro.planner.physical import ExternalScan, SeqScan
 from repro.planner import wire
 from repro.planner.wire import encode, encode_dispatch
 from repro.tpch import QUERIES
-from tests.test_payload_canary import build_session, dispatched, statements
+from repro.bench.statements import build_session, dispatched, statements
 
 #: Statements that read one table more than once, or many tables' worth
 #: of equal schemas: where sharing used to move the size.

@@ -19,7 +19,12 @@ from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.catalog.stats import TableStats
-from repro.errors import CatalogError, DuplicateObject, UndefinedObject
+from repro.errors import (
+    CatalogError,
+    ConcurrentUpdate,
+    DuplicateObject,
+    UndefinedObject,
+)
 from repro.txn.mvcc import Snapshot
 
 
@@ -57,6 +62,13 @@ class CatalogTable:
     (``key=``) visits that key's versions instead of the whole heap. The
     answer is the same: a key's versions are exactly the heap's versions
     with that value, in the same order, through the same snapshot test.
+
+    ``aborted`` is the live set of aborted xids (the transaction
+    manager's): a version whose ``xmax`` is in it is live again, so a
+    later delete or update may stamp it. Any other ``xmax`` belongs to a
+    transaction that deleted the version first, and a second deleter
+    fails with :class:`~repro.errors.ConcurrentUpdate` — first updater
+    wins, as PostgreSQL's "tuple concurrently updated".
     """
 
     def __init__(
@@ -64,12 +76,14 @@ class CatalogTable:
         name: str,
         on_change: Optional[Callable] = None,
         key_column: Optional[str] = None,
+        aborted: Collection[int] = frozenset(),
     ):
         self.name = name
         self.key_column = key_column
         self._rows: List[VersionedRow] = []
         self._by_key: Dict[object, List[VersionedRow]] = {}
         self._on_change = on_change
+        self._aborted = aborted
 
     def _log(self, op: str, data: CatalogRow, xid: int) -> None:
         if self._on_change is not None:
@@ -128,9 +142,31 @@ class CatalogTable:
         ``row`` — the standby's replay of a logged delete."""
         key = None if self.key_column is None else row.get(self.key_column)
         for version in self._versions(key):
-            if version.xmax is None and version.data == row:
+            if self._unclaimed(version) and version.data == row:
                 version.xmax = xid
                 return
+
+    def _unclaimed(self, version: VersionedRow) -> bool:
+        """No transaction that may still commit has deleted ``version``."""
+        return version.xmax is None or version.xmax in self._aborted
+
+    def _claim(
+        self,
+        snapshot: Snapshot,
+        predicate: Optional[Callable],
+        key: object,
+        xid: int,
+    ) -> List[VersionedRow]:
+        """The visible matches a delete or update by ``xid`` stamps —
+        all or, when another transaction deleted one first, none."""
+        matched = list(self._matching(snapshot, predicate, key))
+        for version in matched:
+            if not self._unclaimed(version):
+                raise ConcurrentUpdate(
+                    f"{self.name} row concurrently updated: xid {version.xmax} "
+                    f"deleted it before xid {xid}"
+                )
+        return matched
 
     def insert(self, data: Dict[str, object], xid: int) -> None:
         row = CatalogRow(data)
@@ -145,12 +181,11 @@ class CatalogTable:
         key: object = None,
     ) -> int:
         """Mark matching visible versions deleted; returns rows deleted."""
-        deleted = 0
-        for version in self._matching(snapshot, predicate, key):
+        matched = self._claim(snapshot, predicate, key, xid)
+        for version in matched:
             version.xmax = xid
-            deleted += 1
             self._log("delete", version.data, xid)
-        return deleted
+        return len(matched)
 
     def update(
         self,
@@ -161,7 +196,7 @@ class CatalogTable:
         key: object = None,
     ) -> int:
         """MVCC update: old version gets xmax, a new version is inserted."""
-        matched = list(self._matching(snapshot, predicate, key))
+        matched = self._claim(snapshot, predicate, key, xid)
         for version in matched:
             version.xmax = xid
             # Logged as delete+insert so a standby can replay exactly.
@@ -198,11 +233,16 @@ SYSTEM_TABLES: Dict[str, Optional[str]] = {
 class CatalogService:
     """The unified catalog service living on the master."""
 
-    def __init__(self, on_change: Optional[Callable] = None):
-        """``on_change(table, op, row, xid)`` is the WAL/log-shipping hook."""
+    def __init__(
+        self,
+        on_change: Optional[Callable] = None,
+        aborted: Collection[int] = frozenset(),
+    ):
+        """``on_change(table, op, row, xid)`` is the WAL/log-shipping hook;
+        ``aborted`` the live set of aborted xids (see :class:`CatalogTable`)."""
         self._on_change = on_change
         self.tables: Dict[str, CatalogTable] = {
-            name: CatalogTable(name, on_change, key_column)
+            name: CatalogTable(name, on_change, key_column, aborted)
             for name, key_column in SYSTEM_TABLES.items()
         }
 

@@ -20,8 +20,8 @@ class StandbyMaster:
     """Replays the primary's WAL into a shadow catalog."""
 
     def __init__(self, wal: WriteAheadLog, synchronous: bool = True):
-        self.catalog = CatalogService()
         self.xids = XidManager()
+        self.catalog = CatalogService(aborted=self.xids.aborted)
         self.applied_lsn = 0
         self.promoted = False
         self._wal = wal

@@ -158,7 +158,9 @@ class Engine:
         self.txns = TransactionManager(
             delete_files=lambda paths: table_files.delete(self, paths)
         )
-        self.catalog = CatalogService(on_change=self._on_catalog_change)
+        self.catalog = CatalogService(
+            on_change=self._on_catalog_change, aborted=self.txns.xids.aborted
+        )
         #: Each dispatched table's metadata and wire bytes, under the
         #: catalog versions they were built from (see
         #: :func:`~repro.planner.dispatch.build_self_described_plan`).
@@ -258,10 +260,12 @@ class Engine:
             raise ReproError("no standby master remains to promote")
         self.catalog = self.standby.promote()
         # The promoted catalog starts logging to the (new) WAL so a
-        # future standby could be attached.
+        # future standby could be attached, and reads xid fates from
+        # this master's transaction manager.
         self.catalog._on_change = self._on_catalog_change
         for table in self.catalog.tables.values():
             table._on_change = self._on_catalog_change
+            table._aborted = self.txns.xids.aborted
 
     def crash_master(self) -> List[int]:
         """Simulate a primary-master crash and fail over to the standby.

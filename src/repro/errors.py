@@ -95,6 +95,11 @@ class LockTimeout(TransactionError):
     """A lock could not be acquired within the allowed wait."""
 
 
+class ConcurrentUpdate(TransactionError):
+    """A statement would delete or update a catalog row version that
+    another transaction, not aborted, has already deleted or updated."""
+
+
 class InterconnectError(ReproError):
     """Base class for interconnect failures."""
 

@@ -21,6 +21,7 @@ from repro.catalog.stats import ColumnStats, TableStats
 from repro.errors import (
     CaqlSyntaxError,
     CatalogError,
+    ConcurrentUpdate,
     DuplicateObject,
     SemanticError,
     UndefinedObject,
@@ -566,7 +567,8 @@ class TestKeyedCatalogReads:
         catalog = CatalogService(
             on_change=lambda table, op, row, xid: txns.wal.append(
                 xid, "change", table=table, op=op, row=row
-            )
+            ),
+            aborted=txns.xids.aborted,
         )
         standby = StandbyMaster(txns.wal)
         open_txns, snapshots = [], []
@@ -589,10 +591,21 @@ class TestKeyedCatalogReads:
                      "stats": TableStats(row_count=step)},
                     txn.xid,
                 )
-            elif op == "update":
-                heap.update(snapshot, match, {"stats": TableStats(row_count=step)}, txn.xid)
-            elif op == "delete":
-                heap.delete(snapshot, match, txn.xid)
+            elif op in ("update", "delete"):
+                stamps = [(v.data, v.xmin, v.xmax) for v in heap._rows]
+                try:
+                    if op == "update":
+                        heap.update(
+                            snapshot, match, {"stats": TableStats(row_count=step)}, txn.xid
+                        )
+                    else:
+                        heap.delete(snapshot, match, txn.xid)
+                except ConcurrentUpdate:
+                    # First updater wins: the statement changed nothing,
+                    # and its error ends the transaction.
+                    assert [(v.data, v.xmin, v.xmax) for v in heap._rows] == stamps
+                    txn.abort()
+                    open_txns.remove(txn)
             elif op == "vacuum":  # as VACUUM runs it: in a transaction of its own
                 with txns.run() as vacuum:
                     heap.vacuum(vacuum.statement_snapshot())
@@ -608,6 +621,46 @@ class TestKeyedCatalogReads:
             assert standby.catalog.table(table).scan(late) == catalog.table(table).scan(late)
         promoted = standby.promote()
         _assert_keyed_reads_are_heap_scans(promoted, snapshots + [standby.snapshot()])
+
+    def test_first_updater_wins_and_the_standby_agrees(self):
+        from repro.cluster.standby import StandbyMaster
+        from repro.txn.manager import TransactionManager
+
+        txns = TransactionManager()
+        catalog = CatalogService(
+            on_change=lambda table, op, row, xid: txns.wal.append(
+                xid, "change", table=table, op=op, row=row
+            ),
+            aborted=txns.xids.aborted,
+        )
+        standby = StandbyMaster(txns.wal)
+        heap = catalog.table("pg_statistic")
+        with txns.run() as txn:
+            heap.insert({"table": "t", "stats": TableStats(row_count=1)}, txn.xid)
+        first, second, third = txns.begin(), txns.begin(), txns.begin()
+
+        def set_count(txn, count):
+            return heap.update(
+                txn.statement_snapshot(), None, {"stats": TableStats(row_count=count)},
+                txn.xid, key="t",
+            )
+
+        assert set_count(first, 2) == 1
+        # The row the second transaction sees is being deleted by the
+        # first, which may still commit: the second fails, changing nothing.
+        with pytest.raises(ConcurrentUpdate, match="concurrently updated"):
+            set_count(second, 3)
+        with pytest.raises(ConcurrentUpdate):
+            heap.delete(second.statement_snapshot(), None, second.xid, key="t")
+        second.abort()
+        # Once the first aborts, its stamp no longer holds the row.
+        first.abort()
+        assert set_count(third, 4) == 1
+        third.commit()
+        late = txns.xids.snapshot(txns.xids.begin())
+        counts = [r["stats"].row_count for r in heap.scan(late)]
+        assert counts == [4]
+        assert standby.catalog.table("pg_statistic").scan(late) == heap.scan(late)
 
     def test_a_key_on_an_unkeyed_table_is_an_error(self):
         xids = XidManager()

@@ -128,7 +128,7 @@ class RpcChannel:
 
     name: str
     open: bool = True
-    #: The endpoint's message handler (None once the bus closed).
+    #: The endpoint's message handler.
     handler: Optional[Callable[[RpcMessage], None]] = None
 
     def deliver(self, message: RpcMessage) -> None:
@@ -199,16 +199,6 @@ class RpcBus:
     def is_open(self, name: str) -> bool:
         channel = self.channels.get(name)
         return channel is not None and channel.open
-
-    def close(self) -> None:
-        """Forget every endpoint's handler.
-
-        The channels hold their endpoints' owners through their
-        handlers, and the owners hold this bus; cutting the handlers
-        lets a finished process group die by refcount instead of
-        waiting for the cycle collector."""
-        for channel in self.channels.values():
-            channel.handler = None
 
     def send(
         self,

@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.catalog.master_relations import is_master_only
 from repro.cluster.rpc import (
-    ABORT,
     ACK,
     ACK_BYTES,
     COMPLETE,
@@ -52,9 +51,9 @@ class WorkerServices:
     """Cluster facilities a worker borrows from the engine.
 
     Everything here is *shared infrastructure* (HDFS namespace, block
-    cache, segment placement, chaos clock) — the worker itself holds no
-    cross-query state, which is what makes segments stateless and query
-    restart cheap (paper §2.6).
+    cache, segment placement, chaos clock) of the engine's one set of
+    workers — a worker holds no query's state between tasks, which is
+    what makes segments stateless and query restart cheap (paper §2.6).
     """
 
     hdfs: object
@@ -70,9 +69,6 @@ class WorkerServices:
     num_segments: int
     #: The engine's :class:`repro.obs.metrics.MetricsRegistry` — passive.
     metrics: object
-    #: ``(metric, format, segment_id)`` -> the series of ``metrics`` a
-    #: scan lane counts into; the engine's, so it outlives each runtime.
-    lane_series: Dict[tuple, object]
     #: ``query_id -> bool``: pending-cancellation probe (the engine's
     #: :meth:`~repro.engine.Engine.is_cancelled`). Workers refuse new
     #: slices and scan lanes for a cancelled query.
@@ -80,7 +76,9 @@ class WorkerServices:
 
 
 class SegmentWorker:
-    """One QE process: executes dispatched slice tasks, one at a time."""
+    """One QE process: executes dispatched slice tasks, one at a time.
+    It lives as long as the engine (or until killed), and keeps nothing
+    of a task once the task is done."""
 
     def __init__(
         self,
@@ -97,18 +95,21 @@ class SegmentWorker:
         self.channel = bus.register(self.name, self._on_message)
         #: Loopback: the master's own worker pays no wire time.
         self.is_loopback = segment_id == QD_SEGMENT
-        #: Current in-flight task/context (one at a time), for passive
-        #: scan instrumentation.
-        self._task = None
-        self._ctx = None
+        #: Paired open/close counters: equal totals prove no charged scan
+        #: iterator leaked, even across cancels (the cancel sweep asserts
+        #: opened == closed).
+        self._scans_opened = services.metrics.counter("charged_scans_opened")
+        self._scans_closed = services.metrics.counter("charged_scans_closed")
+        #: ``(metric, format, segment_id)`` -> a scan lane's series.
+        self._lane_series: Dict[tuple, object] = {}
 
     def _lane_counter(
         self, name: str, segment_id: Optional[int], format: Optional[str] = None
     ):
         """The counter ``name{[format=...,]node=seg<segment_id>}`` a
         scan lane counts into: looked up in the registry, and its label
-        formatted, once per engine (``WorkerServices.lane_series``)."""
-        series = self.services.lane_series
+        formatted, once per worker."""
+        series = self._lane_series
         counter = series.get((name, format, segment_id))
         if counter is None:
             labels = {} if format is None else {"format": format}
@@ -119,18 +120,10 @@ class SegmentWorker:
 
     # --------------------------------------------------------------- messages
     def _on_message(self, message: RpcMessage) -> None:
-        if message.kind == ABORT:
-            # The master is tearing a query down. Tasks run to completion
-            # within one bus delivery, so there is nothing mid-flight to
-            # interrupt — but drop the instrumentation stash if it still
-            # points at the aborted query so later scans cannot attribute
-            # marks to a dead trace.
-            if self._ctx is not None and self._ctx.query_id == message.query_id:
-                self._task = None
-                self._ctx = None
-            return
         if message.kind != DISPATCH:
-            return  # unknown kind: ignore, UDP-style
+            # An ABORT finds nothing here: a task runs to completion
+            # within one delivery. Other kinds are ignored, UDP-style.
+            return
         task, root, sdp, ctx = message.payload
         if self.services.is_cancelled(ctx.query_id):
             # Refuse the slice outright: the master's abort broadcast and
@@ -140,11 +133,6 @@ class SegmentWorker:
                 f"query {ctx.query_id} cancelled; "
                 f"slice {task.slice_id} refused by {self.name}"
             )
-        # One task at a time (synchronous bus delivery): stash the task
-        # and context so scan instrumentation can reach them without
-        # threading extra parameters through every provider signature.
-        self._task = task
-        self._ctx = ctx
         acc = CostAccumulator(ctx.cost_model)
         charged = None if self.is_loopback else acc
         self.bus.send(
@@ -161,7 +149,7 @@ class SegmentWorker:
             queued=False,  # the master reads no ACK
         )
         providers = SliceProviders(
-            scan=self._scan_provider(sdp),
+            scan=self._scan_provider(sdp, task, ctx),
             external=self._external_provider(),
         )
         executor = SliceExecutor(root, task, ctx, providers, self.exchange, acc)
@@ -195,9 +183,10 @@ class SegmentWorker:
         )
 
     # -------------------------------------------------------------- providers
-    def _scan_provider(self, sdp: SelfDescribedPlan):
+    def _scan_provider(self, sdp: SelfDescribedPlan, task, ctx):
         """The one source of every ``SeqScan``, for both executors: an
-        iterator of ``(row_count, {column_index: values})`` blocks."""
+        iterator of ``(row_count, {column_index: values})`` blocks. The
+        task and context ride in the closure, for scan instrumentation."""
         services = self.services
 
         def provider(table_source, partitions, segment_id, columns, acc):
@@ -227,6 +216,8 @@ class SegmentWorker:
                         meta,
                         columns,
                         acc,
+                        task,
+                        ctx,
                         segment_id=segment_id,
                         name=name,
                     )
@@ -248,6 +239,8 @@ class SegmentWorker:
         meta,
         columns,
         acc,
+        task,
+        ctx,
         segment_id=None,
         name=None,
     ):
@@ -266,12 +259,10 @@ class SegmentWorker:
         while a generator is being closed would corrupt the unwind."""
         services = self.services
         services.chaos_point(segment_id=segment_id)
-        if self._ctx is not None and services.is_cancelled(self._ctx.query_id):
+        if services.is_cancelled(ctx.query_id):
             # Cancellation point between lanes: a long multi-segfile scan
             # observes the cancel request without finishing every lane.
-            raise QueryCanceled(
-                f"query {self._ctx.query_id} cancelled mid-scan"
-            )
+            raise QueryCanceled(f"query {ctx.query_id} cancelled mid-scan")
         model = acc.model
         codec = get_codec(meta.compression)
         io_factor = (
@@ -291,11 +282,7 @@ class SegmentWorker:
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
         written_before = cache.written if cache is not None else 0
-        metrics = services.metrics
-        # Paired open/close counters: equal totals prove no charged scan
-        # iterator leaked, even across cancels (the cancel sweep asserts
-        # opened == closed).
-        metrics.counter("charged_scans_opened").inc()
+        self._scans_opened.inc()
         try:
             yield from get_format(meta.storage_format).scan_blocks(
                 client,
@@ -307,7 +294,7 @@ class SegmentWorker:
                 cache=services.block_cache,
             )
         finally:
-            metrics.counter("charged_scans_closed").inc()
+            self._scans_closed.inc()
             acc.disk_read(int(stats.compressed_bytes * io_factor))
             acc.cpu_bytes(
                 stats.uncompressed_bytes,
@@ -335,11 +322,11 @@ class SegmentWorker:
                     self._lane_counter("cache_written", segment_id).inc(written_delta)
             if remote:
                 self._lane_counter("remote_read_bytes", segment_id).inc(remote)
-            trace = getattr(self._ctx, "trace", None)
+            trace = ctx.trace
             if trace is not None:
                 trace.op_mark(
-                    self._task.slice_id,
-                    self._task.segment,
+                    task.slice_id,
+                    task.segment,
                     f"scan:{name}" if name else "scan",
                     seconds_before,
                     acc.seconds,

@@ -130,14 +130,10 @@ class Engine:
         #: sessions diff its levels per statement onto
         #: ``QueryResult.metrics``. Purely passive — never charged.
         self.metrics = MetricsRegistry()
-        #: Scan lanes' series of ``metrics``, found once per engine
-        #: (``WorkerServices.lane_series``).
-        self.lane_series: dict = {}
         #: The live statement loops (:class:`repro.executor.concurrent.
         #: StatementLoop`), innermost last: a batch, a lone statement, or
         #: a lone statement nested in a batch (``INSERT … SELECT`` in a
-        #: stream). A loop is on the stack while it runs; chaos kills
-        #: reach workers through the innermost one's runtime, a cancel
+        #: stream). A loop is on the stack while it runs; a cancel
         #: request is offered to each, and the system views read them.
         self._loops: list = []
         #: Query ids with a pending cancellation request: workers refuse
@@ -191,6 +187,26 @@ class Engine:
             for segment in self.segments:
                 self.catalog.register_segment(segment.segment_id, segment.host, txn.xid)
 
+        #: The engine's one QD/QE process group: every statement loop runs
+        #: on it, in dispatch order on its one in-order queue.
+        self.runtime = DistributedRuntime(self.metrics, self.interconnect)
+        #: What every worker borrows, a revived one too.
+        self._worker_services = WorkerServices(
+            hdfs=self.hdfs,
+            block_cache=self.block_cache,
+            pxf=self.pxf,
+            segments=self.segments,
+            master_rows=functools.partial(master_relations.rows, self),
+            chaos_point=self.chaos_point,
+            chaos_progress=self.chaos_progress,
+            num_segments=self.num_segments,
+            metrics=self.metrics,
+            is_cancelled=self.is_cancelled,
+        )
+        for segment in self.segments:
+            self.spawn_worker(segment.segment_id)
+        self.spawn_worker(QD_SEGMENT)
+
     # --------------------------------------------------------------- plumbing
     def _on_catalog_change(self, table: str, op: str, row: dict, xid: int) -> None:
         self.txns.wal.append(xid, "change", table=table, op=op, row=row)
@@ -219,15 +235,12 @@ class Engine:
         self.run_fault_detection()
 
     def drop_worker_channel(self, segment_id: int) -> None:
-        """Kill a segment's QE process in the running process group: its
-        RPC channel closes, so the master can no longer dispatch to it
-        and the (dead) worker's own reports fail with ``SegmentDown`` —
-        which the statement loop's bounded restart turns into a query
-        restart on a revived worker. A no-op outside query execution
-        (there is no process to kill; the next statement spawns fresh
-        workers against failover hosts)."""
-        if self._loops:
-            self._loops[-1].runtime.bus.drop(f"seg{segment_id}")
+        """Kill a segment's QE process: its RPC channel closes, so the
+        master can no longer dispatch to it and the (dead) worker's own
+        reports fail with ``SegmentDown``, which the statement loop's
+        bounded restart turns into a query restart. Inside a statement or
+        between two, the next attempt to start revives it."""
+        self.runtime.bus.drop(f"seg{segment_id}")
 
     # ----------------------------------------------------------- cancellation
     def cancel_query(self, query_id: int) -> None:
@@ -306,42 +319,16 @@ class Engine:
             self.chaos.pulse(seconds, segment_id=segment_id, in_query=True)
 
     # ------------------------------------------------------------- processes
-    def build_runtime(self) -> DistributedRuntime:
-        """Stand up a fresh QD/QE process group for one statement loop.
-
-        Every RPC message and motion stream rides the runtime's one
-        in-order queue, so workers execute in dispatch order and the
-        chaos clock stays deterministic; a message's cost is charged by
-        its sender. One :class:`SegmentWorker` per segment, plus the
-        master's own loopback worker for gang "1" slices. Segments are
-        stateless, so a restart simply revives a dead worker against
-        fresh failover assignments.
-        """
-        runtime = DistributedRuntime()
-        bus, exchange = runtime.bus, runtime.exchange
-        services = WorkerServices(
-            hdfs=self.hdfs,
-            block_cache=self.block_cache,
-            pxf=self.pxf,
-            segments=self.segments,
-            master_rows=functools.partial(master_relations.rows, self),
-            chaos_point=self.chaos_point,
-            chaos_progress=self.chaos_progress,
-            num_segments=self.num_segments,
-            metrics=self.metrics,
-            lane_series=self.lane_series,
-            is_cancelled=self.is_cancelled,
+    def spawn_worker(self, segment_id: int) -> None:
+        """Start a QE process for ``segment_id`` on the engine's runtime:
+        once per segment, and for the master's own loopback worker, as
+        the engine is built; and for a killed worker, whose replacement
+        (segments are stateless) revives the name on a channel of its own."""
+        runtime = self.runtime
+        SegmentWorker(
+            segment_id, runtime.bus, runtime.exchange, self._worker_services
         )
-        bus.metrics = self.metrics
-        exchange.metrics = self.metrics
-        for segment in self.segments:
-            SegmentWorker(segment.segment_id, bus, exchange, services)
-        SegmentWorker(QD_SEGMENT, bus, exchange, services)
-        # The statement loop revives killed workers (chaos retries) by
-        # re-instantiating them against the same services.
-        runtime.services = services
-        self.metrics.counter("workers_spawned").inc(self.num_segments + 1)
-        return runtime
+        self.metrics.counter("workers_spawned").inc()
 
 
 class Session:

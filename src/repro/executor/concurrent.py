@@ -3,10 +3,11 @@
 A statement is admitted, dispatched, executed, retried, cancelled and
 gathered **while an event clock runs** — one statement on a loop of its
 own (:func:`run_statement`, what :meth:`~repro.engine.Session.execute`
-calls), or many in flight on one shared :class:`~repro.executor.runner.
-DistributedRuntime` (:class:`ConcurrentRunner`'s closed-loop streams).
-Concurrency is only *how many* lifecycles a :class:`StatementLoop`
-carries; there is no other way to run a SELECT.
+calls), or many in flight on one loop (:class:`ConcurrentRunner`'s
+closed-loop streams). Every loop runs on the engine's one
+:class:`~repro.executor.runner.DistributedRuntime`, its QD/QE process
+group. Concurrency is only *how many* lifecycles a
+:class:`StatementLoop` carries; there is no other way to run a SELECT.
 
 The lifecycle of one statement, entirely event-driven:
 
@@ -18,7 +19,7 @@ The lifecycle of one statement, entirely event-driven:
    closed-loop stream submits its next statement the instant the
    previous one settles (a scheduler ``watch`` callback).
 2. **Admit.** When the queue has a slot (immediately, or later from
-   another query's release event), wave 0 is dispatched on the loop's
+   another query's release event), wave 0 is dispatched on the engine's
    runtime: the segment workers execute the slices *at event time*,
    and their gang-mean durations become scheduler tasks occupying
    per-segment slots. Each motion becomes one scheduler barrier.
@@ -35,7 +36,9 @@ Failures re-enter the loop as events too: a ``SegmentDown``/
 ``HdfsError`` aborts the attempt, backs off on the simulated clock
 (doubling), revives dead worker endpoints, and re-begins dispatch —
 attempt-namespaced task keys keep retries from colliding with the
-failed attempt's history. Cancellation (:meth:`~repro.engine.Session.
+failed attempt's history; any other error settles its statement alone
+when the loop allows failures. However a statement settles, it leaves
+nothing of itself on the runtime. Cancellation (:meth:`~repro.engine.Session.
 cancel`, or the ``statement_timeout`` GUC armed as a timer at submit
 time) aborts the in-flight dispatch with a clean query-tagged ABORT
 broadcast, truncates the query's live scheduler tasks, and withdraws it
@@ -67,9 +70,7 @@ from repro.cluster.resqueue import (
     ResourceQueueManager,
     specs_from_security,
 )
-from repro.cluster.worker import SegmentWorker
 from repro.errors import (
-    ClusterError,
     HdfsError,
     QueryCanceled,
     QueryRetriesExhausted,
@@ -77,7 +78,6 @@ from repro.errors import (
     SegmentDown,
 )
 from repro.executor.runner import QueryDispatch
-from repro.obs.trace import TraceRouter
 from repro.simtime.scheduler import EventScheduler, TaskGraph
 
 #: Simulated seconds a statement waits before its first restart; the
@@ -189,24 +189,26 @@ class _Statement:
 
 
 class StatementLoop:
-    """One QD/QE process group, one event clock, one resource-queue
-    manager — and the lifecycle of every SELECT that runs on them:
-    admit → attempt → waves → gather/commit, with bounded restart,
-    cancellation and ``statement_timeout`` as scheduler events.
+    """One event clock and one resource-queue manager on the engine's
+    QD/QE process group — and the lifecycle of every SELECT that runs
+    on them: admit → attempt → waves → gather/commit, with bounded
+    restart, cancellation and ``statement_timeout`` as scheduler events.
 
     :func:`run_statement` drives one statement on a loop of its own;
     :class:`ConcurrentRunner` drives closed-loop streams on a shared
-    one. While installed (``with loop:``) the loop is on the engine's
-    stack of live loops, where chaos kills, ``Session.cancel`` and the
+    one. Either way the loop runs on the engine's one runtime and
+    builds no workers. While installed (``with loop:``) the loop is on
+    the engine's stack of live loops, where ``Session.cancel`` and the
     system views find it; a lone statement started inside a running
-    batch nests on top of the batch's loop and pops itself off again.
+    batch nests on top of the batch's loop, on the same runtime, and
+    pops itself off again.
     """
 
     def __init__(
         self, engine, allow_failures: bool = False, shared: bool = False
     ):
         self.engine = engine
-        #: A :class:`ClusterError` settles its statement as an error
+        #: A statement's :class:`ReproError` settles it as an error
         #: outcome instead of propagating out of the clock's ``run()``.
         self.allow_failures = allow_failures
         #: Many statements share this loop (a batch), so what it could
@@ -216,25 +218,17 @@ class StatementLoop:
         #: metrics. A lone statement's clock starts at zero with it, and
         #: alone on its manager it always admits at once.
         self.shared = shared
-        self.runtime = engine.build_runtime()
+        self.runtime = engine.runtime
         self.scheduler = EventScheduler()
         self.manager = ResourceQueueManager(
             specs_from_security(engine.security),
             metrics=engine.metrics if shared else None,
         )
-        #: One bus, many traces: installed when the first traced
-        #: statement registers, it demultiplexes every control message
-        #: onto the query trace its query_id names.
-        self.router: Optional[TraceRouter] = None
         #: query_id -> in-flight statement (pg_stat_activity reads it).
         self.statements: Dict[int, _Statement] = {}
         #: The statement whose lifecycle step is on the stack right now
         #: (its slices may be on the workers, inside ``runtime.execute``).
         self._executing: Optional[_Statement] = None
-        self._datagrams = engine.metrics.counter(
-            "datagrams_delivered", mode=engine.interconnect
-        )
-        self._flushed = 0
 
     def __enter__(self) -> "StatementLoop":
         self.engine._loops.append(self)
@@ -242,18 +236,17 @@ class StatementLoop:
 
     def __exit__(self, *exc_info) -> None:
         self.engine._loops.remove(self)
-        # The loop's process group ends here.
-        self.runtime.close()
-        self._flush_datagrams()
-
-    def _flush_datagrams(self) -> None:
-        """Publish what the queue delivered since the last flush: before
-        each statement's metrics are attributed, and once more when the
-        loop ends, for what failed statements and their aborts
-        delivered."""
-        delivered = self.runtime.queue.delivered
-        self._datagrams.inc(delivered - self._flushed)
-        self._flushed = delivered
+        # A statement still here had an error propagate out of the clock:
+        # it fails, and leaves the runtime with its loop.
+        runtime = self.runtime
+        for query_id, state in sorted(self.statements.items()):
+            if state.dispatch is not None:
+                state.dispatch.close()
+            state.prepared.fail()
+            runtime.unroute_trace(query_id)
+        if self.statements:
+            runtime.queue.clear()
+        runtime.flush_delivered()
 
     # ---------------------------------------------------------------- submit
     def submit(
@@ -270,11 +263,7 @@ class StatementLoop:
         state = _Statement(outcome, prepared, on_settled)
         self.statements[prepared.query_id] = state
         if prepared.trace is not None:
-            if self.router is None:
-                self.router = TraceRouter()
-                self.runtime.bus.trace = self.router
-                self.runtime.exchange.trace = self.router
-            self.router.register(prepared.query_id, prepared.trace)
+            self.runtime.route_trace(prepared.query_id, prepared.trace)
         if prepared.statement_timeout > 0:
             # statement_timeout spans the whole statement, queue wait
             # included — the timer arms at submit, exactly like a
@@ -323,16 +312,16 @@ class StatementLoop:
         self._step(state, self._open, at_time)
 
     def _step(self, state: _Statement, step, *args) -> None:
-        """Run one step of the lifecycle, trapping cluster faults into
-        the retry/cancel/fail paths — an uncaught exception here would
-        kill every statement on the loop, not just this one.
+        """Run one step of the lifecycle, trapping the statement's errors
+        into the retry/cancel/fail paths — an uncaught exception here
+        would kill every statement on the loop, not just this one.
 
         Stateless segments make restart cheaper than recovery (paper
         Section 2.6): a dead segment or a transiently unreadable block
-        restarts the statement. Master failover and every other
-        :class:`ClusterError` is never retried — the transaction died
-        with the master, so the *statement* fails and the client
-        restarts it against the promoted standby."""
+        restarts the statement. Nothing else is retried: master
+        failover fails the *statement* (the transaction died with the
+        master; the client restarts it against the promoted standby),
+        and so does a SQL error such as a division by zero."""
         if state.settled:
             return
         outer, self._executing = self._executing, state
@@ -342,7 +331,7 @@ class StatementLoop:
             self._retry_or_fail(state, exc)
         except QueryCanceled as exc:
             self._cancel_state(state, exc)
-        except ClusterError as exc:
+        except ReproError as exc:
             if not self.allow_failures:
                 raise
             self._fail(state, exc)
@@ -424,7 +413,7 @@ class StatementLoop:
         result.cost.seconds += state.backoff_seconds
         result.queue_wait_seconds = outcome.queue_wait
         result.admitted_at = outcome.admit
-        self._flush_datagrams()
+        self.runtime.flush_delivered()
         state.prepared.finish(result)
         state.result = result
         outcome.rows = result.rows
@@ -448,24 +437,19 @@ class StatementLoop:
         outcome = state.outcome
         outcome.finish = finish_time
         outcome.charged_seconds = outcome.serial_seconds + outcome.queue_wait
-        if self.router is not None:
-            self.router.unregister(outcome.query_id)
+        self.runtime.unroute_trace(outcome.query_id)
         del self.statements[outcome.query_id]
 
     # --------------------------------------------------------- failure paths
     def _revive_workers(self) -> None:
-        """Re-instantiate workers whose endpoints died: stateless QE
-        processes make restart cheap (paper Section 2.6) — a replacement
+        """Re-instantiate the engine's workers whose endpoints died, at
+        every attempt's start — the one revival path, whether the kill
+        landed inside a statement or between two: stateless QE processes
+        make restart cheap (paper Section 2.6), and a replacement
         process revives the name on a channel of its own."""
-        bus = self.runtime.bus
-        for name, channel in sorted(bus.channels.items()):
-            if channel.open or not name.startswith("seg"):
-                continue
-            SegmentWorker(
-                int(name[3:]), bus, self.runtime.exchange,
-                self.runtime.services,
-            )
-            self.engine.metrics.counter("workers_spawned").inc()
+        for name, channel in sorted(self.runtime.bus.channels.items()):
+            if not channel.open and name.startswith("seg"):
+                self.engine.spawn_worker(int(name[3:]))
 
     def _abort_attempt(self, state: _Statement) -> None:
         """Tear down the in-flight attempt: ABORT broadcast, exchange
@@ -569,14 +553,9 @@ def run_statement(prepared):
     :class:`~repro.executor.runner.QueryResult` or re-raise what failed
     it — the original exception object."""
     outcome = QueryOutcome(queue=prepared.queue_name)
-    try:
-        with StatementLoop(prepared.session.engine, allow_failures=True) as loop:
-            state = loop.submit(prepared, outcome)
-            loop.scheduler.run()
-    except Exception:
-        # Not a ClusterError, so no step trapped it: still unsettled.
-        prepared.fail()
-        raise
+    with StatementLoop(prepared.session.engine, allow_failures=True) as loop:
+        state = loop.submit(prepared, outcome)
+        loop.scheduler.run()
     if outcome.exception is not None:
         raise outcome.exception
     return state.result
@@ -681,11 +660,11 @@ class ConcurrentRunner:
             self.before_query(stream_id, index)
         try:
             prepared = session.prepare_select(sql)
-        except ClusterError as exc:
+        except ReproError as exc:
             if not self.allow_failures:
                 raise
-            # The statement died before dispatch (planning against a
-            # dead master, chaos mid-parse).
+            # The statement died before dispatch (a SQL error, planning
+            # against a dead master, chaos mid-parse).
             self._died_undispatched(outcome, session, exc)
             self._burn_setup(outcome.query_id, outcome)
             return
@@ -719,7 +698,7 @@ class ConcurrentRunner:
             outcome.queue_wait = manager.waits[admission_id]
             try:
                 result = session.execute(outcome.sql)
-            except ClusterError as exc:
+            except ReproError as exc:
                 if not self.allow_failures:
                     raise
                 self._died_undispatched(outcome, session, exc)

@@ -41,6 +41,7 @@ from repro.cluster.rpc import (
 from repro.errors import ExecutorError, ReproError, SegmentDown
 from repro.interconnect.exchange import ExchangeFabric
 from repro.obs.metrics import MetricsSnapshot
+from repro.obs.trace import TraceRouter
 from repro.planner.dispatch import (
     QD_SEGMENT,
     SelfDescribedPlan,
@@ -412,24 +413,50 @@ def _with_init_tasks(graph: TaskGraph, inits: List[TaskGraph]) -> TaskGraph:
 
 
 class DistributedRuntime:
-    """The QD's dispatcher: routes replies to in-flight dispatches.
+    """The engine's one QD/QE process group, and the QD's dispatcher on it.
 
-    Owns the process group's :class:`~repro.cluster.rpc.MessageQueue`,
-    the RPC bus and the exchange fabric on it, and the master's RPC
-    endpoint; workers are registered on the same bus by the engine.
-    One runtime serves *many* concurrent plan executions — each
-    :class:`QueryDispatch` registers itself in the in-flight table, and
-    every COMPLETE reply routes to its owner by the message's
-    ``query_id``. Replies for queries no longer in flight
-    (aborted, cancelled, or already gathered) are discarded, UDP-style.
+    Owns the :class:`~repro.cluster.rpc.MessageQueue`, the RPC bus and
+    exchange fabric on it, the master's RPC endpoint and the trace
+    router; the engine builds it once and spawns its workers on the bus,
+    and every statement loop runs on it. Each :class:`QueryDispatch`
+    registers itself in the in-flight table, and every COMPLETE reply
+    routes to its owner by the message's ``query_id``; replies for
+    queries no longer in flight are discarded, UDP-style. A settled
+    statement leaves nothing here: nothing queued, in flight or in an
+    exchange inbox.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, metrics, interconnect: str) -> None:
         self.queue = MessageQueue()
         self.bus = RpcBus(self.queue)
         self.exchange = ExchangeFabric(self.queue)
+        self.bus.metrics = self.exchange.metrics = metrics
         self._inflight: Dict[int, QueryDispatch] = {}
         self.bus.register(MASTER, self._on_complete)
+        self.router = TraceRouter()
+        self._datagrams = metrics.counter("datagrams_delivered", mode=interconnect)
+        #: ``queue.delivered`` when ``datagrams_delivered`` last caught up.
+        self._flushed = 0
+
+    # ----------------------------------------------------------------- traces
+    def route_trace(self, query_id: int, trace) -> None:
+        """Put ``query_id``'s messages and streams on ``trace``: the
+        router is the bus's and fabric's while any trace is routed."""
+        self.router.register(query_id, trace)
+        self.bus.trace = self.exchange.trace = self.router
+
+    def unroute_trace(self, query_id: int) -> None:
+        router = self.router
+        router.unregister(query_id)
+        if len(router) == 0:
+            self.bus.trace = self.exchange.trace = None
+
+    def flush_delivered(self) -> None:
+        """Publish what the queue delivered since the last flush: before
+        a statement's metrics are attributed, and as a loop exits."""
+        delivered = self.queue.delivered
+        self._datagrams.inc(delivered - self._flushed)
+        self._flushed = delivered
 
     # --------------------------------------------------------------- messages
     def _on_complete(self, message: RpcMessage) -> None:
@@ -460,11 +487,3 @@ class DistributedRuntime:
                 message.size = CATALOG_LOOKUP_BYTES  # the thin plan
             self.bus.send(MASTER, f"seg{task.segment}", message)
         self.queue.deliver()
-
-    def close(self) -> None:
-        """End this QD/QE process group when its loop ends: discard what
-        is queued and cut the bus's handlers, through which workers and
-        runtime reference each other, so the group dies by refcount.
-        Results already gathered stay valid."""
-        self.queue.clear()
-        self.bus.close()

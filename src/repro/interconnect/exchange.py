@@ -109,7 +109,7 @@ class ExchangeFabric:
         """Drop one query's inbox entries.
 
         Called when one of the query's plan executions closes, gathered
-        or aborted (init plans reuse slice ids, and a shared loop outlives
+        or aborted (init plans reuse slice ids, and the runtime outlives
         its statements) — other in-flight queries' streams are untouched.
         """
         for key in [k for k in self._inbox if k[0] == query_id]:

@@ -1319,6 +1319,13 @@ OWNED = (
         ),
     ),
     Owned(
+        ("DistributedRuntime", "SegmentWorker"),
+        "every statement loop runs on the engine's one QD/QE process group, "
+        "built with the engine; a loop that builds a runtime or a worker of "
+        "its own is a second process group",
+        within=("executor/concurrent.py",),
+    ),
+    Owned(
         ("repro.network",),
         "RPC messages and motion streams ride the runtime's in-order queue; "
         "the datagram net, which the engine never clocks, is the interconnect's",

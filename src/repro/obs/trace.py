@@ -574,6 +574,9 @@ class TraceRouter:
     def unregister(self, query_id: int) -> None:
         self._traces.pop(query_id, None)
 
+    def __len__(self) -> int:
+        return len(self._traces)
+
     def on_rpc(self, sender: str, dest: str, message) -> None:
         trace = self._traces.get(getattr(message, "query_id", 0))
         if trace is not None:

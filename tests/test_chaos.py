@@ -54,9 +54,12 @@ def baseline(data):
 
 
 @pytest.mark.parametrize("seed", range(N_SCHEDULES))
-def test_chaos_schedule_properties_hold(seed, data, baseline):
+def test_chaos_schedule_properties_hold(seed, data, baseline, runtime_residue):
     report = run_schedule(seed, data, baseline)
     assert report.violations == []
+    # However each statement settled, it left the engine's runtime empty
+    # of it: nothing queued, in flight, in an inbox or on a worker.
+    assert runtime_residue.settled > 0 and runtime_residue.left == []
 
 
 def test_smoke(data):
@@ -105,8 +108,12 @@ def test_mid_query_segment_kill_is_restarted():
 
     assert result.retries >= 1  # the dispatcher really did restart
     assert result.rows == expected
-    # The runtime's gang plus the one replacement process of seg1.
-    assert result.metrics.total("workers_spawned") == engine.num_segments + 1 + 1
+    # The statement spawned one process, seg1's replacement; the engine's
+    # gang was spawned once, with the engine.
+    assert result.metrics.total("workers_spawned") == 1
+    assert engine.metrics.counter("workers_spawned").value == (
+        engine.num_segments + 1 + 1
+    )
     killed = engine.segments[1]
     assert not killed.alive
     assert killed.acting_host is not None  # failover host took over

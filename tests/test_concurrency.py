@@ -42,6 +42,7 @@ from repro.executor.concurrent import RETRY_BACKOFF, ConcurrentRunner
 from repro.obs.trace import trace_query_id_violations
 from repro.simtime.scheduler import EventScheduler, TaskGraph
 from repro.util import DeterministicRng
+from tests.conftest import runtime_holds
 from tests.test_sqlite_reference import _assert_rows_agree
 
 
@@ -259,12 +260,13 @@ def build_engine_with_t() -> Engine:
 # ------------------------------------------ serial vs concurrent differential
 class TestSerialConcurrentDifferential:
     @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_rows_bit_identical_and_cost_accounted(self, n):
+    def test_rows_bit_identical_and_cost_accounted(self, n, runtime_residue):
         streams = make_streams(seed=5, count=n) + [TXN_STREAM, WATCH_STREAM]
-        batch = ConcurrentRunner(build_engine_with_t(), streams).run()
+        engines = [build_engine_with_t(), build_engine_with_t()]
+        batch = ConcurrentRunner(engines[0], streams).run()
 
         serial = {}
-        session = build_engine_with_t().connect()
+        session = engines[1].connect()
         for stream_id, stream in enumerate(streams):
             for index, sql in enumerate(stream):
                 result = session.execute(sql)
@@ -285,6 +287,12 @@ class TestSerialConcurrentDifferential:
             # latency reassociates (admit + (serial - makespan)) + makespan,
             # so allow float-ulp slack; charged_seconds stays exact.
             assert outcome.latency >= outcome.serial_seconds - 1e-9
+        # Every statement, batched or serial, left the engine's one
+        # runtime empty of it when it settled.
+        selects = [o for o in batch.outcomes if o.sql.startswith("SELECT")]
+        assert runtime_residue.settled >= 2 * len(selects)
+        assert runtime_residue.left == []
+        assert [runtime_holds(e.runtime) for e in engines] == [[], []]
 
         # The stream's SELECT ran in its session's open transaction ...
         assert batch.rows(n, 2) == [(3,)] and batch.rows(n, 4) == [(2,)]
@@ -822,3 +830,118 @@ class TestInitPlansOnTheLoop:
         for segment, (_tasks, busy) in recorded.items():
             assert busy == pytest.approx(live.get(segment, (0, 0.0))[1])
         assert all(0.0 < row[4] <= 1.0 for row in engine.telemetry.segment_rows())
+
+
+# ------------------------------------------------ one runtime per engine
+class TestOneRuntimePerEngine:
+    """Every loop runs on the engine's one QD/QE process group, so
+    whatever settles a statement must leave that group empty of it —
+    and an error settles only its own statement."""
+
+    ERROR_STREAMS = [
+        ["SELECT a / b FROM t", "SELECT count(*) FROM t"],
+        ["SELECT count(*) FROM t", "SELECT sum(a) FROM t"],
+    ]
+
+    @staticmethod
+    def engine_with_a_zero() -> Engine:
+        engine = Engine(num_segment_hosts=2, segments_per_host=2)
+        engine.connect().execute(
+            "CREATE TABLE t (a INT, b INT) DISTRIBUTED BY (a)"
+        )
+        engine.connect().execute(
+            "INSERT INTO t VALUES (1, 0), (2, 1), (3, 3), (4, 2)"
+        )
+        return engine
+
+    def test_a_sql_error_settles_only_its_statement(self, runtime_residue):
+        engine = self.engine_with_a_zero()
+        batch = ConcurrentRunner(
+            engine, self.ERROR_STREAMS, allow_failures=True
+        ).run()
+        outcomes = {(o.stream, o.index): o for o in batch.outcomes}
+        assert sorted(outcomes) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        failed = outcomes.pop((0, 0))
+        assert failed.error == "ExecutorError: division by zero"
+        assert failed.rows is None
+        assert {k: o.rows for k, o in outcomes.items()} == {
+            (0, 1): [(4,)], (1, 0): [(4,)], (1, 1): [(10,)],
+        }
+        # A SQL error is no cluster fault: nothing was retried.
+        assert engine.metrics.counter("query_retries").value == 0
+        assert runtime_residue.settled == 4 and runtime_residue.left == []
+        assert runtime_holds(engine.runtime) == []
+
+    def test_without_allow_failures_the_error_still_propagates(self):
+        engine = self.engine_with_a_zero()
+        with pytest.raises(ReproError, match="division by zero"):
+            ConcurrentRunner(engine, self.ERROR_STREAMS).run()
+        assert engine._loops == []
+        assert runtime_holds(engine.runtime) == []
+        session = engine.connect()
+        with pytest.raises(ReproError, match="division by zero"):
+            session.execute("SELECT a / b FROM t")
+        assert runtime_holds(engine.runtime) == []
+        # The next statement runs none of the failed ones' tasks.
+        assert session.query("SELECT sum(a) FROM t") == [(10,)]
+        # The batch's statements failed with it: no lock outlives them.
+        session.execute("DROP TABLE t")
+
+    def test_a_kill_inside_a_nested_statement(self, runtime_residue):
+        """A stream's ``INSERT … SELECT`` nests a lone statement on the
+        batch's runtime; a segment killed under it is revived for it and
+        for every statement still in flight around it."""
+        from repro.chaos import FaultEvent, FaultInjector, FaultPlan
+        from repro.obs.trace import rpc_closure_violations
+
+        streams = [
+            [POOL[0], POOL[1], POOL[0]],
+            [
+                "INSERT INTO cp SELECT a, b FROM conc WHERE b < 50",
+                "SELECT count(*), sum(b) FROM cp",
+            ],
+            [POOL[2], POOL[3], POOL[1]],
+        ]
+
+        def engine_with_cp() -> Engine:
+            engine = build_engine()
+            engine.connect().execute(
+                "CREATE TABLE cp (a INT, b INT) DISTRIBUTED BY (a)"
+            )
+            return engine
+
+        serial_session = engine_with_cp().connect()
+        serial = {
+            (s, i): serial_session.execute(sql).rows
+            for s, stream in enumerate(streams)
+            for i, sql in enumerate(stream)
+        }
+
+        engine = engine_with_cp()
+        injector = FaultInjector(
+            engine, FaultPlan([FaultEvent(1e-9, "kill_segment", 1)])
+        )
+
+        def before_query(stream_id, index):
+            # Armed as the INSERT is submitted: it admits at once and
+            # its SELECT's first scan lane is the next to report.
+            if (stream_id, index) == (1, 0):
+                engine.attach_chaos(injector)
+
+        runner = ConcurrentRunner(
+            engine, streams, trace=True, before_query=before_query
+        )
+        batch = runner.run()
+        assert [note for _, note in injector.fired] == ["kill_segment(1)"]
+        assert engine.metrics.counter("query_retries").value == 1
+        assert all(o.ok for o in batch.outcomes)
+        for outcome in batch.outcomes:
+            assert outcome.rows == serial[(outcome.stream, outcome.index)]
+        traces = [t for s in runner.sessions for t in s.tracer.queries]
+        assert len(traces) == 8
+        for trace in traces:
+            assert rpc_closure_violations(trace) == []
+            assert trace_query_id_violations(trace) == []
+        assert runtime_residue.left == []
+        assert runtime_holds(engine.runtime) == []
+        assert engine.runtime.bus.is_open("seg1")

@@ -398,10 +398,13 @@ GUARD_PLANTS = [
      "        _edges = [(a, b) for a in range(2) for b in range(2)]\n"
      "        for a in range(2):\n            for b in range(2):\n                pass\n",
      [1, 2]),
-    ("settle_wave", "src/repro/executor/runner.py", "        self.bus.close()",
+    ("settle_wave", "src/repro/executor/runner.py", "        self.queue.deliver()",
      "\n    def run_init_plan(self, plan, sdp, ctx):\n"
      "        dispatch = QueryDispatch(self, plan, sdp, ctx, [])\n"
      "        self.queue.deliver()\n        dispatch.settle_wave(0)\n", [4, 5]),
+    ("DistributedRuntime", "src/repro/executor/concurrent.py", None,
+     "\n\ndef _own_runtime(engine):\n"
+     "    return DistributedRuntime(engine.metrics, engine.interconnect)\n", [4]),
     ("repro.network", "src/repro/cluster/rpc.py", None,
      "import repro.network.simnet\n", [1]),
     ("bind", "src/repro/network/simnet.py", "class SimNetwork:",

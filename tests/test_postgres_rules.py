@@ -20,6 +20,9 @@ AO table (value lists), and on a CO table whose ints are typed vectors.
   its statements carry an explicit ``ESCAPE '\\'``.
 * ``SELECT DISTINCT`` sorts on its select list; an ORDER BY expression
   outside it is an error.
+* An uncorrelated scalar subquery is an InitPlan whose value is bound
+  before its statement runs; with InitPlans in two query blocks, each
+  block reads its own.
 * A WHERE qual over a left join's nullable side filters the joined rows,
   NULL padding included; it does not join. One that rejects NULL there
   (a comparison, LIKE, an IN list, arithmetic) drops every padded row,
@@ -278,6 +281,29 @@ def test_strict_where_qual_turns_a_left_join_inner(session, reference, sql):
     result = session.execute(sql)
     assert "HashJoin(left" not in result.plan.explain()
     assert result.rows == [tuple(row) for row in reference.execute(sql).fetchall()]
+
+
+#: Uncorrelated scalar subqueries in two query blocks, a derived table's
+#: and the outer one's: each block's InitPlans join one flat list, so the
+#: second block hoisted renumbers its parameters past the first's.
+INIT_PLAN_STATEMENTS = (
+    "SELECT k FROM (SELECT k, a FROM m WHERE a > (SELECT min(a) FROM m)) d "
+    "WHERE k < (SELECT max(k) FROM w) * 3 ORDER BY k",
+    "SELECT d.k, d.a FROM (SELECT k, a FROM w WHERE a < (SELECT max(b) FROM m)) d "
+    "WHERE d.a >= (SELECT min(a) FROM w) ORDER BY d.k",
+    "SELECT a, count(*) FROM (SELECT a FROM m WHERE b = (SELECT max(b) FROM m)) d "
+    "WHERE a <> (SELECT min(a) FROM m) GROUP BY a "
+    "HAVING count(*) >= (SELECT min(b) FROM m WHERE b > 0) ORDER BY a",
+    "SELECT d.k, d.a + (SELECT max(b) FROM m) FROM "
+    "(SELECT k, a FROM w WHERE k >= (SELECT min(a) FROM w)) d ORDER BY d.k",
+)
+
+
+@pytest.mark.parametrize("sql", INIT_PLAN_STATEMENTS)
+def test_init_plans_of_two_blocks_bind_their_own_values(session, reference, sql):
+    expected = [tuple(row) for row in reference.execute(sql).fetchall()]
+    assert len(expected) > 1
+    assert session.execute(sql).rows == expected
 
 
 @pytest.mark.xfail(

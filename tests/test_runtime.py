@@ -231,20 +231,6 @@ class TestMessageQueue:
         queue.deliver()  # what an abort's drain does
         assert got == [second] and queue.delivered == 2
 
-    def test_close_discards_what_is_queued(self):
-        from repro.executor.runner import DistributedRuntime
-
-        runtime = DistributedRuntime()
-        got = []
-        channel = runtime.bus.register("seg0", got.append)
-        runtime.bus.send("master", "seg0", RpcMessage(kind=DISPATCH, sender="master"))
-        runtime.exchange.send(7, 1, 0, QD_SEGMENT, [(1,)], 4)
-        runtime.close()
-        runtime.queue.deliver()
-        assert got == [] and runtime.queue.delivered == 0
-        assert runtime.exchange.receive(7, 1, QD_SEGMENT) == ([], 0)
-        assert channel.handler is None  # the process group dies by refcount
-
 
 @pytest.fixture(scope="module")
 def session():

@@ -141,14 +141,12 @@ class CatalogTable:
         """Stamp ``xid`` as the deleter of the first live version equal to
         ``row`` — the standby's replay of a logged delete."""
         key = None if self.key_column is None else row.get(self.key_column)
+        aborted = self._aborted
         for version in self._versions(key):
-            if self._unclaimed(version) and version.data == row:
+            xmax = version.xmax  # unclaimed: see the class docstring
+            if (xmax is None or xmax in aborted) and version.data == row:
                 version.xmax = xid
                 return
-
-    def _unclaimed(self, version: VersionedRow) -> bool:
-        """No transaction that may still commit has deleted ``version``."""
-        return version.xmax is None or version.xmax in self._aborted
 
     def _claim(
         self,
@@ -160,8 +158,10 @@ class CatalogTable:
         """The visible matches a delete or update by ``xid`` stamps —
         all or, when another transaction deleted one first, none."""
         matched = list(self._matching(snapshot, predicate, key))
+        aborted = self._aborted
         for version in matched:
-            if not self._unclaimed(version):
+            xmax = version.xmax  # claimed: see the class docstring
+            if xmax is not None and xmax not in aborted:
                 raise ConcurrentUpdate(
                     f"{self.name} row concurrently updated: xid {version.xmax} "
                     f"deleted it before xid {xid}"

@@ -32,7 +32,7 @@ import math
 from collections import defaultdict
 from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.catalog.schema import hash_columns
 from repro.columnar import ConstVector, as_list, take_columns
@@ -40,6 +40,7 @@ from repro.errors import ExecutorError
 from repro.executor.batch import DEFAULT_BATCH_ROWS, ColumnBatch
 from repro.executor.expr import column_ref_position
 from repro.executor.vecagg import GroupTable
+from repro.planner import exprs as ex
 from repro.planner.physical import (
     Filter,
     HashAgg,
@@ -55,6 +56,7 @@ from repro.planner.physical import (
     SubqueryScan,
 )
 from repro.simtime import CostAccumulator
+from repro.storage.base import LateChunk, converts_late
 
 Batches = Iterator[ColumnBatch]
 
@@ -93,6 +95,18 @@ def _join_keys(key_cols: List[list]) -> list:
     if any(None in col for col in key_cols):
         keys = [None if None in key else key for key in keys]
     return keys
+
+
+def _late_positions(expr, columns, params, schema) -> Tuple[int, ...]:
+    """The positions in a scan's ``columns`` of the columns its filter
+    ``expr`` does not read and that convert late: a CO or Parquet scan
+    converts their values only at the rows the filter keeps
+    (``storage.base.LateChunk``)."""
+    read = {var.col for var in ex.vars_of(expr)}
+    return tuple(
+        p for p, c in enumerate(columns)
+        if c not in read and converts_late(schema.columns[c])
+    )
 
 
 class BatchOperators:
@@ -178,8 +192,16 @@ class BatchOperators:
     def _scan_batches(
         self, node: SeqScan, segment: int, acc: CostAccumulator
     ) -> Batches:
+        out_positions = list(node.columns)
+        late_positions = late = ()
+        if node.filter is not None and node.table.schema.storage_format != "ao":
+            late_positions = self._compiled(
+                "late", node.filter, out_positions, _late_positions,
+                schema=node.table.schema,
+            )
+            late = [out_positions[p] for p in late_positions]
         source = self.providers.scan(
-            node.table, node.partitions, segment, node.columns, acc
+            node.table, node.partitions, segment, node.columns, acc, late
         )
         predicate = (
             self._compile_predicate(node.filter, self._scan_layout(node))
@@ -187,7 +209,6 @@ class BatchOperators:
             else None
         )
         ncols = len(node.table.schema.columns)
-        out_positions = list(node.columns)
 
         def gen():
             count = 0
@@ -206,16 +227,21 @@ class BatchOperators:
                 placeholder = ConstVector(None, row_count)
                 full = [vectors.get(c, placeholder) for c in range(ncols)]
                 sel = predicate(full, row_count, None)
+                columns = [vectors[c] for c in out_positions]
+                if late_positions:
+                    # A late column converts at the kept rows: whole when
+                    # every row is kept, its checks alone when none is.
+                    keep = None if len(sel) == row_count else sel
+                    for p in late_positions:
+                        column = columns[p]
+                        if type(column) is LateChunk:
+                            columns[p] = column.values(keep)
                 if len(sel) == row_count:
-                    yield ColumnBatch(
-                        [vectors[c] for c in out_positions], row_count
-                    )
+                    yield ColumnBatch(columns, row_count)
                 elif sel:
                     # Survivors ride as a selection vector; the copy is
                     # deferred to the operator that builds new columns.
-                    yield ColumnBatch(
-                        [vectors[c] for c in out_positions], row_count, sel
-                    )
+                    yield ColumnBatch(columns, row_count, sel)
             acc.cpu_tuples(count, ncolumns=len(node.columns))
 
         return gen()

@@ -51,8 +51,9 @@ from repro.storage.base import rows_from_blocks
 class SliceProviders:
     """Segment-local data sources a worker lends to its executor."""
 
-    #: scan(table_source, partitions, segment_id, columns, acc)
-    #: -> iterator of (row_count, {column_index: values}) blocks
+    #: scan(table_source, partitions, segment_id, columns, acc, late=())
+    #: -> iterator of (row_count, {column_index: values}) blocks; a
+    #: column of ``late`` may come as a ``storage.base.LateChunk``
     scan: Callable
     #: external(table_source, segment_id, columns, pushed, acc) -> rows
     external: Callable

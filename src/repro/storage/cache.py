@@ -103,8 +103,10 @@ class CachedBlock:
         #: (plain lists), the one column of a CO file's block, the chunks
         #: of a Parquet row group decoded so far (typed
         #: ``repro.columnar.vector`` vectors; dictionary columns stay
-        #: encoded, so they never pin materialized Python strings). None
-        #: in an unread AO or CO block.
+        #: encoded, so they never pin materialized Python strings). A
+        #: CO or Parquet chunk a filtered scan read late is a
+        #: ``base.LateChunk``, which keeps the whole vector once a scan
+        #: converts every row. None in an unread AO or CO block.
         self.data = data
         #: Parquet only: the group's chunk directory and, per decoded
         #: chunk, the remote bytes its fetch charged.

@@ -8,7 +8,8 @@ the query needs and compression sees homogeneous data (the paper notes
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
@@ -17,6 +18,7 @@ from repro.storage.base import (
     DEFAULT_BLOCK_ROWS,
     ColumnCodec,
     Columns,
+    LateChunk,
     ScanStats,
     WriteResult,
     batched,
@@ -111,9 +113,14 @@ def scan_blocks(
     columns: Optional[Sequence[int]] = None,
     stats: Optional[ScanStats] = None,
     cache=None,
+    late: Collection[int] = (),
 ) -> Iterator[Tuple[int, Columns]]:
     """Yield ``(row_count, {column_index: values})`` per storage block,
-    only for the requested columns — the batch executor's scan entry."""
+    only for the requested columns — the batch executor's scan entry.
+
+    A column of ``late`` comes as a :class:`LateChunk` its reader
+    converts once it knows the rows it keeps, or as the vector a cache
+    hit or its writer's values give; every other column as a vector."""
     ncols = len(schema.columns)
     wanted = sorted(set(columns)) if columns is not None else list(range(ncols))
     if not wanted:
@@ -135,7 +142,12 @@ def scan_blocks(
         column_codec = ColumnCodec(schema.columns[index])
         iterators[index] = cached_blocks(
             client, path, logical_length, name, codec, codec_name, stats,
-            cache, _one_column(index, column_codec.decode),
+            cache,
+            _one_column(
+                index,
+                partial(LateChunk, column_codec) if index in late
+                else column_codec.decode,
+            ),
             _one_column(index, column_codec.vector),
         )
     while True:
@@ -149,12 +161,15 @@ def scan_blocks(
                 row_count = block[0]
             elif row_count != block[0]:
                 raise StorageError("column files disagree on block row counts")
-            vectors.update(block[1])
+            column = block[1][index]
+            if type(column) is LateChunk and index not in late:
+                column = column.values()  # a hit on a late read's chunk
+            vectors[index] = column
         yield row_count, vectors
 
 
 def _one_column(index: int, build):
-    """``build`` (a column codec's ``decode`` or ``vector``) for one
-    column file's blocks, its vector keyed by ``index``; the codec
-    compiles at the first block built."""
+    """``build`` (a column codec's ``decode`` or ``vector``, or a late
+    chunk's constructor) for one column file's blocks, its result keyed
+    by ``index``; the codec compiles at the first block built."""
     return lambda *args: {index: build(*args)}

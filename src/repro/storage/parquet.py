@@ -17,7 +17,7 @@ Parquet's headline feature in miniature.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
@@ -26,6 +26,7 @@ from repro.storage.base import (
     DEFAULT_BLOCK_ROWS,
     ColumnCodec,
     Columns,
+    LateChunk,
     ScanStats,
     WriteResult,
     batched,
@@ -138,12 +139,15 @@ def scan_blocks(
     columns: Optional[Sequence[int]] = None,
     stats: Optional[ScanStats] = None,
     cache=None,
+    late: Collection[int] = (),
 ) -> Iterator[Tuple[int, Columns]]:
     """Yield ``(row_count, {column_index: values})`` per row group.
 
     With a decode cache, group headers/directories and decoded column
     chunks are cached per ``(path, write_epoch)``; chunks for columns a
-    previous scan did not project are decoded (and added) lazily.
+    previous scan did not project are decoded (and added) lazily. A
+    column of ``late`` comes as in ``co.scan_blocks``: a
+    :class:`LateChunk` unless a hit or its writer's values give a vector.
     """
     ncols = len(schema.columns)
     wanted = sorted(set(columns)) if columns is not None else list(range(ncols))
@@ -183,6 +187,8 @@ def scan_blocks(
                     if i in wanted:
                         values = decoded.get(i)
                         if values is not None:
+                            if type(values) is LateChunk and i not in late:
+                                values = values.values()
                             cache.replay_bytes(
                                 stats, compressed_len, uncompressed_len,
                                 chunk_remotes[i],
@@ -193,6 +199,7 @@ def scan_blocks(
                                 client, reader, chunk_offset, compressed_len,
                                 uncompressed_len, row_count,
                                 column_codecs[i], codec, stats, written,
+                                i in late,
                             )
                             if written is not None:  # held since the write
                                 cache.fill(block, {i: values})
@@ -243,7 +250,7 @@ def scan_blocks(
                     vectors[i], chunk_remotes[i] = _read_chunk(
                         client, reader, chunk_offset, compressed_len,
                         uncompressed_len, row_count, column_codecs[i],
-                        codec, stats, unread.get(i),
+                        codec, stats, unread.get(i), i in late,
                     )
                 chunk_offset += compressed_len
             if block is not None:
@@ -289,10 +296,12 @@ def _read_chunk(
     codec,
     stats: Optional[ScanStats],
     written: Optional[Sequence[object]] = None,
-) -> Tuple[List[object], int]:
+    late: bool = False,
+) -> Tuple[object, int]:
     """Read + decode one column chunk; returns (values, remote bytes).
     A chunk whose ``written`` values the writer left takes them in place
-    of the decode, once the read and its length check have passed."""
+    of the decode, once the read and its length check have passed; a
+    ``late`` one is a :class:`LateChunk`."""
     reader.seek(chunk_offset)
     remote_before = client.remote_bytes_read
     compressed = reader.read(compressed_len)
@@ -300,10 +309,12 @@ def _read_chunk(
     payload = codec.decompress(compressed)
     if len(payload) != uncompressed_len:
         raise StorageError("chunk failed decompression check")
-    if written is None:
-        values = column_codec.decode(payload, row_count)
-    else:
+    if written is not None:
         values = column_codec.vector(written)
+    elif late:
+        values = LateChunk(column_codec, payload, row_count)
+    else:
+        values = column_codec.decode(payload, row_count)
     if stats is not None:
         stats.compressed_bytes += compressed_len
         stats.uncompressed_bytes += uncompressed_len

@@ -248,7 +248,7 @@ class _FakeTables:
     def __init__(self, tables):
         self.tables = tables  # name -> rows
 
-    def scan(self, table, partitions, segment, columns, acc):
+    def scan(self, table, partitions, segment, columns, acc, late=()):
         rows = self.tables[table.table_name]
         for start in range(0, len(rows), BLOCK):
             acc.fixed(1e-6 * (start + 1) / 3)

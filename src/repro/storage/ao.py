@@ -11,7 +11,7 @@ over.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
@@ -107,9 +107,12 @@ def scan_blocks(
     columns: Optional[Sequence[int]] = None,
     stats: Optional[ScanStats] = None,
     cache=None,
+    late: Collection[int] = (),
 ) -> Iterator[Tuple[int, Columns]]:
     """Yield ``(row_count, {column_index: values})`` per block, one list
-    per column of ``columns`` (all of them for None).
+    per column of ``columns`` (all of them for None). ``late`` is taken
+    as every format's ``scan_blocks`` takes it, and ignored: an AO block
+    converts no column late, its row walk being most of the cost.
 
     A block is read and decompressed whole (that is the format) but
     decoded only for the columns the scan reads. The decode cache keeps

@@ -12,8 +12,8 @@ from repro.bench.harness import (
     NOMINAL_160GB,
     get_hawq,
     get_stinger,
-    rows_match,
 )
+from repro.bench.reference import mismatch
 from repro.tpch.queries import QUERIES
 
 SHOWCASE = (1, 5, 6, 9)  # two simple selections, two complex joins
@@ -32,9 +32,9 @@ def main() -> None:
     for number in SHOWCASE:
         hawq_result = hawq.run_query(number)
         stinger_result, status = stinger.run_query(number)
-        agree = status == "ok" and rows_match(
+        agree = status == "ok" and mismatch(
             hawq_result.rows, stinger_result.rows
-        )
+        ) is None
         speedup = stinger_result.seconds / hawq_result.cost.seconds
         print(
             f"{'Q' + str(number):>6} {hawq_result.cost.seconds:>10.1f} "

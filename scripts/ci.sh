@@ -38,7 +38,8 @@ echo "== CO / Parquet decode to lists without NumPy =="
 # statistics, narrow every filter to the same rows, size every batch the
 # same (a census of Python values), place every key on the same segment
 # and agree with the row executor — and with SQLite on the scan shapes
-# and on `%`, `IN` and LIKE — and charge every byte it reads and writes.
+# and on `%`, `IN` and LIKE, and on the generated statements — and charge
+# every byte it reads and writes.
 REPRO_NO_NUMPY=1 python -m pytest -q \
     tests/test_storage.py tests/test_block_cache.py tests/test_codec.py \
     tests/test_analyze_columnar.py tests/test_predicate_form.py \
@@ -46,7 +47,13 @@ REPRO_NO_NUMPY=1 python -m pytest -q \
     tests/test_batch_differential.py tests/test_two_representations.py \
     tests/test_placement.py tests/test_sqlite_reference.py \
     tests/test_postgres_rules.py tests/test_byte_conservation.py \
-    tests/test_table_files.py
+    tests/test_table_files.py tests/test_reference.py
+
+echo "== the outside reference at CI scale: the 22 three ways at SF 0.01, 40 x 50 generated statements =="
+# Tier-1 runs both smaller. At SF 0.001 Q8 and Q20 answer no rows, so
+# only SF 0.01 checks them; there all 22 answer rows (Stinger takes ~7 s).
+REPRO_REFERENCE_SF=0.01 python -m pytest -q tests/test_tpch.py -k test_the_22_agree_three_ways
+REPRO_REFERENCE_SEEDS=40 python -m pytest -q tests/test_reference.py -k test_generated_statements
 
 echo "== the simulated-clock contract per statement, under three hash seeds =="
 # Tier-1 checked these once, under a random hash seed. Each reading must

@@ -4,7 +4,6 @@ from repro.bench.harness import (
     BenchConfig,
     HawqBench,
     StingerBench,
-    rows_match,
     suite_seconds,
 )
 from repro.bench.reporting import format_table, print_figure
@@ -15,6 +14,5 @@ __all__ = [
     "StingerBench",
     "format_table",
     "print_figure",
-    "rows_match",
     "suite_seconds",
 ]

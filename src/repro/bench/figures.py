@@ -12,6 +12,7 @@ and after.
 
 from __future__ import annotations
 
+import statistics
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.harness import (
@@ -429,7 +430,10 @@ HEADLINES: Dict[str, List[Headline]] = {
         ]
         for name, paper in (("fig06", PAPER_160GB), ("fig07", PAPER_1600GB))
     },
-    "fig08": [("mean Stinger ÷ HAWQ", lambda c: _mean(speedups(c)), 10.0)],
+    # The paper's "~10x" is one figure for the group; Q11 and Q13 carry
+    # the mean, so the median is the reading to hold against it.
+    "fig08": [("mean Stinger ÷ HAWQ", lambda c: _mean(speedups(c)), 10.0),
+              ("median Stinger ÷ HAWQ", lambda c: statistics.median(speedups(c)), 10.0)],
     "fig09": [("mean Stinger ÷ HAWQ", lambda c: _mean(speedups(c)), 40.0)],
     "fig10": [("mean random ÷ hash", lambda c: _mean(distribution_gains(c)),
                PAPER_DISTRIBUTION_GAIN)],

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.baselines import StingerEngine
 from repro.baselines.mapreduce import ReducerOutOfMemory
@@ -260,29 +260,3 @@ def suite_seconds(results: Dict[int, object]) -> float:
         else:
             total += result.cost.seconds
     return total
-
-
-def rows_match(a: List[tuple], b: List[tuple], rel_tol: float = 1e-6) -> bool:
-    """Order-insensitive row-set comparison with float tolerance."""
-    if len(a) != len(b):
-        return False
-
-    def sort_key(row):
-        # Round floats so summation-order noise cannot reorder rows.
-        return tuple(
-            "%.6g" % v if isinstance(v, float) else repr(v) for v in row
-        )
-
-    def norm(rows):
-        return sorted(rows, key=sort_key)
-
-    for row_a, row_b in zip(norm(a), norm(b)):
-        if len(row_a) != len(row_b):
-            return False
-        for x, y in zip(row_a, row_b):
-            if isinstance(x, float) and isinstance(y, float):
-                if abs(x - y) > rel_tol * max(abs(x), abs(y), 1.0):
-                    return False
-            elif x != y:
-                return False
-    return True

@@ -185,11 +185,6 @@ class DictVector(Vector):
         idx = _np.asarray(sel, dtype=_np.intp)
         return DictVector(self.data[idx], self.dictionary)
 
-    def code_lut(self, fn) -> list:
-        """Apply ``fn`` once per dictionary entry; returns a list indexed
-        by code (the heart of dict-encoded LIKE/IN/comparison)."""
-        return [fn(value) for value in self.dictionary]
-
 
 class ConstVector:
     """A constant repeated ``n`` times without materializing a list.

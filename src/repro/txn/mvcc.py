@@ -35,9 +35,6 @@ class XidManager:
         self.active.discard(xid)
         self.aborted.add(xid)
 
-    def is_committed(self, xid: int) -> bool:
-        return xid in self.committed
-
     def committed_since(self, snapshot: "Snapshot") -> bool:
         """Has a transaction committed whose effects ``snapshot`` cannot
         see (it was running, or not yet begun, when it was taken)?"""

@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness: scale math, caching, comparisons."""
+"""Tests for the benchmark harness: scale math and caching."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.bench.harness import (
     get_data,
     get_hawq,
     raw_bytes,
-    rows_match,
     suite_seconds,
 )
 from repro.bench.reporting import format_table, print_figure
@@ -47,27 +46,6 @@ class TestScaleMath:
             3: (None, "oom"),
         }
         assert suite_seconds(results) == 7.0
-
-
-class TestRowsMatch:
-    def test_order_insensitive(self):
-        assert rows_match([(1, "a"), (2, "b")], [(2, "b"), (1, "a")])
-
-    def test_float_tolerance(self):
-        assert rows_match([(1.0000000001,)], [(1.0,)])
-        assert not rows_match([(1.1,)], [(1.0,)])
-
-    def test_none_values(self):
-        assert rows_match([(None, 1)], [(None, 1)])
-        assert not rows_match([(None,)], [(1,)])
-
-    def test_length_mismatch(self):
-        assert not rows_match([(1,)], [(1,), (2,)])
-
-    def test_float_noise_does_not_reorder(self):
-        left = [(1.0, "x"), (1.0 + 1e-12, "y")]
-        right = [(1.0, "x"), (1.0, "y")]
-        assert rows_match(left, right)
 
 
 class TestCaching:

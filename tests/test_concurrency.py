@@ -9,7 +9,8 @@ The load-bearing properties:
   run serially and at N=2/4/8 interleaved streams returns bit-identical
   rows per query, and every query's charged cost equals its serial cost
   plus its explicitly-accounted queue wait (float-exact). The serial
-  answers themselves agree with stdlib ``sqlite3``.
+  answers themselves agree with the outside reference
+  (``repro.bench.reference``).
 * **One shared clock, checked from outside** — every task of an
   interleaved run starts exactly when its release, its inputs and its
   segment slot allow, and the resource queue's recorded waits are the
@@ -26,10 +27,9 @@ The load-bearing properties:
   admit, and an explicit transaction means the same thing in a stream.
 """
 
-import sqlite3
-
 import pytest
 
+from repro.bench.reference import Reference
 from repro.catalog.security import QueueLimitExceeded
 from repro.cluster.resqueue import (
     QueueSpec,
@@ -43,7 +43,6 @@ from repro.obs.trace import trace_query_id_violations
 from repro.simtime.scheduler import EventScheduler, TaskGraph
 from repro.util import DeterministicRng
 from tests.conftest import runtime_holds
-from tests.test_sqlite_reference import _assert_rows_agree
 
 
 # --------------------------------------------------------------- fixtures
@@ -382,22 +381,15 @@ class TestSerialConcurrentDifferential:
 
     def test_serial_answers_agree_with_sqlite(self):
         """The differential's reference, checked outside the engine: the
-        pool's statements on ``conc`` against stdlib ``sqlite3`` — in
-        order under ORDER BY, as multisets otherwise."""
-        session = build_engine().connect()
-        db = sqlite3.connect(":memory:")
-        try:
-            db.execute(CONC_DDL)
-            db.executemany("INSERT INTO conc VALUES (?, ?, ?)", CONC_ROWS)
-            for sql in POOL:
-                ours = session.execute(sql).rows
-                theirs = db.execute(sql).fetchall()
-                assert theirs, f"SQLite answered nothing: {sql}"
-                if "ORDER BY" not in sql:
-                    ours, theirs = sorted(ours), sorted(theirs)
-                _assert_rows_agree(ours, theirs, exact=True)
-        finally:
-            db.close()
+        pool's statements on ``conc`` against the outside reference."""
+        engine = build_engine()
+        session, reference = engine.connect(), Reference()
+        reference.load(engine, "conc", CONC_ROWS)
+        for sql in POOL:
+            answer = reference.run(sql)
+            assert answer.rows, f"the reference answered nothing: {sql}"
+            assert answer.mismatch(session.execute(sql).rows) is None, sql
+        reference.close()
 
     def test_streams_add_throughput_and_bound_the_tail(self):
         """Eight streams finish more statements per simulated second than

@@ -207,7 +207,7 @@ class TestTransactionManager:
         txn = manager.begin()
         manager.commit(txn)
         assert txn.state == "committed"
-        assert manager.xids.is_committed(txn.xid)
+        assert txn.xid in manager.xids.committed
         kinds = [r.kind for r in manager.wal.records_from(0)]
         assert kinds == ["begin", "commit"]
 

@@ -52,6 +52,8 @@ REPRO_NO_NUMPY=1 python -m pytest -q \
 echo "== the outside reference at CI scale: the 22 three ways at SF 0.01, 40 x 50 generated statements =="
 # Tier-1 runs both smaller. At SF 0.001 Q8 and Q20 answer no rows, so
 # only SF 0.01 checks them; there all 22 answer rows (Stinger takes ~7 s).
+# HAWQ runs the 22 on AO tables (list-backed batches) and on CO tables
+# (typed batches, NumPy-backed here).
 REPRO_REFERENCE_SF=0.01 python -m pytest -q tests/test_tpch.py -k test_the_22_agree_three_ways
 REPRO_REFERENCE_SEEDS=40 python -m pytest -q tests/test_reference.py -k test_generated_statements
 

@@ -27,9 +27,12 @@ reaches it. It does three things:
     dividend's sign, and a zero divisor raises (SQLite would give NULL).
 
 * :func:`mismatch` compares two answers: as multisets, or in order where
-  the statement's ORDER BY keys are all among its output columns. Rows whose
-  keys tie may come in any order, and under a LIMIT the last run of
-  tied rows need only agree on its keys. Floats agree to :data:`REL_TOL`.
+  the statement has an ORDER BY, whose keys must all be among its output
+  columns. Rows whose keys tie may come in any order, and under a LIMIT
+  the last run of tied rows need only agree on its keys. A column the
+  engines compute (an aggregate, arithmetic, a subquery) agrees to
+  :data:`REL_TOL`; a column read from a table, a view's or a derived
+  table's stored column agrees exactly, so a decoder one bit off fails.
 """
 
 from __future__ import annotations
@@ -39,14 +42,15 @@ import datetime
 import math
 import sqlite3
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import DataType, TypeKind
 from repro.sql import ast
 from repro.sql.parser import parse_sql
 
-#: The one float tolerance, relative: two engines add the same floats in
-#: different orders, so their sums differ in the last few bits.
+#: The one float tolerance, relative, for computed columns: two engines
+#: add the same floats in different orders, so their sums differ in the
+#: last few bits.
 REL_TOL = 1e-9
 
 _SQLITE_TYPES = {
@@ -283,31 +287,42 @@ def _value(value: object) -> object:
     return value
 
 
-def _same(a: object, b: object) -> bool:
+def _same(a: object, b: object, tolerant: bool) -> bool:
     a, b = _value(a), _value(b)
     if isinstance(a, float) or isinstance(b, float):
         if not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
             return False
-        return a == b or math.isclose(a, b, rel_tol=REL_TOL)
+        return a == b or (tolerant and math.isclose(a, b, rel_tol=REL_TOL))
     return type(a) is type(b) and a == b
 
 
-def _same_row(a: Sequence[object], b: Sequence[object]) -> bool:
-    return len(a) == len(b) and all(map(_same, a, b))
+def _same_row(a: Sequence[object], b: Sequence[object], tolerant: Sequence[bool]) -> bool:
+    return len(a) == len(b) == len(tolerant) and all(map(_same, a, b, tolerant))
 
 
-def _sort_key(row: Sequence[object]) -> tuple:
-    # Floats round to 6 digits so that summation-order noise cannot
-    # reorder two rows; None sorts apart from every value.
-    return tuple(
-        (0, "") if v is None else (1, "%.6g" % v if isinstance(v, float) else repr(_value(v)))
-        for v in row
-    )
+def _sort_key(row: Sequence[object], tolerant: Sequence[bool]) -> tuple:
+    # A tolerant float sorts by 6 digits, so that summation-order noise
+    # cannot reorder two rows, then by its value; None sorts apart.
+    first, then = [], []
+    for v, loose in zip(map(_value, row), tolerant):
+        if v is None:
+            first.append((0, 0, ""))
+        elif isinstance(v, (int, float)):
+            first.append((1, float("%.6g" % v) if loose else v, ""))
+            then.append(v)
+        else:
+            first.append((2, 0, repr(v)))
+    return first, then
 
 
-def _multiset_mismatch(ours: List[tuple], theirs: List[tuple]) -> Optional[str]:
-    for a, b in zip(sorted(ours, key=_sort_key), sorted(theirs, key=_sort_key)):
-        if not _same_row(a, b):
+def _multiset_mismatch(
+    ours: List[tuple], theirs: List[tuple], tolerant: Sequence[bool]
+) -> Optional[str]:
+    def key(row):
+        return _sort_key(row, tolerant)
+
+    for a, b in zip(sorted(ours, key=key), sorted(theirs, key=key)):
+        if not _same_row(a, b, tolerant):
             return f"row {a!r} where the reference has {b!r}"
     return None
 
@@ -317,6 +332,7 @@ def mismatch(
     theirs: Sequence[tuple],
     keys: Optional[Tuple[int, ...]] = None,
     limit: Optional[int] = None,
+    computed: Optional[Sequence[bool]] = None,
 ) -> Optional[str]:
     """None when ``ours`` is an answer ``theirs`` allows, else why not.
 
@@ -324,24 +340,30 @@ def mismatch(
     select-list positions an ORDER BY sorts on) they are compared in
     order, a run of rows whose keys tie as a multiset; when ``limit``
     cut the answer, the last run need only agree on its keys. With a
-    ``limit`` but no keys, only the number of rows is compared."""
+    ``limit`` but no keys, only the number of rows is compared. A float
+    in a ``computed`` column (every column when None) agrees to
+    :data:`REL_TOL`, any other value exactly."""
     ours, theirs = [tuple(r) for r in ours], [tuple(r) for r in theirs]
     if len(ours) != len(theirs):
         return f"{len(ours)} rows where the reference has {len(theirs)}"
+    if not theirs:
+        return None
+    tolerant = [True] * len(theirs[0]) if computed is None else list(computed)
     if keys is None:
-        return None if limit is not None else _multiset_mismatch(ours, theirs)
+        return None if limit is not None else _multiset_mismatch(ours, theirs, tolerant)
+    key_tolerant = [tolerant[k] for k in keys]
     start = 0
     while start < len(theirs):
         tie = [theirs[start][k] for k in keys]
         end = start + 1
-        while end < len(theirs) and _same_row([theirs[end][k] for k in keys], tie):
+        while end < len(theirs) and _same_row([theirs[end][k] for k in keys], tie, key_tolerant):
             end += 1
         for row in ours[start:end]:
-            if not _same_row([row[k] for k in keys], tie):
+            if not _same_row([row[k] for k in keys], tie, key_tolerant):
                 return f"row {row!r} where the reference sorts {theirs[start]!r}"
         cut = limit is not None and end == len(theirs) == limit
         if not cut:
-            found = _multiset_mismatch(ours[start:end], theirs[start:end])
+            found = _multiset_mismatch(ours[start:end], theirs[start:end], tolerant)
             if found:
                 return found
         start = end
@@ -350,14 +372,16 @@ def mismatch(
 
 @dataclass
 class Answer:
-    """The reference's rows for a statement, and how to compare with them."""
+    """The reference's rows for a statement, and how to compare with them:
+    its ORDER BY positions, its LIMIT and which columns are computed."""
 
     rows: List[tuple]
     keys: Optional[Tuple[int, ...]] = None
     limit: Optional[int] = None
+    computed: Optional[Tuple[bool, ...]] = None
 
     def mismatch(self, ours: Sequence[tuple]) -> Optional[str]:
-        return mismatch(ours, self.rows, self.keys, self.limit)
+        return mismatch(ours, self.rows, self.keys, self.limit, self.computed)
 
 
 # ---------------------------------------------------------------- reference
@@ -370,6 +394,8 @@ class Reference:
         self.db.create_function("pg_mod", 2, _pg_mod, deterministic=True)
         self.db.create_function("pg_date_add", 3, _pg_date_add, deterministic=True)
         self.db.execute("PRAGMA case_sensitive_like = ON")
+        #: Each table's and view's columns: (name, computed).
+        self.relations: Dict[str, List[Tuple[Optional[str], bool]]] = {}
 
     def load(self, engine, table: str, rows: Sequence[Sequence[object]]) -> None:
         """Create ``table`` with its catalog schema in ``engine`` and hold
@@ -377,6 +403,7 @@ class Reference:
         with engine.txns.run() as txn:
             schema = engine.catalog.get_schema(table, txn.statement_snapshot())
         columns = schema.columns
+        self.relations[schema.name] = [(c.name, False) for c in columns]
         self.db.execute(
             f"CREATE TABLE {schema.name} ("
             + ", ".join(f"{c.name} {_SQLITE_TYPES[c.type.kind]}" for c in columns)
@@ -403,12 +430,55 @@ class Reference:
                 if "user-defined function raised exception" in str(exc):
                     raise DivisionByZero("division by zero") from exc
                 raise
-            if isinstance(stmt, ast.SelectStmt):
+            if isinstance(stmt, ast.CreateViewStmt):
+                self.relations[stmt.name] = self._outputs(stmt.query)
+            elif isinstance(stmt, ast.DropStmt):
+                self.relations.pop(stmt.name, None)
+            else:
                 names = [column[0] for column in cursor.description]
-                answer = Answer(rows, order_keys(stmt, names), stmt.limit)
+                keys = order_keys(stmt, names)
+                if stmt.order_by and keys is None:
+                    raise ValueError("an ORDER BY key is no output column: its order goes unchecked")
+                computed = tuple(computed for _name, computed in self._outputs(stmt))
+                if len(computed) != len(names):
+                    raise ValueError(f"{len(names)} output columns, {len(computed)} resolved")
+                answer = Answer(rows, keys, stmt.limit, computed)
         if answer is None:
             raise ValueError("no SELECT to answer")
         return answer
+
+    def _outputs(self, stmt: ast.SelectStmt) -> List[Tuple[Optional[str], bool]]:
+        """Each output column of ``stmt``: its name, and whether the
+        engines compute it rather than read a stored column."""
+        sources = list(self._sources(stmt.from_items))
+        outputs = []
+        for item in stmt.items:
+            expr = item.expr
+            if isinstance(expr, ast.Star):
+                for qualifier, columns in sources:
+                    if expr.table in (None, qualifier):
+                        outputs.extend(columns)
+            elif isinstance(expr, ast.ColumnRef):
+                found = [
+                    computed
+                    for qualifier, columns in sources if expr.table in (None, qualifier)
+                    for name, computed in columns if name == expr.name
+                ]
+                # Not found: an outer statement's column, taken as computed.
+                outputs.append((item.alias or expr.name, found != [False]))
+            else:
+                outputs.append((item.alias, not isinstance(expr, ast.Literal)))
+        return outputs
+
+    def _sources(self, items: Sequence[ast.FromItem]):
+        """(qualifier, columns) of each relation ``items`` read."""
+        for item in items:
+            if isinstance(item, ast.JoinExpr):
+                yield from self._sources([item.left, item.right])
+            elif isinstance(item, ast.SubquerySource):
+                yield item.alias, self._outputs(item.query)
+            else:
+                yield item.alias or item.name, self.relations[item.name]
 
     def close(self) -> None:
         self.db.close()

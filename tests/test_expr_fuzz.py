@@ -1,124 +1,15 @@
-"""Property tests of the expression compilers: constant expressions
-through the whole pipeline (lexer -> parser -> analyzer -> compiler ->
-evaluation) agree with direct Python evaluation, and fuzzed expressions
-agree in row and batch mode under faults, with constants beside typed
-and list columns. Constant expressions with NULLs, decimals and zero
-divisors are also checked against the outside reference in
+"""Fuzzed expressions agree in row and batch mode under faults, with
+constants beside typed and list columns. Constant expressions through
+the whole pipeline (lexer -> parser -> analyzer -> compiler ->
+evaluation) are checked against the outside reference in
 ``tests/test_reference.py``."""
 
-import math
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ddl import compile_expr_value
-from repro.errors import ExecutorError
-
-
-@st.composite
-def arithmetic(draw, depth=0):
-    """A random integer-arithmetic expression and its Python value."""
-    if depth >= 3 or draw(st.booleans()):
-        value = draw(st.integers(-50, 50))
-        if value < 0:
-            return f"({value})", value
-        return str(value), value
-    op = draw(st.sampled_from(["+", "-", "*"]))
-    left_text, left_val = draw(arithmetic(depth=depth + 1))
-    right_text, right_val = draw(arithmetic(depth=depth + 1))
-    value = {"+": left_val + right_val,
-             "-": left_val - right_val,
-             "*": left_val * right_val}[op]
-    return f"({left_text} {op} {right_text})", value
-
-
-@settings(max_examples=150, deadline=None)
-@given(expr=arithmetic())
-def test_constant_arithmetic_matches_python(expr):
-    text, expected = expr
-    assert compile_expr_value_sql(text) == expected
-
-
-def compile_expr_value_sql(text):
-    from repro.sql.parser import parse_statement
-
-    stmt = parse_statement(f"SELECT {text}")
-    return compile_expr_value(stmt.items[0].expr)
-
-
-@st.composite
-def comparisons(draw):
-    left = draw(st.integers(-10, 10))
-    right = draw(st.integers(-10, 10))
-    op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
-    python = {
-        "=": left == right, "<>": left != right, "<": left < right,
-        "<=": left <= right, ">": left > right, ">=": left >= right,
-    }[op]
-    return f"{left} {op} {right}", python
-
-
-@settings(max_examples=100, deadline=None)
-@given(expr=comparisons())
-def test_constant_comparisons_match_python(expr):
-    text, expected = expr
-    assert compile_expr_value_sql(text) is expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    items=st.lists(st.integers(-5, 5), min_size=1, max_size=5),
-    probe=st.integers(-5, 5),
-    negated=st.booleans(),
-)
-def test_in_list_matches_python(items, probe, negated):
-    keyword = "NOT IN" if negated else "IN"
-    text = f"{probe} {keyword} ({', '.join(map(str, items))})"
-    expected = (probe in items) != negated
-    assert compile_expr_value_sql(text) is expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    condition=st.booleans(),
-    then=st.integers(-9, 9),
-    otherwise=st.integers(-9, 9),
-)
-def test_case_matches_python(condition, then, otherwise):
-    text = (
-        f"CASE WHEN {'true' if condition else 'false'} "
-        f"THEN {then} ELSE {otherwise} END"
-    )
-    assert compile_expr_value_sql(text) == (then if condition else otherwise)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    text_value=st.text(
-        alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd")),
-        max_size=12,
-    ),
-    start=st.integers(1, 6),
-    length=st.integers(0, 6),
-)
-def test_substring_matches_python(text_value, start, length):
-    sql = f"substring('{text_value}' from {start} for {length})"
-    expected = text_value[start - 1 : start - 1 + length]
-    assert compile_expr_value_sql(sql) == expected
-
-
-def test_division_by_zero_raises():
-    with pytest.raises(ExecutorError):
-        compile_expr_value_sql("1 / 0")
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=st.integers(-20, 20), b=st.integers(-20, 20).filter(bool))
-def test_integer_division_truncates_toward_zero(a, b):
-    assert compile_expr_value_sql(f"{a} / {b}") == math.trunc(Fraction(a, b))
-
+from repro.chaos import FaultEvent, FaultInjector, FaultPlan
+from repro.engine import Engine
 
 # ---------------------------------------------------------------------------
 # Fuzzed expressions in row AND batch mode under a fault schedule: the
@@ -126,11 +17,6 @@ def test_integer_division_truncates_toward_zero(a, b):
 # hold even when every scan is reading around a dead DataNode and a dead
 # segment's failover host.
 # ---------------------------------------------------------------------------
-
-from hypothesis import HealthCheck
-
-from repro.chaos import FaultEvent, FaultInjector, FaultPlan
-from repro.engine import Engine
 
 FAULT_FUZZ_ROWS = [(i, (i * 7) % 23 - 11) for i in range(600)]
 

@@ -12,7 +12,8 @@ from repro.baselines import StingerEngine
 from repro.bench import contract
 from repro.bench.reference import Reference
 from repro.bench.statements import TPCH_SEED, traffic, traffic_session
-from repro.tpch import QUERIES, TABLE_NAMES, generate
+from repro.engine import Engine
+from repro.tpch import QUERIES, TABLE_NAMES, generate, load_tpch
 from repro.tpch.dbgen import CURRENT_DATE, END_DATE, START_DATE
 
 SCALE = 0.001
@@ -33,10 +34,13 @@ def hawq(data):
 
 @pytest.fixture(scope="module")
 def three_way(data, hawq):
-    """HAWQ, Stinger and the reference holding the same TPC-H data."""
+    """HAWQ on AO tables (list-backed batches) and on CO tables (typed
+    batches), Stinger and the reference, holding the same TPC-H data."""
     if THREE_WAY_SCALE != SCALE:
         data = generate(THREE_WAY_SCALE, seed=TPCH_SEED)
         hawq = traffic_session(data)
+    hawq_co = Engine(num_segment_hosts=4, segments_per_host=1).connect()
+    load_tpch(hawq_co, storage_format="co", data=data)
     engine, reference = hawq.engine, Reference()
     stinger = StingerEngine(num_nodes=4, containers_per_node=2, scale=100.0)
     for table in TABLE_NAMES:
@@ -44,7 +48,7 @@ def three_way(data, hawq):
         with engine.txns.run() as txn:
             schema = engine.catalog.get_schema(table, txn.statement_snapshot())
         stinger.load_table(schema, getattr(data, table))
-    yield hawq, stinger, reference
+    yield {"HAWQ AO": hawq, "HAWQ CO": hawq_co, "Stinger": stinger}, reference
     reference.close()
 
 
@@ -133,19 +137,20 @@ def test_query_runs_on_hawq(hawq, number):
 
 @pytest.mark.parametrize("number", sorted(QUERIES))
 def test_the_22_agree_three_ways(three_way, number):
-    """HAWQ (MPP, pipelined) and Stinger (rule-based MapReduce) each give
-    the reference's answer: in order where the ORDER BY keys are in the
-    select list, with LIMIT and tie rules (``reference.mismatch``)."""
-    hawq, stinger, reference = three_way
+    """HAWQ (MPP, pipelined; on AO and on CO tables) and Stinger
+    (rule-based MapReduce) each give the reference's answer: in order
+    where there is an ORDER BY, with LIMIT and tie rules
+    (``reference.mismatch``)."""
+    engines, reference = three_way
     answer = reference.run(";".join(QUERIES[number]))
-    for stmt in QUERIES[number]:  # Q15 runs its SELECT inside CREATE/DROP VIEW
-        hawq_result, stinger_result = hawq.execute(stmt), stinger.execute(stmt)
-        if stmt.lstrip().lower().startswith("select"):
-            ours, theirs = hawq_result.rows, stinger_result.rows
     # At SF 0.001 and 0.002 Q8 and Q20 answer nothing; at SF 0.01 all 22 do.
     assert answer.rows or (THREE_WAY_SCALE < 0.01 and number in (8, 20)), f"Q{number}"
-    assert answer.mismatch(ours) is None, f"Q{number}: HAWQ {answer.mismatch(ours)}"
-    assert answer.mismatch(theirs) is None, f"Q{number}: Stinger {answer.mismatch(theirs)}"
+    for name, engine in engines.items():
+        for stmt in QUERIES[number]:  # Q15 runs its SELECT inside CREATE/DROP VIEW
+            result = engine.execute(stmt)
+            if stmt.lstrip().lower().startswith("select"):
+                rows = result.rows
+        assert answer.mismatch(rows) is None, f"Q{number}: {name} {answer.mismatch(rows)}"
 
 
 @pytest.mark.parametrize("number", sorted(QUERIES))

@@ -39,7 +39,8 @@ echo "== CO / Parquet decode to lists without NumPy =="
 # same (a census of Python values), place every key on the same segment
 # and agree with the row executor — and with SQLite on the scan shapes
 # and on `%`, `IN` and LIKE, and on the generated statements — and charge
-# every byte it reads and writes.
+# every byte it reads and writes, and keep every table's files and rows
+# through the op sequences.
 REPRO_NO_NUMPY=1 python -m pytest -q \
     tests/test_storage.py tests/test_block_cache.py tests/test_codec.py \
     tests/test_analyze_columnar.py tests/test_predicate_form.py \
@@ -56,6 +57,13 @@ echo "== the outside reference at CI scale: the 22 three ways at SF 0.01, 40 x 5
 # (typed batches, NumPy-backed here).
 REPRO_REFERENCE_SF=0.01 python -m pytest -q tests/test_tpch.py -k test_the_22_agree_three_ways
 REPRO_REFERENCE_SEEDS=40 python -m pytest -q tests/test_reference.py -k test_generated_statements
+
+echo "== op sequences over user tables at CI scale: 2,000 sequences of 30 steps =="
+# Tier-1 runs 300 (tests/test_table_files.py's default): sessions, blocks,
+# every write and DDL verb, VACUUM and faults against the model of
+# committed rows, with the file, catalog, standby and runtime invariants
+# after every step. Derandomized, so a run repeats; ~70 s.
+REPRO_OP_SEQUENCES=2000 python -m pytest -q tests/test_table_files.py -k TestOpSequences
 
 echo "== the simulated-clock contract per statement, under three hash seeds =="
 # Tier-1 checked these once, under a random hash seed. Each reading must

@@ -138,15 +138,25 @@ class CatalogTable:
             self._by_key.setdefault(key, []).append(version)
 
     def expire_version(self, row: CatalogRow, xid: int) -> None:
-        """Stamp ``xid`` as the deleter of the first live version equal to
-        ``row`` — the standby's replay of a logged delete."""
+        """Stamp ``xid`` as the deleter of the version whose payload is
+        ``row`` itself — the standby's replay of a logged delete. Identity,
+        not equality: a rolled-back twin can hold equal values."""
         key = None if self.key_column is None else row.get(self.key_column)
-        aborted = self._aborted
         for version in self._versions(key):
-            xmax = version.xmax  # unclaimed: see the class docstring
-            if (xmax is None or xmax in aborted) and version.data == row:
+            if version.data is row:
                 version.xmax = xid
                 return
+
+    def written_since(
+        self, snapshot: Snapshot, key: object, committed: Collection[int]
+    ) -> bool:
+        """Has a transaction in ``committed`` that ``snapshot`` cannot see
+        created or deleted a version filed under ``key``?"""
+        return any(
+            stamp is not None and stamp in committed and not snapshot.sees_xid(stamp)
+            for version in self._versions(key)
+            for stamp in (version.xmin, version.xmax)
+        )
 
     def _claim(
         self,
@@ -290,6 +300,18 @@ class CatalogService:
         self.table("pg_statistic").delete(snapshot, None, xid, key=name)
         # A dropped object's own dependencies disappear with it.
         self.table("pg_depend").delete(snapshot, lambda r: r["dependent"] == name, xid)
+
+    def written_since(
+        self, snapshot: Snapshot, names: Sequence[str], committed: Collection[int]
+    ) -> bool:
+        """Has a transaction in ``committed`` that ``snapshot`` cannot see
+        written a ``pg_class``, ``gp_segfile`` or ``pg_statistic`` row of
+        one of ``names``?"""
+        return any(
+            self.table(table).written_since(snapshot, name, committed)
+            for table in ("pg_class", "gp_segfile", "pg_statistic")
+            for name in names
+        )
 
     def lookup_relation(
         self, name: str, snapshot: Snapshot

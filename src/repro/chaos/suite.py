@@ -16,8 +16,8 @@ and aborts transactions. The properties asserted per schedule:
   DataNodes, let the NameNode re-replicate): the replication factor is
   restored, the (possibly promoted-standby) catalog answers every query
   with fault-free rows, committed inserts survive exactly (no lost
-  commits, no resurrected aborts) and no non-empty HDFS file is
-  unreferenced by the catalog (no orphaned segfiles).
+  commits, no resurrected aborts) and the HDFS files are exactly those
+  the catalog's segfiles name, at their logical lengths.
 
 The *fault-free twin* doubles as the metronome: an empty-plan injector
 meters how many chaos-clock seconds the script takes, and that horizon
@@ -627,21 +627,24 @@ def check_recovery_invariants(
 
 
 def orphaned_files(engine: Engine) -> List[str]:
-    """HDFS files under the data path no catalog segfile references —
-    files an aborted transaction or a DROP failed to delete."""
-    with engine.txns.run() as txn:
-        snapshot = txn.statement_snapshot()
-        referenced = {
-            path
-            for relation in engine.catalog.relations(snapshot)
-            for _schema, segfile in segfiles(engine.catalog, relation, snapshot)
-            for path in segfile["paths"]
-        }
-    return [
-        status.path
-        for status in engine.hdfs.list_status(engine.data_path)
-        if status.path not in referenced
-    ]
+    """The files under the data path that disagree with the visible
+    catalog segfiles, sorted: files none names (an aborted transaction or
+    a DROP failed to delete them), named files that are missing, and
+    files longer or shorter than their committed logical length."""
+    snapshot = engine.txns.xids.snapshot(0)  # committed transactions only
+    named = {
+        path: length
+        for relation in engine.catalog.relations(snapshot)
+        for _schema, segfile in segfiles(engine.catalog, relation, snapshot)
+        for path, length in segfile["paths"].items()
+    }
+    on_hdfs = {
+        status.path: status.length
+        for status in engine.hdfs.list_status(engine.data_path + "/")
+    }
+    return sorted(
+        path for path in {**named, **on_hdfs} if named.get(path) != on_hdfs.get(path)
+    )
 
 
 def run_smoke(

@@ -77,8 +77,8 @@ class StandbyMaster:
             # CatalogRow; only the xmin/xmax stamps are its own.
             table.append_version(record.row, record.xid)
         elif record.op == "delete":
-            # A live log carries the very object the insert record did, so
-            # the comparison settles on identity, value by value.
+            # A live log carries the very object the insert record did:
+            # the replay finds the version by identity.
             table.expire_version(record.row, record.xid)
         else:  # pragma: no cover - update is logged as delete+insert
             raise ClusterError(f"unknown WAL change op {record.op!r}")

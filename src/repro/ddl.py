@@ -170,7 +170,6 @@ def drop(session, stmt: ast.DropStmt, txn: Transaction) -> QueryResult:
     table_files.retire(engine, relation, txn, snapshot)
     for dropped in child_names + [name]:
         engine.catalog.drop_table(dropped, txn.xid, snapshot)
-        engine.txns.segfiles.drop_table(dropped)
     return ok(f"DROP {stmt.object_kind.upper()}")
 
 
@@ -179,7 +178,7 @@ def truncate(session, stmt: ast.TruncateStmt, txn: Transaction) -> QueryResult:
     relation = session.access_relation(
         txn, snapshot, stmt.table, LockMode.ACCESS_EXCLUSIVE, "all"
     )
-    table_files.truncate(session.engine, relation, txn, snapshot)
+    table_files.retire(session.engine, relation, txn, snapshot)
     return ok("TRUNCATE TABLE")
 
 
@@ -221,7 +220,7 @@ def analyze(session, stmt: ast.AnalyzeStmt, txn: Transaction) -> QueryResult:
     if stmt.table is not None:
         relations = [
             session.access_relation(
-                txn, snapshot, stmt.table, LockMode.ACCESS_SHARE, "all"
+                txn, snapshot, stmt.table, LockMode.SHARE_UPDATE_EXCLUSIVE, "all"
             )
         ]
     else:

@@ -40,6 +40,7 @@ from repro.cluster.standby import StandbyMaster
 from repro.cluster.worker import SegmentWorker, WorkerServices
 from repro.errors import (
     CatalogError,
+    DuplicateObject,
     MasterUnavailable,
     ReproError,
     SemanticError,
@@ -488,20 +489,34 @@ class Session:
         ``privilege`` — the owner and a superuser always hold it — and
         only then lock it, so an unprivileged role never holds or waits
         on a lock. The lock does not wait: a conflicting holder fails the
-        statement with :class:`~repro.errors.LockTimeout`. Without a
-        ``privilege`` the statement creates ``name`` and only locks it.
-        Returns the row; None for a missing one under ``if_exists``."""
+        statement with :class:`~repro.errors.LockTimeout`. A statement
+        that writes fails to serialize, once it holds the lock, if a
+        transaction its snapshot cannot see changed ``name``'s catalog
+        rows. Without a ``privilege`` the statement creates ``name``: it
+        locks it and fails if its snapshot sees one. Returns the row; None
+        for a missing one under ``if_exists``."""
         name = name.lower()
+        engine = self.engine
         if privilege is not None:
             if relation is None:
-                relation = self.engine.catalog.lookup_relation(name, snapshot)
+                relation = engine.catalog.lookup_relation(name, snapshot)
                 if relation is None:
                     if if_exists:
                         return None
                     raise UndefinedObject(f"relation {name!r} does not exist")
             if relation["owner"] != self.role:
-                self.engine.security.check(self.role, privilege, name)
+                engine.security.check(self.role, privilege, name)
         txn.lock(f"rel:{name}", mode, wait=False)
+        if privilege is None and engine.catalog.lookup_relation(name, snapshot):
+            raise DuplicateObject(f"relation {name!r} already exists")
+        xids = engine.txns.xids
+        if mode > LockMode.ACCESS_SHARE and xids.committed_since(snapshot):
+            names = [name, *table_files.leaves(relation)] if relation else [name]
+            if engine.catalog.written_since(snapshot, names, xids.committed):
+                raise TransactionError(
+                    f"could not serialize access to {name}: a transaction "
+                    f"this snapshot cannot see changed it"
+                )
         return relation
 
     # ---------------------------------------------------------------- SELECT
@@ -699,21 +714,24 @@ class Session:
         snapshot: Optional[Snapshot] = None,
         acc: Optional[CostAccumulator] = None,
     ) -> int:
-        """Bulk-load ``rows`` (the ETL / COPY / INSERT path) in ``txn`` or
-        in a transaction of its own. INSERT and COPY pass an ``acc`` to
+        """Bulk-load ``rows`` (the ETL / COPY / INSERT path) in ``txn``,
+        which holds the table for the write, or in a transaction of its own,
+        which takes INSERT's lock. INSERT and COPY pass an ``acc`` to
         charge the written bytes to; a bare ETL load is setup, uncharged."""
         if txn is not None:
             return table_files.load(self.engine, table, rows, txn, snapshot, acc)
         with self.engine.txns.run(self.default_isolation) as txn:
-            return table_files.load(
-                self.engine, table, rows, txn, txn.statement_snapshot(), acc
-            )
+            snapshot = txn.statement_snapshot()
+            self.access_relation(txn, snapshot, table, LockMode.ROW_EXCLUSIVE, "insert")
+            return table_files.load(self.engine, table, rows, txn, snapshot, acc)
 
     def _vacuum(self, stmt: ast.VacuumStmt, txn: Transaction) -> QueryResult:
         """Reclaim physical garbage: truncate segment files back to their
         committed logical lengths (aborted appends) and drop catalog row
         versions no live snapshot can see."""
         engine = self.engine
+        if self.in_transaction:
+            raise TransactionError("VACUUM cannot run inside a transaction block")
         snapshot = txn.statement_snapshot()
         if stmt.table is not None:
             relations = [
@@ -731,7 +749,7 @@ class Session:
         reclaimed = table_files.vacuum(engine, relations, snapshot, txn.xid)
         dead = 0
         if stmt.table is None:
-            horizon = engine.txns.xids.snapshot(txn.xid)
+            horizon = engine.txns.horizon()
             for catalog_table in engine.catalog.tables.values():
                 dead += catalog_table.vacuum(horizon)
         return ddl.ok(

@@ -13,12 +13,13 @@ that has no file on HDFS, so a path follows the catalog's MVCC and
 needs no state of its own.
 
 Every step is bound to the writing transaction: :func:`write` appends
-(first truncating what an aborted append left past the logical length,
-and failing if the lane's segfile has a committed version its snapshot
-cannot see); abort truncates a file back to its previous logical
+(first truncating what an aborted append left past the logical length;
+the caller holds the table, under a snapshot that sees its latest
+catalog rows); abort truncates a file back to its previous logical
 length, or deletes it if the transaction created it; :func:`retire`
-(DROP TABLE, ALTER TABLE's old generation) has the files deleted after
-commit, once no transaction that was live at the commit is;
+(TRUNCATE, DROP TABLE, ALTER TABLE's old generation) deletes the
+segfile rows and has their files deleted after commit, once no
+transaction that was live at the commit is;
 :func:`vacuum` truncates past-logical bytes. :func:`delete` forgets the
 files' block-cache entries too.
 """
@@ -30,7 +31,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema, hash_columns
 from repro.columnar import fresh_list, take_columns
-from repro.errors import ExecutorError, TransactionError
+from repro.errors import ExecutorError
 from repro.simtime import CostAccumulator
 from repro.storage import co
 from repro.storage.base import WriteResult
@@ -159,18 +160,6 @@ def write(
     lane = engine.txns.segfiles.acquire(schema.name, txn.xid)
     fmt = get_format(schema.storage_format)
     visible = _lane_segfiles(catalog, schema.name, lane, snapshot)
-    if engine.txns.xids.committed_since(snapshot):
-        latest = _lane_segfiles(
-            catalog, schema.name, lane, engine.txns.xids.snapshot(txn.xid)
-        )
-        if any(visible.get(s) != latest.get(s) for s in buckets):
-            # A transaction this snapshot cannot see committed a version
-            # of the lane's segfile (the lane's last writer, a TRUNCATE, a
-            # DROP or an ALTER): appending would ignore or overwrite it.
-            raise TransactionError(
-                f"could not serialize access to {schema.name}: segment file "
-                f"{lane} has a committed write this snapshot cannot see"
-            )
     for segment_id, segment_rows in sorted(buckets.items()):
         client = engine.segments[segment_id].client(engine.hdfs)
         existing = visible.get(segment_id)
@@ -300,32 +289,11 @@ def rewrite(
         for i in range(len(schema.columns))
     ]
     retire(engine, relation, txn, snapshot)
-    engine.catalog.table("gp_segfile").delete(
-        snapshot, lambda r: r["table"] == name, txn.xid
-    )
     engine.catalog.table("pg_class").update(
         snapshot, lambda r: r["name"] == name, {"schema": schema}, txn.xid
     )
     if columns[0]:
         write(engine, schema, columns, txn, txn.statement_snapshot(), acc)
-
-
-def truncate(engine, relation: dict, txn: Transaction, snapshot: Snapshot) -> None:
-    """TRUNCATE TABLE: every visible segfile keeps its files, at logical
-    length 0 (VACUUM reclaims the bytes)."""
-    for _schema, segfile in segfiles(engine.catalog, relation, snapshot):
-        engine.catalog.update_segfile(
-            snapshot,
-            segfile["table"],
-            segfile["segment_id"],
-            segfile["segfile_id"],
-            {
-                "paths": dict.fromkeys(segfile["paths"], 0),
-                "uncompressed_length": 0,
-                "tupcount": 0,
-            },
-            txn.xid,
-        )
 
 
 def reclaim(client, paths: Dict[str, int]) -> int:
@@ -354,11 +322,14 @@ def vacuum(engine, relations: Iterable[dict], snapshot: Snapshot, xid: int) -> i
 
 
 def retire(engine, relation: dict, txn: Transaction, snapshot: Snapshot) -> None:
-    """Have every file of ``relation``'s visible segfiles deleted once
-    ``txn`` commits and no older snapshot is live; an abort keeps them."""
+    """Delete ``relation``'s visible segfile rows in ``txn`` and have
+    their files deleted once it commits and no older snapshot is live;
+    an abort keeps both (TRUNCATE, DROP TABLE, ALTER TABLE's old files)."""
     for _schema, segfile in segfiles(engine.catalog, relation, snapshot):
         for path in segfile["paths"]:
             txn.retire(path)
+    for leaf in leaves(relation):
+        engine.catalog.table("gp_segfile").delete(snapshot, None, txn.xid, key=leaf)
 
 
 def delete(engine, paths: List[str]) -> None:

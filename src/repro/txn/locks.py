@@ -1,7 +1,9 @@
 """Table-level locking with deadlock detection (paper Section 5.2).
 
 DML takes weak locks (ACCESS_SHARE for reads, ROW_EXCLUSIVE for inserts)
-and DDL takes ACCESS_EXCLUSIVE, which conflicts with both. Statements ask
+and DDL takes ACCESS_EXCLUSIVE, which conflicts with both. ANALYZE takes
+SHARE_UPDATE_EXCLUSIVE, which conflicts only with itself and
+ACCESS_EXCLUSIVE, so one table's statistics have one writer. Statements ask
 with ``wait=False``: a conflict fails the statement with LockTimeout. A
 queued request keeps a wait-for graph, checked on every blocked request;
 the requester that would close a cycle is aborted (HAWQ runs its checker
@@ -24,7 +26,8 @@ class LockMode(enum.IntEnum):
 
     ACCESS_SHARE = 1
     ROW_EXCLUSIVE = 2
-    SHARE = 3
+    #: ANALYZE's: one at a time per table, beside readers and inserters.
+    SHARE_UPDATE_EXCLUSIVE = 3
     ACCESS_EXCLUSIVE = 4
 
 
@@ -39,11 +42,9 @@ def _conflict(a: LockMode, b: LockMode) -> None:
 
 _conflict(LockMode.ACCESS_EXCLUSIVE, LockMode.ACCESS_SHARE)
 _conflict(LockMode.ACCESS_EXCLUSIVE, LockMode.ROW_EXCLUSIVE)
-_conflict(LockMode.ACCESS_EXCLUSIVE, LockMode.SHARE)
+_conflict(LockMode.ACCESS_EXCLUSIVE, LockMode.SHARE_UPDATE_EXCLUSIVE)
 _conflict(LockMode.ACCESS_EXCLUSIVE, LockMode.ACCESS_EXCLUSIVE)
-_conflict(LockMode.SHARE, LockMode.ROW_EXCLUSIVE)
-_conflict(LockMode.SHARE, LockMode.SHARE)  # SHARE self-conflicts? No: compatible.
-_CONFLICTS.discard((LockMode.SHARE, LockMode.SHARE))
+_conflict(LockMode.SHARE_UPDATE_EXCLUSIVE, LockMode.SHARE_UPDATE_EXCLUSIVE)
 
 
 def modes_conflict(held: LockMode, requested: LockMode) -> bool:

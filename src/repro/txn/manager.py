@@ -204,6 +204,21 @@ class TransactionManager:
                 aborted.append(txn.xid)
         return aborted
 
+    def horizon(self) -> Snapshot:
+        """What every live transaction's snapshot sees, now and later: a
+        row version deleted by a transaction this sees is dead to all."""
+        snapshots = [self.xids.snapshot(0)] + [
+            txn._txn_snapshot
+            for txn in self._live.values()
+            if txn._txn_snapshot is not None
+        ]
+        return Snapshot(
+            xid=0,
+            xmax=min(s.xmax for s in snapshots),
+            active=frozenset().union(*(s.active for s in snapshots)),
+            committed=frozenset.intersection(*(s.committed for s in snapshots)),
+        )
+
     # --------------------------------------------------------------- helpers
     def run(self, isolation: IsolationLevel = IsolationLevel.READ_COMMITTED):
         """Context manager running a transaction: commit on success,

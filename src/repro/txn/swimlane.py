@@ -50,6 +50,3 @@ class SegfileAllocator:
     def holder(self, table: str, segfile_id: int) -> Optional[int]:
         """The xid holding lane ``segfile_id`` of ``table``; None if free."""
         return self._lanes.get(table.lower(), {}).get(segfile_id)
-
-    def drop_table(self, table: str) -> None:
-        self._lanes.pop(table.lower(), None)

@@ -213,8 +213,7 @@ class TestMaintenanceStatementsAskWhoIsAsking:
             "t", LockMode.ACCESS_EXCLUSIVE,
         ),
         "CREATE TABLE u (a INT)": ("u", LockMode.ACCESS_EXCLUSIVE),
-        "ANALYZE t": ("t", LockMode.ACCESS_SHARE),
-        "VACUUM t": ("t", LockMode.ACCESS_SHARE),
+        "ANALYZE t": ("t", LockMode.SHARE_UPDATE_EXCLUSIVE),
     }
 
     @pytest.mark.parametrize("statement", sorted(HELD))
